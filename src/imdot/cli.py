@@ -69,18 +69,13 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed,
     return path
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Defaults from a JSON config file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return args
-    data = json.loads(Path(args.config).read_text())
-    given = {a.split("=")[0].lstrip("-").replace("-", "_")
-             for a in sys.argv[1:] if a.startswith("--")}
-    for key, value in data.items():
-        key = key.replace("-", "_")
-        if hasattr(args, key) and key not in given:
-            setattr(args, key, value)
-    return args
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """Flag defaults from the ``--config`` JSON file, keyed by flag
+    destination; keys that name no flag of the subcommand are ignored."""
+    config = json.loads(Path(args.config).read_text())
+    return {key: value for key, value in
+            ((k.replace("-", "_"), v) for k, v in config.items())
+            if key in vars(args) and key not in ("command", "func", "config")}
 
 
 def _toy_config(args) -> ToyConfig:
@@ -302,7 +297,9 @@ def _add_toy_flags(sub):
     sub.add_argument("--config", help="JSON file of flag defaults")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The ``imdot`` parser; ``defaults`` (from ``--config``) become the
+    subcommands' flag defaults, so flags typed on the command line win."""
     parser = argparse.ArgumentParser(
         prog="imdot",
         description="Measure discrepancies and per-class partial transport",
@@ -347,13 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--out", default=None,
                        help="directory for check.json (default: stdout)")
     check.set_defaults(func=cmd_check)
+    for sub in (gen, solve, sweep):
+        sub.set_defaults(**(defaults or {}))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args = _apply_config_file(args, parser)
+    args = build_parser().parse_args(argv)
+    if getattr(args, "config", None):
+        args = build_parser(_config_defaults(args)).parse_args(argv)
     return args.func(args)
 
 

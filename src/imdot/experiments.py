@@ -44,15 +44,22 @@ MODE_SPLIT = "per_class_split"
 #: A propagated row must have received at least this much mass.
 ZERO_ROW_TOL = 1e-12
 
+#: Class votes within this fraction of a row's top vote tie with it.  Far
+#: above the rounding in a plan's vote sums and far below the vote
+#: differences of an exact plan, so labels do not depend on which backend
+#: produced the plan.
+TIE_REL_TOL = 1e-9
+
 
 def propagate_labels(plan, source_labels, n_classes: int | None = None) -> np.ndarray:
     """Majority-vote labels: each target row takes the class sending most mass.
 
     ``plan`` is either a single (n_target, n_source) matrix or a
     :class:`~imdot.ot.TransportPlanSet`, whose class blocks are re-assembled
-    against the source label order.  Ties resolve to the smallest class
-    index; a row carrying less than 1e-12 total mass is an error (the
-    equality marginal makes it impossible short of solver breakdown).
+    against the source label order.  Votes within ``TIE_REL_TOL`` of the
+    row's top vote tie, and ties resolve to the smallest class index; a row
+    carrying less than 1e-12 total mass is an error (the equality marginal
+    makes it impossible short of solver breakdown).
     """
     source_labels = np.asarray(source_labels, dtype=int)
     if n_classes is None:
@@ -71,7 +78,8 @@ def propagate_labels(plan, source_labels, n_classes: int | None = None) -> np.nd
     if np.any(totals < ZERO_ROW_TOL):
         bad = int(np.argmin(totals))
         raise ValueError(f"target row {bad} received no mass ({totals[bad]!r})")
-    return np.argmax(votes, axis=1) + 1
+    top = votes.max(axis=1, keepdims=True)
+    return np.argmax(votes >= top * (1.0 - TIE_REL_TOL), axis=1) + 1
 
 
 def accuracy(predicted, truth) -> float:

@@ -1,11 +1,12 @@
-"""Generic linear-program layer used by every transport and dual solve.
+"""Generic linear-program layer used by the transport and dual solves.
 
 Problems are stated as ``minimize c @ x`` under row constraints with
 relations in ``{<=, =, >=}`` and per-variable bounds (default ``x >= 0``).
 Solving is delegated to HiGHS through :func:`scipy.optimize.linprog`; every
 optimal solution is re-certified here (primal feasibility and duality gap)
 so a numerically broken solve raises instead of returning a silently wrong
-answer.
+answer.  The tolerances named here are the ones every certificate uses,
+including the solver-independent transport certificate of :mod:`imdot.ot`.
 """
 
 from __future__ import annotations
@@ -28,12 +29,16 @@ __all__ = [
 
 RELATIONS = ("<=", "=", ">=")
 
-#: Primal feasibility residual allowed on an optimal solution,
-#: relative to ``1 + ||b||_inf``.
+#: Feasibility residual allowed on an optimal solution: primal residuals
+#: relative to ``1 + ||b||_inf``, dual residuals (the transport certificate
+#: in :mod:`imdot.ot`) relative to ``1 + ||c||_inf``.
 FEASIBILITY_TOL = 1e-8
 
-#: Relative duality-gap tolerance certifying optimality.
-OPTIMALITY_TOL = 1e-9
+#: Duality gap allowed on an optimal solution, relative to ``1 + |value|``.
+GAP_TOL = 1e-7
+
+#: Primal and dual feasibility tolerance HiGHS itself works to.
+HIGHS_TOL = 1e-9
 
 
 class LpError(RuntimeError):
@@ -112,7 +117,8 @@ class LpSolution:
     status: str                # "optimal" | "infeasible" | "unbounded"
     value: float
     x: np.ndarray
-    iterations: int
+    iterations: int            # simplex/IPM iterations; 0 for "assignment"
+    backend: str               # "highs" | "assignment" (see imdot.ot)
 
 
 def _split_rows(lp: LinearProgram):
@@ -168,7 +174,7 @@ def _certify(lp, res, A_ub, b_ub, A_eq, b_eq):
     if np.any(finite_up):
         dual += float(lp.upper[finite_up] @ res.upper.marginals[finite_up])
     gap = abs(res.fun - dual)
-    if gap > 1e-7 * (1.0 + abs(res.fun)):
+    if gap > GAP_TOL * (1.0 + abs(res.fun)):
         raise LpError(
             f"duality gap {gap:.3e} too large for an optimality certificate\n"
             + dump_lp(lp)
@@ -196,14 +202,14 @@ def solve(lp: LinearProgram) -> LpSolution:
         bounds=bounds,
         method="highs",
         options={
-            "primal_feasibility_tolerance": 1e-9,
-            "dual_feasibility_tolerance": 1e-9,
+            "primal_feasibility_tolerance": HIGHS_TOL,
+            "dual_feasibility_tolerance": HIGHS_TOL,
         },
     )
     if res.status == 2:
-        return LpSolution("infeasible", float("nan"), np.empty(0), int(res.nit))
+        return LpSolution("infeasible", float("nan"), np.empty(0), int(res.nit), "highs")
     if res.status == 3:
-        return LpSolution("unbounded", float("nan"), np.empty(0), int(res.nit))
+        return LpSolution("unbounded", float("nan"), np.empty(0), int(res.nit), "highs")
     if res.status != 0:
         raise LpError(f"solver failed (status {res.status}): {res.message}\n" + dump_lp(lp))
     _certify(lp, res, A_ub, b_ub, A_eq, b_eq)
@@ -213,7 +219,7 @@ def solve(lp: LinearProgram) -> LpSolution:
         raise LpError(
             f"objective mismatch: reported {value!r} vs recomputed {check!r}"
         )
-    return LpSolution("optimal", value, np.asarray(res.x), int(res.nit))
+    return LpSolution("optimal", value, np.asarray(res.x), int(res.nit), "highs")
 
 
 def dual_of(lp: LinearProgram) -> LinearProgram:

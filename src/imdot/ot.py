@@ -5,20 +5,49 @@ decomposed source whose class-``k`` block offers capacity
 ``(p_k + beta_k) * conditional_k``; its optimal value equals the IMD of
 ``(target, source + sum_k beta_k conditional_k)`` over nonnegative
 1-Lipschitz functions, which is also computed here directly as the dual LP
-on potentials.  All problems go through :mod:`imdot.lp`.
+on potentials.
+
+Backends.  A single-block problem without a budget split (the global
+relaxation) whose target and source weights are all exactly ``1/n`` and
+whose capacity scale ``1 + beta`` is exactly a fraction ``a/b`` with
+``b <= MAX_DENOMINATOR`` is totally unimodular after scaling: each target
+demands ``n_s b / g`` units and each source offers ``n_t a / g`` units,
+``g`` their gcd.  Replicating atoms by those counts turns it into a
+rectangular assignment problem, solved exactly by
+:func:`scipy.optimize.linear_sum_assignment` (the dummy-point reduction of
+partial to balanced transport).  Every other problem, and any whose
+replicated cost matrix would exceed ``MAX_ASSIGNMENT_ENTRIES`` entries,
+goes through HiGHS in :mod:`imdot.lp`.
+
+An assignment plan is certified without the solver: primal feasibility,
+then duals ``u`` (targets) and ``v >= 0`` (sources) from Bellman-Ford
+shortest paths in the plan's residual graph (a negative cycle means a
+cheaper plan exists), dual feasibility ``c_ij - u_i + v_j >= -tol`` and the
+duality gap, all with the tolerances of :mod:`imdot.lp`.  Plans from either
+backend are then checked against their marginals and capacities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .families import ground_union, weights_on_ground
-from .lp import LinearProgram, LpError, solve
+from .lp import (
+    FEASIBILITY_TOL,
+    GAP_TOL,
+    LinearProgram,
+    LpError,
+    LpSolution,
+    solve,
+)
 from .measures import CostMatrix, DiscreteMeasure
 
 __all__ = [
@@ -35,6 +64,18 @@ __all__ = [
 
 #: Marginal residual allowed on a returned plan.
 PLAN_TOL = 1e-8
+
+#: Plan entries within this of zero count as zero: a negative entry this
+#: small is rounding, and a positive one adds no arc to the residual graph.
+PLAN_ZERO_TOL = 1e-12
+
+#: Largest denominator of the capacity scale ``1 + beta`` that the
+#: assignment backend replicates.
+MAX_DENOMINATOR = 64
+
+#: Largest replicated cost matrix, in entries, that the assignment backend
+#: builds (32 MB of float64); larger problems go to HiGHS.
+MAX_ASSIGNMENT_ENTRIES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -87,6 +128,27 @@ def _solve_blocks(target: DiscreteMeasure,
                   costs: Sequence[CostMatrix],
                   cap_scale: np.ndarray,
                   split: tuple | None = None):
+    """Solve a capacitated block-transport problem on the fitting backend.
+
+    Returns ``(solution, plans, beta_realized)``; ``solution.backend`` names
+    the path taken (see the module docstring).
+    """
+    for k, (w, cost) in enumerate(zip(cond_weights, costs)):
+        _check_cost_block(cost, target.n_atoms, len(w), k)
+    if split is None and len(costs) == 1:
+        copies = _replication(target.weights, cond_weights[0], cap_scale[0])
+        if copies is not None:
+            sol = _solve_assignment(target.weights, cond_weights[0],
+                                    costs[0].entries, cap_scale[0], *copies)
+            return sol, [sol.x.reshape(costs[0].entries.shape)], None
+    return _solve_blocks_highs(target, cond_weights, costs, cap_scale, split)
+
+
+def _solve_blocks_highs(target: DiscreteMeasure,
+                        cond_weights: Sequence[np.ndarray],
+                        costs: Sequence[CostMatrix],
+                        cap_scale: np.ndarray,
+                        split: tuple | None = None):
     """Shared LP assembly for the capacitated block-transport problems.
 
     Variables are the per-class plan entries (row-major inside each class
@@ -105,7 +167,6 @@ def _solve_blocks(target: DiscreteMeasure,
     cap_rows_start = n_t
     for k, (w, cost) in enumerate(zip(cond_weights, costs)):
         n_k = len(w)
-        _check_cost_block(cost, n_t, n_k, k)
         c_parts.append(cost.entries.ravel())
         if n_k == 0:
             continue
@@ -178,10 +239,112 @@ def _solve_blocks(target: DiscreteMeasure,
     return sol, plans, beta_realized
 
 
+def _is_uniform(weights: np.ndarray) -> bool:
+    return len(weights) > 0 and bool(np.all(weights == 1.0 / len(weights)))
+
+
+def _replication(target_w: np.ndarray, source_w: np.ndarray, scale: float):
+    """Copies ``(r_t, r_s)`` of each target and source atom, or ``None``.
+
+    With weights ``1/n_t`` and ``1/n_s`` and capacity ``scale = a/b`` times
+    the source weight, scaling by ``n_t n_s b / g`` makes each demand
+    ``r_t = n_s b / g`` and each capacity ``r_s = n_t a / g`` units, where
+    ``g = gcd(n_s b, n_t a)``.  ``None`` when the weights are not uniform,
+    ``scale`` has no exact fraction with ``b <= MAX_DENOMINATOR``, the
+    problem is infeasible (``a < b``) or the replicated matrix is too large.
+    """
+    if not (_is_uniform(target_w) and _is_uniform(source_w)):
+        return None
+    q = Fraction(float(scale)).limit_denominator(MAX_DENOMINATOR)
+    if float(q) != scale or q < 1:
+        return None
+    n_t, n_s = len(target_w), len(source_w)
+    demand, capacity = n_s * q.denominator, n_t * q.numerator
+    g = gcd(demand, capacity)
+    r_t, r_s = demand // g, capacity // g
+    if n_t * r_t * n_s * r_s > MAX_ASSIGNMENT_ENTRIES:
+        return None
+    return r_t, r_s
+
+
+def _solve_assignment(target_w: np.ndarray, source_w: np.ndarray,
+                      cost: np.ndarray, scale: float,
+                      r_t: int, r_s: int) -> LpSolution:
+    """Exact single-block transport as a replicated assignment problem."""
+    n_t, n_s = cost.shape
+    replicated = np.empty((n_t, r_t, n_s, r_s))
+    replicated[...] = cost[:, None, :, None]
+    rows, cols = linear_sum_assignment(replicated.reshape(n_t * r_t, n_s * r_s))
+    counts = np.bincount((rows // r_t) * n_s + cols // r_s, minlength=n_t * n_s)
+    plan = counts.reshape(n_t, n_s) * (target_w[0] / r_t)
+    value = _certify_transport(cost, target_w, scale * source_w, plan)
+    return LpSolution("optimal", value, plan.ravel(), 0, "assignment")
+
+
+def _certify_transport(cost: np.ndarray, demand: np.ndarray,
+                       capacity: np.ndarray, plan: np.ndarray) -> float:
+    """Certify ``plan`` optimal for ``min <cost, plan>`` under row sums
+    ``demand`` and column sums at most ``capacity`` and return its value,
+    or raise LpError.
+
+    Independent of the solver that produced ``plan``.  Duals come from
+    Bellman-Ford distances ``d`` from a virtual root over the residual
+    graph on targets, sources and one slack sink: ``u_i = d_sink - d_i``
+    and ``v_j = max(d_sink - d_j, 0)``.  Every arc cost is raised by
+    ``PLAN_ZERO_TOL * (1 + max c)``, so a cycle of zero cost that rounding
+    makes slightly negative is not taken for a cheaper plan.
+    """
+    # Imported on first use: csgraph adds about 1 MB to every process, and
+    # only the assignment path needs it.
+    from scipy.sparse.csgraph import NegativeCycleError, bellman_ford, csgraph_from_dense
+
+    n_t, n_s = cost.shape
+    col_sum = plan.sum(axis=0)
+    slack = capacity - col_sum
+    residual = max(float(np.max(np.abs(plan.sum(axis=1) - demand), initial=0.0)),
+                   float(np.max(-slack, initial=0.0)),
+                   float(np.max(-plan, initial=0.0)))
+    b_scale = 1.0 + max(np.max(demand, initial=0.0), np.max(capacity, initial=0.0))
+    if residual > FEASIBILITY_TOL * b_scale:
+        raise LpError(f"transport plan violates feasibility: residual {residual:.3e} "
+                      f"exceeds {FEASIBILITY_TOL:.0e} * {b_scale:.3e}")
+
+    c_scale = 1.0 + float(np.max(cost, initial=0.0))
+    lift = PLAN_ZERO_TOL * c_scale
+    sources = slice(n_t, n_t + n_s)
+    sink, root = n_t + n_s, n_t + n_s + 1
+    graph = np.full((root + 1, root + 1), np.inf)
+    # i -> j: send more from i to j; j -> i: send less; j -> sink: use spare
+    # capacity of j; sink -> j: free capacity of j.
+    graph[:n_t, sources] = cost + lift
+    graph[sources, :n_t] = np.where(plan.T > PLAN_ZERO_TOL, lift - cost.T, np.inf)
+    graph[sources, sink] = np.where(slack > PLAN_TOL, lift, np.inf)
+    graph[sink, sources] = np.where(col_sum > PLAN_ZERO_TOL, lift, np.inf)
+    graph[root, :root] = 0.0
+    try:
+        dist = bellman_ford(csgraph_from_dense(graph, null_value=np.inf),
+                            indices=root)
+    except NegativeCycleError as exc:
+        raise LpError("transport plan is not optimal: its residual graph "
+                      "has a negative cycle") from exc
+    u = dist[sink] - dist[:n_t]
+    v = np.maximum(dist[sink] - dist[sources], 0.0)
+
+    dual_residual = float(np.max(u[:, None] - v[None, :] - cost, initial=0.0))
+    if dual_residual > FEASIBILITY_TOL * c_scale:
+        raise LpError(f"transport duals violate feasibility by {dual_residual:.3e}")
+    primal = float(cost.ravel() @ plan.ravel())
+    gap = abs(primal - (float(demand @ u) - float(capacity @ v)))
+    if gap > GAP_TOL * (1.0 + abs(primal)):
+        raise LpError(f"transport duality gap {gap:.3e} too large for an "
+                      "optimality certificate")
+    return primal
+
+
 def _verify_plans(target, cond_weights, cap_scale, plans) -> None:
     row_sum = np.zeros(target.n_atoms)
     for plan, scale, w in zip(plans, cap_scale, cond_weights):
-        if plan.size and plan.min() < -1e-12:
+        if plan.size and plan.min() < -PLAN_ZERO_TOL:
             raise LpError(f"negative plan entry {plan.min()!r}")
         if plan.shape[1]:
             col_sums = plan.sum(axis=0)

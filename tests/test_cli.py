@@ -114,3 +114,21 @@ def test_config_file_defaults(tmp_path):
     assert run("gen", "--config", config, "--eta", 0, "--out", out) == 0
     meta = json.loads((out / "config.json").read_text())
     assert meta["n_classes"] == 4 and meta["seed"] == 9 and meta["eta"] == 0
+
+
+def test_typed_flag_beats_config_value(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"eta": 2.0, "n_source": 40, "seed": 9}))
+    out = tmp_path / "out"
+    assert run("gen", "--config", config, "--eta", 0, "--out", out) == 0
+    meta = json.loads((out / "config.json").read_text())
+    assert meta["eta"] == 0 and meta["n_source"] == 40
+
+
+def test_flag_alias_beats_config_value(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n_source": 40, "seed": 9}))
+    out = tmp_path / "out"
+    assert run("gen", "--config", config, "--n", 20, "--out", out) == 0
+    meta = json.loads((out / "config.json").read_text())
+    assert meta["n_source"] == 20 and meta["seed"] == 9

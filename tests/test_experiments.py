@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from imdot.datagen import ToyConfig, shared_atom_label_shift
+from imdot.datagen import ToyConfig, generate_pair, shared_atom_label_shift
 from imdot.experiments import (
     accuracy,
     propagate_labels,
@@ -11,8 +11,13 @@ from imdot.experiments import (
     write_draws_csv,
     write_summary_csv,
 )
-from imdot.measures import cost_matrix
-from imdot.ot import TransportPlanSet, partial_ot_beta_split
+from imdot.measures import cost_matrix, empirical_measure
+from imdot.ot import (
+    TransportPlanSet,
+    _solve_blocks,
+    _solve_blocks_highs,
+    partial_ot_beta_split,
+)
 
 
 class TestPropagateLabels:
@@ -27,9 +32,23 @@ class TestPropagateLabels:
         assert labels[0] == 2
 
     def test_tie_goes_to_smallest_class(self):
-        plan = np.array([[0.5, 0.5]])
+        plan = np.array([[0.5, 0.5], [0.5, 0.5 * (1 + 1e-12)], [0.5, 0.6]])
         labels = propagate_labels(plan, np.array([1, 2]))
-        assert labels[0] == 1
+        assert np.array_equal(labels, [1, 1, 2])
+
+    def test_labels_do_not_depend_on_backend(self):
+        # On this draw the HiGHS and assignment plans give two rows class
+        # votes that differ only by rounding; a plain argmax labelled them
+        # differently.
+        source, target = generate_pair(ToyConfig(
+            n_classes=3, n_source=60, n_target=60, eta=1.0, seed=0))
+        args = (empirical_measure(target), [empirical_measure(source).weights],
+                [cost_matrix(target.points, source.points)], np.array([1.5]))
+        highs, highs_plans, _ = _solve_blocks_highs(*args)
+        fast, fast_plans, _ = _solve_blocks(*args)
+        assert (highs.backend, fast.backend) == ("highs", "assignment")
+        assert np.array_equal(propagate_labels(highs_plans[0], source.labels, 3),
+                              propagate_labels(fast_plans[0], source.labels, 3))
 
     def test_zero_row_errors(self):
         plan = np.array([[0.0, 0.0], [0.5, 0.5]])
