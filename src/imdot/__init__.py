@@ -20,7 +20,6 @@ from .families import (
     ground_union,
     hdh_family,
     indicator_family,
-    lipschitz_family,
     localization_inclusion_check,
     no_localization,
     per_class_localization,

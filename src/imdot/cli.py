@@ -69,13 +69,19 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed,
     return path
 
 
-def _config_defaults(args: argparse.Namespace) -> dict:
+def _config_defaults(parser: argparse.ArgumentParser,
+                     args: argparse.Namespace) -> dict:
     """Flag defaults from the ``--config`` JSON file, keyed by flag
-    destination; keys that name no flag of the subcommand are ignored."""
+    destination; a key that names no flag of the subcommand is an error."""
     config = json.loads(Path(args.config).read_text())
-    return {key: value for key, value in
-            ((k.replace("-", "_"), v) for k, v in config.items())
-            if key in vars(args) and key not in ("command", "func", "config")}
+    if not isinstance(config, dict):
+        parser.error(f"--config {args.config}: expected a JSON object")
+    flags = set(vars(args)) - {"command", "func", "config"}
+    unknown = [key for key in config if key.replace("-", "_") not in flags]
+    if unknown:
+        parser.error(f"--config {args.config}: no {args.command} flag named "
+                     + ", ".join(repr(key) for key in unknown))
+    return {key.replace("-", "_"): value for key, value in config.items()}
 
 
 def _toy_config(args) -> ToyConfig:
@@ -350,9 +356,10 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if getattr(args, "config", None):
-        args = build_parser(_config_defaults(args)).parse_args(argv)
+        args = build_parser(_config_defaults(parser, args)).parse_args(argv)
     return args.func(args)
 
 

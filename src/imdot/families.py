@@ -8,15 +8,14 @@ discrete setting this representation is lossless.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .measures import ATOM_MATCH_TOL, DiscreteMeasure, _freeze
+from .measures import ATOM_MATCH_TOL, DiscreteMeasure, _freeze, mix
 
 __all__ = [
     "FunctionFamily",
@@ -25,22 +24,18 @@ __all__ = [
     "indicator_family",
     "grid_family",
     "hdh_family",
-    "lipschitz_family",
     "no_localization",
     "global_localization",
     "per_class_localization",
     "enumerate_members",
     "ground_union",
     "weights_on_ground",
-    "mixture",
     "localization_inclusion_check",
-    "load_hypotheses",
 ]
 
 KIND_INDICATORS = "bounded01_indicators"
 KIND_GRID = "bounded01_grid"
 KIND_HDH = "hdh"
-KIND_LIPSCHITZ = "lipschitz_lp"
 
 #: Hard cap on brute-force enumeration (2^22 members).
 MAX_MEMBERS = 1 << 22
@@ -70,10 +65,10 @@ class FunctionFamily:
       of [0, 1]-valued functions.
     - ``hdh``: disagreement indicators ``[h1 != h2]`` over all pairs from an
       explicit finite hypothesis list (labels over the ground points).
-    - ``lipschitz_lp``: nonnegative 1-Lipschitz functions; not enumerable,
-      handled analytically by the transport solvers in :mod:`imdot.ot`.
 
-    Every enumerable kind contains the null function.
+    Every kind contains the null function.  Nonnegative 1-Lipschitz
+    functions are not enumerable; the transport solvers in :mod:`imdot.ot`
+    handle them.
     """
 
     kind: str
@@ -82,7 +77,7 @@ class FunctionFamily:
     grid_step: float = 0.25
 
     def __post_init__(self):
-        if self.kind not in (KIND_INDICATORS, KIND_GRID, KIND_HDH, KIND_LIPSCHITZ):
+        if self.kind not in (KIND_INDICATORS, KIND_GRID, KIND_HDH):
             raise ValueError(f"unknown family kind {self.kind!r}")
         pts = np.asarray(self.ground_points, dtype=float)
         if pts.ndim != 2 or len(pts) == 0:
@@ -109,12 +104,8 @@ class FunctionFamily:
             return 1 << self.n_ground
         if self.kind == KIND_GRID:
             return (int(round(1.0 / self.grid_step)) + 1) ** self.n_ground
-        if self.kind == KIND_HDH:
-            m = len(self.hypotheses)
-            return m * (m + 1) // 2
-        raise FamilyTooLargeError(
-            "lipschitz_lp families are not enumerable; use the LP solvers in imdot.ot"
-        )
+        m = len(self.hypotheses)
+        return m * (m + 1) // 2
 
 
 def indicator_family(ground_points) -> FunctionFamily:
@@ -129,16 +120,6 @@ def grid_family(ground_points, step: float = 0.25) -> FunctionFamily:
 def hdh_family(ground_points, hypotheses) -> FunctionFamily:
     return FunctionFamily(KIND_HDH, np.asarray(ground_points, dtype=float),
                           hypotheses=np.asarray(hypotheses, dtype=int))
-
-
-def lipschitz_family(ground_points) -> FunctionFamily:
-    return FunctionFamily(KIND_LIPSCHITZ, np.asarray(ground_points, dtype=float))
-
-
-def load_hypotheses(path) -> np.ndarray:
-    """Hypothesis list from JSON: an array of label vectors over ground points."""
-    data = json.loads(Path(path).read_text())
-    return np.asarray(data, dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +192,21 @@ def _admission_mask(batch: np.ndarray, loc: Localization,
 # ---------------------------------------------------------------------------
 
 def ground_union(*point_sets, tol: float = ATOM_MATCH_TOL) -> np.ndarray:
-    """Deduplicated union of atom coordinate sets, first occurrence kept."""
+    """Deduplicated union of atom coordinate sets, in order: a row is
+    dropped when it lies within ``tol`` (Chebyshev) of an earlier kept row."""
     arrays = [np.atleast_2d(np.asarray(p, dtype=float)) for p in point_sets
               if len(np.atleast_2d(p)) > 0]
     if not arrays:
         raise ValueError("cannot build a ground set from empty point sets")
     stacked = np.vstack(arrays)
-    kept: list[np.ndarray] = []
-    for row in stacked:
-        if not any(np.max(np.abs(row - prev)) <= tol for prev in kept):
-            kept.append(row)
-    return np.asarray(kept)
+    pairs = cKDTree(stacked).query_pairs(tol, p=np.inf, output_type="ndarray")
+    dropped = np.zeros(len(stacked), dtype=bool)
+    # Pairs are (i, j) with i < j; taken in order of j, whether i is kept
+    # is already final.
+    for i, j in pairs[np.argsort(pairs[:, 1], kind="stable")]:
+        if not dropped[i]:
+            dropped[j] = True
+    return stacked[~dropped]
 
 
 def weights_on_ground(measure: DiscreteMeasure, ground_points: np.ndarray,
@@ -246,16 +231,6 @@ def weights_on_ground(measure: DiscreteMeasure, ground_points: np.ndarray,
         )
     np.add.at(w, idx, measure.weights)
     return w
-
-
-def mixture(conditionals: Sequence[DiscreteMeasure], coeffs) -> DiscreteMeasure:
-    """``sum_k coeffs[k] * conditionals[k]`` as a single measure."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    points = [c.points for c in conditionals if c.n_atoms]
-    weights = [float(a) * c.weights for a, c in zip(coeffs, conditionals) if c.n_atoms]
-    if not points:
-        raise ValueError("mixture of empty conditionals")
-    return DiscreteMeasure(np.vstack(points), np.concatenate(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +270,7 @@ def member_batches(family: FunctionFamily,
         for start in range(0, total, batch_size):
             idx = np.arange(start, min(start + batch_size, total), dtype=np.int64)
             yield (idx[:, None] // radix % levels) * family.grid_step
-    elif family.kind == KIND_HDH:
+    else:
         hyp = family.hypotheses
         if len(hyp) > MAX_HYPOTHESES:
             raise FamilyTooLargeError(
@@ -304,10 +279,6 @@ def member_batches(family: FunctionFamily,
         members = [(hyp[i] != hyp[j]).astype(float)
                    for i in range(len(hyp)) for j in range(i, len(hyp))]
         yield np.asarray(members)
-    else:
-        raise FamilyTooLargeError(
-            "lipschitz_lp families are not enumerable; use the LP solvers in imdot.ot"
-        )
 
 
 def enumerate_members(family: FunctionFamily,
@@ -359,7 +330,8 @@ def localization_inclusion_check(family: FunctionFamily,
     eps_vec = np.asarray(eps_vec, dtype=float)
     if eps is None:
         eps = float(p @ eps_vec)
-    reference = mixture(conditionals, p)
+    empty = DiscreteMeasure(np.empty((0, family.ground_points.shape[1])), np.empty(0))
+    reference = mix(empty, conditionals, p)
 
     eta = np.where(p > 0, eps / np.where(p > 0, p, 1.0), np.inf)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .families import (
     KIND_GRID,
@@ -24,7 +25,7 @@ from .families import (
     no_localization,
     weights_on_ground,
 )
-from .measures import ATOM_MATCH_TOL, DiscreteMeasure, mix
+from .measures import ATOM_MATCH_TOL, DiscreteMeasure
 
 __all__ = [
     "ImdResult",
@@ -118,11 +119,8 @@ def imd_f0_support_mass(target: DiscreteMeasure, source: DiscreteMeasure) -> flo
     support = source.support_points()
     if len(support) == 0:
         return float(target.total_mass)
-    off = 0.0
-    for point, weight in zip(target.points, target.weights):
-        if not np.any(np.max(np.abs(support - point), axis=1) <= ATOM_MATCH_TOL):
-            off += float(weight)
-    return off
+    dist = cdist(target.points, support, metric="chebyshev")
+    return float(np.sum(target.weights[dist.min(axis=1) > ATOM_MATCH_TOL]))
 
 
 # ---------------------------------------------------------------------------
@@ -295,26 +293,19 @@ def hdh_imd(target: DiscreteMeasure, source: DiscreteMeasure,
             raise ValueError("beta must be nonnegative")
         w_rel = (1.0 + beta) * weights_on_ground(source, ground)
 
-    hyp = family.hypotheses
-    best = -np.inf
-    best_pair = (0, 0)
-    best_vec = np.zeros(len(ground))
-    risk_best = np.inf
-    scanned = 0
-    for i in range(len(hyp)):
-        for j in range(i, len(hyp)):
-            f = (hyp[i] != hyp[j]).astype(float)
-            scanned += 1
-            value = float(f @ wt - f @ w_rel)
-            risk = float((1.0 - f @ wt) + f @ w_rel)
-            if value > best:
-                best, best_pair, best_vec = value, (i, j), f
-            risk_best = min(risk_best, risk)
+    # Members come in np.triu_indices order; argmax keeps the first maximum.
+    members = np.vstack(list(member_batches(family)))
+    mass_t, mass_rel = members @ wt, members @ w_rel
+    k = int(np.argmax(mass_t - mass_rel))
+    best = float(mass_t[k] - mass_rel[k])
+    risk_best = float(np.min((1.0 - mass_t) + mass_rel))
+    rows, cols = np.triu_indices(len(family.hypotheses))
+    best_pair = (int(rows[k]), int(cols[k]))
     if abs((1.0 - best) - risk_best) > 1e-12:
         raise RuntimeError(
             f"complement identity violated: 1 - {best!r} vs {risk_best!r}"
         )
-    return HdhImdResult(best, best_vec, scanned, best_pair, risk_best)
+    return HdhImdResult(best, members[k], len(members), best_pair, risk_best)
 
 
 @dataclass(frozen=True)
@@ -352,10 +343,3 @@ def hdh_support_bound_check(target: DiscreteMeasure, source: DiscreteMeasure,
                 support &= ~disagree
     rhs = 1.0 - float(wt[support].sum())
     return HdhSupportReport(lhs, rhs, support, bool(lhs <= rhs + 1e-12))
-
-
-def relaxed_measure(source: DiscreteMeasure,
-                    conditionals: Sequence[DiscreteMeasure],
-                    beta_vec) -> DiscreteMeasure:
-    """``S + sum_k beta_vec[k] * conditionals[k]`` (atoms stay duplicated)."""
-    return mix(source, conditionals, beta_vec)

@@ -37,6 +37,10 @@ FEASIBILITY_TOL = 1e-8
 #: Duality gap allowed on an optimal solution, relative to ``1 + |value|``.
 GAP_TOL = 1e-7
 
+#: Difference allowed between the value HiGHS reports and ``c @ x``,
+#: relative to ``1 + |c @ x|``.
+OBJECTIVE_TOL = 1e-9
+
 #: Primal and dual feasibility tolerance HiGHS itself works to.
 HIGHS_TOL = 1e-9
 
@@ -215,7 +219,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     _certify(lp, res, A_ub, b_ub, A_eq, b_eq)
     value = float(res.fun)
     check = float(lp.c @ res.x)
-    if abs(value - check) > 1e-9 * (1.0 + abs(check)):
+    if abs(value - check) > OBJECTIVE_TOL * (1.0 + abs(check)):
         raise LpError(
             f"objective mismatch: reported {value!r} vs recomputed {check!r}"
         )

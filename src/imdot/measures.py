@@ -8,7 +8,6 @@ after construction and safe to share between worker processes.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -26,8 +25,6 @@ __all__ = [
     "mix",
     "save_dataset",
     "load_dataset",
-    "save_measure",
-    "load_measure",
 ]
 
 #: Probability measures must carry total mass 1 within this tolerance.
@@ -105,14 +102,6 @@ class DiscreteMeasure:
         if factor < 0:
             raise ValueError("scaling factor must be nonnegative")
         return DiscreteMeasure(self.points, factor * self.weights)
-
-    def to_dict(self) -> dict:
-        return {"points": self.points.tolist(), "weights": self.weights.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DiscreteMeasure":
-        return cls(np.asarray(data["points"], dtype=float),
-                   np.asarray(data["weights"], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -224,14 +213,8 @@ def class_conditionals(dataset: LabeledDataset):
     return conditionals, dataset.class_proportions()
 
 
-def cost_matrix(a, b, metric: str = "euclidean") -> CostMatrix:
-    """Pairwise ground distances ``d(a_i, b_j)``.
-
-    Only the Euclidean metric is supported; the parameter exists so callers
-    can be explicit and future metrics slot in without API changes.
-    """
-    if metric != "euclidean":
-        raise ValueError(f"unsupported metric {metric!r}")
+def cost_matrix(a, b) -> CostMatrix:
+    """Pairwise Euclidean ground distances ``d(a_i, b_j)``."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[1] != b.shape[1]:
@@ -271,7 +254,7 @@ def mix(base: DiscreteMeasure,
 
 
 # ---------------------------------------------------------------------------
-# File formats: CSV datasets (header x1,...,xD,label) and JSON measures.
+# File format: CSV datasets (header x1,...,xD,label).
 # ---------------------------------------------------------------------------
 
 def save_dataset(dataset: LabeledDataset, path) -> None:
@@ -301,11 +284,3 @@ def load_dataset(path, n_classes: int | None = None) -> LabeledDataset:
     if n_classes is None:
         n_classes = int(labels.max()) if len(labels) else 1
     return LabeledDataset(np.asarray(points, dtype=float), labels, n_classes)
-
-
-def save_measure(measure: DiscreteMeasure, path) -> None:
-    Path(path).write_text(json.dumps(measure.to_dict()))
-
-
-def load_measure(path) -> DiscreteMeasure:
-    return DiscreteMeasure.from_dict(json.loads(Path(path).read_text()))

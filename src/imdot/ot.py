@@ -7,24 +7,26 @@ decomposed source whose class-``k`` block offers capacity
 1-Lipschitz functions, which is also computed here directly as the dual LP
 on potentials.
 
-Backends.  A single-block problem without a budget split (the global
-relaxation) whose target and source weights are all exactly ``1/n`` and
-whose capacity scale ``1 + beta`` is exactly a fraction ``a/b`` with
-``b <= MAX_DENOMINATOR`` is totally unimodular after scaling: each target
-demands ``n_s b / g`` units and each source offers ``n_t a / g`` units,
-``g`` their gcd.  Replicating atoms by those counts turns it into a
-rectangular assignment problem, solved exactly by
-:func:`scipy.optimize.linear_sum_assignment` (the dummy-point reduction of
-partial to balanced transport).  Every other problem, and any whose
-replicated cost matrix would exceed ``MAX_ASSIGNMENT_ENTRIES`` entries,
-goes through HiGHS in :mod:`imdot.lp`.
+Every transport problem is one capacitated block problem, solved by
+``_solve_blocks``: Wasserstein-1 is one block at capacity scale 1 (with
+matching masses the equality target rows use every source column in
+full), the global relaxation one block at ``1 + beta``, the per-class
+problem one block per class at ``p_k + beta_k``, and the budget split adds
+a capacity variable ``beta_k`` per class with ``sum_k beta_k = beta_total``.
+``_solve_blocks`` checks the cost blocks, picks the backend, rejects a
+solve that did not end optimal and verifies the plans against the
+capacities used.
 
-An assignment plan is certified without the solver: primal feasibility,
-then duals ``u`` (targets) and ``v >= 0`` (sources) from Bellman-Ford
-shortest paths in the plan's residual graph (a negative cycle means a
-cheaper plan exists), dual feasibility ``c_ij - u_i + v_j >= -tol`` and the
-duality gap, all with the tolerances of :mod:`imdot.lp`.  Plans from either
-backend are then checked against their marginals and capacities.
+Backends.  One block without a split, weights all exactly ``1/n`` and a
+capacity scale that is exactly ``a/b`` with ``b <= MAX_DENOMINATOR`` is
+totally unimodular after scaling: replicating each target ``n_s b / g`` and
+each source ``n_t a / g`` times (``g`` their gcd) makes it a rectangular
+assignment problem, solved exactly by
+:func:`scipy.optimize.linear_sum_assignment` (the dummy-point reduction of
+partial to balanced transport) and certified without the solver from the
+plan's residual graph.  Everything else, and any replicated cost matrix
+above ``MAX_ASSIGNMENT_ENTRIES`` entries, is one HiGHS LP in
+:mod:`imdot.lp`, assembled from the block structure and certified there.
 """
 
 from __future__ import annotations
@@ -68,6 +70,18 @@ PLAN_TOL = 1e-8
 #: Plan entries within this of zero count as zero: a negative entry this
 #: small is rounding, and a positive one adds no arc to the residual graph.
 PLAN_ZERO_TOL = 1e-12
+
+#: Largest total-mass difference :func:`wasserstein1` accepts.
+MASS_TOL = 1e-10
+
+#: Largest difference between the realized capacity split and its budget.
+SPLIT_BUDGET_TOL = 1e-8
+
+#: Lipschitz-constraint violation allowed on a dual potential.
+LIPSCHITZ_TOL = 1e-8
+
+#: Negative value allowed on a dual potential where it must be nonnegative.
+POTENTIAL_SIGN_TOL = 1e-10
 
 #: Largest denominator of the capacity scale ``1 + beta`` that the
 #: assignment backend replicates.
@@ -116,127 +130,89 @@ class LipschitzPotential:
     ground_points: np.ndarray
 
 
-def _check_cost_block(cost: CostMatrix, n_rows: int, n_cols: int, k: int) -> None:
-    if cost.entries.shape != (n_rows, n_cols):
-        raise ValueError(
-            f"cost block {k} is {cost.entries.shape}, expected {(n_rows, n_cols)}"
-        )
-
-
 def _solve_blocks(target: DiscreteMeasure,
                   cond_weights: Sequence[np.ndarray],
                   costs: Sequence[CostMatrix],
                   cap_scale: np.ndarray,
-                  split: tuple | None = None):
-    """Solve a capacitated block-transport problem on the fitting backend.
+                  budget: float | None = None):
+    """Solve, certify and verify a capacitated block-transport problem.
 
-    Returns ``(solution, plans, beta_realized)``; ``solution.backend`` names
-    the path taken (see the module docstring).
+    Class ``k`` offers capacity ``cap_scale[k] * cond_weights[k]``; with a
+    ``budget`` the capacities become ``(cap_scale[k] + beta_k) *
+    cond_weights[k]`` with ``beta_k >= 0`` and ``sum_k beta_k = budget``
+    chosen jointly with the plans.  Returns ``(solution, plans,
+    beta_realized)``; ``solution.backend`` names the path taken (see the
+    module docstring) and ``beta_realized`` is ``None`` without a budget.
     """
+    n_t = target.n_atoms
     for k, (w, cost) in enumerate(zip(cond_weights, costs)):
-        _check_cost_block(cost, target.n_atoms, len(w), k)
-    if split is None and len(costs) == 1:
-        copies = _replication(target.weights, cond_weights[0], cap_scale[0])
-        if copies is not None:
-            sol = _solve_assignment(target.weights, cond_weights[0],
-                                    costs[0].entries, cap_scale[0], *copies)
-            return sol, [sol.x.reshape(costs[0].entries.shape)], None
-    return _solve_blocks_highs(target, cond_weights, costs, cap_scale, split)
+        if cost.entries.shape != (n_t, len(w)):
+            raise ValueError(
+                f"cost block {k} is {cost.entries.shape}, expected {(n_t, len(w))}"
+            )
+    copies = (_replication(target.weights, cond_weights[0], cap_scale[0])
+              if budget is None and len(costs) == 1 else None)
+    if copies is not None:
+        sol = _solve_assignment(target.weights, cond_weights[0],
+                                costs[0].entries, cap_scale[0], *copies)
+    else:
+        sol = _solve_blocks_highs(target, cond_weights, costs, cap_scale, budget)
+    if sol.status != "optimal":
+        capacity = sum(s * float(np.sum(w)) for s, w in zip(cap_scale, cond_weights))
+        raise LpError(
+            f"transport LP ended {sol.status}; target mass {target.total_mass!r}, "
+            f"total capacity {capacity!r}"
+        )
+
+    ends = np.cumsum([n_t * len(w) for w in cond_weights])
+    blocks = np.split(sol.x, ends)
+    plans = [x.reshape(n_t, len(w)) for x, w in zip(blocks, cond_weights)]
+    beta = None
+    if budget is not None:
+        if abs(float(np.sum(blocks[-1])) - budget) > SPLIT_BUDGET_TOL:
+            raise LpError(f"split budget violated: {np.sum(blocks[-1])!r} != {budget!r}")
+        beta = np.maximum(blocks[-1], 0.0)
+        cap_scale = cap_scale + beta
+    _verify_plans(target, cond_weights, cap_scale, plans)
+    return sol, plans, beta
 
 
 def _solve_blocks_highs(target: DiscreteMeasure,
                         cond_weights: Sequence[np.ndarray],
                         costs: Sequence[CostMatrix],
                         cap_scale: np.ndarray,
-                        split: tuple | None = None):
-    """Shared LP assembly for the capacitated block-transport problems.
+                        budget: float | None = None) -> LpSolution:
+    """The block-transport problem of :func:`_solve_blocks` as one HiGHS LP.
 
     Variables are the per-class plan entries (row-major inside each class
-    block); with ``split = (p, beta_total)`` one extra capacity variable per
-    class is appended and the capacities become ``(p_k + beta_k) * w`` with
-    ``sum_k beta_k = beta_total``.
+    block), then with a ``budget`` one capacity variable ``beta_k`` per
+    class.  Rows are the target marginals (equalities), the class
+    capacities and with a ``budget`` the budget row.
     """
     n_t = target.n_atoms
-    t = target.weights
-    sizes = [len(w) for w in cond_weights]
-    n_cols = int(np.sum(sizes))
-    n_plan = n_t * n_cols
-
-    c_parts, data, rows, cols = [], [], [], []
-    offset = 0
-    cap_rows_start = n_t
-    for k, (w, cost) in enumerate(zip(cond_weights, costs)):
-        n_k = len(w)
-        c_parts.append(cost.entries.ravel())
-        if n_k == 0:
-            continue
-        var = offset + np.arange(n_t * n_k)
-        # target marginal rows (equality)
-        rows.append(np.repeat(np.arange(n_t), n_k))
-        cols.append(var)
-        data.append(np.ones(n_t * n_k))
-        # class capacity rows
-        col_in_class = np.tile(np.arange(n_k), n_t)
-        rows.append(cap_rows_start + sum(sizes[:k]) + col_in_class)
-        cols.append(var)
-        data.append(np.ones(n_t * n_k))
-        offset += n_t * n_k
-
-    caps = np.concatenate([scale * w for scale, w in zip(cap_scale, cond_weights)]) \
-        if n_cols else np.empty(0)
-    n_vars = n_plan
-    b = np.concatenate([t, caps])
-    relations = ["="] * n_t + ["<="] * n_cols
-    c = np.concatenate(c_parts) if c_parts else np.empty(0)
-
-    if split is not None:
-        p, beta_total = split
+    plan_rows = sp.hstack([sp.kron(sp.eye(n_t), np.ones((1, len(w))))
+                           for w in cond_weights])
+    cap_rows = sp.block_diag([sp.kron(np.ones((1, n_t)), sp.eye(len(w)))
+                              for w in cond_weights])
+    c = np.concatenate([cost.entries.ravel() for cost in costs])
+    b = np.concatenate([target.weights,
+                        *(scale * w for scale, w in zip(cap_scale, cond_weights))])
+    relations = ["="] * n_t + ["<="] * (len(b) - n_t)
+    if budget is None:
+        A = sp.vstack([plan_rows, cap_rows])
+    else:
         n_classes = len(cond_weights)
-        beta_vars = n_plan + np.arange(n_classes)
-        # capacity rows gain -w_j on beta_k; rhs is p_k * w_j
-        col_cursor = 0
-        for k, w in enumerate(cond_weights):
-            n_k = len(w)
-            if n_k:
-                rows.append(cap_rows_start + col_cursor + np.arange(n_k))
-                cols.append(np.full(n_k, beta_vars[k]))
-                data.append(-np.asarray(w, dtype=float))
-                b[cap_rows_start + col_cursor:cap_rows_start + col_cursor + n_k] = (
-                    p[k] * np.asarray(w, dtype=float)
-                )
-            col_cursor += n_k
-        # budget row: sum_k beta_k = beta_total
-        budget_row = n_t + n_cols
-        rows.append(np.full(n_classes, budget_row))
-        cols.append(beta_vars)
-        data.append(np.ones(n_classes))
-        b = np.concatenate([b, [beta_total]])
-        relations.append("=")
+        A = sp.bmat([
+            [plan_rows, None],
+            [cap_rows, sp.block_diag([-np.reshape(w, (-1, 1)) for w in cond_weights])],
+            [None, np.ones((1, n_classes))],
+        ])
         c = np.concatenate([c, np.zeros(n_classes)])
-        n_vars = n_plan + n_classes
-
-    A = sp.csr_matrix(
-        (np.concatenate(data) if data else np.empty(0),
-         (np.concatenate(rows) if rows else np.empty(0, dtype=int),
-          np.concatenate(cols) if cols else np.empty(0, dtype=int))),
-        shape=(len(b), n_vars),
-    )
-    lp = LinearProgram(c, A, relations, b)
-    sol = solve(lp)
-    if sol.status != "optimal":
-        raise LpError(
-            f"transport LP ended {sol.status}; target mass {target.total_mass!r}, "
-            f"total capacity {float(np.sum(caps))!r}"
-        )
-
-    plans = []
-    offset = 0
-    for w in cond_weights:
-        n_k = len(w)
-        plans.append(sol.x[offset:offset + n_t * n_k].reshape(n_t, n_k))
-        offset += n_t * n_k
-    beta_realized = sol.x[n_plan:] if split is not None else None
-    return sol, plans, beta_realized
+        b = np.append(b, budget)
+        relations.append("=")
+    A = A.tocsr()
+    A.eliminate_zeros()
+    return solve(LinearProgram(c, A, relations, b))
 
 
 def _is_uniform(weights: np.ndarray) -> bool:
@@ -357,27 +333,18 @@ def _verify_plans(target, cond_weights, cap_scale, plans) -> None:
 
 def wasserstein1(target: DiscreteMeasure, source: DiscreteMeasure,
                  cost: CostMatrix):
-    """Classic optimal transport value and plan between equal-mass measures."""
-    if abs(target.total_mass - source.total_mass) > 1e-10:
+    """Classic optimal transport value and plan between equal-mass measures.
+
+    The one-block problem at capacity scale 1: the target rows are
+    equalities, and with matching total mass they use every source column
+    up to its weight.
+    """
+    if abs(target.total_mass - source.total_mass) > MASS_TOL:
         raise ValueError(
             f"mass mismatch: {target.total_mass!r} vs {source.total_mass!r}"
         )
-    _check_cost_block(cost, target.n_atoms, source.n_atoms, 0)
-    n_t, n_s = target.n_atoms, source.n_atoms
-    var = np.arange(n_t * n_s)
-    rows = np.concatenate([np.repeat(np.arange(n_t), n_s),
-                           n_t + np.tile(np.arange(n_s), n_t)])
-    A = sp.csr_matrix((np.ones(2 * n_t * n_s), (rows, np.tile(var, 2))),
-                      shape=(n_t + n_s, n_t * n_s))
-    lp = LinearProgram(cost.entries.ravel(), A,
-                       ["="] * (n_t + n_s),
-                       np.concatenate([target.weights, source.weights]))
-    sol = solve(lp)
-    if sol.status != "optimal":
-        raise LpError(f"transport LP ended {sol.status}")
-    plan = sol.x.reshape(n_t, n_s)
-    _verify_plans(target, [source.weights], np.ones(1), [plan])
-    return sol.value, plan
+    sol, plans, _ = _solve_blocks(target, [source.weights], [cost], np.ones(1))
+    return sol.value, plans[0]
 
 
 def partial_ot_global(target: DiscreteMeasure, source: DiscreteMeasure,
@@ -391,9 +358,8 @@ def partial_ot_global(target: DiscreteMeasure, source: DiscreteMeasure,
         raise ValueError("beta must be nonnegative")
     if not target.is_probability:
         raise ValueError("the target must be a probability measure")
-    scale = np.array([1.0 + beta])
-    sol, plans, _ = _solve_blocks(target, [source.weights], [cost], scale)
-    _verify_plans(target, [source.weights], scale, plans)
+    sol, plans, _ = _solve_blocks(target, [source.weights], [cost],
+                                  np.array([1.0 + beta]))
     return sol.value, plans[0]
 
 
@@ -416,10 +382,8 @@ def partial_ot_per_class(target: DiscreteMeasure,
         raise ValueError("conditionals, proportions, beta_vec and costs must align")
     if not target.is_probability:
         raise ValueError("the target must be a probability measure")
-    cond_weights = [c.weights for c in conditionals]
-    scale = p + beta_vec
-    sol, plans, _ = _solve_blocks(target, cond_weights, costs, scale)
-    _verify_plans(target, cond_weights, scale, plans)
+    sol, plans, _ = _solve_blocks(target, [c.weights for c in conditionals],
+                                  costs, p + beta_vec)
     return TransportPlanSet(tuple(plans), beta_vec.copy(), sol.value)
 
 
@@ -441,14 +405,8 @@ def partial_ot_beta_split(target: DiscreteMeasure,
         raise ValueError("conditionals, proportions and costs must align")
     if not target.is_probability:
         raise ValueError("the target must be a probability measure")
-    cond_weights = [c.weights for c in conditionals]
-    sol, plans, beta = _solve_blocks(
-        target, cond_weights, costs, p, split=(p, float(beta_total))
-    )
-    if abs(float(np.sum(beta)) - beta_total) > 1e-8:
-        raise LpError(f"split budget violated: {np.sum(beta)!r} != {beta_total!r}")
-    beta = np.maximum(beta, 0.0)
-    _verify_plans(target, cond_weights, p + beta, plans)
+    sol, plans, beta = _solve_blocks(target, [c.weights for c in conditionals],
+                                     costs, p, budget=float(beta_total))
     return TransportPlanSet(tuple(plans), beta, sol.value)
 
 
@@ -475,28 +433,24 @@ def lipschitz_imd_dual(target: DiscreteMeasure, source: DiscreteMeasure,
     n = len(ground)
     dist = cdist(ground, ground)
 
+    # one row f_i - f_j <= d_ij per ordered pair i != j
     i_idx, j_idx = np.where(~np.eye(n, dtype=bool))
-    n_pairs = len(i_idx)
-    rows = np.repeat(np.arange(n_pairs), 2)
-    cols = np.empty(2 * n_pairs, dtype=int)
-    cols[0::2], cols[1::2] = i_idx, j_idx
-    data = np.empty(2 * n_pairs)
-    data[0::2], data[1::2] = 1.0, -1.0
-    A = sp.csr_matrix((data, (rows, cols)), shape=(n_pairs, n))
+    eye = sp.eye(n, format="csr")
+    A = eye[i_idx] - eye[j_idx]
 
     support = ws > 0
     lower = np.where(support, 0.0, -np.inf)
     upper = np.where(support & zero_on_support, 0.0, np.inf)
-    lp = LinearProgram(ws - wt, A, ["<="] * n_pairs, dist[i_idx, j_idx],
+    lp = LinearProgram(ws - wt, A, ["<="] * len(i_idx), dist[i_idx, j_idx],
                        lower=lower, upper=upper)
     sol = solve(lp)
     if sol.status != "optimal":
         raise LpError(f"dual LP ended {sol.status}")
     f = sol.x
     slack = f[i_idx] - f[j_idx] - dist[i_idx, j_idx]
-    if slack.size and slack.max() > 1e-8:
+    if slack.size and slack.max() > LIPSCHITZ_TOL:
         raise LpError(f"potential violates the Lipschitz constraint by {slack.max()!r}")
-    if np.any(f[support] < -1e-10):
+    if np.any(f[support] < -POTENTIAL_SIGN_TOL):
         raise LpError("potential is negative on the source support")
     potential = LipschitzPotential(f, np.flatnonzero(support), ground)
     return -sol.value, potential

@@ -132,3 +132,15 @@ def test_flag_alias_beats_config_value(tmp_path):
     assert run("gen", "--config", config, "--n", 20, "--out", out) == 0
     meta = json.loads((out / "config.json").read_text())
     assert meta["n_source"] == 20 and meta["seed"] == 9
+
+
+def test_config_rejects_unknown_keys(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n_sorce": 40, "seed": 9, "beta-grid": "0"}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run("gen", "--config", config, "--out", out)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "'n_sorce'" in err and "'beta-grid'" in err and "'seed'" not in err
+    assert not out.exists()

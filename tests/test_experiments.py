@@ -44,10 +44,11 @@ class TestPropagateLabels:
             n_classes=3, n_source=60, n_target=60, eta=1.0, seed=0))
         args = (empirical_measure(target), [empirical_measure(source).weights],
                 [cost_matrix(target.points, source.points)], np.array([1.5]))
-        highs, highs_plans, _ = _solve_blocks_highs(*args)
+        highs = _solve_blocks_highs(*args)
         fast, fast_plans, _ = _solve_blocks(*args)
         assert (highs.backend, fast.backend) == ("highs", "assignment")
-        assert np.array_equal(propagate_labels(highs_plans[0], source.labels, 3),
+        highs_plan = highs.x.reshape(len(target), len(source))
+        assert np.array_equal(propagate_labels(highs_plan, source.labels, 3),
                               propagate_labels(fast_plans[0], source.labels, 3))
 
     def test_zero_row_errors(self):

@@ -9,11 +9,8 @@ from imdot.families import (
     ground_union,
     hdh_family,
     indicator_family,
-    lipschitz_family,
-    load_hypotheses,
     localization_inclusion_check,
     member_batches,
-    mixture,
     no_localization,
     per_class_localization,
     weights_on_ground,
@@ -23,6 +20,16 @@ from imdot.measures import DiscreteMeasure
 from conftest import dyadic_weights, random_points
 
 TWO_POINTS = np.array([[0.0, 0.0], [1.0, 0.0]])
+
+
+def pairwise_scan_ground_union(*point_sets, tol):
+    """Reference: compare each row with every row kept before it."""
+    stacked = np.vstack([np.atleast_2d(p) for p in point_sets if len(p)])
+    kept = []
+    for row in stacked:
+        if not any(np.max(np.abs(row - prev)) <= tol for prev in kept):
+            kept.append(row)
+    return np.asarray(kept)
 
 
 def members(family, loc=None):
@@ -70,8 +77,6 @@ class TestEnumeration:
         many = np.zeros((61, 4))
         with pytest.raises(FamilyTooLargeError):
             list(member_batches(hdh_family(np.zeros((4, 2)), many)))
-        with pytest.raises(FamilyTooLargeError):
-            list(member_batches(lipschitz_family(TWO_POINTS)))
 
     def test_monotone_in_eps(self, rng):
         pts = random_points(rng, 5)
@@ -102,11 +107,25 @@ class TestGroundPlumbing:
         with pytest.raises(ValueError):
             weights_on_ground(m, TWO_POINTS)
 
-    def test_mixture(self):
-        conds = [DiscreteMeasure([[0.0, 0.0]], [1.0]),
-                 DiscreteMeasure([[1.0, 0.0]], [1.0])]
-        mixed = mixture(conds, [0.8, 0.2])
-        assert np.allclose(mixed.weights, [0.8, 0.2])
+    def test_ground_union_matches_the_pairwise_scan(self, rng):
+        # The rule: a row is dropped when it lies within tol (Chebyshev) of
+        # an earlier kept row.  a~b and b~c with a, c apart keeps a and c.
+        tol = 1e-12
+        chain = np.array([[0.0, 0.0], [0.6e-12, 0.0], [1.2e-12, 0.0]])
+        edge = np.array([[0.5, 0.5], [0.5 + tol, 0.5 - tol], [0.5, 0.5 + 2 * tol]])
+        cases = [(chain,), (chain[::-1],), (edge, chain), (TWO_POINTS, TWO_POINTS)]
+        for _ in range(40):
+            pool = random_points(rng, int(rng.integers(1, 6)))
+            pts = pool[rng.integers(0, len(pool), int(rng.integers(1, 30)))]
+            pts = pts + rng.integers(-2, 3, pts.shape) * rng.choice([0.0, 0.4e-12, tol])
+            cases.append((pts[: len(pts) // 2], pts[len(pts) // 2:]))
+        dropped = 0
+        for case in cases:
+            expected = pairwise_scan_ground_union(*case, tol=tol)
+            assert np.array_equal(ground_union(*case, tol=tol), expected)
+            dropped += sum(len(c) for c in case) - len(expected)
+        assert len(ground_union(chain)) == 2
+        assert dropped > len(cases)
 
 
 class TestInclusionChecks:
@@ -159,12 +178,3 @@ class TestInclusionChecks:
             report = localization_inclusion_check(
                 indicator_family(pts), conds, p, eps_vec)
             assert report.ok, f"counterexample {report.counterexample}"
-
-
-def test_load_hypotheses(tmp_path):
-    path = tmp_path / "h.json"
-    path.write_text("[[1, 2, 1], [2, 2, 1]]")
-    hyp = load_hypotheses(path)
-    assert hyp.shape == (2, 3)
-    fam = hdh_family(np.zeros((3, 2)) + np.arange(3)[:, None], hyp)
-    assert fam.member_count() == 3

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +10,8 @@ from imdot.measures import (
     cost_matrix,
     empirical_measure,
     load_dataset,
-    load_measure,
     mix,
     save_dataset,
-    save_measure,
 )
 
 from conftest import random_points
@@ -128,10 +124,6 @@ class TestCostMatrix:
         with pytest.raises(ValueError):
             cost_matrix([[0, 0]], [[1, 2, 3]])
 
-    def test_unknown_metric(self):
-        with pytest.raises(ValueError):
-            cost_matrix([[0, 0]], [[1, 1]], metric="manhattan")
-
     def test_symmetry_on_same_points(self, rng):
         pts = random_points(rng, 9)
         c = cost_matrix(pts, pts).entries
@@ -188,13 +180,3 @@ class TestIo:
         back = load_dataset(path)
         assert np.array_equal(back.points, ds.points)
         assert np.array_equal(back.labels, ds.labels)
-
-    def test_measure_roundtrip(self, tmp_path):
-        m = DiscreteMeasure([[0.25, -1.5]], [0.125])
-        path = tmp_path / "m.json"
-        save_measure(m, path)
-        data = json.loads(path.read_text())
-        assert set(data) == {"points", "weights"}
-        back = load_measure(path)
-        assert np.array_equal(back.points, m.points)
-        assert np.array_equal(back.weights, m.weights)

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from imdot.datagen import shared_atom_label_shift
-from imdot.measures import DiscreteMeasure, cost_matrix, mix
+import imdot.ot
+from imdot.measures import CostMatrix, DiscreteMeasure, cost_matrix, mix
 from imdot.ot import (
+    _solve_blocks,
+    _solve_blocks_highs,
     lipschitz_imd_dual,
     partial_ot_beta_split,
     partial_ot_global,
@@ -44,6 +47,29 @@ class TestWasserstein1:
         s = DiscreteMeasure([[1.0, 0.0]], [0.5])
         with pytest.raises(ValueError):
             wasserstein1(t, s, cost_matrix(t.points, s.points))
+
+    def test_masses_within_tolerance(self):
+        t = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
+        for gap in (5e-11, -5e-11):
+            s = DiscreteMeasure([[0.0, 1.0], [1.0, 1.0]], [0.5, 0.5 + gap])
+            value, _ = wasserstein1(t, s, cost_matrix(t.points, s.points))
+            assert value == pytest.approx(1.0, abs=1e-9)
+        for gap in (2e-10, -2e-10):
+            s = DiscreteMeasure([[0.0, 1.0], [1.0, 1.0]], [0.5, 0.5 + gap])
+            with pytest.raises(ValueError, match="mass mismatch"):
+                wasserstein1(t, s, cost_matrix(t.points, s.points))
+
+    def test_uniform_weights_take_the_assignment_path(self, rng):
+        for n_t, n_s in ((2, 3), (3, 2), (4, 2), (3, 4)):
+            t = DiscreteMeasure(random_points(rng, n_t), np.full(n_t, 1 / n_t))
+            s = DiscreteMeasure(random_points(rng, n_s), np.full(n_s, 1 / n_s))
+            cost = cost_matrix(t.points, s.points)
+            sol, _, _ = _solve_blocks(t, [s.weights], [cost], np.ones(1))
+            assert sol.backend == "assignment"
+            value, plan = wasserstein1(t, s, cost)
+            brute = brute_force_transport_value(cost.entries, t.weights, s.weights)
+            assert value == pytest.approx(brute, abs=1e-9)
+            assert np.max(np.abs(plan.sum(axis=0) - s.weights)) <= 1e-12
 
     def test_matches_vertex_enumeration(self, rng):
         for _ in range(5):
@@ -171,6 +197,66 @@ class TestBetaSplit:
         assert set(data) == {"beta", "objective", "plans"}
         total = sum(m for block in data["plans"] for _, _, m in block["triplets"])
         assert total == pytest.approx(target.total_mass, abs=1e-6)
+
+
+class TestBlockAssembly:
+    """The LP handed to HiGHS for two classes of sizes (2, 3) and two targets.
+
+    Plan variables are row-major inside each class block: class 1 holds
+    x[0,0], x[0,1], x[1,0], x[1,1] and class 2 x[0,0] .. x[1,2]; the split
+    appends beta_1, beta_2.
+    """
+
+    PLAN_ROWS = [[1, 1, 0, 0, 1, 1, 1, 0, 0, 0],
+                 [0, 0, 1, 1, 0, 0, 0, 1, 1, 1]]
+    CAP_ROWS = [[1, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+                [0, 1, 0, 1, 0, 0, 0, 0, 0, 0],
+                [0, 0, 0, 0, 1, 0, 0, 1, 0, 0],
+                [0, 0, 0, 0, 0, 1, 0, 0, 1, 0],
+                [0, 0, 0, 0, 0, 0, 1, 0, 0, 1]]
+    # capacity columns -w_k (class 2 has a zero-weight atom) and budget row
+    SPLIT_COLS = [[0, 0], [0, 0],
+                  [-0.25, 0], [-0.75, 0],
+                  [0, -0.5], [0, -0.5], [0, 0],
+                  [1, 1]]
+
+    def solve_captured(self, monkeypatch, budget):
+        captured = []
+
+        def capture(lp):
+            captured.append(lp)
+            return solve(lp)
+
+        solve = imdot.ot.solve
+        monkeypatch.setattr(imdot.ot, "solve", capture)
+        target = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
+        weights = [np.array([0.25, 0.75]), np.array([0.5, 0.5, 0.0])]
+        costs = [CostMatrix(np.arange(4.0).reshape(2, 2)),
+                 CostMatrix(np.arange(6.0).reshape(2, 3))]
+        sol = _solve_blocks_highs(target, weights, costs, np.array([0.5, 0.5]), budget)
+        assert sol.status == "optimal"
+        (lp,) = captured
+        assert lp.A.has_canonical_format
+        return lp
+
+    def test_without_split(self, monkeypatch):
+        lp = self.solve_captured(monkeypatch, None)
+        expected = np.array(self.PLAN_ROWS + self.CAP_ROWS, dtype=float)
+        assert np.array_equal(lp.A.toarray(), expected)
+        assert lp.A.nnz == np.count_nonzero(expected)
+        assert lp.relations == ("=",) * 2 + ("<=",) * 5
+        assert np.array_equal(lp.b, [0.5, 0.5, 0.125, 0.375, 0.25, 0.25, 0.0])
+        assert np.array_equal(lp.c, [0, 1, 2, 3, 0, 1, 2, 3, 4, 5])
+
+    def test_with_split(self, monkeypatch):
+        lp = self.solve_captured(monkeypatch, 0.5)
+        expected = np.hstack([self.PLAN_ROWS + self.CAP_ROWS + [[0] * 10],
+                              self.SPLIT_COLS])
+        assert np.array_equal(lp.A.toarray(), expected)
+        assert lp.A.nnz == np.count_nonzero(expected)
+        assert lp.relations == ("=",) * 2 + ("<=",) * 5 + ("=",)
+        assert np.array_equal(lp.b, [0.5, 0.5, 0.125, 0.375, 0.25, 0.25, 0.0, 0.5])
+        assert np.array_equal(lp.c, [0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 0, 0])
 
 
 class TestLipschitzDual:

@@ -33,7 +33,7 @@ def solve_both(target, source, beta):
     scale = np.array([1.0 + beta])
     fast = _solve_blocks(target, [source.weights], [cost], scale)
     highs = _solve_blocks_highs(target, [source.weights], [cost], scale)
-    return cost.entries, fast, highs
+    return cost.entries, fast, (highs, [highs.x.reshape(cost.entries.shape)], None)
 
 
 @st.composite
