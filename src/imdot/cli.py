@@ -72,16 +72,52 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed,
 def _config_defaults(parser: argparse.ArgumentParser,
                      args: argparse.Namespace) -> dict:
     """Flag defaults from the ``--config`` JSON file, keyed by flag
-    destination; a key that names no flag of the subcommand is an error."""
-    config = json.loads(Path(args.config).read_text())
+    destination.  An unreadable or non-JSON file, a key that names no flag
+    of the subcommand, and a value the flag would reject are errors."""
+    try:
+        config = json.loads(Path(args.config).read_text())
+    except OSError as exc:
+        parser.error(f"--config {args.config}: cannot read the file ({exc.strerror})")
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        parser.error(f"--config {args.config}: not a JSON file ({exc})")
     if not isinstance(config, dict):
         parser.error(f"--config {args.config}: expected a JSON object")
-    flags = set(vars(args)) - {"command", "func", "config"}
+    flags = {action.dest: action for action in _subparser(parser, args.command)._actions
+             if action.dest not in ("help", "config")}
     unknown = [key for key in config if key.replace("-", "_") not in flags]
     if unknown:
         parser.error(f"--config {args.config}: no {args.command} flag named "
                      + ", ".join(repr(key) for key in unknown))
-    return {key.replace("-", "_"): value for key, value in config.items()}
+    defaults = {}
+    for key, value in config.items():
+        action = flags[key.replace("-", "_")]
+        try:
+            defaults[action.dest] = _flag_value(action, value)
+        except (TypeError, ValueError) as exc:
+            parser.error(f"--config {args.config}: {key!r} cannot be {value!r} ({exc})")
+    return defaults
+
+
+def _subparser(parser: argparse.ArgumentParser, command: str):
+    (subs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return subs.choices[command]
+
+
+def _flag_value(action: argparse.Action, value):
+    """``value`` as the flag would parse it: JSON booleans for switches, and
+    for the rest a string or number, checked by the flag's own type and
+    choices as if typed."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise TypeError("a switch takes true or false")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise TypeError("expected a string or a number")
+    text = value if isinstance(value, str) else json.dumps(value)
+    parsed = (action.type or str)(text)
+    if action.choices is not None and parsed not in action.choices:
+        raise ValueError(f"choose from {', '.join(map(str, action.choices))}")
+    return parsed
 
 
 def _toy_config(args) -> ToyConfig:

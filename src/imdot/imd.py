@@ -321,7 +321,8 @@ def hdh_support_bound_check(target: DiscreteMeasure, source: DiscreteMeasure,
     """Check ``IMD_{hdh, eps=0}(T, S) <= 1 - T(hypothesis-relative support of S)``.
 
     The hypothesis-relative support is the intersection of the agreement
-    sets of all pairs agreeing S-almost-surely.
+    sets of all pairs (i <= j) agreeing S-almost-surely, i.e. whose
+    disagreement carries at most 1e-15 of S's mass.
     """
     if family.kind != "hdh":
         raise ValueError("hdh_support_bound_check needs a family of kind 'hdh'")
@@ -330,16 +331,11 @@ def hdh_support_bound_check(target: DiscreteMeasure, source: DiscreteMeasure,
     ground = family.ground_points
     wt = weights_on_ground(target, ground)
     ws = weights_on_ground(source, ground)
-    hyp = family.hypotheses
 
-    lhs = 0.0
-    support = np.ones(len(ground), dtype=bool)
-    for i in range(len(hyp)):
-        for j in range(i, len(hyp)):
-            disagree = hyp[i] != hyp[j]
-            source_disagreement = float(ws[disagree].sum())
-            if source_disagreement <= 1e-15:
-                lhs = max(lhs, float(wt[disagree].sum()))
-                support &= ~disagree
+    # One disagreement row per pair; the null member (i == j) always agrees.
+    members = np.vstack(list(member_batches(family)))
+    agreeing = members[members @ ws <= 1e-15]
+    lhs = float(np.max(agreeing @ wt))
+    support = ~agreeing.any(axis=0)
     rhs = 1.0 - float(wt[support].sum())
     return HdhSupportReport(lhs, rhs, support, bool(lhs <= rhs + 1e-12))

@@ -1,48 +1,7 @@
-"""Shared random-instance builders for the test suite.
-
-Weights are dyadic rationals (integer / 2^16) so that sums of a few dozen
-of them are exact in binary floating point; the equality-style oracle
-comparisons rely on that.
-"""
+"""The shared ``rng`` fixture; instance builders live in :mod:`imdot.checks`."""
 
 import numpy as np
 import pytest
-
-from imdot.measures import DiscreteMeasure, cost_matrix, mix
-
-
-def dyadic_weights(rng, n, normalize=False):
-    w = rng.integers(1, 1 << 16, size=n).astype(float) / (1 << 16)
-    if normalize:
-        w = w / w.sum()
-    return w
-
-
-def random_points(rng, n, dim=2, scale=1.5):
-    return rng.uniform(-scale, scale, size=(n, dim))
-
-
-def random_measure_pair(rng, n):
-    """Two measures on a shared random atom set."""
-    pts = random_points(rng, n)
-    return (DiscreteMeasure(pts, dyadic_weights(rng, n)),
-            DiscreteMeasure(pts, dyadic_weights(rng, n)))
-
-
-def random_transport_instance(rng, max_atoms=8, n_classes=None):
-    """(target, source, conditionals, proportions, per-class costs)."""
-    k = n_classes or int(rng.integers(2, 4))
-    per_class = max(1, max_atoms // k)
-    atoms = [random_points(rng, int(rng.integers(1, per_class + 1)))
-             for _ in range(k)]
-    p = dyadic_weights(rng, k, normalize=True)
-    conds = [DiscreteMeasure(a, np.full(len(a), 1.0 / len(a))) for a in atoms]
-    source = mix(DiscreteMeasure(np.empty((0, 2)), np.empty(0)), conds, p)
-    n_t = int(rng.integers(2, max_atoms + 1))
-    target = DiscreteMeasure(random_points(rng, n_t),
-                             dyadic_weights(rng, n_t, normalize=True))
-    costs = [cost_matrix(target.points, c.points) for c in conds]
-    return target, source, conds, p, costs
 
 
 @pytest.fixture

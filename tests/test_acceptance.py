@@ -9,40 +9,15 @@ import os
 import time
 
 import numpy as np
-import pytest
 
+from imdot import checks
+from imdot.checks import dyadic_weights, random_points, random_transport_instance
 from imdot.datagen import ToyConfig, shared_atom_label_shift
 from imdot.experiments import run_sweep, write_draws_csv, write_summary_csv
-from imdot.families import (
-    global_localization,
-    grid_family,
-    hdh_family,
-    indicator_family,
-    localization_inclusion_check,
-)
-from imdot.imd import (
-    duality_check,
-    hdh_imd,
-    hdh_support_bound_check,
-    imd_bruteforce,
-    imd_tv_closed_form,
-)
-from imdot.measures import DiscreteMeasure, cost_matrix, mix
-from imdot.ot import (
-    lipschitz_imd_dual,
-    partial_ot_beta_split,
-    partial_ot_global,
-    partial_ot_per_class,
-    support_distance_imd,
-    wasserstein1,
-)
-from imdot.uncertainty import (
-    min_entropy_uncertainty,
-    renyi_entropy,
-    verify_sgu_properties,
-)
-
-from conftest import dyadic_weights, random_points, random_transport_instance
+from imdot.families import grid_family, hdh_family, indicator_family
+from imdot.imd import duality_check
+from imdot.measures import DiscreteMeasure, cost_matrix
+from imdot.ot import partial_ot_beta_split, partial_ot_global, partial_ot_per_class
 
 
 def report(num, name, ok, detail=""):
@@ -50,70 +25,28 @@ def report(num, name, ok, detail=""):
     assert ok, f"criterion {num} ({name}) failed: {detail}"
 
 
+def properties(rng, instances, *props):
+    """Run shared properties on one generator: (all passed, joined details)."""
+    results = [prop(rng, instances) for prop in props]
+    return all(ok for ok, _ in results), "; ".join(detail for _, detail in results)
+
+
 def test_c01_oracle_equivalence():
     rng = np.random.default_rng(101)
     started = time.perf_counter()
-    worst_lp = worst_hdh = 0.0
-    tv_mismatches = 0
-    for _ in range(200):
-        # per-class primal LP against the Lipschitz dual (<= 10 atoms total)
-        target, source, conds, p, costs = random_transport_instance(rng, max_atoms=5)
-        beta_vec = rng.uniform(0, 0.8, size=len(p))
-        primal = partial_ot_per_class(target, conds, p, beta_vec, costs)
-        dual_value, _ = lipschitz_imd_dual(target, mix(source, conds, beta_vec))
-        worst_lp = max(worst_lp, abs(primal.objective - dual_value))
-
-        # pairwise hdh scan against the generic enumeration
-        n = int(rng.integers(3, 7))
-        pts = random_points(rng, n)
-        fam = hdh_family(pts, rng.integers(1, 4, size=(int(rng.integers(2, 5)), n)))
-        t = DiscreteMeasure(pts, dyadic_weights(rng, n, normalize=True))
-        s = DiscreteMeasure(pts, dyadic_weights(rng, n, normalize=True))
-        beta = float(rng.uniform(0, 1))
-        worst_hdh = max(worst_hdh, abs(
-            hdh_imd(t, s, fam, beta=beta).value
-            - imd_bruteforce(t, s.scaled(1 + beta), fam).value))
-
-        # closed-form bounded IMD against indicator enumeration, exactly
-        m = int(rng.integers(2, 9))
-        pts2 = random_points(rng, m)
-        q1 = DiscreteMeasure(pts2, dyadic_weights(rng, m))
-        q2 = DiscreteMeasure(pts2, dyadic_weights(rng, m))
-        if imd_tv_closed_form(q1, q2) != imd_bruteforce(
-                q1, q2, indicator_family(pts2)).value:
-            tv_mismatches += 1
+    ok, detail = properties(rng, 200, checks.ot_primal_dual_agreement,
+                            checks.hdh_matches_bruteforce,
+                            checks.imd_tv_matches_bruteforce)
     elapsed = time.perf_counter() - started
-    ok = worst_lp <= 1e-6 and worst_hdh <= 1e-12 and tv_mismatches == 0 and elapsed <= 120
-    report(1, "oracle equivalence", ok,
-           f"lp gap {worst_lp:.2e}, hdh gap {worst_hdh:.2e}, "
-           f"tv mismatches {tv_mismatches}, {elapsed:.0f}s")
+    report(1, "oracle equivalence", ok and elapsed <= 120, f"{detail}; {elapsed:.0f}s")
 
 
 def test_c02_imd_axioms():
-    rng = np.random.default_rng(102)
-    failures = 0
-    for _ in range(500):
-        n = int(rng.integers(2, 7))
-        pts = random_points(rng, n)
-        fam = indicator_family(pts)
-        q1, q2, q3 = (DiscreteMeasure(pts, dyadic_weights(rng, n))
-                      for _ in range(3))
-        v12 = imd_bruteforce(q1, q2, fam).value
-        v23 = imd_bruteforce(q2, q3, fam).value
-        v13 = imd_bruteforce(q1, q3, fam).value
-        if min(v12, v23, v13) < 0 or v13 > v12 + v23:
-            failures += 1
-        if imd_bruteforce(q1, q1.scaled(2.0), fam).value != 0.0:
-            failures += 1
-        if not imd_bruteforce(q1.scaled(2.0), q1, fam).value > 0.0:
-            failures += 1
-        pair = (q1, DiscreteMeasure(pts, q1.weights + dyadic_weights(rng, n))) \
-            if rng.random() < 0.5 else (q1, q2)
-        dominated = bool(np.all(pair[0].weights <= pair[1].weights))
-        if (imd_bruteforce(pair[0], pair[1], fam).value == 0.0) != dominated:
-            failures += 1
-    report(2, "IMD axioms", failures == 0,
-           f"{failures} failures over 500 random triples/pairs")
+    # The dominated pairs, checked both ways, include IMD(Q, 2Q) = 0 < IMD(2Q, Q).
+    ok, detail = properties(np.random.default_rng(102), 500,
+                            checks.imd_nonneg_triangle_indicators,
+                            checks.imd_null_characterization)
+    report(2, "IMD axioms", ok, detail)
 
 
 def test_c03_duality():
@@ -147,16 +80,7 @@ def test_c03_duality():
 def test_c04_label_shift_thresholds():
     rng = np.random.default_rng(104)
     # the exact hand instance: thresholds 0.3 (per-class) and 1.5 (global)
-    source, conds, target = shared_atom_label_shift(
-        [[[0.0, 0.0]], [[1.0, 0.0]]], [0.8, 0.2], [0.5, 0.5])
-    costs = [cost_matrix(target.points, c.points) for c in conds]
-    cost_full = cost_matrix(target.points, source.points)
-    at = partial_ot_per_class(target, conds, [0.8, 0.2], [0.0, 0.3], costs).objective
-    below = partial_ot_per_class(target, conds, [0.8, 0.2], [0.0, 0.29], costs).objective
-    g_at, _ = partial_ot_global(target, source, cost_full, 1.5)
-    g_below, _ = partial_ot_global(target, source, cost_full, 1.49)
-    exact_ok = (abs(at) <= 1e-8 and below > 1e-6
-                and abs(g_at) <= 1e-8 and g_below > 1e-6)
+    exact_ok, exact_detail = checks.ot_label_shift_thresholds(rng, 1)
 
     random_failures = 0
     for _ in range(40):
@@ -186,96 +110,39 @@ def test_c04_label_shift_thresholds():
             random_failures += 1
     ok = exact_ok and random_failures == 0
     report(4, "label-shift thresholds", ok,
-           f"exact instance {'ok' if exact_ok else 'BROKEN'}, "
+           f"exact instance {'ok' if exact_ok else 'BROKEN'} ({exact_detail}), "
            f"{random_failures} random-instance failures")
 
 
 def test_c05_relaxation_structure():
     rng = np.random.default_rng(105)
-    worst_prop = worst_w1 = worst_split = worst_mono = 0.0
+    ok, detail = properties(rng, 100, checks.ot_beta_zero_degeneracy,
+                            checks.ot_monotonicity_and_split_dominance)
+    # the optimal split against a random fixed split of the same budget
+    worst_split = 0.0
     for _ in range(100):
-        target, source, conds, p, costs = random_transport_instance(rng, max_atoms=6)
-        cost_full = cost_matrix(target.points, source.points)
+        target, _, conds, p, costs = random_transport_instance(rng)
         beta = float(rng.uniform(0, 1.5))
-
-        v_pc = partial_ot_per_class(target, conds, p, beta * p, costs).objective
-        v_gl, _ = partial_ot_global(target, source, cost_full, beta)
-        worst_prop = max(worst_prop, abs(v_pc - v_gl))
-
-        w1, _ = wasserstein1(target, source, cost_full)
-        v0 = partial_ot_per_class(target, conds, p, np.zeros(len(p)), costs).objective
-        g0, _ = partial_ot_global(target, source, cost_full, 0.0)
-        worst_w1 = max(worst_w1, abs(v0 - w1), abs(g0 - w1))
-
         split = partial_ot_beta_split(target, conds, p, beta, costs).objective
         fixed = rng.dirichlet(np.ones(len(p))) * beta
         v_fixed = partial_ot_per_class(target, conds, p, fixed, costs).objective
-        worst_split = max(worst_split, split - min(v_fixed, v_pc))
-
-        v_more, _ = partial_ot_global(target, source, cost_full, beta + 0.5)
-        worst_mono = max(worst_mono, v_more - v_gl)
-    ok = max(worst_prop, worst_w1) <= 1e-8 and max(worst_split, worst_mono) <= 1e-8
-    report(5, "relaxation structure", ok,
-           f"proportional {worst_prop:.2e}, wasserstein {worst_w1:.2e}, "
-           f"split-dominance {worst_split:.2e}, monotonicity {worst_mono:.2e}")
+        worst_split = max(worst_split, split - v_fixed)
+    report(5, "relaxation structure", ok and worst_split <= 1e-8,
+           f"{detail}; random fixed split {worst_split:.2e}")
 
 
 def test_c06_uncertainty_properties():
     rng = np.random.default_rng(106)
-    ordering_failures = 0
-    for _ in range(10_000):
-        v = rng.dirichlet(np.ones(int(rng.integers(2, 7))))
-        h_inf = min_entropy_uncertainty(v)
-        for alpha in (1.0, 2.0, 8.0):
-            if h_inf > renyi_entropy(v, alpha) + 1e-12:
-                ordering_failures += 1
-    sgu_failures = 0
-    for _ in range(50):
-        k = int(rng.integers(2, 4))
-        m = int(rng.integers(2, 6))
-        n_t, n_s = int(rng.integers(3, 8)), int(rng.integers(3, 8))
-        tilde_t = rng.integers(1, k + 1, size=(m + 3, n_t))
-        tilde_s = rng.integers(1, k + 1, size=(m + 3, n_s))
-        rep = verify_sgu_properties(
-            tilde_t[:m], tilde_s[:m],
-            rng.integers(1, k + 1, size=n_s), rng.integers(1, k + 1, size=n_t),
-            tilde_t, tilde_s, k)
-        if not rep.ok:
-            sgu_failures += 1
-    ok = ordering_failures == 0 and sgu_failures == 0
-    report(6, "uncertainty properties", ok,
-           f"{ordering_failures} entropy-ordering and {sgu_failures} "
-           "source-guided failures")
+    ordering_ok, ordering = checks.entropy_ordering(rng, 10_000)
+    sgu_ok, sgu = checks.sgu_properties(rng, 50)
+    report(6, "uncertainty properties", ordering_ok and sgu_ok,
+           f"entropy ordering: {ordering}; source-guided: {sgu}")
 
 
 def test_c07_localization_and_support_bounds():
-    rng = np.random.default_rng(107)
-    failures = 0
-    for _ in range(100):
-        n = int(rng.integers(3, 13))
-        k = int(rng.integers(2, 4))
-        pts = random_points(rng, n)
-        labels = rng.integers(0, k, size=n)
-        conds, p = [], np.zeros(k)
-        for c in range(k):
-            idx = np.flatnonzero(labels == c)
-            p[c] = len(idx) / n
-            conds.append(DiscreteMeasure(pts[idx], np.full(len(idx), 1.0 / max(len(idx), 1)))
-                         if len(idx) else DiscreteMeasure(np.empty((0, 2)), np.empty(0)))
-        eps_vec = rng.uniform(0, 0.6, size=k)
-        if not localization_inclusion_check(
-                indicator_family(pts), conds, p, eps_vec).ok:
-            failures += 1
-        fam = hdh_family(pts, rng.integers(1, 3, size=(4, n)))
-        t = DiscreteMeasure(pts, dyadic_weights(rng, n, normalize=True))
-        w = np.where(rng.random(n) < 0.7, dyadic_weights(rng, n), 0.0)
-        if w.sum() == 0:
-            w[0] = 1.0
-        s = DiscreteMeasure(pts, w / w.sum())
-        if not hdh_support_bound_check(t, s, fam).holds:
-            failures += 1
-    report(7, "localization inclusions and support bound", failures == 0,
-           f"{failures} failures over 100 instances")
+    ok, detail = properties(np.random.default_rng(107), 100,
+                            checks.localization_inclusions, checks.hdh_support_bound)
+    report(7, "localization inclusions and support bound", ok, detail)
 
 
 def test_c08_experiment_reproduction(tmp_path):
@@ -332,16 +199,5 @@ def test_c09_determinism(tmp_path):
 
 
 def test_c10_support_distance_identity():
-    rng = np.random.default_rng(110)
-    worst = 0.0
-    for _ in range(100):
-        n_t, n_s = int(rng.integers(2, 7)), int(rng.integers(2, 7))
-        t = DiscreteMeasure(random_points(rng, n_t),
-                            dyadic_weights(rng, n_t, normalize=True))
-        s = DiscreteMeasure(random_points(rng, n_s),
-                            dyadic_weights(rng, n_s, normalize=True))
-        direct = support_distance_imd(t, s)
-        lp_value, _ = lipschitz_imd_dual(t, s, zero_on_support=True)
-        worst = max(worst, abs(direct - lp_value))
-    report(10, "support-distance identity", worst <= 1e-6,
-           f"max deviation {worst:.2e} over 100 instances")
+    ok, detail = checks.ot_support_distance_identity(np.random.default_rng(110), 100)
+    report(10, "support-distance identity", ok, detail)

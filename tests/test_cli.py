@@ -144,3 +144,39 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'n_sorce'" in err and "'beta-grid'" in err and "'seed'" not in err
     assert not out.exists()
+
+
+def config_error(tmp_path, capsys, config, command="gen"):
+    """Exit code and stderr of ``imdot <command> --config <config>``."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--config", config, "--out", out)
+    assert not out.exists()
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_config_missing_file(tmp_path, capsys):
+    missing = tmp_path / "nowhere.json"
+    code, err = config_error(tmp_path, capsys, missing)
+    assert code == 2 and str(missing) in err and "cannot read" in err
+
+
+def test_config_not_json(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text("k = 3\n")
+    code, err = config_error(tmp_path, capsys, config)
+    assert code == 2 and str(config) in err and "not a JSON file" in err
+
+
+def test_config_value_the_flag_rejects(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    for bad in ({"k": 3.5}, {"k": True}, {"eta": "high"}):
+        config.write_text(json.dumps(bad))
+        code, err = config_error(tmp_path, capsys, config)
+        (key,) = bad
+        assert code == 2 and str(config) in err and repr(key) in err
+    for bad in ({"mode": "sideways"}, {"timings": 1}, {"beta_grid": [0, 0.5]}):
+        config.write_text(json.dumps(bad))
+        code, err = config_error(tmp_path, capsys, config, command="sweep")
+        (key,) = bad
+        assert code == 2 and repr(key) in err

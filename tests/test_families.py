@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from imdot import checks
+from imdot.checks import dyadic_weights, random_class_conditionals, random_points
 from imdot.families import (
     FamilyTooLargeError,
     enumerate_members,
@@ -16,8 +18,6 @@ from imdot.families import (
     weights_on_ground,
 )
 from imdot.measures import DiscreteMeasure
-
-from conftest import dyadic_weights, random_points
 
 TWO_POINTS = np.array([[0.0, 0.0], [1.0, 0.0]])
 
@@ -129,22 +129,9 @@ class TestGroundPlumbing:
 
 
 class TestInclusionChecks:
-    def _conditionals(self, rng, pts, k):
-        labels = rng.integers(0, k, size=len(pts))
-        conds, p = [], np.zeros(k)
-        for c in range(k):
-            idx = np.flatnonzero(labels == c)
-            p[c] = len(idx) / len(pts)
-            if len(idx):
-                conds.append(DiscreteMeasure(pts[idx],
-                                             np.full(len(idx), 1.0 / len(idx))))
-            else:
-                conds.append(DiscreteMeasure(np.empty((0, 2)), np.empty(0)))
-        return conds, p
-
     def test_zero_eps_inclusion(self, rng):
         pts = random_points(rng, 4)
-        conds, p = self._conditionals(rng, pts, 2)
+        conds, p = random_class_conditionals(rng, pts, 2)
         report = localization_inclusion_check(
             indicator_family(pts), conds, p, np.zeros(2))
         assert report.per_class_in_global
@@ -169,12 +156,5 @@ class TestInclusionChecks:
         assert report.global_in_per_class
 
     def test_random_instances(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(3, 9))
-            k = int(rng.integers(2, 4))
-            pts = random_points(rng, n)
-            conds, p = self._conditionals(rng, pts, k)
-            eps_vec = rng.uniform(0, 0.6, size=k)
-            report = localization_inclusion_check(
-                indicator_family(pts), conds, p, eps_vec)
-            assert report.ok, f"counterexample {report.counterexample}"
+        passed, detail = checks.localization_inclusions(rng, 30)
+        assert passed, detail

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from imdot import checks
+from imdot.checks import dyadic_weights, random_points, related_hypotheses
 from imdot.families import (
-    global_localization,
     grid_family,
     hdh_family,
     indicator_family,
+    weights_on_ground,
 )
 from imdot.imd import (
     bounded01_dual_minimum,
@@ -19,9 +21,24 @@ from imdot.imd import (
 )
 from imdot.measures import DiscreteMeasure, mix
 
-from conftest import dyadic_weights, random_measure_pair, random_points
-
 TWO = np.array([[0.0, 0.0], [1.0, 0.0]])
+
+
+def pairwise_scan_support_bound(target, source, family):
+    """Reference: the pair-by-pair scan behind ``hdh_support_bound_check``,
+    returning (lhs, rhs, support mask)."""
+    wt = weights_on_ground(target, family.ground_points)
+    ws = weights_on_ground(source, family.ground_points)
+    hyp = family.hypotheses
+    lhs = 0.0
+    support = np.ones(len(ws), dtype=bool)
+    for i in range(len(hyp)):
+        for j in range(i, len(hyp)):
+            disagree = hyp[i] != hyp[j]
+            if float(ws[disagree].sum()) <= 1e-15:
+                lhs = max(lhs, float(wt[disagree].sum()))
+                support &= ~disagree
+    return lhs, 1.0 - float(wt[support].sum()), support
 
 
 class TestBruteForce:
@@ -33,10 +50,8 @@ class TestBruteForce:
         assert res.family_size_scanned == 4
 
     def test_asymmetry_witness(self):
-        q = DiscreteMeasure(TWO, [0.25, 0.5])
-        fam = indicator_family(TWO)
-        assert imd_bruteforce(q, q.scaled(2.0), fam).value == 0.0
-        assert imd_bruteforce(q.scaled(2.0), q, fam).value > 0.0
+        passed, detail = checks.imd_asymmetry_witness(None, 1)
+        assert passed, detail
 
     def test_half_tv_example(self):
         t = DiscreteMeasure(TWO, [0.5, 0.5])
@@ -49,38 +64,17 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             imd_bruteforce(q, s, indicator_family(TWO))
 
-    def test_nonnegativity_random(self, rng):
-        for _ in range(100):
-            n = int(rng.integers(2, 7))
-            q1, q2 = random_measure_pair(rng, n)
-            assert imd_bruteforce(q1, q2, indicator_family(q1.points)).value >= 0.0
-
-    @pytest.mark.parametrize("family_of", [
-        indicator_family,
-        lambda pts: grid_family(pts, step=0.5),
-    ])
-    def test_triangle_inequality_random(self, rng, family_of):
-        for _ in range(40):
-            n = int(rng.integers(2, 5))
-            pts = random_points(rng, n)
-            fam = family_of(pts)
-            q1, q2, q3 = (DiscreteMeasure(pts, dyadic_weights(rng, n))
-                          for _ in range(3))
-            v13 = imd_bruteforce(q1, q3, fam).value
-            v12 = imd_bruteforce(q1, q2, fam).value
-            v23 = imd_bruteforce(q2, q3, fam).value
-            assert v13 <= v12 + v23
+    @pytest.mark.parametrize("prop, instances", [
+        (checks.imd_nonneg_triangle_indicators, 100),
+        (checks.imd_nonneg_triangle_grid, 40),
+    ], ids=["indicator_family", "grid_family"])
+    def test_triangle_inequality_random(self, rng, prop, instances):
+        passed, detail = prop(rng, instances)
+        assert passed, detail
 
     def test_null_characterization(self, rng):
-        fam_cache = {}
-        for _ in range(60):
-            n = int(rng.integers(2, 7))
-            q1, q2 = random_measure_pair(rng, n)
-            if rng.random() < 0.5:
-                q2 = DiscreteMeasure(q1.points, q1.weights + dyadic_weights(rng, n))
-            fam = indicator_family(q1.points)
-            value = imd_bruteforce(q1, q2, fam).value
-            assert (value == 0.0) == bool(np.all(q1.weights <= q2.weights))
+        passed, detail = checks.imd_null_characterization(rng, 60)
+        assert passed, detail
 
     def test_localized_monotone_in_beta(self, rng):
         # relaxing any class more cannot increase the discrepancy
@@ -113,11 +107,8 @@ class TestClosedForms:
         assert imd_tv_closed_form(t, s) == 1.0
 
     def test_tv_matches_bruteforce_exactly(self, rng):
-        for _ in range(60):
-            n = int(rng.integers(2, 9))
-            q1, q2 = random_measure_pair(rng, n)
-            brute = imd_bruteforce(q1, q2, indicator_family(q1.points)).value
-            assert imd_tv_closed_form(q1, q2) == brute
+        passed, detail = checks.imd_tv_matches_bruteforce(rng, 60)
+        assert passed, detail
 
     def test_f0_contained_support(self):
         t = DiscreteMeasure([[0.0, 0.0]], [1.0])
@@ -130,15 +121,8 @@ class TestClosedForms:
         assert imd_f0_support_mass(t, s) == 0.25
 
     def test_f0_matches_zero_localized_bruteforce(self, rng):
-        for _ in range(30):
-            pts = random_points(rng, 10)
-            t = DiscreteMeasure(pts, dyadic_weights(rng, 10))
-            mask = rng.random(10) < 0.6
-            s = DiscreteMeasure(pts, np.where(mask, dyadic_weights(rng, 10), 0.0))
-            direct = imd_f0_support_mass(t, s)
-            brute = imd_bruteforce(t, s, indicator_family(pts),
-                                   global_localization(0.0, s)).value
-            assert direct == pytest.approx(brute, abs=1e-12)
+        passed, detail = checks.imd_f0_support_mass(rng, 30)
+        assert passed, detail
 
 
 class TestDuality:
@@ -213,17 +197,8 @@ class TestHdh:
         assert res.value == 0.0
 
     def test_matches_bruteforce(self, rng):
-        for _ in range(40):
-            n = int(rng.integers(3, 6))
-            pts = random_points(rng, n)
-            fam = hdh_family(pts, rng.integers(1, 4, size=(3, n)))
-            t = DiscreteMeasure(pts, dyadic_weights(rng, n, normalize=True))
-            s = DiscreteMeasure(pts, dyadic_weights(rng, n, normalize=True))
-            beta = 0.5
-            res = hdh_imd(t, s, fam, beta=beta)
-            brute = imd_bruteforce(t, s.scaled(1 + beta), fam).value
-            assert abs(res.value - brute) <= 1e-12
-            assert abs((1 - res.value) - res.risk_form_value) <= 1e-12
+        passed, detail = checks.hdh_matches_bruteforce(rng, 40)
+        assert passed, detail
 
     def test_per_class_relaxation(self, rng):
         n = 6
@@ -253,16 +228,36 @@ class TestHdhSupportBound:
         assert report.holds
 
     def test_random_instances(self, rng):
-        for _ in range(50):
-            n = int(rng.integers(3, 8))
+        passed, detail = checks.hdh_support_bound(rng, 50)
+        assert passed, detail
+
+    def test_matches_the_pairwise_scan(self, rng):
+        # Weights are multiples of 2^-16 summing to exactly 1, so every sum
+        # is exact in any order and the two must agree bit for bit.  S puts
+        # no mass on some atoms and the smallest step 2^-16 on others, so that
+        # some related pairs disagree only where S is empty or light.
+        def exact_probability(on, light=0):
+            counts = rng.multinomial((1 << 16) - np.sum(light), on / on.sum())
+            return (counts + light) / (1 << 16)
+
+        for case in range(60):
+            n = int(rng.integers(1, 13))
             pts = random_points(rng, n)
-            fam = hdh_family(pts, rng.integers(1, 3, size=(4, n)))
-            t = DiscreteMeasure(pts, dyadic_weights(rng, n, normalize=True))
-            w = np.where(rng.random(n) < 0.7, dyadic_weights(rng, n), 0.0)
-            if w.sum() == 0:
-                w[0] = 1.0
-            s = DiscreteMeasure(pts, w / w.sum())
-            assert hdh_support_bound_check(t, s, fam).holds
+            hyp = related_hypotheses(rng, int(rng.integers(1, 6)), n)
+            if case % 3 == 0:
+                hyp = hyp[rng.integers(0, len(hyp), size=len(hyp) + 2)]
+            keep = rng.random(n) < 0.6
+            keep[0] = True
+            light = (~keep & (rng.random(n) < 0.5)).astype(int)
+            t = DiscreteMeasure(pts, exact_probability(np.ones(n)))
+            s = DiscreteMeasure(pts, exact_probability(keep.astype(float), light))
+            fam = hdh_family(pts, hyp)
+            report = hdh_support_bound_check(t, s, fam)
+            lhs, rhs, support = pairwise_scan_support_bound(t, s, fam)
+            assert report.imd_zero_localized == lhs
+            assert report.support_mass_bound == rhs
+            assert np.array_equal(report.support_mask, support)
+            assert report.holds == (lhs <= rhs + 1e-12)
 
     def test_tight_when_family_contains_complement_indicator(self):
         # hypotheses disagreeing exactly off supp(S) make the bound an equality

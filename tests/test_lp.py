@@ -3,9 +3,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from imdot.checks import dyadic_weights
 from imdot.lp import LinearProgram, LpError, dual_of, dump_lp, solve
-
-from conftest import dyadic_weights
 
 
 def brute_force_transport_value(cost, t, s):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imdot.checks import random_points
 from imdot.measures import (
     DiscreteMeasure,
     LabeledDataset,
@@ -13,8 +14,6 @@ from imdot.measures import (
     mix,
     save_dataset,
 )
-
-from conftest import random_points
 
 
 def make_dataset(n, labels, k):

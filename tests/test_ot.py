@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from imdot import checks
+from imdot.checks import dyadic_weights, random_points, random_transport_instance
 from imdot.datagen import shared_atom_label_shift
 import imdot.ot
 from imdot.measures import CostMatrix, DiscreteMeasure, cost_matrix, mix
@@ -15,8 +17,6 @@ from imdot.ot import (
     support_distance_imd,
     wasserstein1,
 )
-
-from conftest import dyadic_weights, random_points, random_transport_instance
 
 from test_lp import brute_force_transport_value
 
@@ -100,12 +100,9 @@ class TestPartialGlobal:
         assert v1 == pytest.approx(0.0, abs=1e-9)
 
     def test_monotone_in_beta(self, rng):
-        for _ in range(10):
-            target, source, _, _, _ = random_transport_instance(rng)
-            cost = cost_matrix(target.points, source.points)
-            v_small, _ = partial_ot_global(target, source, cost, 0.1)
-            v_large, _ = partial_ot_global(target, source, cost, 10.0)
-            assert v_large <= v_small + 1e-8
+        # also: equal to per-class OT at beta * p, and split dominance
+        passed, detail = checks.ot_monotonicity_and_split_dominance(rng, 10)
+        assert passed, detail
 
     def test_negative_beta(self):
         target, source, cost = two_atom_instance()
@@ -115,31 +112,12 @@ class TestPartialGlobal:
 
 class TestPartialPerClass:
     def test_beta_zero_equals_wasserstein(self, rng):
-        for _ in range(5):
-            target, source, conds, p, costs = random_transport_instance(rng)
-            plan_set = partial_ot_per_class(target, conds, p,
-                                            np.zeros(len(p)), costs)
-            w1, _ = wasserstein1(target, source,
-                                 cost_matrix(target.points, source.points))
-            assert plan_set.objective == pytest.approx(w1, abs=1e-8)
+        passed, detail = checks.ot_beta_zero_degeneracy(rng, 5)
+        assert passed, detail
 
     def test_shared_atom_thresholds(self):
-        source, conds, target = shared_atom_label_shift(
-            [[[0.0, 0.0]], [[1.0, 0.0]]], [0.8, 0.2], [0.5, 0.5])
-        costs = [cost_matrix(target.points, c.points) for c in conds]
-        at = partial_ot_per_class(target, conds, [0.8, 0.2], [0.0, 0.3], costs)
-        below = partial_ot_per_class(target, conds, [0.8, 0.2], [0.0, 0.29], costs)
-        assert at.objective == pytest.approx(0.0, abs=1e-9)
-        assert below.objective == pytest.approx(0.01, abs=1e-9)
-
-    def test_proportional_beta_equals_global(self, rng):
-        for _ in range(10):
-            target, source, conds, p, costs = random_transport_instance(rng)
-            beta = float(rng.uniform(0, 2))
-            v_pc = partial_ot_per_class(target, conds, p, beta * p, costs).objective
-            cost = cost_matrix(target.points, source.points)
-            v_gl, _ = partial_ot_global(target, source, cost, beta)
-            assert v_pc == pytest.approx(v_gl, abs=1e-8)
+        passed, detail = checks.ot_label_shift_thresholds(None, 1)
+        assert passed, detail
 
     def test_empty_class_with_relaxation(self, rng):
         target = DiscreteMeasure(random_points(rng, 3),
@@ -181,14 +159,6 @@ class TestBetaSplit:
         plan_set = partial_ot_beta_split(target, conds, [0.8, 0.2], 0.3, costs)
         assert plan_set.objective == pytest.approx(0.0, abs=1e-9)
         assert np.sum(plan_set.beta) == pytest.approx(0.3, abs=1e-8)
-
-    def test_dominates_proportional_split(self, rng):
-        for _ in range(10):
-            target, _, conds, p, costs = random_transport_instance(rng)
-            beta = float(rng.uniform(0, 1.5))
-            split = partial_ot_beta_split(target, conds, p, beta, costs)
-            fixed = partial_ot_per_class(target, conds, p, beta * p, costs)
-            assert split.objective <= fixed.objective + 1e-8
 
     def test_plan_export(self, rng):
         target, _, conds, p, costs = random_transport_instance(rng)
@@ -259,6 +229,58 @@ class TestBlockAssembly:
         assert np.array_equal(lp.c, [0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 0, 0])
 
 
+class TestCoordinateScales:
+    """Zero-relaxation values of every entry point against vertex enumeration
+    of the balanced LP, with coordinates scaled by 1e-6, 1 and 1e6 and a
+    relative tolerance.  Uniform weights take the assignment backend and
+    dyadic weights HiGHS."""
+
+    REL_TOL = 1e-9
+
+    def assert_close(self, value, brute):
+        assert abs(value - brute) <= self.REL_TOL * brute, (value, brute)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("backend", ["assignment", "highs"])
+    def test_wasserstein_and_global(self, rng, scale, backend):
+        for _ in range(6):
+            n_t, n_s = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            if backend == "assignment":
+                w_t, w_s = np.full(n_t, 1 / n_t), np.full(n_s, 1 / n_s)
+            else:
+                w_t = dyadic_weights(rng, n_t, normalize=True)
+                w_s = dyadic_weights(rng, n_s)
+                w_s[int(rng.integers(n_s))] = 0.0
+                w_s /= w_s.sum()
+            t = DiscreteMeasure(scale * random_points(rng, n_t), w_t)
+            s = DiscreteMeasure(scale * random_points(rng, n_s), w_s)
+            cost = cost_matrix(t.points, s.points)
+            sol, _, _ = _solve_blocks(t, [s.weights], [cost], np.ones(1))
+            assert sol.backend == backend
+            brute = brute_force_transport_value(cost.entries, w_t, w_s)
+            self.assert_close(wasserstein1(t, s, cost)[0], brute)
+            self.assert_close(partial_ot_global(t, s, cost, 0.0)[0], brute)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_per_class_with_an_empty_class(self, rng, scale):
+        empty = DiscreteMeasure(np.empty((0, 2)), np.empty(0))
+        for case in range(6):
+            n_t, n_s = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            t = DiscreteMeasure(scale * random_points(rng, n_t),
+                                dyadic_weights(rng, n_t, normalize=True))
+            cond = DiscreteMeasure(scale * random_points(rng, n_s),
+                                   np.full(n_s, 1 / n_s))
+            conds, p = ([cond, empty], [1.0, 0.0]) if case % 2 else \
+                ([empty, cond], [0.0, 1.0])
+            costs = [cost_matrix(t.points, c.points) for c in conds]
+            brute = brute_force_transport_value(
+                cost_matrix(t.points, cond.points).entries, t.weights, cond.weights)
+            self.assert_close(partial_ot_per_class(
+                t, conds, p, np.zeros(2), costs).objective, brute)
+            self.assert_close(partial_ot_beta_split(
+                t, conds, p, 0.0, costs).objective, brute)
+
+
 class TestLipschitzDual:
     def test_identity_zero_potential(self, rng):
         pts = random_points(rng, 4)
@@ -275,14 +297,8 @@ class TestLipschitzDual:
         assert value == pytest.approx(0.01, abs=1e-9)
 
     def test_primal_dual_agreement(self, rng):
-        for _ in range(20):
-            target, source, conds, p, costs = random_transport_instance(rng)
-            beta_vec = rng.uniform(0, 0.8, size=len(p))
-            primal = partial_ot_per_class(target, conds, p, beta_vec, costs)
-            relaxed = mix(source, conds, beta_vec)
-            dual_value, potential = lipschitz_imd_dual(target, relaxed)
-            assert abs(primal.objective - dual_value) <= 1e-6
-            assert np.min(potential.values[potential.nonneg_on]) >= -1e-10
+        passed, detail = checks.ot_primal_dual_agreement(rng, 20)
+        assert passed, detail
 
     def test_empty_source_errors(self):
         t = DiscreteMeasure([[0.0, 0.0]], [1.0])
@@ -309,12 +325,5 @@ class TestSupportDistance:
             support_distance_imd(t, DiscreteMeasure(np.empty((0, 2)), np.empty(0)))
 
     def test_equals_zero_localized_dual(self, rng):
-        for _ in range(20):
-            n_t, n_s = int(rng.integers(2, 7)), int(rng.integers(2, 7))
-            t = DiscreteMeasure(random_points(rng, n_t),
-                                dyadic_weights(rng, n_t, normalize=True))
-            s = DiscreteMeasure(random_points(rng, n_s),
-                                dyadic_weights(rng, n_s, normalize=True))
-            direct = support_distance_imd(t, s)
-            lp_value, _ = lipschitz_imd_dual(t, s, zero_on_support=True)
-            assert abs(direct - lp_value) <= 1e-6
+        passed, detail = checks.ot_support_distance_identity(rng, 20)
+        assert passed, detail

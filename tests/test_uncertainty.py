@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imdot import checks
 from imdot.uncertainty import (
     cross_entropy_loss,
     hinge_uncertainty,
@@ -51,11 +52,8 @@ class TestEntropies:
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_min_entropy_below_renyi(self, seed):
-        rng = np.random.default_rng(seed)
-        v = rng.dirichlet(np.ones(int(rng.integers(2, 8))))
-        h_inf = min_entropy_uncertainty(v)
-        for alpha in (1.0, 1.3, 2.0, 5.0):
-            assert h_inf <= renyi_entropy(v, alpha) + 1e-12
+        passed, detail = checks.entropy_ordering(np.random.default_rng(seed), 1)
+        assert passed, detail
 
 
 class TestHinge:
@@ -154,11 +152,8 @@ class TestSguProperties:
         return tilde_t, tilde_s, y_s, y_t, k, m
 
     def test_all_points_hold(self, rng):
-        for _ in range(30):
-            tilde_t, tilde_s, y_s, y_t, k, m = self._instance(rng)
-            report = verify_sgu_properties(tilde_t[:m], tilde_s[:m], y_s, y_t,
-                                           tilde_t, tilde_s, k)
-            assert report.ok
+        passed, detail = checks.sgu_properties(rng, 30)
+        assert passed, detail
 
     def test_tilde_equal_h(self, rng):
         tilde_t, tilde_s, y_s, y_t, k, m = self._instance(rng, extra=0)
@@ -188,12 +183,5 @@ class TestSguProperties:
                                   y_s, y_t, tilde_t + 10, tilde_s, k)
 
     def test_monotone_in_hypothesis_class(self, rng):
-        for _ in range(20):
-            m, n = 6, 5
-            hyp_t = rng.integers(1, 4, size=(m, n))
-            hyp_s = rng.integers(1, 4, size=(m, n))
-            y_s = rng.integers(1, 4, size=n)
-            g = rng.integers(1, 4, size=n)
-            small, _ = source_guided_uncertainty(g, hyp_t[:3], hyp_s[:3], y_s)
-            large, _ = source_guided_uncertainty(g, hyp_t, hyp_s, y_s)
-            assert large <= small + 1e-12
+        passed, detail = checks.sgu_monotone_in_hypotheses(rng, 20)
+        assert passed, detail
