@@ -224,22 +224,28 @@ def imd_f0_support_mass(rng, instances):
 
 
 def imd_duality_convex_gap(rng, instances):
-    """Localization <= relaxation on a 26-point alpha grid, and equality
-    within 1e-3 over the convex hull of the grid family."""
+    """Localization <= relaxation on the 101-point alpha grid
+    ``0, 0.05, ..., 5`` for the grid, indicator and hdh (four hypotheses,
+    labels 1-2) families, with eps ~ U(0.01, 0.5); and equality within 1e-3
+    over the convex hull of the grid family."""
     worst = 0.0
     bad_ineq = 0
-    alpha_grid = np.linspace(0.0, 5.0, 26)
+    alpha_grid = np.arange(0.0, 5.0001, 0.05)
     for _ in range(instances):
         n = int(rng.integers(2, 5))
         pts = random_points(rng, n)
         t = DiscreteMeasure(pts, dyadic_weights(rng, n, normalize=True))
         s = DiscreteMeasure(pts, dyadic_weights(rng, n, normalize=True))
-        report = imd_mod.duality_check(t, s, grid_family(pts), 0.1, alpha_grid)
-        if not report.inequality_holds:
-            bad_ineq += 1
-        worst = max(worst, abs(report.hull_gap))
+        eps = float(rng.uniform(0.01, 0.5))
+        families = (grid_family(pts), indicator_family(pts),
+                    hdh_family(pts, rng.integers(1, 3, size=(4, n))))
+        reports = [imd_mod.duality_check(t, s, fam, eps, alpha_grid)
+                   for fam in families]
+        bad_ineq += sum(not r.inequality_holds for r in reports)
+        worst = max(worst, abs(reports[0].hull_gap))
     return (bad_ineq == 0 and worst <= 1e-3,
-            f"max hull gap {worst:.2e}, {bad_ineq} inequality failures")
+            f"max hull gap {worst:.2e}, {bad_ineq} inequality failures "
+            f"over {instances} instances")
 
 
 def hdh_matches_bruteforce(rng, instances):

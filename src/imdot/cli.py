@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -93,7 +94,7 @@ def _config_defaults(parser: argparse.ArgumentParser,
         action = flags[key.replace("-", "_")]
         try:
             defaults[action.dest] = _flag_value(action, value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
             parser.error(f"--config {args.config}: {key!r} cannot be {value!r} ({exc})")
     return defaults
 
@@ -118,6 +119,19 @@ def _flag_value(action: argparse.Action, value):
     if action.choices is not None and parsed not in action.choices:
         raise ValueError(f"choose from {', '.join(map(str, action.choices))}")
     return parsed
+
+
+def _beta_list(text: str) -> list:
+    """A comma-separated list of finite, nonnegative floats."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+    if not all(math.isfinite(v) and v >= 0 for v in values):
+        raise argparse.ArgumentTypeError(
+            f"expected finite nonnegative numbers, got {text!r}")
+    return values
 
 
 def _toy_config(args) -> ToyConfig:
@@ -169,11 +183,8 @@ def _solve_from_files(args):
             plan_set = partial_ot_beta_split(target_measure, conds, props,
                                              args.beta, class_costs)
         else:
-            if args.beta_vec is None:
-                raise ValueError("--mode perclass needs --beta-vec")
-            beta_vec = np.array([float(v) for v in args.beta_vec.split(",")])
             plan_set = partial_ot_per_class(target_measure, conds, props,
-                                            beta_vec, class_costs)
+                                            np.array(args.beta_vec), class_costs)
         indices = [source.class_indices(k) for k in range(1, source.n_classes + 1)]
     return source, target, plan_set, indices, conds, props
 
@@ -222,8 +233,7 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     config = _toy_config(args)
-    beta_grid = [float(v) for v in args.beta_grid.split(",")]
-    result = run_sweep(config, beta_grid, args.draws, mode=args.mode,
+    result = run_sweep(config, args.beta_grid, args.draws, mode=args.mode,
                        jobs=args.jobs)
     write_draws_csv(result, out / "draws.csv", include_timings=args.timings)
     outputs = ["draws.csv", "config.json"]
@@ -231,7 +241,7 @@ def cmd_sweep(args) -> int:
         write_summary_csv(result, out / "summary.csv")
         outputs.insert(1, "summary.csv")
     sidecar = config.to_dict()
-    sidecar.update({"beta_grid": beta_grid, "draws": args.draws,
+    sidecar.update({"beta_grid": args.beta_grid, "draws": args.draws,
                     "mode": args.mode})
     (out / "config.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
     manifest_config = dict(sidecar)
@@ -360,7 +370,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
                        default="split")
     solve.add_argument("--beta", type=float, default=0.5,
                        help="relaxation (global) or total budget (split)")
-    solve.add_argument("--beta-vec", default=None,
+    solve.add_argument("--beta-vec", type=_beta_list, default=None,
                        help="comma-separated per-class relaxation (perclass mode)")
     solve.add_argument("--svg", action="store_true", help="also render the plan")
     solve.add_argument("--out", default="out")
@@ -369,7 +379,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     sweep = subs.add_parser("sweep", help="accuracy sweep over relaxations")
     _add_toy_flags(sweep)
-    sweep.add_argument("--beta-grid",
+    sweep.add_argument("--beta-grid", type=_beta_list,
                        default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     sweep.add_argument("--draws", type=int, default=50)
     sweep.add_argument("--mode", choices=["both", "global", "per_class_split"],
@@ -395,7 +405,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
-        args = build_parser(_config_defaults(parser, args)).parse_args(argv)
+        parser = build_parser(_config_defaults(parser, args))
+        args = parser.parse_args(argv)
+    if args.command == "solve" and args.mode == "perclass" and args.beta_vec is None:
+        _subparser(parser, "solve").error("--mode perclass needs --beta-vec")
     return args.func(args)
 
 

@@ -1,4 +1,4 @@
-"""Enumerable function families with global and per-class localization.
+"""Enumerable function families, localized by expectation caps.
 
 A family member is represented by its value vector over a fixed finite
 ground set (the union of all measure atoms in play); a measure enters the
@@ -128,78 +128,75 @@ def hdh_family(ground_points, hypotheses) -> FunctionFamily:
 
 @dataclass(frozen=True)
 class Localization:
-    """Expectation constraints restricting a family.
+    """Expectation caps restricting a family.
 
-    ``global``: keep members with ``E_reference[f] <= eps``.
-    ``per_class``: keep members with ``E_conditional_k[f] <= eps[k]`` for
-    every class; infinite components make the corresponding constraint
-    vacuous.
+    A member ``f`` is admitted when ``E_measure[f] <= eps`` (up to
+    ``MEMBERSHIP_TOL``) for every ``(measure, eps)`` pair in ``caps``.  Global
+    localization is one cap under a reference measure; per-class
+    localization is one cap per class conditional.  The null function passes
+    every cap.
     """
 
-    mode: str
-    eps: object = None
-    reference: object = None
+    caps: tuple = ()
 
-    def __post_init__(self):
-        if self.mode not in ("none", "global", "per_class"):
-            raise ValueError(f"unknown localization mode {self.mode!r}")
-        if self.mode == "global":
-            if np.ndim(self.eps) != 0 or self.eps < 0:
-                raise ValueError("global localization needs a scalar eps >= 0")
-            if not isinstance(self.reference, DiscreteMeasure):
-                raise ValueError("global localization needs a reference measure")
-        if self.mode == "per_class":
-            eps = np.asarray(self.eps, dtype=float)
-            if eps.ndim != 1 or np.any(eps < 0):
-                raise ValueError("per-class localization needs a vector eps >= 0")
-            object.__setattr__(self, "eps", _freeze(eps))
-            ref = tuple(self.reference)
-            if len(ref) != len(eps):
-                raise ValueError("one conditional per eps component is required")
-            object.__setattr__(self, "reference", ref)
+    def admission(self, ground_points: np.ndarray):
+        """``admit(batch) -> mask`` over member batches on ``ground_points``.
+
+        The cap weights are computed once, as one (n_ground, n_caps) matrix.
+        """
+        weights = _weight_matrix([m for m, _ in self.caps], ground_points)
+        bounds = np.array([eps for _, eps in self.caps]) + MEMBERSHIP_TOL
+        return lambda batch: np.all(batch @ weights <= bounds, axis=1)
 
 
 def no_localization() -> Localization:
-    return Localization("none")
+    return Localization()
+
+
+def _global_eps(eps) -> float:
+    if np.ndim(eps) != 0 or eps < 0:
+        raise ValueError("global localization needs a scalar eps >= 0")
+    return float(eps)
+
+
+def _per_class_eps(eps, conditionals) -> tuple:
+    eps = np.asarray(eps, dtype=float)
+    if eps.ndim != 1 or np.any(eps < 0):
+        raise ValueError("per-class localization needs a vector eps >= 0")
+    conditionals = tuple(conditionals)
+    if len(conditionals) != len(eps):
+        raise ValueError("one conditional per eps component is required")
+    return eps, conditionals
 
 
 def global_localization(eps: float, reference: DiscreteMeasure) -> Localization:
-    return Localization("global", float(eps), reference)
+    eps = _global_eps(eps)
+    if not isinstance(reference, DiscreteMeasure):
+        raise ValueError("global localization needs a reference measure")
+    return Localization(((reference, eps),))
 
 
 def per_class_localization(eps, conditionals: Sequence[DiscreteMeasure]) -> Localization:
-    return Localization("per_class", eps, tuple(conditionals))
-
-
-def _admission_mask(batch: np.ndarray, loc: Localization,
-                    ground_points: np.ndarray) -> np.ndarray:
-    if loc.mode == "none":
-        return np.ones(len(batch), dtype=bool)
-    if loc.mode == "global":
-        w = weights_on_ground(loc.reference, ground_points)
-        return batch @ w <= loc.eps + MEMBERSHIP_TOL
-    mask = np.ones(len(batch), dtype=bool)
-    for eps_k, cond in zip(loc.eps, loc.reference):
-        if np.isinf(eps_k):
-            continue
-        w = weights_on_ground(cond, ground_points)
-        mask &= batch @ w <= eps_k + MEMBERSHIP_TOL
-    return mask
+    """One cap per class; an infinite component makes its cap vacuous."""
+    eps, conditionals = _per_class_eps(eps, conditionals)
+    return Localization(tuple((cond, float(e)) for cond, e in zip(conditionals, eps)
+                              if np.isfinite(e)))
 
 
 # ---------------------------------------------------------------------------
 # Ground-set plumbing
 # ---------------------------------------------------------------------------
 
-def ground_union(*point_sets, tol: float = ATOM_MATCH_TOL) -> np.ndarray:
-    """Deduplicated union of atom coordinate sets, in order: a row is
-    dropped when it lies within ``tol`` (Chebyshev) of an earlier kept row."""
+def ground_union(*point_sets) -> np.ndarray:
+    """Deduplicated union of atom coordinate sets, in order: a row is dropped
+    when it lies within ``ATOM_MATCH_TOL`` (Chebyshev) of an earlier kept row."""
     arrays = [np.atleast_2d(np.asarray(p, dtype=float)) for p in point_sets
               if len(np.atleast_2d(p)) > 0]
     if not arrays:
         raise ValueError("cannot build a ground set from empty point sets")
     stacked = np.vstack(arrays)
-    pairs = cKDTree(stacked).query_pairs(tol, p=np.inf, output_type="ndarray")
+    pairs = cKDTree(stacked).query_pairs(ATOM_MATCH_TOL, p=np.inf,
+                                         output_type="ndarray")
     dropped = np.zeros(len(stacked), dtype=bool)
     # Pairs are (i, j) with i < j; taken in order of j, whether i is kept
     # is already final.
@@ -209,12 +206,13 @@ def ground_union(*point_sets, tol: float = ATOM_MATCH_TOL) -> np.ndarray:
     return stacked[~dropped]
 
 
-def weights_on_ground(measure: DiscreteMeasure, ground_points: np.ndarray,
-                      tol: float = ATOM_MATCH_TOL) -> np.ndarray:
+def weights_on_ground(measure: DiscreteMeasure,
+                      ground_points: np.ndarray) -> np.ndarray:
     """Weight vector of ``measure`` over ``ground_points``.
 
-    Every atom must match a ground point coordinate-wise within ``tol``;
-    duplicated atoms accumulate onto the matched ground point.
+    Every atom must match a ground point coordinate-wise within
+    ``ATOM_MATCH_TOL``; duplicated atoms accumulate onto the matched ground
+    point.
     """
     ground_points = np.asarray(ground_points, dtype=float)
     w = np.zeros(len(ground_points))
@@ -224,7 +222,7 @@ def weights_on_ground(measure: DiscreteMeasure, ground_points: np.ndarray,
         raise ValueError("measure and ground set have different dimensions")
     dist = cdist(measure.points, ground_points, metric="chebyshev")
     idx = np.argmin(dist, axis=1)
-    if np.any(dist[np.arange(len(idx)), idx] > tol):
+    if np.any(dist[np.arange(len(idx)), idx] > ATOM_MATCH_TOL):
         bad = int(np.argmax(dist[np.arange(len(idx)), idx]))
         raise ValueError(
             f"atom {measure.points[bad].tolist()} is not on the ground set"
@@ -233,12 +231,19 @@ def weights_on_ground(measure: DiscreteMeasure, ground_points: np.ndarray,
     return w
 
 
+def _weight_matrix(measures, ground_points: np.ndarray) -> np.ndarray:
+    """The weight vectors of ``measures`` on ``ground_points``, as columns."""
+    weights = np.zeros((len(ground_points), len(measures)))
+    for j, measure in enumerate(measures):
+        weights[:, j] = weights_on_ground(measure, ground_points)
+    return weights
+
+
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def member_batches(family: FunctionFamily,
-                   batch_size: int = _BATCH) -> Iterator[np.ndarray]:
+def member_batches(family: FunctionFamily) -> Iterator[np.ndarray]:
     """Member value vectors in deterministic order, as (batch, n) arrays.
 
     Indicators are ordered by subset mask (bit j of the mask is the value at
@@ -255,8 +260,8 @@ def member_batches(family: FunctionFamily,
             )
         total = 1 << n
         bit = 1 << np.arange(n, dtype=np.int64)
-        for start in range(0, total, batch_size):
-            masks = np.arange(start, min(start + batch_size, total), dtype=np.int64)
+        for start in range(0, total, _BATCH):
+            masks = np.arange(start, min(start + _BATCH, total), dtype=np.int64)
             yield ((masks[:, None] & bit) > 0).astype(float)
     elif family.kind == KIND_GRID:
         levels = int(round(1.0 / family.grid_step)) + 1
@@ -267,8 +272,8 @@ def member_batches(family: FunctionFamily,
                 "cap; use the LP-based families instead"
             )
         radix = levels ** np.arange(n, dtype=np.int64)
-        for start in range(0, total, batch_size):
-            idx = np.arange(start, min(start + batch_size, total), dtype=np.int64)
+        for start in range(0, total, _BATCH):
+            idx = np.arange(start, min(start + _BATCH, total), dtype=np.int64)
             yield (idx[:, None] // radix % levels) * family.grid_step
     else:
         hyp = family.hypotheses
@@ -288,12 +293,9 @@ def enumerate_members(family: FunctionFamily,
     The null function always passes any localization (its expectations are
     all zero).
     """
-    if loc is None:
-        loc = no_localization()
+    admit = (loc or no_localization()).admission(family.ground_points)
     for batch in member_batches(family):
-        mask = _admission_mask(batch, loc, family.ground_points)
-        for row in batch[mask]:
-            yield row
+        yield from batch[admit(batch)]
 
 
 # ---------------------------------------------------------------------------
@@ -327,37 +329,31 @@ def localization_inclusion_check(family: FunctionFamily,
     ``eta_k = eps / proportions[k]`` (infinite where a class is empty).
     """
     p = np.asarray(proportions, dtype=float)
-    eps_vec = np.asarray(eps_vec, dtype=float)
-    if eps is None:
-        eps = float(p @ eps_vec)
-    empty = DiscreteMeasure(np.empty((0, family.ground_points.shape[1])), np.empty(0))
-    reference = mix(empty, conditionals, p)
-
+    eps_vec, conditionals = _per_class_eps(eps_vec, conditionals)
+    eps_pte = float(p @ eps_vec)
+    eps = eps_pte if eps is None else _global_eps(eps)
     eta = np.where(p > 0, eps / np.where(p > 0, p, 1.0), np.inf)
 
-    per_class = per_class_localization(eps_vec, conditionals)
-    glob_pte = global_localization(float(p @ eps_vec), reference)
-    glob_eps = global_localization(eps, reference)
-    per_class_eta = per_class_localization(eta, conditionals)
+    ground = family.ground_points
+    empty = DiscreteMeasure(np.empty((0, ground.shape[1])), np.empty(0))
+    # Columns: the class conditionals, then their mixture as the reference.
+    weights = _weight_matrix((*conditionals, mix(empty, conditionals, p)), ground)
 
-    ok1 = ok2 = True
+    ok = [True, True]
     size_pc = size_glob = 0
     counterexample = None
     for batch in member_batches(family):
-        in_pc = _admission_mask(batch, per_class, family.ground_points)
-        in_glob_pte = _admission_mask(batch, glob_pte, family.ground_points)
-        in_glob = _admission_mask(batch, glob_eps, family.ground_points)
-        in_pc_eta = _admission_mask(batch, per_class_eta, family.ground_points)
+        expectations = batch @ weights
+        e_class, e_ref = expectations[:, :-1], expectations[:, -1]
+        in_pc = np.all(e_class <= eps_vec + MEMBERSHIP_TOL, axis=1)
+        in_pc_eta = np.all(e_class <= eta + MEMBERSHIP_TOL, axis=1)
+        in_glob_pte = e_ref <= eps_pte + MEMBERSHIP_TOL
+        in_glob = e_ref <= eps + MEMBERSHIP_TOL
         size_pc += int(in_pc.sum())
         size_glob += int(in_glob.sum())
-        bad1 = in_pc & ~in_glob_pte
-        bad2 = in_glob & ~in_pc_eta
-        if bad1.any():
-            ok1 = False
-            if counterexample is None:
-                counterexample = batch[int(np.argmax(bad1))].copy()
-        if bad2.any():
-            ok2 = False
-            if counterexample is None:
-                counterexample = batch[int(np.argmax(bad2))].copy()
-    return InclusionReport(ok1, ok2, size_pc, size_glob, counterexample)
+        for direction, bad in enumerate((in_pc & ~in_glob_pte, in_glob & ~in_pc_eta)):
+            if bad.any():
+                ok[direction] = False
+                if counterexample is None:
+                    counterexample = batch[int(np.argmax(bad))].copy()
+    return InclusionReport(*ok, size_pc, size_glob, counterexample)

@@ -20,7 +20,8 @@ from .families import (
     KIND_GRID,
     FunctionFamily,
     Localization,
-    _admission_mask,
+    global_localization,
+    ground_union,
     member_batches,
     no_localization,
     weights_on_ground,
@@ -43,19 +44,21 @@ __all__ = [
     "bounded01_dual_minimum",
 ]
 
+#: Slack of the duality inequality ``localized <= relaxed + eps * alpha``.
+DUALITY_TOL = 1e-9
+#: Largest gap allowed in the hdh identity ``1 - value == risk form``.
+COMPLEMENT_TOL = 1e-12
+#: S-mass at or below which a hypothesis pair agrees S-almost-surely.
+S_NULL_MASS = 1e-15
+#: Slack of the hdh support bound ``lhs <= rhs``.
+SUPPORT_BOUND_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ImdResult:
     value: float
     argmax_function: np.ndarray
     family_size_scanned: int
-
-
-def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
-    for x, y in zip(a, b):
-        if x != y:
-            return x < y
-    return False
 
 
 def imd_bruteforce(q1: DiscreteMeasure, q2: DiscreteMeasure,
@@ -67,18 +70,16 @@ def imd_bruteforce(q1: DiscreteMeasure, q2: DiscreteMeasure,
     maximal value resolve to the lexicographically smallest member vector, so
     the result is deterministic and independent of batch partitioning.
     """
-    if loc is None:
-        loc = no_localization()
     w1 = weights_on_ground(q1, family.ground_points)
     w2 = weights_on_ground(q2, family.ground_points)
     delta = w1 - w2
+    admit = (loc or no_localization()).admission(family.ground_points)
 
     best = -np.inf
     best_vec: np.ndarray | None = None
     scanned = 0
     for batch in member_batches(family):
-        mask = _admission_mask(batch, loc, family.ground_points)
-        admitted = batch[mask]
+        admitted = batch[admit(batch)]
         if not len(admitted):
             continue
         scanned += len(admitted)
@@ -87,10 +88,9 @@ def imd_bruteforce(q1: DiscreteMeasure, q2: DiscreteMeasure,
         if top < best:
             continue
         ties = admitted[values == top]
-        cand = ties[0] if len(ties) == 1 else ties[np.lexsort(ties.T[::-1])][0]
-        if top > best or (best_vec is not None and _lex_smaller(cand, best_vec)):
-            best = top
-            best_vec = cand
+        cand = ties[np.lexsort(ties.T[::-1])][0]
+        if top > best or tuple(cand) < tuple(best_vec):
+            best, best_vec = top, cand
     if best_vec is None:
         raise RuntimeError("family admitted no member; the null function is missing")
     return ImdResult(best, np.asarray(best_vec), scanned)
@@ -103,8 +103,6 @@ def imd_tv_closed_form(q1: DiscreteMeasure, q2: DiscreteMeasure) -> float:
     distance.  Atoms are aligned by exact coordinate match; an atom present
     in only one measure counts with weight 0 in the other.
     """
-    from .families import ground_union
-
     ground = ground_union(q1.points, q2.points)
     w1 = weights_on_ground(q1, ground)
     w2 = weights_on_ground(q2, ground)
@@ -200,7 +198,7 @@ class DualityReport:
 
 def duality_check(target: DiscreteMeasure, source: DiscreteMeasure,
                   family: FunctionFamily, eps: float,
-                  alpha_grid, tol: float = 1e-9) -> DualityReport:
+                  alpha_grid) -> DualityReport:
     """Verify ``IMD_localized(T, S) <= IMD(T, (1+a)S) + eps*a`` on a grid.
 
     The inequality is checked for every grid value (it holds for any family).
@@ -208,25 +206,30 @@ def duality_check(target: DiscreteMeasure, source: DiscreteMeasure,
     values over the convex family of [0, 1]-valued functions, where the
     relation is an equality for eps > 0: the localized value is a fractional
     knapsack and the relaxed side is minimized exactly over its breakpoints.
-    """
-    from .families import global_localization
 
+    One pass over the family yields both sides: the localized value from the
+    admitted members, and ``IMD(T, (1+a)S)`` for every grid value from one
+    matrix product per batch.
+    """
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     if alpha_grid.ndim != 1 or np.any(alpha_grid < 0):
         raise ValueError("alpha grid must be a vector of nonnegative reals")
-    loc = global_localization(eps, source)
-    localized = imd_bruteforce(target, source, family, loc).value
-    relaxed = np.array([
-        imd_bruteforce(target, source.scaled(1.0 + a), family).value + eps * a
-        for a in alpha_grid
-    ])
-    inequality_holds = bool(np.all(relaxed >= localized - tol))
+    admit = global_localization(eps, source).admission(family.ground_points)
+    wt = weights_on_ground(target, family.ground_points)
+    ws = weights_on_ground(source, family.ground_points)
+    relaxed_deltas = wt[:, None] - ws[:, None] * (1.0 + alpha_grid)
+    localized = -np.inf
+    relaxed = np.full(len(alpha_grid), -np.inf)
+    for batch in member_batches(family):
+        gains = batch[admit(batch)] @ (wt - ws)
+        localized = max(localized, float(np.max(gains, initial=-np.inf)))
+        relaxed = np.maximum(relaxed, np.max(batch @ relaxed_deltas, axis=0))
+    relaxed = relaxed + eps * alpha_grid
+    inequality_holds = bool(np.all(relaxed >= localized - DUALITY_TOL))
     i_best = int(np.argmin(relaxed))
 
     hull_loc = hull_min = hull_alpha = hull_gap = None
     if family.kind == KIND_GRID:
-        wt = weights_on_ground(target, family.ground_points)
-        ws = weights_on_ground(source, family.ground_points)
         hull_loc = bounded01_localized_value(wt, ws, eps)
         hull_min, hull_alpha = bounded01_dual_minimum(wt, ws, eps)
         hull_gap = hull_min - hull_loc
@@ -270,8 +273,8 @@ def hdh_imd(target: DiscreteMeasure, source: DiscreteMeasure,
 
     Besides the supremum, the complementary classification-risk form
     ``inf_pairs P_T[f = 0] + E_relaxed[f]`` is computed independently and the
-    identity ``1 - value == risk form`` is asserted to 1e-12 (the target must
-    be a probability measure for it to make sense).
+    identity ``1 - value == risk form`` is asserted to ``COMPLEMENT_TOL``
+    (the target must be a probability measure for it to make sense).
     """
     if family.kind != "hdh":
         raise ValueError("hdh_imd needs a family of kind 'hdh'")
@@ -301,7 +304,7 @@ def hdh_imd(target: DiscreteMeasure, source: DiscreteMeasure,
     risk_best = float(np.min((1.0 - mass_t) + mass_rel))
     rows, cols = np.triu_indices(len(family.hypotheses))
     best_pair = (int(rows[k]), int(cols[k]))
-    if abs((1.0 - best) - risk_best) > 1e-12:
+    if abs((1.0 - best) - risk_best) > COMPLEMENT_TOL:
         raise RuntimeError(
             f"complement identity violated: 1 - {best!r} vs {risk_best!r}"
         )
@@ -322,7 +325,7 @@ def hdh_support_bound_check(target: DiscreteMeasure, source: DiscreteMeasure,
 
     The hypothesis-relative support is the intersection of the agreement
     sets of all pairs (i <= j) agreeing S-almost-surely, i.e. whose
-    disagreement carries at most 1e-15 of S's mass.
+    disagreement carries at most ``S_NULL_MASS`` of S's mass.
     """
     if family.kind != "hdh":
         raise ValueError("hdh_support_bound_check needs a family of kind 'hdh'")
@@ -334,8 +337,8 @@ def hdh_support_bound_check(target: DiscreteMeasure, source: DiscreteMeasure,
 
     # One disagreement row per pair; the null member (i == j) always agrees.
     members = np.vstack(list(member_batches(family)))
-    agreeing = members[members @ ws <= 1e-15]
+    agreeing = members[members @ ws <= S_NULL_MASS]
     lhs = float(np.max(agreeing @ wt))
     support = ~agreeing.any(axis=0)
     rhs = 1.0 - float(wt[support].sum())
-    return HdhSupportReport(lhs, rhs, support, bool(lhs <= rhs + 1e-12))
+    return HdhSupportReport(lhs, rhs, support, bool(lhs <= rhs + SUPPORT_BOUND_TOL))

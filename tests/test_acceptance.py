@@ -11,12 +11,10 @@ import time
 import numpy as np
 
 from imdot import checks
-from imdot.checks import dyadic_weights, random_points, random_transport_instance
+from imdot.checks import random_transport_instance
 from imdot.datagen import ToyConfig, shared_atom_label_shift
 from imdot.experiments import run_sweep, write_draws_csv, write_summary_csv
-from imdot.families import grid_family, hdh_family, indicator_family
-from imdot.imd import duality_check
-from imdot.measures import DiscreteMeasure, cost_matrix
+from imdot.measures import cost_matrix
 from imdot.ot import partial_ot_beta_split, partial_ot_global, partial_ot_per_class
 
 
@@ -50,31 +48,8 @@ def test_c02_imd_axioms():
 
 
 def test_c03_duality():
-    rng = np.random.default_rng(103)
-    alpha_grid = np.arange(0.0, 5.0001, 0.05)
-    worst_hull = 0.0
-    inequality_failures = 0
-    for i in range(50):
-        n = int(rng.integers(2, 5))
-        pts = random_points(rng, n)
-        t = DiscreteMeasure(pts, dyadic_weights(rng, n, normalize=True))
-        s = DiscreteMeasure(pts, dyadic_weights(rng, n, normalize=True))
-        eps = float(rng.uniform(0.01, 0.5))
-        grid_report = duality_check(t, s, grid_family(pts), eps, alpha_grid)
-        if not grid_report.inequality_holds:
-            inequality_failures += 1
-        worst_hull = max(worst_hull, abs(grid_report.hull_gap))
-        ind_report = duality_check(t, s, indicator_family(pts), eps, alpha_grid)
-        if not ind_report.inequality_holds:
-            inequality_failures += 1
-        if i < 10:  # hdh families are slower to enumerate; sample them
-            fam = hdh_family(pts, rng.integers(1, 3, size=(4, n)))
-            if not duality_check(t, s, fam, eps, alpha_grid).inequality_holds:
-                inequality_failures += 1
-    ok = inequality_failures == 0 and worst_hull <= 1e-3
-    report(3, "localization duality", ok,
-           f"max convex-family gap {worst_hull:.2e}, "
-           f"{inequality_failures} grid-inequality failures")
+    ok, detail = checks.imd_duality_convex_gap(np.random.default_rng(103), 50)
+    report(3, "localization duality", ok, detail)
 
 
 def test_c04_label_shift_thresholds():

@@ -59,6 +59,8 @@ def test_solve_perclass_on_shared_atom_fixture(tmp_path):
                "--svg", "--out", out) == 0
     payload = json.loads((out / "plan.json").read_text())
     assert payload["objective"] == pytest.approx(0.0, abs=1e-9)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["beta_vec"] == [0.0, beta2]
     audit = payload["capacity_audit"]
     assert all(entry["slack"] >= -1e-9 for entry in audit)
     svg = (out / "plan.svg").read_text()
@@ -97,6 +99,34 @@ def test_sweep_single_beta_single_draw(tmp_path):
     lines = (out / "draws.csv").read_text().splitlines()
     objectives = [float(line.split(",")[5]) for line in lines[1:]]
     assert objectives[0] == pytest.approx(objectives[1], abs=1e-8)
+
+
+def usage_error(capsys, *argv):
+    """Exit code and stderr of an ``imdot`` call that its parser rejects."""
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_sweep_beta_grid_rejects_bad_lists(tmp_path, capsys):
+    out = tmp_path / "w"
+    for bad in ("0,x", "0,-0.5", "0,inf", "nan", "0,,1", ""):
+        code, err = usage_error(capsys, "sweep", "--k", 3, "--n", 36, "--draws", 1,
+                                "--beta-grid", bad, "--jobs", 1, "--out", out)
+        assert code == 2 and "--beta-grid" in err, bad
+    assert not out.exists()
+
+
+def test_solve_perclass_beta_vec_is_checked_by_the_parser(tmp_path, capsys):
+    out = tmp_path / "out"
+    solve = ["solve", "--source", tmp_path / "s.csv", "--target", tmp_path / "t.csv",
+             "--mode", "perclass", "--out", out]
+    code, err = usage_error(capsys, *solve)
+    assert code == 2 and "--mode perclass needs --beta-vec" in err
+    for bad in ("0,x", "0,-1"):
+        code, err = usage_error(capsys, *solve, "--beta-vec", bad)
+        assert code == 2 and "--beta-vec" in err, bad
+    assert not out.exists()
 
 
 def test_check_suite_exit_codes(tmp_path, capsys):
@@ -175,7 +205,8 @@ def test_config_value_the_flag_rejects(tmp_path, capsys):
         code, err = config_error(tmp_path, capsys, config)
         (key,) = bad
         assert code == 2 and str(config) in err and repr(key) in err
-    for bad in ({"mode": "sideways"}, {"timings": 1}, {"beta_grid": [0, 0.5]}):
+    for bad in ({"mode": "sideways"}, {"timings": 1}, {"beta_grid": [0, 0.5]},
+                {"beta_grid": "0,x"}):
         config.write_text(json.dumps(bad))
         code, err = config_error(tmp_path, capsys, config, command="sweep")
         (key,) = bad

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from imdot import checks
-from imdot.checks import dyadic_weights, random_class_conditionals, random_points
+from imdot.checks import (
+    dyadic_weights,
+    random_class_conditionals,
+    random_points,
+    related_hypotheses,
+)
 from imdot.families import (
+    MEMBERSHIP_TOL,
     FamilyTooLargeError,
     enumerate_members,
     global_localization,
@@ -13,11 +19,11 @@ from imdot.families import (
     indicator_family,
     localization_inclusion_check,
     member_batches,
-    no_localization,
     per_class_localization,
     weights_on_ground,
 )
-from imdot.measures import DiscreteMeasure
+from imdot.imd import imd_bruteforce
+from imdot.measures import ATOM_MATCH_TOL, DiscreteMeasure
 
 TWO_POINTS = np.array([[0.0, 0.0], [1.0, 0.0]])
 
@@ -34,6 +40,46 @@ def pairwise_scan_ground_union(*point_sets, tol):
 
 def members(family, loc=None):
     return list(enumerate_members(family, loc))
+
+
+def direct_expectation(measure, member, ground):
+    """Reference: ``E_measure[member]``, summed atom by atom, each atom matched
+    to its ground point by equal coordinates."""
+    total = 0.0
+    for point, weight in zip(measure.points, measure.weights):
+        (j,) = np.flatnonzero(np.all(ground == point, axis=1))
+        total += weight * member[j]
+    return total
+
+
+def direct_scan(family, conditionals, eps):
+    """Reference: every member with ``(E_conditional_k[f])_k``, scanned one
+    member at a time, and whether it meets every per-class cap ``eps``."""
+    ground = family.ground_points
+    rows = []
+    for batch in member_batches(family):
+        for f in batch:
+            e = [direct_expectation(c, f, ground) for c in conditionals]
+            capped = all(ek <= ck + MEMBERSHIP_TOL for ek, ck in zip(e, eps))
+            rows.append((f, e, capped))
+    return rows
+
+
+def per_class_instance(rng, family_of):
+    """Points, a family on them and three classes: two from a random
+    labelling and one empty, with proportion 0."""
+    n = int(rng.integers(3, 7))
+    pts = random_points(rng, n)
+    conds, p = random_class_conditionals(rng, pts, 2)
+    conds.append(DiscreteMeasure(np.empty((0, 2)), np.empty(0)))
+    return pts, family_of(rng, pts), conds, np.append(p, 0.0)
+
+
+FAMILIES = [
+    lambda rng, pts: indicator_family(pts),
+    lambda rng, pts: grid_family(pts, step=0.5),
+    lambda rng, pts: hdh_family(pts, related_hypotheses(rng, 5, len(pts))),
+]
 
 
 class TestEnumeration:
@@ -110,7 +156,7 @@ class TestGroundPlumbing:
     def test_ground_union_matches_the_pairwise_scan(self, rng):
         # The rule: a row is dropped when it lies within tol (Chebyshev) of
         # an earlier kept row.  a~b and b~c with a, c apart keeps a and c.
-        tol = 1e-12
+        tol = ATOM_MATCH_TOL
         chain = np.array([[0.0, 0.0], [0.6e-12, 0.0], [1.2e-12, 0.0]])
         edge = np.array([[0.5, 0.5], [0.5 + tol, 0.5 - tol], [0.5, 0.5 + 2 * tol]])
         cases = [(chain,), (chain[::-1],), (edge, chain), (TWO_POINTS, TWO_POINTS)]
@@ -122,7 +168,7 @@ class TestGroundPlumbing:
         dropped = 0
         for case in cases:
             expected = pairwise_scan_ground_union(*case, tol=tol)
-            assert np.array_equal(ground_union(*case, tol=tol), expected)
+            assert np.array_equal(ground_union(*case), expected)
             dropped += sum(len(c) for c in case) - len(expected)
         assert len(ground_union(chain)) == 2
         assert dropped > len(cases)
@@ -158,3 +204,51 @@ class TestInclusionChecks:
     def test_random_instances(self, rng):
         passed, detail = checks.localization_inclusions(rng, 30)
         assert passed, detail
+
+
+@pytest.mark.parametrize("family_of", FAMILIES, ids=["indicator", "grid", "hdh"])
+class TestPerClassScan:
+    """The cap-matrix admission test against a direct per-member scan, under
+    a per-class localization with an infinite component and an empty class."""
+
+    def test_enumeration_and_bruteforce(self, rng, family_of):
+        for _ in range(15):
+            pts, fam, conds, _ = per_class_instance(rng, family_of)
+            # class 1 is uncapped; the empty class 2 is capped at zero
+            eps = np.array([rng.uniform(0, 0.6), np.inf, 0.0])
+            admitted = [f for f, _, ok in direct_scan(fam, conds, eps) if ok]
+            loc = per_class_localization(eps, conds)
+            assert np.array_equal(members(fam, loc), admitted)
+
+            # Dyadic weights make every value exact, so ties are exact too.
+            n = len(pts)
+            t = DiscreteMeasure(pts, dyadic_weights(rng, n))
+            s = DiscreteMeasure(pts, dyadic_weights(rng, n))
+            values = [direct_expectation(t, f, pts) - direct_expectation(s, f, pts)
+                      for f in admitted]
+            best = max(values)
+            res = imd_bruteforce(t, s, fam, loc)
+            assert res.value == best
+            assert tuple(res.argmax_function) == min(
+                tuple(f) for f, v in zip(admitted, values) if v == best)
+            assert res.family_size_scanned == len(admitted)
+
+    def test_inclusion_counts(self, rng, family_of):
+        for _ in range(15):
+            _, fam, conds, p = per_class_instance(rng, family_of)
+            eps_vec = rng.uniform(0, 0.6, size=3)
+            eps = float(p @ eps_vec)
+            # eta of the empty class is infinite
+            eta = np.where(p > 0, eps / np.where(p > 0, p, 1.0), np.inf)
+            rows = direct_scan(fam, conds, eps_vec)
+            in_pc = [ok for _, _, ok in rows]
+            in_glob = [float(p @ e) <= eps + MEMBERSHIP_TOL for _, e, _ in rows]
+            in_pc_eta = [all(ek <= ck + MEMBERSHIP_TOL for ek, ck in zip(e, eta))
+                         for _, e, _ in rows]
+            report = localization_inclusion_check(fam, conds, p, eps_vec)
+            assert report.per_class_size == sum(in_pc)
+            assert report.global_size == sum(in_glob)
+            assert report.per_class_in_global == all(
+                g for pc, g in zip(in_pc, in_glob) if pc)
+            assert report.global_in_per_class == all(
+                pe for g, pe in zip(in_glob, in_pc_eta) if g)

@@ -4,6 +4,7 @@ import pytest
 from imdot import checks
 from imdot.checks import dyadic_weights, random_points, related_hypotheses
 from imdot.families import (
+    global_localization,
     grid_family,
     hdh_family,
     indicator_family,
@@ -39,6 +40,16 @@ def pairwise_scan_support_bound(target, source, family):
                 lhs = max(lhs, float(wt[disagree].sum()))
                 support &= ~disagree
     return lhs, 1.0 - float(wt[support].sum()), support
+
+
+def per_alpha_duality(target, source, family, eps, alpha_grid):
+    """Reference: the two sides of ``duality_check`` by one enumeration of
+    the localized family and one of the relaxed family per alpha."""
+    localized = imd_bruteforce(target, source, family,
+                               global_localization(eps, source)).value
+    relaxed = [imd_bruteforce(target, source.scaled(1.0 + a), family).value + eps * a
+               for a in alpha_grid]
+    return localized, np.array(relaxed)
 
 
 class TestBruteForce:
@@ -146,15 +157,34 @@ class TestDuality:
         assert report.grid_gap >= -1e-12  # equality not asserted: non-convex
 
     def test_grid_family_hull_gap(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(2, 5))
+        passed, detail = checks.imd_duality_convex_gap(rng, 20)
+        assert passed, detail
+
+    def test_one_pass_matches_the_per_alpha_scan(self, rng):
+        # The first two cases have 15 atoms, so the indicator family spans two
+        # batches; the last atom puts the optimum of every side in the first
+        # batch (case 0) or in the last (case 1).
+        alpha_grid = np.arange(0.0, 5.0001, 0.05)
+        for case in range(25):
+            n = 15 if case < 2 else int(rng.integers(2, 6))
             pts = random_points(rng, n)
-            t = DiscreteMeasure(pts, dyadic_weights(rng, n, normalize=True))
-            s = DiscreteMeasure(pts, dyadic_weights(rng, n, normalize=True))
-            report = duality_check(t, s, grid_family(pts), 0.1,
-                                   np.arange(0.0, 5.01, 0.05))
-            assert report.inequality_holds
-            assert report.hull_gap is not None and abs(report.hull_gap) <= 1e-3
+            wt = dyadic_weights(rng, n)
+            ws = np.where(rng.random(n) < 0.7, dyadic_weights(rng, n), 0.0)
+            ws[0] = ws[0] or 1.0
+            if case < 2:
+                wt[-1], ws[-1] = (0.0, 0.5) if case == 0 else (0.5, 0.0)
+            t = DiscreteMeasure(pts, wt / wt.sum())
+            s = DiscreteMeasure(pts, ws / ws.sum())
+            eps = float(rng.uniform(0.0, 0.5))
+            families = [indicator_family(pts),
+                        hdh_family(pts, related_hypotheses(rng, 4, n))]
+            if n < 15:
+                families.append(grid_family(pts))
+            for fam in families:
+                report = duality_check(t, s, fam, eps, alpha_grid)
+                localized, relaxed = per_alpha_duality(t, s, fam, eps, alpha_grid)
+                assert abs(report.localized_value - localized) <= 1e-14
+                assert np.max(np.abs(report.relaxed_values - relaxed)) <= 1e-14
 
     def test_knapsack_value_against_lp(self, rng):
         # independent check of the closed-form localized value

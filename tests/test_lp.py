@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from imdot.checks import dyadic_weights
-from imdot.lp import LinearProgram, LpError, dual_of, dump_lp, solve
+from imdot.lp import LinearProgram, dual_of, dump_lp, solve
 
 
 def brute_force_transport_value(cost, t, s):
