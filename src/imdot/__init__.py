@@ -39,6 +39,7 @@ from .ot import (
     TransportPlanSet,
     lipschitz_imd_dual,
     partial_ot_beta_split,
+    partial_ot_beta_split_path,
     partial_ot_global,
     partial_ot_per_class,
     support_distance_imd,

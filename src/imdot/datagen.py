@@ -16,7 +16,7 @@ derive one integer seed per draw index from the root sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

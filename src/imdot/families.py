@@ -139,6 +139,15 @@ class Localization:
 
     caps: tuple = ()
 
+    def __post_init__(self):
+        for index, (measure, eps) in enumerate(self.caps):
+            if not isinstance(measure, DiscreteMeasure):
+                raise ValueError(f"localization cap {index} has no DiscreteMeasure: "
+                                 f"{type(measure).__name__}")
+            if not (np.ndim(eps) == 0 and np.isfinite(eps) and eps >= 0):
+                raise ValueError(f"localization cap {index} needs a finite eps >= 0, "
+                                 f"got {eps!r}")
+
     def admission(self, ground_points: np.ndarray):
         """``admit(batch) -> mask`` over member batches on ``ground_points``.
 

@@ -2,11 +2,15 @@
 
 Problems are stated as ``minimize c @ x`` under row constraints with
 relations in ``{<=, =, >=}`` and per-variable bounds (default ``x >= 0``).
-Solving is delegated to HiGHS through :func:`scipy.optimize.linprog`; every
-optimal solution is re-certified here (primal feasibility and duality gap)
-so a numerically broken solve raises instead of returning a silently wrong
-answer.  The tolerances named here are the ones every certificate uses,
-including the solver-independent transport certificate of :mod:`imdot.ot`.
+:func:`solve` hands a whole problem to HiGHS through
+:func:`scipy.optimize.linprog`; :class:`HighsModel` keeps one HiGHS model
+warm while columns are added and row bounds change, for the column
+generation of :mod:`imdot.ot`.  Every optimal solution is re-certified here
+(primal feasibility and duality gap, and with :func:`certify` dual
+feasibility on every column) so a numerically broken solve raises instead
+of returning a silently wrong answer.  The tolerances named here are the
+ones every certificate uses, including the transport certificates of
+:mod:`imdot.ot`.
 """
 
 from __future__ import annotations
@@ -17,12 +21,17 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
+# The only import of scipy's private HiGHS binding; tested on scipy 1.17.1.
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 __all__ = [
     "LinearProgram",
     "LpSolution",
     "LpError",
+    "HighsModel",
     "solve",
+    "certify",
+    "dual_tolerance",
     "dual_of",
     "dump_lp",
 ]
@@ -123,6 +132,12 @@ class LpSolution:
     x: np.ndarray
     iterations: int            # simplex/IPM iterations; 0 for "assignment"
     backend: str               # "highs" | "assignment" (see imdot.ot)
+    residual: float            # primal feasibility residual; nan unless optimal
+    gap: float                 # |primal - dual| of the certificate; nan unless optimal
+    rounds: int                # HiGHS runs: 1 for a dense solve, pricing rounds
+                               # for column generation, 0 for "assignment"
+    columns: int               # columns in the final model: n_vars for a dense
+                               # solve, the restricted model for column generation
 
 
 def _split_rows(lp: LinearProgram):
@@ -148,22 +163,39 @@ def _split_rows(lp: LinearProgram):
     return A_ub, b_ub, A_eq, b_eq
 
 
-def _certify(lp, res, A_ub, b_ub, A_eq, b_eq):
-    """Feasibility and duality-gap check of a claimed-optimal solution."""
-    x = res.x
-    scale = 1.0 + (np.max(np.abs(lp.b)) if len(lp.b) else 0.0)
-    residual = 0.0
-    if A_eq is not None:
-        residual = max(residual, float(np.max(np.abs(A_eq @ x - b_eq))))
-    if A_ub is not None:
-        residual = max(residual, float(np.max(np.maximum(A_ub @ x - b_ub, 0.0))))
-    residual = max(residual, float(np.max(np.maximum(lp.lower - x, 0.0), initial=0.0)))
-    residual = max(residual, float(np.max(np.maximum(x - lp.upper, 0.0), initial=0.0)))
+def _primal_residual(lp: LinearProgram, x: np.ndarray) -> float:
+    """Largest violation of a row relation or a variable bound by ``x``."""
+    rel = np.asarray(lp.relations)
+    r = lp.A @ x - lp.b
+    r = np.where(rel == "=", np.abs(r), np.where(rel == "<=", r, -r))
+    return max(float(np.max(r, initial=0.0)),
+               float(np.max(lp.lower - x, initial=0.0)),
+               float(np.max(x - lp.upper, initial=0.0)))
+
+
+def _check_residual(lp: LinearProgram, residual: float) -> None:
+    scale = 1.0 + float(np.max(np.abs(lp.b), initial=0.0))
     if residual > FEASIBILITY_TOL * scale:
         raise LpError(
             f"optimal solution violates feasibility: residual {residual:.3e} "
             f"exceeds {FEASIBILITY_TOL:.0e} * {scale:.3e}\n" + dump_lp(lp)
         )
+
+
+def _check_gap(lp: LinearProgram, primal: float, dual: float) -> float:
+    gap = abs(primal - dual)
+    if gap > GAP_TOL * (1.0 + abs(primal)):
+        raise LpError(
+            f"duality gap {gap:.3e} too large for an optimality certificate\n"
+            + dump_lp(lp)
+        )
+    return gap
+
+
+def _certify(lp, res, b_ub, b_eq):
+    """Feasibility and duality-gap check of a claimed-optimal solution."""
+    residual = _primal_residual(lp, res.x)
+    _check_residual(lp, residual)
 
     # Duality gap from the HiGHS marginals; a clean gap certifies optimality.
     dual = 0.0
@@ -177,13 +209,7 @@ def _certify(lp, res, A_ub, b_ub, A_eq, b_eq):
     finite_up = np.isfinite(lp.upper)
     if np.any(finite_up):
         dual += float(lp.upper[finite_up] @ res.upper.marginals[finite_up])
-    gap = abs(res.fun - dual)
-    if gap > GAP_TOL * (1.0 + abs(res.fun)):
-        raise LpError(
-            f"duality gap {gap:.3e} too large for an optimality certificate\n"
-            + dump_lp(lp)
-        )
-    return residual, gap
+    return residual, _check_gap(lp, res.fun, dual)
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -210,20 +236,122 @@ def solve(lp: LinearProgram) -> LpSolution:
             "dual_feasibility_tolerance": HIGHS_TOL,
         },
     )
-    if res.status == 2:
-        return LpSolution("infeasible", float("nan"), np.empty(0), int(res.nit), "highs")
-    if res.status == 3:
-        return LpSolution("unbounded", float("nan"), np.empty(0), int(res.nit), "highs")
+    nan = float("nan")
+    if res.status in (2, 3):
+        status = "infeasible" if res.status == 2 else "unbounded"
+        return LpSolution(status, nan, np.empty(0), int(res.nit), "highs",
+                          nan, nan, 1, lp.n_vars)
     if res.status != 0:
         raise LpError(f"solver failed (status {res.status}): {res.message}\n" + dump_lp(lp))
-    _certify(lp, res, A_ub, b_ub, A_eq, b_eq)
+    residual, gap = _certify(lp, res, b_ub, b_eq)
     value = float(res.fun)
     check = float(lp.c @ res.x)
     if abs(value - check) > OBJECTIVE_TOL * (1.0 + abs(check)):
         raise LpError(
             f"objective mismatch: reported {value!r} vs recomputed {check!r}"
         )
-    return LpSolution("optimal", value, np.asarray(res.x), int(res.nit), "highs")
+    return LpSolution("optimal", value, np.asarray(res.x), int(res.nit), "highs",
+                      residual, gap, 1, lp.n_vars)
+
+
+def dual_tolerance(c: np.ndarray) -> float:
+    """Reduced cost a certified column may fall below zero by: the dual
+    feasibility bound ``FEASIBILITY_TOL * (1 + ||c||_inf)``."""
+    return FEASIBILITY_TOL * (1.0 + float(np.max(np.abs(c), initial=0.0)))
+
+
+def certify(lp: LinearProgram, x: np.ndarray, row_dual: np.ndarray):
+    """Certify ``x`` optimal for ``lp`` from row duals, independent of the
+    solver, and return ``(residual, gap)``; raise LpError otherwise.
+
+    Every variable must be bounded by ``x >= 0`` only.  Checked on every
+    column and row of ``lp``: primal feasibility of ``x``, dual feasibility
+    of ``row_dual`` (reduced costs ``c - A' row_dual`` at least
+    ``-dual_tolerance(c)``, duals of ``<=`` rows at most and of ``>=`` rows
+    at least ``dual_tolerance(c)`` away from the right sign) and the gap
+    between ``c @ x`` and ``b @ row_dual``.
+    """
+    if np.any(lp.lower != 0) or np.any(np.isfinite(lp.upper)):
+        raise ValueError("certify only supports x >= 0 variable bounds")
+    residual = _primal_residual(lp, x)
+    _check_residual(lp, residual)
+    tol = dual_tolerance(lp.c)
+    reduced = lp.c - lp.A.T @ row_dual
+    if reduced.size and reduced.min() < -tol:
+        j = int(np.argmin(reduced))
+        raise LpError(f"duals violate feasibility: column {j} has reduced cost "
+                      f"{reduced[j]:.3e} below -{tol:.3e}")
+    rel = np.asarray(lp.relations)
+    wrong_sign = np.where(rel == "<=", row_dual, np.where(rel == ">=", -row_dual, 0.0))
+    if wrong_sign.size and wrong_sign.max() > tol:
+        i = int(np.argmax(wrong_sign))
+        raise LpError(f"dual of row {i} ({lp.relations[i]}) has the wrong sign: "
+                      f"{row_dual[i]:.3e}")
+    gap = _check_gap(lp, float(lp.c @ x), float(lp.b @ row_dual))
+    return residual, gap
+
+
+class HighsModel:
+    """One HiGHS model kept warm between runs.
+
+    Rows are fixed when the model is made; columns are added in batches and
+    row bounds changed between runs, and each run starts from the last
+    basis.  Status, primal values, row duals and iteration counts are read
+    back after each run; certifying them is the caller's job
+    (:func:`certify`).
+    """
+
+    def __init__(self, row_lower, row_upper):
+        self._lower = np.array(row_lower, dtype=float)
+        self._upper = np.array(row_upper, dtype=float)
+        self._highs = _Highs()
+        for option, value in (("output_flag", False),
+                              ("presolve", "off"),
+                              ("primal_feasibility_tolerance", HIGHS_TOL),
+                              ("dual_feasibility_tolerance", HIGHS_TOL)):
+            self._highs.setOptionValue(option, value)
+        n = len(self._lower)
+        self._highs.addRows(n, self._lower, self._upper, 0, np.zeros(n, np.int32),
+                            np.zeros(0, np.int32), np.zeros(0))
+        self.n_cols = 0
+
+    def add_columns(self, cost, A) -> None:
+        """Add columns ``x >= 0`` with objective ``cost`` and entries ``A``
+        (sparse, one column per added variable, a row per model row)."""
+        A = sp.csc_matrix(A)
+        n = A.shape[1]
+        if n == 0:
+            return
+        self._highs.addCols(n, np.asarray(cost, dtype=float), np.zeros(n),
+                            np.full(n, np.inf), A.nnz,
+                            A.indptr[:-1].astype(np.int32), A.indices.astype(np.int32),
+                            A.data.astype(float))
+        self.n_cols += n
+
+    def set_row_bounds(self, rows, lower, upper) -> None:
+        for i, lo, up in zip(rows, lower, upper):
+            self._highs.changeRowBounds(int(i), float(lo), float(up))
+            self._lower[i], self._upper[i] = lo, up
+
+    def run(self):
+        """``(status, x, row_dual, iterations)``; status as in LpSolution."""
+        self._highs.run()
+        status = self._highs.getModelStatus()
+        if status == HighsModelStatus.kModelEmpty:
+            # No columns: feasible exactly when every row admits 0.
+            feasible = np.all(self._lower <= 0) and np.all(self._upper >= 0)
+            return ("optimal" if feasible else "infeasible", np.zeros(0),
+                    np.zeros(len(self._lower)), 0)
+        iterations = int(self._highs.getInfo().simplex_iteration_count)
+        if status == HighsModelStatus.kInfeasible:
+            return "infeasible", np.zeros(0), np.zeros(0), iterations
+        if status in (HighsModelStatus.kUnbounded, HighsModelStatus.kUnboundedOrInfeasible):
+            return "unbounded", np.zeros(0), np.zeros(0), iterations
+        if status != HighsModelStatus.kOptimal:
+            raise LpError("solver failed: " + self._highs.modelStatusToString(status))
+        solution = self._highs.getSolution()
+        return ("optimal", np.asarray(solution.col_value),
+                np.asarray(solution.row_dual), iterations)
 
 
 def dual_of(lp: LinearProgram) -> LinearProgram:

@@ -8,7 +8,7 @@ after construction and safe to share between worker processes.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 

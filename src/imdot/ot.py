@@ -25,8 +25,18 @@ assignment problem, solved exactly by
 :func:`scipy.optimize.linear_sum_assignment` (the dummy-point reduction of
 partial to balanced transport) and certified without the solver from the
 plan's residual graph.  Everything else, and any replicated cost matrix
-above ``MAX_ASSIGNMENT_ENTRIES`` entries, is one HiGHS LP in
-:mod:`imdot.lp`, assembled from the block structure and certified there.
+above ``MAX_ASSIGNMENT_ENTRIES`` entries, is solved by exact column
+generation on one warm HiGHS model (:class:`imdot.lp.HighsModel`).  The
+model holds every row of the LP assembled from the block structure, the
+``beta`` columns of a split and a subset of its arc columns: first the
+``NEAREST_ARCS`` cheapest arcs of each target in each class and a
+north-west-corner support at the smallest capacities.  Each round prices
+all arcs exactly, ``C - u - y``, and adds up to ``ARCS_PER_ROW`` per target
+row, until none is below ``-FEASIBILITY_TOL * (1 + max C)``.  The result is
+then certified by :func:`imdot.lp.certify` on the full problem, every arc
+included, so no value is approximate.  Several capacities or budgets, such
+as a split's budget grid, are walked from the largest down on the same
+model, changing only right-hand sides.
 """
 
 from __future__ import annotations
@@ -45,9 +55,12 @@ from .families import ground_union, weights_on_ground
 from .lp import (
     FEASIBILITY_TOL,
     GAP_TOL,
+    HighsModel,
     LinearProgram,
     LpError,
     LpSolution,
+    certify,
+    dual_tolerance,
     solve,
 )
 from .measures import CostMatrix, DiscreteMeasure
@@ -59,6 +72,7 @@ __all__ = [
     "partial_ot_global",
     "partial_ot_per_class",
     "partial_ot_beta_split",
+    "partial_ot_beta_split_path",
     "lipschitz_imd_dual",
     "support_distance_imd",
     "plan_set_to_dict",
@@ -90,6 +104,12 @@ MAX_DENOMINATOR = 64
 #: Largest replicated cost matrix, in entries, that the assignment backend
 #: builds (32 MB of float64); larger problems go to HiGHS.
 MAX_ASSIGNMENT_ENTRIES = 4_000_000
+
+#: Cheapest arcs of each target in each class that column generation starts with.
+NEAREST_ARCS = 8
+
+#: Most arcs one pricing round adds per target row.
+ARCS_PER_ROW = 5
 
 
 @dataclass(frozen=True)
@@ -133,16 +153,18 @@ class LipschitzPotential:
 def _solve_blocks(target: DiscreteMeasure,
                   cond_weights: Sequence[np.ndarray],
                   costs: Sequence[CostMatrix],
-                  cap_scale: np.ndarray,
-                  budget: float | None = None):
-    """Solve, certify and verify a capacitated block-transport problem.
+                  cap_scales,
+                  budgets=None) -> list:
+    """Solve, certify and verify a capacitated block-transport problem at
+    each of several capacities.
 
-    Class ``k`` offers capacity ``cap_scale[k] * cond_weights[k]``; with a
-    ``budget`` the capacities become ``(cap_scale[k] + beta_k) *
-    cond_weights[k]`` with ``beta_k >= 0`` and ``sum_k beta_k = budget``
-    chosen jointly with the plans.  Returns ``(solution, plans,
-    beta_realized)``; ``solution.backend`` names the path taken (see the
-    module docstring) and ``beta_realized`` is ``None`` without a budget.
+    Entry ``e`` gives class ``k`` capacity ``cap_scales[e][k] *
+    cond_weights[k]``; with ``budgets`` the capacities become
+    ``(cap_scales[e][k] + beta_k) * cond_weights[k]`` with ``beta_k >= 0``
+    and ``sum_k beta_k = budgets[e]`` chosen jointly with the plans.
+    Returns one ``(solution, plans, beta_realized)`` per entry, in entry
+    order; ``solution.backend`` names the path taken (see the module
+    docstring) and ``beta_realized`` is ``None`` without budgets.
     """
     n_t = target.n_atoms
     for k, (w, cost) in enumerate(zip(cond_weights, costs)):
@@ -150,39 +172,58 @@ def _solve_blocks(target: DiscreteMeasure,
             raise ValueError(
                 f"cost block {k} is {cost.entries.shape}, expected {(n_t, len(w))}"
             )
-    copies = (_replication(target.weights, cond_weights[0], cap_scale[0])
-              if budget is None and len(costs) == 1 else None)
-    if copies is not None:
-        sol = _solve_assignment(target.weights, cond_weights[0],
-                                costs[0].entries, cap_scale[0], *copies)
-    else:
-        sol = _solve_blocks_highs(target, cond_weights, costs, cap_scale, budget)
-    if sol.status != "optimal":
-        capacity = sum(s * float(np.sum(w)) for s, w in zip(cap_scale, cond_weights))
-        raise LpError(
-            f"transport LP ended {sol.status}; target mass {target.total_mass!r}, "
-            f"total capacity {capacity!r}"
-        )
+    cap_scales = np.asarray(cap_scales, dtype=float).reshape(-1, len(cond_weights))
+    solutions = [None] * len(cap_scales)
+    if budgets is None and len(costs) == 1:
+        for e, scale in enumerate(cap_scales):
+            copies = _replication(target.weights, cond_weights[0], scale[0])
+            if copies is not None:
+                solutions[e] = _solve_assignment(target.weights, cond_weights[0],
+                                                 costs[0].entries, scale[0], *copies)
+    rest = [e for e, sol in enumerate(solutions) if sol is None]
+    if rest:
+        walked = _column_generation(target, cond_weights, costs, cap_scales[rest],
+                                    None if budgets is None else np.asarray(budgets)[rest])
+        for e, sol in zip(rest, walked):
+            solutions[e] = sol
 
+    results = []
     ends = np.cumsum([n_t * len(w) for w in cond_weights])
-    blocks = np.split(sol.x, ends)
-    plans = [x.reshape(n_t, len(w)) for x, w in zip(blocks, cond_weights)]
-    beta = None
-    if budget is not None:
-        if abs(float(np.sum(blocks[-1])) - budget) > SPLIT_BUDGET_TOL:
-            raise LpError(f"split budget violated: {np.sum(blocks[-1])!r} != {budget!r}")
-        beta = np.maximum(blocks[-1], 0.0)
-        cap_scale = cap_scale + beta
-    _verify_plans(target, cond_weights, cap_scale, plans)
-    return sol, plans, beta
+    for e, sol in enumerate(solutions):
+        cap_scale = cap_scales[e]
+        if sol.status != "optimal":
+            capacity = float(sum(s * np.sum(w) for s, w in zip(cap_scale, cond_weights)))
+            raise LpError(
+                f"transport LP ended {sol.status}; target mass {target.total_mass!r}, "
+                f"total capacity {capacity!r}"
+            )
+        blocks = np.split(sol.x, ends)
+        plans = [x.reshape(n_t, len(w)) for x, w in zip(blocks, cond_weights)]
+        beta = None
+        if budgets is not None:
+            budget = float(budgets[e])
+            if abs(float(np.sum(blocks[-1])) - budget) > SPLIT_BUDGET_TOL:
+                raise LpError(f"split budget violated: {np.sum(blocks[-1])!r} != {budget!r}")
+            beta = np.maximum(blocks[-1], 0.0)
+            cap_scale = cap_scale + beta
+        _verify_plans(target, cond_weights, cap_scale, plans)
+        results.append((sol, plans, beta))
+    return results
 
 
-def _solve_blocks_highs(target: DiscreteMeasure,
-                        cond_weights: Sequence[np.ndarray],
-                        costs: Sequence[CostMatrix],
-                        cap_scale: np.ndarray,
-                        budget: float | None = None) -> LpSolution:
-    """The block-transport problem of :func:`_solve_blocks` as one HiGHS LP.
+def _block_rhs(target: DiscreteMeasure, cond_weights, cap_scale, budget) -> np.ndarray:
+    b = np.concatenate([target.weights,
+                        *(scale * w for scale, w in zip(cap_scale, cond_weights))])
+    return b if budget is None else np.append(b, budget)
+
+
+def _assemble_blocks(target: DiscreteMeasure,
+                     cond_weights: Sequence[np.ndarray],
+                     costs: Sequence[CostMatrix],
+                     cap_scale: np.ndarray,
+                     budget: float | None = None) -> LinearProgram:
+    """The block-transport problem of :func:`_solve_blocks` at one entry, as
+    one LP over every arc.
 
     Variables are the per-class plan entries (row-major inside each class
     block), then with a ``budget`` one capacity variable ``beta_k`` per
@@ -195,8 +236,7 @@ def _solve_blocks_highs(target: DiscreteMeasure,
     cap_rows = sp.block_diag([sp.kron(np.ones((1, n_t)), sp.eye(len(w)))
                               for w in cond_weights])
     c = np.concatenate([cost.entries.ravel() for cost in costs])
-    b = np.concatenate([target.weights,
-                        *(scale * w for scale, w in zip(cap_scale, cond_weights))])
+    b = _block_rhs(target, cond_weights, cap_scale, budget)
     relations = ["="] * n_t + ["<="] * (len(b) - n_t)
     if budget is None:
         A = sp.vstack([plan_rows, cap_rows])
@@ -208,11 +248,155 @@ def _solve_blocks_highs(target: DiscreteMeasure,
             [None, np.ones((1, n_classes))],
         ])
         c = np.concatenate([c, np.zeros(n_classes)])
-        b = np.append(b, budget)
-        relations.append("=")
+        relations[-1] = "="
     A = A.tocsr()
     A.eliminate_zeros()
-    return solve(LinearProgram(c, A, relations, b))
+    return LinearProgram(c, A, relations, b)
+
+
+def _north_west_corner(demand: np.ndarray, capacity: np.ndarray) -> tuple:
+    """Arcs ``(rows, cols)`` of the north-west-corner plan of ``demand``
+    into ``capacity``: a feasible support whenever the capacity suffices."""
+    rows, cols = [], []
+    i = j = 0
+    left_i = demand[0] if len(demand) else 0.0
+    left_j = capacity[0] if len(capacity) else 0.0
+    while i < len(demand) and j < len(capacity):
+        if left_i > 0 and left_j > 0:
+            rows.append(i)
+            cols.append(j)
+        if left_i <= left_j:
+            left_j -= left_i
+            i += 1
+            left_i = demand[i] if i < len(demand) else 0.0
+        else:
+            left_i -= left_j
+            j += 1
+            left_j = capacity[j] if j < len(capacity) else 0.0
+    return np.array(rows, dtype=int), np.array(cols, dtype=int)
+
+
+def _initial_arcs(cost: np.ndarray, widths, demand: np.ndarray,
+                  capacity: np.ndarray) -> tuple:
+    """The ``NEAREST_ARCS`` cheapest arcs of each target in each class of the
+    concatenated ``cost``, and the north-west-corner support of ``demand``
+    into ``capacity``."""
+    nw_rows, nw_cols = _north_west_corner(demand, capacity)
+    rows, cols = [nw_rows], [nw_cols]
+    for start, n in zip(np.cumsum([0] + list(widths)), widths):
+        m = min(NEAREST_ARCS, n)
+        if m:
+            nearest = np.argpartition(cost[:, start:start + n], m - 1, axis=1)[:, :m]
+            rows.append(np.repeat(np.arange(len(cost)), m))
+            cols.append(start + nearest.ravel())
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _priced_arcs(reduced: np.ndarray, tol: float) -> tuple:
+    """Arcs ``(rows, cols)`` to add: the ``ARCS_PER_ROW`` most negative
+    reduced costs of each row, where below ``-tol``."""
+    rows = np.flatnonzero(np.any(reduced < -tol, axis=1))
+    priced = reduced[rows]
+    if priced.shape[1] > ARCS_PER_ROW:
+        cols = np.argpartition(priced, ARCS_PER_ROW - 1, axis=1)[:, :ARCS_PER_ROW]
+    else:
+        cols = np.broadcast_to(np.arange(priced.shape[1]), priced.shape)
+    keep = np.take_along_axis(priced, cols, axis=1) < -tol
+    return np.broadcast_to(rows[:, None], keep.shape)[keep], cols[keep]
+
+
+def _column_generation(target: DiscreteMeasure,
+                       cond_weights: Sequence[np.ndarray],
+                       costs: Sequence[CostMatrix],
+                       cap_scales: np.ndarray,
+                       budgets,
+                       order=None) -> list:
+    """Exact column generation on one warm HiGHS model; one LpSolution per
+    entry of :func:`_solve_blocks`, each certified on the full problem.
+
+    The model holds every row of :func:`_assemble_blocks`, the ``beta``
+    columns and a growing subset of its arc columns, starting from
+    :func:`_initial_arcs` at the smallest capacities, which keeps it
+    feasible at every entry.  Entries are solved in ``order``, by default
+    from the largest capacity down, changing only right-hand sides in
+    between.  After each run the reduced costs ``C - u - y`` of all arcs are
+    priced and :func:`_priced_arcs` added, until none falls below
+    ``-dual_tolerance(c)``: the bound :func:`lp.certify` then checks on
+    every column of the full problem.  That bound is never tighter than
+    HiGHS's own ``HIGHS_TOL``; a tighter one keeps adding arcs that HiGHS
+    already calls optimal.
+    """
+    n_t = target.n_atoms
+    widths = [len(w) for w in cond_weights]
+    n_src = sum(widths)
+    cost = np.hstack([c.entries for c in costs])
+    # LP column of each arc (i, j) of the concatenated cost matrix.
+    offsets = np.cumsum([0] + [n_t * n for n in widths])
+    arc_column = np.hstack([off + np.arange(n_t * n).reshape(n_t, n)
+                            for off, n in zip(offsets, widths)])
+    entries = [(scale, None if budgets is None else float(budgets[e]))
+               for e, scale in enumerate(cap_scales)]
+    lp = _assemble_blocks(target, cond_weights, costs, *entries[0])
+    rhs = [_block_rhs(target, cond_weights, *entry) for entry in entries]
+    if order is None:
+        order = sorted(range(len(rhs)), key=lambda e: -float(rhs[e][n_t:].sum()))
+    columns = lp.A.tocsc()
+    tol = dual_tolerance(lp.c)
+    equality = np.asarray(lp.relations) == "="
+
+    current = rhs[order[0]]
+    model = HighsModel(np.where(equality, current, -np.inf), current)
+    model_columns = list(range(offsets[-1], lp.n_vars))   # the beta columns
+    model.add_columns(lp.c[model_columns], columns[:, model_columns])
+    in_model = np.zeros((n_t, n_src), dtype=bool)
+
+    def add(rows, cols):
+        keys = np.unique(rows * n_src + cols)
+        rows, cols = np.divmod(keys[~in_model.ravel()[keys]], n_src)
+        in_model[rows, cols] = True
+        index = arc_column[rows, cols]
+        model.add_columns(lp.c[index], columns[:, index])
+        model_columns.extend(index.tolist())
+
+    add(*_initial_arcs(cost, widths, target.weights,
+                       np.concatenate([s * w for s, w in
+                                       zip(np.min(cap_scales, axis=0), cond_weights)])))
+    solutions = [None] * len(rhs)
+    for e in order:
+        changed = np.flatnonzero(rhs[e] != current)
+        model.set_row_bounds(changed, np.where(equality, rhs[e], -np.inf)[changed],
+                             rhs[e][changed])
+        current = rhs[e]
+        rounds = iterations = 0
+        while True:
+            status, x, row_dual, nit = model.run()
+            rounds += 1
+            iterations += nit
+            if status == "infeasible" and not in_model.all():
+                # Less capacity than the initial support was built for: only
+                # the full problem tells whether this entry is infeasible.
+                add(*np.nonzero(~in_model))
+                continue
+            if status != "optimal":
+                break
+            reduced = cost - row_dual[:n_t, None] - row_dual[None, n_t:n_t + n_src]
+            reduced[in_model] = np.inf
+            rows, cols = _priced_arcs(reduced, tol)
+            if len(rows) == 0:
+                break
+            add(rows, cols)
+        if status != "optimal":
+            nan = float("nan")
+            solutions[e] = LpSolution(status, nan, np.empty(0), iterations, "highs",
+                                      nan, nan, rounds, model.n_cols)
+            continue
+        full_x = np.zeros(lp.n_vars)
+        full_x[model_columns] = x
+        residual, gap = certify(LinearProgram(lp.c, lp.A, lp.relations, rhs[e]),
+                                full_x, row_dual)
+        solutions[e] = LpSolution("optimal", float(lp.c @ full_x), full_x, iterations,
+                                  "highs", residual, gap, rounds, model.n_cols)
+    return solutions
 
 
 def _is_uniform(weights: np.ndarray) -> bool:
@@ -253,15 +437,16 @@ def _solve_assignment(target_w: np.ndarray, source_w: np.ndarray,
     rows, cols = linear_sum_assignment(replicated.reshape(n_t * r_t, n_s * r_s))
     counts = np.bincount((rows // r_t) * n_s + cols // r_s, minlength=n_t * n_s)
     plan = counts.reshape(n_t, n_s) * (target_w[0] / r_t)
-    value = _certify_transport(cost, target_w, scale * source_w, plan)
-    return LpSolution("optimal", value, plan.ravel(), 0, "assignment")
+    value, residual, gap = _certify_transport(cost, target_w, scale * source_w, plan)
+    return LpSolution("optimal", value, plan.ravel(), 0, "assignment",
+                      residual, gap, 0, 0)
 
 
 def _certify_transport(cost: np.ndarray, demand: np.ndarray,
                        capacity: np.ndarray, plan: np.ndarray) -> float:
     """Certify ``plan`` optimal for ``min <cost, plan>`` under row sums
     ``demand`` and column sums at most ``capacity`` and return its value,
-    or raise LpError.
+    feasibility residual and duality gap, or raise LpError.
 
     Independent of the solver that produced ``plan``.  Duals come from
     Bellman-Ford distances ``d`` from a virtual root over the residual
@@ -314,7 +499,7 @@ def _certify_transport(cost: np.ndarray, demand: np.ndarray,
     if gap > GAP_TOL * (1.0 + abs(primal)):
         raise LpError(f"transport duality gap {gap:.3e} too large for an "
                       "optimality certificate")
-    return primal
+    return primal, residual, gap
 
 
 def _verify_plans(target, cond_weights, cap_scale, plans) -> None:
@@ -343,7 +528,7 @@ def wasserstein1(target: DiscreteMeasure, source: DiscreteMeasure,
         raise ValueError(
             f"mass mismatch: {target.total_mass!r} vs {source.total_mass!r}"
         )
-    sol, plans, _ = _solve_blocks(target, [source.weights], [cost], np.ones(1))
+    (sol, plans, _), = _solve_blocks(target, [source.weights], [cost], np.ones(1))
     return sol.value, plans[0]
 
 
@@ -358,8 +543,8 @@ def partial_ot_global(target: DiscreteMeasure, source: DiscreteMeasure,
         raise ValueError("beta must be nonnegative")
     if not target.is_probability:
         raise ValueError("the target must be a probability measure")
-    sol, plans, _ = _solve_blocks(target, [source.weights], [cost],
-                                  np.array([1.0 + beta]))
+    (sol, plans, _), = _solve_blocks(target, [source.weights], [cost],
+                                     np.array([1.0 + beta]))
     return sol.value, plans[0]
 
 
@@ -382,8 +567,8 @@ def partial_ot_per_class(target: DiscreteMeasure,
         raise ValueError("conditionals, proportions, beta_vec and costs must align")
     if not target.is_probability:
         raise ValueError("the target must be a probability measure")
-    sol, plans, _ = _solve_blocks(target, [c.weights for c in conditionals],
-                                  costs, p + beta_vec)
+    (sol, plans, _), = _solve_blocks(target, [c.weights for c in conditionals],
+                                     costs, p + beta_vec)
     return TransportPlanSet(tuple(plans), beta_vec.copy(), sol.value)
 
 
@@ -397,17 +582,37 @@ def partial_ot_beta_split(target: DiscreteMeasure,
     The capacities enter linearly in ``beta``, so plans and split come out
     of a single LP with ``sum_k beta_k = beta_total``.  At degenerate optima
     the returned split is solver-determined (only the objective is unique).
+    The one-budget call of :func:`partial_ot_beta_split_path`.
     """
     if beta_total < 0:
         raise ValueError("beta_total must be nonnegative")
+    return partial_ot_beta_split_path(target, conditionals, proportions,
+                                      [beta_total], costs)[0]
+
+
+def partial_ot_beta_split_path(target: DiscreteMeasure,
+                               conditionals: Sequence[DiscreteMeasure],
+                               proportions,
+                               beta_grid,
+                               costs: Sequence[CostMatrix]) -> list:
+    """:func:`partial_ot_beta_split` at every budget of ``beta_grid``.
+
+    One :class:`TransportPlanSet` per budget, in grid order.  The budgets
+    are solved on one warm model, from the largest down, and each value is
+    certified on its own.
+    """
+    grid = np.asarray(beta_grid, dtype=float)
+    if grid.ndim != 1 or np.any(grid < 0):
+        raise ValueError("beta_grid must be a vector of nonnegative budgets")
     p = np.asarray(proportions, dtype=float)
     if not (len(conditionals) == len(p) == len(costs)):
         raise ValueError("conditionals, proportions and costs must align")
     if not target.is_probability:
         raise ValueError("the target must be a probability measure")
-    sol, plans, beta = _solve_blocks(target, [c.weights for c in conditionals],
-                                     costs, p, budget=float(beta_total))
-    return TransportPlanSet(tuple(plans), beta, sol.value)
+    results = _solve_blocks(target, [c.weights for c in conditionals], costs,
+                            np.tile(p, (len(grid), 1)), budgets=grid)
+    return [TransportPlanSet(tuple(plans), beta, sol.value)
+            for sol, plans, beta in results]
 
 
 def lipschitz_imd_dual(target: DiscreteMeasure, source: DiscreteMeasure,

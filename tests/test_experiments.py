@@ -11,11 +11,12 @@ from imdot.experiments import (
     write_draws_csv,
     write_summary_csv,
 )
+from imdot.lp import solve
 from imdot.measures import cost_matrix, empirical_measure
 from imdot.ot import (
     TransportPlanSet,
+    _assemble_blocks,
     _solve_blocks,
-    _solve_blocks_highs,
     partial_ot_beta_split,
 )
 
@@ -44,8 +45,8 @@ class TestPropagateLabels:
             n_classes=3, n_source=60, n_target=60, eta=1.0, seed=0))
         args = (empirical_measure(target), [empirical_measure(source).weights],
                 [cost_matrix(target.points, source.points)], np.array([1.5]))
-        highs = _solve_blocks_highs(*args)
-        fast, fast_plans, _ = _solve_blocks(*args)
+        highs = solve(_assemble_blocks(*args))
+        (fast, fast_plans, _), = _solve_blocks(*args)
         assert (highs.backend, fast.backend) == ("highs", "assignment")
         highs_plan = highs.x.reshape(len(target), len(source))
         assert np.array_equal(propagate_labels(highs_plan, source.labels, 3),

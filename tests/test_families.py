@@ -11,6 +11,7 @@ from imdot.checks import (
 from imdot.families import (
     MEMBERSHIP_TOL,
     FamilyTooLargeError,
+    Localization,
     enumerate_members,
     global_localization,
     grid_family,
@@ -252,3 +253,24 @@ class TestPerClassScan:
                 g for pc, g in zip(in_pc, in_glob) if pc)
             assert report.global_in_per_class == all(
                 pe for g, pe in zip(in_glob, in_pc_eta) if g)
+
+
+class TestLocalizationCaps:
+    def test_negative_cap_is_named(self):
+        m = DiscreteMeasure(TWO_POINTS, [0.5, 0.5])
+        with pytest.raises(ValueError, match=r"cap 0 .*-1\.0"):
+            imd_bruteforce(m, m, indicator_family(m.points), Localization(((m, -1.0),)))
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-12])
+    def test_non_finite_or_negative_eps(self, eps):
+        m = DiscreteMeasure(TWO_POINTS, [0.5, 0.5])
+        with pytest.raises(ValueError, match="cap 1 needs a finite eps"):
+            Localization(((m, 0.1), (m, eps)))
+
+    def test_cap_without_a_measure(self):
+        with pytest.raises(ValueError, match="cap 0 has no DiscreteMeasure: ndarray"):
+            Localization(((TWO_POINTS, 0.1),))
+
+    def test_valid_caps(self):
+        m = DiscreteMeasure(TWO_POINTS, [0.5, 0.5])
+        assert Localization(((m, 0.0), (m, 2))).caps[1][1] == 2

@@ -1,8 +1,11 @@
+import ast
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import imdot
 from imdot.checks import dyadic_weights
 from imdot.lp import LinearProgram, dual_of, dump_lp, solve
 
@@ -133,3 +136,19 @@ def test_dual_of_rejects_general_bounds():
     lp = LinearProgram([1.0], [[1.0]], ["<="], [1.0], upper=[2.0])
     with pytest.raises(ValueError):
         dual_of(lp)
+
+
+def test_only_the_lp_module_imports_the_private_highs_binding():
+    private = "scipy.optimize._highspy"
+    importers = []
+    for path in sorted(Path(imdot.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(n == private or n.startswith(private + ".") for n in names):
+                importers.append(path.stem)
+    assert importers == ["lp"]

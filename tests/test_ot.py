@@ -4,11 +4,11 @@ import pytest
 from imdot import checks
 from imdot.checks import dyadic_weights, random_points, random_transport_instance
 from imdot.datagen import shared_atom_label_shift
-import imdot.ot
+from imdot.lp import solve
 from imdot.measures import CostMatrix, DiscreteMeasure, cost_matrix, mix
 from imdot.ot import (
+    _assemble_blocks,
     _solve_blocks,
-    _solve_blocks_highs,
     lipschitz_imd_dual,
     partial_ot_beta_split,
     partial_ot_global,
@@ -64,7 +64,7 @@ class TestWasserstein1:
             t = DiscreteMeasure(random_points(rng, n_t), np.full(n_t, 1 / n_t))
             s = DiscreteMeasure(random_points(rng, n_s), np.full(n_s, 1 / n_s))
             cost = cost_matrix(t.points, s.points)
-            sol, _, _ = _solve_blocks(t, [s.weights], [cost], np.ones(1))
+            (sol, _, _), = _solve_blocks(t, [s.weights], [cost], np.ones(1))
             assert sol.backend == "assignment"
             value, plan = wasserstein1(t, s, cost)
             brute = brute_force_transport_value(cost.entries, t.weights, s.weights)
@@ -190,27 +190,18 @@ class TestBlockAssembly:
                   [0, -0.5], [0, -0.5], [0, 0],
                   [1, 1]]
 
-    def solve_captured(self, monkeypatch, budget):
-        captured = []
-
-        def capture(lp):
-            captured.append(lp)
-            return solve(lp)
-
-        solve = imdot.ot.solve
-        monkeypatch.setattr(imdot.ot, "solve", capture)
+    def assembled(self, budget):
         target = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
         weights = [np.array([0.25, 0.75]), np.array([0.5, 0.5, 0.0])]
         costs = [CostMatrix(np.arange(4.0).reshape(2, 2)),
                  CostMatrix(np.arange(6.0).reshape(2, 3))]
-        sol = _solve_blocks_highs(target, weights, costs, np.array([0.5, 0.5]), budget)
-        assert sol.status == "optimal"
-        (lp,) = captured
+        lp = _assemble_blocks(target, weights, costs, np.array([0.5, 0.5]), budget)
+        assert solve(lp).status == "optimal"
         assert lp.A.has_canonical_format
         return lp
 
-    def test_without_split(self, monkeypatch):
-        lp = self.solve_captured(monkeypatch, None)
+    def test_without_split(self):
+        lp = self.assembled(None)
         expected = np.array(self.PLAN_ROWS + self.CAP_ROWS, dtype=float)
         assert np.array_equal(lp.A.toarray(), expected)
         assert lp.A.nnz == np.count_nonzero(expected)
@@ -218,8 +209,8 @@ class TestBlockAssembly:
         assert np.array_equal(lp.b, [0.5, 0.5, 0.125, 0.375, 0.25, 0.25, 0.0])
         assert np.array_equal(lp.c, [0, 1, 2, 3, 0, 1, 2, 3, 4, 5])
 
-    def test_with_split(self, monkeypatch):
-        lp = self.solve_captured(monkeypatch, 0.5)
+    def test_with_split(self):
+        lp = self.assembled(0.5)
         expected = np.hstack([self.PLAN_ROWS + self.CAP_ROWS + [[0] * 10],
                               self.SPLIT_COLS])
         assert np.array_equal(lp.A.toarray(), expected)
@@ -255,7 +246,7 @@ class TestCoordinateScales:
             t = DiscreteMeasure(scale * random_points(rng, n_t), w_t)
             s = DiscreteMeasure(scale * random_points(rng, n_s), w_s)
             cost = cost_matrix(t.points, s.points)
-            sol, _, _ = _solve_blocks(t, [s.weights], [cost], np.ones(1))
+            (sol, _, _), = _solve_blocks(t, [s.weights], [cost], np.ones(1))
             assert sol.backend == backend
             brute = brute_force_transport_value(cost.entries, w_t, w_s)
             self.assert_close(wasserstein1(t, s, cost)[0], brute)

@@ -2,21 +2,21 @@
 
 Global-mode problems with uniform weights and a small-denominator ``beta``
 are solved by replicated assignment and certified from the plan's residual
-graph; everything else goes through HiGHS.  The HiGHS path is called
-directly here as the reference.
+graph; everything else goes through column generation on HiGHS.  The dense
+LP over every arc, solved by ``lp.solve``, is the reference here.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imdot.lp import LpError
+from imdot.lp import LpError, solve
 from imdot.measures import DiscreteMeasure, cost_matrix
 from imdot.ot import (
+    _assemble_blocks,
     _certify_transport,
     _replication,
     _solve_blocks,
-    _solve_blocks_highs,
     partial_ot_global,
 )
 
@@ -31,8 +31,8 @@ def uniform(points):
 def solve_both(target, source, beta):
     cost = cost_matrix(target.points, source.points)
     scale = np.array([1.0 + beta])
-    fast = _solve_blocks(target, [source.weights], [cost], scale)
-    highs = _solve_blocks_highs(target, [source.weights], [cost], scale)
+    fast, = _solve_blocks(target, [source.weights], [cost], scale)
+    highs = solve(_assemble_blocks(target, [source.weights], [cost], scale))
     return cost.entries, fast, (highs, [highs.x.reshape(cost.entries.shape)], None)
 
 
