@@ -41,6 +41,7 @@ from .ot import (
     partial_ot_beta_split,
     partial_ot_beta_split_path,
     partial_ot_global,
+    partial_ot_global_path,
     partial_ot_per_class,
     support_distance_imd,
     wasserstein1,

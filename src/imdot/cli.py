@@ -121,17 +121,21 @@ def _flag_value(action: argparse.Action, value):
     return parsed
 
 
+def _beta(text: str) -> float:
+    """A finite, nonnegative float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite nonnegative number, got {text!r}")
+    return value
+
+
 def _beta_list(text: str) -> list:
     """A comma-separated list of finite, nonnegative floats."""
-    try:
-        values = [float(v) for v in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}") from None
-    if not all(math.isfinite(v) and v >= 0 for v in values):
-        raise argparse.ArgumentTypeError(
-            f"expected finite nonnegative numbers, got {text!r}")
-    return values
+    return [_beta(v) for v in text.split(",")]
 
 
 def _toy_config(args) -> ToyConfig:
@@ -368,7 +372,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     solve.add_argument("--target", required=True, help="target dataset CSV")
     solve.add_argument("--mode", choices=["global", "perclass", "split"],
                        default="split")
-    solve.add_argument("--beta", type=float, default=0.5,
+    solve.add_argument("--beta", type=_beta, default=0.5,
                        help="relaxation (global) or total budget (split)")
     solve.add_argument("--beta-vec", type=_beta_list, default=None,
                        help="comma-separated per-class relaxation (perclass mode)")

@@ -26,9 +26,8 @@ from .measures import (
 )
 from .ot import (
     TransportPlanSet,
-    partial_ot_beta_split,
     partial_ot_beta_split_path,
-    partial_ot_global,
+    partial_ot_global_path,
 )
 
 __all__ = [
@@ -49,8 +48,8 @@ ZERO_ROW_TOL = 1e-12
 
 #: Class votes within this fraction of a row's top vote tie with it.  Far
 #: above the rounding in a plan's vote sums and far below the vote
-#: differences of an exact plan, so labels do not depend on which backend
-#: produced the plan.
+#: differences of an exact plan, so labels do not depend on which optimal
+#: plan the solver returns.
 TIE_REL_TOL = 1e-9
 
 
@@ -142,44 +141,11 @@ class SweepResult:
         return rows
 
 
-def _split_walk(target_measure, conditionals, proportions, class_costs, beta_grid):
-    """Split-mode plan sets for the whole grid from one warm walk, each with
-    an equal share of the walk's time; ``None`` where the walk failed, so
-    that each ``beta`` is then solved, and fails, on its own."""
-    start = time.perf_counter()
-    try:
-        plan_sets = partial_ot_beta_split_path(target_measure, conditionals,
-                                               proportions, beta_grid, class_costs)
-    except Exception:
-        return [None] * len(beta_grid)
-    share = (time.perf_counter() - start) / len(beta_grid)
-    return [(plan_set, share) for plan_set in plan_sets]
-
-
-def _solve_one(mode: str, beta: float, walked, target_measure, source_measure,
-               conditionals, proportions, cost_full, class_costs,
-               source_labels, target_labels, n_classes):
-    start = time.perf_counter()
-    walk_seconds = 0.0
-    if mode == MODE_GLOBAL:
-        value, plan = partial_ot_global(target_measure, source_measure,
-                                        cost_full, beta)
-        labels = propagate_labels(plan, source_labels, n_classes)
-    else:
-        if walked is None:
-            plan_set = partial_ot_beta_split(target_measure, conditionals,
-                                             proportions, beta, class_costs)
-        else:
-            plan_set, walk_seconds = walked
-        value = plan_set.objective
-        labels = propagate_labels(plan_set, source_labels, n_classes)
-    elapsed = time.perf_counter() - start + walk_seconds
-    return accuracy(labels, target_labels), value, elapsed
-
-
 def _run_draw(args):
-    """Every (beta, mode) record of one draw, in grid order.  Split mode is
-    solved down its whole grid on one model before the records are made."""
+    """Every (beta, mode) record of one draw, in grid order.  Each mode is
+    solved down its whole grid on one model before the records are made,
+    and each solve's time is an equal share of its walk.  If a walk raises,
+    each of its ``beta`` is solved, and fails, on its own."""
     draw, seed, config, beta_grid, modes = args
     cfg = replace(config, seed=int(seed))
     source, target = generate_pair(cfg)
@@ -189,24 +155,41 @@ def _run_draw(args):
     cost_full = cost_matrix(target.points, source.points)
     class_costs = [CostMatrix(cost_full.entries[:, source.class_indices(k)])
                    for k in range(1, config.n_classes + 1)]
-    walks = (_split_walk(target_measure, conditionals, proportions, class_costs,
-                         beta_grid)
-             if MODE_SPLIT in modes else [None] * len(beta_grid))
+
+    def walk(mode, grid):
+        """``(objective, plan, time share)`` at every ``beta`` of ``grid``."""
+        start = time.perf_counter()
+        if mode == MODE_GLOBAL:
+            solved = partial_ot_global_path(target_measure, source_measure,
+                                            cost_full, grid)
+        else:
+            solved = [(plan_set.objective, plan_set)
+                      for plan_set in partial_ot_beta_split_path(
+                          target_measure, conditionals, proportions, grid, class_costs)]
+        share = (time.perf_counter() - start) / len(grid)
+        return [(value, plan, share) for value, plan in solved]
+
+    walks = {}
+    for mode in modes:
+        try:
+            walks[mode] = walk(mode, beta_grid)
+        except Exception:
+            walks[mode] = [None] * len(beta_grid)
     records, failures = [], []
-    for beta, walked in zip(beta_grid, walks):
+    for e, beta in enumerate(beta_grid):
         for mode in modes:
             try:
-                acc, value, elapsed = _solve_one(
-                    mode, beta, walked, target_measure, source_measure,
-                    conditionals, proportions, cost_full, class_costs,
-                    source.labels, target.labels, config.n_classes)
+                value, plan, share = walks[mode][e] or walk(mode, [beta])[0]
+                start = time.perf_counter()
+                labels = propagate_labels(plan, source.labels, config.n_classes)
             except Exception as exc:  # recorded, never silently dropped
                 records.append(DrawRecord(draw, int(seed), float(beta), mode,
                                           float("nan"), float("nan"), 0.0))
                 failures.append((draw, float(beta), mode, repr(exc)))
                 continue
+            elapsed = time.perf_counter() - start + share
             records.append(DrawRecord(draw, int(seed), float(beta), mode,
-                                      acc, value, elapsed))
+                                      accuracy(labels, target.labels), value, elapsed))
     return records, failures
 
 
@@ -248,8 +231,9 @@ def write_draws_csv(result: SweepResult, path, include_timings: bool = False) ->
     """Per-draw records as ``draw,seed,beta,mode,accuracy,objective,solve_ms``.
 
     Timings are left empty unless requested, keeping default output
-    byte-identical across reruns with the same seed.  A split-mode time is
-    an equal share of its draw's grid walk plus its own label propagation.
+    byte-identical across reruns with the same seed.  A time is an equal
+    share of its draw's grid walk in its mode plus its own label
+    propagation.
     """
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)

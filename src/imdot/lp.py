@@ -9,8 +9,7 @@ generation of :mod:`imdot.ot`.  Every optimal solution is re-certified here
 (primal feasibility and duality gap, and with :func:`certify` dual
 feasibility on every column) so a numerically broken solve raises instead
 of returning a silently wrong answer.  The tolerances named here are the
-ones every certificate uses, including the transport certificates of
-:mod:`imdot.ot`.
+ones every certificate uses.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ __all__ = [
 RELATIONS = ("<=", "=", ">=")
 
 #: Feasibility residual allowed on an optimal solution: primal residuals
-#: relative to ``1 + ||b||_inf``, dual residuals (the transport certificate
-#: in :mod:`imdot.ot`) relative to ``1 + ||c||_inf``.
+#: relative to ``1 + ||b||_inf``, dual residuals (:func:`dual_tolerance`)
+#: relative to ``1 + ||c||_inf``.
 FEASIBILITY_TOL = 1e-8
 
 #: Duality gap allowed on an optimal solution, relative to ``1 + |value|``.
@@ -130,12 +129,11 @@ class LpSolution:
     status: str                # "optimal" | "infeasible" | "unbounded"
     value: float
     x: np.ndarray
-    iterations: int            # simplex/IPM iterations; 0 for "assignment"
-    backend: str               # "highs" | "assignment" (see imdot.ot)
+    iterations: int            # simplex/IPM iterations, summed over rounds
     residual: float            # primal feasibility residual; nan unless optimal
     gap: float                 # |primal - dual| of the certificate; nan unless optimal
-    rounds: int                # HiGHS runs: 1 for a dense solve, pricing rounds
-                               # for column generation, 0 for "assignment"
+    rounds: int                # HiGHS runs: 1 for a dense solve (solve), pricing
+                               # rounds for column generation (imdot.ot)
     columns: int               # columns in the final model: n_vars for a dense
                                # solve, the restricted model for column generation
 
@@ -168,14 +166,12 @@ def _primal_residual(lp: LinearProgram, x: np.ndarray) -> float:
     rel = np.asarray(lp.relations)
     r = lp.A @ x - lp.b
     r = np.where(rel == "=", np.abs(r), np.where(rel == "<=", r, -r))
-    return max(float(np.max(r, initial=0.0)),
-               float(np.max(lp.lower - x, initial=0.0)),
-               float(np.max(x - lp.upper, initial=0.0)))
+    return float(np.max(np.concatenate([r, lp.lower - x, x - lp.upper]), initial=0.0))
 
 
 def _check_residual(lp: LinearProgram, residual: float) -> None:
     scale = 1.0 + float(np.max(np.abs(lp.b), initial=0.0))
-    if residual > FEASIBILITY_TOL * scale:
+    if not residual <= FEASIBILITY_TOL * scale:   # a NaN fails too
         raise LpError(
             f"optimal solution violates feasibility: residual {residual:.3e} "
             f"exceeds {FEASIBILITY_TOL:.0e} * {scale:.3e}\n" + dump_lp(lp)
@@ -184,7 +180,7 @@ def _check_residual(lp: LinearProgram, residual: float) -> None:
 
 def _check_gap(lp: LinearProgram, primal: float, dual: float) -> float:
     gap = abs(primal - dual)
-    if gap > GAP_TOL * (1.0 + abs(primal)):
+    if not gap <= GAP_TOL * (1.0 + abs(primal)):
         raise LpError(
             f"duality gap {gap:.3e} too large for an optimality certificate\n"
             + dump_lp(lp)
@@ -239,7 +235,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     nan = float("nan")
     if res.status in (2, 3):
         status = "infeasible" if res.status == 2 else "unbounded"
-        return LpSolution(status, nan, np.empty(0), int(res.nit), "highs",
+        return LpSolution(status, nan, np.empty(0), int(res.nit),
                           nan, nan, 1, lp.n_vars)
     if res.status != 0:
         raise LpError(f"solver failed (status {res.status}): {res.message}\n" + dump_lp(lp))
@@ -250,7 +246,7 @@ def solve(lp: LinearProgram) -> LpSolution:
         raise LpError(
             f"objective mismatch: reported {value!r} vs recomputed {check!r}"
         )
-    return LpSolution("optimal", value, np.asarray(res.x), int(res.nit), "highs",
+    return LpSolution("optimal", value, np.asarray(res.x), int(res.nit),
                       residual, gap, 1, lp.n_vars)
 
 
@@ -277,13 +273,13 @@ def certify(lp: LinearProgram, x: np.ndarray, row_dual: np.ndarray):
     _check_residual(lp, residual)
     tol = dual_tolerance(lp.c)
     reduced = lp.c - lp.A.T @ row_dual
-    if reduced.size and reduced.min() < -tol:
+    if reduced.size and not reduced.min() >= -tol:
         j = int(np.argmin(reduced))
         raise LpError(f"duals violate feasibility: column {j} has reduced cost "
                       f"{reduced[j]:.3e} below -{tol:.3e}")
     rel = np.asarray(lp.relations)
     wrong_sign = np.where(rel == "<=", row_dual, np.where(rel == ">=", -row_dual, 0.0))
-    if wrong_sign.size and wrong_sign.max() > tol:
+    if wrong_sign.size and not wrong_sign.max() <= tol:
         i = int(np.argmax(wrong_sign))
         raise LpError(f"dual of row {i} ({lp.relations[i]}) has the wrong sign: "
                       f"{row_dual[i]:.3e}")

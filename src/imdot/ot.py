@@ -13,48 +13,34 @@ matching masses the equality target rows use every source column in
 full), the global relaxation one block at ``1 + beta``, the per-class
 problem one block per class at ``p_k + beta_k``, and the budget split adds
 a capacity variable ``beta_k`` per class with ``sum_k beta_k = beta_total``.
-``_solve_blocks`` checks the cost blocks, picks the backend, rejects a
-solve that did not end optimal and verifies the plans against the
-capacities used.
+``_solve_blocks`` checks the cost blocks, rejects a solve that did not end
+optimal and verifies the plans against the capacities used.
 
-Backends.  One block without a split, weights all exactly ``1/n`` and a
-capacity scale that is exactly ``a/b`` with ``b <= MAX_DENOMINATOR`` is
-totally unimodular after scaling: replicating each target ``n_s b / g`` and
-each source ``n_t a / g`` times (``g`` their gcd) makes it a rectangular
-assignment problem, solved exactly by
-:func:`scipy.optimize.linear_sum_assignment` (the dummy-point reduction of
-partial to balanced transport) and certified without the solver from the
-plan's residual graph.  Everything else, and any replicated cost matrix
-above ``MAX_ASSIGNMENT_ENTRIES`` entries, is solved by exact column
-generation on one warm HiGHS model (:class:`imdot.lp.HighsModel`).  The
-model holds every row of the LP assembled from the block structure, the
-``beta`` columns of a split and a subset of its arc columns: first the
-``NEAREST_ARCS`` cheapest arcs of each target in each class and a
-north-west-corner support at the smallest capacities.  Each round prices
-all arcs exactly, ``C - u - y``, and adds up to ``ARCS_PER_ROW`` per target
-row, until none is below ``-FEASIBILITY_TOL * (1 + max C)``.  The result is
-then certified by :func:`imdot.lp.certify` on the full problem, every arc
-included, so no value is approximate.  Several capacities or budgets, such
-as a split's budget grid, are walked from the largest down on the same
-model, changing only right-hand sides.
+Solver.  Every problem is solved by exact column generation on one warm
+HiGHS model (:class:`imdot.lp.HighsModel`).  The model holds every row of
+the LP assembled from the block structure, the ``beta`` columns of a split
+and a subset of its arc columns: first the ``NEAREST_ARCS`` cheapest arcs
+of each target in each class and a north-west-corner support at the
+smallest capacities.  Each round prices all arcs exactly, ``C - u - y``,
+and adds up to ``ARCS_PER_ROW`` per target row, until none is below
+``-FEASIBILITY_TOL * (1 + max C)``.  The result is then certified by
+:func:`imdot.lp.certify` on the full problem, every arc included, so no
+value is approximate.  Several capacities or budgets, such as the global
+relaxation's or a split's grid, are walked from the largest down on the
+same model, changing only right-hand sides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .families import ground_union, weights_on_ground
 from .lp import (
-    FEASIBILITY_TOL,
-    GAP_TOL,
     HighsModel,
     LinearProgram,
     LpError,
@@ -70,6 +56,7 @@ __all__ = [
     "LipschitzPotential",
     "wasserstein1",
     "partial_ot_global",
+    "partial_ot_global_path",
     "partial_ot_per_class",
     "partial_ot_beta_split",
     "partial_ot_beta_split_path",
@@ -81,8 +68,7 @@ __all__ = [
 #: Marginal residual allowed on a returned plan.
 PLAN_TOL = 1e-8
 
-#: Plan entries within this of zero count as zero: a negative entry this
-#: small is rounding, and a positive one adds no arc to the residual graph.
+#: Negative plan entry allowed as rounding.
 PLAN_ZERO_TOL = 1e-12
 
 #: Largest total-mass difference :func:`wasserstein1` accepts.
@@ -96,14 +82,6 @@ LIPSCHITZ_TOL = 1e-8
 
 #: Negative value allowed on a dual potential where it must be nonnegative.
 POTENTIAL_SIGN_TOL = 1e-10
-
-#: Largest denominator of the capacity scale ``1 + beta`` that the
-#: assignment backend replicates.
-MAX_DENOMINATOR = 64
-
-#: Largest replicated cost matrix, in entries, that the assignment backend
-#: builds (32 MB of float64); larger problems go to HiGHS.
-MAX_ASSIGNMENT_ENTRIES = 4_000_000
 
 #: Cheapest arcs of each target in each class that column generation starts with.
 NEAREST_ARCS = 8
@@ -163,8 +141,8 @@ def _solve_blocks(target: DiscreteMeasure,
     ``(cap_scales[e][k] + beta_k) * cond_weights[k]`` with ``beta_k >= 0``
     and ``sum_k beta_k = budgets[e]`` chosen jointly with the plans.
     Returns one ``(solution, plans, beta_realized)`` per entry, in entry
-    order; ``solution.backend`` names the path taken (see the module
-    docstring) and ``beta_realized`` is ``None`` without budgets.
+    order, all from one :func:`_column_generation` walk; ``beta_realized``
+    is ``None`` without budgets.
     """
     n_t = target.n_atoms
     for k, (w, cost) in enumerate(zip(cond_weights, costs)):
@@ -173,19 +151,9 @@ def _solve_blocks(target: DiscreteMeasure,
                 f"cost block {k} is {cost.entries.shape}, expected {(n_t, len(w))}"
             )
     cap_scales = np.asarray(cap_scales, dtype=float).reshape(-1, len(cond_weights))
-    solutions = [None] * len(cap_scales)
-    if budgets is None and len(costs) == 1:
-        for e, scale in enumerate(cap_scales):
-            copies = _replication(target.weights, cond_weights[0], scale[0])
-            if copies is not None:
-                solutions[e] = _solve_assignment(target.weights, cond_weights[0],
-                                                 costs[0].entries, scale[0], *copies)
-    rest = [e for e, sol in enumerate(solutions) if sol is None]
-    if rest:
-        walked = _column_generation(target, cond_weights, costs, cap_scales[rest],
-                                    None if budgets is None else np.asarray(budgets)[rest])
-        for e, sol in zip(rest, walked):
-            solutions[e] = sol
+    if not len(cap_scales):
+        return []
+    solutions = _column_generation(target, cond_weights, costs, cap_scales, budgets)
 
     results = []
     ends = np.cumsum([n_t * len(w) for w in cond_weights])
@@ -202,7 +170,7 @@ def _solve_blocks(target: DiscreteMeasure,
         beta = None
         if budgets is not None:
             budget = float(budgets[e])
-            if abs(float(np.sum(blocks[-1])) - budget) > SPLIT_BUDGET_TOL:
+            if not abs(float(np.sum(blocks[-1])) - budget) <= SPLIT_BUDGET_TOL:
                 raise LpError(f"split budget violated: {np.sum(blocks[-1])!r} != {budget!r}")
             beta = np.maximum(blocks[-1], 0.0)
             cap_scale = cap_scale + beta
@@ -387,7 +355,7 @@ def _column_generation(target: DiscreteMeasure,
             add(rows, cols)
         if status != "optimal":
             nan = float("nan")
-            solutions[e] = LpSolution(status, nan, np.empty(0), iterations, "highs",
+            solutions[e] = LpSolution(status, nan, np.empty(0), iterations,
                                       nan, nan, rounds, model.n_cols)
             continue
         full_x = np.zeros(lp.n_vars)
@@ -395,125 +363,30 @@ def _column_generation(target: DiscreteMeasure,
         residual, gap = certify(LinearProgram(lp.c, lp.A, lp.relations, rhs[e]),
                                 full_x, row_dual)
         solutions[e] = LpSolution("optimal", float(lp.c @ full_x), full_x, iterations,
-                                  "highs", residual, gap, rounds, model.n_cols)
+                                  residual, gap, rounds, model.n_cols)
     return solutions
 
 
-def _is_uniform(weights: np.ndarray) -> bool:
-    return len(weights) > 0 and bool(np.all(weights == 1.0 / len(weights)))
-
-
-def _replication(target_w: np.ndarray, source_w: np.ndarray, scale: float):
-    """Copies ``(r_t, r_s)`` of each target and source atom, or ``None``.
-
-    With weights ``1/n_t`` and ``1/n_s`` and capacity ``scale = a/b`` times
-    the source weight, scaling by ``n_t n_s b / g`` makes each demand
-    ``r_t = n_s b / g`` and each capacity ``r_s = n_t a / g`` units, where
-    ``g = gcd(n_s b, n_t a)``.  ``None`` when the weights are not uniform,
-    ``scale`` has no exact fraction with ``b <= MAX_DENOMINATOR``, the
-    problem is infeasible (``a < b``) or the replicated matrix is too large.
-    """
-    if not (_is_uniform(target_w) and _is_uniform(source_w)):
-        return None
-    q = Fraction(float(scale)).limit_denominator(MAX_DENOMINATOR)
-    if float(q) != scale or q < 1:
-        return None
-    n_t, n_s = len(target_w), len(source_w)
-    demand, capacity = n_s * q.denominator, n_t * q.numerator
-    g = gcd(demand, capacity)
-    r_t, r_s = demand // g, capacity // g
-    if n_t * r_t * n_s * r_s > MAX_ASSIGNMENT_ENTRIES:
-        return None
-    return r_t, r_s
-
-
-def _solve_assignment(target_w: np.ndarray, source_w: np.ndarray,
-                      cost: np.ndarray, scale: float,
-                      r_t: int, r_s: int) -> LpSolution:
-    """Exact single-block transport as a replicated assignment problem."""
-    n_t, n_s = cost.shape
-    replicated = np.empty((n_t, r_t, n_s, r_s))
-    replicated[...] = cost[:, None, :, None]
-    rows, cols = linear_sum_assignment(replicated.reshape(n_t * r_t, n_s * r_s))
-    counts = np.bincount((rows // r_t) * n_s + cols // r_s, minlength=n_t * n_s)
-    plan = counts.reshape(n_t, n_s) * (target_w[0] / r_t)
-    value, residual, gap = _certify_transport(cost, target_w, scale * source_w, plan)
-    return LpSolution("optimal", value, plan.ravel(), 0, "assignment",
-                      residual, gap, 0, 0)
-
-
-def _certify_transport(cost: np.ndarray, demand: np.ndarray,
-                       capacity: np.ndarray, plan: np.ndarray) -> float:
-    """Certify ``plan`` optimal for ``min <cost, plan>`` under row sums
-    ``demand`` and column sums at most ``capacity`` and return its value,
-    feasibility residual and duality gap, or raise LpError.
-
-    Independent of the solver that produced ``plan``.  Duals come from
-    Bellman-Ford distances ``d`` from a virtual root over the residual
-    graph on targets, sources and one slack sink: ``u_i = d_sink - d_i``
-    and ``v_j = max(d_sink - d_j, 0)``.  Every arc cost is raised by
-    ``PLAN_ZERO_TOL * (1 + max c)``, so a cycle of zero cost that rounding
-    makes slightly negative is not taken for a cheaper plan.
-    """
-    # Imported on first use: csgraph adds about 1 MB to every process, and
-    # only the assignment path needs it.
-    from scipy.sparse.csgraph import NegativeCycleError, bellman_ford, csgraph_from_dense
-
-    n_t, n_s = cost.shape
-    col_sum = plan.sum(axis=0)
-    slack = capacity - col_sum
-    residual = max(float(np.max(np.abs(plan.sum(axis=1) - demand), initial=0.0)),
-                   float(np.max(-slack, initial=0.0)),
-                   float(np.max(-plan, initial=0.0)))
-    b_scale = 1.0 + max(np.max(demand, initial=0.0), np.max(capacity, initial=0.0))
-    if residual > FEASIBILITY_TOL * b_scale:
-        raise LpError(f"transport plan violates feasibility: residual {residual:.3e} "
-                      f"exceeds {FEASIBILITY_TOL:.0e} * {b_scale:.3e}")
-
-    c_scale = 1.0 + float(np.max(cost, initial=0.0))
-    lift = PLAN_ZERO_TOL * c_scale
-    sources = slice(n_t, n_t + n_s)
-    sink, root = n_t + n_s, n_t + n_s + 1
-    graph = np.full((root + 1, root + 1), np.inf)
-    # i -> j: send more from i to j; j -> i: send less; j -> sink: use spare
-    # capacity of j; sink -> j: free capacity of j.
-    graph[:n_t, sources] = cost + lift
-    graph[sources, :n_t] = np.where(plan.T > PLAN_ZERO_TOL, lift - cost.T, np.inf)
-    graph[sources, sink] = np.where(slack > PLAN_TOL, lift, np.inf)
-    graph[sink, sources] = np.where(col_sum > PLAN_ZERO_TOL, lift, np.inf)
-    graph[root, :root] = 0.0
-    try:
-        dist = bellman_ford(csgraph_from_dense(graph, null_value=np.inf),
-                            indices=root)
-    except NegativeCycleError as exc:
-        raise LpError("transport plan is not optimal: its residual graph "
-                      "has a negative cycle") from exc
-    u = dist[sink] - dist[:n_t]
-    v = np.maximum(dist[sink] - dist[sources], 0.0)
-
-    dual_residual = float(np.max(u[:, None] - v[None, :] - cost, initial=0.0))
-    if dual_residual > FEASIBILITY_TOL * c_scale:
-        raise LpError(f"transport duals violate feasibility by {dual_residual:.3e}")
-    primal = float(cost.ravel() @ plan.ravel())
-    gap = abs(primal - (float(demand @ u) - float(capacity @ v)))
-    if gap > GAP_TOL * (1.0 + abs(primal)):
-        raise LpError(f"transport duality gap {gap:.3e} too large for an "
-                      "optimality certificate")
-    return primal, residual, gap
-
-
 def _verify_plans(target, cond_weights, cap_scale, plans) -> None:
+    # Written as "not within", so that a NaN fails each check.
     row_sum = np.zeros(target.n_atoms)
     for plan, scale, w in zip(plans, cap_scale, cond_weights):
-        if plan.size and plan.min() < -PLAN_ZERO_TOL:
+        if plan.size and not plan.min() >= -PLAN_ZERO_TOL:
             raise LpError(f"negative plan entry {plan.min()!r}")
-        if plan.shape[1]:
-            col_sums = plan.sum(axis=0)
-            if np.max(col_sums - scale * w) > PLAN_TOL:
-                raise LpError("plan exceeds a class capacity")
+        if plan.shape[1] and not np.max(plan.sum(axis=0) - scale * w) <= PLAN_TOL:
+            raise LpError("plan exceeds a class capacity")
         row_sum += plan.sum(axis=1)
-    if np.max(np.abs(row_sum - target.weights), initial=0.0) > PLAN_TOL:
+    if not np.max(np.abs(row_sum - target.weights), initial=0.0) <= PLAN_TOL:
         raise LpError("plan does not reproduce the target marginal")
+
+
+def _relaxation(name: str, values) -> np.ndarray:
+    """``values`` as floats, or a ValueError naming ``name`` unless every
+    one is finite and nonnegative."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values) & (values >= 0)):
+        raise ValueError(f"{name} must be finite and nonnegative, got {values.tolist()!r}")
+    return values
 
 
 def wasserstein1(target: DiscreteMeasure, source: DiscreteMeasure,
@@ -537,15 +410,28 @@ def partial_ot_global(target: DiscreteMeasure, source: DiscreteMeasure,
     """Partial transport with uniformly relaxed source capacity ``(1+beta)s``.
 
     Equals the IMD of ``(target, (1+beta) source)`` over nonnegative
-    1-Lipschitz functions; nonincreasing in ``beta``.
+    1-Lipschitz functions; nonincreasing in ``beta``.  The one-entry call of
+    :func:`partial_ot_global_path`.
     """
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    _relaxation("beta", beta)
+    return partial_ot_global_path(target, source, cost, [beta])[0]
+
+
+def partial_ot_global_path(target: DiscreteMeasure, source: DiscreteMeasure,
+                           cost: CostMatrix, beta_grid) -> list:
+    """:func:`partial_ot_global` at every relaxation of ``beta_grid``.
+
+    One ``(value, plan)`` per relaxation, in grid order.  The relaxations
+    are solved on one warm model, from the largest down, and each value is
+    certified on its own.
+    """
+    grid = _relaxation("beta_grid", beta_grid)
+    if grid.ndim != 1:
+        raise ValueError("beta_grid must be a vector of relaxations")
     if not target.is_probability:
         raise ValueError("the target must be a probability measure")
-    (sol, plans, _), = _solve_blocks(target, [source.weights], [cost],
-                                     np.array([1.0 + beta]))
-    return sol.value, plans[0]
+    results = _solve_blocks(target, [source.weights], [cost], 1.0 + grid[:, None])
+    return [(sol.value, plans[0]) for sol, plans, _ in results]
 
 
 def partial_ot_per_class(target: DiscreteMeasure,
@@ -560,9 +446,7 @@ def partial_ot_per_class(target: DiscreteMeasure,
     simply unusable capacity.
     """
     p = np.asarray(proportions, dtype=float)
-    beta_vec = np.asarray(beta_vec, dtype=float)
-    if np.any(beta_vec < 0):
-        raise ValueError("beta_vec must be nonnegative")
+    beta_vec = _relaxation("beta_vec", beta_vec)
     if not (len(conditionals) == len(p) == len(beta_vec) == len(costs)):
         raise ValueError("conditionals, proportions, beta_vec and costs must align")
     if not target.is_probability:
@@ -584,8 +468,7 @@ def partial_ot_beta_split(target: DiscreteMeasure,
     the returned split is solver-determined (only the objective is unique).
     The one-budget call of :func:`partial_ot_beta_split_path`.
     """
-    if beta_total < 0:
-        raise ValueError("beta_total must be nonnegative")
+    _relaxation("beta_total", beta_total)
     return partial_ot_beta_split_path(target, conditionals, proportions,
                                       [beta_total], costs)[0]
 
@@ -601,9 +484,9 @@ def partial_ot_beta_split_path(target: DiscreteMeasure,
     are solved on one warm model, from the largest down, and each value is
     certified on its own.
     """
-    grid = np.asarray(beta_grid, dtype=float)
-    if grid.ndim != 1 or np.any(grid < 0):
-        raise ValueError("beta_grid must be a vector of nonnegative budgets")
+    grid = _relaxation("beta_grid", beta_grid)
+    if grid.ndim != 1:
+        raise ValueError("beta_grid must be a vector of budgets")
     p = np.asarray(proportions, dtype=float)
     if not (len(conditionals) == len(p) == len(costs)):
         raise ValueError("conditionals, proportions and costs must align")

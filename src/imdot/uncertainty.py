@@ -8,7 +8,7 @@ integer label arrays, so every infimum here is an exact scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 

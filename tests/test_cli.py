@@ -129,6 +129,17 @@ def test_solve_perclass_beta_vec_is_checked_by_the_parser(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_beta_is_checked_by_the_parser(tmp_path, capsys):
+    out = tmp_path / "out"
+    for mode in ("global", "split"):
+        for bad in ("-1", "nan", "inf", "x"):
+            code, err = usage_error(capsys, "solve", "--source", tmp_path / "s.csv",
+                                    "--target", tmp_path / "t.csv", "--mode", mode,
+                                    "--beta", bad, "--out", out)
+            assert code == 2 and "argument --beta:" in err, (mode, bad)
+    assert not out.exists()
+
+
 def test_check_suite_exit_codes(tmp_path, capsys):
     assert run("check", "--suite", "uncertainty", "--out", tmp_path) == 0
     report = json.loads((tmp_path / "check.json").read_text())

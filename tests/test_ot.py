@@ -8,10 +8,11 @@ from imdot.lp import solve
 from imdot.measures import CostMatrix, DiscreteMeasure, cost_matrix, mix
 from imdot.ot import (
     _assemble_blocks,
-    _solve_blocks,
     lipschitz_imd_dual,
     partial_ot_beta_split,
+    partial_ot_beta_split_path,
     partial_ot_global,
+    partial_ot_global_path,
     partial_ot_per_class,
     plan_set_to_dict,
     support_distance_imd,
@@ -59,13 +60,11 @@ class TestWasserstein1:
             with pytest.raises(ValueError, match="mass mismatch"):
                 wasserstein1(t, s, cost_matrix(t.points, s.points))
 
-    def test_uniform_weights_take_the_assignment_path(self, rng):
+    def test_uniform_weights_match_vertex_enumeration(self, rng):
         for n_t, n_s in ((2, 3), (3, 2), (4, 2), (3, 4)):
             t = DiscreteMeasure(random_points(rng, n_t), np.full(n_t, 1 / n_t))
             s = DiscreteMeasure(random_points(rng, n_s), np.full(n_s, 1 / n_s))
             cost = cost_matrix(t.points, s.points)
-            (sol, _, _), = _solve_blocks(t, [s.weights], [cost], np.ones(1))
-            assert sol.backend == "assignment"
             value, plan = wasserstein1(t, s, cost)
             brute = brute_force_transport_value(cost.entries, t.weights, s.weights)
             assert value == pytest.approx(brute, abs=1e-9)
@@ -108,6 +107,36 @@ class TestPartialGlobal:
         target, source, cost = two_atom_instance()
         with pytest.raises(ValueError):
             partial_ot_global(target, source, cost, -0.5)
+
+    def test_path_is_the_one_entry_call_per_relaxation(self, rng):
+        target, source, _, _, _ = random_transport_instance(rng)
+        cost = cost_matrix(target.points, source.points)
+        grid = [0.0, 0.1, 0.5, 1.0, 3.0]
+        path = partial_ot_global_path(target, source, cost, grid)
+        assert len(path) == len(grid)
+        for beta, (value, plan) in zip(grid, path):
+            one, _ = partial_ot_global(target, source, cost, beta)
+            assert value == pytest.approx(one, rel=1e-12, abs=1e-12)
+            assert np.max(plan.sum(axis=0) - (1 + beta) * source.weights) <= 1e-8
+        assert partial_ot_global_path(target, source, cost, []) == []
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_relaxations_must_be_finite(rng, bad):
+    target, source, conds, p, costs = random_transport_instance(rng)
+    cost = cost_matrix(target.points, source.points)
+    beta_vec = np.zeros(len(p))
+    beta_vec[-1] = bad
+    calls = [
+        ("beta", lambda: partial_ot_global(target, source, cost, bad)),
+        ("beta_grid", lambda: partial_ot_global_path(target, source, cost, [0.5, bad])),
+        ("beta_vec", lambda: partial_ot_per_class(target, conds, p, beta_vec, costs)),
+        ("beta_total", lambda: partial_ot_beta_split(target, conds, p, bad, costs)),
+        ("beta_grid", lambda: partial_ot_beta_split_path(target, conds, p, [bad], costs)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            call()
 
 
 class TestPartialPerClass:
@@ -223,8 +252,8 @@ class TestBlockAssembly:
 class TestCoordinateScales:
     """Zero-relaxation values of every entry point against vertex enumeration
     of the balanced LP, with coordinates scaled by 1e-6, 1 and 1e6 and a
-    relative tolerance.  Uniform weights take the assignment backend and
-    dyadic weights HiGHS."""
+    relative tolerance, on uniform weights and on dyadic weights with a
+    zero-weight source atom."""
 
     REL_TOL = 1e-9
 
@@ -232,11 +261,11 @@ class TestCoordinateScales:
         assert abs(value - brute) <= self.REL_TOL * brute, (value, brute)
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
-    @pytest.mark.parametrize("backend", ["assignment", "highs"])
-    def test_wasserstein_and_global(self, rng, scale, backend):
+    @pytest.mark.parametrize("weights", ["uniform", "dyadic"])
+    def test_wasserstein_and_global(self, rng, scale, weights):
         for _ in range(6):
             n_t, n_s = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-            if backend == "assignment":
+            if weights == "uniform":
                 w_t, w_s = np.full(n_t, 1 / n_t), np.full(n_s, 1 / n_s)
             else:
                 w_t = dyadic_weights(rng, n_t, normalize=True)
@@ -246,8 +275,6 @@ class TestCoordinateScales:
             t = DiscreteMeasure(scale * random_points(rng, n_t), w_t)
             s = DiscreteMeasure(scale * random_points(rng, n_s), w_s)
             cost = cost_matrix(t.points, s.points)
-            (sol, _, _), = _solve_blocks(t, [s.weights], [cost], np.ones(1))
-            assert sol.backend == backend
             brute = brute_force_transport_value(cost.entries, w_t, w_s)
             self.assert_close(wasserstein1(t, s, cost)[0], brute)
             self.assert_close(partial_ot_global(t, s, cost, 0.0)[0], brute)

@@ -18,6 +18,7 @@ from imdot.ot import (
     _assemble_blocks,
     _column_generation,
     _solve_blocks,
+    _verify_plans,
     partial_ot_beta_split,
     partial_ot_beta_split_path,
 )
@@ -39,9 +40,11 @@ def points(rng, n, kind, pool):
     return pool[rng.integers(0, len(pool), n)]
 
 
-def weights(rng, n, zero_atom):
+def weights(rng, n, kind):
+    if kind == "uniform":
+        return np.full(n, 1.0 / n)
     w = dyadic_weights(rng, n)
-    if zero_atom and n > 1:
+    if kind == "zero_atom" and n > 1:
         w[int(rng.integers(n))] = 0.0
     return w / w.sum()
 
@@ -50,14 +53,15 @@ def weights(rng, n, zero_atom):
 def problems(draw):
     """``(target, cond_weights, costs, cap_scale, budget)``: continuous,
     lattice (cost ties) or duplicate atoms, ``n_t != n_s``, an empty class,
-    a zero-weight atom, in global (one block), per-class or split mode."""
+    dyadic weights, a zero-weight atom or uniform ``1/n`` weights, in global
+    (one block), per-class or split mode."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["continuous", "lattice", "duplicates"]))
     mode = draw(st.sampled_from(["global", "per_class", "split"]))
-    zero_atom = draw(st.booleans())
+    weight_kind = draw(st.sampled_from(["dyadic", "zero_atom", "uniform"]))
     pool = rng.uniform(-2, 2, (3, 2))
     n_t = draw(st.integers(1, 8))
-    target = DiscreteMeasure(points(rng, n_t, kind, pool), weights(rng, n_t, zero_atom))
+    target = DiscreteMeasure(points(rng, n_t, kind, pool), weights(rng, n_t, weight_kind))
     if mode == "global":
         sizes = [draw(st.integers(1, 8))]
     else:
@@ -65,7 +69,7 @@ def problems(draw):
         if not any(sizes):
             sizes[0] = 1
     conds = [points(rng, n, kind, pool) for n in sizes]
-    cond_weights = [weights(rng, n, zero_atom) if n else np.empty(0) for n in sizes]
+    cond_weights = [weights(rng, n, weight_kind) if n else np.empty(0) for n in sizes]
     p = dyadic_weights(rng, len(sizes)) * (np.array(sizes) > 0)
     p /= p.sum()
     costs = [cost_matrix(target.points, c) for c in conds]
@@ -100,20 +104,37 @@ def test_balanced_transport_matches_vertex_enumeration(rng):
     for kind in ("continuous", "lattice", "duplicates"):
         pool = rng.uniform(-2, 2, (2, 2))
         for n_t, n_s in ((1, 3), (2, 3), (3, 2), (3, 3)):
-            target = DiscreteMeasure(points(rng, n_t, kind, pool), weights(rng, n_t, False))
-            w = weights(rng, n_s, True)
+            target = DiscreteMeasure(points(rng, n_t, kind, pool),
+                                     weights(rng, n_t, "dyadic"))
+            w = weights(rng, n_s, "zero_atom")
             cost = cost_matrix(target.points, points(rng, n_s, kind, pool))
             (sol,) = _column_generation(target, [w], [cost], np.ones((1, 1)), None)
             brute = brute_force_transport_value(cost.entries, target.weights, w)
             assert abs(sol.value - brute) <= 1e-9 * (1.0 + brute), (kind, sol.value, brute)
 
 
+def test_lattice_ties_match_the_dense_lp():
+    # Uniform weights on a scaled lattice: many tied costs, so many optimal
+    # plans, and cycles of zero cost that sum to about -1e-16 in floating
+    # point.
+    rng = np.random.default_rng(243)
+    for _ in range(30):
+        n_t, n_s = rng.integers(5, 25, 2)
+        target = DiscreteMeasure(rng.integers(0, 4, (n_t, 2)) * 3.7,
+                                 weights(rng, n_t, "uniform"))
+        w = weights(rng, n_s, "uniform")
+        cost = cost_matrix(target.points, rng.integers(0, 4, (n_s, 2)) * 3.7)
+        ((sol, _, _),) = _solve_blocks(target, [w], [cost], np.ones(1))
+        reference = dense(target, [w], [cost], np.ones(1), None)
+        assert close(sol.value, reference.value), (sol.value, reference.value)
+
+
 def split_instance(rng, n_t=40, sizes=(25, 0, 30)):
     """``(target, conditionals, costs, p)`` with an empty middle class and
     zero-weight atoms."""
-    target = DiscreteMeasure(rng.uniform(-2, 2, (n_t, 2)), weights(rng, n_t, True))
+    target = DiscreteMeasure(rng.uniform(-2, 2, (n_t, 2)), weights(rng, n_t, "zero_atom"))
     conds = [DiscreteMeasure(rng.uniform(-2, 2, (n, 2)) + 0.5 * k,
-                             weights(rng, n, True) if n else np.empty(0))
+                             weights(rng, n, "zero_atom") if n else np.empty(0))
              for k, n in enumerate(sizes)]
     costs = [cost_matrix(target.points, c.points) for c in conds]
     return target, conds, costs, np.array([0.5, 0.0, 0.5])
@@ -149,8 +170,8 @@ class TestGridWalk:
         assert all(sol.columns < reference.columns for sol in down)
 
     def test_global_capacities_walked_on_one_model(self, rng):
-        target = DiscreteMeasure(rng.uniform(-2, 2, (30, 2)), weights(rng, 30, False))
-        source_w = weights(rng, 35, True)
+        target = DiscreteMeasure(rng.uniform(-2, 2, (30, 2)), weights(rng, 30, "dyadic"))
+        source_w = weights(rng, 35, "zero_atom")
         cost = cost_matrix(target.points, rng.uniform(-2, 2, (35, 2)))
         scales = 1.0 + np.array([[0.0], [0.3], [1.49], [3.0]])
         walked = _column_generation(target, [source_w], [cost], scales, None)
@@ -166,6 +187,7 @@ class TestGridWalk:
             one = partial_ot_beta_split(target, conds, p, budget, costs)
             assert close(plan_set.objective, one.objective)
             assert plan_set.beta.sum() == pytest.approx(budget, abs=1e-8)
+        assert partial_ot_beta_split_path(target, conds, p, [], costs) == []
 
     def test_negative_budget_in_the_grid(self, rng):
         target, conds, costs, p = split_instance(rng, n_t=5, sizes=(2, 0, 3))
@@ -235,6 +257,31 @@ class TestCertificate:
         with pytest.raises(LpError, match="feasibility"):
             certify(lp, broken, row_dual)
 
+    def test_nan_in_the_plan(self, monkeypatch, rng):
+        lp, x, row_dual = self.captured(monkeypatch, rng)
+        broken = x.copy()
+        broken[np.flatnonzero(broken > 1e-6)[0]] = np.nan
+        with pytest.raises(LpError, match="feasibility"):
+            certify(lp, broken, row_dual)
+
+    def test_nan_in_a_row_dual(self, monkeypatch, rng):
+        lp, x, row_dual = self.captured(monkeypatch, rng)
+        for i in (0, len(row_dual) - 1):   # a target row and the budget row
+            duals = row_dual.copy()
+            duals[i] = np.nan
+            with pytest.raises(LpError):
+                certify(lp, x, duals)
+
+    def test_nan_in_a_verified_plan(self):
+        target = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
+        plan, capacity = np.diag([0.5, 0.5]), np.array([0.5, 0.5])
+        _verify_plans(target, [capacity], [1.0], [plan])
+        for entry in ((0, 0), (0, 1)):
+            broken = plan.copy()
+            broken[entry] = np.nan
+            with pytest.raises(LpError):
+                _verify_plans(target, [capacity], [1.0], [broken])
+
 
 class TestObservability:
     def test_residual_and_gap_within_their_bounds_on_both_paths(self, rng):
@@ -248,15 +295,6 @@ class TestObservability:
             assert 0.0 <= sol.gap <= GAP_TOL * (1.0 + abs(sol.value))
         assert (dense_sol.rounds, dense_sol.columns) == (1, lp.n_vars)
         assert colgen.rounds >= 1 and colgen.columns < lp.n_vars
-
-    def test_assignment_reports_no_rounds(self, rng):
-        n = 6
-        target = DiscreteMeasure(rng.uniform(-2, 2, (n, 2)), np.full(n, 1 / n))
-        cost = cost_matrix(target.points, rng.uniform(-2, 2, (n, 2)))
-        ((sol, _, _),) = _solve_blocks(target, [np.full(n, 1 / n)], [cost], np.ones(1))
-        assert sol.backend == "assignment"
-        assert (sol.rounds, sol.columns) == (0, 0)
-        assert sol.residual <= FEASIBILITY_TOL and sol.gap <= GAP_TOL * (1 + sol.value)
 
 
 def test_infeasible_capacity_is_reported():
