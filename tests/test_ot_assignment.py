@@ -1,24 +1,19 @@
-"""The assignment backend of global-mode transport against HiGHS.
+"""Assignment-shaped global transport against HiGHS.
 
-Global-mode problems with uniform weights and a small-denominator ``beta``
-are solved by replicated assignment and certified from the plan's residual
-graph; everything else goes through column generation on HiGHS.  The dense
-LP over every arc, solved by ``lp.solve``, is the reference here.
+Global-mode problems with uniform ``1/n`` weights are assignment problems
+with replicated atoms.  They go through the same column generation as every
+other transport problem and are certified by ``lp.certify`` on every arc;
+the dense LP over every arc, solved by ``lp.solve``, is the reference here.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imdot.lp import LpError, solve
+import imdot.ot
+from imdot.lp import LpError, certify, solve
 from imdot.measures import DiscreteMeasure, cost_matrix
-from imdot.ot import (
-    _assemble_blocks,
-    _certify_transport,
-    _replication,
-    _solve_blocks,
-    partial_ot_global,
-)
+from imdot.ot import _assemble_blocks, _solve_blocks
 
 BETAS = (0.0, 1 / 3, 0.25, 0.75, 1.0, 3.0)
 
@@ -29,11 +24,13 @@ def uniform(points):
 
 
 def solve_both(target, source, beta):
+    """``(cost, column generation, dense LP)`` of the global problem with
+    capacity ``(1 + beta) * source.weights``."""
     cost = cost_matrix(target.points, source.points)
     scale = np.array([1.0 + beta])
-    fast, = _solve_blocks(target, [source.weights], [cost], scale)
+    ((colgen, plans, _),) = _solve_blocks(target, [source.weights], [cost], scale)
     highs = solve(_assemble_blocks(target, [source.weights], [cost], scale))
-    return cost.entries, fast, (highs, [highs.x.reshape(cost.entries.shape)], None)
+    return cost.entries, (colgen, plans[0]), (highs, highs.x.reshape(cost.entries.shape))
 
 
 @st.composite
@@ -59,77 +56,40 @@ def instances(draw):
 @given(instances())
 def test_assignment_matches_highs(instance):
     target, source, beta = instance
-    cost, (fast, fast_plans, _), (highs, highs_plans, _) = solve_both(
-        target, source, beta)
-    assert fast.backend == "assignment" and highs.backend == "highs"
-    assert abs(fast.value - highs.value) <= 1e-9 * (1.0 + abs(highs.value))
+    cost, (colgen, plan), (highs, highs_plan) = solve_both(target, source, beta)
+    assert colgen.status == highs.status == "optimal"
+    assert abs(colgen.value - highs.value) <= 1e-9 * (1.0 + abs(highs.value))
     capacity = (1.0 + beta) * source.weights
-    for plan in (fast_plans[0], highs_plans[0]):
-        _certify_transport(cost, target.weights, capacity, plan)
-
-
-def test_rounding_on_lattice_ties_is_not_a_negative_cycle():
-    # Cycles of zero cost on a lattice sum to about -1e-16 in floating point;
-    # without the certificate's arc lift some of these plans were rejected.
-    rng = np.random.default_rng(243)
-    for _ in range(30):
-        n_t, n_s = rng.integers(5, 25, 2)
-        target = uniform(rng.integers(0, 4, (n_t, 2)) * 3.7)
-        source = uniform(rng.integers(0, 4, (n_s, 2)) * 3.7)
-        cost, (fast, _, _), (_, highs_plans, _) = solve_both(target, source, 0.0)
-        assert fast.backend == "assignment"
-        _certify_transport(cost, target.weights, source.weights, highs_plans[0])
-
-
-def test_public_global_takes_assignment_and_agrees(rng):
-    target = uniform(rng.uniform(-2, 2, (9, 2)))
-    source = uniform(rng.uniform(-2, 2, (12, 2)))
-    cost, (fast, _, _), (highs, _, _) = solve_both(target, source, 0.5)
-    value, plan = partial_ot_global(target, source, cost_matrix(
-        target.points, source.points), 0.5)
-    assert fast.backend == "assignment"
-    assert value == fast.value
-    assert value == pytest.approx(highs.value, abs=1e-12)
-    assert np.max(plan.sum(axis=0)) <= 1.5 / 12 + 1e-15
-
-
-class TestFallback:
-    def test_non_uniform_weights(self, rng):
-        pts = rng.uniform(-2, 2, (5, 2))
-        target = uniform(pts)
-        source = DiscreteMeasure(pts, [0.1, 0.2, 0.3, 0.2, 0.2])
-        _, (fast, _, _), _ = solve_both(target, source, 0.5)
-        assert fast.backend == "highs"
-
-    def test_beta_without_small_fraction(self, rng):
-        target, source = uniform(rng.uniform(-2, 2, (5, 2))), uniform(
-            rng.uniform(-2, 2, (4, 2)))
-        _, (fast, _, _), (highs, _, _) = solve_both(target, source, 1.49)
-        assert fast.backend == "highs"
-        assert fast.value == highs.value
-
-    def test_entry_cap(self, rng):
-        # beta = 3/64 replicates targets 64 and sources 67 times: n = 30 is
-        # 3.86e6 entries, n = 31 is 4.12e6, above the cap.
-        scale = 1.0 + 3 / 64
-        assert _replication(np.full(30, 1 / 30), np.full(30, 1 / 30), scale) == (64, 67)
-        assert _replication(np.full(31, 1 / 31), np.full(31, 1 / 31), scale) is None
-        target = uniform(rng.uniform(-2, 2, (31, 2)))
-        source = uniform(rng.uniform(-2, 2, (31, 2)))
-        _, (fast, _, _), _ = solve_both(target, source, 3 / 64)
-        assert fast.backend == "highs"
+    for p in (plan, highs_plan):
+        assert np.allclose(p.sum(axis=1), target.weights, atol=1e-12)
+        assert np.all(p.sum(axis=0) <= capacity + 1e-12)
+        assert float(np.sum(cost * p)) == pytest.approx(highs.value, abs=1e-9)
 
 
 class TestCertificate:
-    def instance(self, rng):
+    def instance(self, monkeypatch, rng):
+        """``(lp, x, row_dual)`` that ``lp.certify`` accepted for an 8x8
+        uniform problem at ``beta = 0.5``."""
+        seen = []
+
+        def capture(lp, x, row_dual):
+            seen.append((lp, x, row_dual))
+            return certify(lp, x, row_dual)
+
+        monkeypatch.setattr(imdot.ot, "certify", capture)
         target = uniform(rng.uniform(-2, 2, (8, 2)))
         source = uniform(rng.uniform(-2, 2, (8, 2)))
-        cost, (fast, plans, _), _ = solve_both(target, source, 0.5)
-        assert fast.backend == "assignment"
-        return cost, target.weights, 1.5 * source.weights, plans[0]
+        solve_both(target, source, 0.5)
+        monkeypatch.undo()
+        (found,) = seen
+        return found
 
-    def test_swapped_rows_are_not_optimal(self, rng):
-        cost, demand, capacity, plan = self.instance(rng)
+    def test_swapped_rows_are_not_optimal(self, monkeypatch, rng):
+        # Swapping two target rows keeps both marginals of a uniform plan,
+        # so only the duality gap can reject the swapped plan.
+        lp, x, row_dual = self.instance(monkeypatch, rng)
+        plan = x.reshape(8, 8)
+        cost = lp.c.reshape(8, 8)
         best = float(np.sum(cost * plan))
         for i, j in ((i, j) for i in range(len(plan)) for j in range(i)):
             swapped = plan.copy()
@@ -138,13 +98,13 @@ class TestCertificate:
                 break
         else:
             pytest.fail("no suboptimal row swap found")
-        _certify_transport(cost, demand, capacity, plan)
-        with pytest.raises(LpError, match="negative cycle"):
-            _certify_transport(cost, demand, capacity, swapped)
+        certify(lp, x, row_dual)
+        with pytest.raises(LpError, match="duality gap"):
+            certify(lp, swapped.ravel(), row_dual)
 
-    def test_broken_marginal(self, rng):
-        cost, demand, capacity, plan = self.instance(rng)
-        broken = plan.copy()
+    def test_broken_marginal(self, monkeypatch, rng):
+        lp, x, row_dual = self.instance(monkeypatch, rng)
+        broken = x.reshape(8, 8).copy()
         broken[0] *= 0.5
         with pytest.raises(LpError, match="feasibility"):
-            _certify_transport(cost, demand, capacity, broken)
+            certify(lp, broken.ravel(), row_dual)

@@ -296,6 +296,17 @@ class TestObservability:
         assert (dense_sol.rounds, dense_sol.columns) == (1, lp.n_vars)
         assert colgen.rounds >= 1 and colgen.columns < lp.n_vars
 
+    def test_small_assignment_takes_one_round_on_every_arc(self, rng):
+        # With no more sources than NEAREST_ARCS the initial support is every
+        # arc, so the first run is already optimal on the full problem.
+        n = 6
+        target = DiscreteMeasure(rng.uniform(-2, 2, (n, 2)), np.full(n, 1 / n))
+        cost = cost_matrix(target.points, rng.uniform(-2, 2, (n, 2)))
+        ((sol, _, _),) = _solve_blocks(target, [np.full(n, 1 / n)], [cost], np.ones(1))
+        assert n <= imdot.ot.NEAREST_ARCS
+        assert (sol.rounds, sol.columns) == (1, n * n)
+        assert sol.residual <= FEASIBILITY_TOL and sol.gap <= GAP_TOL * (1 + sol.value)
+
 
 def test_infeasible_capacity_is_reported():
     # Capacity 0.5 against a unit target: infeasible on every support.
