@@ -133,6 +133,17 @@ def _beta(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """A positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _beta_list(text: str) -> list:
     """A comma-separated list of finite, nonnegative floats."""
     return [_beta(v) for v in text.split(",")]
@@ -385,10 +396,11 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     _add_toy_flags(sweep)
     sweep.add_argument("--beta-grid", type=_beta_list,
                        default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
-    sweep.add_argument("--draws", type=int, default=50)
+    sweep.add_argument("--draws", type=_positive_int, default=50)
     sweep.add_argument("--mode", choices=["both", "global", "per_class_split"],
                        default="both")
-    sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    sweep.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
+                       help="worker processes, at most one per draw")
     sweep.add_argument("--timings", action="store_true",
                        help="record wall-clock per solve (breaks byte-identical reruns)")
     sweep.add_argument("--out", default="out")

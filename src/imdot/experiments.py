@@ -199,19 +199,23 @@ def run_sweep(config: ToyConfig, beta_grid, draws: int,
 
     Each draw generates one source/target pair and solves every requested
     mode at every ``beta`` on that same pair.  Draws are independent and run
-    in parallel when ``jobs > 1``; records are gathered in draw order so the
-    result is identical either way.
+    in parallel on ``min(jobs, draws)`` worker processes when that is more
+    than one; records are gathered in draw order so the result is identical
+    either way.
     """
     if draws < 1:
         raise ValueError("need at least one draw")
+    if jobs < 1:
+        raise ValueError("need at least one job")
     if mode not in ("both", MODE_GLOBAL, MODE_SPLIT):
         raise ValueError(f"unknown mode {mode!r}")
     modes = (MODE_GLOBAL, MODE_SPLIT) if mode == "both" else (mode,)
     beta_grid = tuple(float(b) for b in beta_grid)
     seeds = draw_seeds(config.seed, draws)
     tasks = [(d, seeds[d], config, beta_grid, modes) for d in range(draws)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, draws)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_draw, tasks))
     else:
         outcomes = [_run_draw(t) for t in tasks]

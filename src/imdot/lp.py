@@ -5,7 +5,11 @@ relations in ``{<=, =, >=}`` and per-variable bounds (default ``x >= 0``).
 :func:`solve` hands a whole problem to HiGHS through
 :func:`scipy.optimize.linprog`; :class:`HighsModel` keeps one HiGHS model
 warm while columns are added and row bounds change, for the column
-generation of :mod:`imdot.ot`.  Every optimal solution is re-certified here
+generation of :mod:`imdot.ot`, and restarts each run with the simplex that
+the warm basis admits: primal simplex when only columns were added since
+the last run (the basis stays primal feasible), dual simplex when row bounds
+changed or the model is new (the basis stays dual feasible).  Every optimal
+solution is re-certified here
 (primal feasibility and duality gap, and with :func:`certify` dual
 feasibility on every column) so a numerically broken solve raises instead
 of returning a silently wrong answer.  The tolerances named here are the
@@ -59,7 +63,7 @@ class LpError(RuntimeError):
 
 def _as_matrix(A, n_rows, n_cols):
     if sp.issparse(A):
-        A = A.tocsr()
+        A = A if A.format in ("csr", "csc") else A.tocsr()
     else:
         A = np.asarray(A, dtype=float)
         if A.ndim != 2:
@@ -73,9 +77,10 @@ def _as_matrix(A, n_rows, n_cols):
 class LinearProgram:
     """``minimize c @ x  s.t.  A x (<=|=|>=) b,  lower <= x <= upper``.
 
-    ``A`` may be dense or ``scipy.sparse``; the transport problems built by
-    :mod:`imdot.ot` use sparse matrices since their constraint matrices are
-    two-nonzeros-per-column incidence structures.
+    ``A`` may be dense or ``scipy.sparse``; a CSR or CSC matrix is kept in
+    its format, any other sparse format becomes CSR.  The transport problems
+    built by :mod:`imdot.ot` are CSC, since their constraint matrices are
+    two-nonzeros-per-column incidence structures read a column at a time.
     """
 
     c: np.ndarray
@@ -287,14 +292,23 @@ def certify(lp: LinearProgram, x: np.ndarray, row_dual: np.ndarray):
     return residual, gap
 
 
+#: HiGHS ``simplex_strategy`` values: dual and primal simplex.
+DUAL_SIMPLEX = 1
+PRIMAL_SIMPLEX = 4
+
+
 class HighsModel:
     """One HiGHS model kept warm between runs.
 
     Rows are fixed when the model is made; columns are added in batches and
     row bounds changed between runs, and each run starts from the last
-    basis.  Status, primal values, row duals and iteration counts are read
-    back after each run; certifying them is the caller's job
-    (:func:`certify`).
+    basis.  The model records what changed since its last run and picks the
+    simplex that basis admits.  Added columns leave it primal feasible, so a
+    run after :meth:`add_columns` alone takes primal simplex.  New row bounds
+    leave it dual feasible, so a run after :meth:`set_row_bounds`, or the
+    first run of a new model, takes dual simplex.  Status, primal values,
+    row duals and iteration counts are read back after each run; certifying
+    them is the caller's job (:func:`certify`).
     """
 
     def __init__(self, row_lower, row_upper):
@@ -310,6 +324,7 @@ class HighsModel:
         self._highs.addRows(n, self._lower, self._upper, 0, np.zeros(n, np.int32),
                             np.zeros(0, np.int32), np.zeros(0))
         self.n_cols = 0
+        self._rows_changed = True
 
     def add_columns(self, cost, A) -> None:
         """Add columns ``x >= 0`` with objective ``cost`` and entries ``A``
@@ -328,9 +343,13 @@ class HighsModel:
         for i, lo, up in zip(rows, lower, upper):
             self._highs.changeRowBounds(int(i), float(lo), float(up))
             self._lower[i], self._upper[i] = lo, up
+            self._rows_changed = True
 
     def run(self):
         """``(status, x, row_dual, iterations)``; status as in LpSolution."""
+        self._highs.setOptionValue(
+            "simplex_strategy", DUAL_SIMPLEX if self._rows_changed else PRIMAL_SIMPLEX)
+        self._rows_changed = False
         self._highs.run()
         status = self._highs.getModelStatus()
         if status == HighsModelStatus.kModelEmpty:

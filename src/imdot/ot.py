@@ -27,7 +27,10 @@ and adds up to ``ARCS_PER_ROW`` per target row, until none is below
 :func:`imdot.lp.certify` on the full problem, every arc included, so no
 value is approximate.  Several capacities or budgets, such as the global
 relaxation's or a split's grid, are walked from the largest down on the
-same model, changing only right-hand sides.
+same model, changing only right-hand sides.  Each run restarts with the
+simplex its warm basis admits: primal simplex after a pricing round added
+arcs (the basis stays primal feasible), dual simplex after the next entry's
+right-hand sides (the basis stays dual feasible) and on the first run.
 """
 
 from __future__ import annotations
@@ -196,29 +199,37 @@ def _assemble_blocks(target: DiscreteMeasure,
     Variables are the per-class plan entries (row-major inside each class
     block), then with a ``budget`` one capacity variable ``beta_k`` per
     class.  Rows are the target marginals (equalities), the class
-    capacities and with a ``budget`` the budget row.
+    capacities and with a ``budget`` the budget row.  The constraint matrix
+    is CSC, built from the index arithmetic of the blocks, with no stored
+    zero.
     """
     n_t = target.n_atoms
-    plan_rows = sp.hstack([sp.kron(sp.eye(n_t), np.ones((1, len(w))))
-                           for w in cond_weights])
-    cap_rows = sp.block_diag([sp.kron(np.ones((1, n_t)), sp.eye(len(w)))
-                              for w in cond_weights])
+    widths = np.array([len(w) for w in cond_weights], dtype=int)
+    starts = np.cumsum(widths) - widths
+    n_src = int(widths.sum())
+    # Arc (i, j) of class k: a 1 in target row i and in capacity row
+    # n_t + starts[k] + j, in the column order of the concatenated blocks.
+    cls = np.repeat(np.arange(len(widths)), n_t * widths)
+    target_row, j = np.divmod(np.arange(n_t * n_src) - n_t * starts[cls], widths[cls])
+    rows = [np.column_stack([target_row, n_t + starts[cls] + j]).ravel()]
+    data = [np.ones(2 * n_t * n_src)]
+    counts = [np.full(n_t * n_src, 2)]
     c = np.concatenate([cost.entries.ravel() for cost in costs])
     b = _block_rhs(target, cond_weights, cap_scale, budget)
     relations = ["="] * n_t + ["<="] * (len(b) - n_t)
-    if budget is None:
-        A = sp.vstack([plan_rows, cap_rows])
-    else:
-        n_classes = len(cond_weights)
-        A = sp.bmat([
-            [plan_rows, None],
-            [cap_rows, sp.block_diag([-np.reshape(w, (-1, 1)) for w in cond_weights])],
-            [None, np.ones((1, n_classes))],
-        ])
-        c = np.concatenate([c, np.zeros(n_classes)])
+    if budget is not None:
+        # Column beta_k: -w_j in each capacity row of class k where w_j != 0,
+        # and 1 in the budget row.
+        for start, w in zip(starts, cond_weights):
+            held = np.flatnonzero(w)
+            rows.append(np.append(n_t + start + held, n_t + n_src))
+            data.append(np.append(-w[held], 1.0))
+            counts.append([len(held) + 1])
+        c = np.concatenate([c, np.zeros(len(widths))])
         relations[-1] = "="
-    A = A.tocsr()
-    A.eliminate_zeros()
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    A = sp.csc_matrix((np.concatenate(data), np.concatenate(rows), indptr),
+                      shape=(len(b), len(c)))
     return LinearProgram(c, A, relations, b)
 
 
@@ -277,18 +288,17 @@ def _column_generation(target: DiscreteMeasure,
                        cond_weights: Sequence[np.ndarray],
                        costs: Sequence[CostMatrix],
                        cap_scales: np.ndarray,
-                       budgets,
-                       order=None) -> list:
+                       budgets) -> list:
     """Exact column generation on one warm HiGHS model; one LpSolution per
     entry of :func:`_solve_blocks`, each certified on the full problem.
 
     The model holds every row of :func:`_assemble_blocks`, the ``beta``
     columns and a growing subset of its arc columns, starting from
     :func:`_initial_arcs` at the smallest capacities, which keeps it
-    feasible at every entry.  Entries are solved in ``order``, by default
-    from the largest capacity down, changing only right-hand sides in
-    between.  After each run the reduced costs ``C - u - y`` of all arcs are
-    priced and :func:`_priced_arcs` added, until none falls below
+    feasible at every entry.  Entries are solved from the largest capacity
+    down, changing only right-hand sides in between.  After each run the
+    reduced costs ``C - u - y`` of all arcs are priced and
+    :func:`_priced_arcs` added, until none falls below
     ``-dual_tolerance(c)``: the bound :func:`lp.certify` then checks on
     every column of the full problem.  That bound is never tighter than
     HiGHS's own ``HIGHS_TOL``; a tighter one keeps adding arcs that HiGHS
@@ -306,16 +316,14 @@ def _column_generation(target: DiscreteMeasure,
                for e, scale in enumerate(cap_scales)]
     lp = _assemble_blocks(target, cond_weights, costs, *entries[0])
     rhs = [_block_rhs(target, cond_weights, *entry) for entry in entries]
-    if order is None:
-        order = sorted(range(len(rhs)), key=lambda e: -float(rhs[e][n_t:].sum()))
-    columns = lp.A.tocsc()
+    order = sorted(range(len(rhs)), key=lambda e: -float(rhs[e][n_t:].sum()))
     tol = dual_tolerance(lp.c)
     equality = np.asarray(lp.relations) == "="
 
     current = rhs[order[0]]
     model = HighsModel(np.where(equality, current, -np.inf), current)
     model_columns = list(range(offsets[-1], lp.n_vars))   # the beta columns
-    model.add_columns(lp.c[model_columns], columns[:, model_columns])
+    model.add_columns(lp.c[model_columns], lp.A[:, model_columns])
     in_model = np.zeros((n_t, n_src), dtype=bool)
 
     def add(rows, cols):
@@ -323,7 +331,7 @@ def _column_generation(target: DiscreteMeasure,
         rows, cols = np.divmod(keys[~in_model.ravel()[keys]], n_src)
         in_model[rows, cols] = True
         index = arc_column[rows, cols]
-        model.add_columns(lp.c[index], columns[:, index])
+        model.add_columns(lp.c[index], lp.A[:, index])
         model_columns.extend(index.tolist())
 
     add(*_initial_arcs(cost, widths, target.weights,

@@ -117,6 +117,18 @@ def test_sweep_beta_grid_rejects_bad_lists(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_draws_and_jobs_are_checked_by_the_parser(tmp_path, capsys):
+    out = tmp_path / "w"
+    for flag, bad in (("--draws", 0), ("--draws", -1), ("--draws", "x"),
+                      ("--jobs", 0), ("--jobs", -3), ("--jobs", 1.5)):
+        counts = {"--draws": 1, "--jobs": 1, flag: bad}
+        code, err = usage_error(capsys, "sweep", "--k", 3, "--n", 36, "--beta-grid", "0",
+                                *(a for item in counts.items() for a in item),
+                                "--out", out)
+        assert code == 2 and f"argument {flag}" in err, (flag, bad)
+    assert not out.exists()
+
+
 def test_solve_perclass_beta_vec_is_checked_by_the_parser(tmp_path, capsys):
     out = tmp_path / "out"
     solve = ["solve", "--source", tmp_path / "s.csv", "--target", tmp_path / "t.csv",

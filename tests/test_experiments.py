@@ -3,6 +3,8 @@ import csv
 import numpy as np
 import pytest
 
+import imdot.experiments
+
 from imdot.datagen import ToyConfig, generate_pair, shared_atom_label_shift
 from imdot.experiments import (
     accuracy,
@@ -143,6 +145,30 @@ class TestRunSweep:
                                r.objective) for r in recs]
         assert strip(serial.records) == strip(parallel.records)
 
+    def test_workers_are_capped_by_the_draws(self, monkeypatch):
+        # A stand-in executor that records its size and starts no process.
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(imdot.experiments, "ProcessPoolExecutor", Recorder)
+        result = run_sweep(CFG, [0.5], draws=2, mode="global", jobs=5000)
+        assert sizes == [2]
+        assert [r.draw for r in result.records] == [0, 1]
+        run_sweep(CFG, [0.5], draws=1, mode="global", jobs=5000)
+        assert sizes == [2]   # one draw runs in this process
+
     def test_timings_are_optional_in_csv(self, tmp_path):
         result = run_sweep(CFG, [0.0], draws=1, mode="global")
         bare = tmp_path / "bare.csv"
@@ -162,3 +188,5 @@ class TestRunSweep:
             run_sweep(CFG, [0.0], draws=0)
         with pytest.raises(ValueError):
             run_sweep(CFG, [0.0], draws=1, mode="sideways")
+        with pytest.raises(ValueError, match="job"):
+            run_sweep(CFG, [0.0], draws=1, jobs=0)

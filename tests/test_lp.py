@@ -4,10 +4,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import imdot
 from imdot.checks import dyadic_weights
-from imdot.lp import LinearProgram, dual_of, dump_lp, solve
+from imdot.lp import (
+    DUAL_SIMPLEX,
+    PRIMAL_SIMPLEX,
+    HighsModel,
+    LinearProgram,
+    dual_of,
+    dump_lp,
+    solve,
+)
 
 
 def brute_force_transport_value(cost, t, s):
@@ -152,3 +161,30 @@ def test_only_the_lp_module_imports_the_private_highs_binding():
             if any(n == private or n.startswith(private + ".") for n in names):
                 importers.append(path.stem)
     assert importers == ["lp"]
+
+
+def test_warm_model_runs_the_simplex_its_basis_admits():
+    # Row 0: the columns meet a demand; row 1: the columns with a 1 there
+    # share a capacity of 2.
+    model = HighsModel([1.0, -np.inf], [1.0, 2.0])
+
+    def run():
+        status, x, _, _ = model.run()
+        return status, x, model._highs.getOptionValue("simplex_strategy")[1]
+
+    model.add_columns([3.0], sp.csc_matrix([[1.0], [0.0]]))
+    status, x, strategy = run()
+    assert (status, strategy) == ("optimal", DUAL_SIMPLEX)    # a new model
+    model.add_columns([1.0, 2.0], sp.csc_matrix([[1.0, 1.0], [1.0, 0.0]]))
+    status, x, strategy = run()
+    assert (status, strategy) == ("optimal", PRIMAL_SIMPLEX)  # columns only
+    assert np.allclose(x, [0.0, 1.0, 0.0])
+    model.set_row_bounds([0], [3.0], [3.0])
+    status, x, strategy = run()
+    assert (status, strategy) == ("optimal", DUAL_SIMPLEX)    # new bounds
+    assert np.allclose(x, [0.0, 2.0, 1.0])
+    model.add_columns([0.5], sp.csc_matrix([[1.0], [1.0]]))
+    model.set_row_bounds([0], [2.0], [2.0])
+    status, x, strategy = run()
+    assert (status, strategy) == ("optimal", DUAL_SIMPLEX)    # both changed
+    assert np.allclose(x, [0.0, 0.0, 0.0, 2.0])

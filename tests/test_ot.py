@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from imdot import checks
 from imdot.checks import dyadic_weights, random_points, random_transport_instance
@@ -247,6 +248,58 @@ class TestBlockAssembly:
         assert lp.relations == ("=",) * 2 + ("<=",) * 5 + ("=",)
         assert np.array_equal(lp.b, [0.5, 0.5, 0.125, 0.375, 0.25, 0.25, 0.0, 0.5])
         assert np.array_equal(lp.c, [0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 0, 0])
+
+
+    @staticmethod
+    def kron_reference(target, cond_weights, costs, cap_scale, budget):
+        """``(c, A, relations, b)`` assembled from sparse Kronecker products
+        and block matrices, with explicit zeros removed."""
+        n_t = target.n_atoms
+        plan_rows = sp.hstack([sp.kron(sp.eye(n_t), np.ones((1, len(w))))
+                               for w in cond_weights])
+        cap_rows = sp.block_diag([sp.kron(np.ones((1, n_t)), sp.eye(len(w)))
+                                  for w in cond_weights])
+        c = np.concatenate([cost.entries.ravel() for cost in costs])
+        b = np.concatenate([target.weights,
+                            *(s * w for s, w in zip(cap_scale, cond_weights))])
+        relations = ("=",) * n_t + ("<=",) * (len(b) - n_t)
+        if budget is None:
+            A = sp.vstack([plan_rows, cap_rows])
+        else:
+            n_classes = len(cond_weights)
+            A = sp.bmat([
+                [plan_rows, None],
+                [cap_rows, sp.block_diag([-np.reshape(w, (-1, 1)) for w in cond_weights])],
+                [None, np.ones((1, n_classes))],
+            ])
+            c = np.concatenate([c, np.zeros(n_classes)])
+            b = np.append(b, budget)
+            relations = relations + ("=",)
+        A = A.tocsr()
+        A.eliminate_zeros()
+        return c, A, relations, b
+
+    def test_matches_the_kron_reference_on_random_shapes(self, rng):
+        for _ in range(60):
+            n_t = int(rng.integers(1, 6))
+            sizes = rng.integers(0, 5, int(rng.integers(1, 5)))
+            target = DiscreteMeasure(rng.uniform(-1, 1, (n_t, 2)), dyadic_weights(rng, n_t))
+            cond_weights = [dyadic_weights(rng, n) if n else np.empty(0) for n in sizes]
+            for w in cond_weights:
+                w[rng.random(len(w)) < 0.3] = 0.0
+            costs = [cost_matrix(target.points, rng.uniform(-1, 1, (n, 2))) for n in sizes]
+            cap_scale = rng.uniform(0, 2, len(sizes))
+            for budget in (None, float(rng.uniform(0, 1))):
+                lp = _assemble_blocks(target, cond_weights, costs, cap_scale, budget)
+                c, A, relations, b = self.kron_reference(target, cond_weights, costs,
+                                                         cap_scale, budget)
+                assert np.array_equal(lp.c, c)
+                assert np.array_equal(lp.b, b)
+                assert lp.relations == relations
+                assert lp.A.shape == A.shape
+                assert (lp.A != A).nnz == 0
+                assert lp.A.nnz == A.nnz
+                assert lp.A.has_canonical_format
 
 
 class TestCoordinateScales:

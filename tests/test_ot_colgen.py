@@ -12,7 +12,17 @@ from hypothesis import given, settings, strategies as st
 
 import imdot.ot
 from imdot.checks import dyadic_weights
-from imdot.lp import FEASIBILITY_TOL, GAP_TOL, LinearProgram, LpError, certify, solve
+from imdot.lp import (
+    DUAL_SIMPLEX,
+    FEASIBILITY_TOL,
+    GAP_TOL,
+    PRIMAL_SIMPLEX,
+    HighsModel,
+    LinearProgram,
+    LpError,
+    certify,
+    solve,
+)
 from imdot.measures import DiscreteMeasure, cost_matrix
 from imdot.ot import (
     _assemble_blocks,
@@ -21,6 +31,7 @@ from imdot.ot import (
     _verify_plans,
     partial_ot_beta_split,
     partial_ot_beta_split_path,
+    partial_ot_global_path,
 )
 
 from test_lp import brute_force_transport_value
@@ -148,20 +159,19 @@ def split_blocks(rng, **sizes):
 class TestGridWalk:
     GRID = np.array([0.0, 0.1, 0.25, 0.4, 0.7, 1.0])
 
-    def walk(self, instance, order):
+    def walk(self, instance):
         target, cond_weights, costs, p = instance
         scales = np.tile(p, (len(self.GRID), 1))
-        return _column_generation(target, cond_weights, costs, scales, self.GRID, order)
+        return _column_generation(target, cond_weights, costs, scales, self.GRID)
 
-    def test_downward_upward_and_cold_agree(self, rng):
+    def test_downward_walk_and_cold_agree(self, rng):
         instance = split_blocks(rng)
-        down = self.walk(instance, None)
-        up = self.walk(instance, list(range(len(self.GRID))))
+        down = self.walk(instance)
         target, cond_weights, costs, p = instance
         for e, budget in enumerate(self.GRID):
             (cold,) = _column_generation(target, cond_weights, costs, p[None, :], [budget])
             reference = dense(target, cond_weights, costs, p, budget)
-            for sol in (down[e], up[e], cold):
+            for sol in (down[e], cold):
                 assert sol.status == "optimal"
                 assert close(sol.value, cold.value), (budget, sol.value, cold.value)
                 assert close(sol.value, reference.value)
@@ -188,6 +198,32 @@ class TestGridWalk:
             assert close(plan_set.objective, one.objective)
             assert plan_set.beta.sum() == pytest.approx(budget, abs=1e-8)
         assert partial_ot_beta_split_path(target, conds, p, [], costs) == []
+
+    def test_paths_match_the_dense_lp_under_both_simplex_methods(self, monkeypatch, rng):
+        strategies = []
+        run = HighsModel.run
+
+        def recorded(model):
+            result = run(model)
+            strategies.append(model._highs.getOptionValue("simplex_strategy")[1])
+            return result
+
+        monkeypatch.setattr(HighsModel, "run", recorded)
+        target, conds, costs, p = split_instance(rng)
+        path = partial_ot_beta_split_path(target, conds, p, self.GRID, costs)
+        for budget, plan_set in zip(self.GRID, path):
+            reference = dense(target, [c.weights for c in conds], costs, p, budget)
+            assert close(plan_set.objective, reference.value, rel=1e-9)
+        source = DiscreteMeasure(np.vstack([c.points for c in conds]),
+                                 np.concatenate([c.weights for c in conds]) / 2)
+        cost = cost_matrix(target.points, source.points)
+        path = partial_ot_global_path(target, source, cost, self.GRID)
+        for beta, (value, _) in zip(self.GRID, path):
+            reference = dense(target, [source.weights], [cost], np.array([1.0 + beta]), None)
+            assert close(value, reference.value, rel=1e-9)
+        # Dual simplex once per entry of each walk, primal after pricing rounds.
+        assert strategies.count(DUAL_SIMPLEX) == 2 * len(self.GRID)
+        assert PRIMAL_SIMPLEX in strategies
 
     def test_negative_budget_in_the_grid(self, rng):
         target, conds, costs, p = split_instance(rng, n_t=5, sizes=(2, 0, 3))
