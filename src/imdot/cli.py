@@ -121,13 +121,21 @@ def _flag_value(action: argparse.Action, value):
     return parsed
 
 
-def _beta(text: str) -> float:
-    """A finite, nonnegative float."""
+def _finite(text: str) -> float:
+    """A finite float."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(value) and value >= 0):
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _beta(text: str) -> float:
+    """A finite, nonnegative float."""
+    value = _finite(text)
+    if value < 0:
         raise argparse.ArgumentTypeError(
             f"expected a finite nonnegative number, got {text!r}")
     return value
@@ -351,14 +359,14 @@ def render_plan_svg(source_points, target_points, plan_set: TransportPlanSet,
 
 def _add_toy_flags(sub):
     sub.add_argument("--k", type=int, default=3, help="number of classes")
-    sub.add_argument("--eta", type=float, default=1.0,
+    sub.add_argument("--eta", type=_finite, default=1.0,
                      help="imbalance intensity of the source proportions")
-    sub.add_argument("--theta", type=float, default=0.0,
+    sub.add_argument("--theta", type=_finite, default=0.0,
                      help="target rotation angle in degrees")
     sub.add_argument("--n-source", "--n", type=int, default=300, dest="n_source")
     sub.add_argument("--n-target", type=int, default=0,
                      help="target sample size (defaults to the source size)")
-    sub.add_argument("--sigma", type=float, default=0.35,
+    sub.add_argument("--sigma", type=_finite, default=0.35,
                      help="per-class isotropic standard deviation")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--config", help="JSON file of flag defaults")

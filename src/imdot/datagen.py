@@ -52,6 +52,9 @@ class ToyConfig:
             raise ValueError("need at least two classes")
         if self.n_source < self.n_classes or self.n_target < self.n_classes:
             raise ValueError("sample sizes must be at least the class count")
+        for name in ("sigma", "eta", "theta_degrees"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.eta < 0:

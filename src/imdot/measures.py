@@ -278,8 +278,15 @@ def load_dataset(path, n_classes: int | None = None) -> LabeledDataset:
         for row in reader:
             if not row:
                 continue
-            points.append([float(v) for v in row[:dim]])
-            labels.append(int(row[dim]))
+            if len(row) != len(header):
+                raise ValueError(f"{path}, line {reader.line_num}: {len(row)} fields, "
+                                 f"the header has {len(header)}")
+            try:
+                points.append([float(v) for v in row[:dim]])
+                labels.append(int(row[dim]))
+            except ValueError:
+                raise ValueError(f"{path}, line {reader.line_num}: non-numeric field "
+                                 f"in {row!r}") from None
     labels = np.asarray(labels, dtype=int)
     if n_classes is None:
         n_classes = int(labels.max()) if len(labels) else 1

@@ -41,6 +41,19 @@ def test_solve_split_beta_zero_matches_global(tmp_path):
     assert v_split == pytest.approx(v_glob, abs=1e-8)
 
 
+def test_solve_reports_a_malformed_row(tmp_path, capsys):
+    gen_dir = tmp_path / "data"
+    assert run("gen", *GEN_FLAGS, "--out", gen_dir) == 0
+    source = gen_dir / "source.csv"
+    lines = source.read_text().splitlines()
+    source.write_text("\n".join(lines + ["1.0,2.0,1,9,9"]) + "\n")
+    assert run("solve", "--source", source, "--target", gen_dir / "target.csv",
+               "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solve failed: ")
+    assert f"source.csv, line {len(lines) + 1}: 5 fields, the header has 3" in err
+
+
 def test_solve_perclass_on_shared_atom_fixture(tmp_path):
     source_m, conds, target_m = shared_atom_label_shift(
         [[[0.0, 0.0]], [[1.0, 0.0]]], [0.8, 0.2], [0.5, 0.5])
@@ -114,6 +127,17 @@ def test_sweep_beta_grid_rejects_bad_lists(tmp_path, capsys):
         code, err = usage_error(capsys, "sweep", "--k", 3, "--n", 36, "--draws", 1,
                                 "--beta-grid", bad, "--jobs", 1, "--out", out)
         assert code == 2 and "--beta-grid" in err, bad
+    assert not out.exists()
+
+
+def test_toy_parameters_must_be_finite(tmp_path, capsys):
+    out = tmp_path / "w"
+    for command in (["gen"], ["sweep", "--draws", 1, "--beta-grid", "0", "--jobs", 1]):
+        for flag in ("--sigma", "--eta", "--theta"):
+            for bad in ("nan", "inf", "-inf", "x"):
+                code, err = usage_error(capsys, *command, "--k", 3, "--n", 36,
+                                        flag, bad, "--out", out)
+                assert code == 2 and f"argument {flag}" in err, (command, flag, bad)
     assert not out.exists()
 
 

@@ -110,6 +110,12 @@ class TestGeneratePair:
         with pytest.raises(ValueError):
             ToyConfig(eta=-0.5)
 
+    def test_non_finite_parameters_are_named(self):
+        for field in ("sigma", "eta", "theta_degrees"):
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match=f"{field} must be finite"):
+                    ToyConfig(**{field: bad})
+
     def test_draw_seeds_deterministic(self):
         assert np.array_equal(draw_seeds(7, 10), draw_seeds(7, 10))
         assert not np.array_equal(draw_seeds(7, 10), draw_seeds(8, 10))

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 import imdot
 from imdot.checks import dyadic_weights
 from imdot.lp import (
+    DEVEX_PRICING,
     DUAL_SIMPLEX,
     PRIMAL_SIMPLEX,
     HighsModel,
@@ -170,6 +171,9 @@ def test_warm_model_runs_the_simplex_its_basis_admits():
 
     def run():
         status, x, _, _ = model.run()
+        # Every run prices its dual simplex by Devex weights.
+        assert model._highs.getOptionValue(
+            "simplex_dual_edge_weight_strategy")[1] == DEVEX_PRICING
         return status, x, model._highs.getOptionValue("simplex_strategy")[1]
 
     model.add_columns([3.0], sp.csc_matrix([[1.0], [0.0]]))

@@ -179,3 +179,15 @@ class TestIo:
         back = load_dataset(path)
         assert np.array_equal(back.points, ds.points)
         assert np.array_equal(back.labels, ds.labels)
+
+    @pytest.mark.parametrize("row, cause", [
+        ("1.0,1", "2 fields, the header has 3"),
+        ("1.0,2.0,1,9,9", "5 fields, the header has 3"),
+        ("1.0,x,1", "non-numeric field"),
+        ("1.0,2.0,one", "non-numeric field"),
+    ])
+    def test_malformed_rows_name_the_file_and_line(self, tmp_path, row, cause):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,x2,label\n0.5,0.5,1\n\n{row}\n")
+        with pytest.raises(ValueError, match=f"bad.csv, line 4: {cause}"):
+            load_dataset(path)

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import imdot.ot
 from imdot.checks import dyadic_weights
 from imdot.lp import (
+    DEVEX_PRICING,
     DUAL_SIMPLEX,
     FEASIBILITY_TOL,
     GAP_TOL,
@@ -25,8 +26,11 @@ from imdot.lp import (
 )
 from imdot.measures import DiscreteMeasure, cost_matrix
 from imdot.ot import (
+    NEAREST_ARCS,
     _assemble_blocks,
     _column_generation,
+    _initial_arcs,
+    _north_west_corner,
     _solve_blocks,
     _verify_plans,
     partial_ot_beta_split,
@@ -156,6 +160,18 @@ def split_blocks(rng, **sizes):
     return target, [c.weights for c in conds], costs, p
 
 
+def test_initial_arcs_are_the_nearest_over_all_classes_and_the_corner(rng):
+    target, cond_weights, costs, p = split_blocks(rng, n_t=15, sizes=(6, 0, 9))
+    cost = np.hstack([c.entries for c in costs])
+    capacity = np.concatenate([s * w for s, w in zip(p, cond_weights)])
+    rows, cols = _initial_arcs(cost, target.weights, capacity)
+    m = min(NEAREST_ARCS, cost.shape[1])
+    nearest = {(i, j) for i in range(len(cost)) for j in np.argsort(cost[i])[:m]}
+    corner = set(zip(*_north_west_corner(target.weights, capacity)))
+    assert corner and not corner <= nearest
+    assert set(zip(rows, cols)) == nearest | corner
+
+
 class TestGridWalk:
     GRID = np.array([0.0, 0.1, 0.25, 0.4, 0.7, 1.0])
 
@@ -205,15 +221,26 @@ class TestGridWalk:
 
         def recorded(model):
             result = run(model)
-            strategies.append(model._highs.getOptionValue("simplex_strategy")[1])
+            option = model._highs.getOptionValue
+            assert option("simplex_dual_edge_weight_strategy")[1] == DEVEX_PRICING
+            strategies.append(option("simplex_strategy")[1])
             return result
 
         monkeypatch.setattr(HighsModel, "run", recorded)
         target, conds, costs, p = split_instance(rng)
-        path = partial_ot_beta_split_path(target, conds, p, self.GRID, costs)
-        for budget, plan_set in zip(self.GRID, path):
-            reference = dense(target, [c.weights for c in conds], costs, p, budget)
-            assert close(plan_set.objective, reference.value, rel=1e-9)
+        # The same classes with the last one moved far from every target:
+        # none of its arcs is among the nearest, so only the corner support
+        # and pricing bring them in.
+        far = [*conds[:-1], DiscreteMeasure(conds[-1].points + 50.0, conds[-1].weights)]
+        far_costs = [cost_matrix(target.points, c.points) for c in far]
+        cost = np.hstack([c.entries for c in far_costs])
+        assert np.all(np.sort(cost, axis=1)[:, NEAREST_ARCS - 1] < far_costs[-1].entries.min())
+        for classes, class_costs in ((conds, costs), (far, far_costs)):
+            path = partial_ot_beta_split_path(target, classes, p, self.GRID, class_costs)
+            for budget, plan_set in zip(self.GRID, path):
+                reference = dense(target, [c.weights for c in classes], class_costs,
+                                  p, budget)
+                assert close(plan_set.objective, reference.value, rel=1e-9)
         source = DiscreteMeasure(np.vstack([c.points for c in conds]),
                                  np.concatenate([c.weights for c in conds]) / 2)
         cost = cost_matrix(target.points, source.points)
@@ -222,7 +249,7 @@ class TestGridWalk:
             reference = dense(target, [source.weights], [cost], np.array([1.0 + beta]), None)
             assert close(value, reference.value, rel=1e-9)
         # Dual simplex once per entry of each walk, primal after pricing rounds.
-        assert strategies.count(DUAL_SIMPLEX) == 2 * len(self.GRID)
+        assert strategies.count(DUAL_SIMPLEX) == 3 * len(self.GRID)
         assert PRIMAL_SIMPLEX in strategies
 
     def test_negative_budget_in_the_grid(self, rng):
