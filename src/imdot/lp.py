@@ -3,9 +3,12 @@
 Problems are stated as ``minimize c @ x`` under row constraints with
 relations in ``{<=, =, >=}`` and per-variable bounds (default ``x >= 0``).
 :func:`solve` hands a whole problem to HiGHS through
-:func:`scipy.optimize.linprog`; :class:`HighsModel` keeps one HiGHS model
-warm while columns are added and row bounds change, for the column
-generation of :mod:`imdot.ot`, and restarts each run with the simplex that
+:func:`scipy.optimize.linprog`; a problem whose rows are all ``<=`` goes with
+its own matrix, no rows selected or copied.  :class:`HighsModel` keeps one
+HiGHS model warm for the column generation of :mod:`imdot.ot` while columns
+are added, as plain compressed-column arrays, and row bounds change.  Each
+change is checked against the status HiGHS returns, since HiGHS rejects a bad
+one without raising.  Each run restarts with the simplex that
 the warm basis admits: primal simplex when only columns were added since
 the last run (the basis stays primal feasible), dual simplex when row bounds
 changed or the model is new (the basis stays dual feasible).  Its dual
@@ -28,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 # The only import of scipy's private HiGHS binding; tested on scipy 1.17.1.
-from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 __all__ = [
     "LinearProgram",
@@ -149,6 +152,9 @@ class LpSolution:
 def _split_rows(lp: LinearProgram):
     rel = np.asarray(lp.relations)
     le = np.flatnonzero(rel == "<=")
+    if lp.n_rows and len(le) == lp.n_rows:
+        # Every row is already ``<=``: no row to select, negate or stack.
+        return lp.A, lp.b, None, None
     ge = np.flatnonzero(rel == ">=")
     eq = np.flatnonzero(rel == "=")
     stack = sp.vstack if sp.issparse(lp.A) else np.vstack
@@ -332,27 +338,37 @@ class HighsModel:
                               ("dual_feasibility_tolerance", HIGHS_TOL)):
             self._highs.setOptionValue(option, value)
         n = len(self._lower)
-        self._highs.addRows(n, self._lower, self._upper, 0, np.zeros(n, np.int32),
-                            np.zeros(0, np.int32), np.zeros(0))
+        self._check("addRows", self._highs.addRows(
+            n, self._lower, self._upper, 0, np.zeros(n, np.int32),
+            np.zeros(0, np.int32), np.zeros(0)))
         self.n_cols = 0
         self._rows_changed = True
 
-    def add_columns(self, cost, A) -> None:
-        """Add columns ``x >= 0`` with objective ``cost`` and entries ``A``
-        (sparse, one column per added variable, a row per model row)."""
-        A = sp.csc_matrix(A)
-        n = A.shape[1]
+    @staticmethod
+    def _check(call: str, status, row=None) -> None:
+        # HiGHS reports a rejected change (an out-of-range row index, say)
+        # by its return status alone and leaves the model as it was.
+        if status == HighsStatus.kError:
+            raise LpError(f"HiGHS {call} failed" + ("" if row is None else f" on row {row}"))
+
+    def add_columns(self, cost, starts, indices, values) -> None:
+        """Add columns ``x >= 0`` with objective ``cost``, their entries
+        given in compressed sparse column form: column ``k`` has
+        ``values[starts[k]:starts[k + 1]]`` in the rows
+        ``indices[starts[k]:starts[k + 1]]``."""
+        n = len(starts) - 1
         if n == 0:
             return
-        self._highs.addCols(n, np.asarray(cost, dtype=float), np.zeros(n),
-                            np.full(n, np.inf), A.nnz,
-                            A.indptr[:-1].astype(np.int32), A.indices.astype(np.int32),
-                            A.data.astype(float))
+        self._check("addCols", self._highs.addCols(
+            n, np.asarray(cost, dtype=float), np.zeros(n), np.full(n, np.inf),
+            int(starts[-1]), np.asarray(starts[:-1], dtype=np.int32),
+            np.asarray(indices, dtype=np.int32), np.asarray(values, dtype=float)))
         self.n_cols += n
 
     def set_row_bounds(self, rows, lower, upper) -> None:
         for i, lo, up in zip(rows, lower, upper):
-            self._highs.changeRowBounds(int(i), float(lo), float(up))
+            self._check("changeRowBounds",
+                        self._highs.changeRowBounds(int(i), float(lo), float(up)), i)
             self._lower[i], self._upper[i] = lo, up
             self._rows_changed = True
 

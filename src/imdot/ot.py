@@ -23,8 +23,13 @@ and a subset of its arc columns: first the ``NEAREST_ARCS`` cheapest arcs
 of each target over the whole source, whatever their class, and a
 north-west-corner support at the smallest capacities.  A class far from a
 target thus starts with no arc to it beyond that support; pricing adds the
-ones an optimum needs.  Each round prices all arcs exactly, ``C - u - y``,
-and adds up to ``ARCS_PER_ROW`` per target row, until none is below
+ones an optimum needs.  Columns go to HiGHS as compressed-column arrays:
+arc ``(i, j)`` of the concatenated source as two 1s, in target row ``i``
+and capacity row ``n_t + j``, and the ``beta`` columns of a split as the
+tail of the assembled matrix's arrays.  HiGHS thus receives exactly the
+assembled LP's columns, with no sparse matrix built or sliced per add.
+Each round prices all arcs exactly, ``C - u - y``, and adds up to
+``ARCS_PER_ROW`` per target row, until none is below
 ``-FEASIBILITY_TOL * (1 + max C)``.  The result is then certified by
 :func:`imdot.lp.certify` on the full problem, every arc included, so no
 value is approximate.  Several capacities or budgets, such as the global
@@ -326,16 +331,23 @@ def _column_generation(target: DiscreteMeasure,
     current = rhs[order[0]]
     model = HighsModel(np.where(equality, current, -np.inf), current)
     model_columns = list(range(offsets[-1], lp.n_vars))   # the beta columns
-    model.add_columns(lp.c[model_columns], lp.A[:, model_columns])
+    if budgets is not None:
+        # The beta columns follow the arcs: the tail of the assembled arrays.
+        first = lp.A.indptr[offsets[-1]]
+        model.add_columns(lp.c[offsets[-1]:], lp.A.indptr[offsets[-1]:] - first,
+                          lp.A.indices[first:], lp.A.data[first:])
     in_model = np.zeros((n_t, n_src), dtype=bool)
 
     def add(rows, cols):
+        # Arc (i, j) is a 1 in target row i and in capacity row n_t + j, as
+        # in _assemble_blocks.
         keys = np.unique(rows * n_src + cols)
         rows, cols = np.divmod(keys[~in_model.ravel()[keys]], n_src)
         in_model[rows, cols] = True
-        index = arc_column[rows, cols]
-        model.add_columns(lp.c[index], lp.A[:, index])
-        model_columns.extend(index.tolist())
+        model.add_columns(cost[rows, cols], np.arange(0, 2 * len(rows) + 1, 2),
+                          np.column_stack([rows, n_t + cols]).ravel(),
+                          np.ones(2 * len(rows)))
+        model_columns.extend(arc_column[rows, cols].tolist())
 
     add(*_initial_arcs(cost, target.weights,
                        np.concatenate([s * w for s, w in
@@ -509,6 +521,22 @@ def partial_ot_beta_split_path(target: DiscreteMeasure,
             for sol, plans, beta in results]
 
 
+def _difference_rows(n: int) -> tuple:
+    """``(i_idx, j_idx, A)``: one row ``f_i - f_j`` of the CSR matrix ``A``
+    per ordered pair ``i != j`` of ``n`` values, in row-major pair order.
+
+    Row ``r`` holds +1 in column ``i_idx[r]`` and -1 in column ``j_idx[r]``,
+    stored in column order, as ``eye[i_idx] - eye[j_idx]`` stores it."""
+    i_idx, j_idx = np.where(~np.eye(n, dtype=bool))
+    sign = np.where(i_idx < j_idx, 1.0, -1.0)
+    A = sp.csr_matrix((np.column_stack([sign, -sign]).ravel(),
+                       np.column_stack([np.minimum(i_idx, j_idx),
+                                        np.maximum(i_idx, j_idx)]).ravel(),
+                       np.arange(0, 2 * len(i_idx) + 1, 2)),
+                      shape=(len(i_idx), n))
+    return i_idx, j_idx, A
+
+
 def lipschitz_imd_dual(target: DiscreteMeasure, source: DiscreteMeasure,
                        zero_on_support: bool = False):
     """IMD of (target, source) over nonnegative 1-Lipschitz potentials.
@@ -533,10 +561,7 @@ def lipschitz_imd_dual(target: DiscreteMeasure, source: DiscreteMeasure,
     dist = cdist(ground, ground)
 
     # one row f_i - f_j <= d_ij per ordered pair i != j
-    i_idx, j_idx = np.where(~np.eye(n, dtype=bool))
-    eye = sp.eye(n, format="csr")
-    A = eye[i_idx] - eye[j_idx]
-
+    i_idx, j_idx, A = _difference_rows(n)
     support = ws > 0
     lower = np.where(support, 0.0, -np.inf)
     upper = np.where(support & zero_on_support, 0.0, np.inf)
@@ -546,10 +571,11 @@ def lipschitz_imd_dual(target: DiscreteMeasure, source: DiscreteMeasure,
     if sol.status != "optimal":
         raise LpError(f"dual LP ended {sol.status}")
     f = sol.x
+    # Written as "not within", so that a NaN fails each check.
     slack = f[i_idx] - f[j_idx] - dist[i_idx, j_idx]
-    if slack.size and slack.max() > LIPSCHITZ_TOL:
+    if slack.size and not slack.max() <= LIPSCHITZ_TOL:
         raise LpError(f"potential violates the Lipschitz constraint by {slack.max()!r}")
-    if np.any(f[support] < -POTENTIAL_SIGN_TOL):
+    if not np.all(f[support] >= -POTENTIAL_SIGN_TOL):
         raise LpError("potential is negative on the source support")
     potential = LipschitzPotential(f, np.flatnonzero(support), ground)
     return -sol.value, potential

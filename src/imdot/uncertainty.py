@@ -7,6 +7,7 @@ integer label arrays, so every infimum here is an exact scan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,21 +35,24 @@ LOG_CLIP = 1e-12
 
 
 def _check_simplex(score) -> np.ndarray:
+    """``score`` as a float vector, or a ValueError unless it is a nonempty
+    1-d vector of finite, nonnegative entries summing to 1 (``SIMPLEX_TOL``).
+
+    Written as "not within", so that a NaN or an infinite entry fails too:
+    it makes the minimum NaN or the sum NaN or infinite."""
     v = np.asarray(score, dtype=float)
     if v.ndim != 1 or len(v) == 0:
-        raise ValueError("a score vector must be a nonempty 1-d array")
-    if np.any(v < 0) or abs(v.sum() - 1.0) > SIMPLEX_TOL:
-        raise ValueError("score vector must lie on the probability simplex")
+        raise ValueError("score must be a nonempty 1-d array")
+    if not (v.min() >= 0 and abs(v.sum() - 1.0) <= SIMPLEX_TOL):
+        raise ValueError(f"score must be finite and lie on the probability simplex, "
+                         f"got {v.tolist()!r}")
     return v
 
 
 def min_entropy_uncertainty(score) -> float:
     """``-log(max_i score_i)``: the cross-entropy self-uncertainty of a scorer."""
-    v = _check_simplex(score)
-    top = float(v.max())
-    if top <= 0:
-        raise ValueError("degenerate all-zero score vector")
-    return -np.log(top)
+    # On the simplex the largest entry is at least 1/len(score) > 0.
+    return -math.log(_check_simplex(score).max())
 
 
 def renyi_entropy(score, alpha: float) -> float:
@@ -59,21 +63,24 @@ def renyi_entropy(score, alpha: float) -> float:
     ``alpha``, so ``H_inf <= H_alpha`` for every ``alpha``.
     """
     v = _check_simplex(score)
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if np.isinf(alpha):
-        return min_entropy_uncertainty(v)
+    if not alpha >= 0:   # a NaN fails too
+        raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
+    if alpha == np.inf:
+        return -math.log(v.max())
     if alpha == 1:
         pos = v[v > 0]
-        return float(-np.sum(pos * np.log(pos)))
+        return float(-(pos * np.log(pos)).sum())
     if alpha == 0:
-        return float(np.log(np.count_nonzero(v > 0)))
-    return float(np.log(np.sum(v ** alpha)) / (1.0 - alpha))
+        return math.log(np.count_nonzero(v))
+    return math.log((v ** alpha).sum()) / (1.0 - alpha)
 
 
 def hinge_uncertainty(margin: float) -> float:
     """``(1 - |margin|)_+`` for a binary margin score."""
-    return max(0.0, 1.0 - abs(float(margin)))
+    margin = float(margin)
+    if not math.isfinite(margin):
+        raise ValueError(f"margin must be finite, got {margin!r}")
+    return max(0.0, 1.0 - abs(margin))
 
 
 # ---------------------------------------------------------------------------

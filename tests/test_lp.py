@@ -14,10 +14,13 @@ from imdot.lp import (
     PRIMAL_SIMPLEX,
     HighsModel,
     LinearProgram,
+    LpError,
+    _split_rows,
     dual_of,
     dump_lp,
     solve,
 )
+from imdot.ot import _difference_rows
 
 
 def brute_force_transport_value(cost, t, s):
@@ -176,10 +179,10 @@ def test_warm_model_runs_the_simplex_its_basis_admits():
             "simplex_dual_edge_weight_strategy")[1] == DEVEX_PRICING
         return status, x, model._highs.getOptionValue("simplex_strategy")[1]
 
-    model.add_columns([3.0], sp.csc_matrix([[1.0], [0.0]]))
+    model.add_columns([3.0], [0, 1], [0], [1.0])
     status, x, strategy = run()
     assert (status, strategy) == ("optimal", DUAL_SIMPLEX)    # a new model
-    model.add_columns([1.0, 2.0], sp.csc_matrix([[1.0, 1.0], [1.0, 0.0]]))
+    model.add_columns([1.0, 2.0], [0, 2, 3], [0, 1, 0], [1.0, 1.0, 1.0])
     status, x, strategy = run()
     assert (status, strategy) == ("optimal", PRIMAL_SIMPLEX)  # columns only
     assert np.allclose(x, [0.0, 1.0, 0.0])
@@ -187,8 +190,49 @@ def test_warm_model_runs_the_simplex_its_basis_admits():
     status, x, strategy = run()
     assert (status, strategy) == ("optimal", DUAL_SIMPLEX)    # new bounds
     assert np.allclose(x, [0.0, 2.0, 1.0])
-    model.add_columns([0.5], sp.csc_matrix([[1.0], [1.0]]))
+    model.add_columns([0.5], [0, 2], [0, 1], [1.0, 1.0])
     model.set_row_bounds([0], [2.0], [2.0])
     status, x, strategy = run()
     assert (status, strategy) == ("optimal", DUAL_SIMPLEX)    # both changed
     assert np.allclose(x, [0.0, 0.0, 0.0, 2.0])
+
+
+def test_rejected_highs_changes_raise():
+    model = HighsModel([1.0, -np.inf], [1.0, 2.0])
+    # A column with an entry in row 2 of a 2-row model.
+    with pytest.raises(LpError, match="addCols"):
+        model.add_columns([1.0], [0, 3], [0, 1, 2], [1.0, 1.0, 1.0])
+    assert model.n_cols == 0
+    with pytest.raises(LpError, match="changeRowBounds failed on row 2"):
+        model.set_row_bounds([2], [0.0], [1.0])
+    model.add_columns([1.0], [0, 2], [0, 1], [1.0, 1.0])
+    status, x, _, _ = model.run()
+    assert (status, model.n_cols) == ("optimal", 1)
+    assert np.allclose(x, [1.0])
+
+
+def test_split_rows_hands_an_all_le_lp_over_as_it_is(rng):
+    A = rng.uniform(-1, 1, (4, 3))
+    A[A < 0] = 0.0
+    b = rng.uniform(0, 1, 4)
+    for matrix in (A, sp.csr_matrix(A), sp.csc_matrix(A)):
+        lp = LinearProgram(np.ones(3), matrix, ["<="] * 4, b)
+        A_ub, b_ub, A_eq, b_eq = _split_rows(lp)
+        assert A_ub is lp.A and b_ub is lp.b and A_eq is None and b_eq is None
+        # The same rows stated as >=, through the general path.
+        flipped = LinearProgram(np.ones(3), -matrix, [">="] * 4, -b)
+        G_ub, g_ub, G_eq, g_eq = _split_rows(flipped)
+        dense = (lambda M: M.toarray()) if sp.issparse(matrix) else np.asarray
+        assert np.array_equal(dense(A_ub), dense(G_ub)) and np.array_equal(b_ub, g_ub)
+        assert G_eq is None and g_eq is None
+
+
+def test_lipschitz_difference_rows_equal_identity_differences():
+    for n in range(1, 8):
+        i_idx, j_idx, A = _difference_rows(n)
+        eye = sp.eye(n, format="csr")
+        reference = eye[i_idx] - eye[j_idx]
+        assert A.format == "csr" and A.shape == reference.shape
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(A, field), getattr(reference, field)), (n, field)
+        assert np.array_equal((i_idx, j_idx), np.nonzero(~np.eye(n, dtype=bool)))

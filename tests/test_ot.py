@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import imdot.ot
 from imdot import checks
 from imdot.checks import dyadic_weights, random_points, random_transport_instance
 from imdot.datagen import shared_atom_label_shift
-from imdot.lp import solve
+from imdot.lp import LpError, solve
 from imdot.measures import CostMatrix, DiscreteMeasure, cost_matrix, mix
 from imdot.ot import (
     _assemble_blocks,
@@ -376,6 +379,28 @@ class TestLipschitzDual:
         s = DiscreteMeasure([[1.0, 0.0]], [0.0])
         with pytest.raises(ValueError):
             lipschitz_imd_dual(t, s)
+
+    def nan_potential(self, monkeypatch, target, source, entry):
+        def broken(lp):
+            sol = solve(lp)
+            x = sol.x.copy()
+            x[entry] = np.nan
+            return dataclasses.replace(sol, x=x)
+
+        monkeypatch.setattr(imdot.ot, "solve", broken)
+        lipschitz_imd_dual(target, source)
+
+    def test_nan_potential_breaks_the_lipschitz_check(self, monkeypatch, rng):
+        target = DiscreteMeasure(random_points(rng, 3), dyadic_weights(rng, 3, normalize=True))
+        source = DiscreteMeasure(random_points(rng, 2), dyadic_weights(rng, 2, normalize=True))
+        with pytest.raises(LpError, match="Lipschitz"):
+            self.nan_potential(monkeypatch, target, source, 1)
+
+    def test_nan_potential_breaks_the_sign_check(self, monkeypatch):
+        # One shared atom: no Lipschitz row, so only the sign check sees it.
+        m = DiscreteMeasure([[0.0, 0.0]], [1.0])
+        with pytest.raises(LpError, match="negative on the source support"):
+            self.nan_potential(monkeypatch, m, m, 0)
 
 
 class TestSupportDistance:

@@ -172,6 +172,39 @@ def test_initial_arcs_are_the_nearest_over_all_classes_and_the_corner(rng):
     assert set(zip(rows, cols)) == nearest | corner
 
 
+@pytest.mark.parametrize("budget", [0.3, None])
+def test_columns_reach_highs_as_the_assembled_columns(monkeypatch, rng, budget):
+    # K = 3 with an empty middle class and zero-weight atoms, with and
+    # without the beta columns of a split.
+    target, cond_weights, costs, p = split_blocks(rng, n_t=15, sizes=(6, 0, 9))
+    assert all(np.any(w == 0) for w in cond_weights if len(w))
+    added, add_columns = [], HighsModel.add_columns
+
+    def recorded(model, cost, starts, indices, values):
+        assert len(starts) > 1                       # no empty add
+        for k in range(len(starts) - 1):
+            span = slice(starts[k], starts[k + 1])
+            added.append((float(cost[k]), tuple(np.asarray(indices)[span].tolist()),
+                          tuple(np.asarray(values)[span].tolist())))
+        return add_columns(model, cost, starts, indices, values)
+
+    monkeypatch.setattr(HighsModel, "add_columns", recorded)
+    (sol,) = _column_generation(target, cond_weights, costs, p[None, :],
+                                None if budget is None else [budget])
+    lp = _assemble_blocks(target, cond_weights, costs, p, budget)
+    assembled = []
+    for j in range(lp.n_vars):
+        span = slice(lp.A.indptr[j], lp.A.indptr[j + 1])
+        assembled.append((float(lp.c[j]), tuple(lp.A.indices[span].tolist()),
+                          tuple(lp.A.data[span].tolist())))
+    n_beta = 0 if budget is None else len(cond_weights)
+    assert sol.status == "optimal" and len(added) == sol.columns
+    # The beta columns first, then arcs, each an assembled column, none twice.
+    assert added[:n_beta] == assembled[lp.n_vars - n_beta:]
+    assert len(set(added)) == len(added)
+    assert set(added) <= set(assembled)
+
+
 class TestGridWalk:
     GRID = np.array([0.0, 0.1, 0.25, 0.4, 0.7, 1.0])
 

@@ -49,6 +49,24 @@ class TestEntropies:
         with pytest.raises(ValueError):
             renyi_entropy([0.5, 0.5], -1.0)
 
+    @pytest.mark.parametrize("score", [[np.nan, 0.5], [0.5, 0.5, np.nan],
+                                       [np.inf, 0.5], [np.inf, -np.inf]])
+    def test_non_finite_scores_are_named(self, score):
+        with pytest.raises(ValueError, match="score must be finite"):
+            min_entropy_uncertainty(score)
+        with pytest.raises(ValueError, match="score must be finite"):
+            renyi_entropy(score, 2.0)
+
+    def test_nan_order_is_named(self):
+        with pytest.raises(ValueError, match="alpha must be nonnegative, got nan"):
+            renyi_entropy([0.5, 0.5], np.nan)
+
+    def test_values_are_python_floats(self):
+        v = [0.5, 0.25, 0.25, 0.0]
+        assert type(min_entropy_uncertainty(v)) is float
+        for alpha in (0.0, 0.5, 1.0, 2.0, np.inf):
+            assert type(renyi_entropy(v, alpha)) is float
+
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_min_entropy_below_renyi(self, seed):
@@ -62,6 +80,11 @@ class TestHinge:
     ])
     def test_values(self, margin, expected):
         assert hinge_uncertainty(margin) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("margin", [np.nan, np.inf, -np.inf])
+    def test_non_finite_margin_is_named(self, margin):
+        with pytest.raises(ValueError, match="margin must be finite"):
+            hinge_uncertainty(margin)
 
 
 class TestLosses:
