@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .measures import ATOM_MATCH_TOL, DiscreteMeasure, LabeledDataset
+from .measures import ATOM_MATCH_TOL, PROBABILITY_TOL, DiscreteMeasure, LabeledDataset
 
 __all__ = [
     "ToyConfig",
@@ -156,7 +156,7 @@ def shared_atom_label_shift(class_atoms: Sequence, p, q):
     if not (len(atoms) == len(p) == len(q)):
         raise ValueError("need one atom set per class proportion")
     for vec, name in ((p, "p"), (q, "q")):
-        if np.any(vec < 0) or abs(vec.sum() - 1.0) > 1e-12:
+        if np.any(vec < 0) or abs(vec.sum() - 1.0) > PROBABILITY_TOL:
             raise ValueError(f"{name} must be a probability vector")
     for a in atoms:
         if len(a) == 0:

@@ -99,14 +99,6 @@ class FunctionFamily:
     def n_ground(self) -> int:
         return len(self.ground_points)
 
-    def member_count(self) -> int:
-        if self.kind == KIND_INDICATORS:
-            return 1 << self.n_ground
-        if self.kind == KIND_GRID:
-            return (int(round(1.0 / self.grid_step)) + 1) ** self.n_ground
-        m = len(self.hypotheses)
-        return m * (m + 1) // 2
-
 
 def indicator_family(ground_points) -> FunctionFamily:
     return FunctionFamily(KIND_INDICATORS, np.asarray(ground_points, dtype=float))

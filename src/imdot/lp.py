@@ -7,19 +7,19 @@ relations in ``{<=, =, >=}`` and per-variable bounds (default ``x >= 0``).
 its own matrix, no rows selected or copied.  :class:`HighsModel` keeps one
 HiGHS model warm for the column generation of :mod:`imdot.ot` while columns
 are added, as plain compressed-column arrays, and row bounds change.  Each
-change is checked against the status HiGHS returns, since HiGHS rejects a bad
-one without raising.  Each run restarts with the simplex that
-the warm basis admits: primal simplex when only columns were added since
-the last run (the basis stays primal feasible), dual simplex when row bounds
-changed or the model is new (the basis stays dual feasible).  Its dual
-simplex prices with Devex weights (Harris, 1973) instead of HiGHS's default
-steepest edge, whose exact weights cost one more solve with the basis per
-pivot; on the transport walks of :mod:`imdot.ot` Devex also took fewer
-pivots.  Every optimal solution is re-certified here
-(primal feasibility and duality gap, and with :func:`certify` dual
-feasibility on every column) so a numerically broken solve raises instead
-of returning a silently wrong answer.  The tolerances named here are the
-ones every certificate uses.
+change, and each option set, is checked against the status HiGHS returns,
+since HiGHS rejects a bad one without raising.  Each run restarts with the
+simplex that the warm basis admits: primal simplex when only columns were
+added since the last run (the basis stays primal feasible), dual simplex
+when row bounds changed or the model is new (the basis stays dual
+feasible).  Its dual simplex prices with Devex weights (Harris, 1973)
+instead of HiGHS's default steepest edge, whose exact weights cost one more
+solve with the basis per pivot; on the transport walks of :mod:`imdot.ot`
+Devex also took fewer pivots.  Every optimal solution either path returns
+is re-certified by one function, :func:`certify`, from the primal values
+and the row duals alone, so a numerically broken solve raises instead of
+returning a silently wrong answer.  The tolerances named here are the ones
+every certificate uses.
 """
 
 from __future__ import annotations
@@ -54,10 +54,6 @@ FEASIBILITY_TOL = 1e-8
 
 #: Duality gap allowed on an optimal solution, relative to ``1 + |value|``.
 GAP_TOL = 1e-7
-
-#: Difference allowed between the value HiGHS reports and ``c @ x``,
-#: relative to ``1 + |c @ x|``.
-OBJECTIVE_TOL = 1e-9
 
 #: Primal and dual feasibility tolerance HiGHS itself works to.
 HIGHS_TOL = 1e-9
@@ -183,43 +179,18 @@ def _primal_residual(lp: LinearProgram, x: np.ndarray) -> float:
     return float(np.max(np.concatenate([r, lp.lower - x, x - lp.upper]), initial=0.0))
 
 
-def _check_residual(lp: LinearProgram, residual: float) -> None:
-    scale = 1.0 + float(np.max(np.abs(lp.b), initial=0.0))
-    if not residual <= FEASIBILITY_TOL * scale:   # a NaN fails too
-        raise LpError(
-            f"optimal solution violates feasibility: residual {residual:.3e} "
-            f"exceeds {FEASIBILITY_TOL:.0e} * {scale:.3e}\n" + dump_lp(lp)
-        )
-
-
-def _check_gap(lp: LinearProgram, primal: float, dual: float) -> float:
-    gap = abs(primal - dual)
-    if not gap <= GAP_TOL * (1.0 + abs(primal)):
-        raise LpError(
-            f"duality gap {gap:.3e} too large for an optimality certificate\n"
-            + dump_lp(lp)
-        )
-    return gap
-
-
-def _certify(lp, res, b_ub, b_eq):
-    """Feasibility and duality-gap check of a claimed-optimal solution."""
-    residual = _primal_residual(lp, res.x)
-    _check_residual(lp, residual)
-
-    # Duality gap from the HiGHS marginals; a clean gap certifies optimality.
-    dual = 0.0
-    if b_eq is not None:
-        dual += float(b_eq @ res.eqlin.marginals)
-    if b_ub is not None:
-        dual += float(b_ub @ res.ineqlin.marginals)
-    finite_lo = np.isfinite(lp.lower)
-    if np.any(finite_lo):
-        dual += float(lp.lower[finite_lo] @ res.lower.marginals[finite_lo])
-    finite_up = np.isfinite(lp.upper)
-    if np.any(finite_up):
-        dual += float(lp.upper[finite_up] @ res.upper.marginals[finite_up])
-    return residual, _check_gap(lp, res.fun, dual)
+def _row_duals(lp: LinearProgram, res) -> np.ndarray:
+    """``linprog``'s row marginals as one dual per row of ``lp``, in row
+    order; a ``>=`` row went over negated (:func:`_split_rows`), so its
+    marginal is negated back."""
+    ineq = res.ineqlin.marginals
+    rel = np.asarray(lp.relations)
+    le = np.flatnonzero(rel == "<=")
+    row_dual = np.zeros(lp.n_rows)
+    row_dual[le] = ineq[:len(le)]
+    row_dual[rel == ">="] = -ineq[len(le):]
+    row_dual[rel == "="] = res.eqlin.marginals
+    return row_dual
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -253,20 +224,15 @@ def solve(lp: LinearProgram) -> LpSolution:
                           nan, nan, 1, lp.n_vars)
     if res.status != 0:
         raise LpError(f"solver failed (status {res.status}): {res.message}\n" + dump_lp(lp))
-    residual, gap = _certify(lp, res, b_ub, b_eq)
-    value = float(res.fun)
-    check = float(lp.c @ res.x)
-    if abs(value - check) > OBJECTIVE_TOL * (1.0 + abs(check)):
-        raise LpError(
-            f"objective mismatch: reported {value!r} vs recomputed {check!r}"
-        )
-    return LpSolution("optimal", value, np.asarray(res.x), int(res.nit),
+    x = np.asarray(res.x)
+    residual, gap = certify(lp, x, _row_duals(lp, res))
+    return LpSolution("optimal", float(lp.c @ x), x, int(res.nit),
                       residual, gap, 1, lp.n_vars)
 
 
 def dual_tolerance(c: np.ndarray) -> float:
-    """Reduced cost a certified column may fall below zero by: the dual
-    feasibility bound ``FEASIBILITY_TOL * (1 + ||c||_inf)``."""
+    """Reduced cost a certified column may have on a side its bounds do not
+    allow: the dual feasibility bound ``FEASIBILITY_TOL * (1 + ||c||_inf)``."""
     return FEASIBILITY_TOL * (1.0 + float(np.max(np.abs(c), initial=0.0)))
 
 
@@ -274,30 +240,51 @@ def certify(lp: LinearProgram, x: np.ndarray, row_dual: np.ndarray):
     """Certify ``x`` optimal for ``lp`` from row duals, independent of the
     solver, and return ``(residual, gap)``; raise LpError otherwise.
 
-    Every variable must be bounded by ``x >= 0`` only.  Checked on every
-    column and row of ``lp``: primal feasibility of ``x``, dual feasibility
-    of ``row_dual`` (reduced costs ``c - A' row_dual`` at least
-    ``-dual_tolerance(c)``, duals of ``<=`` rows at most and of ``>=`` rows
-    at least ``dual_tolerance(c)`` away from the right sign) and the gap
-    between ``c @ x`` and ``b @ row_dual``.
+    Checked on every column and row of ``lp``: primal feasibility of ``x``
+    (rows and bounds), dual feasibility of ``row_dual`` within
+    ``dual_tolerance(c)`` and the duality gap.  A reduced cost
+    ``d = c - A' row_dual`` may be positive only where the lower bound is
+    finite and negative only where the upper bound is finite: ``d >= 0``
+    for ``x >= 0``, ``d = 0`` for a free variable, either sign for a pinned
+    one.  Duals of ``<=`` rows must be at most and of ``>=`` rows at least
+    zero.  The dual objective is ``b @ row_dual + sum l * max(d, 0) +
+    sum u * min(d, 0)`` over the finite bounds ``l`` and ``u``; for
+    ``x >= 0`` the bound terms are exactly zero.  A NaN anywhere fails the
+    certificate.
     """
-    if np.any(lp.lower != 0) or np.any(np.isfinite(lp.upper)):
-        raise ValueError("certify only supports x >= 0 variable bounds")
     residual = _primal_residual(lp, x)
-    _check_residual(lp, residual)
+    scale = 1.0 + float(np.max(np.abs(lp.b), initial=0.0))
+    if not residual <= FEASIBILITY_TOL * scale:
+        raise LpError(
+            f"optimal solution violates feasibility: residual {residual:.3e} "
+            f"exceeds {FEASIBILITY_TOL:.0e} * {scale:.3e}\n" + dump_lp(lp)
+        )
     tol = dual_tolerance(lp.c)
     reduced = lp.c - lp.A.T @ row_dual
-    if reduced.size and not reduced.min() >= -tol:
-        j = int(np.argmin(reduced))
+    has_lower, has_upper = np.isfinite(lp.lower), np.isfinite(lp.upper)
+    excess = np.maximum(np.where(has_lower, 0.0, reduced),
+                        np.where(has_upper, 0.0, -reduced))
+    if excess.size and not excess.max() <= tol:
+        j = int(np.argmax(excess))
+        side = f"below -{tol:.3e}" if reduced[j] < 0 else f"above {tol:.3e}"
         raise LpError(f"duals violate feasibility: column {j} has reduced cost "
-                      f"{reduced[j]:.3e} below -{tol:.3e}")
+                      f"{reduced[j]:.3e} {side}")
     rel = np.asarray(lp.relations)
     wrong_sign = np.where(rel == "<=", row_dual, np.where(rel == ">=", -row_dual, 0.0))
     if wrong_sign.size and not wrong_sign.max() <= tol:
         i = int(np.argmax(wrong_sign))
         raise LpError(f"dual of row {i} ({lp.relations[i]}) has the wrong sign: "
                       f"{row_dual[i]:.3e}")
-    gap = _check_gap(lp, float(lp.c @ x), float(lp.b @ row_dual))
+    primal = float(lp.c @ x)
+    dual = (float(lp.b @ row_dual)
+            + float(lp.lower[has_lower] @ np.maximum(reduced[has_lower], 0.0))
+            + float(lp.upper[has_upper] @ np.minimum(reduced[has_upper], 0.0)))
+    gap = abs(primal - dual)
+    if not gap <= GAP_TOL * (1.0 + abs(primal)):
+        raise LpError(
+            f"duality gap {gap:.3e} too large for an optimality certificate\n"
+            + dump_lp(lp)
+        )
     return residual, gap
 
 
@@ -336,7 +323,7 @@ class HighsModel:
                               ("simplex_dual_edge_weight_strategy", DEVEX_PRICING),
                               ("primal_feasibility_tolerance", HIGHS_TOL),
                               ("dual_feasibility_tolerance", HIGHS_TOL)):
-            self._highs.setOptionValue(option, value)
+            self._set_option(option, value)
         n = len(self._lower)
         self._check("addRows", self._highs.addRows(
             n, self._lower, self._upper, 0, np.zeros(n, np.int32),
@@ -346,10 +333,15 @@ class HighsModel:
 
     @staticmethod
     def _check(call: str, status, row=None) -> None:
-        # HiGHS reports a rejected change (an out-of-range row index, say)
-        # by its return status alone and leaves the model as it was.
+        # HiGHS reports a rejected change (an out-of-range row index, or an
+        # option value out of range, say) by its return status alone and
+        # leaves the model as it was.
         if status == HighsStatus.kError:
             raise LpError(f"HiGHS {call} failed" + ("" if row is None else f" on row {row}"))
+
+    def _set_option(self, option: str, value) -> None:
+        self._check(f"setOptionValue({option!r}, {value!r})",
+                    self._highs.setOptionValue(option, value))
 
     def add_columns(self, cost, starts, indices, values) -> None:
         """Add columns ``x >= 0`` with objective ``cost``, their entries
@@ -374,7 +366,7 @@ class HighsModel:
 
     def run(self):
         """``(status, x, row_dual, iterations)``; status as in LpSolution."""
-        self._highs.setOptionValue(
+        self._set_option(
             "simplex_strategy", DUAL_SIMPLEX if self._rows_changed else PRIMAL_SIMPLEX)
         self._rows_changed = False
         self._highs.run()

@@ -168,14 +168,6 @@ class CostMatrix:
             raise ValueError("cost entries must be finite and nonnegative")
         object.__setattr__(self, "entries", _freeze(entries))
 
-    @property
-    def row_count(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def col_count(self) -> int:
-        return self.entries.shape[1]
-
 
 def empirical_measure(dataset: LabeledDataset) -> DiscreteMeasure:
     """Uniform measure over the sample: every point gets weight 1/n."""

@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 
+from .measures import PROBABILITY_TOL
+
 __all__ = [
     "min_entropy_uncertainty",
     "renyi_entropy",
@@ -30,20 +32,23 @@ __all__ = [
     "verify_sgu_properties",
 ]
 
-SIMPLEX_TOL = 1e-12
 LOG_CLIP = 1e-12
+
+#: Slack of the exhaustive loss checks and of the source-guided uncertainty
+#: properties checked by :func:`verify_sgu_properties`.
+PROPERTY_TOL = 1e-12
 
 
 def _check_simplex(score) -> np.ndarray:
     """``score`` as a float vector, or a ValueError unless it is a nonempty
-    1-d vector of finite, nonnegative entries summing to 1 (``SIMPLEX_TOL``).
+    1-d vector of finite, nonnegative entries summing to 1 (``PROBABILITY_TOL``).
 
     Written as "not within", so that a NaN or an infinite entry fails too:
     it makes the minimum NaN or the sum NaN or infinite."""
     v = np.asarray(score, dtype=float)
     if v.ndim != 1 or len(v) == 0:
         raise ValueError("score must be a nonempty 1-d array")
-    if not (v.min() >= 0 and abs(v.sum() - 1.0) <= SIMPLEX_TOL):
+    if not (v.min() >= 0 and abs(v.sum() - 1.0) <= PROBABILITY_TOL):
         raise ValueError(f"score must be finite and lie on the probability simplex, "
                          f"got {v.tolist()!r}")
     return v
@@ -108,18 +113,17 @@ def scaled_l1_loss(logit_bound: float, n_classes: int) -> Callable:
     return lambda prediction, label: factor * l1_label_loss(prediction, label)
 
 
-def loss_satisfies_triangle(loss: Callable, n_classes: int,
-                            tol: float = 1e-12) -> bool:
+def loss_satisfies_triangle(loss: Callable, n_classes: int) -> bool:
     """Exhaustively check ``l(a, c) <= l(a, b) + l(b, c)`` on the label set."""
     labels = range(1, n_classes + 1)
     return all(
-        loss(a, c) <= loss(a, b) + loss(b, c) + tol
+        loss(a, c) <= loss(a, b) + loss(b, c) + PROPERTY_TOL
         for a in labels for b in labels for c in labels
     )
 
 
 def loss_pair_condition_holds(l1: Callable, l2: Callable, scores,
-                              n_classes: int, tol: float = 1e-12) -> bool:
+                              n_classes: int) -> bool:
     """Check ``l1(u, y1) - l2(y2, y1) <= l1(u, y2)`` on given score vectors.
 
     This is the compatibility condition under which a bound on the target
@@ -131,7 +135,7 @@ def loss_pair_condition_holds(l1: Callable, l2: Callable, scores,
     for u in np.atleast_2d(np.asarray(scores, dtype=float)):
         for y1 in labels:
             for y2 in labels:
-                if l1(u, y1) - l2(y2, y1) > l1(u, y2) + tol:
+                if l1(u, y1) - l2(y2, y1) > l1(u, y2) + PROPERTY_TOL:
                     return False
     return True
 
@@ -218,8 +222,7 @@ class SguPropertiesReport:
 
 def verify_sgu_properties(hyp_target, hyp_source, source_labels, target_labels,
                           tilde_target, tilde_source, n_classes: int,
-                          loss: Callable = zero_one_loss,
-                          tol: float = 1e-12) -> SguPropertiesReport:
+                          loss: Callable = zero_one_loss) -> SguPropertiesReport:
     """Exhaustively verify the three source-guided uncertainty properties.
 
     ``(hyp_target, hyp_source)`` is the finite class H, ``(tilde_target,
@@ -233,7 +236,7 @@ def verify_sgu_properties(hyp_target, hyp_source, source_labels, target_labels,
     Point 3: ``U_H(h) = R_S(h)`` at the best-source hypothesis and at the
     joint-risk minimizer (which needs the target labels).
     """
-    if not loss_satisfies_triangle(loss, n_classes, tol):
+    if not loss_satisfies_triangle(loss, n_classes):
         raise ValueError("the loss does not satisfy the triangle inequality")
     for a in range(1, n_classes + 1):
         if loss(a, a) != 0:
@@ -258,21 +261,21 @@ def verify_sgu_properties(hyp_target, hyp_source, source_labels, target_labels,
         return value
 
     point1_ok = all(
-        uncertainty(hyp_target[h]) <= risks_s[h] + tol
+        uncertainty(hyp_target[h]) <= risks_s[h] + PROPERTY_TOL
         for h in range(len(hyp_target))
     )
 
     inf_over_pool = min(uncertainty(g) for g in tilde_target)
     inf_source = float(risks_s.min())
-    point2_ok = abs(inf_over_pool - inf_source) <= tol
+    point2_ok = abs(inf_over_pool - inf_source) <= PROPERTY_TOL
 
     risks_t_true = _source_risk(hyp_target, target_labels, loss)
     h_s = int(np.argmin(risks_s))
     h_star = int(np.argmin(risks_t_true + risks_s))
     u_hs = uncertainty(hyp_target[h_s])
     u_hstar = uncertainty(hyp_target[h_star])
-    point3_ok = (abs(u_hs - risks_s[h_s]) <= tol
-                 and abs(u_hstar - risks_s[h_star]) <= tol)
+    point3_ok = (abs(u_hs - risks_s[h_s]) <= PROPERTY_TOL
+                 and abs(u_hstar - risks_s[h_star]) <= PROPERTY_TOL)
 
     return SguPropertiesReport(
         point1_ok, point2_ok, point3_ok,

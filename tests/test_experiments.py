@@ -1,10 +1,12 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
 import imdot.experiments
 
+from imdot.cli import main
 from imdot.datagen import ToyConfig, generate_pair, shared_atom_label_shift
 from imdot.experiments import (
     accuracy,
@@ -182,6 +184,47 @@ class TestRunSweep:
         result = run_sweep(CFG, [0.0], draws=1, mode="global")
         with pytest.raises(ValueError):
             result.summary()
+
+    def test_a_failed_walk_is_retried_one_beta_at_a_time(self, monkeypatch, tmp_path):
+        # The global walk fails over the whole grid, and alone only at 0.5:
+        # 0.0 is solved on its own, 0.5 is recorded as a failure.
+        walk = imdot.experiments.partial_ot_global_path
+        calls = []
+
+        def failing(target, source, cost, grid):
+            calls.append(list(grid))
+            if len(grid) > 1 or grid[0] == 0.5:
+                raise RuntimeError(f"planted failure on {list(grid)}")
+            return walk(target, source, cost, grid)
+
+        monkeypatch.setattr(imdot.experiments, "partial_ot_global_path", failing)
+        result = run_sweep(CFG, [0.0, 0.5], draws=1, mode="both")
+        assert calls == [[0.0, 0.5], [0.0], [0.5]]
+        by_key = {(r.beta, r.mode): r for r in result.records}
+        assert [(r.beta, r.mode) for r in result.records] == [
+            (0.0, "global"), (0.0, "per_class_split"),
+            (0.5, "global"), (0.5, "per_class_split")]
+        failed = by_key[(0.5, "global")]
+        assert np.isnan(failed.accuracy) and np.isnan(failed.objective)
+        assert failed.solve_seconds == 0.0
+        for key in ((0.0, "global"), (0.0, "per_class_split"), (0.5, "per_class_split")):
+            assert np.isfinite(by_key[key].accuracy) and np.isfinite(by_key[key].objective)
+        # The retried 0.0 is the value a one-entry walk gives.
+        monkeypatch.undo()
+        reference = run_sweep(CFG, [0.0], draws=1, mode="global").records[0]
+        assert (by_key[(0.0, "global")].objective, by_key[(0.0, "global")].accuracy) == (
+            reference.objective, reference.accuracy)
+        expected = (0, 0.5, "global", repr(RuntimeError("planted failure on [0.5]")))
+        assert result.failures == (expected,)
+        # The summary skips the failed pair.
+        assert np.isnan(result.summary()[1][1])
+
+        monkeypatch.setattr(imdot.experiments, "partial_ot_global_path", failing)
+        out = tmp_path / "w"
+        assert main(["sweep", "--k", "3", "--n", "45", "--seed", "2", "--draws", "1",
+                     "--beta-grid", "0,0.5", "--jobs", "1", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["failures"] == [list(expected)]
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import linprog
 
 import imdot
 from imdot.checks import dyadic_weights
@@ -16,6 +17,7 @@ from imdot.lp import (
     LinearProgram,
     LpError,
     _split_rows,
+    certify,
     dual_of,
     dump_lp,
     solve,
@@ -123,6 +125,68 @@ def test_strong_duality_on_random_instances(rng):
         assert primal.value == pytest.approx(-dual.value, abs=1e-7)
 
 
+def test_a_shifted_dual_of_a_zero_rhs_row_is_caught(monkeypatch):
+    # min x1 + 2 x2  s.t.  x1 - x2 <= 0,  x1 + x2 >= 1: optimum 1.5 at
+    # (0.5, 0.5), row duals (-0.5, 1.5).  Row 0's right-hand side is 0, so
+    # shifting its dual leaves b @ y, and with it the gap, as it was; only
+    # the reduced costs show the fault.
+    lp = LinearProgram([1.0, 2.0], [[1.0, -1.0], [1.0, 1.0]], ["<=", ">="], [0.0, 1.0])
+    assert solve(lp).value == pytest.approx(1.5, abs=1e-12)
+
+    def shifted(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        res.ineqlin.marginals[0] -= 0.5
+        return res
+
+    monkeypatch.setattr(imdot.lp, "linprog", shifted)
+    with pytest.raises(LpError, match="column 1 has reduced cost -5.000e-01"):
+        solve(lp)
+
+
+# Column 0 has cost 1e-6 and no row entry, so its reduced cost is 1e-6 at
+# every row dual; column 1 meets the demand of row 0 at cost 1, dual 1.
+def sign_lp(lower, upper):
+    return LinearProgram([1e-6, 1.0], [[0.0, 1.0]], ["="], [1.0],
+                         lower=[lower, 0.0], upper=[upper, np.inf])
+
+
+@pytest.mark.parametrize("lower, upper", [(0.0, np.inf), (0.0, 0.0)])
+def test_a_positive_reduced_cost_needs_a_finite_lower_bound(lower, upper):
+    residual, gap = certify(sign_lp(lower, upper), np.array([0.0, 1.0]), np.array([1.0]))
+    assert (residual, gap) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("lower, upper", [(-np.inf, np.inf), (-np.inf, 0.0)])
+def test_a_positive_reduced_cost_on_a_column_without_lower_bound_raises(lower, upper):
+    with pytest.raises(LpError, match="column 0 has reduced cost 1.000e-06 above"):
+        certify(sign_lp(lower, upper), np.array([0.0, 1.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("lower, upper, x0, d0", [
+    (0.0, 1.0, 1.0, -1.0),     # a box at its upper bound: u * d
+    (0.5, 1.0, 0.5, 1.0),      # a box at its lower bound: l * d
+    (0.5, 0.5, 0.5, 1.0),      # pinned, either sign
+    (0.5, 0.5, 0.5, -1.0),
+])
+def test_finite_bounds_enter_the_dual_objective(lower, upper, x0, d0):
+    # min c0 x0 - x1  s.t.  x0 + x1 <= 3,  x1 >= 0: the row's dual is -1, so
+    # x0's reduced cost is c0 + 1 = d0.
+    c = [d0 - 1.0, -1.0]
+    lp = LinearProgram(c, [[1.0, 1.0]], ["<="], [3.0],
+                       lower=[lower, 0.0], upper=[upper, np.inf])
+    x = np.array([x0, 3.0 - x0])
+    residual, gap = certify(lp, x, np.array([-1.0]))
+    # Without the bound term the gap would be |x0 * d0| >= 0.5.
+    assert (residual, gap) == (0.0, 0.0)
+    sol = solve(lp)
+    assert sol.value == float(lp.c @ sol.x) == pytest.approx(float(lp.c @ x), abs=1e-12)
+    # The same reduced cost on a column with no bound on its side.
+    open_side = dict(upper=[np.inf, np.inf]) if d0 < 0 else dict(lower=[-np.inf, 0.0])
+    with pytest.raises(LpError, match="column 0 has reduced cost"):
+        certify(LinearProgram(c, [[1.0, 1.0]], ["<="], [3.0], **open_side), x,
+                np.array([-1.0]))
+
+
 def test_permuted_variables_same_value(rng):
     n, m = 6, 4
     A = rng.uniform(-1, 1, size=(m, n))
@@ -209,6 +273,20 @@ def test_rejected_highs_changes_raise():
     status, x, _, _ = model.run()
     assert (status, model.n_cols) == ("optimal", 1)
     assert np.allclose(x, [1.0])
+
+
+def test_rejected_highs_options_raise(monkeypatch):
+    # HiGHS refuses feasibility tolerances below 1e-10 and keeps its old
+    # value; a model must not go on with it.
+    monkeypatch.setattr(imdot.lp, "HIGHS_TOL", 1e-11)
+    with pytest.raises(LpError, match=r"setOptionValue\('primal_feasibility_tolerance', 1e-11\)"):
+        HighsModel([1.0], [1.0])
+    monkeypatch.undo()
+    model = HighsModel([1.0], [1.0])
+    model.add_columns([1.0], [0, 1], [0], [1.0])
+    monkeypatch.setattr(imdot.lp, "DUAL_SIMPLEX", 99)
+    with pytest.raises(LpError, match=r"setOptionValue\('simplex_strategy', 99\)"):
+        model.run()
 
 
 def test_split_rows_hands_an_all_le_lp_over_as_it_is(rng):
