@@ -2,24 +2,23 @@
 
 Problems are stated as ``minimize c @ x`` under row constraints with
 relations in ``{<=, =, >=}`` and per-variable bounds (default ``x >= 0``).
-:func:`solve` hands a whole problem to HiGHS through
-:func:`scipy.optimize.linprog`; a problem whose rows are all ``<=`` goes with
-its own matrix, no rows selected or copied.  :class:`HighsModel` keeps one
-HiGHS model warm for the column generation of :mod:`imdot.ot` while columns
-are added, as plain compressed-column arrays, and row bounds change.  Each
-change, and each option set, is checked against the status HiGHS returns,
-since HiGHS rejects a bad one without raising.  Each run restarts with the
-simplex that the warm basis admits: primal simplex when only columns were
-added since the last run (the basis stays primal feasible), dual simplex
-when row bounds changed or the model is new (the basis stays dual
-feasible).  Its dual simplex prices with Devex weights (Harris, 1973)
+Every problem reaches HiGHS through one adapter, :class:`HighsModel`.
+:func:`solve` makes a one-shot model of a whole problem: its rows, then all
+of its columns in one compressed-column batch with their own bounds, and one
+run.  The column generation of :mod:`imdot.ot` keeps one model warm while
+columns are added, as plain compressed-column arrays, and row bounds change.
+Each change, and each option set, is checked against the status HiGHS
+returns, since HiGHS rejects a bad one without raising.  Each run restarts
+with the simplex that the warm basis admits: primal simplex when only
+columns were added since the last run (the basis stays primal feasible),
+dual simplex when row bounds changed or the model is new (the basis stays
+dual feasible).  Its dual simplex prices with Devex weights (Harris, 1973)
 instead of HiGHS's default steepest edge, whose exact weights cost one more
 solve with the basis per pivot; on the transport walks of :mod:`imdot.ot`
-Devex also took fewer pivots.  Every optimal solution either path returns
-is re-certified by one function, :func:`certify`, from the primal values
-and the row duals alone, so a numerically broken solve raises instead of
-returning a silently wrong answer.  The tolerances named here are the ones
-every certificate uses.
+Devex also took fewer pivots.  Every optimal solution is re-certified by one
+function, :func:`certify`, from the primal values and the row duals alone,
+so a numerically broken solve raises instead of returning a silently wrong
+answer.  The tolerances named here are the ones every certificate uses.
 """
 
 from __future__ import annotations
@@ -29,7 +28,8 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+# Unused here; perfbench/tracer.py wraps it by name until its target goes.
+from scipy.optimize import linprog  # noqa: F401
 # The only import of scipy's private HiGHS binding; tested on scipy 1.17.1.
 from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
@@ -136,39 +136,13 @@ class LpSolution:
     status: str                # "optimal" | "infeasible" | "unbounded"
     value: float
     x: np.ndarray
-    iterations: int            # simplex/IPM iterations, summed over rounds
+    iterations: int            # simplex iterations, summed over rounds
     residual: float            # primal feasibility residual; nan unless optimal
     gap: float                 # |primal - dual| of the certificate; nan unless optimal
     rounds: int                # HiGHS runs: 1 for a dense solve (solve), pricing
                                # rounds for column generation (imdot.ot)
     columns: int               # columns in the final model: n_vars for a dense
                                # solve, the restricted model for column generation
-
-
-def _split_rows(lp: LinearProgram):
-    rel = np.asarray(lp.relations)
-    le = np.flatnonzero(rel == "<=")
-    if lp.n_rows and len(le) == lp.n_rows:
-        # Every row is already ``<=``: no row to select, negate or stack.
-        return lp.A, lp.b, None, None
-    ge = np.flatnonzero(rel == ">=")
-    eq = np.flatnonzero(rel == "=")
-    stack = sp.vstack if sp.issparse(lp.A) else np.vstack
-
-    A_ub = b_ub = None
-    if len(le) or len(ge):
-        parts, rhs = [], []
-        if len(le):
-            parts.append(lp.A[le])
-            rhs.append(lp.b[le])
-        if len(ge):
-            parts.append(-lp.A[ge])
-            rhs.append(-lp.b[ge])
-        A_ub = stack(parts) if len(parts) > 1 else parts[0]
-        b_ub = np.concatenate(rhs)
-    A_eq = lp.A[eq] if len(eq) else None
-    b_eq = lp.b[eq] if len(eq) else None
-    return A_ub, b_ub, A_eq, b_eq
 
 
 def _primal_residual(lp: LinearProgram, x: np.ndarray) -> float:
@@ -179,22 +153,11 @@ def _primal_residual(lp: LinearProgram, x: np.ndarray) -> float:
     return float(np.max(np.concatenate([r, lp.lower - x, x - lp.upper]), initial=0.0))
 
 
-def _row_duals(lp: LinearProgram, res) -> np.ndarray:
-    """``linprog``'s row marginals as one dual per row of ``lp``, in row
-    order; a ``>=`` row went over negated (:func:`_split_rows`), so its
-    marginal is negated back."""
-    ineq = res.ineqlin.marginals
-    rel = np.asarray(lp.relations)
-    le = np.flatnonzero(rel == "<=")
-    row_dual = np.zeros(lp.n_rows)
-    row_dual[le] = ineq[:len(le)]
-    row_dual[rel == ">="] = -ineq[len(le):]
-    row_dual[rel == "="] = res.eqlin.marginals
-    return row_dual
-
-
 def solve(lp: LinearProgram) -> LpSolution:
     """Solve ``lp`` to proven optimality, or report infeasible/unbounded.
+
+    One :class:`HighsModel` takes every row and, in one batch, every column
+    of ``lp`` with its bounds; it runs once and is not priced.
 
     Raises
     ------
@@ -202,31 +165,20 @@ def solve(lp: LinearProgram) -> LpSolution:
         On solver breakdown or when the returned solution fails the
         feasibility / duality-gap certificate.
     """
-    A_ub, b_ub, A_eq, b_eq = _split_rows(lp)
-    bounds = np.column_stack([lp.lower, lp.upper])
-    res = linprog(
-        lp.c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": HIGHS_TOL,
-            "dual_feasibility_tolerance": HIGHS_TOL,
-        },
-    )
-    nan = float("nan")
-    if res.status in (2, 3):
-        status = "infeasible" if res.status == 2 else "unbounded"
-        return LpSolution(status, nan, np.empty(0), int(res.nit),
-                          nan, nan, 1, lp.n_vars)
-    if res.status != 0:
-        raise LpError(f"solver failed (status {res.status}): {res.message}\n" + dump_lp(lp))
-    x = np.asarray(res.x)
-    residual, gap = certify(lp, x, _row_duals(lp, res))
-    return LpSolution("optimal", float(lp.c @ x), x, int(res.nit),
+    rel = np.asarray(lp.relations)
+    A = sp.csc_matrix(lp.A)
+    try:
+        model = HighsModel(np.where(rel == "<=", -np.inf, lp.b),
+                           np.where(rel == ">=", np.inf, lp.b))
+        model.add_columns(lp.c, A.indptr, A.indices, A.data, lp.lower, lp.upper)
+        status, x, row_dual, iterations = model.run()
+    except LpError as error:
+        raise LpError(f"{error}\n" + dump_lp(lp)) from error
+    if status != "optimal":
+        nan = float("nan")
+        return LpSolution(status, nan, np.empty(0), iterations, nan, nan, 1, lp.n_vars)
+    residual, gap = certify(lp, x, row_dual)
+    return LpSolution("optimal", float(lp.c @ x), x, iterations,
                       residual, gap, 1, lp.n_vars)
 
 
@@ -297,7 +249,8 @@ DEVEX_PRICING = 1
 
 
 class HighsModel:
-    """One HiGHS model kept warm between runs.
+    """One HiGHS model, run once for a whole LP (:func:`solve`) or kept
+    warm between runs (the column generation of :mod:`imdot.ot`).
 
     Rows are fixed when the model is made; columns are added in batches and
     row bounds changed between runs, and each run starts from the last
@@ -343,16 +296,18 @@ class HighsModel:
         self._check(f"setOptionValue({option!r}, {value!r})",
                     self._highs.setOptionValue(option, value))
 
-    def add_columns(self, cost, starts, indices, values) -> None:
-        """Add columns ``x >= 0`` with objective ``cost``, their entries
-        given in compressed sparse column form: column ``k`` has
-        ``values[starts[k]:starts[k + 1]]`` in the rows
-        ``indices[starts[k]:starts[k + 1]]``."""
+    def add_columns(self, cost, starts, indices, values, lower=None, upper=None) -> None:
+        """Add columns with objective ``cost`` and bounds ``lower <= x <=
+        upper`` (by default ``x >= 0``), their entries given in compressed
+        sparse column form: column ``k`` has ``values[starts[k]:starts[k +
+        1]]`` in the rows ``indices[starts[k]:starts[k + 1]]``."""
         n = len(starts) - 1
         if n == 0:
             return
+        lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
+        upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
         self._check("addCols", self._highs.addCols(
-            n, np.asarray(cost, dtype=float), np.zeros(n), np.full(n, np.inf),
+            n, np.asarray(cost, dtype=float), lower, upper,
             int(starts[-1]), np.asarray(starts[:-1], dtype=np.int32),
             np.asarray(indices, dtype=np.int32), np.asarray(values, dtype=float)))
         self.n_cols += n
@@ -379,9 +334,10 @@ class HighsModel:
         iterations = int(self._highs.getInfo().simplex_iteration_count)
         if status == HighsModelStatus.kInfeasible:
             return "infeasible", np.zeros(0), np.zeros(0), iterations
-        if status in (HighsModelStatus.kUnbounded, HighsModelStatus.kUnboundedOrInfeasible):
+        if status == HighsModelStatus.kUnbounded:
             return "unbounded", np.zeros(0), np.zeros(0), iterations
         if status != HighsModelStatus.kOptimal:
+            # kUnboundedOrInfeasible included: it proves neither.
             raise LpError("solver failed: " + self._highs.modelStatusToString(status))
         solution = self._highs.getSolution()
         return ("optimal", np.asarray(solution.col_value),

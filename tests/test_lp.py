@@ -5,7 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 import imdot
 from imdot.checks import dyadic_weights
@@ -14,9 +13,10 @@ from imdot.lp import (
     DUAL_SIMPLEX,
     PRIMAL_SIMPLEX,
     HighsModel,
+    HighsModelStatus,
     LinearProgram,
     LpError,
-    _split_rows,
+    _Highs,
     certify,
     dual_of,
     dump_lp,
@@ -133,12 +133,14 @@ def test_a_shifted_dual_of_a_zero_rhs_row_is_caught(monkeypatch):
     lp = LinearProgram([1.0, 2.0], [[1.0, -1.0], [1.0, 1.0]], ["<=", ">="], [0.0, 1.0])
     assert solve(lp).value == pytest.approx(1.5, abs=1e-12)
 
-    def shifted(*args, **kwargs):
-        res = linprog(*args, **kwargs)
-        res.ineqlin.marginals[0] -= 0.5
-        return res
+    run = HighsModel.run
 
-    monkeypatch.setattr(imdot.lp, "linprog", shifted)
+    def shifted(model):
+        status, x, row_dual, iterations = run(model)
+        row_dual[0] -= 0.5
+        return status, x, row_dual, iterations
+
+    monkeypatch.setattr(HighsModel, "run", shifted)
     with pytest.raises(LpError, match="column 1 has reduced cost -5.000e-01"):
         solve(lp)
 
@@ -289,20 +291,49 @@ def test_rejected_highs_options_raise(monkeypatch):
         model.run()
 
 
-def test_split_rows_hands_an_all_le_lp_over_as_it_is(rng):
-    A = rng.uniform(-1, 1, (4, 3))
-    A[A < 0] = 0.0
-    b = rng.uniform(0, 1, 4)
-    for matrix in (A, sp.csr_matrix(A), sp.csc_matrix(A)):
-        lp = LinearProgram(np.ones(3), matrix, ["<="] * 4, b)
-        A_ub, b_ub, A_eq, b_eq = _split_rows(lp)
-        assert A_ub is lp.A and b_ub is lp.b and A_eq is None and b_eq is None
-        # The same rows stated as >=, through the general path.
-        flipped = LinearProgram(np.ones(3), -matrix, [">="] * 4, -b)
-        G_ub, g_ub, G_eq, g_eq = _split_rows(flipped)
-        dense = (lambda M: M.toarray()) if sp.issparse(matrix) else np.asarray
-        assert np.array_equal(dense(A_ub), dense(G_ub)) and np.array_equal(b_ub, g_ub)
-        assert G_eq is None and g_eq is None
+class UnboundedOrInfeasibleHighs(_Highs):
+    def getModelStatus(self):
+        return HighsModelStatus.kUnboundedOrInfeasible
+
+
+def test_unbounded_or_infeasible_raises(monkeypatch):
+    # HiGHS proves neither, so it is not reported as "unbounded".
+    monkeypatch.setattr(imdot.lp, "_Highs", UnboundedOrInfeasibleHighs)
+    model = HighsModel([1.0], [1.0])
+    model.add_columns([1.0], [0, 1], [0], [1.0])
+    status = _Highs().modelStatusToString(HighsModelStatus.kUnboundedOrInfeasible)
+    with pytest.raises(LpError, match=f"solver failed: {status}$"):
+        model.run()
+
+
+def test_dense_csr_and_csc_matrices_solve_alike(monkeypatch):
+    # min 0.4 x0 - x1 + 1.2 x2 + 0.6 x3 with x0 free and x1 pinned at 0.5:
+    # the = row makes x0 = x3 >= 0 and the >= row x0 + x2 >= 0.3, so the
+    # optimum is x = (0.3, 0.5, 0, 0.3) at -0.2.
+    A = np.array([[1.0, 0.0, 2.0, 0.0],
+                  [1.0, 1.0, 0.0, -1.0],
+                  [1.0, 0.0, 1.0, 0.0],
+                  [0.0, 0.0, 1.0, 1.0]])
+    c = [0.4, -1.0, 1.2, 0.6]
+    relations = ["<=", "=", ">=", "<="]
+    b = [2.0, 0.5, 0.3, 3.0]
+    bounds = dict(lower=[-np.inf, 0.5, 0.0, 0.0], upper=[np.inf, 0.5, np.inf, np.inf])
+    first, *others = [solve(LinearProgram(c, matrix, relations, b, **bounds))
+                      for matrix in (A, sp.csr_matrix(A), sp.csc_matrix(A))]
+    assert first.status == "optimal"
+    assert first.value == pytest.approx(-0.2, abs=1e-12)
+    assert np.allclose(first.x, [0.3, 0.5, 0.0, 0.3], atol=1e-12)
+    # HiGHS receives the same compressed columns from each form.
+    for sol in others:
+        assert (sol.status, sol.value) == (first.status, first.value)
+        assert np.array_equal(sol.x, first.x)
+        assert (sol.residual, sol.gap) == (first.residual, first.gap)
+    # A solver failure names the status and carries the LP's dump.
+    monkeypatch.setattr(imdot.lp, "_Highs", UnboundedOrInfeasibleHighs)
+    lp = LinearProgram(c, sp.csr_matrix(A), relations, b, **bounds)
+    with pytest.raises(LpError, match="solver failed") as failure:
+        solve(lp)
+    assert dump_lp(lp) in str(failure.value)
 
 
 def test_lipschitz_difference_rows_equal_identity_differences():

@@ -249,6 +249,27 @@ class TestGridWalk:
         assert partial_ot_beta_split_path(target, conds, p, [], costs) == []
 
     def test_paths_match_the_dense_lp_under_both_simplex_methods(self, monkeypatch, rng):
+        target, conds, costs, p = split_instance(rng)
+        # The same classes with the last one moved far from every target:
+        # none of its arcs is among the nearest, so only the corner support
+        # and pricing bring them in.
+        far = [*conds[:-1], DiscreteMeasure(conds[-1].points + 50.0, conds[-1].weights)]
+        far_costs = [cost_matrix(target.points, c.points) for c in far]
+        cost = np.hstack([c.entries for c in far_costs])
+        assert np.all(np.sort(cost, axis=1)[:, NEAREST_ARCS - 1] < far_costs[-1].entries.min())
+        source = DiscreteMeasure(np.vstack([c.points for c in conds]),
+                                 np.concatenate([c.weights for c in conds]) / 2)
+        cost = cost_matrix(target.points, source.points)
+        # The dense references run on HighsModel too, so they are solved
+        # before the walks' runs are recorded.
+        split_references = [
+            [dense(target, [c.weights for c in classes], class_costs, p, budget).value
+             for budget in self.GRID]
+            for classes, class_costs in ((conds, costs), (far, far_costs))]
+        global_references = [
+            dense(target, [source.weights], [cost], np.array([1.0 + beta]), None).value
+            for beta in self.GRID]
+
         strategies = []
         run = HighsModel.run
 
@@ -260,27 +281,14 @@ class TestGridWalk:
             return result
 
         monkeypatch.setattr(HighsModel, "run", recorded)
-        target, conds, costs, p = split_instance(rng)
-        # The same classes with the last one moved far from every target:
-        # none of its arcs is among the nearest, so only the corner support
-        # and pricing bring them in.
-        far = [*conds[:-1], DiscreteMeasure(conds[-1].points + 50.0, conds[-1].weights)]
-        far_costs = [cost_matrix(target.points, c.points) for c in far]
-        cost = np.hstack([c.entries for c in far_costs])
-        assert np.all(np.sort(cost, axis=1)[:, NEAREST_ARCS - 1] < far_costs[-1].entries.min())
-        for classes, class_costs in ((conds, costs), (far, far_costs)):
+        for (classes, class_costs), references in zip(
+                ((conds, costs), (far, far_costs)), split_references):
             path = partial_ot_beta_split_path(target, classes, p, self.GRID, class_costs)
-            for budget, plan_set in zip(self.GRID, path):
-                reference = dense(target, [c.weights for c in classes], class_costs,
-                                  p, budget)
-                assert close(plan_set.objective, reference.value, rel=1e-9)
-        source = DiscreteMeasure(np.vstack([c.points for c in conds]),
-                                 np.concatenate([c.weights for c in conds]) / 2)
-        cost = cost_matrix(target.points, source.points)
+            for plan_set, reference in zip(path, references):
+                assert close(plan_set.objective, reference, rel=1e-9)
         path = partial_ot_global_path(target, source, cost, self.GRID)
-        for beta, (value, _) in zip(self.GRID, path):
-            reference = dense(target, [source.weights], [cost], np.array([1.0 + beta]), None)
-            assert close(value, reference.value, rel=1e-9)
+        for (value, _), reference in zip(path, global_references):
+            assert close(value, reference, rel=1e-9)
         # Dual simplex once per entry of each walk, primal after pricing rounds.
         assert strategies.count(DUAL_SIMPLEX) == 3 * len(self.GRID)
         assert PRIMAL_SIMPLEX in strategies
