@@ -76,8 +76,9 @@ def dyadic_weights(rng, n, normalize=False):
     return w
 
 
-def random_points(rng, n, dim=2, scale=1.5):
-    return rng.uniform(-scale, scale, size=(n, dim))
+def random_points(rng, n):
+    """``n`` points drawn uniformly from the square ``[-1.5, 1.5]^2``."""
+    return rng.uniform(-1.5, 1.5, size=(n, 2))
 
 
 def random_measure_pair(rng, n):
@@ -111,10 +112,12 @@ def related_hypotheses(rng, m, n):
     return np.where(redraw, rng.integers(1, 4, size=(m, n)), rng.integers(1, 4, size=n))
 
 
-def random_transport_instance(rng, max_atoms=8, n_classes=None):
-    """(target, source, conditionals, proportions, per-class costs)."""
-    k = n_classes or int(rng.integers(2, 4))
-    per_class = max(1, max_atoms // k)
+def random_transport_instance(rng):
+    """(target, source, conditionals, proportions, per-class costs): 2 or 3
+    classes and at most 8 atoms on each side."""
+    max_atoms = 8
+    k = int(rng.integers(2, 4))
+    per_class = max_atoms // k
     atoms = [random_points(rng, int(rng.integers(1, per_class + 1)))
              for _ in range(k)]
     p = dyadic_weights(rng, k, normalize=True)

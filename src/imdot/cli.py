@@ -25,6 +25,7 @@ from .checks import run_suite
 from .datagen import ToyConfig, generate_pair
 from .experiments import run_sweep, write_draws_csv, write_summary_csv
 from .measures import (
+    ROUNDING_TOL,
     class_conditionals,
     cost_matrix,
     empirical_measure,
@@ -217,10 +218,9 @@ def _capacity_audit(plan_set: TransportPlanSet, conds, props) -> list:
     for k, plan in enumerate(plan_set.plans):
         if conds is None:
             cap = float(1.0 + plan_set.beta[0])
-            used = float(plan.sum())
         else:
             cap = float((props[k] + plan_set.beta[k]) * conds[k].total_mass)
-            used = float(plan.sum())
+        used = float(plan.sum())
         audit.append({"class": k + 1, "capacity": cap, "used": used,
                       "slack": cap - used})
     return audit
@@ -301,13 +301,14 @@ _CLASS_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 
 def render_plan_svg(source_points, target_points, plan_set: TransportPlanSet,
-                    class_indices, dotted: bool = False,
-                    size: int = 640) -> str:
+                    class_indices, dotted: bool = False) -> str:
     """Source circles, target triangles, coupling segments.
 
     Per-class plans draw solid colored segments; the globally relaxed plan
-    is drawn dotted.  No timestamps or other run metadata are embedded.
+    is drawn dotted; entries at or below ``ROUNDING_TOL`` are not drawn.  No
+    timestamps or other run metadata are embedded.
     """
+    size = 640
     source_points = np.asarray(source_points)
     target_points = np.asarray(target_points)
     pts = np.vstack([source_points, target_points])
@@ -329,7 +330,7 @@ def render_plan_svg(source_points, target_points, plan_set: TransportPlanSet,
         max_mass = plan.max() if plan.size else 0.0
         if max_mass <= 0:
             continue
-        ti, sj = np.nonzero(plan > 1e-12)
+        ti, sj = np.nonzero(plan > ROUNDING_TOL)
         for i, j in zip(ti, sj):
             x1, y1 = sxy(target_points[i])
             x2, y2 = sxy(source_points[class_indices[k][j]])
@@ -358,17 +359,19 @@ def render_plan_svg(source_points, target_points, plan_set: TransportPlanSet,
 # ---------------------------------------------------------------------------
 
 def _add_toy_flags(sub):
-    sub.add_argument("--k", type=int, default=3, help="number of classes")
-    sub.add_argument("--eta", type=_finite, default=1.0,
+    toy = ToyConfig()
+    sub.add_argument("--k", type=int, default=toy.n_classes, help="number of classes")
+    sub.add_argument("--eta", type=_finite, default=toy.eta,
                      help="imbalance intensity of the source proportions")
-    sub.add_argument("--theta", type=_finite, default=0.0,
+    sub.add_argument("--theta", type=_finite, default=toy.theta_degrees,
                      help="target rotation angle in degrees")
-    sub.add_argument("--n-source", "--n", type=int, default=300, dest="n_source")
+    sub.add_argument("--n-source", "--n", type=int, default=toy.n_source,
+                     dest="n_source")
     sub.add_argument("--n-target", type=int, default=0,
                      help="target sample size (defaults to the source size)")
-    sub.add_argument("--sigma", type=_finite, default=0.35,
+    sub.add_argument("--sigma", type=_finite, default=toy.sigma,
                      help="per-class isotropic standard deviation")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int, default=toy.seed)
     sub.add_argument("--config", help="JSON file of flag defaults")
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .measures import ATOM_MATCH_TOL, PROBABILITY_TOL, DiscreteMeasure, LabeledDataset
+from .measures import ROUNDING_TOL, DiscreteMeasure, LabeledDataset
 
 __all__ = [
     "ToyConfig",
@@ -156,7 +156,7 @@ def shared_atom_label_shift(class_atoms: Sequence, p, q):
     if not (len(atoms) == len(p) == len(q)):
         raise ValueError("need one atom set per class proportion")
     for vec, name in ((p, "p"), (q, "q")):
-        if np.any(vec < 0) or abs(vec.sum() - 1.0) > PROBABILITY_TOL:
+        if np.any(vec < 0) or abs(vec.sum() - 1.0) > ROUNDING_TOL:
             raise ValueError(f"{name} must be a probability vector")
     for a in atoms:
         if len(a) == 0:
@@ -164,7 +164,7 @@ def shared_atom_label_shift(class_atoms: Sequence, p, q):
     for i in range(len(atoms)):
         for j in range(i + 1, len(atoms)):
             for row in atoms[i]:
-                if np.any(np.max(np.abs(atoms[j] - row), axis=1) <= ATOM_MATCH_TOL):
+                if np.any(np.max(np.abs(atoms[j] - row), axis=1) <= ROUNDING_TOL):
                     raise ValueError(
                         f"classes {i + 1} and {j + 1} share an atom; the "
                         "separating-sets premise needs disjoint classes"

@@ -19,6 +19,7 @@ import numpy as np
 
 from .datagen import ToyConfig, draw_seeds, generate_pair
 from .measures import (
+    ROUNDING_TOL,
     CostMatrix,
     class_conditionals,
     cost_matrix,
@@ -43,9 +44,6 @@ __all__ = [
 MODE_GLOBAL = "global"
 MODE_SPLIT = "per_class_split"
 
-#: A propagated row must have received at least this much mass.
-ZERO_ROW_TOL = 1e-12
-
 #: Class votes within this fraction of a row's top vote tie with it.  Far
 #: above the rounding in a plan's vote sums and far below the vote
 #: differences of an exact plan, so labels do not depend on which optimal
@@ -60,8 +58,8 @@ def propagate_labels(plan, source_labels, n_classes: int | None = None) -> np.nd
     :class:`~imdot.ot.TransportPlanSet`, whose class blocks are re-assembled
     against the source label order.  Votes within ``TIE_REL_TOL`` of the
     row's top vote tie, and ties resolve to the smallest class index; a row
-    carrying less than 1e-12 total mass is an error (the equality marginal
-    makes it impossible short of solver breakdown).
+    carrying less than ``ROUNDING_TOL`` total mass is an error (the equality
+    marginal makes it impossible short of solver breakdown).
     """
     source_labels = np.asarray(source_labels, dtype=int)
     if n_classes is None:
@@ -77,7 +75,7 @@ def propagate_labels(plan, source_labels, n_classes: int | None = None) -> np.nd
     for k in range(1, n_classes + 1):
         votes[:, k - 1] = plan[:, source_labels == k].sum(axis=1)
     totals = votes.sum(axis=1)
-    if np.any(totals < ZERO_ROW_TOL):
+    if np.any(totals < ROUNDING_TOL):
         bad = int(np.argmin(totals))
         raise ValueError(f"target row {bad} received no mass ({totals[bad]!r})")
     top = votes.max(axis=1, keepdims=True)

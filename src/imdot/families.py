@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .measures import ATOM_MATCH_TOL, DiscreteMeasure, _freeze, mix
+from .measures import ROUNDING_TOL, DiscreteMeasure, _freeze, mix
 
 __all__ = [
     "FunctionFamily",
@@ -41,10 +41,6 @@ KIND_HDH = "hdh"
 MAX_MEMBERS = 1 << 22
 MAX_INDICATOR_ATOMS = 22
 MAX_HYPOTHESES = 60
-
-#: Slack on localization membership tests E[f] <= eps, absorbing the float
-#: error between a mixture expectation and its per-class decomposition.
-MEMBERSHIP_TOL = 1e-12
 
 _BATCH = 1 << 14
 
@@ -123,7 +119,7 @@ class Localization:
     """Expectation caps restricting a family.
 
     A member ``f`` is admitted when ``E_measure[f] <= eps`` (up to
-    ``MEMBERSHIP_TOL``) for every ``(measure, eps)`` pair in ``caps``.  Global
+    ``ROUNDING_TOL``) for every ``(measure, eps)`` pair in ``caps``.  Global
     localization is one cap under a reference measure; per-class
     localization is one cap per class conditional.  The null function passes
     every cap.
@@ -146,7 +142,7 @@ class Localization:
         The cap weights are computed once, as one (n_ground, n_caps) matrix.
         """
         weights = _weight_matrix([m for m, _ in self.caps], ground_points)
-        bounds = np.array([eps for _, eps in self.caps]) + MEMBERSHIP_TOL
+        bounds = np.array([eps for _, eps in self.caps]) + ROUNDING_TOL
         return lambda batch: np.all(batch @ weights <= bounds, axis=1)
 
 
@@ -190,13 +186,13 @@ def per_class_localization(eps, conditionals: Sequence[DiscreteMeasure]) -> Loca
 
 def ground_union(*point_sets) -> np.ndarray:
     """Deduplicated union of atom coordinate sets, in order: a row is dropped
-    when it lies within ``ATOM_MATCH_TOL`` (Chebyshev) of an earlier kept row."""
+    when it lies within ``ROUNDING_TOL`` (Chebyshev) of an earlier kept row."""
     arrays = [np.atleast_2d(np.asarray(p, dtype=float)) for p in point_sets
               if len(np.atleast_2d(p)) > 0]
     if not arrays:
         raise ValueError("cannot build a ground set from empty point sets")
     stacked = np.vstack(arrays)
-    pairs = cKDTree(stacked).query_pairs(ATOM_MATCH_TOL, p=np.inf,
+    pairs = cKDTree(stacked).query_pairs(ROUNDING_TOL, p=np.inf,
                                          output_type="ndarray")
     dropped = np.zeros(len(stacked), dtype=bool)
     # Pairs are (i, j) with i < j; taken in order of j, whether i is kept
@@ -212,7 +208,7 @@ def weights_on_ground(measure: DiscreteMeasure,
     """Weight vector of ``measure`` over ``ground_points``.
 
     Every atom must match a ground point coordinate-wise within
-    ``ATOM_MATCH_TOL``; duplicated atoms accumulate onto the matched ground
+    ``ROUNDING_TOL``; duplicated atoms accumulate onto the matched ground
     point.
     """
     ground_points = np.asarray(ground_points, dtype=float)
@@ -223,7 +219,7 @@ def weights_on_ground(measure: DiscreteMeasure,
         raise ValueError("measure and ground set have different dimensions")
     dist = cdist(measure.points, ground_points, metric="chebyshev")
     idx = np.argmin(dist, axis=1)
-    if np.any(dist[np.arange(len(idx)), idx] > ATOM_MATCH_TOL):
+    if np.any(dist[np.arange(len(idx)), idx] > ROUNDING_TOL):
         bad = int(np.argmax(dist[np.arange(len(idx)), idx]))
         raise ValueError(
             f"atom {measure.points[bad].tolist()} is not on the ground set"
@@ -346,10 +342,10 @@ def localization_inclusion_check(family: FunctionFamily,
     for batch in member_batches(family):
         expectations = batch @ weights
         e_class, e_ref = expectations[:, :-1], expectations[:, -1]
-        in_pc = np.all(e_class <= eps_vec + MEMBERSHIP_TOL, axis=1)
-        in_pc_eta = np.all(e_class <= eta + MEMBERSHIP_TOL, axis=1)
-        in_glob_pte = e_ref <= eps_pte + MEMBERSHIP_TOL
-        in_glob = e_ref <= eps + MEMBERSHIP_TOL
+        in_pc = np.all(e_class <= eps_vec + ROUNDING_TOL, axis=1)
+        in_pc_eta = np.all(e_class <= eta + ROUNDING_TOL, axis=1)
+        in_glob_pte = e_ref <= eps_pte + ROUNDING_TOL
+        in_glob = e_ref <= eps + ROUNDING_TOL
         size_pc += int(in_pc.sum())
         size_glob += int(in_glob.sum())
         for direction, bad in enumerate((in_pc & ~in_glob_pte, in_glob & ~in_pc_eta)):

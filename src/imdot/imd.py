@@ -26,7 +26,7 @@ from .families import (
     no_localization,
     weights_on_ground,
 )
-from .measures import ATOM_MATCH_TOL, DiscreteMeasure
+from .measures import ROUNDING_TOL, DiscreteMeasure
 
 __all__ = [
     "ImdResult",
@@ -46,12 +46,8 @@ __all__ = [
 
 #: Slack of the duality inequality ``localized <= relaxed + eps * alpha``.
 DUALITY_TOL = 1e-9
-#: Largest gap allowed in the hdh identity ``1 - value == risk form``.
-COMPLEMENT_TOL = 1e-12
 #: S-mass at or below which a hypothesis pair agrees S-almost-surely.
 S_NULL_MASS = 1e-15
-#: Slack of the hdh support bound ``lhs <= rhs``.
-SUPPORT_BOUND_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -112,13 +108,14 @@ def imd_tv_closed_form(q1: DiscreteMeasure, q2: DiscreteMeasure) -> float:
 def imd_f0_support_mass(target: DiscreteMeasure, source: DiscreteMeasure) -> float:
     """IMD at zero localization over bounded functions: T-mass off supp(S).
 
-    Support membership is exact atom-coordinate matching within 1e-12.
+    Support membership is exact atom-coordinate matching within
+    ``ROUNDING_TOL``.
     """
     support = source.support_points()
     if len(support) == 0:
         return float(target.total_mass)
     dist = cdist(target.points, support, metric="chebyshev")
-    return float(np.sum(target.weights[dist.min(axis=1) > ATOM_MATCH_TOL]))
+    return float(np.sum(target.weights[dist.min(axis=1) > ROUNDING_TOL]))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +270,7 @@ def hdh_imd(target: DiscreteMeasure, source: DiscreteMeasure,
 
     Besides the supremum, the complementary classification-risk form
     ``inf_pairs P_T[f = 0] + E_relaxed[f]`` is computed independently and the
-    identity ``1 - value == risk form`` is asserted to ``COMPLEMENT_TOL``
+    identity ``1 - value == risk form`` is asserted to ``ROUNDING_TOL``
     (the target must be a probability measure for it to make sense).
     """
     if family.kind != "hdh":
@@ -304,7 +301,7 @@ def hdh_imd(target: DiscreteMeasure, source: DiscreteMeasure,
     risk_best = float(np.min((1.0 - mass_t) + mass_rel))
     rows, cols = np.triu_indices(len(family.hypotheses))
     best_pair = (int(rows[k]), int(cols[k]))
-    if abs((1.0 - best) - risk_best) > COMPLEMENT_TOL:
+    if abs((1.0 - best) - risk_best) > ROUNDING_TOL:
         raise RuntimeError(
             f"complement identity violated: 1 - {best!r} vs {risk_best!r}"
         )
@@ -341,4 +338,4 @@ def hdh_support_bound_check(target: DiscreteMeasure, source: DiscreteMeasure,
     lhs = float(np.max(agreeing @ wt))
     support = ~agreeing.any(axis=0)
     rhs = 1.0 - float(wt[support].sum())
-    return HdhSupportReport(lhs, rhs, support, bool(lhs <= rhs + SUPPORT_BOUND_TOL))
+    return HdhSupportReport(lhs, rhs, support, bool(lhs <= rhs + ROUNDING_TOL))

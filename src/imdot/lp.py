@@ -18,7 +18,10 @@ solve with the basis per pivot; on the transport walks of :mod:`imdot.ot`
 Devex also took fewer pivots.  Every optimal solution is re-certified by one
 function, :func:`certify`, from the primal values and the row duals alone,
 so a numerically broken solve raises instead of returning a silently wrong
-answer.  The tolerances named here are the ones every certificate uses.
+answer.  The solver layer's tolerances are named here: the certificate's
+``FEASIBILITY_TOL`` and ``GAP_TOL``, and ``HIGHS_TOL``, the tolerance HiGHS
+works to and column generation prices to (:func:`pricing_tolerance`).  The
+data layer's rounding slack is :data:`imdot.measures.ROUNDING_TOL`.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "solve",
     "certify",
     "dual_tolerance",
+    "pricing_tolerance",
     "dual_of",
     "dump_lp",
 ]
@@ -55,8 +59,10 @@ FEASIBILITY_TOL = 1e-8
 #: Duality gap allowed on an optimal solution, relative to ``1 + |value|``.
 GAP_TOL = 1e-7
 
-#: Primal and dual feasibility tolerance HiGHS itself works to.
-HIGHS_TOL = 1e-9
+#: Primal and dual feasibility tolerance HiGHS itself works to, and with it
+#: column generation's pricing (:func:`pricing_tolerance`).  HiGHS's floor:
+#: it rejects 1e-11.
+HIGHS_TOL = 1e-10
 
 
 class LpError(RuntimeError):
@@ -182,10 +188,24 @@ def solve(lp: LinearProgram) -> LpSolution:
                       residual, gap, 1, lp.n_vars)
 
 
+def _cost_scale(c: np.ndarray) -> float:
+    """``1 + ||c||_inf``, the scale of every reduced-cost bound."""
+    return 1.0 + float(np.max(np.abs(c), initial=0.0))
+
+
 def dual_tolerance(c: np.ndarray) -> float:
     """Reduced cost a certified column may have on a side its bounds do not
     allow: the dual feasibility bound ``FEASIBILITY_TOL * (1 + ||c||_inf)``."""
-    return FEASIBILITY_TOL * (1.0 + float(np.max(np.abs(c), initial=0.0)))
+    return FEASIBILITY_TOL * _cost_scale(c)
+
+
+def pricing_tolerance(c: np.ndarray) -> float:
+    """Reduced cost below which column generation still adds a column:
+    ``HIGHS_TOL * (1 + ||c||_inf)``, at the scale of :func:`dual_tolerance`
+    but at the tolerance HiGHS itself works to.  Pricing to the looser
+    certificate bound would stop at whichever near-optimal basis the simplex
+    path reached, so a value would depend on that path."""
+    return HIGHS_TOL * _cost_scale(c)
 
 
 def certify(lp: LinearProgram, x: np.ndarray, row_dual: np.ndarray):
@@ -374,10 +394,11 @@ def dual_of(lp: LinearProgram) -> LinearProgram:
     return LinearProgram(c_dual, A_dual, rel_dual, lp.c, lower=lower)
 
 
-def dump_lp(lp: LinearProgram, max_rows: int = 200, max_vars: int = 1000) -> str:
-    """Plain-text fixed-format dump for reproducing solver issues."""
+def dump_lp(lp: LinearProgram) -> str:
+    """Plain-text fixed-format dump for reproducing solver issues; an LP of
+    more than 200 rows or 1000 variables gets only its sizes and norms."""
     lines = [f"LP n_vars={lp.n_vars} n_rows={lp.n_rows} minimize"]
-    if lp.n_rows > max_rows or lp.n_vars > max_vars:
+    if lp.n_rows > 200 or lp.n_vars > 1000:
         lines.append(
             f"(too large to dump: |c|_inf={np.max(np.abs(lp.c), initial=0.0)!r} "
             f"|b|_inf={np.max(np.abs(lp.b), initial=0.0)!r})"

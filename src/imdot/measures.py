@@ -27,12 +27,12 @@ __all__ = [
     "load_dataset",
 ]
 
-#: Probability measures must carry total mass 1 within this tolerance.
-PROBABILITY_TOL = 1e-12
-
-#: Two atoms count as the same support point when every coordinate agrees
-#: within this tolerance.
-ATOM_MATCH_TOL = 1e-12
+#: Rounding slack of sums and comparisons of O(1) floats built from exact
+#: inputs: a probability vector's total mass against 1, atom coordinates
+#: matched as one support point (Chebyshev), a mixture expectation against
+#: its cap, identities between two evaluations of one value.  The one data
+#: layer tolerance; the solver layer's are in :mod:`imdot.lp`.
+ROUNDING_TOL = 1e-12
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -91,7 +91,7 @@ class DiscreteMeasure:
 
     @property
     def is_probability(self) -> bool:
-        return abs(self.total_mass - 1.0) <= PROBABILITY_TOL
+        return abs(self.total_mass - 1.0) <= ROUNDING_TOL
 
     def support_points(self) -> np.ndarray:
         """Atoms carrying strictly positive mass."""

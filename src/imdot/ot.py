@@ -30,14 +30,16 @@ tail of the assembled matrix's arrays.  HiGHS thus receives exactly the
 assembled LP's columns, with no sparse matrix built or sliced per add.
 Each round prices all arcs exactly, ``C - u - y``, and adds up to
 ``ARCS_PER_ROW`` per target row, until none is below
-``-FEASIBILITY_TOL * (1 + max C)``.  The result is then certified by
-:func:`imdot.lp.certify` on the full problem, every arc included, so no
-value is approximate.  Several capacities or budgets, such as the global
-relaxation's or a split's grid, are walked from the largest down on the
-same model, changing only right-hand sides.  Each run restarts with the
-simplex its warm basis admits: primal simplex after a pricing round added
-arcs (the basis stays primal feasible), dual simplex after the next entry's
-right-hand sides (the basis stays dual feasible) and on the first run.
+``-HIGHS_TOL * (1 + max C)``: the tolerance HiGHS itself works to, so the
+walk ends at the same optimum whichever simplex ran.  The result is then
+certified by :func:`imdot.lp.certify` on the full problem, every arc
+included, within its own looser bounds, so no value is approximate.
+Several capacities or budgets, such as the global relaxation's or a split's
+grid, are walked from the largest down on the same model, changing only
+right-hand sides.  Each run restarts with the simplex its warm basis
+admits: primal simplex after a pricing round added arcs (the basis stays
+primal feasible), dual simplex after the next entry's right-hand sides
+(the basis stays dual feasible) and on the first run.
 The dual simplex prices with Devex weights, which need no extra solve per
 pivot and took fewer pivots here than steepest edge.
 """
@@ -53,15 +55,17 @@ from scipy.spatial.distance import cdist
 
 from .families import ground_union, weights_on_ground
 from .lp import (
+    FEASIBILITY_TOL,
+    HIGHS_TOL,
     HighsModel,
     LinearProgram,
     LpError,
     LpSolution,
     certify,
-    dual_tolerance,
+    pricing_tolerance,
     solve,
 )
-from .measures import CostMatrix, DiscreteMeasure
+from .measures import ROUNDING_TOL, CostMatrix, DiscreteMeasure
 
 __all__ = [
     "TransportPlanSet",
@@ -77,23 +81,8 @@ __all__ = [
     "plan_set_to_dict",
 ]
 
-#: Marginal residual allowed on a returned plan.
-PLAN_TOL = 1e-8
-
-#: Negative plan entry allowed as rounding.
-PLAN_ZERO_TOL = 1e-12
-
 #: Largest total-mass difference :func:`wasserstein1` accepts.
 MASS_TOL = 1e-10
-
-#: Largest difference between the realized capacity split and its budget.
-SPLIT_BUDGET_TOL = 1e-8
-
-#: Lipschitz-constraint violation allowed on a dual potential.
-LIPSCHITZ_TOL = 1e-8
-
-#: Negative value allowed on a dual potential where it must be nonnegative.
-POTENTIAL_SIGN_TOL = 1e-10
 
 #: Cheapest arcs of each target, over all classes, that column generation
 #: starts with.
@@ -183,7 +172,7 @@ def _solve_blocks(target: DiscreteMeasure,
         beta = None
         if budgets is not None:
             budget = float(budgets[e])
-            if not abs(float(np.sum(blocks[-1])) - budget) <= SPLIT_BUDGET_TOL:
+            if not abs(float(np.sum(blocks[-1])) - budget) <= FEASIBILITY_TOL:
                 raise LpError(f"split budget violated: {np.sum(blocks[-1])!r} != {budget!r}")
             beta = np.maximum(blocks[-1], 0.0)
             cap_scale = cap_scale + beta
@@ -307,10 +296,12 @@ def _column_generation(target: DiscreteMeasure,
     largest capacity down, changing only right-hand sides in between.
     After each run the reduced costs ``C - u - y`` of all arcs are priced
     and :func:`_priced_arcs` added, until none falls below
-    ``-dual_tolerance(c)``: the bound :func:`lp.certify` then checks on
-    every column of the full problem.  That bound is never tighter than
-    HiGHS's own ``HIGHS_TOL``; a tighter one keeps adding arcs that HiGHS
-    already calls optimal.
+    ``-pricing_tolerance(c)``, HiGHS's own dual feasibility tolerance at the
+    scale of ``c``.  Stopping at the certificate's looser
+    ``-dual_tolerance(c)`` instead could leave out an arc that improves the
+    value by more than HiGHS's tolerance, and which one depends on the
+    simplex path; :func:`lp.certify` then checks ``-dual_tolerance(c)`` on
+    every column of the full problem.
     """
     n_t = target.n_atoms
     widths = [len(w) for w in cond_weights]
@@ -325,7 +316,7 @@ def _column_generation(target: DiscreteMeasure,
     lp = _assemble_blocks(target, cond_weights, costs, *entries[0])
     rhs = [_block_rhs(target, cond_weights, *entry) for entry in entries]
     order = sorted(range(len(rhs)), key=lambda e: -float(rhs[e][n_t:].sum()))
-    tol = dual_tolerance(lp.c)
+    tol = pricing_tolerance(lp.c)
     equality = np.asarray(lp.relations) == "="
 
     current = rhs[order[0]]
@@ -394,12 +385,12 @@ def _verify_plans(target, cond_weights, cap_scale, plans) -> None:
     # Written as "not within", so that a NaN fails each check.
     row_sum = np.zeros(target.n_atoms)
     for plan, scale, w in zip(plans, cap_scale, cond_weights):
-        if plan.size and not plan.min() >= -PLAN_ZERO_TOL:
+        if plan.size and not plan.min() >= -ROUNDING_TOL:
             raise LpError(f"negative plan entry {plan.min()!r}")
-        if plan.shape[1] and not np.max(plan.sum(axis=0) - scale * w) <= PLAN_TOL:
+        if plan.shape[1] and not np.max(plan.sum(axis=0) - scale * w) <= FEASIBILITY_TOL:
             raise LpError("plan exceeds a class capacity")
         row_sum += plan.sum(axis=1)
-    if not np.max(np.abs(row_sum - target.weights), initial=0.0) <= PLAN_TOL:
+    if not np.max(np.abs(row_sum - target.weights), initial=0.0) <= FEASIBILITY_TOL:
         raise LpError("plan does not reproduce the target marginal")
 
 
@@ -573,9 +564,10 @@ def lipschitz_imd_dual(target: DiscreteMeasure, source: DiscreteMeasure,
     f = sol.x
     # Written as "not within", so that a NaN fails each check.
     slack = f[i_idx] - f[j_idx] - dist[i_idx, j_idx]
-    if slack.size and not slack.max() <= LIPSCHITZ_TOL:
+    if slack.size and not slack.max() <= FEASIBILITY_TOL:
         raise LpError(f"potential violates the Lipschitz constraint by {slack.max()!r}")
-    if not np.all(f[support] >= -POTENTIAL_SIGN_TOL):
+    # HiGHS bounds its primal's bound violations by HIGHS_TOL.
+    if not np.all(f[support] >= -HIGHS_TOL):
         raise LpError("potential is negative on the source support")
     potential = LipschitzPotential(f, np.flatnonzero(support), ground)
     return -sol.value, potential
@@ -596,11 +588,12 @@ def support_distance_imd(target: DiscreteMeasure, source: DiscreteMeasure) -> fl
     return float(target.weights @ dist.min(axis=1))
 
 
-def plan_set_to_dict(plan_set: TransportPlanSet, threshold: float = 1e-12) -> dict:
-    """JSON-ready export: per-class sparse triplets plus beta and objective."""
+def plan_set_to_dict(plan_set: TransportPlanSet) -> dict:
+    """JSON-ready export: per-class sparse triplets of the entries above
+    ``ROUNDING_TOL``, plus beta and objective."""
     blocks = []
     for k, plan in enumerate(plan_set.plans):
-        ti, sj = np.nonzero(plan > threshold)
+        ti, sj = np.nonzero(plan > ROUNDING_TOL)
         blocks.append({
             "class": k + 1,
             "triplets": [

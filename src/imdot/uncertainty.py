@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import PROBABILITY_TOL
+from .measures import ROUNDING_TOL
 
 __all__ = [
     "min_entropy_uncertainty",
@@ -34,21 +34,17 @@ __all__ = [
 
 LOG_CLIP = 1e-12
 
-#: Slack of the exhaustive loss checks and of the source-guided uncertainty
-#: properties checked by :func:`verify_sgu_properties`.
-PROPERTY_TOL = 1e-12
-
 
 def _check_simplex(score) -> np.ndarray:
     """``score`` as a float vector, or a ValueError unless it is a nonempty
-    1-d vector of finite, nonnegative entries summing to 1 (``PROBABILITY_TOL``).
+    1-d vector of finite, nonnegative entries summing to 1 (``ROUNDING_TOL``).
 
     Written as "not within", so that a NaN or an infinite entry fails too:
     it makes the minimum NaN or the sum NaN or infinite."""
     v = np.asarray(score, dtype=float)
     if v.ndim != 1 or len(v) == 0:
         raise ValueError("score must be a nonempty 1-d array")
-    if not (v.min() >= 0 and abs(v.sum() - 1.0) <= PROBABILITY_TOL):
+    if not (v.min() >= 0 and abs(v.sum() - 1.0) <= ROUNDING_TOL):
         raise ValueError(f"score must be finite and lie on the probability simplex, "
                          f"got {v.tolist()!r}")
     return v
@@ -117,7 +113,7 @@ def loss_satisfies_triangle(loss: Callable, n_classes: int) -> bool:
     """Exhaustively check ``l(a, c) <= l(a, b) + l(b, c)`` on the label set."""
     labels = range(1, n_classes + 1)
     return all(
-        loss(a, c) <= loss(a, b) + loss(b, c) + PROPERTY_TOL
+        loss(a, c) <= loss(a, b) + loss(b, c) + ROUNDING_TOL
         for a in labels for b in labels for c in labels
     )
 
@@ -135,7 +131,7 @@ def loss_pair_condition_holds(l1: Callable, l2: Callable, scores,
     for u in np.atleast_2d(np.asarray(scores, dtype=float)):
         for y1 in labels:
             for y2 in labels:
-                if l1(u, y1) - l2(y2, y1) > l1(u, y2) + PROPERTY_TOL:
+                if l1(u, y1) - l2(y2, y1) > l1(u, y2) + ROUNDING_TOL:
                     return False
     return True
 
@@ -261,21 +257,21 @@ def verify_sgu_properties(hyp_target, hyp_source, source_labels, target_labels,
         return value
 
     point1_ok = all(
-        uncertainty(hyp_target[h]) <= risks_s[h] + PROPERTY_TOL
+        uncertainty(hyp_target[h]) <= risks_s[h] + ROUNDING_TOL
         for h in range(len(hyp_target))
     )
 
     inf_over_pool = min(uncertainty(g) for g in tilde_target)
     inf_source = float(risks_s.min())
-    point2_ok = abs(inf_over_pool - inf_source) <= PROPERTY_TOL
+    point2_ok = abs(inf_over_pool - inf_source) <= ROUNDING_TOL
 
     risks_t_true = _source_risk(hyp_target, target_labels, loss)
     h_s = int(np.argmin(risks_s))
     h_star = int(np.argmin(risks_t_true + risks_s))
     u_hs = uncertainty(hyp_target[h_s])
     u_hstar = uncertainty(hyp_target[h_star])
-    point3_ok = (abs(u_hs - risks_s[h_s]) <= PROPERTY_TOL
-                 and abs(u_hstar - risks_s[h_star]) <= PROPERTY_TOL)
+    point3_ok = (abs(u_hs - risks_s[h_s]) <= ROUNDING_TOL
+                 and abs(u_hstar - risks_s[h_star]) <= ROUNDING_TOL)
 
     return SguPropertiesReport(
         point1_ok, point2_ok, point3_ok,

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from imdot.cli import main
-from imdot.datagen import shared_atom_label_shift
+from imdot.cli import _toy_config, build_parser, main
+from imdot.datagen import ToyConfig, shared_atom_label_shift
 from imdot.measures import LabeledDataset, save_dataset
 
 
@@ -27,6 +27,11 @@ def test_gen_outputs_and_determinism(tmp_path):
         assert (out1 / name).stat().st_size > 0
     config = json.loads((out1 / "config.json").read_text())
     assert config["sigma"] == 0.35
+
+
+def test_toy_flag_defaults_are_the_config_defaults():
+    for command in ("gen", "sweep"):
+        assert _toy_config(build_parser().parse_args([command])) == ToyConfig()
 
 
 def test_solve_split_beta_zero_matches_global(tmp_path):

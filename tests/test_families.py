@@ -9,7 +9,6 @@ from imdot.checks import (
     related_hypotheses,
 )
 from imdot.families import (
-    MEMBERSHIP_TOL,
     FamilyTooLargeError,
     Localization,
     enumerate_members,
@@ -24,7 +23,7 @@ from imdot.families import (
     weights_on_ground,
 )
 from imdot.imd import imd_bruteforce
-from imdot.measures import ATOM_MATCH_TOL, DiscreteMeasure
+from imdot.measures import ROUNDING_TOL, DiscreteMeasure
 
 TWO_POINTS = np.array([[0.0, 0.0], [1.0, 0.0]])
 
@@ -61,7 +60,7 @@ def direct_scan(family, conditionals, eps):
     for batch in member_batches(family):
         for f in batch:
             e = [direct_expectation(c, f, ground) for c in conditionals]
-            capped = all(ek <= ck + MEMBERSHIP_TOL for ek, ck in zip(e, eps))
+            capped = all(ek <= ck + ROUNDING_TOL for ek, ck in zip(e, eps))
             rows.append((f, e, capped))
     return rows
 
@@ -157,7 +156,7 @@ class TestGroundPlumbing:
     def test_ground_union_matches_the_pairwise_scan(self, rng):
         # The rule: a row is dropped when it lies within tol (Chebyshev) of
         # an earlier kept row.  a~b and b~c with a, c apart keeps a and c.
-        tol = ATOM_MATCH_TOL
+        tol = ROUNDING_TOL
         chain = np.array([[0.0, 0.0], [0.6e-12, 0.0], [1.2e-12, 0.0]])
         edge = np.array([[0.5, 0.5], [0.5 + tol, 0.5 - tol], [0.5, 0.5 + 2 * tol]])
         cases = [(chain,), (chain[::-1],), (edge, chain), (TWO_POINTS, TWO_POINTS)]
@@ -243,8 +242,8 @@ class TestPerClassScan:
             eta = np.where(p > 0, eps / np.where(p > 0, p, 1.0), np.inf)
             rows = direct_scan(fam, conds, eps_vec)
             in_pc = [ok for _, _, ok in rows]
-            in_glob = [float(p @ e) <= eps + MEMBERSHIP_TOL for _, e, _ in rows]
-            in_pc_eta = [all(ek <= ck + MEMBERSHIP_TOL for ek, ck in zip(e, eta))
+            in_glob = [float(p @ e) <= eps + ROUNDING_TOL for _, e, _ in rows]
+            in_pc_eta = [all(ek <= ck + ROUNDING_TOL for ek, ck in zip(e, eta))
                          for _, e, _ in rows]
             report = localization_inclusion_check(fam, conds, p, eps_vec)
             assert report.per_class_size == sum(in_pc)

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import imdot.lp
 import imdot.ot
 from imdot.checks import dyadic_weights
+from imdot.datagen import ToyConfig, draw_seeds, generate_pair
 from imdot.lp import (
     DEVEX_PRICING,
     DUAL_SIMPLEX,
@@ -24,7 +26,13 @@ from imdot.lp import (
     certify,
     solve,
 )
-from imdot.measures import DiscreteMeasure, cost_matrix
+from imdot.measures import (
+    CostMatrix,
+    DiscreteMeasure,
+    class_conditionals,
+    cost_matrix,
+    empirical_measure,
+)
 from imdot.ot import (
     NEAREST_ARCS,
     _assemble_blocks,
@@ -299,6 +307,51 @@ class TestGridWalk:
             partial_ot_beta_split_path(target, conds, p, [0.5, -0.1], costs)
 
 
+class TestSimplexPath:
+    """A certified value does not depend on which simplex HiGHS ran.
+
+    Each walk runs under the default rule (primal simplex after a pricing
+    round) and with every run taking dual simplex.  The draws are K = 3,
+    n = 300 toy pairs on which pricing at the certificate's bound,
+    ``-dual_tolerance(c)``, ended the two rules 2.4e-11 (global walk,
+    beta = 0.25) and 8.8e-12 (split walk, beta = 0) apart.
+    """
+
+    GRID = (0.0, 0.25, 0.5, 1.0)
+
+    @pytest.mark.parametrize("mode, draw, beta", [("global", 2, 0.25), ("split", 3, 0.0)])
+    def test_both_simplex_rules_end_at_the_dense_optimum(self, monkeypatch, mode,
+                                                         draw, beta):
+        seed = int(draw_seeds(2024, 6)[draw])
+        source, target = generate_pair(ToyConfig(n_classes=3, n_source=300,
+                                                 n_target=300, seed=seed))
+        t, s = empirical_measure(target), empirical_measure(source)
+        conds, p = class_conditionals(source)
+        cost = cost_matrix(target.points, source.points)
+        costs = [CostMatrix(cost.entries[:, source.class_indices(k)]) for k in (1, 2, 3)]
+
+        def walk():
+            if mode == "global":
+                return [value for value, _ in partial_ot_global_path(t, s, cost, self.GRID)]
+            return [plan_set.objective for plan_set in
+                    partial_ot_beta_split_path(t, conds, p, self.GRID, costs)]
+
+        default = walk()
+        # Every run takes dual simplex, also after a pricing round.
+        monkeypatch.setattr(imdot.lp, "PRIMAL_SIMPLEX", DUAL_SIMPLEX)
+        all_dual = walk()
+        monkeypatch.undo()
+        for a, b in zip(default, all_dual):
+            assert abs(a - b) <= 1e-14 * abs(b), (a, b)
+        if mode == "global":
+            reference = dense(t, [s.weights], [cost], np.array([1.0 + beta]), None)
+        else:
+            reference = dense(t, [c.weights for c in conds], costs, p, beta)
+        e = self.GRID.index(beta)
+        for value in (default[e], all_dual[e]):
+            assert abs(value - reference.value) <= 1e-12 * reference.value
+
+
 class TestCertificate:
     """Planted faults: the full-arc certificate is independent of pricing."""
 
@@ -320,7 +373,7 @@ class TestCertificate:
         # Pricing that never adds an arc stops at the restricted optimum of
         # the initial support, which some arc outside the model beats.
         target, cond_weights, costs, p = split_blocks(rng)
-        monkeypatch.setattr(imdot.ot, "dual_tolerance", lambda c: np.inf)
+        monkeypatch.setattr(imdot.ot, "pricing_tolerance", lambda c: np.inf)
         with pytest.raises(LpError, match="reduced cost"):
             _column_generation(target, cond_weights, costs, p[None, :], [0.3])
 
