@@ -172,9 +172,9 @@ def _toy_config(args) -> ToyConfig:
 
 def cmd_gen(args) -> int:
     started = time.perf_counter()
+    config = args.toy_config
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    config = _toy_config(args)
     source, target = generate_pair(config)
     save_dataset(source, out / "source.csv")
     save_dataset(target, out / "target.csv")
@@ -253,9 +253,9 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
+    config = args.toy_config
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    config = _toy_config(args)
     result = run_sweep(config, args.beta_grid, args.draws, mode=args.mode,
                        jobs=args.jobs)
     write_draws_csv(result, out / "draws.csv", include_timings=args.timings)
@@ -436,6 +436,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     if args.command == "solve" and args.mode == "perclass" and args.beta_vec is None:
         _subparser(parser, "solve").error("--mode perclass needs --beta-vec")
+    if args.command in ("gen", "sweep"):
+        # An invalid toy configuration is a usage error, reported before any
+        # output is written.
+        try:
+            args.toy_config = _toy_config(args)
+        except ValueError as exc:
+            _subparser(parser, args.command).error(str(exc))
     return args.func(args)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .measures import ROUNDING_TOL, DiscreteMeasure, _freeze, mix
+from .measures import ROUNDING_TOL, DiscreteMeasure, _finite_nonnegative, _freeze, mix
 
 __all__ = [
     "FunctionFamily",
@@ -151,9 +151,9 @@ def no_localization() -> Localization:
 
 
 def _global_eps(eps) -> float:
-    if np.ndim(eps) != 0 or eps < 0:
+    if np.ndim(eps) != 0:
         raise ValueError("global localization needs a scalar eps >= 0")
-    return float(eps)
+    return float(_finite_nonnegative("eps", eps))
 
 
 def _per_class_eps(eps, conditionals) -> tuple:
@@ -167,7 +167,7 @@ def _per_class_eps(eps, conditionals) -> tuple:
 
 
 def global_localization(eps: float, reference: DiscreteMeasure) -> Localization:
-    eps = _global_eps(eps)
+    """One cap ``E_reference[f] <= eps``; :class:`Localization` checks ``eps``."""
     if not isinstance(reference, DiscreteMeasure):
         raise ValueError("global localization needs a reference measure")
     return Localization(((reference, eps),))

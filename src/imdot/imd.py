@@ -26,7 +26,7 @@ from .families import (
     no_localization,
     weights_on_ground,
 )
-from .measures import ROUNDING_TOL, DiscreteMeasure
+from .measures import ROUNDING_TOL, DiscreteMeasure, _finite_nonnegative
 
 __all__ = [
     "ImdResult",
@@ -208,9 +208,9 @@ def duality_check(target: DiscreteMeasure, source: DiscreteMeasure,
     admitted members, and ``IMD(T, (1+a)S)`` for every grid value from one
     matrix product per batch.
     """
-    alpha_grid = np.asarray(alpha_grid, dtype=float)
-    if alpha_grid.ndim != 1 or np.any(alpha_grid < 0):
-        raise ValueError("alpha grid must be a vector of nonnegative reals")
+    alpha_grid = _finite_nonnegative("alpha_grid", alpha_grid)
+    if alpha_grid.ndim != 1:
+        raise ValueError("alpha_grid must be a vector of relaxations")
     admit = global_localization(eps, source).admission(family.ground_points)
     wt = weights_on_ground(target, family.ground_points)
     ws = weights_on_ground(source, family.ground_points)
@@ -282,15 +282,12 @@ def hdh_imd(target: DiscreteMeasure, source: DiscreteMeasure,
     if beta_vec is not None:
         if conditionals is None:
             raise ValueError("per-class relaxation needs the source conditionals")
-        beta_vec = np.asarray(beta_vec, dtype=float)
-        if np.any(beta_vec < 0):
-            raise ValueError("beta_vec must be nonnegative")
+        beta_vec = _finite_nonnegative("beta_vec", beta_vec)
         w_rel = weights_on_ground(source, ground).copy()
         for b_k, cond in zip(beta_vec, conditionals):
             w_rel += b_k * weights_on_ground(cond, ground)
     else:
-        if beta < 0:
-            raise ValueError("beta must be nonnegative")
+        _finite_nonnegative("beta", beta)
         w_rel = (1.0 + beta) * weights_on_ground(source, ground)
 
     # Members come in np.triu_indices order; argmax keeps the first maximum.
@@ -301,7 +298,8 @@ def hdh_imd(target: DiscreteMeasure, source: DiscreteMeasure,
     risk_best = float(np.min((1.0 - mass_t) + mass_rel))
     rows, cols = np.triu_indices(len(family.hypotheses))
     best_pair = (int(rows[k]), int(cols[k]))
-    if abs((1.0 - best) - risk_best) > ROUNDING_TOL:
+    # Written as "not within", so that a NaN fails it.
+    if not abs((1.0 - best) - risk_best) <= ROUNDING_TOL:
         raise RuntimeError(
             f"complement identity violated: 1 - {best!r} vs {risk_best!r}"
         )

@@ -1,12 +1,13 @@
 """Generic linear-program layer used by the transport and dual solves.
 
-Problems are stated as ``minimize c @ x`` under row constraints with
-relations in ``{<=, =, >=}`` and per-variable bounds (default ``x >= 0``).
-Every problem reaches HiGHS through one adapter, :class:`HighsModel`.
-:func:`solve` makes a one-shot model of a whole problem: its rows, then all
-of its columns in one compressed-column batch with their own bounds, and one
-run.  The column generation of :mod:`imdot.ot` keeps one model warm while
-columns are added, as plain compressed-column arrays, and row bounds change.
+Problems are stated in HiGHS's own form (:class:`LinearProgram`): rows are
+bounded as variables are, ``row_lower <= A x <= row_upper``, with ``A`` one
+compressed-column (CSC) matrix.  Every problem reaches HiGHS through one
+adapter, :class:`HighsModel`.  :func:`solve` makes a one-shot model of a
+whole problem: its row bounds, then all of its columns in one
+compressed-column batch with their own bounds, and one run.  The column
+generation of :mod:`imdot.ot` keeps one model warm while columns are added,
+as plain compressed-column arrays, and row bounds change.
 Each change, and each option set, is checked against the status HiGHS
 returns, since HiGHS rejects a bad one without raising.  Each run restarts
 with the simplex that the warm basis admits: primal simplex when only
@@ -15,10 +16,12 @@ dual simplex when row bounds changed or the model is new (the basis stays
 dual feasible).  Its dual simplex prices with Devex weights (Harris, 1973)
 instead of HiGHS's default steepest edge, whose exact weights cost one more
 solve with the basis per pivot; on the transport walks of :mod:`imdot.ot`
-Devex also took fewer pivots.  Every optimal solution is re-certified by one
+Devex also took fewer pivots.  A solve that does not end optimal raises
+:class:`LpError` naming the status; an optimal one is re-certified by one
 function, :func:`certify`, from the primal values and the row duals alone,
 so a numerically broken solve raises instead of returning a silently wrong
-answer.  The solver layer's tolerances are named here: the certificate's
+answer.  An :class:`LpSolution` is thus always a certified optimum.  The
+solver layer's tolerances are named here: the certificate's
 ``FEASIBILITY_TOL`` and ``GAP_TOL``, and ``HIGHS_TOL``, the tolerance HiGHS
 works to and column generation prices to (:func:`pricing_tolerance`).  The
 data layer's rounding slack is :data:`imdot.measures.ROUNDING_TOL`.
@@ -27,8 +30,6 @@ data layer's rounding slack is :data:`imdot.measures.ROUNDING_TOL`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 import scipy.sparse as sp
 # Unused here; perfbench/tracer.py wraps it by name until its target goes.
@@ -49,11 +50,9 @@ __all__ = [
     "dump_lp",
 ]
 
-RELATIONS = ("<=", "=", ">=")
-
 #: Feasibility residual allowed on an optimal solution: primal residuals
-#: relative to ``1 + ||b||_inf``, dual residuals (:func:`dual_tolerance`)
-#: relative to ``1 + ||c||_inf``.
+#: relative to ``1 +`` the largest finite row bound in absolute value, dual
+#: residuals (:func:`dual_tolerance`) relative to ``1 + ||c||_inf``.
 FEASIBILITY_TOL = 1e-8
 
 #: Duality gap allowed on an optimal solution, relative to ``1 + |value|``.
@@ -69,13 +68,14 @@ class LpError(RuntimeError):
     """Numerical breakdown or solver failure, with diagnostics attached."""
 
 
-def _as_matrix(A, n_rows, n_cols):
+def _as_csc(A, n_rows, n_cols):
     if sp.issparse(A):
-        A = A if A.format in ("csr", "csc") else A.tocsr()
+        A = A.tocsc()
     else:
         A = np.asarray(A, dtype=float)
         if A.ndim != 2:
             raise ValueError("constraint matrix must be 2-d")
+        A = sp.csc_matrix(A)
     if A.shape != (n_rows, n_cols):
         raise ValueError(f"constraint matrix is {A.shape}, expected {(n_rows, n_cols)}")
     return A
@@ -83,43 +83,40 @@ def _as_matrix(A, n_rows, n_cols):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """``minimize c @ x  s.t.  A x (<=|=|>=) b,  lower <= x <= upper``.
+    """``minimize c @ x  s.t.  row_lower <= A x <= row_upper,  lower <= x <= upper``.
 
-    ``A`` may be dense or ``scipy.sparse``; a CSR or CSC matrix is kept in
-    its format, any other sparse format becomes CSR.  The transport problems
-    built by :mod:`imdot.ot` are CSC, since their constraint matrices are
-    two-nonzeros-per-column incidence structures read a column at a time.
+    An infinite bound is absent, and equal bounds make an equality row or a
+    pinned variable; by default ``x >= 0``.  ``A`` is always CSC, the
+    compressed columns HiGHS receives: a sparse input becomes ``A.tocsc()``,
+    which makes no copy of a CSC matrix, and a dense one is converted once.
     """
 
     c: np.ndarray
-    A: object
-    relations: tuple
-    b: np.ndarray
+    A: sp.csc_matrix
+    row_lower: np.ndarray
+    row_upper: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
 
-    def __init__(self, c, A, relations: Sequence[str], b, lower=None, upper=None):
+    def __init__(self, c, A, row_lower, row_upper, lower=None, upper=None):
         c = np.asarray(c, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if c.ndim != 1 or b.ndim != 1:
-            raise ValueError("c and b must be vectors")
-        A = _as_matrix(A, len(b), len(c))
-        relations = tuple(relations)
-        if len(relations) != len(b):
-            raise ValueError("one relation per constraint row is required")
-        for rel in relations:
-            if rel not in RELATIONS:
-                raise ValueError(f"unknown relation {rel!r}")
+        row_lower = np.asarray(row_lower, dtype=float)
+        row_upper = np.asarray(row_upper, dtype=float)
+        if c.ndim != 1 or row_lower.ndim != 1 or row_upper.shape != row_lower.shape:
+            raise ValueError("c and the row bounds must be vectors, the row bounds "
+                             "of equal length")
         lower = np.zeros(len(c)) if lower is None else np.asarray(lower, dtype=float)
         upper = np.full(len(c), np.inf) if upper is None else np.asarray(upper, dtype=float)
         if lower.shape != c.shape or upper.shape != c.shape:
             raise ValueError("bounds must match the variable count")
+        if np.any(row_lower > row_upper):
+            raise ValueError("row lower bound exceeds row upper bound")
         if np.any(lower > upper):
             raise ValueError("lower bound exceeds upper bound")
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "A", _as_csc(A, len(row_lower), len(c)))
+        object.__setattr__(self, "row_lower", row_lower)
+        object.__setattr__(self, "row_upper", row_upper)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
@@ -129,63 +126,62 @@ class LinearProgram:
 
     @property
     def n_rows(self) -> int:
-        return len(self.b)
-
-    def row(self, i: int) -> np.ndarray:
-        if sp.issparse(self.A):
-            return np.asarray(self.A.getrow(i).todense()).ravel()
-        return self.A[i]
+        return len(self.row_lower)
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str                # "optimal" | "infeasible" | "unbounded"
+    """A certified optimum: :func:`certify` has passed on ``x`` and the row
+    duals it came with."""
+
     value: float
     x: np.ndarray
     iterations: int            # simplex iterations, summed over rounds
-    residual: float            # primal feasibility residual; nan unless optimal
-    gap: float                 # |primal - dual| of the certificate; nan unless optimal
+    residual: float            # primal feasibility residual of the certificate
+    gap: float                 # |primal - dual| of the certificate
     rounds: int                # HiGHS runs: 1 for a dense solve (solve), pricing
                                # rounds for column generation (imdot.ot)
     columns: int               # columns in the final model: n_vars for a dense
                                # solve, the restricted model for column generation
 
 
+def _row_bound_norm(lp: LinearProgram) -> float:
+    """Largest finite row bound in absolute value, 0 if there is none."""
+    bounds = np.concatenate([lp.row_lower, lp.row_upper])
+    return float(np.max(np.abs(bounds[np.isfinite(bounds)]), initial=0.0))
+
+
 def _primal_residual(lp: LinearProgram, x: np.ndarray) -> float:
-    """Largest violation of a row relation or a variable bound by ``x``."""
-    rel = np.asarray(lp.relations)
-    r = lp.A @ x - lp.b
-    r = np.where(rel == "=", np.abs(r), np.where(rel == "<=", r, -r))
-    return float(np.max(np.concatenate([r, lp.lower - x, x - lp.upper]), initial=0.0))
+    """Largest violation of a row or a variable bound by ``x``."""
+    Ax = lp.A @ x
+    violations = (lp.row_lower - Ax, Ax - lp.row_upper, lp.lower - x, x - lp.upper)
+    # np.max, unlike max, keeps a NaN.
+    return float(np.max([np.max(v, initial=0.0) for v in violations]))
 
 
 def solve(lp: LinearProgram) -> LpSolution:
-    """Solve ``lp`` to proven optimality, or report infeasible/unbounded.
+    """Solve ``lp`` to a certified optimum.
 
-    One :class:`HighsModel` takes every row and, in one batch, every column
-    of ``lp`` with its bounds; it runs once and is not priced.
+    One :class:`HighsModel` takes the row bounds and, in one batch, every
+    column of ``lp`` with its bounds; it runs once and is not priced.
 
     Raises
     ------
     LpError
-        On solver breakdown or when the returned solution fails the
-        feasibility / duality-gap certificate.
+        When the solve does not end optimal (the error names the status and
+        carries :func:`dump_lp`), on solver breakdown, or when the solution
+        fails the feasibility / duality-gap certificate.
     """
-    rel = np.asarray(lp.relations)
-    A = sp.csc_matrix(lp.A)
     try:
-        model = HighsModel(np.where(rel == "<=", -np.inf, lp.b),
-                           np.where(rel == ">=", np.inf, lp.b))
-        model.add_columns(lp.c, A.indptr, A.indices, A.data, lp.lower, lp.upper)
+        model = HighsModel(lp.row_lower, lp.row_upper)
+        model.add_columns(lp.c, lp.A.indptr, lp.A.indices, lp.A.data, lp.lower, lp.upper)
         status, x, row_dual, iterations = model.run()
+        if status != "optimal":
+            raise LpError(f"LP is {status}")
     except LpError as error:
         raise LpError(f"{error}\n" + dump_lp(lp)) from error
-    if status != "optimal":
-        nan = float("nan")
-        return LpSolution(status, nan, np.empty(0), iterations, nan, nan, 1, lp.n_vars)
     residual, gap = certify(lp, x, row_dual)
-    return LpSolution("optimal", float(lp.c @ x), x, iterations,
-                      residual, gap, 1, lp.n_vars)
+    return LpSolution(float(lp.c @ x), x, iterations, residual, gap, 1, lp.n_vars)
 
 
 def _cost_scale(c: np.ndarray) -> float:
@@ -208,24 +204,42 @@ def pricing_tolerance(c: np.ndarray) -> float:
     return HIGHS_TOL * _cost_scale(c)
 
 
+def _bound_rule(dual: np.ndarray, lower: np.ndarray, upper: np.ndarray, tol: float):
+    """The dual of a column (its reduced cost) or of a row bounded by
+    ``lower`` and ``upper``: it may exceed ``tol`` only against a finite
+    lower bound and fall below ``-tol`` only against a finite upper bound.
+
+    Returns ``(worst, terms)``: the index of the largest violation (``None``
+    if there is none; a NaN is one) and the bounds' share of the dual
+    objective, ``sum l * max(d, 0) + sum u * min(d, 0)`` over the finite
+    bounds ``l`` and ``u``.
+    """
+    has_lower, has_upper = np.isfinite(lower), np.isfinite(upper)
+    excess = np.maximum(np.where(has_lower, 0.0, dual), np.where(has_upper, 0.0, -dual))
+    worst = None
+    if excess.size and not excess.max() <= tol:
+        worst = int(np.argmax(excess))
+    terms = (float(lower[has_lower] @ np.maximum(dual[has_lower], 0.0))
+             + float(upper[has_upper] @ np.minimum(dual[has_upper], 0.0)))
+    return worst, terms
+
+
 def certify(lp: LinearProgram, x: np.ndarray, row_dual: np.ndarray):
     """Certify ``x`` optimal for ``lp`` from row duals, independent of the
     solver, and return ``(residual, gap)``; raise LpError otherwise.
 
     Checked on every column and row of ``lp``: primal feasibility of ``x``
-    (rows and bounds), dual feasibility of ``row_dual`` within
-    ``dual_tolerance(c)`` and the duality gap.  A reduced cost
-    ``d = c - A' row_dual`` may be positive only where the lower bound is
-    finite and negative only where the upper bound is finite: ``d >= 0``
-    for ``x >= 0``, ``d = 0`` for a free variable, either sign for a pinned
-    one.  Duals of ``<=`` rows must be at most and of ``>=`` rows at least
-    zero.  The dual objective is ``b @ row_dual + sum l * max(d, 0) +
-    sum u * min(d, 0)`` over the finite bounds ``l`` and ``u``; for
-    ``x >= 0`` the bound terms are exactly zero.  A NaN anywhere fails the
-    certificate.
+    within ``FEASIBILITY_TOL`` times ``1 +`` the largest finite row bound,
+    dual feasibility within ``dual_tolerance(c)`` and the duality gap.  The
+    reduced costs ``d = c - A' row_dual`` and the row duals follow one bound
+    rule, :func:`_bound_rule`: ``d >= 0`` for ``x >= 0``, ``d = 0`` for a
+    free variable, either sign for a pinned one or an equality row.  Its
+    bound terms make the dual objective; for an equality row ``b`` with dual
+    ``y`` they are exactly ``b * y``, and for ``x >= 0`` exactly zero.  A
+    NaN anywhere fails the certificate.
     """
     residual = _primal_residual(lp, x)
-    scale = 1.0 + float(np.max(np.abs(lp.b), initial=0.0))
+    scale = 1.0 + _row_bound_norm(lp)
     if not residual <= FEASIBILITY_TOL * scale:
         raise LpError(
             f"optimal solution violates feasibility: residual {residual:.3e} "
@@ -233,25 +247,16 @@ def certify(lp: LinearProgram, x: np.ndarray, row_dual: np.ndarray):
         )
     tol = dual_tolerance(lp.c)
     reduced = lp.c - lp.A.T @ row_dual
-    has_lower, has_upper = np.isfinite(lp.lower), np.isfinite(lp.upper)
-    excess = np.maximum(np.where(has_lower, 0.0, reduced),
-                        np.where(has_upper, 0.0, -reduced))
-    if excess.size and not excess.max() <= tol:
-        j = int(np.argmax(excess))
+    j, column_terms = _bound_rule(reduced, lp.lower, lp.upper, tol)
+    if j is not None:
         side = f"below -{tol:.3e}" if reduced[j] < 0 else f"above {tol:.3e}"
         raise LpError(f"duals violate feasibility: column {j} has reduced cost "
                       f"{reduced[j]:.3e} {side}")
-    rel = np.asarray(lp.relations)
-    wrong_sign = np.where(rel == "<=", row_dual, np.where(rel == ">=", -row_dual, 0.0))
-    if wrong_sign.size and not wrong_sign.max() <= tol:
-        i = int(np.argmax(wrong_sign))
-        raise LpError(f"dual of row {i} ({lp.relations[i]}) has the wrong sign: "
-                      f"{row_dual[i]:.3e}")
+    i, row_terms = _bound_rule(row_dual, lp.row_lower, lp.row_upper, tol)
+    if i is not None:
+        raise LpError(f"dual of row {i} has the wrong sign: {row_dual[i]:.3e}")
     primal = float(lp.c @ x)
-    dual = (float(lp.b @ row_dual)
-            + float(lp.lower[has_lower] @ np.maximum(reduced[has_lower], 0.0))
-            + float(lp.upper[has_upper] @ np.minimum(reduced[has_upper], 0.0)))
-    gap = abs(primal - dual)
+    gap = abs(primal - (row_terms + column_terms))
     if not gap <= GAP_TOL * (1.0 + abs(primal)):
         raise LpError(
             f"duality gap {gap:.3e} too large for an optimality certificate\n"
@@ -340,7 +345,13 @@ class HighsModel:
             self._rows_changed = True
 
     def run(self):
-        """``(status, x, row_dual, iterations)``; status as in LpSolution."""
+        """``(status, x, row_dual, iterations)`` of one run.
+
+        ``status`` is ``"optimal"``, with the primal values and row duals, or
+        ``"infeasible"``, with both empty: the one other end that column
+        generation acts on (it adds every arc).  Any other model status,
+        unbounded included, raises :class:`LpError` naming it.
+        """
         self._set_option(
             "simplex_strategy", DUAL_SIMPLEX if self._rows_changed else PRIMAL_SIMPLEX)
         self._rows_changed = False
@@ -354,10 +365,9 @@ class HighsModel:
         iterations = int(self._highs.getInfo().simplex_iteration_count)
         if status == HighsModelStatus.kInfeasible:
             return "infeasible", np.zeros(0), np.zeros(0), iterations
-        if status == HighsModelStatus.kUnbounded:
-            return "unbounded", np.zeros(0), np.zeros(0), iterations
         if status != HighsModelStatus.kOptimal:
-            # kUnboundedOrInfeasible included: it proves neither.
+            # kUnbounded included, which no caller acts on, and
+            # kUnboundedOrInfeasible, which proves neither.
             raise LpError("solver failed: " + self._highs.modelStatusToString(status))
         solution = self._highs.getSolution()
         return ("optimal", np.asarray(solution.col_value),
@@ -367,47 +377,38 @@ class HighsModel:
 def dual_of(lp: LinearProgram) -> LinearProgram:
     """Explicit dual of an LP whose variables are all bounded by ``x >= 0``.
 
-    The dual is returned in minimization form, so strong duality reads
+    Each finite row bound gets one nonnegative dual variable: ``p_i`` for a
+    lower bound ``l_i``, ``q_i`` for an upper bound ``u_i`` (an equality row
+    gets both).  The dual ``max l.p - u.q  s.t.  A_l'p - A_u'q <= c`` is
+    returned in minimization form, so strong duality reads
     ``solve(lp).value == -solve(dual_of(lp)).value``.
     """
     if np.any(lp.lower != 0) or np.any(np.isfinite(lp.upper)):
         raise ValueError("dual_of only supports x >= 0 variable bounds")
-    rel = np.asarray(lp.relations)
-    eq = np.flatnonzero(rel == "=")
-    le = np.flatnonzero(rel == "<=")
-    ge = np.flatnonzero(rel == ">=")
-
-    dense = lp.A.toarray() if sp.issparse(lp.A) else np.asarray(lp.A)
-    A_eq = dense[eq]
-    A_le = np.vstack([dense[le], -dense[ge]]) if (len(le) or len(ge)) else np.empty((0, lp.n_vars))
-    b_le = np.concatenate([lp.b[le], -lp.b[ge]]) if (len(le) or len(ge)) else np.empty(0)
-
-    # Primal: min c.x, A_eq x = b_eq, A_le x <= b_le, x >= 0.
-    # Dual:   max b_eq.y + b_le.z, A_eq'y + A_le'z <= c, z <= 0, y free.
-    # With w = -z >= 0 and in min form:
-    #   min -b_eq.y + b_le.w  s.t.  A_eq'y - A_le'w <= c,  y free, w >= 0.
-    n_eq, n_le = len(eq), len(b_le)
-    c_dual = np.concatenate([-lp.b[eq], b_le])
-    A_dual = np.hstack([A_eq.T, -A_le.T])
-    rel_dual = ["<="] * lp.n_vars
-    lower = np.concatenate([np.full(n_eq, -np.inf), np.zeros(n_le)])
-    return LinearProgram(c_dual, A_dual, rel_dual, lp.c, lower=lower)
+    low = np.flatnonzero(np.isfinite(lp.row_lower))
+    up = np.flatnonzero(np.isfinite(lp.row_upper))
+    return LinearProgram(np.concatenate([-lp.row_lower[low], lp.row_upper[up]]),
+                         sp.hstack([lp.A[low].T, -lp.A[up].T]),
+                         np.full(lp.n_vars, -np.inf), lp.c)
 
 
 def dump_lp(lp: LinearProgram) -> str:
-    """Plain-text fixed-format dump for reproducing solver issues; an LP of
-    more than 200 rows or 1000 variables gets only its sizes and norms."""
+    """Plain-text fixed-format dump for reproducing solver issues: the
+    costs, each row's bounds and coefficients and each variable's bounds,
+    as plain floats.  An LP of more than 200 rows or 1000 variables gets
+    only its sizes and norms."""
     lines = [f"LP n_vars={lp.n_vars} n_rows={lp.n_rows} minimize"]
     if lp.n_rows > 200 or lp.n_vars > 1000:
         lines.append(
-            f"(too large to dump: |c|_inf={np.max(np.abs(lp.c), initial=0.0)!r} "
-            f"|b|_inf={np.max(np.abs(lp.b), initial=0.0)!r})"
+            f"(too large to dump: |c|_inf={float(np.max(np.abs(lp.c), initial=0.0))!r} "
+            f"|row bounds|_inf={_row_bound_norm(lp)!r})"
         )
         return "\n".join(lines)
     lines.append("c " + " ".join(repr(float(v)) for v in lp.c))
-    for i in range(lp.n_rows):
-        coeffs = " ".join(repr(float(v)) for v in lp.row(i))
-        lines.append(f"row {i} {lp.relations[i]} {lp.b[i]!r} : {coeffs}")
+    for i, row in enumerate(lp.A.toarray()):
+        coeffs = " ".join(repr(float(v)) for v in row)
+        bounds = f"{float(lp.row_lower[i])!r} {float(lp.row_upper[i])!r}"
+        lines.append(f"row {i} {bounds} : {coeffs}")
     for j in range(lp.n_vars):
-        lines.append(f"bound {j} {lp.lower[j]!r} {lp.upper[j]!r}")
+        lines.append(f"bound {j} {float(lp.lower[j])!r} {float(lp.upper[j])!r}")
     return "\n".join(lines)

@@ -35,6 +35,16 @@ __all__ = [
 ROUNDING_TOL = 1e-12
 
 
+def _finite_nonnegative(name: str, values) -> np.ndarray:
+    """``values`` as floats, or a ValueError naming ``name`` unless every
+    one is finite and nonnegative: the check of every relaxation, budget
+    and cap argument."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values) & (values >= 0)):
+        raise ValueError(f"{name} must be finite and nonnegative, got {values.tolist()!r}")
+    return values
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False

@@ -13,8 +13,8 @@ matching masses the equality target rows use every source column in
 full), the global relaxation one block at ``1 + beta``, the per-class
 problem one block per class at ``p_k + beta_k``, and the budget split adds
 a capacity variable ``beta_k`` per class with ``sum_k beta_k = beta_total``.
-``_solve_blocks`` checks the cost blocks, rejects a solve that did not end
-optimal and verifies the plans against the capacities used.
+``_solve_blocks`` checks the cost blocks and verifies the plans against
+the capacities used; a walk that ends infeasible raises.
 
 Solver.  Every problem is solved by exact column generation on one warm
 HiGHS model (:class:`imdot.lp.HighsModel`).  The model holds every row of
@@ -36,10 +36,10 @@ certified by :func:`imdot.lp.certify` on the full problem, every arc
 included, within its own looser bounds, so no value is approximate.
 Several capacities or budgets, such as the global relaxation's or a split's
 grid, are walked from the largest down on the same model, changing only
-right-hand sides.  Each run restarts with the simplex its warm basis
-admits: primal simplex after a pricing round added arcs (the basis stays
-primal feasible), dual simplex after the next entry's right-hand sides
-(the basis stays dual feasible) and on the first run.
+row bounds (``_block_bounds``).  Each run restarts with the simplex its warm
+basis admits: primal simplex after a pricing round added arcs (the basis
+stays primal feasible), dual simplex after the next entry's row bounds (the
+basis stays dual feasible) and on the first run.
 The dual simplex prices with Devex weights, which need no extra solve per
 pivot and took fewer pivots here than steepest edge.
 """
@@ -65,7 +65,7 @@ from .lp import (
     pricing_tolerance,
     solve,
 )
-from .measures import ROUNDING_TOL, CostMatrix, DiscreteMeasure
+from .measures import ROUNDING_TOL, CostMatrix, DiscreteMeasure, _finite_nonnegative
 
 __all__ = [
     "TransportPlanSet",
@@ -143,8 +143,8 @@ def _solve_blocks(target: DiscreteMeasure,
     ``(cap_scales[e][k] + beta_k) * cond_weights[k]`` with ``beta_k >= 0``
     and ``sum_k beta_k = budgets[e]`` chosen jointly with the plans.
     Returns one ``(solution, plans, beta_realized)`` per entry, in entry
-    order, all from one :func:`_column_generation` walk; ``beta_realized``
-    is ``None`` without budgets.
+    order, all from one :func:`_column_generation` walk, which raises at an
+    infeasible entry; ``beta_realized`` is ``None`` without budgets.
     """
     n_t = target.n_atoms
     for k, (w, cost) in enumerate(zip(cond_weights, costs)):
@@ -161,12 +161,6 @@ def _solve_blocks(target: DiscreteMeasure,
     ends = np.cumsum([n_t * len(w) for w in cond_weights])
     for e, sol in enumerate(solutions):
         cap_scale = cap_scales[e]
-        if sol.status != "optimal":
-            capacity = float(sum(s * np.sum(w) for s, w in zip(cap_scale, cond_weights)))
-            raise LpError(
-                f"transport LP ended {sol.status}; target mass {target.total_mass!r}, "
-                f"total capacity {capacity!r}"
-            )
         blocks = np.split(sol.x, ends)
         plans = [x.reshape(n_t, len(w)) for x, w in zip(blocks, cond_weights)]
         beta = None
@@ -181,10 +175,16 @@ def _solve_blocks(target: DiscreteMeasure,
     return results
 
 
-def _block_rhs(target: DiscreteMeasure, cond_weights, cap_scale, budget) -> np.ndarray:
-    b = np.concatenate([target.weights,
-                        *(scale * w for scale, w in zip(cap_scale, cond_weights))])
-    return b if budget is None else np.append(b, budget)
+def _block_bounds(target: DiscreteMeasure, cond_weights, cap_scale, budget) -> tuple:
+    """Row bounds ``(lower, upper)`` of :func:`_assemble_blocks` at one entry:
+    the target rows and the budget row are equalities, the class capacity
+    rows are bounded above only."""
+    capacity = np.concatenate([scale * w for scale, w in zip(cap_scale, cond_weights)])
+    lower = np.concatenate([target.weights, np.full(len(capacity), -np.inf)])
+    upper = np.concatenate([target.weights, capacity])
+    if budget is None:
+        return lower, upper
+    return np.append(lower, budget), np.append(upper, budget)
 
 
 def _assemble_blocks(target: DiscreteMeasure,
@@ -197,10 +197,10 @@ def _assemble_blocks(target: DiscreteMeasure,
 
     Variables are the per-class plan entries (row-major inside each class
     block), then with a ``budget`` one capacity variable ``beta_k`` per
-    class.  Rows are the target marginals (equalities), the class
-    capacities and with a ``budget`` the budget row.  The constraint matrix
-    is CSC, built from the index arithmetic of the blocks, with no stored
-    zero.
+    class.  Rows are the target marginals, the class capacities and with a
+    ``budget`` the budget row, bounded by :func:`_block_bounds`.  The
+    constraint matrix is CSC, built from the index arithmetic of the blocks,
+    with no stored zero.
     """
     n_t = target.n_atoms
     widths = np.array([len(w) for w in cond_weights], dtype=int)
@@ -214,8 +214,7 @@ def _assemble_blocks(target: DiscreteMeasure,
     data = [np.ones(2 * n_t * n_src)]
     counts = [np.full(n_t * n_src, 2)]
     c = np.concatenate([cost.entries.ravel() for cost in costs])
-    b = _block_rhs(target, cond_weights, cap_scale, budget)
-    relations = ["="] * n_t + ["<="] * (len(b) - n_t)
+    lower, upper = _block_bounds(target, cond_weights, cap_scale, budget)
     if budget is not None:
         # Column beta_k: -w_j in each capacity row of class k where w_j != 0,
         # and 1 in the budget row.
@@ -225,11 +224,10 @@ def _assemble_blocks(target: DiscreteMeasure,
             data.append(np.append(-w[held], 1.0))
             counts.append([len(held) + 1])
         c = np.concatenate([c, np.zeros(len(widths))])
-        relations[-1] = "="
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     A = sp.csc_matrix((np.concatenate(data), np.concatenate(rows), indptr),
-                      shape=(len(b), len(c)))
-    return LinearProgram(c, A, relations, b)
+                      shape=(len(upper), len(c)))
+    return LinearProgram(c, A, lower, upper)
 
 
 def _north_west_corner(demand: np.ndarray, capacity: np.ndarray) -> tuple:
@@ -286,14 +284,17 @@ def _column_generation(target: DiscreteMeasure,
                        cap_scales: np.ndarray,
                        budgets) -> list:
     """Exact column generation on one warm HiGHS model; one LpSolution per
-    entry of :func:`_solve_blocks`, each certified on the full problem.
+    entry of :func:`_solve_blocks`, each certified on the full problem, or
+    an LpError at the first entry found infeasible.
 
     The model holds every row of :func:`_assemble_blocks`, the ``beta``
     columns and a growing subset of its arc columns, starting from
     :func:`_initial_arcs` at the smallest capacities: the cheapest arcs of
     each target over all classes, and a north-west-corner support, which
     keeps the model feasible at every entry.  Entries are solved from the
-    largest capacity down, changing only right-hand sides in between.
+    largest capacity down, changing only row bounds in between.  An entry
+    whose model is infeasible gets every arc; infeasible with every arc, the
+    walk raises.
     After each run the reduced costs ``C - u - y`` of all arcs are priced
     and :func:`_priced_arcs` added, until none falls below
     ``-pricing_tolerance(c)``, HiGHS's own dual feasibility tolerance at the
@@ -314,13 +315,12 @@ def _column_generation(target: DiscreteMeasure,
     entries = [(scale, None if budgets is None else float(budgets[e]))
                for e, scale in enumerate(cap_scales)]
     lp = _assemble_blocks(target, cond_weights, costs, *entries[0])
-    rhs = [_block_rhs(target, cond_weights, *entry) for entry in entries]
-    order = sorted(range(len(rhs)), key=lambda e: -float(rhs[e][n_t:].sum()))
+    bounds = [_block_bounds(target, cond_weights, *entry) for entry in entries]
+    order = sorted(range(len(bounds)), key=lambda e: -float(bounds[e][1][n_t:].sum()))
     tol = pricing_tolerance(lp.c)
-    equality = np.asarray(lp.relations) == "="
 
-    current = rhs[order[0]]
-    model = HighsModel(np.where(equality, current, -np.inf), current)
+    current = bounds[order[0]]
+    model = HighsModel(*current)
     model_columns = list(range(offsets[-1], lp.n_vars))   # the beta columns
     if budgets is not None:
         # The beta columns follow the arcs: the tail of the assembled arrays.
@@ -343,40 +343,38 @@ def _column_generation(target: DiscreteMeasure,
     add(*_initial_arcs(cost, target.weights,
                        np.concatenate([s * w for s, w in
                                        zip(np.min(cap_scales, axis=0), cond_weights)])))
-    solutions = [None] * len(rhs)
+    solutions = [None] * len(bounds)
     for e in order:
-        changed = np.flatnonzero(rhs[e] != current)
-        model.set_row_bounds(changed, np.where(equality, rhs[e], -np.inf)[changed],
-                             rhs[e][changed])
-        current = rhs[e]
+        lower, upper = bounds[e]
+        changed = np.flatnonzero((lower != current[0]) | (upper != current[1]))
+        model.set_row_bounds(changed, lower[changed], upper[changed])
+        current = bounds[e]
         rounds = iterations = 0
         while True:
             status, x, row_dual, nit = model.run()
             rounds += 1
             iterations += nit
-            if status == "infeasible" and not in_model.all():
+            if status == "infeasible":
+                if in_model.all():
+                    capacity = float(sum(s * np.sum(w)
+                                         for s, w in zip(cap_scales[e], cond_weights)))
+                    raise LpError(
+                        f"transport LP ended infeasible; target mass "
+                        f"{target.total_mass!r}, total capacity {capacity!r}")
                 # Less capacity than the initial support was built for: only
                 # the full problem tells whether this entry is infeasible.
                 add(*np.nonzero(~in_model))
                 continue
-            if status != "optimal":
-                break
             reduced = cost - row_dual[:n_t, None] - row_dual[None, n_t:n_t + n_src]
             reduced[in_model] = np.inf
             rows, cols = _priced_arcs(reduced, tol)
             if len(rows) == 0:
                 break
             add(rows, cols)
-        if status != "optimal":
-            nan = float("nan")
-            solutions[e] = LpSolution(status, nan, np.empty(0), iterations,
-                                      nan, nan, rounds, model.n_cols)
-            continue
         full_x = np.zeros(lp.n_vars)
         full_x[model_columns] = x
-        residual, gap = certify(LinearProgram(lp.c, lp.A, lp.relations, rhs[e]),
-                                full_x, row_dual)
-        solutions[e] = LpSolution("optimal", float(lp.c @ full_x), full_x, iterations,
+        residual, gap = certify(LinearProgram(lp.c, lp.A, lower, upper), full_x, row_dual)
+        solutions[e] = LpSolution(float(lp.c @ full_x), full_x, iterations,
                                   residual, gap, rounds, model.n_cols)
     return solutions
 
@@ -392,15 +390,6 @@ def _verify_plans(target, cond_weights, cap_scale, plans) -> None:
         row_sum += plan.sum(axis=1)
     if not np.max(np.abs(row_sum - target.weights), initial=0.0) <= FEASIBILITY_TOL:
         raise LpError("plan does not reproduce the target marginal")
-
-
-def _relaxation(name: str, values) -> np.ndarray:
-    """``values`` as floats, or a ValueError naming ``name`` unless every
-    one is finite and nonnegative."""
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values) & (values >= 0)):
-        raise ValueError(f"{name} must be finite and nonnegative, got {values.tolist()!r}")
-    return values
 
 
 def wasserstein1(target: DiscreteMeasure, source: DiscreteMeasure,
@@ -427,7 +416,7 @@ def partial_ot_global(target: DiscreteMeasure, source: DiscreteMeasure,
     1-Lipschitz functions; nonincreasing in ``beta``.  The one-entry call of
     :func:`partial_ot_global_path`.
     """
-    _relaxation("beta", beta)
+    _finite_nonnegative("beta", beta)
     return partial_ot_global_path(target, source, cost, [beta])[0]
 
 
@@ -439,7 +428,7 @@ def partial_ot_global_path(target: DiscreteMeasure, source: DiscreteMeasure,
     are solved on one warm model, from the largest down, and each value is
     certified on its own.
     """
-    grid = _relaxation("beta_grid", beta_grid)
+    grid = _finite_nonnegative("beta_grid", beta_grid)
     if grid.ndim != 1:
         raise ValueError("beta_grid must be a vector of relaxations")
     if not target.is_probability:
@@ -460,7 +449,7 @@ def partial_ot_per_class(target: DiscreteMeasure,
     simply unusable capacity.
     """
     p = np.asarray(proportions, dtype=float)
-    beta_vec = _relaxation("beta_vec", beta_vec)
+    beta_vec = _finite_nonnegative("beta_vec", beta_vec)
     if not (len(conditionals) == len(p) == len(beta_vec) == len(costs)):
         raise ValueError("conditionals, proportions, beta_vec and costs must align")
     if not target.is_probability:
@@ -482,7 +471,7 @@ def partial_ot_beta_split(target: DiscreteMeasure,
     the returned split is solver-determined (only the objective is unique).
     The one-budget call of :func:`partial_ot_beta_split_path`.
     """
-    _relaxation("beta_total", beta_total)
+    _finite_nonnegative("beta_total", beta_total)
     return partial_ot_beta_split_path(target, conditionals, proportions,
                                       [beta_total], costs)[0]
 
@@ -498,7 +487,7 @@ def partial_ot_beta_split_path(target: DiscreteMeasure,
     are solved on one warm model, from the largest down, and each value is
     certified on its own.
     """
-    grid = _relaxation("beta_grid", beta_grid)
+    grid = _finite_nonnegative("beta_grid", beta_grid)
     if grid.ndim != 1:
         raise ValueError("beta_grid must be a vector of budgets")
     p = np.asarray(proportions, dtype=float)
@@ -556,11 +545,8 @@ def lipschitz_imd_dual(target: DiscreteMeasure, source: DiscreteMeasure,
     support = ws > 0
     lower = np.where(support, 0.0, -np.inf)
     upper = np.where(support & zero_on_support, 0.0, np.inf)
-    lp = LinearProgram(ws - wt, A, ["<="] * len(i_idx), dist[i_idx, j_idx],
-                       lower=lower, upper=upper)
-    sol = solve(lp)
-    if sol.status != "optimal":
-        raise LpError(f"dual LP ended {sol.status}")
+    sol = solve(LinearProgram(ws - wt, A, np.full(len(i_idx), -np.inf),
+                              dist[i_idx, j_idx], lower=lower, upper=upper))
     f = sol.x
     # Written as "not within", so that a NaN fails each check.
     slack = f[i_idx] - f[j_idx] - dist[i_idx, j_idx]

@@ -146,6 +146,29 @@ def test_toy_parameters_must_be_finite(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["gen"], ["sweep", "--draws", 1, "--beta-grid", "0", "--jobs", 1]])
+@pytest.mark.parametrize("flags, cause", [
+    (["--k", 1], "need at least two classes"),
+    (["--sigma", -1], "sigma must be positive"),
+    (["--eta", -1], "eta must be nonnegative"),
+    (["--n", 2, "--k", 3], "sample sizes must be at least the class count"),
+    (["--n-target", -5], "sample sizes must be at least the class count"),
+])
+def test_an_invalid_toy_config_is_a_usage_error(tmp_path, capsys, command, flags, cause):
+    out = tmp_path / "w"
+    code, err = usage_error(capsys, *command, *flags, "--out", out)
+    assert code == 2 and f"imdot {command[0]}: error: {cause}" in err
+    assert not out.exists()
+
+
+def test_an_invalid_toy_config_from_a_config_file_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"k": 1}))
+    code, err = config_error(tmp_path, capsys, config)
+    assert code == 2 and "need at least two classes" in err
+
+
 def test_sweep_draws_and_jobs_are_checked_by_the_parser(tmp_path, capsys):
     out = tmp_path / "w"
     for flag, bad in (("--draws", 0), ("--draws", -1), ("--draws", "x"),

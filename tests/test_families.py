@@ -192,6 +192,14 @@ class TestInclusionChecks:
             indicator_family(pts), conds, p, np.array([0.1, 0.1]), eps=0.1)
         assert report.ok
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_a_non_finite_global_eps_is_named(self, rng, eps):
+        pts = random_points(rng, 3)
+        conds = [DiscreteMeasure(pts[:2], [0.5, 0.5]), DiscreteMeasure(pts[2:], [1.0])]
+        with pytest.raises(ValueError, match="^eps must be finite and nonnegative"):
+            localization_inclusion_check(indicator_family(pts), conds, np.array([0.5, 0.5]),
+                                         np.array([0.1, 0.1]), eps=eps)
+
     def test_degenerate_class_gets_infinite_eta(self, rng):
         pts = random_points(rng, 4)
         conds = [DiscreteMeasure(pts, np.full(4, 0.25)),

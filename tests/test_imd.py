@@ -195,7 +195,7 @@ class TestDuality:
             s = dyadic_weights(rng, n)
             eps = float(rng.uniform(0, 1))
             direct = bounded01_localized_value(t, s, eps)
-            lp = LinearProgram(-(t - s), s.reshape(1, -1), ["<="], [eps],
+            lp = LinearProgram(-(t - s), s.reshape(1, -1), [-np.inf], [eps],
                                upper=np.ones(n))
             assert direct == pytest.approx(-solve(lp).value, abs=1e-9)
 
@@ -242,6 +242,21 @@ class TestHdh:
         res = hdh_imd(t, s, fam, beta_vec=beta_vec, conditionals=conds)
         brute = imd_bruteforce(t, mix(s, conds, beta_vec), fam).value
         assert res.value == pytest.approx(brute, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["beta", "beta_vec", "alpha_grid"])
+def test_a_non_finite_relaxation_is_named(name, bad):
+    t = DiscreteMeasure([[0.0, 0.0]], [1.0])
+    s = DiscreteMeasure([[1.0, 0.0]], [1.0])
+    hdh = hdh_family(TWO, np.array([[1, 1], [2, 1]]))
+    call = {
+        "beta": lambda: hdh_imd(t, s, hdh, beta=bad),
+        "beta_vec": lambda: hdh_imd(t, s, hdh, beta_vec=[bad], conditionals=[s]),
+        "alpha_grid": lambda: duality_check(t, s, indicator_family(TWO), 0.5, [0.0, bad]),
+    }[name]
+    with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative"):
+        call()
 
 
 class TestHdhSupportBound:

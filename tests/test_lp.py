@@ -1,4 +1,5 @@
 import ast
+import re
 from itertools import combinations
 from pathlib import Path
 
@@ -23,6 +24,12 @@ from imdot.lp import (
     solve,
 )
 from imdot.ot import _difference_rows
+
+
+def rows(relations, b):
+    """``(row_lower, row_upper)`` of rows stated as ``A x (<=|=|>=) b``."""
+    relations, b = np.asarray(relations), np.asarray(b, dtype=float)
+    return np.where(relations == "<=", -np.inf, b), np.where(relations == ">=", np.inf, b)
 
 
 def brute_force_transport_value(cost, t, s):
@@ -50,13 +57,12 @@ def brute_force_transport_value(cost, t, s):
 
 def test_single_constraint_maximize():
     # maximize x s.t. x <= 3, x >= 0, stated as min -x
-    sol = solve(LinearProgram([-1.0], [[1.0]], ["<="], [3.0]))
-    assert sol.status == "optimal"
+    sol = solve(LinearProgram([-1.0], [[1.0]], *rows(["<="], [3.0])))
     assert -sol.value == pytest.approx(3.0, abs=1e-9)
 
 
 def test_forced_sum():
-    sol = solve(LinearProgram([1.0, 1.0], [[1.0, 1.0]], ["="], [1.0]))
+    sol = solve(LinearProgram([1.0, 1.0], [[1.0, 1.0]], *rows(["="], [1.0])))
     assert sol.value == pytest.approx(1.0, abs=1e-9)
 
 
@@ -70,7 +76,7 @@ def test_2x2_transport_against_vertex_enumeration():
         [1, 0, 1, 0],
         [0, 1, 0, 1],
     ], dtype=float)
-    sol = solve(LinearProgram(cost.ravel(), A, ["="] * 4, np.concatenate([t, s])))
+    sol = solve(LinearProgram(cost.ravel(), A, *rows(["="] * 4, np.concatenate([t, s]))))
     assert sol.value == pytest.approx(0.0, abs=1e-12)
     assert sol.value == pytest.approx(brute_force_transport_value(cost, t, s), abs=1e-9)
 
@@ -85,23 +91,25 @@ def test_random_transport_matches_vertex_enumeration(rng):
         for i in range(n):
             A[i, i * n:(i + 1) * n] = 1.0
             A[n + i, i::n] = 1.0
-        sol = solve(LinearProgram(cost.ravel(), A, ["="] * (2 * n),
-                                  np.concatenate([t, s])))
+        sol = solve(LinearProgram(cost.ravel(), A,
+                                  *rows(["="] * (2 * n), np.concatenate([t, s]))))
         assert sol.value == pytest.approx(
             brute_force_transport_value(cost, t, s), abs=1e-9)
 
 
 def test_infeasible_and_unbounded():
-    infeasible = LinearProgram([1.0], [[1.0], [1.0]], ["<=", ">="], [1.0, 2.0])
-    assert solve(infeasible).status == "infeasible"
-    unbounded = LinearProgram([-1.0], [[1.0]], [">="], [0.0])
-    assert solve(unbounded).status == "unbounded"
+    infeasible = LinearProgram([1.0], [[1.0], [1.0]], *rows(["<=", ">="], [1.0, 2.0]))
+    with pytest.raises(LpError, match="infeasible"):
+        solve(infeasible)
+    unbounded = LinearProgram([-1.0], [[1.0]], *rows([">="], [0.0]))
+    with pytest.raises(LpError, match="Unbounded"):
+        solve(unbounded)
 
 
 def test_mixed_relations_and_bounds():
     # min x + 2y s.t. x + y >= 1, y <= 4, 0 <= x <= 0.25
-    lp = LinearProgram([1.0, 2.0], [[1.0, 1.0], [0.0, 1.0]], [">=", "<="],
-                       [1.0, 4.0], upper=[0.25, np.inf])
+    lp = LinearProgram([1.0, 2.0], [[1.0, 1.0], [0.0, 1.0]],
+                       *rows([">=", "<="], [1.0, 4.0]), upper=[0.25, np.inf])
     sol = solve(lp)
     assert sol.value == pytest.approx(0.25 + 2 * 0.75, abs=1e-9)
 
@@ -116,21 +124,22 @@ def test_strong_duality_on_random_instances(rng):
         b += np.where(np.asarray(relations) == "<=", 0.1, 0.0)
         b -= np.where(np.asarray(relations) == ">=", 0.1, 0.0)
         c = rng.uniform(0.1, 1.0, size=n)  # positive costs keep it bounded
-        lp = LinearProgram(c, A, relations, b)
-        primal = solve(lp)
-        if primal.status != "optimal":
+        lp = LinearProgram(c, A, *rows(relations, b))
+        try:
+            primal = solve(lp)
+        except LpError:
             continue
         dual = solve(dual_of(lp))
-        assert dual.status == "optimal"
         assert primal.value == pytest.approx(-dual.value, abs=1e-7)
 
 
 def test_a_shifted_dual_of_a_zero_rhs_row_is_caught(monkeypatch):
     # min x1 + 2 x2  s.t.  x1 - x2 <= 0,  x1 + x2 >= 1: optimum 1.5 at
-    # (0.5, 0.5), row duals (-0.5, 1.5).  Row 0's right-hand side is 0, so
-    # shifting its dual leaves b @ y, and with it the gap, as it was; only
-    # the reduced costs show the fault.
-    lp = LinearProgram([1.0, 2.0], [[1.0, -1.0], [1.0, 1.0]], ["<=", ">="], [0.0, 1.0])
+    # (0.5, 0.5), row duals (-0.5, 1.5).  Row 0's upper bound is 0, so
+    # shifting its dual leaves its bound term 0 * y0, and with it the gap, as
+    # it was; only the reduced costs show the fault.
+    lp = LinearProgram([1.0, 2.0], [[1.0, -1.0], [1.0, 1.0]],
+                       *rows(["<=", ">="], [0.0, 1.0]))
     assert solve(lp).value == pytest.approx(1.5, abs=1e-12)
 
     run = HighsModel.run
@@ -148,7 +157,7 @@ def test_a_shifted_dual_of_a_zero_rhs_row_is_caught(monkeypatch):
 # Column 0 has cost 1e-6 and no row entry, so its reduced cost is 1e-6 at
 # every row dual; column 1 meets the demand of row 0 at cost 1, dual 1.
 def sign_lp(lower, upper):
-    return LinearProgram([1e-6, 1.0], [[0.0, 1.0]], ["="], [1.0],
+    return LinearProgram([1e-6, 1.0], [[0.0, 1.0]], [1.0], [1.0],
                          lower=[lower, 0.0], upper=[upper, np.inf])
 
 
@@ -174,7 +183,7 @@ def test_finite_bounds_enter_the_dual_objective(lower, upper, x0, d0):
     # min c0 x0 - x1  s.t.  x0 + x1 <= 3,  x1 >= 0: the row's dual is -1, so
     # x0's reduced cost is c0 + 1 = d0.
     c = [d0 - 1.0, -1.0]
-    lp = LinearProgram(c, [[1.0, 1.0]], ["<="], [3.0],
+    lp = LinearProgram(c, [[1.0, 1.0]], [-np.inf], [3.0],
                        lower=[lower, 0.0], upper=[upper, np.inf])
     x = np.array([x0, 3.0 - x0])
     residual, gap = certify(lp, x, np.array([-1.0]))
@@ -185,8 +194,49 @@ def test_finite_bounds_enter_the_dual_objective(lower, upper, x0, d0):
     # The same reduced cost on a column with no bound on its side.
     open_side = dict(upper=[np.inf, np.inf]) if d0 < 0 else dict(lower=[-np.inf, 0.0])
     with pytest.raises(LpError, match="column 0 has reduced cost"):
-        certify(LinearProgram(c, [[1.0, 1.0]], ["<="], [3.0], **open_side), x,
+        certify(LinearProgram(c, [[1.0, 1.0]], [-np.inf], [3.0], **open_side), x,
                 np.array([-1.0]))
+
+
+# One column pinned at 1, so that its reduced cost may have either sign, in
+# one row x0 = 1 or x0 bounded on one side by 1.
+def row_lp(row_lower, row_upper):
+    return LinearProgram([0.5], [[1.0]], [row_lower], [row_upper], lower=[1.0], upper=[1.0])
+
+
+@pytest.mark.parametrize("row_lower, row_upper, dual", [
+    (1.0, np.inf, -0.25),      # a >= row with a negative dual
+    (-np.inf, 1.0, 0.25),      # a <= row with a positive dual
+])
+def test_a_row_dual_against_an_absent_bound_has_the_wrong_sign(row_lower, row_upper, dual):
+    with pytest.raises(LpError, match="dual of row 0 has the wrong sign: "):
+        certify(row_lp(row_lower, row_upper), np.array([1.0]), np.array([dual]))
+
+
+@pytest.mark.parametrize("dual", [-0.25, 0.25])
+def test_an_equality_row_takes_a_dual_of_either_sign(dual):
+    residual, gap = certify(row_lp(1.0, 1.0), np.array([1.0]), np.array([dual]))
+    assert (residual, gap) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("c, row_lower, row_upper, x, dual", [
+    (2.0, 1.0, np.inf, 1.0, 2.0),        # min 2 x, x >= 1: l * y
+    (-1.0, -np.inf, 3.0, 3.0, -1.0),     # min -x, x <= 3: u * y
+    (2.0, 1.0, 3.0, 1.0, 2.0),           # a ranged row at its lower bound
+    (-1.0, 1.0, 3.0, 3.0, -1.0),         # and at its upper bound
+])
+def test_a_row_at_its_bound_closes_the_gap_through_its_bound_term(c, row_lower, row_upper,
+                                                                  x, dual):
+    lp = LinearProgram([c], [[1.0]], [row_lower], [row_upper])
+    residual, gap = certify(lp, np.array([x]), np.array([dual]))
+    # The column's bound term is 0, so without the row's the gap is |c x|.
+    assert (residual, gap) == (0.0, 0.0)
+    assert solve(lp).value == c * x
+
+
+def test_row_bounds_must_be_ordered():
+    with pytest.raises(ValueError, match="row lower bound exceeds row upper bound"):
+        LinearProgram([1.0], [[1.0]], [2.0], [1.0])
 
 
 def test_permuted_variables_same_value(rng):
@@ -194,25 +244,42 @@ def test_permuted_variables_same_value(rng):
     A = rng.uniform(-1, 1, size=(m, n))
     b = A @ rng.uniform(0, 1, size=n) + 0.05
     c = rng.uniform(0.1, 1.0, size=n)
-    lp = LinearProgram(c, A, ["<="] * m, b)
+    lp = LinearProgram(c, A, np.full(m, -np.inf), b)
     base = solve(lp).value
     for _ in range(5):
         perm = rng.permutation(n)
-        permuted = LinearProgram(c[perm], A[:, perm], ["<="] * m, b)
+        permuted = LinearProgram(c[perm], A[:, perm], np.full(m, -np.inf), b)
         assert solve(permuted).value == pytest.approx(base, abs=1e-9)
 
 
 def test_dump_roundtrips_the_shape():
-    lp = LinearProgram([1.0, -2.5], [[1.0, 0.0]], ["<="], [3.0])
+    lp = LinearProgram([1.0, -2.5], [[1.0, 0.0]], [-np.inf], [3.0])
     text = dump_lp(lp)
-    assert "n_vars=2" in text and "row 0 <=" in text
+    assert "n_vars=2" in text and "row 0 -inf 3.0 :" in text
 
-    big = LinearProgram(np.ones(2000), np.ones((1, 2000)), ["<="], [1.0])
+    big = LinearProgram(np.ones(2000), np.ones((1, 2000)), [-np.inf], [1.0])
     assert "too large" in dump_lp(big)
 
 
+def test_dump_writes_plain_numbers():
+    # NumPy scalars, as the fields of an LP hold them, must print as floats.
+    lp = LinearProgram(np.array([1.0, -2.5]), np.array([[1.0, 0.0], [0.5, 2.0]]),
+                       np.array([-np.inf, 1.0]), np.array([3.0, 1.0]),
+                       lower=np.array([0.0, -np.inf]), upper=np.array([np.inf, 0.5]))
+    header, costs, *lines = dump_lp(lp).splitlines()
+    assert header == "LP n_vars=2 n_rows=2 minimize"
+    assert [float(v) for v in costs.split()[1:]] == [1.0, -2.5]
+    fields = {line.split()[0] + line.split()[1]:
+              [float(v) for v in line.split()[2:] if v != ":"] for line in lines}
+    assert fields == {"row0": [-np.inf, 3.0, 1.0, 0.0], "row1": [1.0, 1.0, 0.5, 2.0],
+                      "bound0": [0.0, np.inf], "bound1": [-np.inf, 0.5]}, lines
+    big = LinearProgram(np.full(2000, -2.0), np.ones((1, 2000)), [-np.inf], [1.5])
+    norms = re.findall(r"=([^\s)]+)", dump_lp(big).splitlines()[1])
+    assert [float(v) for v in norms] == [2.0, 1.5]
+
+
 def test_dual_of_rejects_general_bounds():
-    lp = LinearProgram([1.0], [[1.0]], ["<="], [1.0], upper=[2.0])
+    lp = LinearProgram([1.0], [[1.0]], [-np.inf], [1.0], upper=[2.0])
     with pytest.raises(ValueError):
         dual_of(lp)
 
@@ -315,22 +382,23 @@ def test_dense_csr_and_csc_matrices_solve_alike(monkeypatch):
                   [1.0, 0.0, 1.0, 0.0],
                   [0.0, 0.0, 1.0, 1.0]])
     c = [0.4, -1.0, 1.2, 0.6]
-    relations = ["<=", "=", ">=", "<="]
-    b = [2.0, 0.5, 0.3, 3.0]
+    row_bounds = rows(["<=", "=", ">=", "<="], [2.0, 0.5, 0.3, 3.0])
     bounds = dict(lower=[-np.inf, 0.5, 0.0, 0.0], upper=[np.inf, 0.5, np.inf, np.inf])
-    first, *others = [solve(LinearProgram(c, matrix, relations, b, **bounds))
-                      for matrix in (A, sp.csr_matrix(A), sp.csc_matrix(A))]
-    assert first.status == "optimal"
+    lps = [LinearProgram(c, matrix, *row_bounds, **bounds)
+           for matrix in (A, sp.csr_matrix(A), sp.csc_matrix(A))]
+    # Every form is held as one CSC matrix.
+    assert all(lp.A.format == "csc" for lp in lps)
+    first, *others = [solve(lp) for lp in lps]
     assert first.value == pytest.approx(-0.2, abs=1e-12)
     assert np.allclose(first.x, [0.3, 0.5, 0.0, 0.3], atol=1e-12)
     # HiGHS receives the same compressed columns from each form.
     for sol in others:
-        assert (sol.status, sol.value) == (first.status, first.value)
+        assert sol.value == first.value
         assert np.array_equal(sol.x, first.x)
         assert (sol.residual, sol.gap) == (first.residual, first.gap)
     # A solver failure names the status and carries the LP's dump.
     monkeypatch.setattr(imdot.lp, "_Highs", UnboundedOrInfeasibleHighs)
-    lp = LinearProgram(c, sp.csr_matrix(A), relations, b, **bounds)
+    lp = LinearProgram(c, sp.csr_matrix(A), *row_bounds, **bounds)
     with pytest.raises(LpError, match="solver failed") as failure:
         solve(lp)
     assert dump_lp(lp) in str(failure.value)

@@ -57,7 +57,6 @@ def instances(draw):
 def test_assignment_matches_highs(instance):
     target, source, beta = instance
     cost, (colgen, plan), (highs, highs_plan) = solve_both(target, source, beta)
-    assert colgen.status == highs.status == "optimal"
     assert abs(colgen.value - highs.value) <= 1e-9 * (1.0 + abs(highs.value))
     capacity = (1.0 + beta) * source.weights
     for p in (plan, highs_plan):

@@ -115,7 +115,6 @@ def test_column_generation_matches_the_dense_lp(problem):
     reference = dense(*problem)
     (sol,) = _column_generation(target, cond_weights, costs, cap_scale[None, :],
                                 None if budget is None else [budget])
-    assert reference.status == sol.status == "optimal"
     assert close(sol.value, reference.value), (sol.value, reference.value)
     # Through the entry point, which also verifies the plans.
     ((checked, _, _),) = _solve_blocks(target, cond_weights, costs, cap_scale,
@@ -206,7 +205,7 @@ def test_columns_reach_highs_as_the_assembled_columns(monkeypatch, rng, budget):
         assembled.append((float(lp.c[j]), tuple(lp.A.indices[span].tolist()),
                           tuple(lp.A.data[span].tolist())))
     n_beta = 0 if budget is None else len(cond_weights)
-    assert sol.status == "optimal" and len(added) == sol.columns
+    assert len(added) == sol.columns
     # The beta columns first, then arcs, each an assembled column, none twice.
     assert added[:n_beta] == assembled[lp.n_vars - n_beta:]
     assert len(set(added)) == len(added)
@@ -229,7 +228,6 @@ class TestGridWalk:
             (cold,) = _column_generation(target, cond_weights, costs, p[None, :], [budget])
             reference = dense(target, cond_weights, costs, p, budget)
             for sol in (down[e], cold):
-                assert sol.status == "optimal"
                 assert close(sol.value, cold.value), (budget, sol.value, cold.value)
                 assert close(sol.value, reference.value)
         # The downward walk starts at the largest budget and reuses its model.
@@ -388,14 +386,14 @@ class TestCertificate:
         c = lp.c.copy()
         c[j] -= reduced[j] + 1e-3
         with pytest.raises(LpError, match=f"column {j} has reduced cost"):
-            certify(LinearProgram(c, lp.A, lp.relations, lp.b), x, row_dual)
+            certify(LinearProgram(c, lp.A, lp.row_lower, lp.row_upper), x, row_dual)
 
     def test_perturbed_duals(self, monkeypatch, rng):
         lp, x, row_dual = self.captured(monkeypatch, rng)
         n_t = 40
         # Raising the dual of the heaviest target prices out its used arcs.
         duals = row_dual.copy()
-        duals[np.argmax(lp.b[:n_t])] += 1e-3
+        duals[np.argmax(lp.row_upper[:n_t])] += 1e-3
         with pytest.raises(LpError, match="reduced cost"):
             certify(lp, x, duals)
         # A capacity dual of the wrong sign on a `<=` row; the target duals
@@ -446,7 +444,7 @@ class TestObservability:
         lp = _assemble_blocks(target, cond_weights, costs, p, 0.4)
         ((colgen, _, _),) = _solve_blocks(target, cond_weights, costs, p, [0.4])
         dense_sol = solve(lp)
-        scale = 1.0 + np.max(np.abs(lp.b))
+        scale = 1.0 + np.max(np.abs(lp.row_upper))
         for sol in (colgen, dense_sol):
             assert 0.0 <= sol.residual <= FEASIBILITY_TOL * scale
             assert 0.0 <= sol.gap <= GAP_TOL * (1.0 + abs(sol.value))
