@@ -172,7 +172,7 @@ def _toy_config(args) -> ToyConfig:
 
 def cmd_gen(args) -> int:
     started = time.perf_counter()
-    config = args.toy_config
+    config = _toy_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     source, target = generate_pair(config)
@@ -253,7 +253,7 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
-    config = args.toy_config
+    config = _toy_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = run_sweep(config, args.beta_grid, args.draws, mode=args.mode,
@@ -373,6 +373,7 @@ def _add_toy_flags(sub):
                      help="per-class isotropic standard deviation")
     sub.add_argument("--seed", type=int, default=toy.seed)
     sub.add_argument("--config", help="JSON file of flag defaults")
+    sub.set_defaults(toy=True)
 
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
@@ -436,11 +437,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     if args.command == "solve" and args.mode == "perclass" and args.beta_vec is None:
         _subparser(parser, "solve").error("--mode perclass needs --beta-vec")
-    if args.command in ("gen", "sweep"):
+    if getattr(args, "toy", False):
         # An invalid toy configuration is a usage error, reported before any
         # output is written.
         try:
-            args.toy_config = _toy_config(args)
+            _toy_config(args)
         except ValueError as exc:
             _subparser(parser, args.command).error(str(exc))
     return args.func(args)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .measures import ROUNDING_TOL, DiscreteMeasure, _finite_nonnegative, _freeze, mix
+from .measures import ROUNDING_TOL, DiscreteMeasure, _freeze, _is_finite_nonnegative, mix
 
 __all__ = [
     "FunctionFamily",
@@ -132,7 +132,7 @@ class Localization:
             if not isinstance(measure, DiscreteMeasure):
                 raise ValueError(f"localization cap {index} has no DiscreteMeasure: "
                                  f"{type(measure).__name__}")
-            if not (np.ndim(eps) == 0 and np.isfinite(eps) and eps >= 0):
+            if not (np.ndim(eps) == 0 and _is_finite_nonnegative(eps)):
                 raise ValueError(f"localization cap {index} needs a finite eps >= 0, "
                                  f"got {eps!r}")
 
@@ -150,15 +150,9 @@ def no_localization() -> Localization:
     return Localization()
 
 
-def _global_eps(eps) -> float:
-    if np.ndim(eps) != 0:
-        raise ValueError("global localization needs a scalar eps >= 0")
-    return float(_finite_nonnegative("eps", eps))
-
-
 def _per_class_eps(eps, conditionals) -> tuple:
     eps = np.asarray(eps, dtype=float)
-    if eps.ndim != 1 or np.any(eps < 0):
+    if eps.ndim != 1 or not np.all(eps >= 0):  # inf passes, NaN does not
         raise ValueError("per-class localization needs a vector eps >= 0")
     conditionals = tuple(conditionals)
     if len(conditionals) != len(eps):
@@ -327,14 +321,16 @@ def localization_inclusion_check(family: FunctionFamily,
     """
     p = np.asarray(proportions, dtype=float)
     eps_vec, conditionals = _per_class_eps(eps_vec, conditionals)
-    eps_pte = float(p @ eps_vec)
-    eps = eps_pte if eps is None else _global_eps(eps)
-    eta = np.where(p > 0, eps / np.where(p > 0, p, 1.0), np.inf)
-
     ground = family.ground_points
     empty = DiscreteMeasure(np.empty((0, ground.shape[1])), np.empty(0))
+    reference = mix(empty, conditionals, p)
+    eps_pte = float(p @ eps_vec)
+    # An explicit eps is checked as the cap of global_localization.
+    eps = eps_pte if eps is None else float(global_localization(eps, reference).caps[0][1])
+    eta = np.where(p > 0, eps / np.where(p > 0, p, 1.0), np.inf)
+
     # Columns: the class conditionals, then their mixture as the reference.
-    weights = _weight_matrix((*conditionals, mix(empty, conditionals, p)), ground)
+    weights = _weight_matrix((*conditionals, reference), ground)
 
     ok = [True, True]
     size_pc = size_glob = 0

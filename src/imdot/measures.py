@@ -35,12 +35,18 @@ __all__ = [
 ROUNDING_TOL = 1e-12
 
 
-def _finite_nonnegative(name: str, values) -> np.ndarray:
-    """``values`` as floats, or a ValueError naming ``name`` unless every
-    one is finite and nonnegative: the check of every relaxation, budget
-    and cap argument."""
+def _is_finite_nonnegative(values) -> bool:
+    """Whether every one of ``values`` is finite and nonnegative: the rule
+    for every relaxation, budget and cap argument."""
     values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values) & (values >= 0)):
+    return bool(np.all(np.isfinite(values) & (values >= 0)))
+
+
+def _finite_nonnegative(name: str, values) -> np.ndarray:
+    """``values`` as floats, or a ValueError naming ``name`` unless
+    :func:`_is_finite_nonnegative` holds."""
+    values = np.asarray(values, dtype=float)
+    if not _is_finite_nonnegative(values):
         raise ValueError(f"{name} must be finite and nonnegative, got {values.tolist()!r}")
     return values
 

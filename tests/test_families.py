@@ -196,9 +196,19 @@ class TestInclusionChecks:
     def test_a_non_finite_global_eps_is_named(self, rng, eps):
         pts = random_points(rng, 3)
         conds = [DiscreteMeasure(pts[:2], [0.5, 0.5]), DiscreteMeasure(pts[2:], [1.0])]
-        with pytest.raises(ValueError, match="^eps must be finite and nonnegative"):
+        with pytest.raises(ValueError, match="cap 0 needs a finite eps"):
             localization_inclusion_check(indicator_family(pts), conds, np.array([0.5, 0.5]),
                                          np.array([0.1, 0.1]), eps=eps)
+
+    def test_a_nan_per_class_eps_is_rejected_and_an_infinite_one_is_vacuous(self, rng):
+        pts = random_points(rng, 3)
+        conds = [DiscreteMeasure(pts[:2], [0.5, 0.5]), DiscreteMeasure(pts[2:], [1.0])]
+        with pytest.raises(ValueError, match="per-class localization needs a vector eps"):
+            per_class_localization([np.nan, 0.1], conds)
+        with pytest.raises(ValueError, match="per-class localization needs a vector eps"):
+            localization_inclusion_check(indicator_family(pts), conds, np.array([0.5, 0.5]),
+                                         np.array([np.nan, 0.1]))
+        assert len(per_class_localization([np.inf, 0.1], conds).caps) == 1
 
     def test_degenerate_class_gets_infinite_eta(self, rng):
         pts = random_points(rng, 4)
