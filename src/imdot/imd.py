@@ -96,8 +96,9 @@ def imd_tv_closed_form(q1: DiscreteMeasure, q2: DiscreteMeasure) -> float:
     """IMD over all [0, 1]-bounded functions: ``sum_i (q1_i - q2_i)_+``.
 
     For two probability measures this equals half their total variation
-    distance.  Atoms are aligned by exact coordinate match; an atom present
-    in only one measure counts with weight 0 in the other.
+    distance.  Atoms are aligned on their ground union: two atoms within
+    ``ROUNDING_TOL`` of each other (Chebyshev) are one atom, and an atom
+    present in only one measure counts with weight 0 in the other.
     """
     ground = ground_union(q1.points, q2.points)
     w1 = weights_on_ground(q1, ground)

@@ -2,34 +2,29 @@
 
 Problems are stated in HiGHS's own form (:class:`LinearProgram`): rows are
 bounded as variables are, ``row_lower <= A x <= row_upper``, with ``A`` one
-compressed-column (CSC) matrix.  Every problem reaches HiGHS through one
-adapter, :class:`HighsModel`.  :func:`solve` makes a one-shot model of a
-whole problem: its row bounds, then all of its columns in one
-compressed-column batch with their own bounds, and one run.  The column
-generation of :mod:`imdot.ot` keeps one model warm while columns are added,
-as plain compressed-column arrays, and row bounds change.
-Each change, and each option set, is checked against the status HiGHS
-returns, since HiGHS rejects a bad one without raising.  Each run restarts
-with the simplex that the warm basis admits: primal simplex when only
-columns were added since the last run (the basis stays primal feasible),
-dual simplex when row bounds changed or the model is new (the basis stays
-dual feasible).  Its dual simplex prices with Devex weights (Harris, 1973)
-instead of HiGHS's default steepest edge, whose exact weights cost one more
-solve with the basis per pivot; on the transport walks of :mod:`imdot.ot`
-Devex also took fewer pivots.  A solve that does not end optimal raises
-:class:`LpError` naming the status; an optimal one is re-certified by one
-function, :func:`certify`, from the primal values and the row duals alone,
-so a numerically broken solve raises instead of returning a silently wrong
-answer.  An :class:`LpSolution` is thus always a certified optimum.  The
-solver layer's tolerances are named here: the certificate's
-``FEASIBILITY_TOL`` and ``GAP_TOL``, and ``HIGHS_TOL``, the tolerance HiGHS
-works to and column generation prices to (:func:`pricing_tolerance`).  The
-data layer's rounding slack is :data:`imdot.measures.ROUNDING_TOL`.
+compressed-column (CSC) matrix.  Every problem is solved by one loop,
+:func:`solve_path`, on one adapter, :class:`HighsModel`: a warm model walked
+over a list of row bounds, which grows by columns of the LP when a run ends
+infeasible or a caller's pricing names some.  :func:`solve` is its simplest
+case, one entry with every column and no pricing; the column generation of
+:mod:`imdot.ot` is its priced case.  A solve that does not end optimal
+raises :class:`LpError` naming the status; an optimal one is re-certified
+by one function, :func:`certify`, from the primal values and the row duals
+alone, so a numerically broken solve raises instead of returning a
+silently wrong answer.  An :class:`LpSolution` is thus always a certified
+optimum, and its value is correctly rounded (``math.fsum``), whatever the
+BLAS thread count.  The solver layer's tolerances are named here: the
+certificate's ``FEASIBILITY_TOL`` and ``GAP_TOL``, and ``HIGHS_TOL``, the
+tolerance HiGHS works to and column generation prices to
+(:func:`pricing_tolerance`).  The data layer's rounding slack is
+:data:`imdot.measures.ROUNDING_TOL`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+
 import numpy as np
 import scipy.sparse as sp
 # Unused here; perfbench/tracer.py wraps it by name until its target goes.
@@ -43,6 +38,7 @@ __all__ = [
     "LpError",
     "HighsModel",
     "solve",
+    "solve_path",
     "certify",
     "dual_tolerance",
     "pricing_tolerance",
@@ -139,10 +135,9 @@ class LpSolution:
     iterations: int            # simplex iterations, summed over rounds
     residual: float            # primal feasibility residual of the certificate
     gap: float                 # |primal - dual| of the certificate
-    rounds: int                # HiGHS runs: 1 for a dense solve (solve), pricing
-                               # rounds for column generation (imdot.ot)
-    columns: int               # columns in the final model: n_vars for a dense
-                               # solve, the restricted model for column generation
+    rounds: int                # HiGHS runs of this entry: 1 for a dense solve
+    columns: int               # columns in the model at its end: n_vars for a
+                               # dense solve, fewer when priced
 
 
 def _row_bound_norm(lp: LinearProgram) -> float:
@@ -160,28 +155,89 @@ def _primal_residual(lp: LinearProgram, x: np.ndarray) -> float:
 
 
 def solve(lp: LinearProgram) -> LpSolution:
-    """Solve ``lp`` to a certified optimum.
+    """Solve ``lp`` to a certified optimum: one :func:`solve_path` entry
+    with every column and no pricing.  Raises :class:`LpError`, with
+    :func:`dump_lp`, when it does not end optimal (naming the status), on
+    solver breakdown, or when the certificate fails."""
+    solutions = solve_path(lp, [(lp.row_lower, lp.row_upper)], np.arange(lp.n_vars))
+    if not solutions:
+        raise LpError("LP is infeasible\n" + dump_lp(lp))
+    return solutions[0]
 
-    One :class:`HighsModel` takes the row bounds and, in one batch, every
-    column of ``lp`` with its bounds; it runs once and is not priced.
 
-    Raises
-    ------
-    LpError
-        When the solve does not end optimal (the error names the status and
-        carries :func:`dump_lp`), on solver breakdown, or when the solution
-        fails the feasibility / duality-gap certificate.
+def solve_path(lp: LinearProgram, bounds, initial, price=None) -> list:
+    """Solve ``lp`` at each entry of ``bounds`` on one warm HiGHS model.
+
+    Entry ``e`` is ``lp`` with the row bounds ``bounds[e] = (row_lower,
+    row_upper)``.  The model starts with the columns ``initial`` of ``lp``;
+    each entry changes the row bounds that differ, and runs again while
+    columns are added: after an infeasible run every column the model
+    lacks, after an optimal one those that ``price(row_dual, in_model)``
+    returns (``in_model`` marks the columns held).  Without ``price`` an
+    optimal run ends the entry.  Each add reaches HiGHS as the compressed
+    columns of ``lp.A``, sorted and deduplicated, with their own bounds.
+    Each entry is certified by :func:`certify` on every column of ``lp``,
+    and its value is ``math.fsum`` over the nonzero ``c_j x_j``, correctly
+    rounded.
+
+    Returns one :class:`LpSolution` per entry, in order, up to the first
+    entry infeasible with every column: a shorter list than ``bounds``
+    means that entry is infeasible, and the caller names it.  Raises
+    :class:`LpError`, with the entry's :func:`dump_lp`, when HiGHS or a
+    certificate fails.
     """
-    try:
-        model = HighsModel(lp.row_lower, lp.row_upper)
-        model.add_columns(lp.c, lp.A.indptr, lp.A.indices, lp.A.data, lp.lower, lp.upper)
-        status, x, row_dual, iterations = model.run()
-        if status != "optimal":
-            raise LpError(f"LP is {status}")
-    except LpError as error:
-        raise LpError(f"{error}\n" + dump_lp(lp)) from error
-    residual, gap = certify(lp, x, row_dual)
-    return LpSolution(float(lp.c @ x), x, iterations, residual, gap, 1, lp.n_vars)
+    in_model = np.zeros(lp.n_vars, dtype=bool)
+    held = []                       # the LP columns of the model, per add
+
+    def add(columns) -> int:
+        columns = np.unique(np.asarray(columns, dtype=int))
+        columns = columns[~in_model[columns]]
+        if not len(columns):
+            return 0
+        in_model[columns] = True
+        held.append(columns)
+        first, last = lp.A.indptr[columns], lp.A.indptr[columns + 1]
+        starts = np.concatenate([[0], np.cumsum(last - first)])
+        take = np.repeat(first - starts[:-1], last - first) + np.arange(starts[-1])
+        model.add_columns(lp.c[columns], starts, lp.A.indices[take], lp.A.data[take],
+                          lp.lower[columns], lp.upper[columns])
+        return len(columns)
+
+    solutions, previous = [], None
+    for lower, upper in bounds:
+        entry = replace(lp, row_lower=lower, row_upper=upper)
+        try:
+            if previous is None:
+                model = HighsModel(entry.row_lower, entry.row_upper)
+                add(initial)
+            else:
+                changed = np.flatnonzero((entry.row_lower != previous.row_lower)
+                                         | (entry.row_upper != previous.row_upper))
+                model.set_row_bounds(changed, entry.row_lower[changed],
+                                     entry.row_upper[changed])
+            previous = entry
+            rounds = iterations = 0
+            while True:
+                status, x, row_dual, nit = model.run()
+                rounds += 1
+                iterations += nit
+                if status == "optimal":
+                    new = () if price is None else price(row_dual, in_model)
+                elif in_model.all():
+                    return solutions
+                else:
+                    new = np.flatnonzero(~in_model)
+                if not add(new):
+                    break
+            full_x = np.zeros(lp.n_vars)
+            full_x[np.concatenate(held)] = x
+            residual, gap = certify(entry, full_x, row_dual)
+        except LpError as error:
+            raise LpError(f"{error}\n" + dump_lp(entry)) from error
+        nonzero = np.flatnonzero(full_x)
+        solutions.append(LpSolution(math.fsum(lp.c[nonzero] * full_x[nonzero]), full_x,
+                                    iterations, residual, gap, rounds, model.n_cols))
+    return solutions
 
 
 def _cost_scale(c: np.ndarray) -> float:
@@ -241,10 +297,8 @@ def certify(lp: LinearProgram, x: np.ndarray, row_dual: np.ndarray):
     residual = _primal_residual(lp, x)
     scale = 1.0 + _row_bound_norm(lp)
     if not residual <= FEASIBILITY_TOL * scale:
-        raise LpError(
-            f"optimal solution violates feasibility: residual {residual:.3e} "
-            f"exceeds {FEASIBILITY_TOL:.0e} * {scale:.3e}\n" + dump_lp(lp)
-        )
+        raise LpError(f"optimal solution violates feasibility: residual {residual:.3e} "
+                      f"exceeds {FEASIBILITY_TOL:.0e} * {scale:.3e}")
     tol = dual_tolerance(lp.c)
     reduced = lp.c - lp.A.T @ row_dual
     j, column_terms = _bound_rule(reduced, lp.lower, lp.upper, tol)
@@ -258,10 +312,7 @@ def certify(lp: LinearProgram, x: np.ndarray, row_dual: np.ndarray):
     primal = float(lp.c @ x)
     gap = abs(primal - (row_terms + column_terms))
     if not gap <= GAP_TOL * (1.0 + abs(primal)):
-        raise LpError(
-            f"duality gap {gap:.3e} too large for an optimality certificate\n"
-            + dump_lp(lp)
-        )
+        raise LpError(f"duality gap {gap:.3e} too large for an optimality certificate")
     return residual, gap
 
 
@@ -274,22 +325,18 @@ DEVEX_PRICING = 1
 
 
 class HighsModel:
-    """One HiGHS model, run once for a whole LP (:func:`solve`) or kept
-    warm between runs (the column generation of :mod:`imdot.ot`).
+    """One HiGHS model, kept warm between runs by :func:`solve_path`.
 
     Rows are fixed when the model is made; columns are added in batches and
     row bounds changed between runs, and each run starts from the last
-    basis.  The model records what changed since its last run and picks the
-    simplex that basis admits.  Added columns leave it primal feasible, so a
-    run after :meth:`add_columns` alone takes primal simplex.  New row bounds
-    leave it dual feasible, so a run after :meth:`set_row_bounds`, or the
-    first run of a new model, takes dual simplex.  The dual simplex prices
-    by Devex weights (``DEVEX_PRICING``), not exact steepest edge: a
-    steepest-edge pivot costs one more solve with the basis, and on the
-    global transport walks of :mod:`imdot.ot` Devex took about half the
-    pivots.
-    Status, primal values, row duals and iteration counts are read back
-    after each run; certifying them is the caller's job (:func:`certify`).
+    basis with the simplex it admits.  Added columns leave it primal
+    feasible, so a run after :meth:`add_columns` alone takes primal simplex;
+    new row bounds leave it dual feasible, so a run after
+    :meth:`set_row_bounds`, or the first run, takes dual simplex.  The dual
+    simplex prices by Devex weights (``DEVEX_PRICING``; Harris, 1973), not
+    exact steepest edge, whose weights cost one more solve with the basis
+    per pivot; on the global transport walks of :mod:`imdot.ot` Devex also
+    took about half the pivots.
     """
 
     def __init__(self, row_lower, row_upper):

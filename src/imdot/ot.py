@@ -16,32 +16,19 @@ a capacity variable ``beta_k`` per class with ``sum_k beta_k = beta_total``.
 ``_solve_blocks`` checks the cost blocks and verifies the plans against
 the capacities used; a walk that ends infeasible raises.
 
-Solver.  Every problem is solved by exact column generation on one warm
-HiGHS model (:class:`imdot.lp.HighsModel`).  The model holds every row of
-the LP assembled from the block structure, the ``beta`` columns of a split
-and a subset of its arc columns: first the ``NEAREST_ARCS`` cheapest arcs
-of each target over the whole source, whatever their class, and a
-north-west-corner support at the smallest capacities.  A class far from a
-target thus starts with no arc to it beyond that support; pricing adds the
-ones an optimum needs.  Columns go to HiGHS as compressed-column arrays:
-arc ``(i, j)`` of the concatenated source as two 1s, in target row ``i``
-and capacity row ``n_t + j``, and the ``beta`` columns of a split as the
-tail of the assembled matrix's arrays.  HiGHS thus receives exactly the
-assembled LP's columns, with no sparse matrix built or sliced per add.
-Each round prices all arcs exactly, ``C - u - y``, and adds up to
-``ARCS_PER_ROW`` per target row, until none is below
+Solver.  Every problem is one :func:`imdot.lp.solve_path` walk over the LP
+of ``_assemble_blocks``, run as exact column generation; this module keeps
+only what is transport's own.  Arc ``(i, j)`` of the concatenated source is
+LP column ``K + i * n_src + j``, after the ``K`` ``beta`` columns of a split,
+and that column is also its pricing key.  The walk starts with the ``beta``
+columns, the ``NEAREST_ARCS`` cheapest arcs of each target over the whole
+source, whatever their class, and a north-west-corner support at the
+smallest capacities.  Each round prices all arcs exactly, ``C - u - y``,
+and adds up to ``ARCS_PER_ROW`` per target row, until none is below
 ``-HIGHS_TOL * (1 + max C)``: the tolerance HiGHS itself works to, so the
-walk ends at the same optimum whichever simplex ran.  The result is then
-certified by :func:`imdot.lp.certify` on the full problem, every arc
-included, within its own looser bounds, so no value is approximate.
-Several capacities or budgets, such as the global relaxation's or a split's
-grid, are walked from the largest down on the same model, changing only
-row bounds (``_block_bounds``).  Each run restarts with the simplex its warm
-basis admits: primal simplex after a pricing round added arcs (the basis
-stays primal feasible), dual simplex after the next entry's row bounds (the
-basis stays dual feasible) and on the first run.
-The dual simplex prices with Devex weights, which need no extra solve per
-pivot and took fewer pivots here than steepest edge.
+walk ends at the same optimum whichever simplex ran.  Several capacities
+or budgets, such as the global relaxation's or a split's grid, are walked
+from the largest down, changing only row bounds (``_block_bounds``).
 """
 
 from __future__ import annotations
@@ -57,13 +44,11 @@ from .families import ground_union, weights_on_ground
 from .lp import (
     FEASIBILITY_TOL,
     HIGHS_TOL,
-    HighsModel,
     LinearProgram,
     LpError,
-    LpSolution,
-    certify,
     pricing_tolerance,
     solve,
+    solve_path,
 )
 from .measures import ROUNDING_TOL, CostMatrix, DiscreteMeasure, _finite_nonnegative
 
@@ -158,20 +143,21 @@ def _solve_blocks(target: DiscreteMeasure,
     solutions = _column_generation(target, cond_weights, costs, cap_scales, budgets)
 
     results = []
-    ends = np.cumsum([n_t * len(w) for w in cond_weights])
+    n_beta = 0 if budgets is None else len(cond_weights)
+    widths = [len(w) for w in cond_weights]
     for e, sol in enumerate(solutions):
         cap_scale = cap_scales[e]
-        blocks = np.split(sol.x, ends)
-        plans = [x.reshape(n_t, len(w)) for x, w in zip(blocks, cond_weights)]
+        plan = sol.x[n_beta:].reshape(n_t, sum(widths))
         beta = None
         if budgets is not None:
             budget = float(budgets[e])
-            if not abs(float(np.sum(blocks[-1])) - budget) <= FEASIBILITY_TOL:
-                raise LpError(f"split budget violated: {np.sum(blocks[-1])!r} != {budget!r}")
-            beta = np.maximum(blocks[-1], 0.0)
+            if not abs(float(np.sum(sol.x[:n_beta])) - budget) <= FEASIBILITY_TOL:
+                raise LpError(f"split budget violated: {np.sum(sol.x[:n_beta])!r} != {budget!r}")
+            beta = np.maximum(sol.x[:n_beta], 0.0)
             cap_scale = cap_scale + beta
-        _verify_plans(target, cond_weights, cap_scale, plans)
-        results.append((sol, plans, beta))
+        _verify_plan(target, np.concatenate([s * w for s, w in zip(cap_scale, cond_weights)]),
+                     plan)
+        results.append((sol, np.split(plan, np.cumsum(widths)[:-1], axis=1), beta))
     return results
 
 
@@ -195,35 +181,36 @@ def _assemble_blocks(target: DiscreteMeasure,
     """The block-transport problem of :func:`_solve_blocks` at one entry, as
     one LP over every arc.
 
-    Variables are the per-class plan entries (row-major inside each class
-    block), then with a ``budget`` one capacity variable ``beta_k`` per
-    class.  Rows are the target marginals, the class capacities and with a
+    With a ``budget`` the first ``K`` columns are the capacity variables
+    ``beta_k``, one per class; then arc ``(i, j)`` from target ``i`` to
+    column ``j`` of the concatenated source (``hstack`` of the class
+    blocks) is column ``K + i * n_src + j``, with ``K = 0`` without a
+    budget.  Rows are the target marginals, the class capacities and with a
     ``budget`` the budget row, bounded by :func:`_block_bounds`.  The
     constraint matrix is CSC, built from the index arithmetic of the blocks,
     with no stored zero.
     """
     n_t = target.n_atoms
-    widths = np.array([len(w) for w in cond_weights], dtype=int)
-    starts = np.cumsum(widths) - widths
-    n_src = int(widths.sum())
-    # Arc (i, j) of class k: a 1 in target row i and in capacity row
-    # n_t + starts[k] + j, in the column order of the concatenated blocks.
-    cls = np.repeat(np.arange(len(widths)), n_t * widths)
-    target_row, j = np.divmod(np.arange(n_t * n_src) - n_t * starts[cls], widths[cls])
-    rows = [np.column_stack([target_row, n_t + starts[cls] + j]).ravel()]
-    data = [np.ones(2 * n_t * n_src)]
-    counts = [np.full(n_t * n_src, 2)]
-    c = np.concatenate([cost.entries.ravel() for cost in costs])
-    lower, upper = _block_bounds(target, cond_weights, cap_scale, budget)
+    widths = [len(w) for w in cond_weights]
+    n_src = sum(widths)
+    n_beta = 0 if budget is None else len(widths)
+    rows, data, counts = [], [], []
     if budget is not None:
         # Column beta_k: -w_j in each capacity row of class k where w_j != 0,
         # and 1 in the budget row.
-        for start, w in zip(starts, cond_weights):
+        for start, w in zip(np.cumsum(widths) - widths, cond_weights):
             held = np.flatnonzero(w)
             rows.append(np.append(n_t + start + held, n_t + n_src))
             data.append(np.append(-w[held], 1.0))
             counts.append([len(held) + 1])
-        c = np.concatenate([c, np.zeros(len(widths))])
+    # Arc (i, j): a 1 in target row i and in capacity row n_t + j.
+    target_row, j = np.divmod(np.arange(n_t * n_src), n_src)
+    rows.append(np.column_stack([target_row, n_t + j]).ravel())
+    data.append(np.ones(2 * n_t * n_src))
+    counts.append(np.full(n_t * n_src, 2))
+    c = np.concatenate([np.zeros(n_beta),
+                        np.hstack([cost.entries for cost in costs]).ravel()])
+    lower, upper = _block_bounds(target, cond_weights, cap_scale, budget)
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     A = sp.csc_matrix((np.concatenate(data), np.concatenate(rows), indptr),
                       shape=(len(upper), len(c)))
@@ -283,112 +270,51 @@ def _column_generation(target: DiscreteMeasure,
                        costs: Sequence[CostMatrix],
                        cap_scales: np.ndarray,
                        budgets) -> list:
-    """Exact column generation on one warm HiGHS model; one LpSolution per
-    entry of :func:`_solve_blocks`, each certified on the full problem, or
-    an LpError at the first entry found infeasible.
-
-    The model holds every row of :func:`_assemble_blocks`, the ``beta``
-    columns and a growing subset of its arc columns, starting from
-    :func:`_initial_arcs` at the smallest capacities: the cheapest arcs of
-    each target over all classes, and a north-west-corner support, which
-    keeps the model feasible at every entry.  Entries are solved from the
-    largest capacity down, changing only row bounds in between.  An entry
-    whose model is infeasible gets every arc; infeasible with every arc, the
-    walk raises.
-    After each run the reduced costs ``C - u - y`` of all arcs are priced
-    and :func:`_priced_arcs` added, until none falls below
-    ``-pricing_tolerance(c)``, HiGHS's own dual feasibility tolerance at the
-    scale of ``c``.  Stopping at the certificate's looser
-    ``-dual_tolerance(c)`` instead could leave out an arc that improves the
-    value by more than HiGHS's tolerance, and which one depends on the
-    simplex path; :func:`lp.certify` then checks ``-dual_tolerance(c)`` on
-    every column of the full problem.
+    """Exact column generation: one LpSolution per entry of
+    :func:`_solve_blocks`, from one :func:`imdot.lp.solve_path` walk from
+    the largest capacity down, or an LpError at the first entry infeasible
+    with every arc.  Pricing stops below ``-pricing_tolerance(c)``, HiGHS's
+    own tolerance: the certificate's looser ``-dual_tolerance(c)`` could
+    leave out an arc that improves the value by more than that, depending
+    on the simplex path.
     """
     n_t = target.n_atoms
-    widths = [len(w) for w in cond_weights]
-    n_src = sum(widths)
-    cost = np.hstack([c.entries for c in costs])
-    # LP column of each arc (i, j) of the concatenated cost matrix.
-    offsets = np.cumsum([0] + [n_t * n for n in widths])
-    arc_column = np.hstack([off + np.arange(n_t * n).reshape(n_t, n)
-                            for off, n in zip(offsets, widths)])
+    n_beta = 0 if budgets is None else len(cond_weights)
     entries = [(scale, None if budgets is None else float(budgets[e]))
                for e, scale in enumerate(cap_scales)]
     lp = _assemble_blocks(target, cond_weights, costs, *entries[0])
     bounds = [_block_bounds(target, cond_weights, *entry) for entry in entries]
     order = sorted(range(len(bounds)), key=lambda e: -float(bounds[e][1][n_t:].sum()))
+    n_src = sum(len(w) for w in cond_weights)
+    cost = lp.c[n_beta:].reshape(n_t, n_src)
     tol = pricing_tolerance(lp.c)
 
-    current = bounds[order[0]]
-    model = HighsModel(*current)
-    model_columns = list(range(offsets[-1], lp.n_vars))   # the beta columns
-    if budgets is not None:
-        # The beta columns follow the arcs: the tail of the assembled arrays.
-        first = lp.A.indptr[offsets[-1]]
-        model.add_columns(lp.c[offsets[-1]:], lp.A.indptr[offsets[-1]:] - first,
-                          lp.A.indices[first:], lp.A.data[first:])
-    in_model = np.zeros((n_t, n_src), dtype=bool)
+    def price(row_dual, in_model):
+        reduced = cost - row_dual[:n_t, None] - row_dual[None, n_t:n_t + n_src]
+        reduced[in_model[n_beta:].reshape(n_t, n_src)] = np.inf
+        rows, cols = _priced_arcs(reduced, tol)
+        return n_beta + rows * n_src + cols
 
-    def add(rows, cols):
-        # Arc (i, j) is a 1 in target row i and in capacity row n_t + j, as
-        # in _assemble_blocks.
-        keys = np.unique(rows * n_src + cols)
-        rows, cols = np.divmod(keys[~in_model.ravel()[keys]], n_src)
-        in_model[rows, cols] = True
-        model.add_columns(cost[rows, cols], np.arange(0, 2 * len(rows) + 1, 2),
-                          np.column_stack([rows, n_t + cols]).ravel(),
-                          np.ones(2 * len(rows)))
-        model_columns.extend(arc_column[rows, cols].tolist())
-
-    add(*_initial_arcs(cost, target.weights,
-                       np.concatenate([s * w for s, w in
-                                       zip(np.min(cap_scales, axis=0), cond_weights)])))
-    solutions = [None] * len(bounds)
-    for e in order:
-        lower, upper = bounds[e]
-        changed = np.flatnonzero((lower != current[0]) | (upper != current[1]))
-        model.set_row_bounds(changed, lower[changed], upper[changed])
-        current = bounds[e]
-        rounds = iterations = 0
-        while True:
-            status, x, row_dual, nit = model.run()
-            rounds += 1
-            iterations += nit
-            if status == "infeasible":
-                if in_model.all():
-                    capacity = float(sum(s * np.sum(w)
-                                         for s, w in zip(cap_scales[e], cond_weights)))
-                    raise LpError(
-                        f"transport LP ended infeasible; target mass "
-                        f"{target.total_mass!r}, total capacity {capacity!r}")
-                # Less capacity than the initial support was built for: only
-                # the full problem tells whether this entry is infeasible.
-                add(*np.nonzero(~in_model))
-                continue
-            reduced = cost - row_dual[:n_t, None] - row_dual[None, n_t:n_t + n_src]
-            reduced[in_model] = np.inf
-            rows, cols = _priced_arcs(reduced, tol)
-            if len(rows) == 0:
-                break
-            add(rows, cols)
-        full_x = np.zeros(lp.n_vars)
-        full_x[model_columns] = x
-        residual, gap = certify(LinearProgram(lp.c, lp.A, lower, upper), full_x, row_dual)
-        solutions[e] = LpSolution(float(lp.c @ full_x), full_x, iterations,
-                                  residual, gap, rounds, model.n_cols)
-    return solutions
+    rows, cols = _initial_arcs(cost, target.weights,
+                               np.concatenate([s * w for s, w in
+                                               zip(np.min(cap_scales, axis=0), cond_weights)]))
+    walked = solve_path(lp, [bounds[e] for e in order],
+                        np.append(np.arange(n_beta), n_beta + rows * n_src + cols), price)
+    if len(walked) < len(order):
+        e = order[len(walked)]
+        capacity = float(sum(s * np.sum(w) for s, w in zip(cap_scales[e], cond_weights)))
+        raise LpError(f"transport LP ended infeasible; target mass "
+                      f"{target.total_mass!r}, total capacity {capacity!r}")
+    return [sol for _, sol in sorted(zip(order, walked), key=lambda pair: pair[0])]
 
 
-def _verify_plans(target, cond_weights, cap_scale, plans) -> None:
+def _verify_plan(target, capacity, plan) -> None:
     # Written as "not within", so that a NaN fails each check.
-    row_sum = np.zeros(target.n_atoms)
-    for plan, scale, w in zip(plans, cap_scale, cond_weights):
-        if plan.size and not plan.min() >= -ROUNDING_TOL:
-            raise LpError(f"negative plan entry {plan.min()!r}")
-        if plan.shape[1] and not np.max(plan.sum(axis=0) - scale * w) <= FEASIBILITY_TOL:
-            raise LpError("plan exceeds a class capacity")
-        row_sum += plan.sum(axis=1)
-    if not np.max(np.abs(row_sum - target.weights), initial=0.0) <= FEASIBILITY_TOL:
+    if plan.size and not plan.min() >= -ROUNDING_TOL:
+        raise LpError(f"negative plan entry {plan.min()!r}")
+    if not np.max(plan.sum(axis=0) - capacity, initial=0.0) <= FEASIBILITY_TOL:
+        raise LpError("plan exceeds a class capacity")
+    if not np.max(np.abs(plan.sum(axis=1) - target.weights), initial=0.0) <= FEASIBILITY_TOL:
         raise LpError("plan does not reproduce the target marginal")
 
 
@@ -448,7 +374,7 @@ def partial_ot_per_class(target: DiscreteMeasure,
     weights.  Empty classes are permitted; relaxation assigned to them is
     simply unusable capacity.
     """
-    p = np.asarray(proportions, dtype=float)
+    p = _finite_nonnegative("proportions", proportions)
     beta_vec = _finite_nonnegative("beta_vec", beta_vec)
     if not (len(conditionals) == len(p) == len(beta_vec) == len(costs)):
         raise ValueError("conditionals, proportions, beta_vec and costs must align")
@@ -490,7 +416,7 @@ def partial_ot_beta_split_path(target: DiscreteMeasure,
     grid = _finite_nonnegative("beta_grid", beta_grid)
     if grid.ndim != 1:
         raise ValueError("beta_grid must be a vector of budgets")
-    p = np.asarray(proportions, dtype=float)
+    p = _finite_nonnegative("proportions", proportions)
     if not (len(conditionals) == len(p) == len(costs)):
         raise ValueError("conditionals, proportions and costs must align")
     if not target.is_probability:

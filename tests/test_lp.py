@@ -99,8 +99,9 @@ def test_random_transport_matches_vertex_enumeration(rng):
 
 def test_infeasible_and_unbounded():
     infeasible = LinearProgram([1.0], [[1.0], [1.0]], *rows(["<=", ">="], [1.0, 2.0]))
-    with pytest.raises(LpError, match="infeasible"):
+    with pytest.raises(LpError, match="^LP is infeasible\n") as failure:
         solve(infeasible)
+    assert str(failure.value).endswith(dump_lp(infeasible))
     unbounded = LinearProgram([-1.0], [[1.0]], *rows([">="], [0.0]))
     with pytest.raises(LpError, match="Unbounded"):
         solve(unbounded)

@@ -143,6 +143,22 @@ def test_relaxations_must_be_finite(rng, bad):
             call()
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+def test_proportions_must_be_finite_and_nonnegative(rng, bad):
+    target, source, conds, p, costs = random_transport_instance(rng)
+    p = np.array(p, dtype=float)
+    p[0] = bad
+    beta_vec = np.zeros(len(p))
+    calls = [
+        lambda: partial_ot_per_class(target, conds, p, beta_vec, costs),
+        lambda: partial_ot_beta_split(target, conds, p, 0.5, costs),
+        lambda: partial_ot_beta_split_path(target, conds, p, [0.0, 0.5], costs),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^proportions must be finite and nonnegative"):
+            call()
+
+
 class TestPartialPerClass:
     def test_beta_zero_equals_wasserstein(self, rng):
         passed, detail = checks.ot_beta_zero_degeneracy(rng, 5)
@@ -205,18 +221,14 @@ class TestBetaSplit:
 class TestBlockAssembly:
     """The LP handed to HiGHS for two classes of sizes (2, 3) and two targets.
 
-    Plan variables are row-major inside each class block: class 1 holds
-    x[0,0], x[0,1], x[1,0], x[1,1] and class 2 x[0,0] .. x[1,2]; the split
-    appends beta_1, beta_2.
+    Arc (i, j) of the concatenated source (class 1's two atoms, then class
+    2's three) is column 5 i + j: x[0, 0] .. x[0, 4], then x[1, 0] ..
+    x[1, 4].  The split puts beta_1, beta_2 first, ahead of the arcs.
     """
 
-    PLAN_ROWS = [[1, 1, 0, 0, 1, 1, 1, 0, 0, 0],
-                 [0, 0, 1, 1, 0, 0, 0, 1, 1, 1]]
-    CAP_ROWS = [[1, 0, 1, 0, 0, 0, 0, 0, 0, 0],
-                [0, 1, 0, 1, 0, 0, 0, 0, 0, 0],
-                [0, 0, 0, 0, 1, 0, 0, 1, 0, 0],
-                [0, 0, 0, 0, 0, 1, 0, 0, 1, 0],
-                [0, 0, 0, 0, 0, 0, 1, 0, 0, 1]]
+    PLAN_ROWS = [[1, 1, 1, 1, 1, 0, 0, 0, 0, 0],
+                 [0, 0, 0, 0, 0, 1, 1, 1, 1, 1]]
+    CAP_ROWS = np.hstack([np.eye(5), np.eye(5)]).tolist()
     # capacity columns -w_k (class 2 has a zero-weight atom) and budget row
     SPLIT_COLS = [[0, 0], [0, 0],
                   [-0.25, 0], [-0.75, 0],
@@ -240,29 +252,26 @@ class TestBlockAssembly:
         assert lp.A.nnz == np.count_nonzero(expected)
         assert np.array_equal(lp.row_lower, [0.5, 0.5] + [-np.inf] * 5)
         assert np.array_equal(lp.row_upper, [0.5, 0.5, 0.125, 0.375, 0.25, 0.25, 0.0])
-        assert np.array_equal(lp.c, [0, 1, 2, 3, 0, 1, 2, 3, 4, 5])
+        assert np.array_equal(lp.c, [0, 1, 0, 1, 2, 2, 3, 3, 4, 5])
 
     def test_with_split(self):
         lp = self.assembled(0.5)
-        expected = np.hstack([self.PLAN_ROWS + self.CAP_ROWS + [[0] * 10],
-                              self.SPLIT_COLS])
+        expected = np.hstack([self.SPLIT_COLS,
+                              self.PLAN_ROWS + self.CAP_ROWS + [[0] * 10]])
         assert np.array_equal(lp.A.toarray(), expected)
         assert lp.A.nnz == np.count_nonzero(expected)
         assert np.array_equal(lp.row_lower, [0.5, 0.5] + [-np.inf] * 5 + [0.5])
         assert np.array_equal(lp.row_upper, [0.5, 0.5, 0.125, 0.375, 0.25, 0.25, 0.0, 0.5])
-        assert np.array_equal(lp.c, [0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 0, 0])
-
+        assert np.array_equal(lp.c, [0, 0, 0, 1, 0, 1, 2, 2, 3, 3, 4, 5])
 
     @staticmethod
     def kron_reference(target, cond_weights, costs, cap_scale, budget):
         """``(c, A, row_lower, row_upper)`` assembled from sparse Kronecker
         products and block matrices, with explicit zeros removed."""
-        n_t = target.n_atoms
-        plan_rows = sp.hstack([sp.kron(sp.eye(n_t), np.ones((1, len(w))))
-                               for w in cond_weights])
-        cap_rows = sp.block_diag([sp.kron(np.ones((1, n_t)), sp.eye(len(w)))
-                                  for w in cond_weights])
-        c = np.concatenate([cost.entries.ravel() for cost in costs])
+        n_t, n_src = target.n_atoms, sum(len(w) for w in cond_weights)
+        plan_rows = sp.kron(sp.eye(n_t), np.ones((1, n_src)))
+        cap_rows = sp.kron(np.ones((1, n_t)), sp.eye(n_src))
+        c = np.hstack([cost.entries for cost in costs]).ravel()
         upper = np.concatenate([target.weights,
                                 *(s * w for s, w in zip(cap_scale, cond_weights))])
         lower = np.where(np.arange(len(upper)) < n_t, upper, -np.inf)
@@ -271,11 +280,11 @@ class TestBlockAssembly:
         else:
             n_classes = len(cond_weights)
             A = sp.bmat([
-                [plan_rows, None],
-                [cap_rows, sp.block_diag([-np.reshape(w, (-1, 1)) for w in cond_weights])],
-                [None, np.ones((1, n_classes))],
+                [None, plan_rows],
+                [sp.block_diag([-np.reshape(w, (-1, 1)) for w in cond_weights]), cap_rows],
+                [np.ones((1, n_classes)), None],
             ])
-            c = np.concatenate([c, np.zeros(n_classes)])
+            c = np.concatenate([np.zeros(n_classes), c])
             lower, upper = np.append(lower, budget), np.append(upper, budget)
         A = A.tocsr()
         A.eliminate_zeros()

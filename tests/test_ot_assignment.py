@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import imdot.ot
+import imdot.lp
 from imdot.lp import LpError, certify, solve
 from imdot.measures import DiscreteMeasure, cost_matrix
 from imdot.ot import _assemble_blocks, _solve_blocks
@@ -75,10 +75,11 @@ class TestCertificate:
             seen.append((lp, x, row_dual))
             return certify(lp, x, row_dual)
 
-        monkeypatch.setattr(imdot.ot, "certify", capture)
+        monkeypatch.setattr(imdot.lp, "certify", capture)
         target = uniform(rng.uniform(-2, 2, (8, 2)))
         source = uniform(rng.uniform(-2, 2, (8, 2)))
-        solve_both(target, source, 0.5)
+        cost = cost_matrix(target.points, source.points)
+        _solve_blocks(target, [source.weights], [cost], np.array([1.5]))
         monkeypatch.undo()
         (found,) = seen
         return found

@@ -6,6 +6,11 @@ dense LP of ``_assemble_blocks`` through ``lp.solve`` and, for small
 balanced problems, vertex enumeration.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,7 +45,7 @@ from imdot.ot import (
     _initial_arcs,
     _north_west_corner,
     _solve_blocks,
-    _verify_plans,
+    _verify_plan,
     partial_ot_beta_split,
     partial_ot_beta_split_path,
     partial_ot_global_path,
@@ -185,31 +190,49 @@ def test_columns_reach_highs_as_the_assembled_columns(monkeypatch, rng, budget):
     # without the beta columns of a split.
     target, cond_weights, costs, p = split_blocks(rng, n_t=15, sizes=(6, 0, 9))
     assert all(np.any(w == 0) for w in cond_weights if len(w))
-    added, add_columns = [], HighsModel.add_columns
+    batches, runs = [], []
+    add_columns, run = HighsModel.add_columns, HighsModel.run
 
-    def recorded(model, cost, starts, indices, values):
+    def recorded_add(model, cost, starts, indices, values, lower, upper):
         assert len(starts) > 1                       # no empty add
-        for k in range(len(starts) - 1):
-            span = slice(starts[k], starts[k + 1])
-            added.append((float(cost[k]), tuple(np.asarray(indices)[span].tolist()),
-                          tuple(np.asarray(values)[span].tolist())))
-        return add_columns(model, cost, starts, indices, values)
+        batches.append([(float(cost[k]), tuple(indices[starts[k]:starts[k + 1]].tolist()),
+                         tuple(values[starts[k]:starts[k + 1]].tolist()),
+                         float(lower[k]), float(upper[k])) for k in range(len(starts) - 1)])
+        return add_columns(model, cost, starts, indices, values, lower, upper)
 
-    monkeypatch.setattr(HighsModel, "add_columns", recorded)
-    (sol,) = _column_generation(target, cond_weights, costs, p[None, :],
-                                None if budget is None else [budget])
+    def recorded_run(model):
+        runs.append(len(batches))
+        return run(model)
+
+    monkeypatch.setattr(HighsModel, "add_columns", recorded_add)
+    monkeypatch.setattr(HighsModel, "run", recorded_run)
     lp = _assemble_blocks(target, cond_weights, costs, p, budget)
     assembled = []
     for j in range(lp.n_vars):
         span = slice(lp.A.indptr[j], lp.A.indptr[j + 1])
         assembled.append((float(lp.c[j]), tuple(lp.A.indices[span].tolist()),
-                          tuple(lp.A.data[span].tolist())))
+                          tuple(lp.A.data[span].tolist()), float(lp.lower[j]),
+                          float(lp.upper[j])))
+    column = {col: j for j, col in enumerate(assembled)}
+    (sol,) = _column_generation(target, cond_weights, costs, p[None, :],
+                                None if budget is None else [budget])
+    added = [col for batch in batches for col in batch]
     n_beta = 0 if budget is None else len(cond_weights)
     assert len(added) == sol.columns
-    # The beta columns first, then arcs, each an assembled column, none twice.
-    assert added[:n_beta] == assembled[lp.n_vars - n_beta:]
+    # The beta columns first, then arcs, each an assembled column, none
+    # twice, and each batch in column order.
+    assert added[:n_beta] == assembled[:n_beta]
     assert len(set(added)) == len(added)
     assert set(added) <= set(assembled)
+    for batch in batches:
+        order = [column[col] for col in batch]
+        assert order == sorted(order)
+    # The dense solve: every column with its bounds, in one batch, in one run.
+    batches.clear()
+    runs.clear()
+    solve(lp)
+    assert batches == [assembled]
+    assert runs == [1]
 
 
 class TestGridWalk:
@@ -350,6 +373,38 @@ class TestSimplexPath:
             assert abs(value - reference.value) <= 1e-12 * reference.value
 
 
+#: One split walk over the 90k arcs of a K = 3, n = 300 toy pair, printing
+#: its objectives' reprs.
+SPLIT_WALK = """
+from imdot.datagen import ToyConfig, draw_seeds, generate_pair
+from imdot.measures import CostMatrix, class_conditionals, cost_matrix, empirical_measure
+from imdot.ot import partial_ot_beta_split_path
+
+seed = int(draw_seeds(3000, 1)[0])
+source, target = generate_pair(ToyConfig(n_classes=3, n_source=300, n_target=300, seed=seed))
+conds, p = class_conditionals(source)
+cost = cost_matrix(target.points, source.points)
+costs = [CostMatrix(cost.entries[:, source.class_indices(k)]) for k in (1, 2, 3)]
+path = partial_ot_beta_split_path(empirical_measure(target), conds, p,
+                                  (0.25, 0.5, 0.75, 1.0), costs)
+print([repr(plan_set.objective) for plan_set in path])
+"""
+
+
+def test_objectives_do_not_depend_on_the_blas_thread_count():
+    # A dot product over more than about 10k entries runs threaded in
+    # OpenBLAS, and its rounding follows the thread count; the objective
+    # is a correctly rounded sum instead.
+    src = str(Path(imdot.lp.__file__).resolve().parents[1])
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        printed.append(subprocess.run([sys.executable, "-c", SPLIT_WALK], env=env, check=True,
+                                      capture_output=True, text=True).stdout)
+    assert printed[0] and printed[0] == printed[1]
+
+
 class TestCertificate:
     """Planted faults: the full-arc certificate is independent of pricing."""
 
@@ -360,7 +415,7 @@ class TestCertificate:
             seen.append((lp, x, row_dual))
             return certify(lp, x, row_dual)
 
-        monkeypatch.setattr(imdot.ot, "certify", capture)
+        monkeypatch.setattr(imdot.lp, "certify", capture)
         target, cond_weights, costs, p = split_blocks(rng)
         _column_generation(target, cond_weights, costs, p[None, :], [0.3])
         monkeypatch.undo()
@@ -380,8 +435,8 @@ class TestCertificate:
         residual, gap = certify(lp, x, row_dual)
         reduced = lp.c - lp.A.T @ row_dual
         # The unused arc whose reduced cost is largest: far from the
-        # restricted model's support.  The last three columns are beta.
-        unused = np.flatnonzero(x[:-3] == 0)
+        # restricted model's support.  The first three columns are beta.
+        unused = 3 + np.flatnonzero(x[3:] == 0)
         j = unused[np.argmax(reduced[unused])]
         c = lp.c.copy()
         c[j] -= reduced[j] + 1e-3
@@ -430,12 +485,12 @@ class TestCertificate:
     def test_nan_in_a_verified_plan(self):
         target = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
         plan, capacity = np.diag([0.5, 0.5]), np.array([0.5, 0.5])
-        _verify_plans(target, [capacity], [1.0], [plan])
+        _verify_plan(target, capacity, plan)
         for entry in ((0, 0), (0, 1)):
             broken = plan.copy()
             broken[entry] = np.nan
             with pytest.raises(LpError):
-                _verify_plans(target, [capacity], [1.0], [broken])
+                _verify_plan(target, capacity, broken)
 
 
 class TestObservability:
@@ -466,6 +521,12 @@ class TestObservability:
 def test_infeasible_capacity_is_reported():
     # Capacity 0.5 against a unit target: infeasible on every support.
     target = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
-    cost = cost_matrix(target.points, np.array([[0.0, 1.0], [2.0, 2.0]]))
-    with pytest.raises(LpError, match="infeasible"):
-        _solve_blocks(target, [np.array([0.25, 0.25])], [cost], np.ones(1))
+    source = DiscreteMeasure([[0.0, 1.0], [2.0, 2.0]], [0.25, 0.25])
+    cost = cost_matrix(target.points, source.points)
+    with pytest.raises(LpError, match="^transport LP ended infeasible; target mass 1.0, "
+                                      "total capacity 0.5$"):
+        _solve_blocks(target, [source.weights], [cost], np.ones(1))
+    # A walk solves beta = 1 (capacity 1.0) first and names the entry that
+    # fails after it, beta = 0.5.
+    with pytest.raises(LpError, match="total capacity 0.75$"):
+        partial_ot_global_path(target, source, cost, [0.5, 1.0])

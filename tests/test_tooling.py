@@ -1,10 +1,11 @@
-"""The names that the benchmark's span tracer wraps still exist.
+"""Guards on the package's structure, read from the source by ``ast``.
 
 ``perfbench/tracer.py`` rebinds ``(module, attribute)`` pairs of ``imdot``
 by name, so a source change that removes or renames one of them would
 only break a traced benchmark run.  Its ``TARGETS`` are read here from the
 tracer's source, without importing it, so that such a change fails these
-tests instead.
+tests instead.  And only ``imdot.lp`` makes a HiGHS model or certifies a
+solution: every LP goes through its one solve loop.
 """
 
 import ast
@@ -28,3 +29,37 @@ def test_every_traced_name_resolves():
     missing = [(module, attr) for module, attr in targets
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+#: Names only ``imdot.lp`` may call: the one solve loop there makes every
+#: HiGHS model and certifies every solution.
+SOLVER_CALLS = {"HighsModel", "certify"}
+
+
+def solver_calls(source: str) -> list:
+    """Names in ``SOLVER_CALLS`` that ``source`` calls, bare or as an
+    attribute (``lp.certify``), in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in SOLVER_CALLS:
+                found.append((node.lineno, name))
+    return [name for _, name in sorted(found)]
+
+
+def test_the_scan_finds_every_solver_call():
+    source = ("from imdot.lp import HighsModel, certify\n"
+              "import imdot.lp as lp\n"
+              "model = HighsModel([0.0], [1.0])\n"
+              "def f(x):\n    return lp.certify(x, x, x), certify(x, x, x)\n"
+              "g = lp.HighsModel\n")
+    assert solver_calls(source) == ["HighsModel", "certify", "certify"]
+
+
+def test_only_the_lp_module_makes_models_and_certifies():
+    package = Path(importlib.import_module("imdot").__file__).parent
+    calls = {path.stem: solver_calls(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert set(calls.pop("lp")) == SOLVER_CALLS
+    assert {module: names for module, names in calls.items() if names} == {}
