@@ -262,8 +262,9 @@ def hdh_matches_bruteforce(rng, instances):
         t = DiscreteMeasure(pts, dyadic_weights(rng, n, normalize=True))
         s = DiscreteMeasure(pts, dyadic_weights(rng, n, normalize=True))
         beta = float(rng.uniform(0, 1))
-        res = imd_mod.hdh_imd(t, s, fam, beta=beta)
-        brute = imd_mod.imd_bruteforce(t, s.scaled(1 + beta), fam).value
+        relaxed = s.scaled(1 + beta)
+        res = imd_mod.hdh_imd(t, relaxed, fam)
+        brute = imd_mod.imd_bruteforce(t, relaxed, fam).value
         worst = max(worst, abs(res.value - brute))
         worst_risk = max(worst_risk, abs((1 - res.value) - res.risk_form_value))
     return (worst <= 1e-12 and worst_risk <= 1e-12,

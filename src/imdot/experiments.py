@@ -21,6 +21,7 @@ from .datagen import ToyConfig, draw_seeds, generate_pair
 from .measures import (
     ROUNDING_TOL,
     CostMatrix,
+    _finite_nonnegative,
     class_conditionals,
     cost_matrix,
     empirical_measure,
@@ -55,8 +56,9 @@ def propagate_labels(plan, source_labels, n_classes: int | None = None) -> np.nd
     """Majority-vote labels: each target row takes the class sending most mass.
 
     ``plan`` is either a single (n_target, n_source) matrix or a
-    :class:`~imdot.ot.TransportPlanSet`, whose class blocks are re-assembled
-    against the source label order.  Votes within ``TIE_REL_TOL`` of the
+    :class:`~imdot.ot.TransportPlanSet`, whose class-``k`` block holds the
+    columns of the class-``k`` sources, so its row sums are the class
+    votes.  Votes within ``TIE_REL_TOL`` of the
     row's top vote tie, and ties resolve to the smallest class index; a row
     carrying less than ``ROUNDING_TOL`` total mass is an error (the equality
     marginal makes it impossible short of solver breakdown).
@@ -65,15 +67,18 @@ def propagate_labels(plan, source_labels, n_classes: int | None = None) -> np.nd
     if n_classes is None:
         n_classes = int(source_labels.max())
     if isinstance(plan, TransportPlanSet):
-        indices = [np.flatnonzero(source_labels == k)
-                   for k in range(1, n_classes + 1)]
-        plan = plan.full_matrix(indices, len(source_labels))
-    plan = np.asarray(plan, dtype=float)
-    if plan.shape[1] != len(source_labels):
-        raise ValueError("plan columns do not match the source labels")
-    votes = np.zeros((plan.shape[0], n_classes))
-    for k in range(1, n_classes + 1):
-        votes[:, k - 1] = plan[:, source_labels == k].sum(axis=1)
+        votes = np.zeros((plan.plans[0].shape[0] if plan.plans else 0, n_classes))
+        for k, block in enumerate(plan.plans[:n_classes]):
+            if block.shape[1] != np.count_nonzero(source_labels == k + 1):
+                raise ValueError("class block width does not match its labels")
+            votes[:, k] = block.sum(axis=1)
+    else:
+        plan = np.asarray(plan, dtype=float)
+        if plan.shape[1] != len(source_labels):
+            raise ValueError("plan columns do not match the source labels")
+        votes = np.zeros((plan.shape[0], n_classes))
+        for k in range(1, n_classes + 1):
+            votes[:, k - 1] = plan[:, source_labels == k].sum(axis=1)
     totals = votes.sum(axis=1)
     if np.any(totals < ROUNDING_TOL):
         bad = int(np.argmin(totals))
@@ -207,6 +212,9 @@ def run_sweep(config: ToyConfig, beta_grid, draws: int,
         raise ValueError("need at least one job")
     if mode not in ("both", MODE_GLOBAL, MODE_SPLIT):
         raise ValueError(f"unknown mode {mode!r}")
+    beta_grid = _finite_nonnegative("beta_grid", beta_grid)
+    if beta_grid.ndim != 1:
+        raise ValueError("beta_grid must be a vector of relaxations")
     modes = (MODE_GLOBAL, MODE_SPLIT) if mode == "both" else (mode,)
     beta_grid = tuple(float(b) for b in beta_grid)
     seeds = draw_seeds(config.seed, draws)

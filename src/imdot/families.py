@@ -33,13 +33,11 @@ __all__ = [
     "localization_inclusion_check",
 ]
 
-KIND_INDICATORS = "bounded01_indicators"
 KIND_GRID = "bounded01_grid"
 KIND_HDH = "hdh"
 
 #: Hard cap on brute-force enumeration (2^22 members).
 MAX_MEMBERS = 1 << 22
-MAX_INDICATOR_ATOMS = 22
 MAX_HYPOTHESES = 60
 
 _BATCH = 1 << 14
@@ -55,10 +53,11 @@ class FunctionFamily:
 
     Kinds
     -----
-    - ``bounded01_indicators``: all subset indicators of the ground set.
     - ``bounded01_grid``: all functions with values on the quantized grid
       ``{0, step, ..., 1}``; the enumerable stand-in for the convex family
-      of [0, 1]-valued functions.
+      of [0, 1]-valued functions.  At ``grid_step=1`` it is the family of
+      subset indicators (:func:`indicator_family`), whose convex hull is
+      that same convex family.
     - ``hdh``: disagreement indicators ``[h1 != h2]`` over all pairs from an
       explicit finite hypothesis list (labels over the ground points).
 
@@ -73,7 +72,7 @@ class FunctionFamily:
     grid_step: float = 0.25
 
     def __post_init__(self):
-        if self.kind not in (KIND_INDICATORS, KIND_GRID, KIND_HDH):
+        if self.kind not in (KIND_GRID, KIND_HDH):
             raise ValueError(f"unknown family kind {self.kind!r}")
         pts = np.asarray(self.ground_points, dtype=float)
         if pts.ndim != 2 or len(pts) == 0:
@@ -97,7 +96,8 @@ class FunctionFamily:
 
 
 def indicator_family(ground_points) -> FunctionFamily:
-    return FunctionFamily(KIND_INDICATORS, np.asarray(ground_points, dtype=float))
+    """All subset indicators: the grid family at step 1."""
+    return grid_family(ground_points, step=1.0)
 
 
 def grid_family(ground_points, step: float = 0.25) -> FunctionFamily:
@@ -237,24 +237,14 @@ def _weight_matrix(measures, ground_points: np.ndarray) -> np.ndarray:
 def member_batches(family: FunctionFamily) -> Iterator[np.ndarray]:
     """Member value vectors in deterministic order, as (batch, n) arrays.
 
-    Indicators are ordered by subset mask (bit j of the mask is the value at
-    ground point j); grid members by mixed-radix counting; hdh members by
-    hypothesis pair (i <= j).  The first member of every kind is the null
+    Grid members are ordered by mixed-radix counting (digit j is the level
+    at ground point j, so indicators come in subset-mask order); hdh
+    members by hypothesis pair ``(i, j)``, ``i <= j``, in
+    ``np.triu_indices`` order.  The first member of every kind is the null
     function.
     """
     n = family.n_ground
-    if family.kind == KIND_INDICATORS:
-        if n > MAX_INDICATOR_ATOMS:
-            raise FamilyTooLargeError(
-                f"{n} ground atoms exceed the 2^{MAX_INDICATOR_ATOMS} indicator "
-                "enumeration cap; use the LP-based families instead"
-            )
-        total = 1 << n
-        bit = 1 << np.arange(n, dtype=np.int64)
-        for start in range(0, total, _BATCH):
-            masks = np.arange(start, min(start + _BATCH, total), dtype=np.int64)
-            yield ((masks[:, None] & bit) > 0).astype(float)
-    elif family.kind == KIND_GRID:
+    if family.kind == KIND_GRID:
         levels = int(round(1.0 / family.grid_step)) + 1
         total = levels ** n
         if total > MAX_MEMBERS:
@@ -272,9 +262,8 @@ def member_batches(family: FunctionFamily) -> Iterator[np.ndarray]:
             raise FamilyTooLargeError(
                 f"{len(hyp)} hypotheses exceed the {MAX_HYPOTHESES} cap"
             )
-        members = [(hyp[i] != hyp[j]).astype(float)
-                   for i in range(len(hyp)) for j in range(i, len(hyp))]
-        yield np.asarray(members)
+        rows, cols = np.triu_indices(len(hyp))
+        yield (hyp[rows] != hyp[cols]).astype(float)
 
 
 def enumerate_members(family: FunctionFamily,

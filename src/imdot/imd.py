@@ -11,13 +11,13 @@ the transport solvers are validated against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .families import (
     KIND_GRID,
+    KIND_HDH,
     FunctionFamily,
     Localization,
     global_localization,
@@ -200,10 +200,11 @@ def duality_check(target: DiscreteMeasure, source: DiscreteMeasure,
     """Verify ``IMD_localized(T, S) <= IMD(T, (1+a)S) + eps*a`` on a grid.
 
     The inequality is checked for every grid value (it holds for any family).
-    For the quantized bounded family the report also carries the exact
-    values over the convex family of [0, 1]-valued functions, where the
-    relation is an equality for eps > 0: the localized value is a fractional
-    knapsack and the relaxed side is minimized exactly over its breakpoints.
+    For a grid family, indicators included, the report also carries the
+    exact values over its convex hull, the [0, 1]-valued functions, where
+    the relation is an equality for eps > 0: the localized value is a
+    fractional knapsack and the relaxed side is minimized exactly over its
+    breakpoints.
 
     One pass over the family yields both sides: the localized value from the
     admitted members, and ``IMD(T, (1+a)S)`` for every grid value from one
@@ -260,43 +261,32 @@ class HdhImdResult:
 
 
 def hdh_imd(target: DiscreteMeasure, source: DiscreteMeasure,
-            family: FunctionFamily, beta: float = 0.0,
-            beta_vec=None,
-            conditionals: Sequence[DiscreteMeasure] | None = None) -> HdhImdResult:
-    """IMD of (T, relaxed S) over hypothesis-disagreement indicators.
+            family: FunctionFamily) -> HdhImdResult:
+    """IMD of (T, S) over hypothesis-disagreement indicators.
 
-    Global relaxation (default) compares against ``(1 + beta) S``; passing
-    ``beta_vec`` together with the source class conditionals compares against
-    ``S + sum_k beta_vec[k] * conditionals[k]``.
+    The source is passed already relaxed, as to
+    :func:`imdot.ot.lipschitz_imd_dual`: ``source.scaled(1 + beta)`` for
+    global relaxation, ``mix(source, conditionals, beta_vec)`` per class.
 
     Besides the supremum, the complementary classification-risk form
-    ``inf_pairs P_T[f = 0] + E_relaxed[f]`` is computed independently and the
+    ``inf_pairs P_T[f = 0] + E_S[f]`` is computed independently and the
     identity ``1 - value == risk form`` is asserted to ``ROUNDING_TOL``
     (the target must be a probability measure for it to make sense).
     """
-    if family.kind != "hdh":
+    if family.kind != KIND_HDH:
         raise ValueError("hdh_imd needs a family of kind 'hdh'")
     if not target.is_probability:
         raise ValueError("the target must be a probability measure")
     ground = family.ground_points
     wt = weights_on_ground(target, ground)
-    if beta_vec is not None:
-        if conditionals is None:
-            raise ValueError("per-class relaxation needs the source conditionals")
-        beta_vec = _finite_nonnegative("beta_vec", beta_vec)
-        w_rel = weights_on_ground(source, ground).copy()
-        for b_k, cond in zip(beta_vec, conditionals):
-            w_rel += b_k * weights_on_ground(cond, ground)
-    else:
-        _finite_nonnegative("beta", beta)
-        w_rel = (1.0 + beta) * weights_on_ground(source, ground)
+    ws = weights_on_ground(source, ground)
 
     # Members come in np.triu_indices order; argmax keeps the first maximum.
     members = np.vstack(list(member_batches(family)))
-    mass_t, mass_rel = members @ wt, members @ w_rel
-    k = int(np.argmax(mass_t - mass_rel))
-    best = float(mass_t[k] - mass_rel[k])
-    risk_best = float(np.min((1.0 - mass_t) + mass_rel))
+    mass_t, mass_s = members @ wt, members @ ws
+    k = int(np.argmax(mass_t - mass_s))
+    best = float(mass_t[k] - mass_s[k])
+    risk_best = float(np.min((1.0 - mass_t) + mass_s))
     rows, cols = np.triu_indices(len(family.hypotheses))
     best_pair = (int(rows[k]), int(cols[k]))
     # Written as "not within", so that a NaN fails it.
@@ -323,7 +313,7 @@ def hdh_support_bound_check(target: DiscreteMeasure, source: DiscreteMeasure,
     sets of all pairs (i <= j) agreeing S-almost-surely, i.e. whose
     disagreement carries at most ``S_NULL_MASS`` of S's mass.
     """
-    if family.kind != "hdh":
+    if family.kind != KIND_HDH:
         raise ValueError("hdh_support_bound_check needs a family of kind 'hdh'")
     if not target.is_probability or not source.is_probability:
         raise ValueError("both measures must be probability measures")

@@ -12,12 +12,12 @@ raises :class:`LpError` naming the status; an optimal one is re-certified
 by one function, :func:`certify`, from the primal values and the row duals
 alone, so a numerically broken solve raises instead of returning a
 silently wrong answer.  An :class:`LpSolution` is thus always a certified
-optimum, and its value is correctly rounded (``math.fsum``), whatever the
-BLAS thread count.  The solver layer's tolerances are named here: the
-certificate's ``FEASIBILITY_TOL`` and ``GAP_TOL``, and ``HIGHS_TOL``, the
-tolerance HiGHS works to and column generation prices to
-(:func:`pricing_tolerance`).  The data layer's rounding slack is
-:data:`imdot.measures.ROUNDING_TOL`.
+optimum, and its value and its certificate's duality gap are correctly
+rounded (``math.fsum``), whatever the BLAS thread count.  The solver
+layer's tolerances are named here: the certificate's ``FEASIBILITY_TOL``
+and ``GAP_TOL``, and ``HIGHS_TOL``, the tolerance HiGHS works to and
+column generation prices to (:func:`pricing_tolerance`).  The data
+layer's rounding slack is :data:`imdot.measures.ROUNDING_TOL`.
 """
 
 from __future__ import annotations
@@ -177,8 +177,7 @@ def solve_path(lp: LinearProgram, bounds, initial, price=None) -> list:
     optimal run ends the entry.  Each add reaches HiGHS as the compressed
     columns of ``lp.A``, sorted and deduplicated, with their own bounds.
     Each entry is certified by :func:`certify` on every column of ``lp``,
-    and its value is ``math.fsum`` over the nonzero ``c_j x_j``, correctly
-    rounded.
+    which also gives its value.
 
     Returns one :class:`LpSolution` per entry, in order, up to the first
     entry infeasible with every column: a shorter list than ``bounds``
@@ -231,12 +230,11 @@ def solve_path(lp: LinearProgram, bounds, initial, price=None) -> list:
                     break
             full_x = np.zeros(lp.n_vars)
             full_x[np.concatenate(held)] = x
-            residual, gap = certify(entry, full_x, row_dual)
+            value, residual, gap = certify(entry, full_x, row_dual)
         except LpError as error:
             raise LpError(f"{error}\n" + dump_lp(entry)) from error
-        nonzero = np.flatnonzero(full_x)
-        solutions.append(LpSolution(math.fsum(lp.c[nonzero] * full_x[nonzero]), full_x,
-                                    iterations, residual, gap, rounds, model.n_cols))
+        solutions.append(LpSolution(value, full_x, iterations, residual, gap, rounds,
+                                    model.n_cols))
     return solutions
 
 
@@ -267,22 +265,22 @@ def _bound_rule(dual: np.ndarray, lower: np.ndarray, upper: np.ndarray, tol: flo
 
     Returns ``(worst, terms)``: the index of the largest violation (``None``
     if there is none; a NaN is one) and the bounds' share of the dual
-    objective, ``sum l * max(d, 0) + sum u * min(d, 0)`` over the finite
-    bounds ``l`` and ``u``.
+    objective as its nonzero terms, ``l * max(d, 0)`` and ``u * min(d, 0)``
+    over the finite bounds ``l`` and ``u``.
     """
     has_lower, has_upper = np.isfinite(lower), np.isfinite(upper)
     excess = np.maximum(np.where(has_lower, 0.0, dual), np.where(has_upper, 0.0, -dual))
     worst = None
     if excess.size and not excess.max() <= tol:
         worst = int(np.argmax(excess))
-    terms = (float(lower[has_lower] @ np.maximum(dual[has_lower], 0.0))
-             + float(upper[has_upper] @ np.minimum(dual[has_upper], 0.0)))
-    return worst, terms
+    terms = np.concatenate([lower[has_lower] * np.maximum(dual[has_lower], 0.0),
+                            upper[has_upper] * np.minimum(dual[has_upper], 0.0)])
+    return worst, terms[terms != 0]
 
 
 def certify(lp: LinearProgram, x: np.ndarray, row_dual: np.ndarray):
     """Certify ``x`` optimal for ``lp`` from row duals, independent of the
-    solver, and return ``(residual, gap)``; raise LpError otherwise.
+    solver, and return ``(value, residual, gap)``; raise LpError otherwise.
 
     Checked on every column and row of ``lp``: primal feasibility of ``x``
     within ``FEASIBILITY_TOL`` times ``1 +`` the largest finite row bound,
@@ -293,6 +291,10 @@ def certify(lp: LinearProgram, x: np.ndarray, row_dual: np.ndarray):
     bound terms make the dual objective; for an equality row ``b`` with dual
     ``y`` they are exactly ``b * y``, and for ``x >= 0`` exactly zero.  A
     NaN anywhere fails the certificate.
+
+    The value ``c @ x`` and the dual objective are each ``math.fsum`` over
+    their nonzero terms: correctly rounded, so the value and the gap do not
+    depend on the BLAS thread count as a threaded dot product would.
     """
     residual = _primal_residual(lp, x)
     scale = 1.0 + _row_bound_norm(lp)
@@ -309,11 +311,12 @@ def certify(lp: LinearProgram, x: np.ndarray, row_dual: np.ndarray):
     i, row_terms = _bound_rule(row_dual, lp.row_lower, lp.row_upper, tol)
     if i is not None:
         raise LpError(f"dual of row {i} has the wrong sign: {row_dual[i]:.3e}")
-    primal = float(lp.c @ x)
-    gap = abs(primal - (row_terms + column_terms))
-    if not gap <= GAP_TOL * (1.0 + abs(primal)):
+    nonzero = np.flatnonzero(x)
+    value = math.fsum(lp.c[nonzero] * x[nonzero])
+    gap = abs(value - math.fsum(np.concatenate([row_terms, column_terms])))
+    if not gap <= GAP_TOL * (1.0 + abs(value)):
         raise LpError(f"duality gap {gap:.3e} too large for an optimality certificate")
-    return residual, gap
+    return value, residual, gap
 
 
 #: HiGHS ``simplex_strategy`` values: dual and primal simplex.
@@ -429,6 +432,12 @@ def dual_of(lp: LinearProgram) -> LinearProgram:
     gets both).  The dual ``max l.p - u.q  s.t.  A_l'p - A_u'q <= c`` is
     returned in minimization form, so strong duality reads
     ``solve(lp).value == -solve(dual_of(lp)).value``.
+
+    No solver path uses it.  It is the independent reference of the
+    strong-duality test, which solves an LP and this dual as two separate
+    problems and requires opposite values, so it checks :func:`solve` and
+    :func:`certify` from outside.  It is exported so that any ``x >= 0``
+    LP can be audited the same way.
     """
     if np.any(lp.lower != 0) or np.any(np.isfinite(lp.upper)):
         raise ValueError("dual_of only supports x >= 0 variable bounds")

@@ -95,7 +95,9 @@ class TransportPlanSet:
         """Assemble one (n_target, n_source) matrix from the class blocks.
 
         ``class_indices[k]`` gives the source columns of class ``k + 1`` in
-        the original source ordering.
+        the original source ordering.  Label propagation sums the blocks
+        directly; this stays for callers that need the dense plan, such as
+        the near-tie counter of ``perfbench/tracer.py``.
         """
         n_target = self.plans[0].shape[0] if self.plans else 0
         full = np.zeros((n_target, n_source))
@@ -121,15 +123,21 @@ def _solve_blocks(target: DiscreteMeasure,
                   cap_scales,
                   budgets=None) -> list:
     """Solve, certify and verify a capacitated block-transport problem at
-    each of several capacities.
+    each of several capacities, by exact column generation.
 
     Entry ``e`` gives class ``k`` capacity ``cap_scales[e][k] *
     cond_weights[k]``; with ``budgets`` the capacities become
     ``(cap_scales[e][k] + beta_k) * cond_weights[k]`` with ``beta_k >= 0``
     and ``sum_k beta_k = budgets[e]`` chosen jointly with the plans.
     Returns one ``(solution, plans, beta_realized)`` per entry, in entry
-    order, all from one :func:`_column_generation` walk, which raises at an
-    infeasible entry; ``beta_realized`` is ``None`` without budgets.
+    order; ``beta_realized`` is ``None`` without budgets.
+
+    All entries come from one :func:`imdot.lp.solve_path` walk from the
+    largest capacity down, which raises an LpError at the first entry
+    infeasible with every arc.  Pricing stops below
+    ``-pricing_tolerance(c)``, HiGHS's own tolerance: the certificate's
+    looser ``-dual_tolerance(c)`` could leave out an arc that improves the
+    value by more than that, depending on the simplex path.
     """
     n_t = target.n_atoms
     for k, (w, cost) in enumerate(zip(cond_weights, costs)):
@@ -140,24 +148,47 @@ def _solve_blocks(target: DiscreteMeasure,
     cap_scales = np.asarray(cap_scales, dtype=float).reshape(-1, len(cond_weights))
     if not len(cap_scales):
         return []
-    solutions = _column_generation(target, cond_weights, costs, cap_scales, budgets)
-
-    results = []
     n_beta = 0 if budgets is None else len(cond_weights)
     widths = [len(w) for w in cond_weights]
-    for e, sol in enumerate(solutions):
-        cap_scale = cap_scales[e]
-        plan = sol.x[n_beta:].reshape(n_t, sum(widths))
+    n_src = sum(widths)
+    entries = [(scale, None if budgets is None else float(budgets[e]))
+               for e, scale in enumerate(cap_scales)]
+    lp = _assemble_blocks(target, cond_weights, costs, *entries[0])
+    bounds = [_block_bounds(target, cond_weights, *entry) for entry in entries]
+    order = sorted(range(len(bounds)), key=lambda e: -float(bounds[e][1][n_t:].sum()))
+    cost = lp.c[n_beta:].reshape(n_t, n_src)
+    tol = pricing_tolerance(lp.c)
+
+    def price(row_dual, in_model):
+        reduced = cost - row_dual[:n_t, None] - row_dual[None, n_t:n_t + n_src]
+        reduced[in_model[n_beta:].reshape(n_t, n_src)] = np.inf
+        rows, cols = _priced_arcs(reduced, tol)
+        return n_beta + rows * n_src + cols
+
+    rows, cols = _initial_arcs(cost, target.weights,
+                               np.concatenate([s * w for s, w in
+                                               zip(np.min(cap_scales, axis=0), cond_weights)]))
+    walked = solve_path(lp, [bounds[e] for e in order],
+                        np.append(np.arange(n_beta), n_beta + rows * n_src + cols), price)
+    if len(walked) < len(order):
+        e = order[len(walked)]
+        capacity = float(sum(s * np.sum(w) for s, w in zip(cap_scales[e], cond_weights)))
+        raise LpError(f"transport LP ended infeasible; target mass "
+                      f"{target.total_mass!r}, total capacity {capacity!r}")
+
+    results = [None] * len(entries)
+    for e, sol in zip(order, walked):
+        cap_scale, budget = entries[e]
+        plan = sol.x[n_beta:].reshape(n_t, n_src)
         beta = None
-        if budgets is not None:
-            budget = float(budgets[e])
+        if budget is not None:
             if not abs(float(np.sum(sol.x[:n_beta])) - budget) <= FEASIBILITY_TOL:
                 raise LpError(f"split budget violated: {np.sum(sol.x[:n_beta])!r} != {budget!r}")
             beta = np.maximum(sol.x[:n_beta], 0.0)
             cap_scale = cap_scale + beta
         _verify_plan(target, np.concatenate([s * w for s, w in zip(cap_scale, cond_weights)]),
                      plan)
-        results.append((sol, np.split(plan, np.cumsum(widths)[:-1], axis=1), beta))
+        results[e] = (sol, np.split(plan, np.cumsum(widths)[:-1], axis=1), beta)
     return results
 
 
@@ -263,49 +294,6 @@ def _priced_arcs(reduced: np.ndarray, tol: float) -> tuple:
         cols = np.broadcast_to(np.arange(priced.shape[1]), priced.shape)
     keep = np.take_along_axis(priced, cols, axis=1) < -tol
     return np.broadcast_to(rows[:, None], keep.shape)[keep], cols[keep]
-
-
-def _column_generation(target: DiscreteMeasure,
-                       cond_weights: Sequence[np.ndarray],
-                       costs: Sequence[CostMatrix],
-                       cap_scales: np.ndarray,
-                       budgets) -> list:
-    """Exact column generation: one LpSolution per entry of
-    :func:`_solve_blocks`, from one :func:`imdot.lp.solve_path` walk from
-    the largest capacity down, or an LpError at the first entry infeasible
-    with every arc.  Pricing stops below ``-pricing_tolerance(c)``, HiGHS's
-    own tolerance: the certificate's looser ``-dual_tolerance(c)`` could
-    leave out an arc that improves the value by more than that, depending
-    on the simplex path.
-    """
-    n_t = target.n_atoms
-    n_beta = 0 if budgets is None else len(cond_weights)
-    entries = [(scale, None if budgets is None else float(budgets[e]))
-               for e, scale in enumerate(cap_scales)]
-    lp = _assemble_blocks(target, cond_weights, costs, *entries[0])
-    bounds = [_block_bounds(target, cond_weights, *entry) for entry in entries]
-    order = sorted(range(len(bounds)), key=lambda e: -float(bounds[e][1][n_t:].sum()))
-    n_src = sum(len(w) for w in cond_weights)
-    cost = lp.c[n_beta:].reshape(n_t, n_src)
-    tol = pricing_tolerance(lp.c)
-
-    def price(row_dual, in_model):
-        reduced = cost - row_dual[:n_t, None] - row_dual[None, n_t:n_t + n_src]
-        reduced[in_model[n_beta:].reshape(n_t, n_src)] = np.inf
-        rows, cols = _priced_arcs(reduced, tol)
-        return n_beta + rows * n_src + cols
-
-    rows, cols = _initial_arcs(cost, target.weights,
-                               np.concatenate([s * w for s, w in
-                                               zip(np.min(cap_scales, axis=0), cond_weights)]))
-    walked = solve_path(lp, [bounds[e] for e in order],
-                        np.append(np.arange(n_beta), n_beta + rows * n_src + cols), price)
-    if len(walked) < len(order):
-        e = order[len(walked)]
-        capacity = float(sum(s * np.sum(w) for s, w in zip(cap_scales[e], cond_weights)))
-        raise LpError(f"transport LP ended infeasible; target mass "
-                      f"{target.total_mass!r}, total capacity {capacity!r}")
-    return [sol for _, sol in sorted(zip(order, walked), key=lambda pair: pair[0])]
 
 
 def _verify_plan(target, capacity, plan) -> None:

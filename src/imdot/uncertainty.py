@@ -152,20 +152,10 @@ class FiniteHypothesisRisks:
             raise ValueError("risks must be nonnegative")
 
 
-def _target_disagreement(g_scores, hyp_target: np.ndarray, l1: Callable) -> np.ndarray:
-    risks = np.empty(len(hyp_target))
-    for h, labels in enumerate(hyp_target):
-        risks[h] = np.mean([l1(g_scores[i], labels[i]) for i in range(len(labels))])
-    return risks
-
-
-def _source_risk(hyp_source: np.ndarray, source_labels: np.ndarray,
-                 l2: Callable) -> np.ndarray:
-    risks = np.empty(len(hyp_source))
-    for h, labels in enumerate(hyp_source):
-        risks[h] = np.mean([l2(labels[i], source_labels[i])
-                            for i in range(len(labels))])
-    return risks
+def _risk(loss: Callable, firsts, seconds) -> float:
+    """Mean of ``loss(a, b)`` over the aligned pairs of ``firsts`` and
+    ``seconds``: one hypothesis's risk."""
+    return float(np.mean([loss(a, b) for a, b in zip(firsts, seconds, strict=True)]))
 
 
 def hypothesis_risks(g_scores, hyp_target, hyp_source, source_labels,
@@ -182,8 +172,8 @@ def hypothesis_risks(g_scores, hyp_target, hyp_source, source_labels,
     if len(hyp_target) != len(hyp_source):
         raise ValueError("each hypothesis needs labels on both samples")
     return FiniteHypothesisRisks(
-        _target_disagreement(g_scores, hyp_target, l1),
-        _source_risk(hyp_source, np.asarray(source_labels), l2),
+        np.array([_risk(l1, g_scores, labels) for labels in hyp_target]),
+        np.array([_risk(l2, labels, source_labels) for labels in hyp_source]),
     )
 
 
@@ -249,7 +239,7 @@ def verify_sgu_properties(hyp_target, hyp_source, source_labels, target_labels,
 
     source_labels = np.asarray(source_labels)
     target_labels = np.asarray(target_labels)
-    risks_s = _source_risk(hyp_source, source_labels, loss)
+    risks_s = np.array([_risk(loss, labels, source_labels) for labels in hyp_source])
 
     def uncertainty(g_labels):
         value, _ = source_guided_uncertainty(
@@ -265,7 +255,7 @@ def verify_sgu_properties(hyp_target, hyp_source, source_labels, target_labels,
     inf_source = float(risks_s.min())
     point2_ok = abs(inf_over_pool - inf_source) <= ROUNDING_TOL
 
-    risks_t_true = _source_risk(hyp_target, target_labels, loss)
+    risks_t_true = np.array([_risk(loss, labels, target_labels) for labels in hyp_target])
     h_s = int(np.argmin(risks_s))
     h_star = int(np.argmin(risks_t_true + risks_s))
     u_hs = uncertainty(hyp_target[h_s])

@@ -226,6 +226,16 @@ class TestRunSweep:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["failures"] == [list(expected)]
 
+    def test_a_bad_beta_grid_is_named_before_any_draw(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(imdot.experiments, "generate_pair",
+                            lambda config: drawn.append(config))
+        config = ToyConfig(n_source=30, n_target=30)
+        for grid in ([-0.5], [0.0, np.nan], [0.25, np.inf], [[0.5]]):
+            with pytest.raises(ValueError, match="^beta_grid must be"):
+                run_sweep(config, grid, 1)
+        assert drawn == []
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             run_sweep(CFG, [0.0], draws=0)

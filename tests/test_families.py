@@ -85,8 +85,8 @@ FAMILIES = [
 class TestEnumeration:
     def test_power_set_on_two_points(self):
         out = members(indicator_family(TWO_POINTS))
-        assert len(out) == 4
-        assert np.array_equal(out[0], [0.0, 0.0])  # null function first
+        # Subset-mask order: bit j of the mask is the value at point j.
+        assert np.array_equal(out, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
     def test_zero_localization_keeps_only_null(self):
         s = DiscreteMeasure(TWO_POINTS, [0.5, 0.5])

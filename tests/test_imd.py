@@ -155,6 +155,10 @@ class TestDuality:
                                np.linspace(0, 5, 51))
         assert report.inequality_holds
         assert report.grid_gap >= -1e-12  # equality not asserted: non-convex
+        # The indicators' convex hull is the [0, 1]-valued functions, where
+        # the relation is an equality.
+        assert report.hull_localized_value >= report.localized_value - 1e-12
+        assert report.hull_gap == pytest.approx(0.0, abs=1e-12)
 
     def test_grid_family_hull_gap(self, rng):
         passed, detail = checks.imd_duality_convex_gap(rng, 20)
@@ -216,7 +220,7 @@ class TestHdh:
         t = DiscreteMeasure([[0.0, 0.0]], [1.0])
         s = DiscreteMeasure([[1.0, 0.0]], [1.0])
         hyp = np.array([[1, 1], [2, 1]])  # disagree exactly on the T atom
-        res = hdh_imd(t, s, hdh_family(pts, hyp), beta=0.0)
+        res = hdh_imd(t, s, hdh_family(pts, hyp))
         assert res.value == pytest.approx(1.0)
 
     def test_single_hypothesis_is_null(self, rng):
@@ -239,24 +243,29 @@ class TestHdh:
                  DiscreteMeasure(pts[3:], np.full(3, 1 / 3))]
         s = mix(DiscreteMeasure(np.empty((0, 2)), np.empty(0)), conds, [0.6, 0.4])
         beta_vec = np.array([0.0, 0.5])
-        res = hdh_imd(t, s, fam, beta_vec=beta_vec, conditionals=conds)
-        brute = imd_bruteforce(t, mix(s, conds, beta_vec), fam).value
+        relaxed = mix(s, conds, beta_vec)
+        res = hdh_imd(t, relaxed, fam)
+        brute = imd_bruteforce(t, relaxed, fam).value
         assert res.value == pytest.approx(brute, abs=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("name", ["beta", "beta_vec", "alpha_grid"])
+@pytest.mark.parametrize("name", ["alpha_grid"])
 def test_a_non_finite_relaxation_is_named(name, bad):
     t = DiscreteMeasure([[0.0, 0.0]], [1.0])
     s = DiscreteMeasure([[1.0, 0.0]], [1.0])
-    hdh = hdh_family(TWO, np.array([[1, 1], [2, 1]]))
-    call = {
-        "beta": lambda: hdh_imd(t, s, hdh, beta=bad),
-        "beta_vec": lambda: hdh_imd(t, s, hdh, beta_vec=[bad], conditionals=[s]),
-        "alpha_grid": lambda: duality_check(t, s, indicator_family(TWO), 0.5, [0.0, bad]),
-    }[name]
     with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative"):
-        call()
+        duality_check(t, s, indicator_family(TWO), 0.5, [0.0, bad])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("relax", ["scaled", "mix"])
+def test_a_non_finite_relaxed_source_is_rejected(relax, bad):
+    # hdh_imd takes the source already relaxed; a non-finite relaxation
+    # fails where the relaxed measure is built.
+    s = DiscreteMeasure([[1.0, 0.0]], [1.0])
+    with pytest.raises(ValueError, match="^weights must be finite$"):
+        s.scaled(1.0 + bad) if relax == "scaled" else mix(s, [s], [bad])
 
 
 class TestHdhSupportBound:

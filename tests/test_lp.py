@@ -161,8 +161,9 @@ def sign_lp(lower, upper):
 
 @pytest.mark.parametrize("lower, upper", [(0.0, np.inf), (0.0, 0.0)])
 def test_a_positive_reduced_cost_needs_a_finite_lower_bound(lower, upper):
-    residual, gap = certify(sign_lp(lower, upper), np.array([0.0, 1.0]), np.array([1.0]))
-    assert (residual, gap) == (0.0, 0.0)
+    value, residual, gap = certify(sign_lp(lower, upper), np.array([0.0, 1.0]),
+                                   np.array([1.0]))
+    assert (value, residual, gap) == (1.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("lower, upper", [(-np.inf, np.inf), (-np.inf, 0.0)])
@@ -184,7 +185,7 @@ def test_finite_bounds_enter_the_dual_objective(lower, upper, x0, d0):
     lp = LinearProgram(c, [[1.0, 1.0]], [-np.inf], [3.0],
                        lower=[lower, 0.0], upper=[upper, np.inf])
     x = np.array([x0, 3.0 - x0])
-    residual, gap = certify(lp, x, np.array([-1.0]))
+    _, residual, gap = certify(lp, x, np.array([-1.0]))
     # Without the bound term the gap would be |x0 * d0| >= 0.5.
     assert (residual, gap) == (0.0, 0.0)
     sol = solve(lp)
@@ -213,7 +214,7 @@ def test_a_row_dual_against_an_absent_bound_has_the_wrong_sign(row_lower, row_up
 
 @pytest.mark.parametrize("dual", [-0.25, 0.25])
 def test_an_equality_row_takes_a_dual_of_either_sign(dual):
-    residual, gap = certify(row_lp(1.0, 1.0), np.array([1.0]), np.array([dual]))
+    _, residual, gap = certify(row_lp(1.0, 1.0), np.array([1.0]), np.array([dual]))
     assert (residual, gap) == (0.0, 0.0)
 
 
@@ -226,9 +227,9 @@ def test_an_equality_row_takes_a_dual_of_either_sign(dual):
 def test_a_row_at_its_bound_closes_the_gap_through_its_bound_term(c, row_lower, row_upper,
                                                                   x, dual):
     lp = LinearProgram([c], [[1.0]], [row_lower], [row_upper])
-    residual, gap = certify(lp, np.array([x]), np.array([dual]))
+    value, residual, gap = certify(lp, np.array([x]), np.array([dual]))
     # The column's bound term is 0, so without the row's the gap is |c x|.
-    assert (residual, gap) == (0.0, 0.0)
+    assert (value, residual, gap) == (c * x, 0.0, 0.0)
     assert solve(lp).value == c * x
 
 

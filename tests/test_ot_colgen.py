@@ -41,7 +41,6 @@ from imdot.measures import (
 from imdot.ot import (
     NEAREST_ARCS,
     _assemble_blocks,
-    _column_generation,
     _initial_arcs,
     _north_west_corner,
     _solve_blocks,
@@ -118,13 +117,9 @@ def dense(target, cond_weights, costs, cap_scale, budget):
 def test_column_generation_matches_the_dense_lp(problem):
     target, cond_weights, costs, cap_scale, budget = problem
     reference = dense(*problem)
-    (sol,) = _column_generation(target, cond_weights, costs, cap_scale[None, :],
-                                None if budget is None else [budget])
+    ((sol, _, _),) = _solve_blocks(target, cond_weights, costs, cap_scale,
+                                   None if budget is None else [budget])
     assert close(sol.value, reference.value), (sol.value, reference.value)
-    # Through the entry point, which also verifies the plans.
-    ((checked, _, _),) = _solve_blocks(target, cond_weights, costs, cap_scale,
-                                       None if budget is None else [budget])
-    assert close(checked.value, reference.value)
 
 
 def test_balanced_transport_matches_vertex_enumeration(rng):
@@ -135,7 +130,7 @@ def test_balanced_transport_matches_vertex_enumeration(rng):
                                      weights(rng, n_t, "dyadic"))
             w = weights(rng, n_s, "zero_atom")
             cost = cost_matrix(target.points, points(rng, n_s, kind, pool))
-            (sol,) = _column_generation(target, [w], [cost], np.ones((1, 1)), None)
+            ((sol, _, _),) = _solve_blocks(target, [w], [cost], np.ones(1))
             brute = brute_force_transport_value(cost.entries, target.weights, w)
             assert abs(sol.value - brute) <= 1e-9 * (1.0 + brute), (kind, sol.value, brute)
 
@@ -214,8 +209,8 @@ def test_columns_reach_highs_as_the_assembled_columns(monkeypatch, rng, budget):
                           tuple(lp.A.data[span].tolist()), float(lp.lower[j]),
                           float(lp.upper[j])))
     column = {col: j for j, col in enumerate(assembled)}
-    (sol,) = _column_generation(target, cond_weights, costs, p[None, :],
-                                None if budget is None else [budget])
+    ((sol, _, _),) = _solve_blocks(target, cond_weights, costs, p,
+                                   None if budget is None else [budget])
     added = [col for batch in batches for col in batch]
     n_beta = 0 if budget is None else len(cond_weights)
     assert len(added) == sol.columns
@@ -241,14 +236,15 @@ class TestGridWalk:
     def walk(self, instance):
         target, cond_weights, costs, p = instance
         scales = np.tile(p, (len(self.GRID), 1))
-        return _column_generation(target, cond_weights, costs, scales, self.GRID)
+        return [sol for sol, _, _ in
+                _solve_blocks(target, cond_weights, costs, scales, self.GRID)]
 
     def test_downward_walk_and_cold_agree(self, rng):
         instance = split_blocks(rng)
         down = self.walk(instance)
         target, cond_weights, costs, p = instance
         for e, budget in enumerate(self.GRID):
-            (cold,) = _column_generation(target, cond_weights, costs, p[None, :], [budget])
+            ((cold, _, _),) = _solve_blocks(target, cond_weights, costs, p, [budget])
             reference = dense(target, cond_weights, costs, p, budget)
             for sol in (down[e], cold):
                 assert close(sol.value, cold.value), (budget, sol.value, cold.value)
@@ -262,8 +258,8 @@ class TestGridWalk:
         source_w = weights(rng, 35, "zero_atom")
         cost = cost_matrix(target.points, rng.uniform(-2, 2, (35, 2)))
         scales = 1.0 + np.array([[0.0], [0.3], [1.49], [3.0]])
-        walked = _column_generation(target, [source_w], [cost], scales, None)
-        for sol, scale in zip(walked, scales):
+        walked = _solve_blocks(target, [source_w], [cost], scales)
+        for (sol, _, _), scale in zip(walked, scales):
             reference = solve(_assemble_blocks(target, [source_w], [cost], scale))
             assert close(sol.value, reference.value)
 
@@ -374,27 +370,29 @@ class TestSimplexPath:
 
 
 #: One split walk over the 90k arcs of a K = 3, n = 300 toy pair, printing
-#: its objectives' reprs.
+#: the reprs of its objectives and of their certificates' duality gaps.
 SPLIT_WALK = """
+import numpy as np
 from imdot.datagen import ToyConfig, draw_seeds, generate_pair
 from imdot.measures import CostMatrix, class_conditionals, cost_matrix, empirical_measure
-from imdot.ot import partial_ot_beta_split_path
+from imdot.ot import _solve_blocks
 
 seed = int(draw_seeds(3000, 1)[0])
 source, target = generate_pair(ToyConfig(n_classes=3, n_source=300, n_target=300, seed=seed))
 conds, p = class_conditionals(source)
 cost = cost_matrix(target.points, source.points)
 costs = [CostMatrix(cost.entries[:, source.class_indices(k)]) for k in (1, 2, 3)]
-path = partial_ot_beta_split_path(empirical_measure(target), conds, p,
-                                  (0.25, 0.5, 0.75, 1.0), costs)
-print([repr(plan_set.objective) for plan_set in path])
+walk = _solve_blocks(empirical_measure(target), [c.weights for c in conds], costs,
+                     np.tile(p, (4, 1)), (0.25, 0.5, 0.75, 1.0))
+print([(repr(sol.value), repr(sol.gap)) for sol, _, _ in walk])
 """
 
 
 def test_objectives_do_not_depend_on_the_blas_thread_count():
     # A dot product over more than about 10k entries runs threaded in
     # OpenBLAS, and its rounding follows the thread count; the objective
-    # is a correctly rounded sum instead.
+    # and the dual objective of the certificate are correctly rounded sums
+    # instead, so neither the value nor the gap moves.
     src = str(Path(imdot.lp.__file__).resolve().parents[1])
     printed = []
     for threads in ("1", "2"):
@@ -417,7 +415,7 @@ class TestCertificate:
 
         monkeypatch.setattr(imdot.lp, "certify", capture)
         target, cond_weights, costs, p = split_blocks(rng)
-        _column_generation(target, cond_weights, costs, p[None, :], [0.3])
+        _solve_blocks(target, cond_weights, costs, p, [0.3])
         monkeypatch.undo()
         (found,) = seen
         return found
@@ -428,11 +426,11 @@ class TestCertificate:
         target, cond_weights, costs, p = split_blocks(rng)
         monkeypatch.setattr(imdot.ot, "pricing_tolerance", lambda c: np.inf)
         with pytest.raises(LpError, match="reduced cost"):
-            _column_generation(target, cond_weights, costs, p[None, :], [0.3])
+            _solve_blocks(target, cond_weights, costs, p, [0.3])
 
     def test_an_arc_outside_the_model_that_prices_out(self, monkeypatch, rng):
         lp, x, row_dual = self.captured(monkeypatch, rng)
-        residual, gap = certify(lp, x, row_dual)
+        _, residual, gap = certify(lp, x, row_dual)
         reduced = lp.c - lp.A.T @ row_dual
         # The unused arc whose reduced cost is largest: far from the
         # restricted model's support.  The first three columns are beta.
