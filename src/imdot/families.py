@@ -202,8 +202,10 @@ def weights_on_ground(measure: DiscreteMeasure,
     """Weight vector of ``measure`` over ``ground_points``.
 
     Every atom must match a ground point coordinate-wise within
-    ``ROUNDING_TOL``; duplicated atoms accumulate onto the matched ground
-    point.
+    ``ROUNDING_TOL``; each goes to the first nearest one (Chebyshev), and
+    duplicated atoms accumulate onto it.  A measure on the ground's own
+    rows is matched by index, without distances: atom i goes to the first
+    ground row equal to it, which is the nearest-point match at distance 0.
     """
     ground_points = np.asarray(ground_points, dtype=float)
     w = np.zeros(len(ground_points))
@@ -211,13 +213,20 @@ def weights_on_ground(measure: DiscreteMeasure,
         return w
     if measure.points.shape[1] != ground_points.shape[1]:
         raise ValueError("measure and ground set have different dimensions")
-    dist = cdist(measure.points, ground_points, metric="chebyshev")
-    idx = np.argmin(dist, axis=1)
-    if np.any(dist[np.arange(len(idx)), idx] > ROUNDING_TOL):
-        bad = int(np.argmax(dist[np.arange(len(idx)), idx]))
-        raise ValueError(
-            f"atom {measure.points[bad].tolist()} is not on the ground set"
-        )
+    if np.array_equal(measure.points, ground_points):
+        # Float tuples are equal exactly when their Chebyshev distance is 0
+        # (-0.0 == 0.0 too), so each row keys the first row equal to it.
+        first = {}
+        idx = [first.setdefault(tuple(row), i)
+               for i, row in enumerate(ground_points.tolist())]
+    else:
+        dist = cdist(measure.points, ground_points, metric="chebyshev")
+        idx = np.argmin(dist, axis=1)
+        if np.any(dist[np.arange(len(idx)), idx] > ROUNDING_TOL):
+            bad = int(np.argmax(dist[np.arange(len(idx)), idx]))
+            raise ValueError(
+                f"atom {measure.points[bad].tolist()} is not on the ground set"
+            )
     np.add.at(w, idx, measure.weights)
     return w
 

@@ -36,44 +36,62 @@ LOG_CLIP = 1e-12
 
 
 def _check_simplex(score) -> np.ndarray:
-    """``score`` as a float vector, or a ValueError unless it is a nonempty
-    1-d vector of finite, nonnegative entries summing to 1 (``ROUNDING_TOL``).
+    """``score`` as a float array, or a ValueError unless it is a nonempty
+    1-d vector, or a 2-d batch of such rows, of finite, nonnegative entries
+    summing to 1 (``ROUNDING_TOL``).  A batch is checked in one pass, may
+    have no rows, and the message names its first bad row.
 
     Written as "not within", so that a NaN or an infinite entry fails too:
     it makes the minimum NaN or the sum NaN or infinite."""
     v = np.asarray(score, dtype=float)
-    if v.ndim != 1 or len(v) == 0:
-        raise ValueError("score must be a nonempty 1-d array")
-    if not (v.min() >= 0 and abs(v.sum() - 1.0) <= ROUNDING_TOL):
-        raise ValueError(f"score must be finite and lie on the probability simplex, "
-                         f"got {v.tolist()!r}")
+    if v.ndim not in (1, 2) or v.shape[-1] == 0:
+        raise ValueError("a batch of scores must have nonempty rows" if v.ndim == 2
+                         else "score must be a nonempty 1-d array")
+    with np.errstate(invalid="ignore"):   # inf - inf in a sum
+        within = (v.min(axis=-1) >= 0) & (np.abs(v.sum(axis=-1) - 1.0) <= ROUNDING_TOL)
+    if not np.all(within):
+        bad = int(np.argmin(within))
+        got = f"{v.tolist()!r}" if v.ndim == 1 else f"row {bad}: {v[bad].tolist()!r}"
+        raise ValueError(f"score must be finite and lie on the probability simplex, got {got}")
     return v
 
 
-def min_entropy_uncertainty(score) -> float:
-    """``-log(max_i score_i)``: the cross-entropy self-uncertainty of a scorer."""
+def _log(x):
+    """``math.log`` of a scalar, the 1-d result; ``np.log`` of an array of
+    per-row values."""
+    return np.log(x) if np.ndim(x) else math.log(x)
+
+
+def min_entropy_uncertainty(score):
+    """``-log(max_i score_i)``: the cross-entropy self-uncertainty of a scorer.
+
+    A 2-d array of simplex rows gives an array with one value per row."""
     # On the simplex the largest entry is at least 1/len(score) > 0.
-    return -math.log(_check_simplex(score).max())
+    return -_log(_check_simplex(score).max(axis=-1))
 
 
-def renyi_entropy(score, alpha: float) -> float:
+def renyi_entropy(score, alpha: float):
     """Renyi entropy ``(1/(1-alpha)) log sum_i v_i^alpha`` of a simplex vector.
 
     ``alpha = 1`` is the Shannon limit (computed directly), ``alpha = inf``
     the min-entropy and ``alpha = 0`` the log support size.  Nonincreasing in
-    ``alpha``, so ``H_inf <= H_alpha`` for every ``alpha``.
+    ``alpha``, so ``H_inf <= H_alpha`` for every ``alpha``.  A 2-d array of
+    simplex rows (zero-padded to one width) gives an array with one value
+    per row.
     """
     v = _check_simplex(score)
     if not alpha >= 0:   # a NaN fails too
         raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
     if alpha == np.inf:
-        return -math.log(v.max())
+        return -_log(v.max(axis=-1))
     if alpha == 1:
+        if v.ndim == 2:
+            return -(v * np.log(np.where(v > 0, v, 1.0))).sum(axis=1)
         pos = v[v > 0]
         return float(-(pos * np.log(pos)).sum())
     if alpha == 0:
-        return math.log(np.count_nonzero(v))
-    return math.log((v ** alpha).sum()) / (1.0 - alpha)
+        return _log(np.count_nonzero(v, axis=-1))
+    return _log((v ** alpha).sum(axis=-1)) / (1.0 - alpha)
 
 
 def hinge_uncertainty(margin: float) -> float:
@@ -93,8 +111,11 @@ def zero_one_loss(prediction, label) -> float:
 
 
 def cross_entropy_loss(score, label) -> float:
-    """``-log score[label]`` with scores clipped below at 1e-12."""
+    """``-log score[label]`` with scores clipped below at 1e-12; labels are
+    the integers 1 to ``len(score)``."""
     v = np.asarray(score, dtype=float)
+    if label not in range(1, len(v) + 1):
+        raise ValueError(f"label {label} is outside 1..{len(v)} for {len(v)} classes")
     return float(-np.log(max(v[int(label) - 1], LOG_CLIP)))
 
 
@@ -171,6 +192,12 @@ def hypothesis_risks(g_scores, hyp_target, hyp_source, source_labels,
     hyp_source = np.asarray(hyp_source)
     if len(hyp_target) != len(hyp_source):
         raise ValueError("each hypothesis needs labels on both samples")
+    for rows, sample, name in ((hyp_target, g_scores, "target"),
+                               (hyp_source, source_labels, "source")):
+        for h, labels in enumerate(rows):
+            if len(labels) != len(sample):
+                raise ValueError(f"hypothesis {h} has {len(labels)} labels on the "
+                                 f"{name} sample of {len(sample)} points")
     return FiniteHypothesisRisks(
         np.array([_risk(l1, g_scores, labels) for labels in hyp_target]),
         np.array([_risk(l2, labels, source_labels) for labels in hyp_source]),

@@ -2,6 +2,7 @@
 each property fails once the view it checks is made wrong."""
 
 import ast
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from imdot import checks
 from imdot.checks import run_suite
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+GOLDEN = Path(__file__).resolve().parent / "data" / "run_suite_all_7000.json"
 
 
 def benchmark_suite_cases():
@@ -32,6 +34,17 @@ def test_run_suite_runs_every_case_and_passes():
     results = run_suite("all")
     assert [f"{r.suite}/{r.name}" for r in results] == benchmark_suite_cases()
     assert [r for r in results if not r.passed] == []
+
+
+def test_run_suite_output_matches_the_golden_file():
+    """``run_suite("all", 7000)`` as ``imdot check`` prints it, byte for byte.
+
+    Every detail string carries the check's counts and worst deviations, so
+    a change that moves any of them fails here.  Regenerate the file only
+    when a check's output is meant to change, and say why in CHANGES.md."""
+    text = json.dumps([r.to_dict() for r in run_suite("all", 7000)],
+                      indent=2, sort_keys=True) + "\n"
+    assert text == GOLDEN.read_text()
 
 
 def test_unknown_suite():

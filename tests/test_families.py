@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
+
+import imdot.families
 
 from imdot import checks
 from imdot.checks import (
@@ -36,6 +39,17 @@ def pairwise_scan_ground_union(*point_sets, tol):
         if not any(np.max(np.abs(row - prev)) <= tol for prev in kept):
             kept.append(row)
     return np.asarray(kept)
+
+
+def nearest_point_weights(measure, ground):
+    """Reference: each atom goes to its first nearest ground point
+    (Chebyshev, through ``cdist``), weights accumulated in atom order."""
+    dist = cdist(measure.points, ground, metric="chebyshev")
+    idx = np.argmin(dist, axis=1)
+    assert np.all(dist[np.arange(len(idx)), idx] <= ROUNDING_TOL)
+    w = np.zeros(len(ground))
+    np.add.at(w, idx, measure.weights)
+    return w
 
 
 def members(family, loc=None):
@@ -149,9 +163,65 @@ class TestGroundPlumbing:
         assert np.allclose(w, [0.75, 0.0])
 
     def test_off_ground_atom_raises(self):
-        m = DiscreteMeasure([[5.0, 5.0]], [1.0])
-        with pytest.raises(ValueError):
-            weights_on_ground(m, TWO_POINTS)
+        for points in ([[5.0, 5.0]], [[0.0, 0.0], [5.0, 5.0]]):
+            m = DiscreteMeasure(points, np.full(len(points), 0.5))
+            with pytest.raises(ValueError,
+                               match=r"atom \[5\.0, 5\.0\] is not on the ground set"):
+                weights_on_ground(m, TWO_POINTS)
+
+    @staticmethod
+    def cdist_calls(monkeypatch):
+        """Count the distance matrices ``weights_on_ground`` builds."""
+        calls = []
+        def counted(*a, **k):
+            calls.append(1)
+            return cdist(*a, **k)
+        monkeypatch.setattr(imdot.families, "cdist", counted)
+        return calls
+
+    def test_own_rows_are_matched_by_index(self, rng, monkeypatch):
+        calls = self.cdist_calls(monkeypatch)
+        for n in (1, 2, 7, 40):
+            ground = random_points(rng, n)
+            m = DiscreteMeasure(ground, rng.random(n))
+            w = weights_on_ground(m, ground)
+            assert w.tobytes() == nearest_point_weights(m, ground).tobytes()
+            assert w.tobytes() == m.weights.tobytes()
+        assert calls == []
+
+    def test_a_repeated_ground_row_takes_the_first_copy(self, rng, monkeypatch):
+        calls = self.cdist_calls(monkeypatch)
+        base = random_points(rng, 4)
+        ground = base[[0, 1, 2, 1, 3, 0, 1]]
+        # -0.0 and 0.0 are one coordinate too
+        signed = np.array([[0.0, 1.0], [0.5, 0.5], [-0.0, 1.0]])
+        for g, kept in ((ground, [0, 1, 2, 4]), (signed, [0, 1])):
+            m = DiscreteMeasure(g, rng.random(len(g)))
+            w = weights_on_ground(m, g)
+            assert w.tobytes() == nearest_point_weights(m, g).tobytes()
+            assert np.array_equal(np.nonzero(w)[0], kept)
+        assert calls == []
+
+    def test_rows_within_the_rounding_tolerance_stay_apart(self, rng, monkeypatch):
+        calls = self.cdist_calls(monkeypatch)
+        tol = ROUNDING_TOL
+        ground = np.array([[0.5, 0.5], [0.5 + tol, 0.5], [0.5, 0.5 - 0.4 * tol],
+                           [0.5 + tol, 0.5]])
+        m = DiscreteMeasure(ground, rng.random(4))
+        w = weights_on_ground(m, ground)
+        assert w.tobytes() == nearest_point_weights(m, ground).tobytes()
+        assert w[3] == 0.0 and np.all(w[:3] > 0)
+        assert calls == []
+
+    def test_permuted_atoms_take_the_distance_path(self, rng, monkeypatch):
+        calls = self.cdist_calls(monkeypatch)
+        ground = random_points(rng, 9)
+        ground[5] = ground[2]
+        for perm in (rng.permutation(9), np.arange(9)[::-1], [0, 0, 3]):
+            m = DiscreteMeasure(ground[perm], rng.random(len(perm)))
+            w = weights_on_ground(m, ground)
+            assert w.tobytes() == nearest_point_weights(m, ground).tobytes()
+        assert len(calls) == 3
 
     def test_ground_union_matches_the_pairwise_scan(self, rng):
         # The rule: a row is dropped when it lies within tol (Chebyshev) of

@@ -74,6 +74,75 @@ class TestEntropies:
         assert passed, detail
 
 
+def padded_simplex_rows(rng, n_rows, width=7):
+    """Dirichlet rows of 1..width entries, zero-padded, with a one-hot row,
+    a uniform row and rows with zeros between their positive entries."""
+    rows = np.zeros((n_rows, width))
+    for row in rows:
+        k = int(rng.integers(1, width + 1))
+        row[:k] = rng.dirichlet(np.ones(k))
+    rows[0, :] = 0.0
+    rows[0, width // 2] = 1.0
+    rows[1, :] = 1.0 / width
+    rows[2:40, 1::2] = 0.0
+    rows[2:40] /= rows[2:40].sum(axis=1, keepdims=True)
+    return rows
+
+
+class TestBatchEntropies:
+    @pytest.mark.parametrize("alpha", (0.0,) + checks.RENYI_ALPHAS)
+    def test_rows_match_the_scalar_calls(self, rng, alpha):
+        rows = padded_simplex_rows(rng, 2000)
+        batch = renyi_entropy(rows, alpha)
+        scalar = np.array([renyi_entropy(row, alpha) for row in rows])
+        assert batch.shape == (len(rows),)
+        assert np.all(np.abs(batch - scalar) <= 4 * np.spacing(np.abs(scalar)))
+
+    def test_min_entropy_rows_match_the_scalar_calls(self, rng):
+        rows = padded_simplex_rows(rng, 2000)
+        batch = min_entropy_uncertainty(rows)
+        scalar = np.array([min_entropy_uncertainty(row) for row in rows])
+        assert np.all(np.abs(batch - scalar) <= 4 * np.spacing(np.abs(scalar)))
+        assert np.array_equal(renyi_entropy(rows, np.inf), batch)
+
+    @pytest.mark.parametrize("bad_row", [[0.7, 0.7, 0.0], [0.5, np.nan, 0.5],
+                                         [1.5, -0.5, 0.0], [np.inf, 0.0, 0.0]])
+    def test_a_bad_row_is_named(self, rng, bad_row):
+        rows = padded_simplex_rows(rng, 12, width=3)
+        rows[9] = bad_row
+        rows[11] = bad_row
+        with pytest.raises(ValueError, match=r"score must be finite .* got row 9: "):
+            min_entropy_uncertainty(rows)
+        for alpha in (0.0, 1.0, 2.0, np.inf):
+            with pytest.raises(ValueError, match=r"got row 9: "):
+                renyi_entropy(rows, alpha)
+
+    def test_batch_shapes(self):
+        assert renyi_entropy(np.zeros((0, 3)), 2.0).shape == (0,)
+        with pytest.raises(ValueError, match="batch of scores must have nonempty rows"):
+            min_entropy_uncertainty(np.zeros((3, 0)))
+        for score in ([], np.full((2, 2, 2), 0.25)):
+            with pytest.raises(ValueError, match="score must be a nonempty 1-d array"):
+                renyi_entropy(score, 2.0)
+
+    @pytest.mark.parametrize("seed", range(7000, 7010))
+    def test_entropy_ordering_matches_a_scalar_loop(self, seed):
+        def scalar_entropy_ordering(rng, instances):
+            bad = 0
+            for _ in range(instances):
+                v = rng.dirichlet(np.ones(int(rng.integers(2, 8))))
+                h_inf = min_entropy_uncertainty(v)
+                bad += sum(h_inf > renyi_entropy(v, alpha) + 1e-12
+                           for alpha in checks.RENYI_ALPHAS)
+            return bad == 0, f"{bad} violations over {instances} simplex vectors"
+
+        batch_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert (checks.entropy_ordering(batch_rng, 2000)
+                == scalar_entropy_ordering(scalar_rng, 2000))
+        # both leave the generator in the same state for the cases after them
+        assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
 class TestHinge:
     @pytest.mark.parametrize("margin,expected", [
         (1.5, 0.0), (0.0, 1.0), (0.4, 0.6), (-0.4, 0.6), (-2.0, 0.0),
@@ -96,6 +165,15 @@ class TestLosses:
 
     def test_cross_entropy_clipping(self):
         assert cross_entropy_loss([1.0, 0.0], 2) == pytest.approx(-np.log(1e-12))
+
+    @pytest.mark.parametrize("label", [0, 3, -1, 1.5])
+    def test_cross_entropy_label_outside_the_classes_is_named(self, label):
+        with pytest.raises(ValueError, match=rf"label {label} is outside 1\.\.2 for 2 classes"):
+            cross_entropy_loss([0.2, 0.8], label)
+
+    def test_cross_entropy_takes_integer_valued_labels(self):
+        for label in (2, 2.0, np.int64(2)):
+            assert cross_entropy_loss([0.2, 0.8], label) == -np.log(0.8)
 
     def test_cross_entropy_l1_pair_condition(self, rng):
         r_bound = 2.0
@@ -164,6 +242,14 @@ class TestSourceGuidedUncertainty:
         with pytest.raises(ValueError):
             source_guided_uncertainty(np.array([1]), np.empty((0, 1), dtype=int),
                                       np.empty((0, 1), dtype=int), np.array([1]))
+
+    def test_a_length_mismatch_is_named(self):
+        with pytest.raises(ValueError, match="hypothesis 0 has 3 labels on the "
+                                             "source sample of 2 points"):
+            source_guided_uncertainty([1, 2], [[1, 2]], [[1, 1, 1]], [1, 2])
+        with pytest.raises(ValueError, match="hypothesis 0 has 2 labels on the "
+                                             "target sample of 3 points"):
+            hypothesis_risks([1, 2, 1], [[1, 2], [2, 2]], [[1], [2]], [1])
 
 
 class TestSguProperties:
