@@ -186,10 +186,9 @@ def hypothesis_risks(g_scores, hyp_target, hyp_source, source_labels,
 
     ``g_scores[i]`` is the score (or predicted label, for classifier ``g``)
     at target point ``i``; ``hyp_target``/``hyp_source`` hold each
-    hypothesis's labels on the two samples, row per hypothesis.
+    hypothesis's labels on the two samples, row per hypothesis.  Rows may be
+    lists; a row of the wrong length is named by its hypothesis index.
     """
-    hyp_target = np.asarray(hyp_target)
-    hyp_source = np.asarray(hyp_source)
     if len(hyp_target) != len(hyp_source):
         raise ValueError("each hypothesis needs labels on both samples")
     for rows, sample, name in ((hyp_target, g_scores, "target"),
@@ -212,7 +211,7 @@ def source_guided_uncertainty(g_scores, hyp_target, hyp_source, source_labels,
     Returns the exact minimum and the minimizing hypothesis index (ties go
     to the smallest index).
     """
-    if len(np.asarray(hyp_target)) == 0:
+    if len(hyp_target) == 0:
         raise ValueError("the hypothesis list is empty")
     risks = hypothesis_risks(g_scores, hyp_target, hyp_source, source_labels, l1, l2)
     totals = risks.target + risks.source

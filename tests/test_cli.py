@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import imdot.ot
 from imdot.cli import _toy_config, build_parser, main
 from imdot.datagen import ToyConfig, shared_atom_label_shift
 from imdot.measures import LabeledDataset, save_dataset
@@ -108,6 +109,28 @@ def test_sweep_outputs(tmp_path):
     assert len(lines) == 3
     row0 = lines[1].split(",")
     assert float(row0[0]) == 0.0
+
+
+def test_sweep_reruns_are_byte_identical_on_the_coarse_start(monkeypatch, tmp_path):
+    # At n = 60 every walk starts from the lifted support of its coarsened
+    # problem; that start takes no rng, so reruns write the same bytes.
+    lifted = []
+    coarse_arcs = imdot.ot._coarse_arcs
+
+    def recorded(target, *args):
+        rows, cols = coarse_arcs(target, *args)
+        lifted.append((target.n_atoms, len(rows)))
+        return rows, cols
+
+    monkeypatch.setattr(imdot.ot, "_coarse_arcs", recorded)
+    out1, out2 = tmp_path / "w1", tmp_path / "w2"
+    flags = ["--k", 3, "--n", 60, "--draws", 2, "--beta-grid", "0,0.5,1",
+             "--seed", 5, "--jobs", 1]
+    assert run("sweep", *flags, "--out", out1) == 0
+    assert run("sweep", *flags, "--out", out2) == 0
+    assert lifted and all(n_atoms == 60 and n_lifted > 0 for n_atoms, n_lifted in lifted)
+    for name in ("draws.csv", "summary.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_sweep_single_beta_single_draw(tmp_path):

@@ -42,15 +42,16 @@ class TestPropagateLabels:
         assert np.array_equal(labels, [1, 1, 2])
 
     def test_labels_do_not_depend_on_backend(self):
-        # On this draw the dense LP and column generation give a row two
-        # class votes that tie up to rounding; a plain argmax labelled it
-        # differently.
+        # On this draw the dense LP and column generation (from the coarse
+        # start, n = 60) give a row two class votes that tie up to rounding;
+        # a plain argmax labelled it differently.
         source, target = generate_pair(ToyConfig(
-            n_classes=3, n_source=60, n_target=60, eta=1.0, seed=3))
-        args = (empirical_measure(target), [empirical_measure(source).weights],
-                [cost_matrix(target.points, source.points)], np.array([1.5]))
-        dense = solve(_assemble_blocks(*args)).x.reshape(len(target), len(source))
-        (_, plans, _), = _solve_blocks(*args)
+            n_classes=3, n_source=60, n_target=60, eta=1.0, seed=0))
+        t, s = empirical_measure(target), empirical_measure(source)
+        cost = cost_matrix(target.points, source.points)
+        dense = solve(_assemble_blocks(t, [s.weights], [cost], np.array([1.5])))
+        dense = dense.x.reshape(len(target), len(source))
+        (_, plans, _), = _solve_blocks(t, [s], [cost], np.array([1.5]))
         votes = [np.stack([plan[:, source.labels == k].sum(axis=1) for k in (1, 2, 3)],
                           axis=1) for plan in (dense, plans[0])]
         # A plain argmax differs on this draw, so the tie rule is what agrees.

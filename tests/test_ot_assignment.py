@@ -28,7 +28,7 @@ def solve_both(target, source, beta):
     capacity ``(1 + beta) * source.weights``."""
     cost = cost_matrix(target.points, source.points)
     scale = np.array([1.0 + beta])
-    ((colgen, plans, _),) = _solve_blocks(target, [source.weights], [cost], scale)
+    ((colgen, plans, _),) = _solve_blocks(target, [source], [cost], scale)
     highs = solve(_assemble_blocks(target, [source.weights], [cost], scale))
     return cost.entries, (colgen, plans[0]), (highs, highs.x.reshape(cost.entries.shape))
 
@@ -79,7 +79,7 @@ class TestCertificate:
         target = uniform(rng.uniform(-2, 2, (8, 2)))
         source = uniform(rng.uniform(-2, 2, (8, 2)))
         cost = cost_matrix(target.points, source.points)
-        _solve_blocks(target, [source.weights], [cost], np.array([1.5]))
+        _solve_blocks(target, [source], [cost], np.array([1.5]))
         monkeypatch.undo()
         (found,) = seen
         return found

@@ -39,6 +39,7 @@ from imdot.measures import (
     empirical_measure,
 )
 from imdot.ot import (
+    COARSE_MIN_ATOMS,
     NEAREST_ARCS,
     _assemble_blocks,
     _initial_arcs,
@@ -48,6 +49,7 @@ from imdot.ot import (
     partial_ot_beta_split,
     partial_ot_beta_split_path,
     partial_ot_global_path,
+    partial_ot_per_class,
 )
 
 from test_lp import brute_force_transport_value
@@ -78,7 +80,7 @@ def weights(rng, n, kind):
 
 @st.composite
 def problems(draw):
-    """``(target, cond_weights, costs, cap_scale, budget)``: continuous,
+    """``(target, sources, costs, cap_scale, budget)``: continuous,
     lattice (cost ties) or duplicate atoms, ``n_t != n_s``, an empty class,
     dyadic weights, a zero-weight atom or uniform ``1/n`` weights, in global
     (one block), per-class or split mode."""
@@ -95,29 +97,31 @@ def problems(draw):
         sizes = draw(st.lists(st.integers(0, 4), min_size=2, max_size=3))
         if not any(sizes):
             sizes[0] = 1
-    conds = [points(rng, n, kind, pool) for n in sizes]
-    cond_weights = [weights(rng, n, weight_kind) if n else np.empty(0) for n in sizes]
+    sources = [DiscreteMeasure(points(rng, n, kind, pool),
+                               weights(rng, n, weight_kind) if n else np.empty(0))
+               for n in sizes]
     p = dyadic_weights(rng, len(sizes)) * (np.array(sizes) > 0)
     p /= p.sum()
-    costs = [cost_matrix(target.points, c) for c in conds]
+    costs = [cost_matrix(target.points, c.points) for c in sources]
     beta = draw(st.sampled_from(BETAS))
     if mode == "global":
-        return target, cond_weights, costs, np.array([1.0 + beta]), None
+        return target, sources, costs, np.array([1.0 + beta]), None
     if mode == "per_class":
-        return target, cond_weights, costs, p + beta * rng.random(len(p)), None
-    return target, cond_weights, costs, p, beta
+        return target, sources, costs, p + beta * rng.random(len(p)), None
+    return target, sources, costs, p, beta
 
 
-def dense(target, cond_weights, costs, cap_scale, budget):
-    return solve(_assemble_blocks(target, cond_weights, costs, cap_scale, budget))
+def dense(target, sources, costs, cap_scale, budget):
+    return solve(_assemble_blocks(target, [s.weights for s in sources], costs,
+                                  cap_scale, budget))
 
 
 @settings(max_examples=200, deadline=None)
 @given(problems())
 def test_column_generation_matches_the_dense_lp(problem):
-    target, cond_weights, costs, cap_scale, budget = problem
+    target, sources, costs, cap_scale, budget = problem
     reference = dense(*problem)
-    ((sol, _, _),) = _solve_blocks(target, cond_weights, costs, cap_scale,
+    ((sol, _, _),) = _solve_blocks(target, sources, costs, cap_scale,
                                    None if budget is None else [budget])
     assert close(sol.value, reference.value), (sol.value, reference.value)
 
@@ -128,10 +132,12 @@ def test_balanced_transport_matches_vertex_enumeration(rng):
         for n_t, n_s in ((1, 3), (2, 3), (3, 2), (3, 3)):
             target = DiscreteMeasure(points(rng, n_t, kind, pool),
                                      weights(rng, n_t, "dyadic"))
-            w = weights(rng, n_s, "zero_atom")
-            cost = cost_matrix(target.points, points(rng, n_s, kind, pool))
-            ((sol, _, _),) = _solve_blocks(target, [w], [cost], np.ones(1))
-            brute = brute_force_transport_value(cost.entries, target.weights, w)
+            source = DiscreteMeasure(points(rng, n_s, kind, pool),
+                                     weights(rng, n_s, "zero_atom"))
+            cost = cost_matrix(target.points, source.points)
+            ((sol, _, _),) = _solve_blocks(target, [source], [cost], np.ones(1))
+            brute = brute_force_transport_value(cost.entries, target.weights,
+                                                source.weights)
             assert abs(sol.value - brute) <= 1e-9 * (1.0 + brute), (kind, sol.value, brute)
 
 
@@ -144,10 +150,11 @@ def test_lattice_ties_match_the_dense_lp():
         n_t, n_s = rng.integers(5, 25, 2)
         target = DiscreteMeasure(rng.integers(0, 4, (n_t, 2)) * 3.7,
                                  weights(rng, n_t, "uniform"))
-        w = weights(rng, n_s, "uniform")
-        cost = cost_matrix(target.points, rng.integers(0, 4, (n_s, 2)) * 3.7)
-        ((sol, _, _),) = _solve_blocks(target, [w], [cost], np.ones(1))
-        reference = dense(target, [w], [cost], np.ones(1), None)
+        source = DiscreteMeasure(rng.integers(0, 4, (n_s, 2)) * 3.7,
+                                 weights(rng, n_s, "uniform"))
+        cost = cost_matrix(target.points, source.points)
+        ((sol, _, _),) = _solve_blocks(target, [source], [cost], np.ones(1))
+        reference = dense(target, [source], [cost], np.ones(1), None)
         assert close(sol.value, reference.value), (sol.value, reference.value)
 
 
@@ -162,15 +169,10 @@ def split_instance(rng, n_t=40, sizes=(25, 0, 30)):
     return target, conds, costs, np.array([0.5, 0.0, 0.5])
 
 
-def split_blocks(rng, **sizes):
-    target, conds, costs, p = split_instance(rng, **sizes)
-    return target, [c.weights for c in conds], costs, p
-
-
 def test_initial_arcs_are_the_nearest_over_all_classes_and_the_corner(rng):
-    target, cond_weights, costs, p = split_blocks(rng, n_t=15, sizes=(6, 0, 9))
+    target, conds, costs, p = split_instance(rng, n_t=15, sizes=(6, 0, 9))
     cost = np.hstack([c.entries for c in costs])
-    capacity = np.concatenate([s * w for s, w in zip(p, cond_weights)])
+    capacity = np.concatenate([s * c.weights for s, c in zip(p, conds)])
     rows, cols = _initial_arcs(cost, target.weights, capacity)
     m = min(NEAREST_ARCS, cost.shape[1])
     nearest = {(i, j) for i in range(len(cost)) for j in np.argsort(cost[i])[:m]}
@@ -183,7 +185,8 @@ def test_initial_arcs_are_the_nearest_over_all_classes_and_the_corner(rng):
 def test_columns_reach_highs_as_the_assembled_columns(monkeypatch, rng, budget):
     # K = 3 with an empty middle class and zero-weight atoms, with and
     # without the beta columns of a split.
-    target, cond_weights, costs, p = split_blocks(rng, n_t=15, sizes=(6, 0, 9))
+    target, conds, costs, p = split_instance(rng, n_t=15, sizes=(6, 0, 9))
+    cond_weights = [c.weights for c in conds]
     assert all(np.any(w == 0) for w in cond_weights if len(w))
     batches, runs = [], []
     add_columns, run = HighsModel.add_columns, HighsModel.run
@@ -209,7 +212,7 @@ def test_columns_reach_highs_as_the_assembled_columns(monkeypatch, rng, budget):
                           tuple(lp.A.data[span].tolist()), float(lp.lower[j]),
                           float(lp.upper[j])))
     column = {col: j for j, col in enumerate(assembled)}
-    ((sol, _, _),) = _solve_blocks(target, cond_weights, costs, p,
+    ((sol, _, _),) = _solve_blocks(target, conds, costs, p,
                                    None if budget is None else [budget])
     added = [col for batch in batches for col in batch]
     n_beta = 0 if budget is None else len(cond_weights)
@@ -230,22 +233,179 @@ def test_columns_reach_highs_as_the_assembled_columns(monkeypatch, rng, budget):
     assert runs == [1]
 
 
+class TestCoarseStart:
+    """Walks whose target reaches ``COARSE_MIN_ATOMS`` start from the lifted
+    support of their coarsened problem, and end at the dense optimum."""
+
+    @staticmethod
+    def instance(rng, mode, kind, dim):
+        """``(target, sources, costs, cap_scales, budgets)`` with 50-80
+        target atoms, walked at three capacities or budgets."""
+        pool = rng.uniform(-2, 2, (5, dim))
+
+        def draw(n):
+            if kind == "lattice":
+                return rng.integers(0, 4, (n, dim)) * 3.7
+            if kind == "duplicates":
+                return pool[rng.integers(0, len(pool), n)]
+            if kind == "equal":
+                return np.full((n, dim), 1.5)
+            return rng.uniform(-2, 2, (n, dim))
+
+        weight_kind = "uniform" if kind == "lattice" else "zero_atom"
+        n_t = int(rng.integers(COARSE_MIN_ATOMS, 81))
+        target = DiscreteMeasure(draw(n_t), weights(rng, n_t, weight_kind))
+        if mode == "global":
+            sizes = [int(rng.integers(50, 81))]
+        else:
+            sizes = [int(rng.integers(20, 40)), 0, int(rng.integers(20, 40))]
+        sources = [DiscreteMeasure(draw(n), weights(rng, n, weight_kind) if n else np.empty(0))
+                   for n in sizes]
+        costs = [cost_matrix(target.points, c.points) for c in sources]
+        grid = np.array([0.0, 0.3, 1.0])
+        if mode == "global":
+            return target, sources, costs, 1.0 + grid[:, None], None
+        p = np.array([0.5, 0.0, 0.5])
+        if mode == "per_class":
+            return target, sources, costs, p + np.outer(grid, rng.random(3)), None
+        return target, sources, costs, np.tile(p, (3, 1)), grid
+
+    @pytest.mark.parametrize("mode", ["global", "per_class", "split"])
+    @pytest.mark.parametrize("kind, dim", [("continuous", 2), ("lattice", 2), ("duplicates", 2),
+                                           ("equal", 2), ("continuous", 1), ("continuous", 3)])
+    def test_coarse_start_matches_the_dense_lp(self, monkeypatch, rng, mode, kind, dim):
+        target, sources, costs, cap_scales, budgets = self.instance(rng, mode, kind, dim)
+        lifted = []
+        coarse_arcs = imdot.ot._coarse_arcs
+
+        def recorded(target, *args):
+            rows, cols = coarse_arcs(target, *args)
+            lifted.append((target.n_atoms, len(rows)))
+            return rows, cols
+
+        monkeypatch.setattr(imdot.ot, "_coarse_arcs", recorded)
+        walked = _solve_blocks(target, sources, costs, cap_scales, budgets)
+        # One coarse level.  Points of zero extent keep the nearest arcs and
+        # the corner alone.
+        ((n_atoms, n_lifted),) = lifted
+        assert n_atoms == target.n_atoms
+        assert (n_lifted == 0) == (kind == "equal")
+        for e, (sol, _, _) in enumerate(walked):
+            reference = dense(target, sources, costs, cap_scales[e],
+                              None if budgets is None else budgets[e])
+            assert close(sol.value, reference.value), (e, sol.value, reference.value)
+
+    def test_infeasible_entries_name_the_fine_problem(self, monkeypatch, rng):
+        # Capacity 0.5 against a unit target of 64 atoms: the coarse walk is
+        # infeasible too, and the error is still raised by the fine walk.
+        walks = []
+        walk_blocks = imdot.ot._walk_blocks
+
+        def recorded(target, *args):
+            order, walked = walk_blocks(target, *args)
+            walks.append((target.n_atoms, len(order), len(walked)))
+            return order, walked
+
+        monkeypatch.setattr(imdot.ot, "_walk_blocks", recorded)
+        target = DiscreteMeasure(rng.uniform(-2, 2, (64, 2)), np.full(64, 1 / 64))
+        conds = [DiscreteMeasure(rng.uniform(-2, 2, (32, 2)) + k, np.full(32, 1 / 32))
+                 for k in range(2)]
+        costs = [cost_matrix(target.points, c.points) for c in conds]
+        with pytest.raises(LpError, match="^transport LP ended infeasible; target mass 1.0, "
+                                          "total capacity 0.5$") as raised:
+            partial_ot_per_class(target, conds, [0.25, 0.25], [0.0, 0.0], costs)
+        assert not any(entry.name == "_coarse_arcs" for entry in raised.traceback)
+        assert walks[0][0] < 64 and walks[0][1:] == (1, 0)
+        # A walk whose coarse level solves beta = 1 and fails at beta = 0.5.
+        walks.clear()
+        source = DiscreteMeasure(np.vstack([c.points for c in conds]), np.full(64, 1 / 128))
+        cost = cost_matrix(target.points, source.points)
+        with pytest.raises(LpError, match="^transport LP ended infeasible; target mass 1.0, "
+                                          "total capacity 0.75$") as raised:
+            partial_ot_global_path(target, source, cost, [0.5, 1.0])
+        assert not any(entry.name == "_coarse_arcs" for entry in raised.traceback)
+        assert walks[0][0] < 64 and walks[0][1:] == (2, 1)
+
+    @pytest.mark.parametrize("far", ["source", "target"])
+    def test_one_far_atom_keeps_the_start_small(self, monkeypatch, rng, far):
+        # 150 atoms in the unit square on each side, one of them moved to
+        # (100, 100).  A far source atom falls into an edge cell of the grid
+        # over the target.  A far target atom widens every cell to about 7.7,
+        # so that one cell holds all the other atoms of both sides and the
+        # lift, nearly every arc, is left out.
+        n = 150
+        pts = [rng.random((n, 2)), rng.random((n, 2))]
+        pts[far == "source"][-1] = 100.0
+        target, source = (DiscreteMeasure(p, np.full(n, 1 / n)) for p in pts)
+        cost = cost_matrix(target.points, source.points)
+        starts = []
+        solve_path = imdot.ot.solve_path
+
+        def recorded(lp, bounds, start, price):
+            starts.append((lp.n_vars, len(start)))
+            return solve_path(lp, bounds, start, price)
+
+        monkeypatch.setattr(imdot.ot, "solve_path", recorded)
+        path = partial_ot_global_path(target, source, cost, [0.0, 0.5])
+        monkeypatch.undo()
+        (fine_start,) = [start for n_vars, start in starts if n_vars == n * n]
+        assert fine_start < n * n / 8, fine_start
+        for (value, _), beta in zip(path, (0.0, 0.5)):
+            reference = dense(target, [source], [cost], np.array([1.0 + beta]), None)
+            assert close(value, reference.value), (beta, value, reference.value)
+
+    @pytest.mark.parametrize("mode", ["global", "split"])
+    def test_coarse_start_saves_simplex_iterations(self, monkeypatch, mode):
+        # Input 3000 at K = 3, n = 300, against the nearest-only start that
+        # a floor no target reaches forces.  Iterations are counted over
+        # every HiGHS run, the coarse walks' included.
+        seed = int(draw_seeds(3000, 1)[0])
+        source, target = generate_pair(ToyConfig(n_classes=3, n_source=300,
+                                                 n_target=300, seed=seed))
+        t, s = empirical_measure(target), empirical_measure(source)
+        conds, p = class_conditionals(source)
+        cost = cost_matrix(target.points, source.points)
+        costs = [CostMatrix(cost.entries[:, source.class_indices(k)]) for k in (1, 2, 3)]
+        grid = (0.25, 0.5, 0.75, 1.0)
+        iterations = []
+        run = HighsModel.run
+
+        def counted(model):
+            result = run(model)
+            iterations[-1] += result[3]
+            return result
+
+        def walk():
+            iterations.append(0)
+            if mode == "global":
+                return [value for value, _ in partial_ot_global_path(t, s, cost, grid)]
+            return [plan_set.objective for plan_set in
+                    partial_ot_beta_split_path(t, conds, p, grid, costs)]
+
+        monkeypatch.setattr(HighsModel, "run", counted)
+        coarse = walk()
+        monkeypatch.setattr(imdot.ot, "COARSE_MIN_ATOMS", 10**9)
+        nearest = walk()
+        for a, b in zip(coarse, nearest):
+            assert abs(a - b) <= 1e-14 * abs(b), (a, b)
+        assert iterations[0] < iterations[1], iterations
+
+
 class TestGridWalk:
     GRID = np.array([0.0, 0.1, 0.25, 0.4, 0.7, 1.0])
 
     def walk(self, instance):
-        target, cond_weights, costs, p = instance
+        target, conds, costs, p = instance
         scales = np.tile(p, (len(self.GRID), 1))
-        return [sol for sol, _, _ in
-                _solve_blocks(target, cond_weights, costs, scales, self.GRID)]
+        return [sol for sol, _, _ in _solve_blocks(target, conds, costs, scales, self.GRID)]
 
     def test_downward_walk_and_cold_agree(self, rng):
-        instance = split_blocks(rng)
+        instance = split_instance(rng)
         down = self.walk(instance)
-        target, cond_weights, costs, p = instance
+        target, conds, costs, p = instance
         for e, budget in enumerate(self.GRID):
-            ((cold, _, _),) = _solve_blocks(target, cond_weights, costs, p, [budget])
-            reference = dense(target, cond_weights, costs, p, budget)
+            ((cold, _, _),) = _solve_blocks(target, conds, costs, p, [budget])
+            reference = dense(target, conds, costs, p, budget)
             for sol in (down[e], cold):
                 assert close(sol.value, cold.value), (budget, sol.value, cold.value)
                 assert close(sol.value, reference.value)
@@ -255,12 +415,12 @@ class TestGridWalk:
 
     def test_global_capacities_walked_on_one_model(self, rng):
         target = DiscreteMeasure(rng.uniform(-2, 2, (30, 2)), weights(rng, 30, "dyadic"))
-        source_w = weights(rng, 35, "zero_atom")
-        cost = cost_matrix(target.points, rng.uniform(-2, 2, (35, 2)))
+        source = DiscreteMeasure(rng.uniform(-2, 2, (35, 2)), weights(rng, 35, "zero_atom"))
+        cost = cost_matrix(target.points, source.points)
         scales = 1.0 + np.array([[0.0], [0.3], [1.49], [3.0]])
-        walked = _solve_blocks(target, [source_w], [cost], scales)
+        walked = _solve_blocks(target, [source], [cost], scales)
         for (sol, _, _), scale in zip(walked, scales):
-            reference = solve(_assemble_blocks(target, [source_w], [cost], scale))
+            reference = dense(target, [source], [cost], scale, None)
             assert close(sol.value, reference.value)
 
     def test_path_is_the_one_budget_call_per_entry(self, rng):
@@ -288,11 +448,11 @@ class TestGridWalk:
         # The dense references run on HighsModel too, so they are solved
         # before the walks' runs are recorded.
         split_references = [
-            [dense(target, [c.weights for c in classes], class_costs, p, budget).value
+            [dense(target, classes, class_costs, p, budget).value
              for budget in self.GRID]
             for classes, class_costs in ((conds, costs), (far, far_costs))]
         global_references = [
-            dense(target, [source.weights], [cost], np.array([1.0 + beta]), None).value
+            dense(target, [source], [cost], np.array([1.0 + beta]), None).value
             for beta in self.GRID]
 
         strategies = []
@@ -361,16 +521,17 @@ class TestSimplexPath:
         for a, b in zip(default, all_dual):
             assert abs(a - b) <= 1e-14 * abs(b), (a, b)
         if mode == "global":
-            reference = dense(t, [s.weights], [cost], np.array([1.0 + beta]), None)
+            reference = dense(t, [s], [cost], np.array([1.0 + beta]), None)
         else:
-            reference = dense(t, [c.weights for c in conds], costs, p, beta)
+            reference = dense(t, conds, costs, p, beta)
         e = self.GRID.index(beta)
         for value in (default[e], all_dual[e]):
             assert abs(value - reference.value) <= 1e-12 * reference.value
 
 
-#: One split walk over the 90k arcs of a K = 3, n = 300 toy pair, printing
-#: the reprs of its objectives and of their certificates' duality gaps.
+#: One split walk over the 90k arcs of a K = 3, n = 300 toy pair, from the
+#: coarse start, printing the reprs of its objectives and of their
+#: certificates' duality gaps.
 SPLIT_WALK = """
 import numpy as np
 from imdot.datagen import ToyConfig, draw_seeds, generate_pair
@@ -382,8 +543,8 @@ source, target = generate_pair(ToyConfig(n_classes=3, n_source=300, n_target=300
 conds, p = class_conditionals(source)
 cost = cost_matrix(target.points, source.points)
 costs = [CostMatrix(cost.entries[:, source.class_indices(k)]) for k in (1, 2, 3)]
-walk = _solve_blocks(empirical_measure(target), [c.weights for c in conds], costs,
-                     np.tile(p, (4, 1)), (0.25, 0.5, 0.75, 1.0))
+walk = _solve_blocks(empirical_measure(target), conds, costs, np.tile(p, (4, 1)),
+                     (0.25, 0.5, 0.75, 1.0))
 print([(repr(sol.value), repr(sol.gap)) for sol, _, _ in walk])
 """
 
@@ -414,8 +575,8 @@ class TestCertificate:
             return certify(lp, x, row_dual)
 
         monkeypatch.setattr(imdot.lp, "certify", capture)
-        target, cond_weights, costs, p = split_blocks(rng)
-        _solve_blocks(target, cond_weights, costs, p, [0.3])
+        target, conds, costs, p = split_instance(rng)
+        _solve_blocks(target, conds, costs, p, [0.3])
         monkeypatch.undo()
         (found,) = seen
         return found
@@ -423,10 +584,10 @@ class TestCertificate:
     def test_pricing_that_misses_arcs_is_caught(self, monkeypatch, rng):
         # Pricing that never adds an arc stops at the restricted optimum of
         # the initial support, which some arc outside the model beats.
-        target, cond_weights, costs, p = split_blocks(rng)
+        target, conds, costs, p = split_instance(rng)
         monkeypatch.setattr(imdot.ot, "pricing_tolerance", lambda c: np.inf)
         with pytest.raises(LpError, match="reduced cost"):
-            _solve_blocks(target, cond_weights, costs, p, [0.3])
+            _solve_blocks(target, conds, costs, p, [0.3])
 
     def test_an_arc_outside_the_model_that_prices_out(self, monkeypatch, rng):
         lp, x, row_dual = self.captured(monkeypatch, rng)
@@ -493,9 +654,9 @@ class TestCertificate:
 
 class TestObservability:
     def test_residual_and_gap_within_their_bounds_on_both_paths(self, rng):
-        target, cond_weights, costs, p = split_blocks(rng)
-        lp = _assemble_blocks(target, cond_weights, costs, p, 0.4)
-        ((colgen, _, _),) = _solve_blocks(target, cond_weights, costs, p, [0.4])
+        target, conds, costs, p = split_instance(rng)
+        lp = _assemble_blocks(target, [c.weights for c in conds], costs, p, 0.4)
+        ((colgen, _, _),) = _solve_blocks(target, conds, costs, p, [0.4])
         dense_sol = solve(lp)
         scale = 1.0 + np.max(np.abs(lp.row_upper))
         for sol in (colgen, dense_sol):
@@ -509,8 +670,9 @@ class TestObservability:
         # arc, so the first run is already optimal on the full problem.
         n = 6
         target = DiscreteMeasure(rng.uniform(-2, 2, (n, 2)), np.full(n, 1 / n))
-        cost = cost_matrix(target.points, rng.uniform(-2, 2, (n, 2)))
-        ((sol, _, _),) = _solve_blocks(target, [np.full(n, 1 / n)], [cost], np.ones(1))
+        source = DiscreteMeasure(rng.uniform(-2, 2, (n, 2)), np.full(n, 1 / n))
+        cost = cost_matrix(target.points, source.points)
+        ((sol, _, _),) = _solve_blocks(target, [source], [cost], np.ones(1))
         assert n <= imdot.ot.NEAREST_ARCS
         assert (sol.rounds, sol.columns) == (1, n * n)
         assert sol.residual <= FEASIBILITY_TOL and sol.gap <= GAP_TOL * (1 + sol.value)
@@ -523,7 +685,7 @@ def test_infeasible_capacity_is_reported():
     cost = cost_matrix(target.points, source.points)
     with pytest.raises(LpError, match="^transport LP ended infeasible; target mass 1.0, "
                                       "total capacity 0.5$"):
-        _solve_blocks(target, [source.weights], [cost], np.ones(1))
+        _solve_blocks(target, [source], [cost], np.ones(1))
     # A walk solves beta = 1 (capacity 1.0) first and names the entry that
     # fails after it, beta = 0.5.
     with pytest.raises(LpError, match="total capacity 0.75$"):

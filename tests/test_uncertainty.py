@@ -251,6 +251,18 @@ class TestSourceGuidedUncertainty:
                                              "target sample of 3 points"):
             hypothesis_risks([1, 2, 1], [[1, 2], [2, 2]], [[1], [2]], [1])
 
+    def test_a_ragged_hypothesis_list_names_the_short_row(self):
+        # The rows are checked before any array is made of them, so the
+        # error names hypothesis 1 instead of NumPy's inhomogeneous shape.
+        message = "hypothesis 1 has 1 labels on the source sample of 2 points"
+        with pytest.raises(ValueError, match=message):
+            hypothesis_risks([1], [[1], [2]], [[1, 2], [1]], [1, 2])
+        with pytest.raises(ValueError, match=message):
+            source_guided_uncertainty([1], [[1], [2]], [[1, 2], [1]], [1, 2])
+        with pytest.raises(ValueError, match="hypothesis 1 has 2 labels on the "
+                                             "target sample of 1 points"):
+            source_guided_uncertainty([1], [[1], [2, 1]], [[1], [1]], [1])
+
 
 class TestSguProperties:
     def _instance(self, rng, m=4, extra=3, n_t=6, n_s=6, k=3):
