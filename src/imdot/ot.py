@@ -21,15 +21,17 @@ of ``_assemble_blocks``, run as exact column generation; this module keeps
 only what is transport's own.  Arc ``(i, j)`` of the concatenated source is
 LP column ``K + i * n_src + j``, after the ``K`` ``beta`` columns of a split,
 and that column is also its pricing key.  The walk starts with the ``beta``
-columns, the ``NEAREST_ARCS`` cheapest arcs of each target over the whole
-source, whatever their class, a north-west-corner support at the smallest
-capacities and, once the target has ``COARSE_MIN_ATOMS`` atoms, the arcs
-lifted from the walk of the coarsened problem (:func:`_coarse_arcs`;
+columns and, once the target has ``COARSE_MIN_ATOMS`` atoms, the arcs
+lifted from the walk of the coarsened problem alone (:func:`_coarse_arcs`;
 Oberman & Ruan, 2015, Schmitzer, 2016): target and source are binned on
 one grid over the target of about one target atom per cell, the coarse walk
-runs at the same capacities, and every fine arc between two cells that
-carry mass at any of its entries starts in the model, unless there would
-be more than ``COARSE_MAX_ARCS`` per fine atom.  The coarse walk only
+runs at the largest and the smallest capacity of the fine walk, and every
+fine arc between two cells that carry mass at either starts in the model,
+unless there would be more than ``COARSE_MAX_ARCS`` per fine atom.  The
+lift holds a feasible plan at the smallest capacity.  A walk without a lift
+starts instead with the ``NEAREST_ARCS`` cheapest arcs of each target over
+the whole source, whatever their class, and a north-west-corner support at
+the smallest capacities (:func:`_initial_arcs`).  The coarse walk only
 chooses columns; each value is certified on every fine arc.  Each round
 prices all arcs exactly, ``C - u - y``, and adds up to ``ARCS_PER_ROW`` per
 target row, until none is below ``-HIGHS_TOL * (1 + max C)``: the
@@ -84,15 +86,15 @@ __all__ = [
 #: Largest total-mass difference :func:`wasserstein1` accepts.
 MASS_TOL = 1e-10
 
-#: Cheapest arcs of each target, over all classes, that column generation
-#: starts with.
+#: Cheapest arcs of each target, over all classes, that a walk without a
+#: lift starts with (:func:`_initial_arcs`).
 NEAREST_ARCS = 8
 
 #: Most arcs one pricing round adds per target row.
 ARCS_PER_ROW = 5
 
-#: Fewest target atoms for which a walk also starts with the arcs lifted from
-#: its coarsened problem (:func:`_coarse_arcs`).
+#: Fewest target atoms for which a walk starts from the arcs lifted from its
+#: coarsened problem (:func:`_coarse_arcs`).
 COARSE_MIN_ATOMS = 50
 
 #: Most arcs per fine atom, target and source, that the coarse start lifts;
@@ -157,12 +159,13 @@ def _solve_blocks(target: DiscreteMeasure,
     order; ``beta_realized`` is ``None`` without budgets.
 
     All entries come from one :func:`imdot.lp.solve_path` walk from the
-    largest capacity down, which raises an LpError at the first entry
-    infeasible with every arc.  The walk starts with the arcs of
-    :func:`_initial_arcs` and of :func:`_coarse_arcs`.  Pricing stops below
-    ``-pricing_tolerance(c)``, HiGHS's own tolerance: the certificate's
-    looser ``-dual_tolerance(c)`` could leave out an arc that improves the
-    value by more than that, depending on the simplex path.
+    largest total capacity down (a budget counts as capacity; ties keep
+    entry order), which raises an LpError at the first entry infeasible
+    with every arc.  The walk starts from the lift of :func:`_coarse_arcs`
+    or, without one, from the arcs of :func:`_initial_arcs`.  Pricing stops
+    below ``-pricing_tolerance(c)``, HiGHS's own tolerance: the
+    certificate's looser ``-dual_tolerance(c)`` could leave out an arc that
+    improves the value by more than that, depending on the simplex path.
     """
     n_t = target.n_atoms
     cond_weights = [source.weights for source in sources]
@@ -174,13 +177,18 @@ def _solve_blocks(target: DiscreteMeasure,
     cap_scales = np.asarray(cap_scales, dtype=float).reshape(-1, len(cond_weights))
     if not len(cap_scales):
         return []
-    order, walked = _walk_blocks(target, cond_weights, costs, cap_scales, budgets,
-                                 _coarse_arcs(target, sources, cap_scales, budgets))
+    if budgets is not None:
+        budgets = np.asarray(budgets, dtype=float)
+    capacity = cap_scales @ np.array([np.sum(w) for w in cond_weights])
+    order = np.argsort(-(capacity if budgets is None else capacity + budgets), kind="stable")
+    walk_scales = cap_scales[order]
+    walk_budgets = None if budgets is None else budgets[order]
+    walked = _walk_blocks(target, cond_weights, costs, walk_scales, walk_budgets,
+                          _coarse_arcs(target, sources, walk_scales, walk_budgets))
     if len(walked) < len(order):
-        e = order[len(walked)]
-        capacity = float(sum(s * np.sum(w) for s, w in zip(cap_scales[e], cond_weights)))
         raise LpError(f"transport LP ended infeasible; target mass "
-                      f"{target.total_mass!r}, total capacity {capacity!r}")
+                      f"{target.total_mass!r}, total capacity "
+                      f"{float(capacity[order[len(walked)]])!r}")
 
     n_beta = 0 if budgets is None else len(cond_weights)
     widths = [len(w) for w in cond_weights]
@@ -202,20 +210,19 @@ def _solve_blocks(target: DiscreteMeasure,
     return results
 
 
-def _walk_blocks(target, cond_weights, costs, cap_scales, budgets, lifted) -> tuple:
+def _walk_blocks(target, cond_weights, costs, cap_scales, budgets, lifted) -> list:
     """The column-generation walk of :func:`_solve_blocks` over the rows of
-    ``cap_scales``, from the arcs of :func:`_initial_arcs` and the ``lifted``
-    arcs ``(rows, cols)``, unchecked: ``(order, walked)``, the entries from
-    the largest capacity down and one :class:`imdot.lp.LpSolution` per entry
-    of ``order`` up to the first that is infeasible with every arc."""
+    ``cap_scales``, in their order, unchecked: one
+    :class:`imdot.lp.LpSolution` per entry up to the first that is
+    infeasible with every arc.  The model starts with the ``beta`` columns
+    and the ``lifted`` arcs ``(rows, cols)`` or, when ``lifted`` is
+    ``None``, the arcs of :func:`_initial_arcs` at the smallest capacities."""
     n_t = target.n_atoms
     n_beta = 0 if budgets is None else len(cond_weights)
     n_src = sum(len(w) for w in cond_weights)
     entries = [(scale, None if budgets is None else float(budgets[e]))
                for e, scale in enumerate(cap_scales)]
     lp = _assemble_blocks(target, cond_weights, costs, *entries[0])
-    bounds = [_block_bounds(target, cond_weights, *entry) for entry in entries]
-    order = sorted(range(len(bounds)), key=lambda e: -float(bounds[e][1][n_t:].sum()))
     cost = lp.c[n_beta:].reshape(n_t, n_src)
     tol = pricing_tolerance(lp.c)
 
@@ -225,23 +232,20 @@ def _walk_blocks(target, cond_weights, costs, cap_scales, budgets, lifted) -> tu
         rows, cols = _priced_arcs(reduced, tol)
         return n_beta + rows * n_src + cols
 
-    rows, cols = (np.concatenate(part) for part in zip(
-        _initial_arcs(cost, target.weights,
-                      np.concatenate([s * w for s, w in
-                                      zip(np.min(cap_scales, axis=0), cond_weights)])),
-        lifted))
-    walked = solve_path(lp, [bounds[e] for e in order],
-                        np.append(np.arange(n_beta), n_beta + rows * n_src + cols), price)
-    return order, walked
+    if lifted is None:
+        lifted = _initial_arcs(cost, target.weights,
+                               np.concatenate([s * w for s, w in
+                                               zip(np.min(cap_scales, axis=0), cond_weights)]))
+    rows, cols = lifted
+    return solve_path(lp, [_block_bounds(target, cond_weights, *entry) for entry in entries],
+                      np.append(np.arange(n_beta), n_beta + rows * n_src + cols), price)
 
 
-_NO_ARCS = (np.zeros(0, dtype=int), np.zeros(0, dtype=int))
-
-
-def _coarse_arcs(target: DiscreteMeasure, sources, cap_scales, budgets) -> tuple:
-    """Fine arcs ``(rows, cols)`` lifted from the walk of the coarsened
-    problem: every arc whose target cell and source cell carry mass at some
-    entry of that walk.
+def _coarse_arcs(target: DiscreteMeasure, sources, cap_scales, budgets):
+    """The lift that starts the fine walk: fine arcs ``(rows, cols)`` between
+    two cells that carry mass in the coarsened problem at the first or the
+    last entry of ``cap_scales`` and ``budgets``, which come in walk order,
+    from the largest capacity down; ``None`` where there is no lift.
 
     The grid spans the target's bounding box with ``ceil(n_t ** (1 / d))``
     cells along its longest side, so that it holds about one target atom per
@@ -250,25 +254,31 @@ def _coarse_arcs(target: DiscreteMeasure, sources, cap_scales, budgets) -> tuple
     problem keeps the blocks; a coarse atom sits at the plain mean of its
     atoms and carries the sum of their weights, and coarse costs are
     Euclidean, as :func:`imdot.measures.cost_matrix` gives.  The coarse walk
-    is :func:`_walk_blocks` at the same capacities and budgets, from the
-    nearest arcs and the corner alone; its entries past one that is
-    infeasible are left out.
+    is :func:`_walk_blocks` at the two end entries alone (at the one entry
+    of a one-entry walk), from the nearest arcs and the corner.
 
-    No arc is lifted for a target below ``COARSE_MIN_ATOMS`` atoms or of
+    The lift at the last entry holds every fine arc between cells that carry
+    mass, so it holds the coarse optimum spread over the atoms in proportion
+    to their weights: a feasible fine plan at the smallest capacity, and so
+    at every entry whose capacities all reach it.  At any other entry the
+    walk's first run is infeasible and gets every arc.
+
+    There is no lift for a target below ``COARSE_MIN_ATOMS`` atoms or of
     zero extent, for a grid that merges no target atom (the coarse walk
-    would have as many rows as the fine one, so it is not run), or when the
-    lift would exceed ``COARSE_MAX_ARCS`` arcs per fine atom, target and
-    source: a far-off target atom widens every cell, and a source far from
-    the target crowds into its edge cells, so that whole blocks of the
-    dense problem would start in the model.
+    would have as many rows as the fine one, so it is not run), for a coarse
+    walk that ends infeasible before its last entry, or when the lift would
+    exceed ``COARSE_MAX_ARCS`` arcs per fine atom, target and source: a
+    far-off target atom widens every cell, and a source far from the target
+    crowds into its edge cells, so that whole blocks of the dense problem
+    would start in the model.
     """
     n_t = target.n_atoms
     if n_t < COARSE_MIN_ATOMS:
-        return _NO_ARCS
+        return None
     low = target.points.min(axis=0)
     side = float(np.max(target.points.max(axis=0) - low))
     if not side > 0:
-        return _NO_ARCS
+        return None
     k = math.ceil(n_t ** (1 / target.dim))
     h = side / k
 
@@ -284,7 +294,7 @@ def _coarse_arcs(target: DiscreteMeasure, sources, cap_scales, budgets) -> tuple
 
     coarse_target, target_cell, target_counts = coarsen(target)
     if coarse_target.n_atoms == n_t:
-        return _NO_ARCS
+        return None
     blocks, source_cell, source_counts = [], [], []
     offset = 0
     for source in sources:
@@ -293,16 +303,19 @@ def _coarse_arcs(target: DiscreteMeasure, sources, cap_scales, budgets) -> tuple
         source_cell.append(offset + cell)
         source_counts.append(counts)
         offset += block.n_atoms
-    _, walked = _walk_blocks(coarse_target, [b.weights for b in blocks],
-                             [cost_matrix(coarse_target.points, b.points) for b in blocks],
-                             cap_scales, budgets, _NO_ARCS)
+    ends = np.unique([0, len(cap_scales) - 1])
+    walked = _walk_blocks(coarse_target, [b.weights for b in blocks],
+                          [cost_matrix(coarse_target.points, b.points) for b in blocks],
+                          cap_scales[ends], None if budgets is None else budgets[ends], None)
+    if len(walked) < len(ends):
+        return None
     n_beta = 0 if budgets is None else len(blocks)
     carried = np.zeros((coarse_target.n_atoms, offset), dtype=bool)
     for sol in walked:
         carried |= sol.x[n_beta:].reshape(carried.shape) > 0
     n_src = sum(source.n_atoms for source in sources)
     if target_counts @ carried @ np.concatenate(source_counts) > COARSE_MAX_ARCS * (n_t + n_src):
-        return _NO_ARCS
+        return None
     return np.nonzero(carried[target_cell][:, np.concatenate(source_cell)])
 
 
@@ -385,9 +398,10 @@ def _north_west_corner(demand: np.ndarray, capacity: np.ndarray) -> tuple:
 
 
 def _initial_arcs(cost: np.ndarray, demand: np.ndarray, capacity: np.ndarray) -> tuple:
-    """The ``NEAREST_ARCS`` cheapest arcs of each target over every source
-    column of the concatenated ``cost``, and the north-west-corner support
-    of ``demand`` into ``capacity``."""
+    """The start of a walk without a lift (see :func:`_coarse_arcs`): the
+    ``NEAREST_ARCS`` cheapest arcs of each target over every source column
+    of the concatenated ``cost``, and the north-west-corner support of
+    ``demand`` into ``capacity``."""
     nw_rows, nw_cols = _north_west_corner(demand, capacity)
     m = min(NEAREST_ARCS, cost.shape[1])
     if not m:

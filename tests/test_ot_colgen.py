@@ -275,21 +275,13 @@ class TestCoarseStart:
                                            ("equal", 2), ("continuous", 1), ("continuous", 3)])
     def test_coarse_start_matches_the_dense_lp(self, monkeypatch, rng, mode, kind, dim):
         target, sources, costs, cap_scales, budgets = self.instance(rng, mode, kind, dim)
-        lifted = []
-        coarse_arcs = imdot.ot._coarse_arcs
-
-        def recorded(target, *args):
-            rows, cols = coarse_arcs(target, *args)
-            lifted.append((target.n_atoms, len(rows)))
-            return rows, cols
-
-        monkeypatch.setattr(imdot.ot, "_coarse_arcs", recorded)
+        lifts = self.recorded_lifts(monkeypatch)
         walked = _solve_blocks(target, sources, costs, cap_scales, budgets)
-        # One coarse level.  Points of zero extent keep the nearest arcs and
-        # the corner alone.
-        ((n_atoms, n_lifted),) = lifted
+        # One coarse level.  Points of zero extent have no lift and keep the
+        # nearest arcs and the corner.
+        ((n_atoms, arcs),) = lifts
         assert n_atoms == target.n_atoms
-        assert (n_lifted == 0) == (kind == "equal")
+        assert (arcs is None) == (kind == "equal")
         for e, (sol, _, _) in enumerate(walked):
             reference = dense(target, sources, costs, cap_scales[e],
                               None if budgets is None else budgets[e])
@@ -301,10 +293,10 @@ class TestCoarseStart:
         walks = []
         walk_blocks = imdot.ot._walk_blocks
 
-        def recorded(target, *args):
-            order, walked = walk_blocks(target, *args)
-            walks.append((target.n_atoms, len(order), len(walked)))
-            return order, walked
+        def recorded(target, cond_weights, costs, cap_scales, *args):
+            walked = walk_blocks(target, cond_weights, costs, cap_scales, *args)
+            walks.append((target.n_atoms, len(cap_scales), len(walked)))
+            return walked
 
         monkeypatch.setattr(imdot.ot, "_walk_blocks", recorded)
         target = DiscreteMeasure(rng.uniform(-2, 2, (64, 2)), np.full(64, 1 / 64))
@@ -326,33 +318,139 @@ class TestCoarseStart:
         assert not any(entry.name == "_coarse_arcs" for entry in raised.traceback)
         assert walks[0][0] < 64 and walks[0][1:] == (2, 1)
 
-    @pytest.mark.parametrize("far", ["source", "target"])
-    def test_one_far_atom_keeps_the_start_small(self, monkeypatch, rng, far):
-        # 150 atoms in the unit square on each side, one of them moved to
-        # (100, 100).  A far source atom falls into an edge cell of the grid
-        # over the target.  A far target atom widens every cell to about 7.7,
-        # so that one cell holds all the other atoms of both sides and the
-        # lift, nearly every arc, is left out.
+    @staticmethod
+    def far_atom_pair(rng, far):
+        """``(target, source, cost)``: 150 atoms in the unit square on each
+        side, one of them moved to (100, 100)."""
         n = 150
         pts = [rng.random((n, 2)), rng.random((n, 2))]
         pts[far == "source"][-1] = 100.0
         target, source = (DiscreteMeasure(p, np.full(n, 1 / n)) for p in pts)
-        cost = cost_matrix(target.points, source.points)
+        return target, source, cost_matrix(target.points, source.points)
+
+    @staticmethod
+    def recorded_lifts(monkeypatch):
+        """``(target.n_atoms, lift)`` of every :func:`imdot.ot._coarse_arcs`
+        call, in call order."""
+        lifts = []
+        coarse_arcs = imdot.ot._coarse_arcs
+
+        def recorded(target, *args):
+            lifts.append((target.n_atoms, coarse_arcs(target, *args)))
+            return lifts[-1][1]
+
+        monkeypatch.setattr(imdot.ot, "_coarse_arcs", recorded)
+        return lifts
+
+    @staticmethod
+    def recorded_starts(monkeypatch):
+        """``(lp.n_vars, initial)`` of every :func:`imdot.lp.solve_path` call
+        the walks make, coarse and fine, in call order."""
         starts = []
         solve_path = imdot.ot.solve_path
 
-        def recorded(lp, bounds, start, price):
-            starts.append((lp.n_vars, len(start)))
-            return solve_path(lp, bounds, start, price)
+        def recorded(lp, bounds, initial, price):
+            starts.append((lp.n_vars, np.array(initial)))
+            return solve_path(lp, bounds, initial, price)
 
         monkeypatch.setattr(imdot.ot, "solve_path", recorded)
+        return starts
+
+    @pytest.mark.parametrize("far", ["source", "target"])
+    def test_one_far_atom_keeps_the_start_small(self, monkeypatch, rng, far):
+        # A far source atom falls into an edge cell of the grid over the
+        # target.  A far target atom widens every cell to about 7.7, so that
+        # one cell holds all the other atoms of both sides and the lift,
+        # nearly every arc, is left out.
+        target, source, cost = self.far_atom_pair(rng, far)
+        n = target.n_atoms
+        starts = self.recorded_starts(monkeypatch)
         path = partial_ot_global_path(target, source, cost, [0.0, 0.5])
         monkeypatch.undo()
-        (fine_start,) = [start for n_vars, start in starts if n_vars == n * n]
+        (fine_start,) = [len(start) for n_vars, start in starts if n_vars == n * n]
         assert fine_start < n * n / 8, fine_start
         for (value, _), beta in zip(path, (0.0, 0.5)):
             reference = dense(target, [source], [cost], np.array([1.0 + beta]), None)
             assert close(value, reference.value), (beta, value, reference.value)
+
+    @pytest.mark.parametrize("mode", ["global", "split"])
+    def test_a_lifted_walk_starts_from_the_lift_alone(self, monkeypatch, rng, mode):
+        target, sources, costs, cap_scales, budgets = self.instance(rng, mode, "continuous", 2)
+        lifts = self.recorded_lifts(monkeypatch)
+        starts = self.recorded_starts(monkeypatch)
+        _solve_blocks(target, sources, costs, cap_scales, budgets)
+        n_beta = 0 if budgets is None else len(sources)
+        n_src = sum(source.n_atoms for source in sources)
+        ((_, (rows, cols)),) = lifts
+        (fine,) = [start for n_vars, start in starts
+                   if n_vars == n_beta + target.n_atoms * n_src]
+        # The beta columns and the lifted arcs; no nearest arc, no corner.
+        assert np.array_equal(fine, np.append(np.arange(n_beta), n_beta + rows * n_src + cols))
+
+    @pytest.mark.parametrize("case", ["few_atoms", "far_target"])
+    def test_walks_without_a_lift_start_from_the_nearest_arcs_and_the_corner(
+            self, monkeypatch, rng, case):
+        if case == "few_atoms":
+            n = COARSE_MIN_ATOMS - 1
+            target, source = (DiscreteMeasure(rng.random((n, 2)), np.full(n, 1 / n))
+                              for _ in range(2))
+            cost = cost_matrix(target.points, source.points)
+        else:
+            target, source, cost = self.far_atom_pair(rng, "target")
+        starts = self.recorded_starts(monkeypatch)
+        partial_ot_global_path(target, source, cost, [0.0, 0.5])
+        n_t, n_s = target.n_atoms, source.n_atoms
+        (fine,) = [start for n_vars, start in starts if n_vars == n_t * n_s]
+        # The corner at the smallest capacity, beta = 0.
+        rows, cols = _initial_arcs(cost.entries, target.weights, source.weights)
+        assert np.array_equal(fine, rows * n_s + cols)
+
+    def test_the_coarse_walk_runs_at_the_ends_of_the_grid(self, monkeypatch, rng):
+        # An 11-budget split walk, its budgets in no order: the coarse walk
+        # runs at the largest and the smallest budget, the fine walk at every
+        # budget from the largest down.  A one-budget walk runs the coarse
+        # walk at its one budget.
+        target, sources, costs, cap_scales, _ = self.instance(rng, "split", "continuous", 2)
+        p = cap_scales[0]
+        walks = []
+        walk_blocks = imdot.ot._walk_blocks
+
+        def recorded(target, cond_weights, costs, cap_scales, budgets, lifted):
+            walks.append((target.n_atoms, list(budgets)))
+            return walk_blocks(target, cond_weights, costs, cap_scales, budgets, lifted)
+
+        monkeypatch.setattr(imdot.ot, "_walk_blocks", recorded)
+        grid = rng.permutation(np.linspace(0.0, 1.0, 11))
+        partial_ot_beta_split_path(target, sources, p, grid, costs)
+        (n_coarse, coarse), (n_fine, fine) = walks
+        assert n_coarse < n_fine == target.n_atoms
+        assert coarse == [1.0, 0.0]
+        assert fine == sorted(grid, reverse=True)
+        walks.clear()
+        partial_ot_beta_split(target, sources, p, 0.3, costs)
+        assert [budgets for _, budgets in walks] == [[0.3], [0.3]]
+
+    def test_an_entry_the_lift_cannot_serve_gets_every_arc(self, monkeypatch, rng):
+        # Per-class capacities not ordered class by class.  The second entry
+        # needs class 2 for nine tenths of the target, but the lift, from the
+        # coarse walk at the first and the last entry, reaches class 2 from
+        # only about half of it: its first run is infeasible and takes every
+        # arc.
+        n_t, n_src = 60, 60
+        target = DiscreteMeasure(rng.uniform([-2, -1], [2, 1], (n_t, 2)), np.full(n_t, 1 / n_t))
+        conds = [DiscreteMeasure(rng.uniform([2 * k - 2, -1], [2 * k, 1], (30, 2)),
+                                 np.full(30, 1 / 30)) for k in range(2)]
+        costs = [cost_matrix(target.points, c.points) for c in conds]
+        cap_scales = np.array([[0.9, 0.3], [0.1, 1.0], [0.55, 0.5]])
+        lifts = self.recorded_lifts(monkeypatch)
+        walked = _solve_blocks(target, conds, costs, cap_scales)
+        ((_, arcs),) = lifts
+        assert arcs is not None
+        columns = [sol.columns for sol, _, _ in walked]
+        assert columns[0] < n_t * n_src == columns[1] == columns[2], columns
+        for (sol, _, _), cap_scale in zip(walked, cap_scales):
+            reference = dense(target, conds, costs, cap_scale, None)
+            assert close(sol.value, reference.value), (cap_scale, sol.value, reference.value)
 
     @pytest.mark.parametrize("mode", ["global", "split"])
     def test_coarse_start_saves_simplex_iterations(self, monkeypatch, mode):
