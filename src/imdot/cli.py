@@ -437,6 +437,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     if args.command == "solve" and args.mode == "perclass" and args.beta_vec is None:
         _subparser(parser, "solve").error("--mode perclass needs --beta-vec")
+    if args.command == "solve" and args.mode != "perclass" and args.beta_vec is not None:
+        _subparser(parser, "solve").error(f"--beta-vec applies to --mode perclass only, "
+                                          f"not --mode {args.mode}")
     if getattr(args, "toy", False):
         # An invalid toy configuration is a usage error, reported before any
         # output is written.

@@ -58,7 +58,8 @@ def propagate_labels(plan, source_labels, n_classes: int | None = None) -> np.nd
     ``plan`` is either a single (n_target, n_source) matrix or a
     :class:`~imdot.ot.TransportPlanSet`, whose class-``k`` block holds the
     columns of the class-``k`` sources, so its row sums are the class
-    votes.  Votes within ``TIE_REL_TOL`` of the
+    votes; every block must be as wide as its class has labels, so a block
+    with no label has width 0.  Votes within ``TIE_REL_TOL`` of the
     row's top vote tie, and ties resolve to the smallest class index; a row
     carrying less than ``ROUNDING_TOL`` total mass is an error (the equality
     marginal makes it impossible short of solver breakdown).
@@ -68,10 +69,11 @@ def propagate_labels(plan, source_labels, n_classes: int | None = None) -> np.nd
         n_classes = int(source_labels.max())
     if isinstance(plan, TransportPlanSet):
         votes = np.zeros((plan.plans[0].shape[0] if plan.plans else 0, n_classes))
-        for k, block in enumerate(plan.plans[:n_classes]):
+        for k, block in enumerate(plan.plans):
             if block.shape[1] != np.count_nonzero(source_labels == k + 1):
                 raise ValueError("class block width does not match its labels")
-            votes[:, k] = block.sum(axis=1)
+            if k < n_classes:
+                votes[:, k] = block.sum(axis=1)
     else:
         plan = np.asarray(plan, dtype=float)
         if plan.shape[1] != len(source_labels):

@@ -123,14 +123,24 @@ def imd_f0_support_mass(target: DiscreteMeasure, source: DiscreteMeasure) -> flo
 # Closed forms for the convex family of [0, 1]-valued functions
 # ---------------------------------------------------------------------------
 
+def _closed_form_args(t, s, name: str, value) -> tuple:
+    """``(t, s, value)`` of a closed form as floats, or a ValueError naming
+    the argument: ``t`` and ``s`` of one shape, ``value`` finite and
+    nonnegative."""
+    t = np.asarray(t, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if t.shape != s.shape:
+        raise ValueError(f"t and s must have the same shape, got {t.shape} and {s.shape}")
+    return t, s, float(_finite_nonnegative(name, value))
+
+
 def bounded01_localized_value(t: np.ndarray, s: np.ndarray, eps: float) -> float:
     """``max sum_i f_i (t_i - s_i)`` over ``0 <= f <= 1`` with ``f . s <= eps``.
 
     Exact fractional-knapsack solution of the localized problem for the
     convex hull of the bounded families (one coordinate may be fractional).
     """
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
+    t, s, eps = _closed_form_args(t, s, "eps", eps)
     delta = t - s
     gain = float(np.sum(delta[(delta > 0) & (s <= 0)]))
     pick = (delta > 0) & (s > 0)
@@ -138,7 +148,7 @@ def bounded01_localized_value(t: np.ndarray, s: np.ndarray, eps: float) -> float
         return gain
     d, w = delta[pick], s[pick]
     order = np.argsort(-d / w, kind="stable")
-    budget = float(eps)
+    budget = eps
     for i in order:
         if budget <= 0:
             break
@@ -150,7 +160,8 @@ def bounded01_localized_value(t: np.ndarray, s: np.ndarray, eps: float) -> float
 
 def bounded01_relaxed_value(t: np.ndarray, s: np.ndarray, alpha: float) -> float:
     """``IMD(T, (1+alpha)S)`` over [0, 1]-valued functions (indicators attain it)."""
-    return float(np.sum(np.maximum(np.asarray(t) - (1.0 + alpha) * np.asarray(s), 0.0)))
+    t, s, alpha = _closed_form_args(t, s, "alpha", alpha)
+    return float(np.sum(np.maximum(t - (1.0 + alpha) * s, 0.0)))
 
 
 def bounded01_dual_minimum(t: np.ndarray, s: np.ndarray, eps: float):
@@ -159,8 +170,7 @@ def bounded01_dual_minimum(t: np.ndarray, s: np.ndarray, eps: float):
     The objective is piecewise linear and convex in alpha, so the minimum is
     attained at alpha = 0 or at a breakpoint ``t_i / s_i - 1``.
     """
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
+    t, s, eps = _closed_form_args(t, s, "eps", eps)
     candidates = {0.0}
     for ti, si in zip(t, s):
         if si > 0:

@@ -7,38 +7,42 @@ decomposed source whose class-``k`` block offers capacity
 1-Lipschitz functions, which is also computed here directly as the dual LP
 on potentials.
 
-Every transport problem is one capacitated block problem, solved by
-``_solve_blocks``: Wasserstein-1 is one block at capacity scale 1 (with
-matching masses the equality target rows use every source column in
-full), the global relaxation one block at ``1 + beta``, the per-class
-problem one block per class at ``p_k + beta_k``, and the budget split adds
-a capacity variable ``beta_k`` per class with ``sum_k beta_k = beta_total``.
-``_solve_blocks`` checks the cost blocks and verifies the plans against
-the capacities used; a walk that ends infeasible raises.
+Every transport problem is one LP form, solved by ``_solve_blocks``: block
+``k`` of the source offers capacity ``(cap_scale_k + beta_k)`` times its
+weights, with ``beta_k >= 0`` chosen jointly with the plans under
+``sum_k beta_k = budget``.  Wasserstein-1 is one block at scale 1 and budget
+0 (with matching masses the equality target rows use every source column in
+full); the global relaxation is one block at scale 1 and budget ``beta``,
+the split with one class, whose one ``beta`` column takes the whole budget;
+the per-class problem is one block per class at scale ``p_k + beta_k`` and
+budget 0, which pins every ``beta`` column at zero; and the budget split is
+one block per class at scale ``p_k`` and budget ``beta_total``.
+``_solve_blocks`` checks the cost blocks and verifies the plans against the
+capacities realized; a walk that ends infeasible raises.
 
 Solver.  Every problem is one :func:`imdot.lp.solve_path` walk over the LP
 of ``_assemble_blocks``, run as exact column generation; this module keeps
 only what is transport's own.  Arc ``(i, j)`` of the concatenated source is
-LP column ``K + i * n_src + j``, after the ``K`` ``beta`` columns of a split,
-and that column is also its pricing key.  The walk starts with the ``beta``
-columns and, once the target has ``COARSE_MIN_ATOMS`` atoms, the arcs
-lifted from the walk of the coarsened problem alone (:func:`_coarse_arcs`;
-Oberman & Ruan, 2015, Schmitzer, 2016): target and source are binned on
-one grid over the target of about one target atom per cell, the coarse walk
-runs at the largest and the smallest capacity of the fine walk, and every
-fine arc between two cells that carry mass at either starts in the model,
-unless there would be more than ``COARSE_MAX_ARCS`` per fine atom.  The
-lift holds a feasible plan at the smallest capacity.  A walk without a lift
-starts instead with the ``NEAREST_ARCS`` cheapest arcs of each target over
-the whole source, whatever their class, and a north-west-corner support at
-the smallest capacities (:func:`_initial_arcs`).  The coarse walk only
-chooses columns; each value is certified on every fine arc.  Each round
-prices all arcs exactly, ``C - u - y``, and adds up to ``ARCS_PER_ROW`` per
-target row, until none is below ``-HIGHS_TOL * (1 + max C)``: the
-tolerance HiGHS itself works to, so the walk ends at the same optimum
-whichever simplex ran.  Several capacities or budgets, such as the global
-relaxation's or a split's grid, are walked from the largest down, changing
-only row bounds (``_block_bounds``).
+LP column ``K + i * n_src + j``, after the ``K`` ``beta`` columns, and that
+column is also its pricing key.  The walk starts with the ``beta`` columns
+and, once the target has ``COARSE_MIN_ATOMS`` atoms, the arcs lifted from
+the walk of the coarsened problem alone (:func:`_coarse_arcs`; Oberman &
+Ruan, 2015, Schmitzer, 2016): target and source are binned on one grid over
+the target of about one target atom per cell, the coarse walk runs at the
+largest and the smallest budget of the fine walk, and every fine arc between
+two cells that carry mass at either starts in the model, unless there would
+be more than ``COARSE_MAX_ARCS`` per fine atom.  The lift holds a feasible
+plan at the smallest budget, and so at every budget, since ``beta`` only
+grows.  A walk without a lift starts instead with the ``NEAREST_ARCS``
+cheapest arcs of each target over the whole source, whatever their class,
+and a north-west-corner support at the capacities ``cap_scale_k`` times the
+weights (:func:`_initial_arcs`).  The coarse walk only chooses columns; each
+value is certified on every fine arc.  Each round prices all arcs exactly,
+``C - u - y``, and adds up to ``ARCS_PER_ROW`` per target row, until none is
+below ``-HIGHS_TOL * (1 + max C)``: the tolerance HiGHS itself works to, so
+the walk ends at the same optimum whichever simplex ran.  Several budgets,
+such as the global relaxation's or a split's grid, are walked from the
+largest down, changing only the budget row.
 """
 
 from __future__ import annotations
@@ -146,23 +150,21 @@ class LipschitzPotential:
 def _solve_blocks(target: DiscreteMeasure,
                   sources: Sequence[DiscreteMeasure],
                   costs: Sequence[CostMatrix],
-                  cap_scales,
-                  budgets=None) -> list:
+                  cap_scale,
+                  budgets) -> list:
     """Solve, certify and verify a capacitated block-transport problem at
-    each of several capacities, by exact column generation.
+    each of several budgets, by exact column generation.
 
-    Entry ``e`` gives class ``k`` capacity ``cap_scales[e][k] *
-    sources[k].weights``; with ``budgets`` the capacities become
-    ``(cap_scales[e][k] + beta_k) * sources[k].weights`` with ``beta_k >= 0``
-    and ``sum_k beta_k = budgets[e]`` chosen jointly with the plans.
-    Returns one ``(solution, plans, beta_realized)`` per entry, in entry
-    order; ``beta_realized`` is ``None`` without budgets.
+    Block ``k`` offers capacity ``(cap_scale[k] + beta_k) *
+    sources[k].weights``, with ``beta_k >= 0`` and ``sum_k beta_k =
+    budgets[e]`` chosen jointly with the plans.  Returns one ``(solution,
+    plans, beta_realized)`` per budget, in the order of ``budgets``.
 
     All entries come from one :func:`imdot.lp.solve_path` walk from the
-    largest total capacity down (a budget counts as capacity; ties keep
-    entry order), which raises an LpError at the first entry infeasible
-    with every arc.  The walk starts from the lift of :func:`_coarse_arcs`
-    or, without one, from the arcs of :func:`_initial_arcs`.  Pricing stops
+    largest budget down (ties keep entry order), which changes only the
+    budget row and raises an LpError at the first entry infeasible with
+    every arc.  The walk starts from the lift of :func:`_coarse_arcs` or,
+    without one, from the arcs of :func:`_initial_arcs`.  Pricing stops
     below ``-pricing_tolerance(c)``, HiGHS's own tolerance: the
     certificate's looser ``-dual_tolerance(c)`` could leave out an arc that
     improves the value by more than that, depending on the simplex path.
@@ -174,55 +176,52 @@ def _solve_blocks(target: DiscreteMeasure,
             raise ValueError(
                 f"cost block {k} is {cost.entries.shape}, expected {(n_t, len(w))}"
             )
-    cap_scales = np.asarray(cap_scales, dtype=float).reshape(-1, len(cond_weights))
-    if not len(cap_scales):
+    cap_scale = np.asarray(cap_scale, dtype=float)
+    budgets = np.asarray(budgets, dtype=float)
+    order = np.argsort(-budgets, kind="stable")
+    walk = budgets[order]
+    if not len(walk):
         return []
-    if budgets is not None:
-        budgets = np.asarray(budgets, dtype=float)
-    capacity = cap_scales @ np.array([np.sum(w) for w in cond_weights])
-    order = np.argsort(-(capacity if budgets is None else capacity + budgets), kind="stable")
-    walk_scales = cap_scales[order]
-    walk_budgets = None if budgets is None else budgets[order]
-    walked = _walk_blocks(target, cond_weights, costs, walk_scales, walk_budgets,
-                          _coarse_arcs(target, sources, walk_scales, walk_budgets))
-    if len(walked) < len(order):
+    walked = _walk_blocks(target, cond_weights, costs, cap_scale, walk,
+                          _coarse_arcs(target, sources, cap_scale, walk))
+    if len(walked) < len(walk):
+        # The most capacity any split of the budget offers.
+        masses = np.array([np.sum(w) for w in cond_weights])
+        capacity = float(cap_scale @ masses + walk[len(walked)] * masses.max())
         raise LpError(f"transport LP ended infeasible; target mass "
-                      f"{target.total_mass!r}, total capacity "
-                      f"{float(capacity[order[len(walked)]])!r}")
+                      f"{target.total_mass!r}, total capacity {capacity!r}")
 
-    n_beta = 0 if budgets is None else len(cond_weights)
+    n_beta = len(cond_weights)
     widths = [len(w) for w in cond_weights]
-    n_src = sum(widths)
-    results = [None] * len(cap_scales)
+    results = [None] * len(walk)
     for e, sol in zip(order, walked):
-        cap_scale = cap_scales[e]
-        plan = sol.x[n_beta:].reshape(n_t, n_src)
-        beta = None
-        if budgets is not None:
-            budget = float(budgets[e])
-            if not abs(float(np.sum(sol.x[:n_beta])) - budget) <= FEASIBILITY_TOL:
-                raise LpError(f"split budget violated: {np.sum(sol.x[:n_beta])!r} != {budget!r}")
-            beta = np.maximum(sol.x[:n_beta], 0.0)
-            cap_scale = cap_scale + beta
-        _verify_plan(target, np.concatenate([s * w for s, w in zip(cap_scale, cond_weights)]),
-                     plan)
+        budget = float(budgets[e])
+        if not abs(float(np.sum(sol.x[:n_beta])) - budget) <= FEASIBILITY_TOL:
+            raise LpError(f"budget violated: {np.sum(sol.x[:n_beta])!r} != {budget!r}")
+        beta = np.maximum(sol.x[:n_beta], 0.0)
+        plan = sol.x[n_beta:].reshape(n_t, sum(widths))
+        _verify_plan(target, _capacity(cap_scale + beta, cond_weights), plan)
         results[e] = (sol, np.split(plan, np.cumsum(widths)[:-1], axis=1), beta)
     return results
 
 
-def _walk_blocks(target, cond_weights, costs, cap_scales, budgets, lifted) -> list:
-    """The column-generation walk of :func:`_solve_blocks` over the rows of
-    ``cap_scales``, in their order, unchecked: one
-    :class:`imdot.lp.LpSolution` per entry up to the first that is
-    infeasible with every arc.  The model starts with the ``beta`` columns
-    and the ``lifted`` arcs ``(rows, cols)`` or, when ``lifted`` is
-    ``None``, the arcs of :func:`_initial_arcs` at the smallest capacities."""
+def _capacity(cap_scale, cond_weights) -> np.ndarray:
+    """The capacity rows ``cap_scale[k] * weights_k``, block after block."""
+    return np.concatenate([scale * w for scale, w in zip(cap_scale, cond_weights)])
+
+
+def _walk_blocks(target, cond_weights, costs, cap_scale, budgets, lifted) -> list:
+    """The column-generation walk of :func:`_solve_blocks` over ``budgets``,
+    in their order, unchecked: one :class:`imdot.lp.LpSolution` per budget up
+    to the first that is infeasible with every arc.  Each budget after the
+    first changes only the budget row.  The model starts with the ``beta``
+    columns and the ``lifted`` arcs ``(rows, cols)`` or, when ``lifted`` is
+    ``None``, the arcs of :func:`_initial_arcs` at the capacities
+    ``cap_scale``."""
     n_t = target.n_atoms
-    n_beta = 0 if budgets is None else len(cond_weights)
+    n_beta = len(cond_weights)
     n_src = sum(len(w) for w in cond_weights)
-    entries = [(scale, None if budgets is None else float(budgets[e]))
-               for e, scale in enumerate(cap_scales)]
-    lp = _assemble_blocks(target, cond_weights, costs, *entries[0])
+    lp = _assemble_blocks(target, cond_weights, costs, cap_scale, budgets[0])
     cost = lp.c[n_beta:].reshape(n_t, n_src)
     tol = pricing_tolerance(lp.c)
 
@@ -232,20 +231,20 @@ def _walk_blocks(target, cond_weights, costs, cap_scales, budgets, lifted) -> li
         rows, cols = _priced_arcs(reduced, tol)
         return n_beta + rows * n_src + cols
 
+    bounds = [(np.append(lp.row_lower[:-1], budget), np.append(lp.row_upper[:-1], budget))
+              for budget in budgets]
     if lifted is None:
-        lifted = _initial_arcs(cost, target.weights,
-                               np.concatenate([s * w for s, w in
-                                               zip(np.min(cap_scales, axis=0), cond_weights)]))
+        lifted = _initial_arcs(cost, target.weights, _capacity(cap_scale, cond_weights))
     rows, cols = lifted
-    return solve_path(lp, [_block_bounds(target, cond_weights, *entry) for entry in entries],
-                      np.append(np.arange(n_beta), n_beta + rows * n_src + cols), price)
+    return solve_path(lp, bounds, np.append(np.arange(n_beta), n_beta + rows * n_src + cols),
+                      price)
 
 
-def _coarse_arcs(target: DiscreteMeasure, sources, cap_scales, budgets):
+def _coarse_arcs(target: DiscreteMeasure, sources, cap_scale, budgets):
     """The lift that starts the fine walk: fine arcs ``(rows, cols)`` between
     two cells that carry mass in the coarsened problem at the first or the
-    last entry of ``cap_scales`` and ``budgets``, which come in walk order,
-    from the largest capacity down; ``None`` where there is no lift.
+    last of ``budgets``, which come in walk order, from the largest down;
+    ``None`` where there is no lift.
 
     The grid spans the target's bounding box with ``ceil(n_t ** (1 / d))``
     cells along its longest side, so that it holds about one target atom per
@@ -254,14 +253,14 @@ def _coarse_arcs(target: DiscreteMeasure, sources, cap_scales, budgets):
     problem keeps the blocks; a coarse atom sits at the plain mean of its
     atoms and carries the sum of their weights, and coarse costs are
     Euclidean, as :func:`imdot.measures.cost_matrix` gives.  The coarse walk
-    is :func:`_walk_blocks` at the two end entries alone (at the one entry
+    is :func:`_walk_blocks` at the two end budgets alone (at the one budget
     of a one-entry walk), from the nearest arcs and the corner.
 
-    The lift at the last entry holds every fine arc between cells that carry
-    mass, so it holds the coarse optimum spread over the atoms in proportion
-    to their weights: a feasible fine plan at the smallest capacity, and so
-    at every entry whose capacities all reach it.  At any other entry the
-    walk's first run is infeasible and gets every arc.
+    The lift at the last budget holds every fine arc between cells that
+    carry mass, so it holds the coarse optimum spread over the atoms in
+    proportion to their weights: a feasible fine plan at the smallest
+    budget, and so at every larger one, whose extra ``beta`` only raises
+    capacities.
 
     There is no lift for a target below ``COARSE_MIN_ATOMS`` atoms or of
     zero extent, for a grid that merges no target atom (the coarse walk
@@ -303,72 +302,58 @@ def _coarse_arcs(target: DiscreteMeasure, sources, cap_scales, budgets):
         source_cell.append(offset + cell)
         source_counts.append(counts)
         offset += block.n_atoms
-    ends = np.unique([0, len(cap_scales) - 1])
+    ends = np.unique([0, len(budgets) - 1])
     walked = _walk_blocks(coarse_target, [b.weights for b in blocks],
                           [cost_matrix(coarse_target.points, b.points) for b in blocks],
-                          cap_scales[ends], None if budgets is None else budgets[ends], None)
+                          cap_scale, budgets[ends], None)
     if len(walked) < len(ends):
         return None
-    n_beta = 0 if budgets is None else len(blocks)
     carried = np.zeros((coarse_target.n_atoms, offset), dtype=bool)
     for sol in walked:
-        carried |= sol.x[n_beta:].reshape(carried.shape) > 0
+        carried |= sol.x[len(blocks):].reshape(carried.shape) > 0
     n_src = sum(source.n_atoms for source in sources)
     if target_counts @ carried @ np.concatenate(source_counts) > COARSE_MAX_ARCS * (n_t + n_src):
         return None
     return np.nonzero(carried[target_cell][:, np.concatenate(source_cell)])
 
 
-def _block_bounds(target: DiscreteMeasure, cond_weights, cap_scale, budget) -> tuple:
-    """Row bounds ``(lower, upper)`` of :func:`_assemble_blocks` at one entry:
-    the target rows and the budget row are equalities, the class capacity
-    rows are bounded above only."""
-    capacity = np.concatenate([scale * w for scale, w in zip(cap_scale, cond_weights)])
-    lower = np.concatenate([target.weights, np.full(len(capacity), -np.inf)])
-    upper = np.concatenate([target.weights, capacity])
-    if budget is None:
-        return lower, upper
-    return np.append(lower, budget), np.append(upper, budget)
-
-
 def _assemble_blocks(target: DiscreteMeasure,
                      cond_weights: Sequence[np.ndarray],
                      costs: Sequence[CostMatrix],
                      cap_scale: np.ndarray,
-                     budget: float | None = None) -> LinearProgram:
-    """The block-transport problem of :func:`_solve_blocks` at one entry, as
-    one LP over every arc.
+                     budget: float) -> LinearProgram:
+    """The block-transport problem of :func:`_solve_blocks` at one budget,
+    as one LP over every arc.
 
-    With a ``budget`` the first ``K`` columns are the capacity variables
-    ``beta_k``, one per class; then arc ``(i, j)`` from target ``i`` to
-    column ``j`` of the concatenated source (``hstack`` of the class
-    blocks) is column ``K + i * n_src + j``, with ``K = 0`` without a
-    budget.  Rows are the target marginals, the class capacities and with a
-    ``budget`` the budget row, bounded by :func:`_block_bounds`.  The
-    constraint matrix is CSC, built from the index arithmetic of the blocks,
-    with no stored zero.
+    The first ``K`` columns are the capacity variables ``beta_k``, one per
+    class; then arc ``(i, j)`` from target ``i`` to column ``j`` of the
+    concatenated source (``hstack`` of the class blocks) is column
+    ``K + i * n_src + j``.  Rows are the target marginals and the budget
+    row, equalities, and the class capacity rows ``cap_scale_k * w_j``,
+    bounded above only; the budget row is last.  The constraint matrix is
+    CSC, built from the index arithmetic of the blocks, with no stored zero.
     """
     n_t = target.n_atoms
     widths = [len(w) for w in cond_weights]
     n_src = sum(widths)
-    n_beta = 0 if budget is None else len(widths)
     rows, data, counts = [], [], []
-    if budget is not None:
-        # Column beta_k: -w_j in each capacity row of class k where w_j != 0,
-        # and 1 in the budget row.
-        for start, w in zip(np.cumsum(widths) - widths, cond_weights):
-            held = np.flatnonzero(w)
-            rows.append(np.append(n_t + start + held, n_t + n_src))
-            data.append(np.append(-w[held], 1.0))
-            counts.append([len(held) + 1])
+    # Column beta_k: -w_j in each capacity row of class k where w_j != 0,
+    # and 1 in the budget row.
+    for start, w in zip(np.cumsum(widths) - widths, cond_weights):
+        held = np.flatnonzero(w)
+        rows.append(np.append(n_t + start + held, n_t + n_src))
+        data.append(np.append(-w[held], 1.0))
+        counts.append([len(held) + 1])
     # Arc (i, j): a 1 in target row i and in capacity row n_t + j.
     target_row, j = np.divmod(np.arange(n_t * n_src), n_src)
     rows.append(np.column_stack([target_row, n_t + j]).ravel())
     data.append(np.ones(2 * n_t * n_src))
     counts.append(np.full(n_t * n_src, 2))
-    c = np.concatenate([np.zeros(n_beta),
+    c = np.concatenate([np.zeros(len(widths)),
                         np.hstack([cost.entries for cost in costs]).ravel()])
-    lower, upper = _block_bounds(target, cond_weights, cap_scale, budget)
+    capacity = _capacity(cap_scale, cond_weights)
+    lower = np.concatenate([target.weights, np.full(len(capacity), -np.inf), [budget]])
+    upper = np.concatenate([target.weights, capacity, [budget]])
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     A = sp.csc_matrix((np.concatenate(data), np.concatenate(rows), indptr),
                       shape=(len(upper), len(c)))
@@ -438,15 +423,15 @@ def wasserstein1(target: DiscreteMeasure, source: DiscreteMeasure,
                  cost: CostMatrix):
     """Classic optimal transport value and plan between equal-mass measures.
 
-    The one-block problem at capacity scale 1: the target rows are
-    equalities, and with matching total mass they use every source column
-    up to its weight.
+    The one-block problem at capacity scale 1 and budget 0: the target rows
+    are equalities, and with matching total mass they use every source
+    column up to its weight.
     """
     if abs(target.total_mass - source.total_mass) > MASS_TOL:
         raise ValueError(
             f"mass mismatch: {target.total_mass!r} vs {source.total_mass!r}"
         )
-    (sol, plans, _), = _solve_blocks(target, [source], [cost], np.ones(1))
+    (sol, plans, _), = _solve_blocks(target, [source], [cost], np.ones(1), [0.0])
     return sol.value, plans[0]
 
 
@@ -466,16 +451,17 @@ def partial_ot_global_path(target: DiscreteMeasure, source: DiscreteMeasure,
                            cost: CostMatrix, beta_grid) -> list:
     """:func:`partial_ot_global` at every relaxation of ``beta_grid``.
 
-    One ``(value, plan)`` per relaxation, in grid order.  The relaxations
-    are solved on one warm model, from the largest down, and each value is
-    certified on its own.
+    One ``(value, plan)`` per relaxation, in grid order.  The global
+    relaxation is the budget split with one class: the source at capacity
+    scale 1, walked over the budgets ``beta_grid`` on one warm model, from
+    the largest down, each value certified on its own.
     """
     grid = _finite_nonnegative("beta_grid", beta_grid)
     if grid.ndim != 1:
         raise ValueError("beta_grid must be a vector of relaxations")
     if not target.is_probability:
         raise ValueError("the target must be a probability measure")
-    results = _solve_blocks(target, [source], [cost], 1.0 + grid[:, None])
+    results = _solve_blocks(target, [source], [cost], np.ones(1), grid)
     return [(sol.value, plans[0]) for sol, plans, _ in results]
 
 
@@ -487,8 +473,9 @@ def partial_ot_per_class(target: DiscreteMeasure,
     """Per-class partial transport at a fixed relaxation vector.
 
     Class ``k`` offers capacity ``(p_k + beta_vec[k])`` times its conditional
-    weights.  Empty classes are permitted; relaxation assigned to them is
-    simply unusable capacity.
+    weights: the block problem at capacity scale ``p + beta_vec`` and budget
+    0.  Empty classes are permitted; relaxation assigned to them is simply
+    unusable capacity.
     """
     p = _finite_nonnegative("proportions", proportions)
     beta_vec = _finite_nonnegative("beta_vec", beta_vec)
@@ -496,7 +483,7 @@ def partial_ot_per_class(target: DiscreteMeasure,
         raise ValueError("conditionals, proportions, beta_vec and costs must align")
     if not target.is_probability:
         raise ValueError("the target must be a probability measure")
-    (sol, plans, _), = _solve_blocks(target, conditionals, costs, p + beta_vec)
+    (sol, plans, _), = _solve_blocks(target, conditionals, costs, p + beta_vec, [0.0])
     return TransportPlanSet(tuple(plans), beta_vec.copy(), sol.value)
 
 
@@ -524,9 +511,9 @@ def partial_ot_beta_split_path(target: DiscreteMeasure,
                                costs: Sequence[CostMatrix]) -> list:
     """:func:`partial_ot_beta_split` at every budget of ``beta_grid``.
 
-    One :class:`TransportPlanSet` per budget, in grid order.  The budgets
-    are solved on one warm model, from the largest down, and each value is
-    certified on its own.
+    One :class:`TransportPlanSet` per budget, in grid order: the block
+    problem at capacity scale ``p``, walked over the budgets on one warm
+    model, from the largest down, each value certified on its own.
     """
     grid = _finite_nonnegative("beta_grid", beta_grid)
     if grid.ndim != 1:
@@ -536,8 +523,7 @@ def partial_ot_beta_split_path(target: DiscreteMeasure,
         raise ValueError("conditionals, proportions and costs must align")
     if not target.is_probability:
         raise ValueError("the target must be a probability measure")
-    results = _solve_blocks(target, conditionals, costs, np.tile(p, (len(grid), 1)),
-                            budgets=grid)
+    results = _solve_blocks(target, conditionals, costs, p, grid)
     return [TransportPlanSet(tuple(plans), beta, sol.value)
             for sol, plans, beta in results]
 

@@ -216,6 +216,24 @@ def test_solve_perclass_beta_vec_is_checked_by_the_parser(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_beta_vec_outside_perclass_is_a_usage_error(tmp_path, capsys):
+    # Typed or from a config file, a per-class vector that the mode would
+    # ignore, and record in manifest.json as if used, exits 2.
+    out = tmp_path / "out"
+    solve = ["solve", "--source", tmp_path / "s.csv", "--target", tmp_path / "t.csv",
+             "--out", out]
+    for mode in ("global", "split"):
+        code, err = usage_error(capsys, *solve, "--mode", mode, "--beta", "0.3",
+                                "--beta-vec", "0.9,0.1")
+        assert code == 2 and f"--beta-vec applies to --mode perclass only, not --mode {mode}" \
+            in err, mode
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"mode": "split", "beta": 0.3, "beta_vec": "0.9,0.1"}))
+    code, err = usage_error(capsys, *solve, "--config", config)
+    assert code == 2 and "--beta-vec applies to --mode perclass only" in err
+    assert not out.exists()
+
+
 def test_solve_beta_is_checked_by_the_parser(tmp_path, capsys):
     out = tmp_path / "out"
     for mode in ("global", "split"):

@@ -49,15 +49,26 @@ class TestPropagateLabels:
             n_classes=3, n_source=60, n_target=60, eta=1.0, seed=5))
         t, s = empirical_measure(target), empirical_measure(source)
         cost = cost_matrix(target.points, source.points)
-        dense = solve(_assemble_blocks(t, [s.weights], [cost], np.array([1.5])))
-        dense = dense.x.reshape(len(target), len(source))
-        (_, plans, _), = _solve_blocks(t, [s], [cost], np.array([1.5]))
+        dense = solve(_assemble_blocks(t, [s.weights], [cost], np.ones(1), 0.5))
+        dense = dense.x[1:].reshape(len(target), len(source))
+        (_, plans, _), = _solve_blocks(t, [s], [cost], np.ones(1), [0.5])
         votes = [np.stack([plan[:, source.labels == k].sum(axis=1) for k in (1, 2, 3)],
                           axis=1) for plan in (dense, plans[0])]
         # A plain argmax differs on this draw, so the tie rule is what agrees.
         assert np.any(np.argmax(votes[0], axis=1) != np.argmax(votes[1], axis=1))
         assert np.array_equal(propagate_labels(dense, source.labels, 3),
                               propagate_labels(plans[0], source.labels, 3))
+
+    def test_every_plan_set_block_is_checked_against_its_labels(self):
+        # A third block with no label to match, carrying 0.9 of row 0's mass.
+        plans = (np.array([[0.04], [0.5]]), np.array([[0.06], [0.0]]),
+                 np.array([[0.9], [0.0]]))
+        plan_set = TransportPlanSet(plans, np.zeros(3), 0.0)
+        with pytest.raises(ValueError, match="class block width does not match its labels"):
+            propagate_labels(plan_set, np.array([1, 2]))
+        # A block of width 0 matches no label.
+        empty = TransportPlanSet((*plans[:2], np.zeros((2, 0))), np.zeros(3), 0.0)
+        assert np.array_equal(propagate_labels(empty, np.array([1, 2])), [2, 1])
 
     def test_zero_row_errors(self):
         plan = np.array([[0.0, 0.0], [0.5, 0.5]])

@@ -13,6 +13,7 @@ from imdot.families import (
 from imdot.imd import (
     bounded01_dual_minimum,
     bounded01_localized_value,
+    bounded01_relaxed_value,
     duality_check,
     hdh_imd,
     hdh_support_bound_check,
@@ -256,6 +257,25 @@ def test_a_non_finite_relaxation_is_named(name, bad):
     s = DiscreteMeasure([[1.0, 0.0]], [1.0])
     with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative"):
         duality_check(t, s, indicator_family(TWO), 0.5, [0.0, bad])
+
+
+@pytest.mark.parametrize("closed_form, name, bad", [
+    (bounded01_localized_value, "eps", np.nan),
+    (bounded01_dual_minimum, "eps", np.inf),
+    (bounded01_dual_minimum, "eps", -1.0),
+    (bounded01_relaxed_value, "alpha", -0.5),
+])
+def test_a_closed_form_names_a_bad_relaxation(closed_form, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative"):
+        closed_form([0.6, 0.4], [0.2, 0.8], bad)
+
+
+@pytest.mark.parametrize("closed_form", [bounded01_localized_value, bounded01_dual_minimum,
+                                         bounded01_relaxed_value])
+def test_a_closed_form_names_mismatched_weights(closed_form):
+    with pytest.raises(ValueError, match=r"^t and s must have the same shape, got \(2,\) "
+                                         r"and \(3,\)$"):
+        closed_form([0.6, 0.4], [0.2, 0.3, 0.5], 0.1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

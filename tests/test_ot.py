@@ -223,7 +223,8 @@ class TestBlockAssembly:
 
     Arc (i, j) of the concatenated source (class 1's two atoms, then class
     2's three) is column 5 i + j: x[0, 0] .. x[0, 4], then x[1, 0] ..
-    x[1, 4].  The split puts beta_1, beta_2 first, ahead of the arcs.
+    x[1, 4].  beta_1, beta_2 come first, ahead of the arcs, and the budget
+    row last; without a split the budget is 0, which pins both at zero.
     """
 
     PLAN_ROWS = [[1, 1, 1, 1, 1, 0, 0, 0, 0, 0],
@@ -246,13 +247,14 @@ class TestBlockAssembly:
         return lp
 
     def test_without_split(self):
-        lp = self.assembled(None)
-        expected = np.array(self.PLAN_ROWS + self.CAP_ROWS, dtype=float)
+        lp = self.assembled(0.0)
+        expected = np.hstack([self.SPLIT_COLS,
+                              self.PLAN_ROWS + self.CAP_ROWS + [[0] * 10]])
         assert np.array_equal(lp.A.toarray(), expected)
         assert lp.A.nnz == np.count_nonzero(expected)
-        assert np.array_equal(lp.row_lower, [0.5, 0.5] + [-np.inf] * 5)
-        assert np.array_equal(lp.row_upper, [0.5, 0.5, 0.125, 0.375, 0.25, 0.25, 0.0])
-        assert np.array_equal(lp.c, [0, 1, 0, 1, 2, 2, 3, 3, 4, 5])
+        assert np.array_equal(lp.row_lower, [0.5, 0.5] + [-np.inf] * 5 + [0.0])
+        assert np.array_equal(lp.row_upper, [0.5, 0.5, 0.125, 0.375, 0.25, 0.25, 0.0, 0.0])
+        assert np.array_equal(lp.c, [0, 0, 0, 1, 0, 1, 2, 2, 3, 3, 4, 5])
 
     def test_with_split(self):
         lp = self.assembled(0.5)
@@ -275,17 +277,14 @@ class TestBlockAssembly:
         upper = np.concatenate([target.weights,
                                 *(s * w for s, w in zip(cap_scale, cond_weights))])
         lower = np.where(np.arange(len(upper)) < n_t, upper, -np.inf)
-        if budget is None:
-            A = sp.vstack([plan_rows, cap_rows])
-        else:
-            n_classes = len(cond_weights)
-            A = sp.bmat([
-                [None, plan_rows],
-                [sp.block_diag([-np.reshape(w, (-1, 1)) for w in cond_weights]), cap_rows],
-                [np.ones((1, n_classes)), None],
-            ])
-            c = np.concatenate([np.zeros(n_classes), c])
-            lower, upper = np.append(lower, budget), np.append(upper, budget)
+        n_classes = len(cond_weights)
+        A = sp.bmat([
+            [None, plan_rows],
+            [sp.block_diag([-np.reshape(w, (-1, 1)) for w in cond_weights]), cap_rows],
+            [np.ones((1, n_classes)), None],
+        ])
+        c = np.concatenate([np.zeros(n_classes), c])
+        lower, upper = np.append(lower, budget), np.append(upper, budget)
         A = A.tocsr()
         A.eliminate_zeros()
         return c, A, lower, upper
@@ -300,7 +299,7 @@ class TestBlockAssembly:
                 w[rng.random(len(w)) < 0.3] = 0.0
             costs = [cost_matrix(target.points, rng.uniform(-1, 1, (n, 2))) for n in sizes]
             cap_scale = rng.uniform(0, 2, len(sizes))
-            for budget in (None, float(rng.uniform(0, 1))):
+            for budget in (0.0, float(rng.uniform(0, 1))):
                 lp = _assemble_blocks(target, cond_weights, costs, cap_scale, budget)
                 c, A, lower, upper = self.kron_reference(target, cond_weights, costs,
                                                          cap_scale, budget)

@@ -27,10 +27,9 @@ def solve_both(target, source, beta):
     """``(cost, column generation, dense LP)`` of the global problem with
     capacity ``(1 + beta) * source.weights``."""
     cost = cost_matrix(target.points, source.points)
-    scale = np.array([1.0 + beta])
-    ((colgen, plans, _),) = _solve_blocks(target, [source], [cost], scale)
-    highs = solve(_assemble_blocks(target, [source.weights], [cost], scale))
-    return cost.entries, (colgen, plans[0]), (highs, highs.x.reshape(cost.entries.shape))
+    ((colgen, plans, _),) = _solve_blocks(target, [source], [cost], np.ones(1), [beta])
+    highs = solve(_assemble_blocks(target, [source.weights], [cost], np.ones(1), beta))
+    return cost.entries, (colgen, plans[0]), (highs, highs.x[1:].reshape(cost.entries.shape))
 
 
 @st.composite
@@ -79,7 +78,7 @@ class TestCertificate:
         target = uniform(rng.uniform(-2, 2, (8, 2)))
         source = uniform(rng.uniform(-2, 2, (8, 2)))
         cost = cost_matrix(target.points, source.points)
-        _solve_blocks(target, [source], [cost], np.array([1.5]))
+        _solve_blocks(target, [source], [cost], np.ones(1), [0.5])
         monkeypatch.undo()
         (found,) = seen
         return found
@@ -88,8 +87,9 @@ class TestCertificate:
         # Swapping two target rows keeps both marginals of a uniform plan,
         # so only the duality gap can reject the swapped plan.
         lp, x, row_dual = self.instance(monkeypatch, rng)
-        plan = x.reshape(8, 8)
-        cost = lp.c.reshape(8, 8)
+        # Column 0 is the beta column, then the 64 arcs.
+        plan = x[1:].reshape(8, 8)
+        cost = lp.c[1:].reshape(8, 8)
         best = float(np.sum(cost * plan))
         for i, j in ((i, j) for i in range(len(plan)) for j in range(i)):
             swapped = plan.copy()
@@ -100,11 +100,11 @@ class TestCertificate:
             pytest.fail("no suboptimal row swap found")
         certify(lp, x, row_dual)
         with pytest.raises(LpError, match="duality gap"):
-            certify(lp, swapped.ravel(), row_dual)
+            certify(lp, np.append(x[0], swapped.ravel()), row_dual)
 
     def test_broken_marginal(self, monkeypatch, rng):
         lp, x, row_dual = self.instance(monkeypatch, rng)
-        broken = x.reshape(8, 8).copy()
+        broken = x[1:].reshape(8, 8).copy()
         broken[0] *= 0.5
         with pytest.raises(LpError, match="feasibility"):
-            certify(lp, broken.ravel(), row_dual)
+            certify(lp, np.append(x[0], broken.ravel()), row_dual)

@@ -105,9 +105,9 @@ def problems(draw):
     costs = [cost_matrix(target.points, c.points) for c in sources]
     beta = draw(st.sampled_from(BETAS))
     if mode == "global":
-        return target, sources, costs, np.array([1.0 + beta]), None
+        return target, sources, costs, np.ones(1), beta
     if mode == "per_class":
-        return target, sources, costs, p + beta * rng.random(len(p)), None
+        return target, sources, costs, p + beta * rng.random(len(p)), 0.0
     return target, sources, costs, p, beta
 
 
@@ -121,8 +121,7 @@ def dense(target, sources, costs, cap_scale, budget):
 def test_column_generation_matches_the_dense_lp(problem):
     target, sources, costs, cap_scale, budget = problem
     reference = dense(*problem)
-    ((sol, _, _),) = _solve_blocks(target, sources, costs, cap_scale,
-                                   None if budget is None else [budget])
+    ((sol, _, _),) = _solve_blocks(target, sources, costs, cap_scale, [budget])
     assert close(sol.value, reference.value), (sol.value, reference.value)
 
 
@@ -135,7 +134,7 @@ def test_balanced_transport_matches_vertex_enumeration(rng):
             source = DiscreteMeasure(points(rng, n_s, kind, pool),
                                      weights(rng, n_s, "zero_atom"))
             cost = cost_matrix(target.points, source.points)
-            ((sol, _, _),) = _solve_blocks(target, [source], [cost], np.ones(1))
+            ((sol, _, _),) = _solve_blocks(target, [source], [cost], np.ones(1), [0.0])
             brute = brute_force_transport_value(cost.entries, target.weights,
                                                 source.weights)
             assert abs(sol.value - brute) <= 1e-9 * (1.0 + brute), (kind, sol.value, brute)
@@ -153,8 +152,8 @@ def test_lattice_ties_match_the_dense_lp():
         source = DiscreteMeasure(rng.integers(0, 4, (n_s, 2)) * 3.7,
                                  weights(rng, n_s, "uniform"))
         cost = cost_matrix(target.points, source.points)
-        ((sol, _, _),) = _solve_blocks(target, [source], [cost], np.ones(1))
-        reference = dense(target, [source], [cost], np.ones(1), None)
+        ((sol, _, _),) = _solve_blocks(target, [source], [cost], np.ones(1), [0.0])
+        reference = dense(target, [source], [cost], np.ones(1), 0.0)
         assert close(sol.value, reference.value), (sol.value, reference.value)
 
 
@@ -181,10 +180,10 @@ def test_initial_arcs_are_the_nearest_over_all_classes_and_the_corner(rng):
     assert set(zip(rows, cols)) == nearest | corner
 
 
-@pytest.mark.parametrize("budget", [0.3, None])
+@pytest.mark.parametrize("budget", [0.3, 0.0])
 def test_columns_reach_highs_as_the_assembled_columns(monkeypatch, rng, budget):
-    # K = 3 with an empty middle class and zero-weight atoms, with and
-    # without the beta columns of a split.
+    # K = 3 with an empty middle class and zero-weight atoms, with the beta
+    # columns of a split and pinned at zero by a zero budget.
     target, conds, costs, p = split_instance(rng, n_t=15, sizes=(6, 0, 9))
     cond_weights = [c.weights for c in conds]
     assert all(np.any(w == 0) for w in cond_weights if len(w))
@@ -212,10 +211,9 @@ def test_columns_reach_highs_as_the_assembled_columns(monkeypatch, rng, budget):
                           tuple(lp.A.data[span].tolist()), float(lp.lower[j]),
                           float(lp.upper[j])))
     column = {col: j for j, col in enumerate(assembled)}
-    ((sol, _, _),) = _solve_blocks(target, conds, costs, p,
-                                   None if budget is None else [budget])
+    ((sol, _, _),) = _solve_blocks(target, conds, costs, p, [budget])
     added = [col for batch in batches for col in batch]
-    n_beta = 0 if budget is None else len(cond_weights)
+    n_beta = len(cond_weights)
     assert len(added) == sol.columns
     # The beta columns first, then arcs, each an assembled column, none
     # twice, and each batch in column order.
@@ -239,8 +237,9 @@ class TestCoarseStart:
 
     @staticmethod
     def instance(rng, mode, kind, dim):
-        """``(target, sources, costs, cap_scales, budgets)`` with 50-80
-        target atoms, walked at three capacities or budgets."""
+        """``(target, sources, costs, cap_scale, budgets)`` with 50-80
+        target atoms: a global or split walk over three budgets, or one
+        per-class entry at budget 0."""
         pool = rng.uniform(-2, 2, (5, dim))
 
         def draw(n):
@@ -264,28 +263,27 @@ class TestCoarseStart:
         costs = [cost_matrix(target.points, c.points) for c in sources]
         grid = np.array([0.0, 0.3, 1.0])
         if mode == "global":
-            return target, sources, costs, 1.0 + grid[:, None], None
+            return target, sources, costs, np.ones(1), grid
         p = np.array([0.5, 0.0, 0.5])
         if mode == "per_class":
-            return target, sources, costs, p + np.outer(grid, rng.random(3)), None
-        return target, sources, costs, np.tile(p, (3, 1)), grid
+            return target, sources, costs, p + rng.random(3), np.zeros(1)
+        return target, sources, costs, p, grid
 
     @pytest.mark.parametrize("mode", ["global", "per_class", "split"])
     @pytest.mark.parametrize("kind, dim", [("continuous", 2), ("lattice", 2), ("duplicates", 2),
                                            ("equal", 2), ("continuous", 1), ("continuous", 3)])
     def test_coarse_start_matches_the_dense_lp(self, monkeypatch, rng, mode, kind, dim):
-        target, sources, costs, cap_scales, budgets = self.instance(rng, mode, kind, dim)
+        target, sources, costs, cap_scale, budgets = self.instance(rng, mode, kind, dim)
         lifts = self.recorded_lifts(monkeypatch)
-        walked = _solve_blocks(target, sources, costs, cap_scales, budgets)
+        walked = _solve_blocks(target, sources, costs, cap_scale, budgets)
         # One coarse level.  Points of zero extent have no lift and keep the
         # nearest arcs and the corner.
         ((n_atoms, arcs),) = lifts
         assert n_atoms == target.n_atoms
         assert (arcs is None) == (kind == "equal")
-        for e, (sol, _, _) in enumerate(walked):
-            reference = dense(target, sources, costs, cap_scales[e],
-                              None if budgets is None else budgets[e])
-            assert close(sol.value, reference.value), (e, sol.value, reference.value)
+        for (sol, _, _), budget in zip(walked, budgets):
+            reference = dense(target, sources, costs, cap_scale, budget)
+            assert close(sol.value, reference.value), (budget, sol.value, reference.value)
 
     def test_infeasible_entries_name_the_fine_problem(self, monkeypatch, rng):
         # Capacity 0.5 against a unit target of 64 atoms: the coarse walk is
@@ -293,9 +291,9 @@ class TestCoarseStart:
         walks = []
         walk_blocks = imdot.ot._walk_blocks
 
-        def recorded(target, cond_weights, costs, cap_scales, *args):
-            walked = walk_blocks(target, cond_weights, costs, cap_scales, *args)
-            walks.append((target.n_atoms, len(cap_scales), len(walked)))
+        def recorded(target, cond_weights, costs, cap_scale, budgets, lifted):
+            walked = walk_blocks(target, cond_weights, costs, cap_scale, budgets, lifted)
+            walks.append((target.n_atoms, len(budgets), len(walked)))
             return walked
 
         monkeypatch.setattr(imdot.ot, "_walk_blocks", recorded)
@@ -367,19 +365,19 @@ class TestCoarseStart:
         starts = self.recorded_starts(monkeypatch)
         path = partial_ot_global_path(target, source, cost, [0.0, 0.5])
         monkeypatch.undo()
-        (fine_start,) = [len(start) for n_vars, start in starts if n_vars == n * n]
+        (fine_start,) = [len(start) for n_vars, start in starts if n_vars == 1 + n * n]
         assert fine_start < n * n / 8, fine_start
         for (value, _), beta in zip(path, (0.0, 0.5)):
-            reference = dense(target, [source], [cost], np.array([1.0 + beta]), None)
+            reference = dense(target, [source], [cost], np.ones(1), beta)
             assert close(value, reference.value), (beta, value, reference.value)
 
     @pytest.mark.parametrize("mode", ["global", "split"])
     def test_a_lifted_walk_starts_from_the_lift_alone(self, monkeypatch, rng, mode):
-        target, sources, costs, cap_scales, budgets = self.instance(rng, mode, "continuous", 2)
+        target, sources, costs, cap_scale, budgets = self.instance(rng, mode, "continuous", 2)
         lifts = self.recorded_lifts(monkeypatch)
         starts = self.recorded_starts(monkeypatch)
-        _solve_blocks(target, sources, costs, cap_scales, budgets)
-        n_beta = 0 if budgets is None else len(sources)
+        _solve_blocks(target, sources, costs, cap_scale, budgets)
+        n_beta = len(sources)
         n_src = sum(source.n_atoms for source in sources)
         ((_, (rows, cols)),) = lifts
         (fine,) = [start for n_vars, start in starts
@@ -400,24 +398,23 @@ class TestCoarseStart:
         starts = self.recorded_starts(monkeypatch)
         partial_ot_global_path(target, source, cost, [0.0, 0.5])
         n_t, n_s = target.n_atoms, source.n_atoms
-        (fine,) = [start for n_vars, start in starts if n_vars == n_t * n_s]
-        # The corner at the smallest capacity, beta = 0.
+        (fine,) = [start for n_vars, start in starts if n_vars == 1 + n_t * n_s]
+        # The beta column, then the corner at capacity scale 1.
         rows, cols = _initial_arcs(cost.entries, target.weights, source.weights)
-        assert np.array_equal(fine, rows * n_s + cols)
+        assert np.array_equal(fine, np.append(0, 1 + rows * n_s + cols))
 
     def test_the_coarse_walk_runs_at_the_ends_of_the_grid(self, monkeypatch, rng):
         # An 11-budget split walk, its budgets in no order: the coarse walk
         # runs at the largest and the smallest budget, the fine walk at every
         # budget from the largest down.  A one-budget walk runs the coarse
         # walk at its one budget.
-        target, sources, costs, cap_scales, _ = self.instance(rng, "split", "continuous", 2)
-        p = cap_scales[0]
+        target, sources, costs, p, _ = self.instance(rng, "split", "continuous", 2)
         walks = []
         walk_blocks = imdot.ot._walk_blocks
 
-        def recorded(target, cond_weights, costs, cap_scales, budgets, lifted):
+        def recorded(target, cond_weights, costs, cap_scale, budgets, lifted):
             walks.append((target.n_atoms, list(budgets)))
-            return walk_blocks(target, cond_weights, costs, cap_scales, budgets, lifted)
+            return walk_blocks(target, cond_weights, costs, cap_scale, budgets, lifted)
 
         monkeypatch.setattr(imdot.ot, "_walk_blocks", recorded)
         grid = rng.permutation(np.linspace(0.0, 1.0, 11))
@@ -429,28 +426,6 @@ class TestCoarseStart:
         walks.clear()
         partial_ot_beta_split(target, sources, p, 0.3, costs)
         assert [budgets for _, budgets in walks] == [[0.3], [0.3]]
-
-    def test_an_entry_the_lift_cannot_serve_gets_every_arc(self, monkeypatch, rng):
-        # Per-class capacities not ordered class by class.  The second entry
-        # needs class 2 for nine tenths of the target, but the lift, from the
-        # coarse walk at the first and the last entry, reaches class 2 from
-        # only about half of it: its first run is infeasible and takes every
-        # arc.
-        n_t, n_src = 60, 60
-        target = DiscreteMeasure(rng.uniform([-2, -1], [2, 1], (n_t, 2)), np.full(n_t, 1 / n_t))
-        conds = [DiscreteMeasure(rng.uniform([2 * k - 2, -1], [2 * k, 1], (30, 2)),
-                                 np.full(30, 1 / 30)) for k in range(2)]
-        costs = [cost_matrix(target.points, c.points) for c in conds]
-        cap_scales = np.array([[0.9, 0.3], [0.1, 1.0], [0.55, 0.5]])
-        lifts = self.recorded_lifts(monkeypatch)
-        walked = _solve_blocks(target, conds, costs, cap_scales)
-        ((_, arcs),) = lifts
-        assert arcs is not None
-        columns = [sol.columns for sol, _, _ in walked]
-        assert columns[0] < n_t * n_src == columns[1] == columns[2], columns
-        for (sol, _, _), cap_scale in zip(walked, cap_scales):
-            reference = dense(target, conds, costs, cap_scale, None)
-            assert close(sol.value, reference.value), (cap_scale, sol.value, reference.value)
 
     @pytest.mark.parametrize("mode", ["global", "split"])
     def test_coarse_start_saves_simplex_iterations(self, monkeypatch, mode):
@@ -494,8 +469,7 @@ class TestGridWalk:
 
     def walk(self, instance):
         target, conds, costs, p = instance
-        scales = np.tile(p, (len(self.GRID), 1))
-        return [sol for sol, _, _ in _solve_blocks(target, conds, costs, scales, self.GRID)]
+        return [sol for sol, _, _ in _solve_blocks(target, conds, costs, p, self.GRID)]
 
     def test_downward_walk_and_cold_agree(self, rng):
         instance = split_instance(rng)
@@ -515,11 +489,39 @@ class TestGridWalk:
         target = DiscreteMeasure(rng.uniform(-2, 2, (30, 2)), weights(rng, 30, "dyadic"))
         source = DiscreteMeasure(rng.uniform(-2, 2, (35, 2)), weights(rng, 35, "zero_atom"))
         cost = cost_matrix(target.points, source.points)
-        scales = 1.0 + np.array([[0.0], [0.3], [1.49], [3.0]])
-        walked = _solve_blocks(target, [source], [cost], scales)
-        for (sol, _, _), scale in zip(walked, scales):
-            reference = dense(target, [source], [cost], scale, None)
+        betas = [0.0, 0.3, 1.49, 3.0]
+        walked = _solve_blocks(target, [source], [cost], np.ones(1), betas)
+        for (sol, _, _), beta in zip(walked, betas):
+            reference = dense(target, [source], [cost], np.ones(1), beta)
             assert close(sol.value, reference.value)
+
+    def test_global_relaxation_is_the_one_class_split(self, rng):
+        # One LP: the source at capacity scale 1, its one beta column taking
+        # the whole budget.  60 atoms, so both walks take the coarse start.
+        target = DiscreteMeasure(rng.uniform(-2, 2, (60, 2)), weights(rng, 60, "dyadic"))
+        source = DiscreteMeasure(rng.uniform(-2, 2, (70, 2)), weights(rng, 70, "zero_atom"))
+        cost = cost_matrix(target.points, source.points)
+        walked = partial_ot_global_path(target, source, cost, self.GRID)
+        split = partial_ot_beta_split_path(target, [source], [1.0], self.GRID, [cost])
+        for (value, plan), plan_set in zip(walked, split):
+            assert value == plan_set.objective
+            assert np.array_equal(plan, plan_set.plans[0])
+
+    def test_a_global_walk_changes_only_the_budget_row(self, monkeypatch, rng):
+        target = DiscreteMeasure(rng.uniform(-2, 2, (30, 2)), weights(rng, 30, "dyadic"))
+        source = DiscreteMeasure(rng.uniform(-2, 2, (35, 2)), weights(rng, 35, "zero_atom"))
+        cost = cost_matrix(target.points, source.points)
+        changed = []
+        set_row_bounds = HighsModel.set_row_bounds
+
+        def recorded(model, rows, lower, upper):
+            changed.append(list(rows))
+            return set_row_bounds(model, rows, lower, upper)
+
+        monkeypatch.setattr(HighsModel, "set_row_bounds", recorded)
+        partial_ot_global_path(target, source, cost, [0.25, 0.5, 0.75, 1.0])
+        # Rows: 30 targets, 35 capacities, then the budget row.
+        assert changed == [[30 + 35]] * 3
 
     def test_path_is_the_one_budget_call_per_entry(self, rng):
         target, conds, costs, p = split_instance(rng, n_t=15, sizes=(6, 0, 9))
@@ -550,7 +552,7 @@ class TestGridWalk:
              for budget in self.GRID]
             for classes, class_costs in ((conds, costs), (far, far_costs))]
         global_references = [
-            dense(target, [source], [cost], np.array([1.0 + beta]), None).value
+            dense(target, [source], [cost], np.ones(1), beta).value
             for beta in self.GRID]
 
         strategies = []
@@ -619,7 +621,7 @@ class TestSimplexPath:
         for a, b in zip(default, all_dual):
             assert abs(a - b) <= 1e-14 * abs(b), (a, b)
         if mode == "global":
-            reference = dense(t, [s], [cost], np.array([1.0 + beta]), None)
+            reference = dense(t, [s], [cost], np.ones(1), beta)
         else:
             reference = dense(t, conds, costs, p, beta)
         e = self.GRID.index(beta)
@@ -641,8 +643,7 @@ source, target = generate_pair(ToyConfig(n_classes=3, n_source=300, n_target=300
 conds, p = class_conditionals(source)
 cost = cost_matrix(target.points, source.points)
 costs = [CostMatrix(cost.entries[:, source.class_indices(k)]) for k in (1, 2, 3)]
-walk = _solve_blocks(empirical_measure(target), conds, costs, np.tile(p, (4, 1)),
-                     (0.25, 0.5, 0.75, 1.0))
+walk = _solve_blocks(empirical_measure(target), conds, costs, p, (0.25, 0.5, 0.75, 1.0))
 print([(repr(sol.value), repr(sol.gap)) for sol, _, _ in walk])
 """
 
@@ -770,9 +771,9 @@ class TestObservability:
         target = DiscreteMeasure(rng.uniform(-2, 2, (n, 2)), np.full(n, 1 / n))
         source = DiscreteMeasure(rng.uniform(-2, 2, (n, 2)), np.full(n, 1 / n))
         cost = cost_matrix(target.points, source.points)
-        ((sol, _, _),) = _solve_blocks(target, [source], [cost], np.ones(1))
+        ((sol, _, _),) = _solve_blocks(target, [source], [cost], np.ones(1), [0.0])
         assert n <= imdot.ot.NEAREST_ARCS
-        assert (sol.rounds, sol.columns) == (1, n * n)
+        assert (sol.rounds, sol.columns) == (1, 1 + n * n)
         assert sol.residual <= FEASIBILITY_TOL and sol.gap <= GAP_TOL * (1 + sol.value)
 
 
@@ -783,7 +784,7 @@ def test_infeasible_capacity_is_reported():
     cost = cost_matrix(target.points, source.points)
     with pytest.raises(LpError, match="^transport LP ended infeasible; target mass 1.0, "
                                       "total capacity 0.5$"):
-        _solve_blocks(target, [source], [cost], np.ones(1))
+        _solve_blocks(target, [source], [cost], np.ones(1), [0.0])
     # A walk solves beta = 1 (capacity 1.0) first and names the entry that
     # fails after it, beta = 0.5.
     with pytest.raises(LpError, match="total capacity 0.75$"):

@@ -4,8 +4,10 @@
 by name, so a source change that removes or renames one of them would
 only break a traced benchmark run.  Its ``TARGETS`` are read here from the
 tracer's source, without importing it, so that such a change fails these
-tests instead.  And only ``imdot.lp`` makes a HiGHS model or certifies a
-solution: every LP goes through its one solve loop.
+tests instead.  Only ``imdot.lp`` makes a HiGHS model or certifies a
+solution: every LP goes through its one solve loop.  And every transport
+problem of ``imdot.ot`` has one LP form, with its ``beta`` columns and its
+budget row: no function there tells a budget from a missing one.
 """
 
 import ast
@@ -63,3 +65,33 @@ def test_only_the_lp_module_makes_models_and_certifies():
     calls = {path.stem: solver_calls(path.read_text()) for path in sorted(package.glob("*.py"))}
     assert set(calls.pop("lp")) == SOLVER_CALLS
     assert {module: names for module, names in calls.items() if names} == {}
+
+
+#: Names of a transport problem's budgets in ``imdot.ot``.
+BUDGET_NAMES = {"budget", "budgets"}
+
+
+def budget_none_compares(source: str) -> list:
+    """``(line, name)`` of every comparison in ``source`` between a name in
+    ``BUDGET_NAMES`` and ``None``, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            names = [o.id for o in operands if isinstance(o, ast.Name) and o.id in BUDGET_NAMES]
+            if names and any(isinstance(o, ast.Constant) and o.value is None for o in operands):
+                found.append((node.lineno, names[0]))
+    return sorted(found)
+
+
+def test_the_scan_finds_every_budget_none_compare():
+    source = ("def f(budget, budgets):\n"
+              "    if budget is None or None == budgets:\n"
+              "        return [b for b in budgets if budgets is not None]\n"
+              "    return budget == 0\n")
+    assert budget_none_compares(source) == [(2, "budget"), (2, "budgets"), (3, "budgets")]
+
+
+def test_every_transport_problem_has_a_budget():
+    ot = Path(importlib.import_module("imdot.ot").__file__)
+    assert budget_none_compares(ot.read_text()) == []
