@@ -59,15 +59,19 @@ def propagate_labels(plan, source_labels, n_classes: int | None = None) -> np.nd
     :class:`~imdot.ot.TransportPlanSet`, whose class-``k`` block holds the
     columns of the class-``k`` sources, so its row sums are the class
     votes; every block must be as wide as its class has labels, so a block
-    with no label has width 0.  Votes within ``TIE_REL_TOL`` of the
-    row's top vote tie, and ties resolve to the smallest class index; a row
-    carrying less than ``ROUNDING_TOL`` total mass is an error (the equality
-    marginal makes it impossible short of solver breakdown).
+    with no label has width 0, and every label must have a block.  Votes
+    within ``TIE_REL_TOL`` of the row's top vote tie, and ties resolve to
+    the smallest class index; a row carrying less than ``ROUNDING_TOL``
+    total mass is an error (the equality marginal makes it impossible short
+    of solver breakdown).
     """
     source_labels = np.asarray(source_labels, dtype=int)
     if n_classes is None:
         n_classes = int(source_labels.max())
     if isinstance(plan, TransportPlanSet):
+        if source_labels.size and source_labels.max() > len(plan.plans):
+            raise ValueError(f"source label {source_labels.max()} has no block: the "
+                             f"plan set has {len(plan.plans)}")
         votes = np.zeros((plan.plans[0].shape[0] if plan.plans else 0, n_classes))
         for k, block in enumerate(plan.plans):
             if block.shape[1] != np.count_nonzero(source_labels == k + 1):

@@ -5,25 +5,30 @@ bounded as variables are, ``row_lower <= A x <= row_upper``, with ``A`` one
 compressed-column (CSC) matrix.  Every problem is solved by one loop,
 :func:`solve_path`, on one adapter, :class:`HighsModel`: a warm model walked
 over a list of row bounds, which grows by columns of the LP when a run ends
-infeasible or a caller's pricing names some.  :func:`solve` is its simplest
-case, one entry with every column and no pricing; the column generation of
-:mod:`imdot.ot` is its priced case.  A solve that does not end optimal
-raises :class:`LpError` naming the status; an optimal one is re-certified
-by one function, :func:`certify`, from the primal values and the row duals
-alone, so a numerically broken solve raises instead of returning a
-silently wrong answer.  An :class:`LpSolution` is thus always a certified
-optimum, and its value and its certificate's duality gap are correctly
-rounded (``math.fsum``), whatever the BLAS thread count.  The solver
-layer's tolerances are named here: the certificate's ``FEASIBILITY_TOL``
-and ``GAP_TOL``, and ``HIGHS_TOL``, the tolerance HiGHS works to and
-column generation prices to (:func:`pricing_tolerance`).  The data
-layer's rounding slack is :data:`imdot.measures.ROUNDING_TOL`.
+infeasible or a caller's pricing names some.  The LP is given by its
+columns, taken on demand: a :class:`LinearProgram`, or a column source such
+as the arc grid of :mod:`imdot.ot`, which never builds its columns all at
+once.  :func:`solve` is the simplest case, one entry with every column and
+no pricing; the column generation of :mod:`imdot.ot` is its priced case.  A
+solve that does not end optimal raises :class:`LpError` naming the status;
+an optimal one is re-certified from the primal values and the row duals
+alone, so a numerically broken solve raises instead of returning a silently
+wrong answer.  The certificate is :func:`certify` on the columns the model
+holds, and, for every other column, the pricing pass that ended the entry:
+those columns are at zero, so their one condition is the sign of their
+reduced cost.  An :class:`LpSolution` is thus always a certified optimum,
+and its value and its certificate's duality gap are correctly rounded
+(``math.fsum``), whatever the BLAS thread count.  The solver layer's
+tolerances are named here: the certificate's ``FEASIBILITY_TOL`` and
+``GAP_TOL``, and ``HIGHS_TOL``, the tolerance HiGHS works to and column
+generation prices to (:func:`pricing_tolerance`).  The data layer's
+rounding slack is :data:`imdot.measures.ROUNDING_TOL`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -124,6 +129,25 @@ class LinearProgram:
     def n_rows(self) -> int:
         return len(self.row_lower)
 
+    @property
+    def c_norm(self) -> float:
+        """``||c||_inf``, 0 without columns."""
+        return float(np.max(np.abs(self.c), initial=0.0))
+
+    def columns(self, keys) -> tuple:
+        """``(c, starts, indices, values, lower, upper)`` of the sorted,
+        distinct columns ``keys``, as :meth:`HighsModel.add_columns` takes
+        them; the LP's own arrays when ``keys`` are every column."""
+        keys = np.asarray(keys, dtype=int)
+        A = self.A
+        if len(keys) == self.n_vars:
+            return self.c, A.indptr, A.indices, A.data, self.lower, self.upper
+        first, last = A.indptr[keys], A.indptr[keys + 1]
+        starts = np.concatenate([[0], np.cumsum(last - first)])
+        entries = np.repeat(first - starts[:-1], last - first) + np.arange(starts[-1])
+        return (self.c[keys], starts, A.indices[entries], A.data[entries], self.lower[keys],
+                self.upper[keys])
+
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -165,75 +189,96 @@ def solve(lp: LinearProgram) -> LpSolution:
     return solutions[0]
 
 
-def solve_path(lp: LinearProgram, bounds, initial, price=None) -> list:
+def solve_path(lp, bounds, initial, price=None) -> list:
     """Solve ``lp`` at each entry of ``bounds`` on one warm HiGHS model.
 
-    Entry ``e`` is ``lp`` with the row bounds ``bounds[e] = (row_lower,
-    row_upper)``.  The model starts with the columns ``initial`` of ``lp``;
-    each entry changes the row bounds that differ, and runs again while
-    columns are added: after an infeasible run every column the model
+    ``lp`` is a :class:`LinearProgram` or a column source like it: its
+    ``n_vars`` columns, ``c_norm`` (``||c||_inf`` over all of them) and
+    ``columns(keys)``, the columns ``keys`` in the form
+    :meth:`HighsModel.add_columns` takes.  Entry ``e`` is ``lp`` with the row bounds ``bounds[e] =
+    (row_lower, row_upper)``.  The model starts with the columns ``initial``
+    of ``lp``; each entry changes the row bounds that differ, and runs again
+    while columns are added: after an infeasible run every column the model
     lacks, after an optimal one those that ``price(row_dual, in_model)``
-    returns (``in_model`` marks the columns held).  Without ``price`` an
-    optimal run ends the entry.  Each add reaches HiGHS as the compressed
-    columns of ``lp.A``, sorted and deduplicated, with their own bounds.
-    Each entry is certified by :func:`certify` on every column of ``lp``,
-    which also gives its value.
+    names (``in_model`` marks the columns held).  ``price`` returns
+    ``(columns, lowest)``: the columns to add and the smallest reduced cost
+    over every column the model lacks, all of them ``x >= 0`` columns.  A
+    model that holds every column is not priced, and without ``price`` the
+    model must start with every column.  Each add reaches HiGHS sorted and
+    deduplicated, with its columns' own bounds.
 
-    Returns one :class:`LpSolution` per entry, in order, up to the first
-    entry infeasible with every column: a shorter list than ``bounds``
-    means that entry is infeasible, and the caller names it.  Raises
-    :class:`LpError`, with the entry's :func:`dump_lp`, when HiGHS or a
-    certificate fails.
+    An entry ends at an optimal run that adds no column.  Its certificate
+    is :func:`certify` on the model's columns, which also gives its value,
+    with the dual tolerance of every column of ``lp``, and the pricing pass
+    that ended it: no column outside the model prices below
+    ``-dual_tolerance(c)``.  Such a column is at zero, so it adds nothing to
+    the residual, the value or the gap; this is the certificate of
+    :func:`certify` on every column.
+
+    Returns one :class:`LpSolution` per entry, in order, with ``x`` over
+    every column, up to the first entry infeasible with every column: a
+    shorter list than ``bounds`` means that entry is infeasible, and the
+    caller names it.  Raises :class:`LpError`, with the :func:`dump_lp` of
+    the entry's model, when HiGHS or a certificate fails.
     """
+    c_norm = lp.c_norm
     in_model = np.zeros(lp.n_vars, dtype=bool)
-    held = []                       # the LP columns of the model, per add
+    held = [np.zeros(0, dtype=int)]  # the LP columns of the model, per add
 
-    def add(columns) -> int:
-        columns = np.unique(np.asarray(columns, dtype=int))
-        columns = columns[~in_model[columns]]
-        if not len(columns):
+    def add(keys) -> int:
+        keys = np.unique(np.asarray(keys, dtype=int))
+        keys = keys[~in_model[keys]]
+        if not len(keys):
             return 0
-        in_model[columns] = True
-        held.append(columns)
-        first, last = lp.A.indptr[columns], lp.A.indptr[columns + 1]
-        starts = np.concatenate([[0], np.cumsum(last - first)])
-        take = np.repeat(first - starts[:-1], last - first) + np.arange(starts[-1])
-        model.add_columns(lp.c[columns], starts, lp.A.indices[take], lp.A.data[take],
-                          lp.lower[columns], lp.upper[columns])
-        return len(columns)
+        in_model[keys] = True
+        held.append(keys)
+        model.add_columns(*lp.columns(keys))
+        return len(keys)
+
+    def held_lp(lower, upper):
+        """The sorted columns of the model and their LP at the given rows."""
+        keys = np.sort(np.concatenate(held))
+        c, starts, indices, values, col_lower, col_upper = lp.columns(keys)
+        A = sp.csc_matrix((values, indices, starts), shape=(len(lower), len(keys)))
+        return keys, LinearProgram(c, A, lower, upper, col_lower, col_upper)
 
     solutions, previous = [], None
     for lower, upper in bounds:
-        entry = replace(lp, row_lower=lower, row_upper=upper)
+        lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
         try:
             if previous is None:
-                model = HighsModel(entry.row_lower, entry.row_upper)
+                model = HighsModel(lower, upper)
                 add(initial)
+                if price is None and model.n_cols < lp.n_vars:
+                    raise ValueError("a model without every column needs pricing")
             else:
-                changed = np.flatnonzero((entry.row_lower != previous.row_lower)
-                                         | (entry.row_upper != previous.row_upper))
-                model.set_row_bounds(changed, entry.row_lower[changed],
-                                     entry.row_upper[changed])
-            previous = entry
+                changed = np.flatnonzero((lower != previous[0]) | (upper != previous[1]))
+                model.set_row_bounds(changed, lower[changed], upper[changed])
+            previous = lower, upper
             rounds = iterations = 0
             while True:
-                status, x, row_dual, nit = model.run()
+                status, row_dual, nit = model.run()
                 rounds += 1
                 iterations += nit
-                if status == "optimal":
-                    new = () if price is None else price(row_dual, in_model)
-                elif in_model.all():
+                lowest = math.inf
+                if model.n_cols == lp.n_vars:
+                    if status == "optimal":
+                        break
                     return solutions
+                if status == "optimal":
+                    new, lowest = price(row_dual, in_model)
                 else:
                     new = np.flatnonzero(~in_model)
                 if not add(new):
                     break
-            full_x = np.zeros(lp.n_vars)
-            full_x[np.concatenate(held)] = x
-            value, residual, gap = certify(entry, full_x, row_dual)
+            x = np.zeros(lp.n_vars)
+            x[np.concatenate(held)] = model.col_value()
+            keys, entry = held_lp(lower, upper)
+            value, residual, gap = certify(entry, x[keys], row_dual, c_norm)
+            _certify_outside(lowest, c_norm)
         except LpError as error:
-            raise LpError(f"{error}\n" + dump_lp(entry)) from error
-        solutions.append(LpSolution(value, full_x, iterations, residual, gap, rounds,
+            raise LpError(f"{error}\n" + dump_lp(held_lp(lower, upper)[1])) from error
+        solutions.append(LpSolution(value, x, iterations, residual, gap, rounds,
                                     model.n_cols))
     return solutions
 
@@ -243,18 +288,20 @@ def _cost_scale(c: np.ndarray) -> float:
     return 1.0 + float(np.max(np.abs(c), initial=0.0))
 
 
-def dual_tolerance(c: np.ndarray) -> float:
+def dual_tolerance(c) -> float:
     """Reduced cost a certified column may have on a side its bounds do not
-    allow: the dual feasibility bound ``FEASIBILITY_TOL * (1 + ||c||_inf)``."""
+    allow: the dual feasibility bound ``FEASIBILITY_TOL * (1 + ||c||_inf)``.
+    ``c`` is the cost vector, or any array that holds its largest absolute
+    cost, ``||c||_inf`` itself included."""
     return FEASIBILITY_TOL * _cost_scale(c)
 
 
-def pricing_tolerance(c: np.ndarray) -> float:
+def pricing_tolerance(c) -> float:
     """Reduced cost below which column generation still adds a column:
-    ``HIGHS_TOL * (1 + ||c||_inf)``, at the scale of :func:`dual_tolerance`
-    but at the tolerance HiGHS itself works to.  Pricing to the looser
-    certificate bound would stop at whichever near-optimal basis the simplex
-    path reached, so a value would depend on that path."""
+    ``HIGHS_TOL * (1 + ||c||_inf)``, with ``c`` as for :func:`dual_tolerance`
+    and at its scale, but at the tolerance HiGHS itself works to.  Pricing
+    to the looser certificate bound would stop at whichever near-optimal
+    basis the simplex path reached, so a value would depend on that path."""
     return HIGHS_TOL * _cost_scale(c)
 
 
@@ -278,13 +325,15 @@ def _bound_rule(dual: np.ndarray, lower: np.ndarray, upper: np.ndarray, tol: flo
     return worst, terms[terms != 0]
 
 
-def certify(lp: LinearProgram, x: np.ndarray, row_dual: np.ndarray):
+def certify(lp: LinearProgram, x: np.ndarray, row_dual: np.ndarray, c_norm=None):
     """Certify ``x`` optimal for ``lp`` from row duals, independent of the
     solver, and return ``(value, residual, gap)``; raise LpError otherwise.
 
     Checked on every column and row of ``lp``: primal feasibility of ``x``
     within ``FEASIBILITY_TOL`` times ``1 +`` the largest finite row bound,
-    dual feasibility within ``dual_tolerance(c)`` and the duality gap.  The
+    dual feasibility within ``dual_tolerance(c)`` and the duality gap, where
+    ``c`` is the cost vector of ``lp`` or, when ``lp`` holds some columns of
+    a larger LP, of that LP, whose ``||c||_inf`` is then ``c_norm``.  The
     reduced costs ``d = c - A' row_dual`` and the row duals follow one bound
     rule, :func:`_bound_rule`: ``d >= 0`` for ``x >= 0``, ``d = 0`` for a
     free variable, either sign for a pinned one or an equality row.  Its
@@ -301,7 +350,7 @@ def certify(lp: LinearProgram, x: np.ndarray, row_dual: np.ndarray):
     if not residual <= FEASIBILITY_TOL * scale:
         raise LpError(f"optimal solution violates feasibility: residual {residual:.3e} "
                       f"exceeds {FEASIBILITY_TOL:.0e} * {scale:.3e}")
-    tol = dual_tolerance(lp.c)
+    tol = dual_tolerance(lp.c if c_norm is None else c_norm)
     reduced = lp.c - lp.A.T @ row_dual
     j, column_terms = _bound_rule(reduced, lp.lower, lp.upper, tol)
     if j is not None:
@@ -317,6 +366,18 @@ def certify(lp: LinearProgram, x: np.ndarray, row_dual: np.ndarray):
     if not gap <= GAP_TOL * (1.0 + abs(value)):
         raise LpError(f"duality gap {gap:.3e} too large for an optimality certificate")
     return value, residual, gap
+
+
+def _certify_outside(lowest: float, c_norm: float) -> None:
+    """The rest of a priced entry's certificate: ``lowest``, the smallest
+    reduced cost of the columns outside the model, all ``x >= 0`` columns at
+    zero, is at least ``-dual_tolerance(c)`` of the LP whose ``||c||_inf`` is
+    ``c_norm``."""
+    tol = dual_tolerance(c_norm)
+    # Written as "not within", so that a NaN fails it.
+    if not lowest >= -tol:
+        raise LpError(f"duals violate feasibility: a column outside the model has "
+                      f"reduced cost {lowest:.3e} below -{tol:.3e}")
 
 
 #: HiGHS ``simplex_strategy`` values: dual and primal simplex.
@@ -358,6 +419,7 @@ class HighsModel:
             np.zeros(0, np.int32), np.zeros(0)))
         self.n_cols = 0
         self._rows_changed = True
+        self._solution = None
 
     @staticmethod
     def _check(call: str, status, row=None) -> None:
@@ -395,33 +457,41 @@ class HighsModel:
             self._rows_changed = True
 
     def run(self):
-        """``(status, x, row_dual, iterations)`` of one run.
+        """``(status, row_dual, iterations)`` of one run.
 
-        ``status`` is ``"optimal"``, with the primal values and row duals, or
-        ``"infeasible"``, with both empty: the one other end that column
+        ``status`` is ``"optimal"``, with the row duals, or
+        ``"infeasible"``, with none: the one other end that column
         generation acts on (it adds every arc).  Any other model status,
-        unbounded included, raises :class:`LpError` naming it.
+        unbounded included, raises :class:`LpError` naming it.  The primal
+        values of an optimal run are read by :meth:`col_value`, only where
+        an entry ends: pricing needs the row duals alone.
         """
         self._set_option(
             "simplex_strategy", DUAL_SIMPLEX if self._rows_changed else PRIMAL_SIMPLEX)
         self._rows_changed = False
+        self._solution = None
         self._highs.run()
         status = self._highs.getModelStatus()
         if status == HighsModelStatus.kModelEmpty:
             # No columns: feasible exactly when every row admits 0.
             feasible = np.all(self._lower <= 0) and np.all(self._upper >= 0)
-            return ("optimal" if feasible else "infeasible", np.zeros(0),
-                    np.zeros(len(self._lower)), 0)
+            return ("optimal" if feasible else "infeasible", np.zeros(len(self._lower)), 0)
         iterations = int(self._highs.getInfo().simplex_iteration_count)
         if status == HighsModelStatus.kInfeasible:
-            return "infeasible", np.zeros(0), np.zeros(0), iterations
+            return "infeasible", np.zeros(0), iterations
         if status != HighsModelStatus.kOptimal:
             # kUnbounded included, which no caller acts on, and
             # kUnboundedOrInfeasible, which proves neither.
             raise LpError("solver failed: " + self._highs.modelStatusToString(status))
-        solution = self._highs.getSolution()
-        return ("optimal", np.asarray(solution.col_value),
-                np.asarray(solution.row_dual), iterations)
+        self._solution = self._highs.getSolution()
+        return "optimal", np.asarray(self._solution.row_dual), iterations
+
+    def col_value(self) -> np.ndarray:
+        """The primal values of the last run, which ended optimal, one per
+        column in the order added (none for a model without columns)."""
+        if self._solution is None:
+            return np.zeros(0)
+        return np.asarray(self._solution.col_value)
 
 
 def dual_of(lp: LinearProgram) -> LinearProgram:

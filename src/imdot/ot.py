@@ -22,12 +22,14 @@ capacities realized; a walk that ends infeasible raises.
 
 Solver.  Every problem is one :func:`imdot.lp.solve_path` walk over the LP
 of ``_assemble_blocks``, run as exact column generation; this module keeps
-only what is transport's own.  Arc ``(i, j)`` of the concatenated source is
-LP column ``K + i * n_src + j``, after the ``K`` ``beta`` columns, and that
-column is also its pricing key.  The walk starts with the ``beta`` columns
-and, once the target has ``COARSE_MIN_ATOMS`` atoms, the arcs lifted from
-the walk of the coarsened problem alone (:func:`_coarse_arcs`; Oberman &
-Ruan, 2015, Schmitzer, 2016): target and source are binned on one grid over
+only what is transport's own.  The walk never builds that LP whole: an
+:class:`_ArcGrid` makes its columns on demand from the cost grid.  Arc
+``(i, j)`` of the concatenated source is LP column ``K + i * n_src + j``,
+after the ``K`` ``beta`` columns, and that column is also its pricing key.
+The walk starts with the ``beta`` columns and, once the target has
+``COARSE_MIN_ATOMS`` atoms, the arcs lifted from the walk of the coarsened
+problem alone (:func:`_coarse_arcs`; Oberman & Ruan, 2015, Schmitzer,
+2016): target and source are binned on one grid over
 the target of about one target atom per cell, the coarse walk runs at the
 largest and the smallest budget of the fine walk, and every fine arc between
 two cells that carry mass at either starts in the model, unless there would
@@ -37,12 +39,15 @@ grows.  A walk without a lift starts instead with the ``NEAREST_ARCS``
 cheapest arcs of each target over the whole source, whatever their class,
 and a north-west-corner support at the capacities ``cap_scale_k`` times the
 weights (:func:`_initial_arcs`).  The coarse walk only chooses columns; each
-value is certified on every fine arc.  Each round prices all arcs exactly,
-``C - u - y``, and adds up to ``ARCS_PER_ROW`` per target row, until none is
+value is certified on every fine arc, by :func:`imdot.lp.certify` on the
+model's arcs and, for every other arc, by the pricing pass that ended the
+entry.  Each round prices all arcs exactly, ``C - u - y``, into one buffer
+of the walk, and adds up to ``ARCS_PER_ROW`` per target row, until none is
 below ``-HIGHS_TOL * (1 + max C)``: the tolerance HiGHS itself works to, so
-the walk ends at the same optimum whichever simplex ran.  Several budgets,
-such as the global relaxation's or a split's grid, are walked from the
-largest down, changing only the budget row.
+the walk ends at the same optimum whichever simplex ran.  A model that
+holds every arc is not priced.  Several budgets, such as the global
+relaxation's or a split's grid, are walked from the largest down, changing
+only the budget row.
 """
 
 from __future__ import annotations
@@ -168,6 +173,9 @@ def _solve_blocks(target: DiscreteMeasure,
     below ``-pricing_tolerance(c)``, HiGHS's own tolerance: the
     certificate's looser ``-dual_tolerance(c)`` could leave out an arc that
     improves the value by more than that, depending on the simplex path.
+    Each entry's certificate covers every arc: the model's arcs by
+    :func:`imdot.lp.certify`, every other arc by the pricing pass that ended
+    the entry, whose smallest reduced cost must reach ``-dual_tolerance(c)``.
     """
     n_t = target.n_atoms
     cond_weights = [source.weights for source in sources]
@@ -217,27 +225,70 @@ def _walk_blocks(target, cond_weights, costs, cap_scale, budgets, lifted) -> lis
     first changes only the budget row.  The model starts with the ``beta``
     columns and the ``lifted`` arcs ``(rows, cols)`` or, when ``lifted`` is
     ``None``, the arcs of :func:`_initial_arcs` at the capacities
-    ``cap_scale``."""
+    ``cap_scale``.  Its columns come from the :class:`_ArcGrid` of the
+    costs, and each pricing pass writes ``C - u - v`` into one buffer."""
     n_t = target.n_atoms
     n_beta = len(cond_weights)
-    n_src = sum(len(w) for w in cond_weights)
-    lp = _assemble_blocks(target, cond_weights, costs, cap_scale, budgets[0])
-    cost = lp.c[n_beta:].reshape(n_t, n_src)
-    tol = pricing_tolerance(lp.c)
+    grid = _ArcGrid(np.hstack([cost.entries for cost in costs]),
+                    *_beta_columns(target, cond_weights, cap_scale, budgets[0]))
+    cost = grid.cost
+    n_src = cost.shape[1]
+    tol = pricing_tolerance(grid.c_norm)
+    reduced = np.empty_like(cost)
 
     def price(row_dual, in_model):
-        reduced = cost - row_dual[:n_t, None] - row_dual[None, n_t:n_t + n_src]
-        reduced[in_model[n_beta:].reshape(n_t, n_src)] = np.inf
-        rows, cols = _priced_arcs(reduced, tol)
-        return n_beta + rows * n_src + cols
+        np.subtract(cost, row_dual[:n_t, None], out=reduced)
+        np.subtract(reduced, row_dual[n_t:n_t + n_src], out=reduced)
+        np.putmask(reduced, in_model[n_beta:].reshape(cost.shape), np.inf)
+        rows, cols, lowest = _priced_arcs(reduced, tol)
+        return n_beta + rows * n_src + cols, lowest
 
-    bounds = [(np.append(lp.row_lower[:-1], budget), np.append(lp.row_upper[:-1], budget))
-              for budget in budgets]
+    lower, upper = grid.row_lower[:-1], grid.row_upper[:-1]
+    bounds = [(np.append(lower, budget), np.append(upper, budget)) for budget in budgets]
     if lifted is None:
         lifted = _initial_arcs(cost, target.weights, _capacity(cap_scale, cond_weights))
     rows, cols = lifted
-    return solve_path(lp, bounds, np.append(np.arange(n_beta), n_beta + rows * n_src + cols),
+    return solve_path(grid, bounds, np.append(np.arange(n_beta), n_beta + rows * n_src + cols),
                       price)
+
+
+@dataclass(frozen=True)
+class _ArcGrid:
+    """The LP of :func:`_assemble_blocks` as the column source of a walk
+    (see :func:`imdot.lp.solve_path`), its arcs made on demand from the
+    ``(n_t, n_src)`` grid ``cost``: arc ``(i, j)``, column ``K + i * n_src +
+    j``, costs ``cost[i, j]`` and is a 1 in target row ``i`` and in capacity
+    row ``n_t + j``.  ``betas`` holds the ``K`` ``beta`` columns, and
+    ``row_lower`` and ``row_upper`` bound every row (:func:`_beta_columns`)."""
+
+    cost: np.ndarray
+    betas: tuple
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+
+    @property
+    def n_vars(self) -> int:
+        return len(self.betas) + self.cost.size
+
+    @property
+    def c_norm(self) -> float:
+        # The beta columns cost 0.
+        return float(np.max(np.abs(self.cost), initial=0.0))
+
+    def columns(self, keys) -> tuple:
+        """The sorted, distinct columns ``keys``, as
+        :meth:`imdot.lp.LinearProgram.columns` gives them."""
+        n_t, n_src = self.cost.shape
+        split = np.searchsorted(keys, len(self.betas))
+        betas = [self.betas[k] for k in keys[:split]]
+        i, j = np.divmod(keys[split:] - len(self.betas), n_src)
+        nnz = np.cumsum([0] + [len(beta_rows) for beta_rows, _ in betas])
+        starts = np.concatenate([nnz, nnz[-1] + np.arange(2, 2 * len(i) + 1, 2)])
+        rows = [beta_rows for beta_rows, _ in betas] + [np.column_stack([i, n_t + j]).ravel()]
+        values = [beta_values for _, beta_values in betas] + [np.ones(2 * len(i))]
+        return (np.concatenate([np.zeros(split), self.cost[i, j]]), starts.astype(np.int32),
+                np.concatenate(rows).astype(np.int32), np.concatenate(values),
+                np.zeros(len(keys)), np.full(len(keys), np.inf))
 
 
 def _coarse_arcs(target: DiscreteMeasure, sources, cap_scale, budgets):
@@ -317,6 +368,32 @@ def _coarse_arcs(target: DiscreteMeasure, sources, cap_scale, budgets):
     return np.nonzero(carried[target_cell][:, np.concatenate(source_cell)])
 
 
+def _beta_columns(target: DiscreteMeasure,
+                  cond_weights: Sequence[np.ndarray],
+                  cap_scale: np.ndarray,
+                  budget: float) -> tuple:
+    """``(betas, row_lower, row_upper)``: the ``K`` capacity columns of the
+    block-transport problem at one budget, and the bounds of its rows (see
+    :func:`_assemble_blocks`).
+
+    ``betas[k]`` is column ``beta_k`` as ``(rows, values)``: ``-w_j`` in each
+    capacity row of class ``k`` where ``w_j != 0``, and 1 in the budget row.
+    Rows are the target marginals and the budget row, equalities, and the
+    class capacity rows ``cap_scale_k * w_j``, bounded above only; the budget
+    row is last."""
+    n_t = target.n_atoms
+    widths = [len(w) for w in cond_weights]
+    n_src = sum(widths)
+    betas = []
+    for start, w in zip(np.cumsum(widths) - widths, cond_weights):
+        held = np.flatnonzero(w)
+        betas.append((np.append(n_t + start + held, n_t + n_src), np.append(-w[held], 1.0)))
+    capacity = _capacity(cap_scale, cond_weights)
+    lower = np.concatenate([target.weights, np.full(len(capacity), -np.inf), [budget]])
+    upper = np.concatenate([target.weights, capacity, [budget]])
+    return tuple(betas), lower, upper
+
+
 def _assemble_blocks(target: DiscreteMeasure,
                      cond_weights: Sequence[np.ndarray],
                      costs: Sequence[CostMatrix],
@@ -325,35 +402,29 @@ def _assemble_blocks(target: DiscreteMeasure,
     """The block-transport problem of :func:`_solve_blocks` at one budget,
     as one LP over every arc.
 
-    The first ``K`` columns are the capacity variables ``beta_k``, one per
-    class; then arc ``(i, j)`` from target ``i`` to column ``j`` of the
-    concatenated source (``hstack`` of the class blocks) is column
-    ``K + i * n_src + j``.  Rows are the target marginals and the budget
-    row, equalities, and the class capacity rows ``cap_scale_k * w_j``,
-    bounded above only; the budget row is last.  The constraint matrix is
-    CSC, built from the index arithmetic of the blocks, with no stored zero.
+    The first ``K`` columns are the capacity variables ``beta_k`` of
+    :func:`_beta_columns`, one per class, with its rows; then arc ``(i, j)``
+    from target ``i`` to column ``j`` of the concatenated source (``hstack``
+    of the class blocks) is column ``K + i * n_src + j``, a 1 in target row
+    ``i`` and in capacity row ``n_t + j``.  The constraint matrix is CSC,
+    built from the index arithmetic of the blocks, with no stored zero.
+
+    No solver path uses it: a walk takes its columns on demand from an
+    :class:`_ArcGrid`.  It is the dense reference of the tests, which solve
+    and certify it whole with :func:`imdot.lp.solve` and
+    :func:`imdot.lp.certify`, so it builds every arc column by its own index
+    arithmetic rather than by :meth:`_ArcGrid.columns`.
     """
+    betas, lower, upper = _beta_columns(target, cond_weights, cap_scale, budget)
     n_t = target.n_atoms
-    widths = [len(w) for w in cond_weights]
-    n_src = sum(widths)
-    rows, data, counts = [], [], []
-    # Column beta_k: -w_j in each capacity row of class k where w_j != 0,
-    # and 1 in the budget row.
-    for start, w in zip(np.cumsum(widths) - widths, cond_weights):
-        held = np.flatnonzero(w)
-        rows.append(np.append(n_t + start + held, n_t + n_src))
-        data.append(np.append(-w[held], 1.0))
-        counts.append([len(held) + 1])
-    # Arc (i, j): a 1 in target row i and in capacity row n_t + j.
+    n_src = sum(len(w) for w in cond_weights)
     target_row, j = np.divmod(np.arange(n_t * n_src), n_src)
-    rows.append(np.column_stack([target_row, n_t + j]).ravel())
-    data.append(np.ones(2 * n_t * n_src))
-    counts.append(np.full(n_t * n_src, 2))
-    c = np.concatenate([np.zeros(len(widths)),
+    rows = ([beta_rows for beta_rows, _ in betas]
+            + [np.column_stack([target_row, n_t + j]).ravel()])
+    data = [beta_values for _, beta_values in betas] + [np.ones(2 * n_t * n_src)]
+    counts = [[len(beta_rows) for beta_rows, _ in betas], np.full(n_t * n_src, 2)]
+    c = np.concatenate([np.zeros(len(betas)),
                         np.hstack([cost.entries for cost in costs]).ravel()])
-    capacity = _capacity(cap_scale, cond_weights)
-    lower = np.concatenate([target.weights, np.full(len(capacity), -np.inf), [budget]])
-    upper = np.concatenate([target.weights, capacity, [budget]])
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     A = sp.csc_matrix((np.concatenate(data), np.concatenate(rows), indptr),
                       shape=(len(upper), len(c)))
@@ -397,16 +468,19 @@ def _initial_arcs(cost: np.ndarray, demand: np.ndarray, capacity: np.ndarray) ->
 
 
 def _priced_arcs(reduced: np.ndarray, tol: float) -> tuple:
-    """Arcs ``(rows, cols)`` to add: the ``ARCS_PER_ROW`` most negative
-    reduced costs of each row, where below ``-tol``."""
-    rows = np.flatnonzero(np.any(reduced < -tol, axis=1))
+    """``(rows, cols, lowest)``: the arcs to add, the ``ARCS_PER_ROW`` most
+    negative reduced costs of each row where below ``-tol``, and the
+    smallest reduced cost (NaN if there is a NaN)."""
+    row_lowest = reduced.min(axis=1, initial=np.inf)
+    rows = np.flatnonzero(row_lowest < -tol)
     priced = reduced[rows]
     if priced.shape[1] > ARCS_PER_ROW:
         cols = np.argpartition(priced, ARCS_PER_ROW - 1, axis=1)[:, :ARCS_PER_ROW]
     else:
         cols = np.broadcast_to(np.arange(priced.shape[1]), priced.shape)
     keep = np.take_along_axis(priced, cols, axis=1) < -tol
-    return np.broadcast_to(rows[:, None], keep.shape)[keep], cols[keep]
+    return (np.broadcast_to(rows[:, None], keep.shape)[keep], cols[keep],
+            float(row_lowest.min(initial=np.inf)))
 
 
 def _verify_plan(target, capacity, plan) -> None:

@@ -70,6 +70,13 @@ class TestPropagateLabels:
         empty = TransportPlanSet((*plans[:2], np.zeros((2, 0))), np.zeros(3), 0.0)
         assert np.array_equal(propagate_labels(empty, np.array([1, 2])), [2, 1])
 
+    def test_a_label_beyond_the_last_block_is_rejected(self):
+        # One block for the labels 1 and 2: the column labelled 2 has none.
+        plan_set = TransportPlanSet((np.array([[0.1], [0.5]]),), np.zeros(1), 0.0)
+        with pytest.raises(ValueError, match="source label 2 has no block: the plan set "
+                                             "has 1"):
+            propagate_labels(plan_set, np.array([1, 2]))
+
     def test_zero_row_errors(self):
         plan = np.array([[0.0, 0.0], [0.5, 0.5]])
         with pytest.raises(ValueError):

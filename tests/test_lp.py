@@ -20,8 +20,10 @@ from imdot.lp import (
     _Highs,
     certify,
     dual_of,
+    dual_tolerance,
     dump_lp,
     solve,
+    solve_path,
 )
 from imdot.ot import _difference_rows
 
@@ -143,13 +145,68 @@ def test_a_shifted_dual_of_a_zero_rhs_row_is_caught(monkeypatch):
     run = HighsModel.run
 
     def shifted(model):
-        status, x, row_dual, iterations = run(model)
+        status, row_dual, iterations = run(model)
         row_dual[0] -= 0.5
-        return status, x, row_dual, iterations
+        return status, row_dual, iterations
 
     monkeypatch.setattr(HighsModel, "run", shifted)
     with pytest.raises(LpError, match="column 1 has reduced cost -5.000e-01"):
         solve(lp)
+
+
+def undercut_lp(undercut):
+    """One demand row ``x0 + x1 + x2 = 1``: column 0 costs 1, column 1
+    undercuts it by ``undercut``, and column 2 costs 1000, which sets
+    ``||c||_inf``."""
+    return LinearProgram([1.0, 1.0 - undercut, 1000.0], [[1.0, 1.0, 1.0]], [1.0], [1.0])
+
+
+def walk_from_column_0(lp, price):
+    return solve_path(lp, [(lp.row_lower, lp.row_upper)], [0], price)
+
+
+def report_without_adding(lp):
+    """Pricing that adds no column and reports the smallest reduced cost
+    outside the model."""
+    def price(row_dual, in_model):
+        return (), float(np.min((lp.c - lp.A.T @ row_dual)[~in_model]))
+    return price
+
+
+def test_columns_outside_the_model_are_held_to_the_scale_of_every_column():
+    # Column 1 prices 1e-6 below zero: beyond the dual tolerance of the
+    # model's own costs, within that of every column.
+    lp = undercut_lp(1e-6)
+    assert dual_tolerance(lp.columns([0])[0]) < 1e-6 < dual_tolerance(lp.c)
+    (sol,) = walk_from_column_0(lp, report_without_adding(lp))
+    assert (sol.value, sol.columns, sol.gap) == (1.0, 1, 0.0)
+    assert np.array_equal(sol.x, [1.0, 0.0, 0.0])
+    # 1e-4 below zero is beyond both.
+    lp = undercut_lp(1e-4)
+    with pytest.raises(LpError, match="a column outside the model has reduced cost "
+                                      "-1.000e-04 below -1.001e-05"):
+        walk_from_column_0(lp, report_without_adding(lp))
+
+
+def test_a_nan_reduced_cost_outside_the_model_is_caught():
+    lp = undercut_lp(0.0)
+    with pytest.raises(LpError, match="a column outside the model has reduced cost nan"):
+        walk_from_column_0(lp, lambda row_dual, in_model: ((), np.nan))
+
+
+def test_a_model_with_every_column_is_not_priced():
+    def price(row_dual, in_model):
+        raise AssertionError("a model with every column was priced")
+
+    lp = undercut_lp(0.5)
+    bounds = [(lp.row_lower, lp.row_upper)]
+    # From every column, and from none: the empty model is infeasible, so
+    # the path adds every column before its first optimal run.
+    for initial in ([0, 1, 2], []):
+        (sol,) = solve_path(lp, bounds, initial, price)
+        assert (sol.value, sol.columns) == (0.5, 3)
+    with pytest.raises(ValueError, match="a model without every column needs pricing"):
+        solve_path(lp, bounds, [0])
 
 
 # Column 0 has cost 1e-6 and no row entry, so its reduced cost is 1e-6 at
@@ -305,7 +362,8 @@ def test_warm_model_runs_the_simplex_its_basis_admits():
     model = HighsModel([1.0, -np.inf], [1.0, 2.0])
 
     def run():
-        status, x, _, _ = model.run()
+        status, _, _ = model.run()
+        x = model.col_value()
         # Every run prices its dual simplex by Devex weights.
         assert model._highs.getOptionValue(
             "simplex_dual_edge_weight_strategy")[1] == DEVEX_PRICING
@@ -338,9 +396,9 @@ def test_rejected_highs_changes_raise():
     with pytest.raises(LpError, match="changeRowBounds failed on row 2"):
         model.set_row_bounds([2], [0.0], [1.0])
     model.add_columns([1.0], [0, 2], [0, 1], [1.0, 1.0])
-    status, x, _, _ = model.run()
+    status, _, _ = model.run()
     assert (status, model.n_cols) == ("optimal", 1)
-    assert np.allclose(x, [1.0])
+    assert np.allclose(model.col_value(), [1.0])
 
 
 def test_rejected_highs_options_raise(monkeypatch):

@@ -1,9 +1,9 @@
 """Assignment-shaped global transport against HiGHS.
 
 Global-mode problems with uniform ``1/n`` weights are assignment problems
-with replicated atoms.  They go through the same column generation as every
-other transport problem and are certified by ``lp.certify`` on every arc;
-the dense LP over every arc, solved by ``lp.solve``, is the reference here.
+with replicated atoms.  They go through the same column generation and the
+same certificate as every other transport problem; the dense LP over every
+arc, solved by ``lp.solve``, is the reference here.
 """
 
 import numpy as np
@@ -66,22 +66,26 @@ def test_assignment_matches_highs(instance):
 
 class TestCertificate:
     def instance(self, monkeypatch, rng):
-        """``(lp, x, row_dual)`` that ``lp.certify`` accepted for an 8x8
-        uniform problem at ``beta = 0.5``."""
+        """``(lp, x, row_dual)`` of an 8x8 uniform problem at ``beta = 0.5``:
+        its dense LP over every arc, the solve's ``x`` scattered over every
+        column, and the row duals that the model's certificate accepted.
+        ``lp.certify`` accepts them on the dense LP too."""
         seen = []
 
-        def capture(lp, x, row_dual):
-            seen.append((lp, x, row_dual))
-            return certify(lp, x, row_dual)
+        def capture(lp, x, row_dual, c_norm=None):
+            seen.append(row_dual)
+            return certify(lp, x, row_dual, c_norm)
 
         monkeypatch.setattr(imdot.lp, "certify", capture)
         target = uniform(rng.uniform(-2, 2, (8, 2)))
         source = uniform(rng.uniform(-2, 2, (8, 2)))
         cost = cost_matrix(target.points, source.points)
-        _solve_blocks(target, [source], [cost], np.ones(1), [0.5])
+        ((sol, _, _),) = _solve_blocks(target, [source], [cost], np.ones(1), [0.5])
         monkeypatch.undo()
-        (found,) = seen
-        return found
+        (row_dual,) = seen
+        lp = _assemble_blocks(target, [source.weights], [cost], np.ones(1), 0.5)
+        assert certify(lp, sol.x, row_dual) == (sol.value, sol.residual, sol.gap)
+        return lp, sol.x, row_dual
 
     def test_swapped_rows_are_not_optimal(self, monkeypatch, rng):
         # Swapping two target rows keeps both marginals of a uniform plan,

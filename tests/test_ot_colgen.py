@@ -1,7 +1,8 @@
 """Column generation against the dense LP over every arc.
 
 Every LP-backed transport solve runs column generation on one warm HiGHS
-model and is certified on the full problem.  The references here are the
+model and is certified on the full problem: on the model's columns, and on
+every other arc by the pricing pass that ended it.  The references here are the
 dense LP of ``_assemble_blocks`` through ``lp.solve`` and, for small
 balanced problems, vertex enumeration.
 """
@@ -445,7 +446,7 @@ class TestCoarseStart:
 
         def counted(model):
             result = run(model)
-            iterations[-1] += result[3]
+            iterations[-1] += result[2]
             return result
 
         def walk():
@@ -667,26 +668,55 @@ class TestCertificate:
     """Planted faults: the full-arc certificate is independent of pricing."""
 
     def captured(self, monkeypatch, rng):
+        """``(lp, x, row_dual)`` of a split walk at budget 0.3: its dense LP
+        over every arc, the walk's ``x`` scattered over every column, and
+        the row duals that the model's certificate accepted.  ``lp.certify``
+        accepts them on the dense LP too."""
         seen = []
 
-        def capture(lp, x, row_dual):
-            seen.append((lp, x, row_dual))
-            return certify(lp, x, row_dual)
+        def capture(lp, x, row_dual, c_norm=None):
+            seen.append(row_dual)
+            return certify(lp, x, row_dual, c_norm)
 
         monkeypatch.setattr(imdot.lp, "certify", capture)
         target, conds, costs, p = split_instance(rng)
-        _solve_blocks(target, conds, costs, p, [0.3])
+        ((sol, _, _),) = _solve_blocks(target, conds, costs, p, [0.3])
         monkeypatch.undo()
-        (found,) = seen
-        return found
+        (row_dual,) = seen
+        lp = _assemble_blocks(target, [c.weights for c in conds], costs, p, 0.3)
+        assert certify(lp, sol.x, row_dual) == (sol.value, sol.residual, sol.gap)
+        return lp, sol.x, row_dual
 
     def test_pricing_that_misses_arcs_is_caught(self, monkeypatch, rng):
         # Pricing that never adds an arc stops at the restricted optimum of
-        # the initial support, which some arc outside the model beats.
+        # the initial support, which some arc outside the model beats.  The
+        # model's columns pass their certificate; the pricing pass does not,
+        # and neither does the dense LP's certificate of the scattered plan.
         target, conds, costs, p = split_instance(rng)
+        seen, starts = [], []
+        solve_path = imdot.ot.solve_path
+
+        def capture(lp, x, row_dual, c_norm=None):
+            seen.append((x, row_dual))
+            return certify(lp, x, row_dual, c_norm)
+
+        def recorded(lp, bounds, initial, price):
+            starts.append(np.unique(initial))
+            return solve_path(lp, bounds, initial, price)
+
+        monkeypatch.setattr(imdot.lp, "certify", capture)
+        monkeypatch.setattr(imdot.ot, "solve_path", recorded)
         monkeypatch.setattr(imdot.ot, "pricing_tolerance", lambda c: np.inf)
         with pytest.raises(LpError, match="reduced cost"):
             _solve_blocks(target, conds, costs, p, [0.3])
+        monkeypatch.undo()
+        ((x_model, row_dual),), (start,) = seen, starts
+        lp = _assemble_blocks(target, [c.weights for c in conds], costs, p, 0.3)
+        assert len(start) < lp.n_vars
+        x = np.zeros(lp.n_vars)
+        x[start] = x_model
+        with pytest.raises(LpError, match="reduced cost"):
+            certify(lp, x, row_dual)
 
     def test_an_arc_outside_the_model_that_prices_out(self, monkeypatch, rng):
         lp, x, row_dual = self.captured(monkeypatch, rng)
@@ -749,6 +779,75 @@ class TestCertificate:
             broken[entry] = np.nan
             with pytest.raises(LpError):
                 _verify_plan(target, capacity, broken)
+
+
+class TestModelCertificate:
+    """A walk certifies its model's columns at the scale of every arc, and
+    takes every other arc's certificate from the pricing pass that ended
+    the entry; that is ``lp.certify`` on the dense LP, to the bit."""
+
+    @staticmethod
+    def instance(rng, mode):
+        """``(target, sources, costs, cap_scale)`` with 8 to 12 atoms a
+        side: one block, or a split with an empty middle class."""
+        n_t = int(rng.integers(8, 13))
+        target = DiscreteMeasure(rng.uniform(-2, 2, (n_t, 2)), weights(rng, n_t, "zero_atom"))
+        if mode == "global":
+            sizes, cap_scale = [int(rng.integers(8, 13))], np.ones(1)
+        else:
+            sizes, cap_scale = [int(rng.integers(4, 7)), 0, int(rng.integers(4, 7))], \
+                np.array([0.5, 0.0, 0.5])
+        sources = [DiscreteMeasure(rng.uniform(-2, 2, (n, 2)),
+                                   weights(rng, n, "dyadic") if n else np.empty(0))
+                   for n in sizes]
+        return target, sources, [cost_matrix(target.points, c.points) for c in sources], \
+            cap_scale
+
+    @pytest.mark.parametrize("mode", ["global", "split"])
+    @pytest.mark.parametrize("lifted", [False, True])
+    def test_the_model_certificate_is_the_dense_one(self, monkeypatch, rng, mode, lifted):
+        # A lowered floor gives these small targets the coarse start.
+        if lifted:
+            monkeypatch.setattr(imdot.ot, "COARSE_MIN_ATOMS", 4)
+        lifts = TestCoarseStart.recorded_lifts(monkeypatch)
+        seen = []
+
+        def capture(lp, x, row_dual, c_norm=None):
+            seen.append((row_dual, c_norm))
+            return certify(lp, x, row_dual, c_norm)
+
+        monkeypatch.setattr(imdot.lp, "certify", capture)
+        budgets = np.array([0.25, 0.0, 1.0, 0.6])
+        partial = 0
+        for _ in range(6):
+            target, sources, costs, cap_scale = self.instance(rng, mode)
+            seen.clear()
+            walked = _solve_blocks(target, sources, costs, cap_scale, budgets)
+            # The fine walk certifies last, from the largest budget down.
+            order = np.argsort(-budgets, kind="stable")
+            for e, (row_dual, c_norm) in zip(order, seen[-len(budgets):]):
+                sol = walked[e][0]
+                lp = _assemble_blocks(target, [c.weights for c in sources], costs,
+                                      cap_scale, budgets[e])
+                assert c_norm == lp.c_norm
+                assert certify(lp, sol.x, row_dual) == (sol.value, sol.residual, sol.gap)
+                partial += sol.columns < lp.n_vars
+        assert partial > 0
+        assert any(lift is not None for _, lift in lifts) == lifted
+
+    def test_a_model_with_every_arc_is_not_priced(self, monkeypatch, rng):
+        # No more sources than NEAREST_ARCS: the start holds every arc.
+        n = imdot.ot.NEAREST_ARCS
+        target, source = (DiscreteMeasure(rng.uniform(-2, 2, (n, 2)), np.full(n, 1 / n))
+                          for _ in range(2))
+        cost = cost_matrix(target.points, source.points)
+
+        def priced(reduced, tol):
+            raise AssertionError("a model with every arc was priced")
+
+        monkeypatch.setattr(imdot.ot, "_priced_arcs", priced)
+        for value, _ in partial_ot_global_path(target, source, cost, [0.0, 0.5]):
+            assert value >= 0.0
 
 
 class TestObservability:
