@@ -59,6 +59,8 @@ class ToyConfig:
             raise ValueError("sigma must be positive")
         if self.eta < 0:
             raise ValueError("eta must be nonnegative")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         return {

@@ -59,15 +59,19 @@ def propagate_labels(plan, source_labels, n_classes: int | None = None) -> np.nd
     :class:`~imdot.ot.TransportPlanSet`, whose class-``k`` block holds the
     columns of the class-``k`` sources, so its row sums are the class
     votes; every block must be as wide as its class has labels, so a block
-    with no label has width 0, and every label must have a block.  Votes
-    within ``TIE_REL_TOL`` of the row's top vote tie, and ties resolve to
-    the smallest class index; a row carrying less than ``ROUNDING_TOL``
-    total mass is an error (the equality marginal makes it impossible short
-    of solver breakdown).
+    with no label has width 0, and every label, in ``1..n_classes`` (by
+    default up to the largest), must have a block.  Votes within
+    ``TIE_REL_TOL`` of the row's top vote tie, and ties resolve to the
+    smallest class index; a row carrying less than ``ROUNDING_TOL`` total
+    mass is an error (the equality marginal makes it impossible short of
+    solver breakdown).
     """
     source_labels = np.asarray(source_labels, dtype=int)
     if n_classes is None:
         n_classes = int(source_labels.max())
+    outside = source_labels[(source_labels < 1) | (source_labels > n_classes)]
+    if outside.size:
+        raise ValueError(f"source label {outside[0]} is outside 1..{n_classes}")
     if isinstance(plan, TransportPlanSet):
         if source_labels.size and source_labels.max() > len(plan.plans):
             raise ValueError(f"source label {source_labels.max()} has no block: the "

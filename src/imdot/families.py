@@ -85,10 +85,13 @@ class FunctionFamily:
             if hyp.ndim != 2 or hyp.shape[1] != len(pts):
                 raise ValueError("hypotheses must be (m, n_ground) label rows")
             object.__setattr__(self, "hypotheses", _freeze(hyp))
-        if self.kind == KIND_GRID:
-            levels = 1.0 / self.grid_step
-            if abs(levels - round(levels)) > 1e-9:
-                raise ValueError("grid_step must divide 1 exactly")
+        step = self.grid_step
+        # Written as "not within", so that a NaN fails it; (0, 1] keeps out
+        # inf and every step whose reciprocal cannot be taken.
+        if self.kind == KIND_GRID and not (0 < step <= 1
+                                           and abs(1 / step - round(1 / step)) <= 1e-9):
+            raise ValueError(f"grid_step must be in (0, 1] and divide 1 exactly, "
+                             f"got {step!r}")
 
     @property
     def n_ground(self) -> int:
@@ -323,26 +326,23 @@ def localization_inclusion_check(family: FunctionFamily,
     empty = DiscreteMeasure(np.empty((0, ground.shape[1])), np.empty(0))
     reference = mix(empty, conditionals, p)
     eps_pte = float(p @ eps_vec)
-    # An explicit eps is checked as the cap of global_localization.
-    eps = eps_pte if eps is None else float(global_localization(eps, reference).caps[0][1])
+    eps = eps_pte if eps is None else eps
+    # The global caps first, so that a bad explicit eps is named as their cap.
+    glob_pte, glob = (global_localization(e, reference).admission(ground)
+                      for e in (eps_pte, eps))
     eta = np.where(p > 0, eps / np.where(p > 0, p, 1.0), np.inf)
-
-    # Columns: the class conditionals, then their mixture as the reference.
-    weights = _weight_matrix((*conditionals, reference), ground)
+    per_class, per_class_eta = (per_class_localization(e, conditionals).admission(ground)
+                                for e in (eps_vec, eta))
 
     ok = [True, True]
     size_pc = size_glob = 0
     counterexample = None
     for batch in member_batches(family):
-        expectations = batch @ weights
-        e_class, e_ref = expectations[:, :-1], expectations[:, -1]
-        in_pc = np.all(e_class <= eps_vec + ROUNDING_TOL, axis=1)
-        in_pc_eta = np.all(e_class <= eta + ROUNDING_TOL, axis=1)
-        in_glob_pte = e_ref <= eps_pte + ROUNDING_TOL
-        in_glob = e_ref <= eps + ROUNDING_TOL
+        in_pc, in_glob = per_class(batch), glob(batch)
         size_pc += int(in_pc.sum())
         size_glob += int(in_glob.sum())
-        for direction, bad in enumerate((in_pc & ~in_glob_pte, in_glob & ~in_pc_eta)):
+        for direction, bad in enumerate((in_pc & ~glob_pte(batch),
+                                         in_glob & ~per_class_eta(batch))):
             if bad.any():
                 ok[direction] = False
                 if counterexample is None:

@@ -199,21 +199,22 @@ def solve_path(lp, bounds, initial, price=None) -> list:
     (row_lower, row_upper)``.  The model starts with the columns ``initial``
     of ``lp``; each entry changes the row bounds that differ, and runs again
     while columns are added: after an infeasible run every column the model
-    lacks, after an optimal one those that ``price(row_dual, in_model)``
-    names (``in_model`` marks the columns held).  ``price`` returns
-    ``(columns, lowest)``: the columns to add and the smallest reduced cost
-    over every column the model lacks, all of them ``x >= 0`` columns.  A
-    model that holds every column is not priced, and without ``price`` the
-    model must start with every column.  Each add reaches HiGHS sorted and
-    deduplicated, with its columns' own bounds.
+    lacks, after an optimal one those that ``price(row_dual)`` names.
+    ``price`` returns ``(columns, lowest)``: the columns to add and the
+    smallest reduced cost over every column, all of them ``x >= 0``
+    columns.  It may name columns the model holds; only this function
+    tracks the model, and it drops them.  A model that holds every column
+    is not priced, and without ``price`` the model must start with every
+    column.  Each add reaches HiGHS sorted and deduplicated, with its
+    columns' own bounds.
 
     An entry ends at an optimal run that adds no column.  Its certificate
     is :func:`certify` on the model's columns, which also gives its value,
     with the dual tolerance of every column of ``lp``, and the pricing pass
-    that ended it: no column outside the model prices below
-    ``-dual_tolerance(c)``.  Such a column is at zero, so it adds nothing to
-    the residual, the value or the gap; this is the certificate of
-    :func:`certify` on every column.
+    that ended it: no column prices below ``-dual_tolerance(c)``.  A column
+    outside the model is at zero, so it adds nothing to the residual, the
+    value or the gap; this is the certificate of :func:`certify` on every
+    column.
 
     Returns one :class:`LpSolution` per entry, in order, with ``x`` over
     every column, up to the first entry infeasible with every column: a
@@ -266,7 +267,7 @@ def solve_path(lp, bounds, initial, price=None) -> list:
                         break
                     return solutions
                 if status == "optimal":
-                    new, lowest = price(row_dual, in_model)
+                    new, lowest = price(row_dual)
                 else:
                     new = np.flatnonzero(~in_model)
                 if not add(new):
@@ -370,9 +371,10 @@ def certify(lp: LinearProgram, x: np.ndarray, row_dual: np.ndarray, c_norm=None)
 
 def _certify_outside(lowest: float, c_norm: float) -> None:
     """The rest of a priced entry's certificate: ``lowest``, the smallest
-    reduced cost of the columns outside the model, all ``x >= 0`` columns at
-    zero, is at least ``-dual_tolerance(c)`` of the LP whose ``||c||_inf`` is
-    ``c_norm``."""
+    reduced cost over every column, is at least ``-dual_tolerance(c)`` of the
+    LP whose ``||c||_inf`` is ``c_norm``.  The model's columns have passed
+    :func:`certify` at that bound, so a failure is a column outside the
+    model, an ``x >= 0`` column at zero."""
     tol = dual_tolerance(c_norm)
     # Written as "not within", so that a NaN fails it.
     if not lowest >= -tol:
@@ -380,9 +382,9 @@ def _certify_outside(lowest: float, c_norm: float) -> None:
                       f"reduced cost {lowest:.3e} below -{tol:.3e}")
 
 
-#: HiGHS ``simplex_strategy`` values: dual and primal simplex.
-DUAL_SIMPLEX = 1
-PRIMAL_SIMPLEX = 4
+#: HiGHS ``simplex_strategy`` value: HiGHS chooses the simplex of each run
+#: from the basis it starts from.
+CHOOSE_SIMPLEX = 0
 
 #: HiGHS ``simplex_dual_edge_weight_strategy`` value: Devex pricing.
 DEVEX_PRICING = 1
@@ -393,11 +395,10 @@ class HighsModel:
 
     Rows are fixed when the model is made; columns are added in batches and
     row bounds changed between runs, and each run starts from the last
-    basis with the simplex it admits.  Added columns leave it primal
-    feasible, so a run after :meth:`add_columns` alone takes primal simplex;
-    new row bounds leave it dual feasible, so a run after
-    :meth:`set_row_bounds`, or the first run, takes dual simplex.  The dual
-    simplex prices by Devex weights (``DEVEX_PRICING``; Harris, 1973), not
+    basis.  HiGHS picks the simplex that basis admits (``CHOOSE_SIMPLEX``):
+    primal after added columns, which leave it primal feasible, dual after
+    new row bounds, which leave it dual feasible.  The dual simplex prices
+    by Devex weights (``DEVEX_PRICING``; Harris, 1973), not
     exact steepest edge, whose weights cost one more solve with the basis
     per pivot; on the global transport walks of :mod:`imdot.ot` Devex also
     took about half the pivots.
@@ -409,16 +410,17 @@ class HighsModel:
         self._highs = _Highs()
         for option, value in (("output_flag", False),
                               ("presolve", "off"),
+                              ("simplex_strategy", CHOOSE_SIMPLEX),
                               ("simplex_dual_edge_weight_strategy", DEVEX_PRICING),
                               ("primal_feasibility_tolerance", HIGHS_TOL),
                               ("dual_feasibility_tolerance", HIGHS_TOL)):
-            self._set_option(option, value)
+            self._check(f"setOptionValue({option!r}, {value!r})",
+                        self._highs.setOptionValue(option, value))
         n = len(self._lower)
         self._check("addRows", self._highs.addRows(
             n, self._lower, self._upper, 0, np.zeros(n, np.int32),
             np.zeros(0, np.int32), np.zeros(0)))
         self.n_cols = 0
-        self._rows_changed = True
         self._solution = None
 
     @staticmethod
@@ -428,10 +430,6 @@ class HighsModel:
         # leaves the model as it was.
         if status == HighsStatus.kError:
             raise LpError(f"HiGHS {call} failed" + ("" if row is None else f" on row {row}"))
-
-    def _set_option(self, option: str, value) -> None:
-        self._check(f"setOptionValue({option!r}, {value!r})",
-                    self._highs.setOptionValue(option, value))
 
     def add_columns(self, cost, starts, indices, values, lower=None, upper=None) -> None:
         """Add columns with objective ``cost`` and bounds ``lower <= x <=
@@ -454,7 +452,6 @@ class HighsModel:
             self._check("changeRowBounds",
                         self._highs.changeRowBounds(int(i), float(lo), float(up)), i)
             self._lower[i], self._upper[i] = lo, up
-            self._rows_changed = True
 
     def run(self):
         """``(status, row_dual, iterations)`` of one run.
@@ -466,9 +463,6 @@ class HighsModel:
         values of an optimal run are read by :meth:`col_value`, only where
         an entry ends: pricing needs the row duals alone.
         """
-        self._set_option(
-            "simplex_strategy", DUAL_SIMPLEX if self._rows_changed else PRIMAL_SIMPLEX)
-        self._rows_changed = False
         self._solution = None
         self._highs.run()
         status = self._highs.getModelStatus()

@@ -25,12 +25,13 @@ of ``_assemble_blocks``, run as exact column generation; this module keeps
 only what is transport's own.  The walk never builds that LP whole: an
 :class:`_ArcGrid` makes its columns on demand from the cost grid.  Arc
 ``(i, j)`` of the concatenated source is LP column ``K + i * n_src + j``,
-after the ``K`` ``beta`` columns, and that column is also its pricing key.
-The walk starts with the ``beta`` columns and, once the target has
-``COARSE_MIN_ATOMS`` atoms, the arcs lifted from the walk of the coarsened
-problem alone (:func:`_coarse_arcs`; Oberman & Ruan, 2015, Schmitzer,
-2016): target and source are binned on one grid over
-the target of about one target atom per cell, the coarse walk runs at the
+after the ``K`` ``beta`` columns, and that column is also its pricing key;
+only :func:`_walk_blocks` numbers arcs so, and it hands each entry back as
+its ``beta`` values and its plan grid.  The walk starts with the ``beta``
+columns and, once the target has ``COARSE_MIN_ATOMS`` atoms, the arcs lifted
+from the walk of the coarsened problem alone (:func:`_coarse_arcs`; Oberman
+& Ruan, 2015, Schmitzer, 2016): target and source are binned on one grid
+over the target of about one target atom per cell, the coarse walk runs at the
 largest and the smallest budget of the fine walk, and every fine arc between
 two cells that carry mass at either starts in the model, unless there would
 be more than ``COARSE_MAX_ARCS`` per fine atom.  The lift holds a feasible
@@ -42,10 +43,11 @@ weights (:func:`_initial_arcs`).  The coarse walk only chooses columns; each
 value is certified on every fine arc, by :func:`imdot.lp.certify` on the
 model's arcs and, for every other arc, by the pricing pass that ended the
 entry.  Each round prices all arcs exactly, ``C - u - y``, into one buffer
-of the walk, and adds up to ``ARCS_PER_ROW`` per target row, until none is
+of the walk, and names up to ``ARCS_PER_ROW`` per target row, until none is
 below ``-HIGHS_TOL * (1 + max C)``: the tolerance HiGHS itself works to, so
-the walk ends at the same optimum whichever simplex ran.  A model that
-holds every arc is not priced.  Several budgets, such as the global
+the walk ends at the same optimum whichever simplex ran.  An arc the model
+already holds may be named; :func:`imdot.lp.solve_path` drops it.  A model
+that holds every arc is not priced.  Several budgets, such as the global
 relaxation's or a split's grid, are walked from the largest down, changing
 only the budget row.
 """
@@ -199,15 +201,13 @@ def _solve_blocks(target: DiscreteMeasure,
         raise LpError(f"transport LP ended infeasible; target mass "
                       f"{target.total_mass!r}, total capacity {capacity!r}")
 
-    n_beta = len(cond_weights)
     widths = [len(w) for w in cond_weights]
     results = [None] * len(walk)
-    for e, sol in zip(order, walked):
+    for e, (sol, beta, plan) in zip(order, walked):
         budget = float(budgets[e])
-        if not abs(float(np.sum(sol.x[:n_beta])) - budget) <= FEASIBILITY_TOL:
-            raise LpError(f"budget violated: {np.sum(sol.x[:n_beta])!r} != {budget!r}")
-        beta = np.maximum(sol.x[:n_beta], 0.0)
-        plan = sol.x[n_beta:].reshape(n_t, sum(widths))
+        if not abs(float(np.sum(beta)) - budget) <= FEASIBILITY_TOL:
+            raise LpError(f"budget violated: {np.sum(beta)!r} != {budget!r}")
+        beta = np.maximum(beta, 0.0)
         _verify_plan(target, _capacity(cap_scale + beta, cond_weights), plan)
         results[e] = (sol, np.split(plan, np.cumsum(widths)[:-1], axis=1), beta)
     return results
@@ -220,36 +220,37 @@ def _capacity(cap_scale, cond_weights) -> np.ndarray:
 
 def _walk_blocks(target, cond_weights, costs, cap_scale, budgets, lifted) -> list:
     """The column-generation walk of :func:`_solve_blocks` over ``budgets``,
-    in their order, unchecked: one :class:`imdot.lp.LpSolution` per budget up
-    to the first that is infeasible with every arc.  Each budget after the
-    first changes only the budget row.  The model starts with the ``beta``
-    columns and the ``lifted`` arcs ``(rows, cols)`` or, when ``lifted`` is
+    in their order, unchecked: one ``(solution, beta, plan)`` per budget up
+    to the first that is infeasible with every arc, ``plan`` one ``(n_t,
+    n_src)`` grid over the concatenated source.  Each budget after the first
+    changes only the budget row.  The model starts with the ``beta`` columns
+    and the ``lifted`` arcs ``(rows, cols)`` or, when ``lifted`` is
     ``None``, the arcs of :func:`_initial_arcs` at the capacities
-    ``cap_scale``.  Its columns come from the :class:`_ArcGrid` of the
-    costs, and each pricing pass writes ``C - u - v`` into one buffer."""
+    ``cap_scale``.  Its columns, numbered here alone, come from the
+    :class:`_ArcGrid` of the costs, and each pricing pass writes ``C - u -
+    v`` over every arc into one buffer."""
     n_t = target.n_atoms
     n_beta = len(cond_weights)
-    grid = _ArcGrid(np.hstack([cost.entries for cost in costs]),
-                    *_beta_columns(target, cond_weights, cap_scale, budgets[0]))
+    betas, lower, upper = _beta_columns(target, cond_weights, cap_scale)
+    grid = _ArcGrid(np.hstack([cost.entries for cost in costs]), betas)
     cost = grid.cost
     n_src = cost.shape[1]
     tol = pricing_tolerance(grid.c_norm)
     reduced = np.empty_like(cost)
 
-    def price(row_dual, in_model):
+    def price(row_dual):
         np.subtract(cost, row_dual[:n_t, None], out=reduced)
         np.subtract(reduced, row_dual[n_t:n_t + n_src], out=reduced)
-        np.putmask(reduced, in_model[n_beta:].reshape(cost.shape), np.inf)
         rows, cols, lowest = _priced_arcs(reduced, tol)
         return n_beta + rows * n_src + cols, lowest
 
-    lower, upper = grid.row_lower[:-1], grid.row_upper[:-1]
     bounds = [(np.append(lower, budget), np.append(upper, budget)) for budget in budgets]
     if lifted is None:
         lifted = _initial_arcs(cost, target.weights, _capacity(cap_scale, cond_weights))
     rows, cols = lifted
-    return solve_path(grid, bounds, np.append(np.arange(n_beta), n_beta + rows * n_src + cols),
-                      price)
+    walked = solve_path(grid, bounds,
+                        np.append(np.arange(n_beta), n_beta + rows * n_src + cols), price)
+    return [(sol, sol.x[:n_beta], sol.x[n_beta:].reshape(cost.shape)) for sol in walked]
 
 
 @dataclass(frozen=True)
@@ -258,13 +259,11 @@ class _ArcGrid:
     (see :func:`imdot.lp.solve_path`), its arcs made on demand from the
     ``(n_t, n_src)`` grid ``cost``: arc ``(i, j)``, column ``K + i * n_src +
     j``, costs ``cost[i, j]`` and is a 1 in target row ``i`` and in capacity
-    row ``n_t + j``.  ``betas`` holds the ``K`` ``beta`` columns, and
-    ``row_lower`` and ``row_upper`` bound every row (:func:`_beta_columns`)."""
+    row ``n_t + j``.  ``betas`` holds the ``K`` ``beta`` columns
+    (:func:`_beta_columns`); each entry of the walk brings its row bounds."""
 
     cost: np.ndarray
     betas: tuple
-    row_lower: np.ndarray
-    row_upper: np.ndarray
 
     @property
     def n_vars(self) -> int:
@@ -360,8 +359,8 @@ def _coarse_arcs(target: DiscreteMeasure, sources, cap_scale, budgets):
     if len(walked) < len(ends):
         return None
     carried = np.zeros((coarse_target.n_atoms, offset), dtype=bool)
-    for sol in walked:
-        carried |= sol.x[len(blocks):].reshape(carried.shape) > 0
+    for _, _, plan in walked:
+        carried |= plan > 0
     n_src = sum(source.n_atoms for source in sources)
     if target_counts @ carried @ np.concatenate(source_counts) > COARSE_MAX_ARCS * (n_t + n_src):
         return None
@@ -370,17 +369,16 @@ def _coarse_arcs(target: DiscreteMeasure, sources, cap_scale, budgets):
 
 def _beta_columns(target: DiscreteMeasure,
                   cond_weights: Sequence[np.ndarray],
-                  cap_scale: np.ndarray,
-                  budget: float) -> tuple:
+                  cap_scale: np.ndarray) -> tuple:
     """``(betas, row_lower, row_upper)``: the ``K`` capacity columns of the
-    block-transport problem at one budget, and the bounds of its rows (see
-    :func:`_assemble_blocks`).
+    block-transport problem, and the bounds of its rows but the budget row
+    (see :func:`_assemble_blocks`).
 
     ``betas[k]`` is column ``beta_k`` as ``(rows, values)``: ``-w_j`` in each
     capacity row of class ``k`` where ``w_j != 0``, and 1 in the budget row.
-    Rows are the target marginals and the budget row, equalities, and the
-    class capacity rows ``cap_scale_k * w_j``, bounded above only; the budget
-    row is last."""
+    Rows are the target marginals, equalities, and the class capacity rows
+    ``cap_scale_k * w_j``, bounded above only; the budget row, an equality
+    at the budget, comes last, and its callers append it."""
     n_t = target.n_atoms
     widths = [len(w) for w in cond_weights]
     n_src = sum(widths)
@@ -389,8 +387,8 @@ def _beta_columns(target: DiscreteMeasure,
         held = np.flatnonzero(w)
         betas.append((np.append(n_t + start + held, n_t + n_src), np.append(-w[held], 1.0)))
     capacity = _capacity(cap_scale, cond_weights)
-    lower = np.concatenate([target.weights, np.full(len(capacity), -np.inf), [budget]])
-    upper = np.concatenate([target.weights, capacity, [budget]])
+    lower = np.concatenate([target.weights, np.full(len(capacity), -np.inf)])
+    upper = np.concatenate([target.weights, capacity])
     return tuple(betas), lower, upper
 
 
@@ -415,7 +413,7 @@ def _assemble_blocks(target: DiscreteMeasure,
     :func:`imdot.lp.certify`, so it builds every arc column by its own index
     arithmetic rather than by :meth:`_ArcGrid.columns`.
     """
-    betas, lower, upper = _beta_columns(target, cond_weights, cap_scale, budget)
+    betas, lower, upper = _beta_columns(target, cond_weights, cap_scale)
     n_t = target.n_atoms
     n_src = sum(len(w) for w in cond_weights)
     target_row, j = np.divmod(np.arange(n_t * n_src), n_src)
@@ -427,8 +425,8 @@ def _assemble_blocks(target: DiscreteMeasure,
                         np.hstack([cost.entries for cost in costs]).ravel()])
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     A = sp.csc_matrix((np.concatenate(data), np.concatenate(rows), indptr),
-                      shape=(len(upper), len(c)))
-    return LinearProgram(c, A, lower, upper)
+                      shape=(len(upper) + 1, len(c)))
+    return LinearProgram(c, A, np.append(lower, budget), np.append(upper, budget))
 
 
 def _north_west_corner(demand: np.ndarray, capacity: np.ndarray) -> tuple:

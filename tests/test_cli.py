@@ -177,6 +177,7 @@ def test_toy_parameters_must_be_finite(tmp_path, capsys):
     (["--eta", -1], "eta must be nonnegative"),
     (["--n", 2, "--k", 3], "sample sizes must be at least the class count"),
     (["--n-target", -5], "sample sizes must be at least the class count"),
+    (["--seed", -1], "seed must be a nonnegative integer, got -1"),
 ])
 def test_an_invalid_toy_config_is_a_usage_error(tmp_path, capsys, command, flags, cause):
     out = tmp_path / "w"

@@ -77,6 +77,22 @@ class TestPropagateLabels:
                                              "has 1"):
             propagate_labels(plan_set, np.array([1, 2]))
 
+    @pytest.mark.parametrize("form", ["dense", "plan_set"])
+    @pytest.mark.parametrize("labels, n_classes, named", [
+        ([1, 2, 3], 2, "source label 3 is outside 1..2"),
+        ([0, 1, 2], 2, "source label 0 is outside 1..2"),
+        ([0, 1, 2], None, "source label 0 is outside 1..2"),
+    ])
+    def test_a_label_outside_the_classes_is_rejected(self, form, labels, n_classes, named):
+        # The column of the outside label carries mass; dropping it would
+        # still label every row.
+        plan = np.array([[0.1, 0.0, 0.4], [0.0, 0.5, 0.0]])
+        if form == "plan_set":
+            plan = TransportPlanSet(tuple(plan[:, [j]] for j in np.argsort(labels)),
+                                    np.zeros(3), 0.0)
+        with pytest.raises(ValueError, match=named):
+            propagate_labels(plan, np.array(labels), n_classes)
+
     def test_zero_row_errors(self):
         plan = np.array([[0.0, 0.0], [0.5, 0.5]])
         with pytest.raises(ValueError):

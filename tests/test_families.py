@@ -121,6 +121,12 @@ class TestEnumeration:
         values = {v for m in out for v in m}
         assert values == {0.0, 0.5, 1.0}
 
+    @pytest.mark.parametrize("step", [-0.25, -1.0, 0.0, 0.3, 1.5, np.inf, np.nan])
+    def test_a_bad_grid_step_is_named(self, step):
+        with pytest.raises(ValueError, match=r"grid_step must be in \(0, 1\] and divide "
+                                             r"1 exactly, got "):
+            grid_family(TWO_POINTS, step=step)
+
     def test_hdh_members_are_binary(self, rng):
         pts = random_points(rng, 5)
         fam = hdh_family(pts, rng.integers(1, 4, size=(6, 5)))
@@ -279,6 +285,14 @@ class TestInclusionChecks:
             localization_inclusion_check(indicator_family(pts), conds, np.array([0.5, 0.5]),
                                          np.array([np.nan, 0.1]))
         assert len(per_class_localization([np.inf, 0.1], conds).caps) == 1
+
+    def test_an_infinite_eps_of_a_class_with_mass_makes_an_infinite_global_cap(self, rng):
+        # p @ eps_vec is the global cap of direction 1, which must be finite.
+        pts = random_points(rng, 3)
+        conds = [DiscreteMeasure(pts[:2], [0.5, 0.5]), DiscreteMeasure(pts[2:], [1.0])]
+        with pytest.raises(ValueError, match="cap 0 needs a finite eps >= 0, got inf"):
+            localization_inclusion_check(indicator_family(pts), conds, np.array([0.5, 0.5]),
+                                         np.array([np.inf, 0.1]))
 
     def test_degenerate_class_gets_infinite_eta(self, rng):
         pts = random_points(rng, 4)

@@ -10,9 +10,8 @@ import scipy.sparse as sp
 import imdot
 from imdot.checks import dyadic_weights
 from imdot.lp import (
+    CHOOSE_SIMPLEX,
     DEVEX_PRICING,
-    DUAL_SIMPLEX,
-    PRIMAL_SIMPLEX,
     HighsModel,
     HighsModelStatus,
     LinearProgram,
@@ -167,9 +166,9 @@ def walk_from_column_0(lp, price):
 
 def report_without_adding(lp):
     """Pricing that adds no column and reports the smallest reduced cost
-    outside the model."""
-    def price(row_dual, in_model):
-        return (), float(np.min((lp.c - lp.A.T @ row_dual)[~in_model]))
+    over every column."""
+    def price(row_dual):
+        return (), float(np.min(lp.c - lp.A.T @ row_dual))
     return price
 
 
@@ -191,11 +190,35 @@ def test_columns_outside_the_model_are_held_to_the_scale_of_every_column():
 def test_a_nan_reduced_cost_outside_the_model_is_caught():
     lp = undercut_lp(0.0)
     with pytest.raises(LpError, match="a column outside the model has reduced cost nan"):
-        walk_from_column_0(lp, lambda row_dual, in_model: ((), np.nan))
+        walk_from_column_0(lp, lambda row_dual: ((), np.nan))
+
+
+def test_pricing_that_names_only_held_columns_ends_the_entry(monkeypatch):
+    # Columns 0 and 1 start in the model; pricing names both, and column
+    # 2, the only one outside, prices at 999.5.
+    lp = undercut_lp(0.5)
+    added, priced = [], []
+    add_columns = HighsModel.add_columns
+
+    def recorded(model, cost, *args):
+        added.append(len(cost))
+        return add_columns(model, cost, *args)
+
+    def price(row_dual):
+        reduced = lp.c - lp.A.T @ row_dual
+        priced.append(reduced)
+        return [1, 0, 1], float(np.min(reduced))
+
+    monkeypatch.setattr(HighsModel, "add_columns", recorded)
+    (sol,) = solve_path(lp, [(lp.row_lower, lp.row_upper)], [0, 1], price)
+    assert added == [2]
+    assert np.array_equal(priced[0], [0.5, 0.0, 999.5])
+    assert (sol.value, sol.columns, sol.rounds, sol.gap) == (0.5, 2, 1, 0.0)
+    assert np.array_equal(sol.x, [0.0, 1.0, 0.0])
 
 
 def test_a_model_with_every_column_is_not_priced():
-    def price(row_dual, in_model):
+    def price(row_dual):
         raise AssertionError("a model with every column was priced")
 
     lp = undercut_lp(0.5)
@@ -356,35 +379,44 @@ def test_only_the_lp_module_imports_the_private_highs_binding():
     assert importers == ["lp"]
 
 
-def test_warm_model_runs_the_simplex_its_basis_admits():
+class RecordedOptionsHighs(_Highs):
+    options = []
+
+    def setOptionValue(self, option, value):
+        self.options.append((option, value))
+        return super().setOptionValue(option, value)
+
+
+def test_warm_model_runs_the_simplex_its_basis_admits(monkeypatch):
+    # HiGHS chooses the simplex of every run from its basis: the option is
+    # set once, with the others, when the model is made.
+    monkeypatch.setattr(imdot.lp, "_Highs", RecordedOptionsHighs)
+    monkeypatch.setattr(RecordedOptionsHighs, "options", [])
     # Row 0: the columns meet a demand; row 1: the columns with a 1 there
     # share a capacity of 2.
     model = HighsModel([1.0, -np.inf], [1.0, 2.0])
+    made = list(RecordedOptionsHighs.options)
+    assert made.count(("simplex_strategy", CHOOSE_SIMPLEX)) == 1
+    assert ("simplex_dual_edge_weight_strategy", DEVEX_PRICING) in made
 
     def run():
         status, _, _ = model.run()
-        x = model.col_value()
-        # Every run prices its dual simplex by Devex weights.
-        assert model._highs.getOptionValue(
-            "simplex_dual_edge_weight_strategy")[1] == DEVEX_PRICING
-        return status, x, model._highs.getOptionValue("simplex_strategy")[1]
+        return status, model.col_value()
 
     model.add_columns([3.0], [0, 1], [0], [1.0])
-    status, x, strategy = run()
-    assert (status, strategy) == ("optimal", DUAL_SIMPLEX)    # a new model
+    status, x = run()                                          # a new model
+    assert status == "optimal" and np.allclose(x, [1.0])
     model.add_columns([1.0, 2.0], [0, 2, 3], [0, 1, 0], [1.0, 1.0, 1.0])
-    status, x, strategy = run()
-    assert (status, strategy) == ("optimal", PRIMAL_SIMPLEX)  # columns only
-    assert np.allclose(x, [0.0, 1.0, 0.0])
+    status, x = run()                                          # columns only
+    assert status == "optimal" and np.allclose(x, [0.0, 1.0, 0.0])
     model.set_row_bounds([0], [3.0], [3.0])
-    status, x, strategy = run()
-    assert (status, strategy) == ("optimal", DUAL_SIMPLEX)    # new bounds
-    assert np.allclose(x, [0.0, 2.0, 1.0])
+    status, x = run()                                          # new bounds
+    assert status == "optimal" and np.allclose(x, [0.0, 2.0, 1.0])
     model.add_columns([0.5], [0, 2], [0, 1], [1.0, 1.0])
     model.set_row_bounds([0], [2.0], [2.0])
-    status, x, strategy = run()
-    assert (status, strategy) == ("optimal", DUAL_SIMPLEX)    # both changed
-    assert np.allclose(x, [0.0, 0.0, 0.0, 2.0])
+    status, x = run()                                          # both changed
+    assert status == "optimal" and np.allclose(x, [0.0, 0.0, 0.0, 2.0])
+    assert RecordedOptionsHighs.options == made
 
 
 def test_rejected_highs_changes_raise():
@@ -408,11 +440,9 @@ def test_rejected_highs_options_raise(monkeypatch):
     with pytest.raises(LpError, match=r"setOptionValue\('primal_feasibility_tolerance', 1e-11\)"):
         HighsModel([1.0], [1.0])
     monkeypatch.undo()
-    model = HighsModel([1.0], [1.0])
-    model.add_columns([1.0], [0, 1], [0], [1.0])
-    monkeypatch.setattr(imdot.lp, "DUAL_SIMPLEX", 99)
+    monkeypatch.setattr(imdot.lp, "CHOOSE_SIMPLEX", 99)
     with pytest.raises(LpError, match=r"setOptionValue\('simplex_strategy', 99\)"):
-        model.run()
+        HighsModel([1.0], [1.0])
 
 
 class UnboundedOrInfeasibleHighs(_Highs):

@@ -21,11 +21,10 @@ import imdot.ot
 from imdot.checks import dyadic_weights
 from imdot.datagen import ToyConfig, draw_seeds, generate_pair
 from imdot.lp import (
+    CHOOSE_SIMPLEX,
     DEVEX_PRICING,
-    DUAL_SIMPLEX,
     FEASIBILITY_TOL,
     GAP_TOL,
-    PRIMAL_SIMPLEX,
     HighsModel,
     LinearProgram,
     LpError,
@@ -56,6 +55,9 @@ from imdot.ot import (
 from test_lp import brute_force_transport_value
 
 BETAS = (0.0, 0.25, 1 / 3, 1.0, 1.49, 3.0)
+
+#: HiGHS ``simplex_strategy`` value: dual simplex on every run.
+DUAL_SIMPLEX = 1
 
 
 def close(a, b, rel=1e-12):
@@ -567,17 +569,21 @@ class TestGridWalk:
             return result
 
         monkeypatch.setattr(HighsModel, "run", recorded)
-        for (classes, class_costs), references in zip(
-                ((conds, costs), (far, far_costs)), split_references):
-            path = partial_ot_beta_split_path(target, classes, p, self.GRID, class_costs)
-            for plan_set, reference in zip(path, references):
-                assert close(plan_set.objective, reference, rel=1e-9)
-        path = partial_ot_global_path(target, source, cost, self.GRID)
-        for (value, _), reference in zip(path, global_references):
-            assert close(value, reference, rel=1e-9)
-        # Dual simplex once per entry of each walk, primal after pricing rounds.
-        assert strategies.count(DUAL_SIMPLEX) == 3 * len(self.GRID)
-        assert PRIMAL_SIMPLEX in strategies
+        # HiGHS's own choice of simplex, then dual simplex on every run.
+        for strategy in (CHOOSE_SIMPLEX, DUAL_SIMPLEX):
+            monkeypatch.setattr(imdot.lp, "CHOOSE_SIMPLEX", strategy)
+            strategies.clear()
+            for (classes, class_costs), references in zip(
+                    ((conds, costs), (far, far_costs)), split_references):
+                path = partial_ot_beta_split_path(target, classes, p, self.GRID, class_costs)
+                for plan_set, reference in zip(path, references):
+                    assert close(plan_set.objective, reference, rel=1e-9)
+            path = partial_ot_global_path(target, source, cost, self.GRID)
+            for (value, _), reference in zip(path, global_references):
+                assert close(value, reference, rel=1e-9)
+            # At least one run per entry of each walk, each under the strategy.
+            assert len(strategies) >= 3 * len(self.GRID)
+            assert set(strategies) == {strategy}
 
     def test_negative_budget_in_the_grid(self, rng):
         target, conds, costs, p = split_instance(rng, n_t=5, sizes=(2, 0, 3))
@@ -588,8 +594,9 @@ class TestGridWalk:
 class TestSimplexPath:
     """A certified value does not depend on which simplex HiGHS ran.
 
-    Each walk runs under the default rule (primal simplex after a pricing
-    round) and with every run taking dual simplex.  The draws are K = 3,
+    Each walk runs under HiGHS's own choice of simplex (primal after a
+    pricing round, from a basis still primal feasible) and with every run
+    taking dual simplex.  The draws are K = 3,
     n = 300 toy pairs on which pricing at the certificate's bound,
     ``-dual_tolerance(c)``, ended the two rules 2.4e-11 (global walk,
     beta = 0.25) and 8.8e-12 (split walk, beta = 0) apart.
@@ -616,7 +623,7 @@ class TestSimplexPath:
 
         default = walk()
         # Every run takes dual simplex, also after a pricing round.
-        monkeypatch.setattr(imdot.lp, "PRIMAL_SIMPLEX", DUAL_SIMPLEX)
+        monkeypatch.setattr(imdot.lp, "CHOOSE_SIMPLEX", DUAL_SIMPLEX)
         all_dual = walk()
         monkeypatch.undo()
         for a, b in zip(default, all_dual):
