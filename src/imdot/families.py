@@ -315,7 +315,8 @@ def localization_inclusion_check(family: FunctionFamily,
     """Check both localization inclusions on an enumerable family.
 
     Direction 1: the family localized per class at ``eps_vec`` is contained
-    in the family localized globally at ``proportions @ eps_vec``.
+    in the family localized globally at ``proportions @ eps_vec``, summed
+    over the classes with mass.
     Direction 2: the family localized globally at ``eps`` (default
     ``proportions @ eps_vec``) is contained in the per-class localization at
     ``eta_k = eps / proportions[k]`` (infinite where a class is empty).
@@ -325,7 +326,9 @@ def localization_inclusion_check(family: FunctionFamily,
     ground = family.ground_points
     empty = DiscreteMeasure(np.empty((0, ground.shape[1])), np.empty(0))
     reference = mix(empty, conditionals, p)
-    eps_pte = float(p @ eps_vec)
+    # A class without mass adds nothing to the cap, even at an infinite eps.
+    held = p > 0
+    eps_pte = float(p[held] @ eps_vec[held])
     eps = eps_pte if eps is None else eps
     # The global caps first, so that a bad explicit eps is named as their cap.
     glob_pte, glob = (global_localization(e, reference).admission(ground)

@@ -5,7 +5,9 @@ bounded as variables are, ``row_lower <= A x <= row_upper``, with ``A`` one
 compressed-column (CSC) matrix.  Every problem is solved by one loop,
 :func:`solve_path`, on one adapter, :class:`HighsModel`: a warm model walked
 over a list of row bounds, which grows by columns of the LP when a run ends
-infeasible or a caller's pricing names some.  The LP is given by its
+infeasible or a caller's pricing names some.  Before each new entry of a
+priced walk it drops the columns, outside its start, that the last optimum
+prices out; pricing brings back any that pay again.  The LP is given by its
 columns, taken on demand: a :class:`LinearProgram`, or a column source such
 as the arc grid of :mod:`imdot.ot`, which never builds its columns all at
 once.  :func:`solve` is the simplest case, one entry with every column and
@@ -195,11 +197,12 @@ def solve_path(lp, bounds, initial, price=None) -> list:
     ``lp`` is a :class:`LinearProgram` or a column source like it: its
     ``n_vars`` columns, ``c_norm`` (``||c||_inf`` over all of them) and
     ``columns(keys)``, the columns ``keys`` in the form
-    :meth:`HighsModel.add_columns` takes.  Entry ``e`` is ``lp`` with the row bounds ``bounds[e] =
-    (row_lower, row_upper)``.  The model starts with the columns ``initial``
-    of ``lp``; each entry changes the row bounds that differ, and runs again
-    while columns are added: after an infeasible run every column the model
-    lacks, after an optimal one those that ``price(row_dual)`` names.
+    :meth:`HighsModel.add_columns` takes.  Entry ``e`` is ``lp`` with the
+    row bounds ``bounds[e] = (row_lower, row_upper)``.  The model starts
+    with the columns ``initial`` of ``lp``; each entry changes the row bounds
+    that differ, and runs again while columns are added: after an infeasible
+    run every column the model lacks, after an optimal one those that
+    ``price(row_dual)`` names.
     ``price`` returns ``(columns, lowest)``: the columns to add and the
     smallest reduced cost over every column, all of them ``x >= 0``
     columns.  It may name columns the model holds; only this function
@@ -207,6 +210,16 @@ def solve_path(lp, bounds, initial, price=None) -> list:
     is not priced, and without ``price`` the model must start with every
     column.  Each add reaches HiGHS sorted and deduplicated, with its
     columns' own bounds.
+
+    Before each entry after the first, a priced walk deletes from the model
+    every column that is not a start column and that the previous entry's
+    optimum prices out: at zero, with a reduced cost above
+    ``pricing_tolerance(c)``, the mirror of pricing, which adds a column
+    below ``-pricing_tolerance(c)``.  The basis stays warm, since such a
+    column is nonbasic, and a dropped column that prices negative later
+    comes back through ``price``.  The start columns stay, so that a start
+    that is feasible at every entry keeps every entry feasible; otherwise a
+    run could end infeasible and take every column.
 
     An entry ends at an optimal run that adds no column.  Its certificate
     is :func:`certify` on the model's columns, which also gives its value,
@@ -223,25 +236,39 @@ def solve_path(lp, bounds, initial, price=None) -> list:
     the entry's model, when HiGHS or a certificate fails.
     """
     c_norm = lp.c_norm
+    tol = pricing_tolerance(c_norm)
     in_model = np.zeros(lp.n_vars, dtype=bool)
-    held = [np.zeros(0, dtype=int)]  # the LP columns of the model, per add
+    keys = np.zeros(0, dtype=int)  # the LP column of each model column, in HiGHS order
 
-    def add(keys) -> int:
-        keys = np.unique(np.asarray(keys, dtype=int))
-        keys = keys[~in_model[keys]]
-        if not len(keys):
+    def add(new) -> int:
+        nonlocal keys
+        new = np.unique(np.asarray(new, dtype=int))
+        new = new[~in_model[new]]
+        if not len(new):
             return 0
-        in_model[keys] = True
-        held.append(keys)
-        model.add_columns(*lp.columns(keys))
-        return len(keys)
+        in_model[new] = True
+        keys = np.append(keys, new)
+        model.add_columns(*lp.columns(new))
+        return len(new)
+
+    def drop(n_start) -> None:
+        """Delete the model's columns after its first ``n_start``, the
+        start, that the last optimum prices out: at zero, with a reduced
+        cost above the pricing tolerance."""
+        nonlocal keys
+        out = np.flatnonzero((model.col_value() == 0) & (model.col_dual() > tol))
+        out = out[out >= n_start]
+        if len(out):
+            model.delete_columns(out)
+            in_model[keys[out]] = False
+            keys = np.delete(keys, out)
 
     def held_lp(lower, upper):
         """The sorted columns of the model and their LP at the given rows."""
-        keys = np.sort(np.concatenate(held))
-        c, starts, indices, values, col_lower, col_upper = lp.columns(keys)
-        A = sp.csc_matrix((values, indices, starts), shape=(len(lower), len(keys)))
-        return keys, LinearProgram(c, A, lower, upper, col_lower, col_upper)
+        held = np.sort(keys)
+        c, starts, indices, values, col_lower, col_upper = lp.columns(held)
+        A = sp.csc_matrix((values, indices, starts), shape=(len(lower), len(held)))
+        return held, LinearProgram(c, A, lower, upper, col_lower, col_upper)
 
     solutions, previous = [], None
     for lower, upper in bounds:
@@ -249,10 +276,12 @@ def solve_path(lp, bounds, initial, price=None) -> list:
         try:
             if previous is None:
                 model = HighsModel(lower, upper)
-                add(initial)
+                n_start = add(initial)
                 if price is None and model.n_cols < lp.n_vars:
                     raise ValueError("a model without every column needs pricing")
             else:
+                if price is not None:
+                    drop(n_start)
                 changed = np.flatnonzero((lower != previous[0]) | (upper != previous[1]))
                 model.set_row_bounds(changed, lower[changed], upper[changed])
             previous = lower, upper
@@ -273,9 +302,9 @@ def solve_path(lp, bounds, initial, price=None) -> list:
                 if not add(new):
                     break
             x = np.zeros(lp.n_vars)
-            x[np.concatenate(held)] = model.col_value()
-            keys, entry = held_lp(lower, upper)
-            value, residual, gap = certify(entry, x[keys], row_dual, c_norm)
+            x[keys] = model.col_value()
+            held, entry = held_lp(lower, upper)
+            value, residual, gap = certify(entry, x[held], row_dual, c_norm)
             _certify_outside(lowest, c_norm)
         except LpError as error:
             raise LpError(f"{error}\n" + dump_lp(held_lp(lower, upper)[1])) from error
@@ -393,9 +422,9 @@ DEVEX_PRICING = 1
 class HighsModel:
     """One HiGHS model, kept warm between runs by :func:`solve_path`.
 
-    Rows are fixed when the model is made; columns are added in batches and
-    row bounds changed between runs, and each run starts from the last
-    basis.  HiGHS picks the simplex that basis admits (``CHOOSE_SIMPLEX``):
+    Rows are fixed when the model is made; columns are added and deleted in
+    batches and row bounds changed between runs, and each run starts from
+    the last basis.  HiGHS picks the simplex that basis admits (``CHOOSE_SIMPLEX``):
     primal after added columns, which leave it primal feasible, dual after
     new row bounds, which leave it dual feasible.  The dual simplex prices
     by Devex weights (``DEVEX_PRICING``; Harris, 1973), not
@@ -447,6 +476,15 @@ class HighsModel:
             np.asarray(indices, dtype=np.int32), np.asarray(values, dtype=float)))
         self.n_cols += n
 
+    def delete_columns(self, positions) -> None:
+        """Delete the columns at the ascending, distinct ``positions``, in the
+        order added; the others keep their order.  The basis stays warm:
+        deleting nonbasic columns leaves it a basis of what remains."""
+        positions = np.asarray(positions, dtype=np.int32)
+        self._check("deleteCols", self._highs.deleteCols(len(positions), positions))
+        self.n_cols -= len(positions)
+        self._solution = None
+
     def set_row_bounds(self, rows, lower, upper) -> None:
         for i, lo, up in zip(rows, lower, upper):
             self._check("changeRowBounds",
@@ -486,6 +524,13 @@ class HighsModel:
         if self._solution is None:
             return np.zeros(0)
         return np.asarray(self._solution.col_value)
+
+    def col_dual(self) -> np.ndarray:
+        """The reduced costs of the last run, as :meth:`col_value` gives its
+        primal values."""
+        if self._solution is None:
+            return np.zeros(0)
+        return np.asarray(self._solution.col_dual)
 
 
 def dual_of(lp: LinearProgram) -> LinearProgram:

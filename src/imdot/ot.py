@@ -39,7 +39,9 @@ plan at the smallest budget, and so at every budget, since ``beta`` only
 grows.  A walk without a lift starts instead with the ``NEAREST_ARCS``
 cheapest arcs of each target over the whole source, whatever their class,
 and a north-west-corner support at the capacities ``cap_scale_k`` times the
-weights (:func:`_initial_arcs`).  The coarse walk only chooses columns; each
+weights (:func:`_initial_arcs`), feasible at budget 0 and so at every
+budget.  The start stays in the model for the whole walk, so it keeps every
+entry feasible; the coarse walk chooses columns and nothing else.  Each
 value is certified on every fine arc, by :func:`imdot.lp.certify` on the
 model's arcs and, for every other arc, by the pricing pass that ended the
 entry.  Each round prices all arcs exactly, ``C - u - y``, into one buffer
@@ -49,7 +51,10 @@ the walk ends at the same optimum whichever simplex ran.  An arc the model
 already holds may be named; :func:`imdot.lp.solve_path` drops it.  A model
 that holds every arc is not priced.  Several budgets, such as the global
 relaxation's or a split's grid, are walked from the largest down, changing
-only the budget row.
+only the budget row; before each budget after the first,
+:func:`imdot.lp.solve_path` drops the arcs outside the start that the last
+optimum prices out, so that the model does not keep every arc an earlier
+budget priced in.
 """
 
 from __future__ import annotations

@@ -85,6 +85,19 @@ class TestGeneratePair:
                 pts = ds.points[ds.labels == k]
                 assert np.linalg.norm(pts.mean(axis=0) - centers[k - 1]) < 0.1
 
+    def test_theta_ninety_rotates_only_the_target_classes(self):
+        # A quarter turn counter-clockwise takes the centre (x, y) to (-y, x).
+        cfg = ToyConfig(n_classes=3, n_source=2000, n_target=2000,
+                        theta_degrees=90.0, seed=9)
+        source, target = generate_pair(cfg)
+        centers = class_centers(3)
+        turned = np.column_stack([-centers[:, 1], centers[:, 0]])
+        for k in range(1, 4):
+            source_mean = source.points[source.labels == k].mean(axis=0)
+            target_mean = target.points[target.labels == k].mean(axis=0)
+            assert np.linalg.norm(source_mean - centers[k - 1]) < 0.1
+            assert np.linalg.norm(target_mean - turned[k - 1]) < 0.1
+
     def test_rotation_preserves_distances(self):
         from imdot.datagen import _rotation
         rng = np.random.default_rng(5)

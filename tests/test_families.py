@@ -13,6 +13,7 @@ from imdot.checks import (
 )
 from imdot.families import (
     FamilyTooLargeError,
+    InclusionReport,
     Localization,
     enumerate_members,
     global_localization,
@@ -293,6 +294,16 @@ class TestInclusionChecks:
         with pytest.raises(ValueError, match="cap 0 needs a finite eps >= 0, got inf"):
             localization_inclusion_check(indicator_family(pts), conds, np.array([0.5, 0.5]),
                                          np.array([np.inf, 0.1]))
+
+    def test_an_empty_class_adds_nothing_to_the_global_cap(self):
+        # Class 2 has no mass, so its eps, finite or not, leaves the global
+        # cap p @ eps_vec at 0.1.
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        conds = [DiscreteMeasure(pts[:2], [0.5, 0.5]), DiscreteMeasure(pts[2:], [1.0])]
+        reports = [localization_inclusion_check(grid_family(pts, step=1.0), conds,
+                                                np.array([1.0, 0.0]), np.array([0.1, e]))
+                   for e in (np.inf, 5.0)]
+        assert reports[0] == reports[1] == InclusionReport(True, True, 2, 2, None)
 
     def test_degenerate_class_gets_infinite_eta(self, rng):
         pts = random_points(rng, 4)

@@ -1,4 +1,5 @@
 import ast
+import math
 import re
 from itertools import combinations
 from pathlib import Path
@@ -21,10 +22,12 @@ from imdot.lp import (
     dual_of,
     dual_tolerance,
     dump_lp,
+    pricing_tolerance,
     solve,
     solve_path,
 )
-from imdot.ot import _difference_rows
+from imdot.measures import DiscreteMeasure, cost_matrix
+from imdot.ot import _assemble_blocks, _difference_rows
 
 
 def rows(relations, b):
@@ -232,6 +235,59 @@ def test_a_model_with_every_column_is_not_priced():
         solve_path(lp, bounds, [0])
 
 
+def test_a_walk_drops_priced_out_columns_but_never_its_start(monkeypatch):
+    # Row 0: x0 + x1 + x2 = 1 at costs 3, 1 and 2; row 1 caps x1, at 2 and
+    # then at 0.5.  The walk starts from column 0 alone, which meets the
+    # demand at either cap.  At the first entry x1 carries the demand, and
+    # x0 and x2 end at zero, priced out.  x2 is dropped before the second
+    # entry and x0, the start, is kept; the lower cap then prices x2
+    # negative, and it comes back.
+    lp = LinearProgram([3.0, 1.0, 2.0], [[1.0, 1.0, 1.0], [0.0, 1.0, 0.0]],
+                       [1.0, -np.inf], [1.0, 2.0])
+    bounds = [(lp.row_lower, lp.row_upper), ([1.0, -np.inf], [1.0, 0.5])]
+    held, added, dropped = [], [], []
+    add_columns, delete_columns = HighsModel.add_columns, HighsModel.delete_columns
+
+    def recorded_add(model, cost, *args):
+        held.extend(cost)
+        added.append(list(cost))
+        return add_columns(model, cost, *args)
+
+    def recorded_delete(model, positions):
+        dropped.append([held[k] for k in positions])
+        held[:] = np.delete(held, positions)
+        return delete_columns(model, positions)
+
+    def price(row_dual):
+        reduced = lp.c - lp.A.T @ row_dual
+        return np.flatnonzero(reduced < -1e-9), float(np.min(reduced))
+
+    monkeypatch.setattr(HighsModel, "add_columns", recorded_add)
+    monkeypatch.setattr(HighsModel, "delete_columns", recorded_delete)
+    walked = solve_path(lp, bounds, [0], price)
+    # Columns are named by their costs: 3 is the start, 2 the dropped one.
+    assert added == [[3.0], [1.0, 2.0], [2.0]]
+    assert dropped == [[2.0]]
+    assert [sol.columns for sol in walked] == [3, 3]
+    for sol, (row_lower, row_upper) in zip(walked, bounds):
+        full = solve(LinearProgram(lp.c, lp.A, row_lower, row_upper))
+        assert sol.value == pytest.approx(full.value, abs=1e-12)
+        assert np.allclose(sol.x, full.x, atol=1e-12)
+    assert [sol.value for sol in walked] == pytest.approx([1.0, 1.5], abs=1e-12)
+
+
+def test_a_walk_without_pricing_drops_nothing(monkeypatch):
+    def refused(model, positions):
+        raise AssertionError("a walk without pricing dropped a column")
+
+    monkeypatch.setattr(HighsModel, "delete_columns", refused)
+    lp = LinearProgram([3.0, 1.0, 2.0], [[1.0, 1.0, 1.0], [0.0, 1.0, 0.0]],
+                       [1.0, -np.inf], [1.0, 2.0])
+    walked = solve_path(lp, [(lp.row_lower, lp.row_upper), ([1.0, -np.inf], [1.0, 0.5])],
+                        np.arange(3))
+    assert [sol.value for sol in walked] == pytest.approx([1.0, 1.5], abs=1e-12)
+
+
 # Column 0 has cost 1e-6 and no row entry, so its reduced cost is 1e-6 at
 # every row dual; column 1 meets the demand of row 0 at cost 1, dual 1.
 def sign_lp(lower, upper):
@@ -431,6 +487,47 @@ def test_rejected_highs_changes_raise():
     status, _, _ = model.run()
     assert (status, model.n_cols) == ("optimal", 1)
     assert np.allclose(model.col_value(), [1.0])
+
+
+def test_deleting_priced_out_columns_keeps_the_basis(rng):
+    # A global transport LP at beta = 0.5 with every arc, solved to its
+    # optimum: its nonbasic columns at zero with a positive reduced cost
+    # can go, and the model runs again from the same basis, with no pivot,
+    # to the same value.
+    n = 40
+    target = DiscreteMeasure(rng.uniform(-2, 2, (n, 2)), np.full(n, 1 / n))
+    source = DiscreteMeasure(rng.uniform(-2, 2, (n, 2)), np.full(n, 1 / n))
+    lp = _assemble_blocks(target, [source.weights], [cost_matrix(target.points,
+                                                                  source.points)],
+                          np.ones(1), 0.5)
+    model = HighsModel(lp.row_lower, lp.row_upper)
+    model.add_columns(*lp.columns(np.arange(lp.n_vars)))
+    status, _, _ = model.run()
+    assert status == "optimal"
+    x, reduced = model.col_value(), model.col_dual()
+    value = math.fsum(lp.c * x)
+    out = np.flatnonzero((x == 0) & (reduced > pricing_tolerance(lp.c)))
+    assert len(out) > lp.n_vars // 2
+    model.delete_columns(out)
+    assert model.n_cols == lp.n_vars - len(out)
+    status, _, iterations = model.run()
+    kept = np.delete(np.arange(lp.n_vars), out)
+    assert (status, iterations) == ("optimal", 0)
+    assert math.fsum(lp.c[kept] * model.col_value()) == pytest.approx(value, abs=1e-12)
+    assert np.allclose(model.col_value(), x[kept], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("positions", [[2], [1, 0], [0, 0]])
+def test_a_rejected_deletion_raises(positions):
+    # Out of range, descending, repeated: HiGHS refuses each set and leaves
+    # the model as it was.
+    model = HighsModel([1.0], [1.0])
+    model.add_columns([1.0, 2.0], [0, 1, 2], [0, 0], [1.0, 1.0])
+    with pytest.raises(LpError, match="HiGHS deleteCols failed"):
+        model.delete_columns(positions)
+    assert model.n_cols == 2
+    status, _, _ = model.run()
+    assert status == "optimal" and np.allclose(model.col_value(), [1.0, 0.0])
 
 
 def test_rejected_highs_options_raise(monkeypatch):

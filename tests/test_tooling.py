@@ -4,8 +4,9 @@
 by name, so a source change that removes or renames one of them would
 only break a traced benchmark run.  Its ``TARGETS`` are read here from the
 tracer's source, without importing it, so that such a change fails these
-tests instead.  Only ``imdot.lp`` makes a HiGHS model or certifies a
-solution: every LP goes through its one solve loop.  And every transport
+tests instead.  Only ``imdot.lp`` makes a HiGHS model, removes its
+columns or certifies a solution: every LP goes through its one solve loop,
+which alone tracks the model's columns.  And every transport
 problem of ``imdot.ot`` has one LP form, with its ``beta`` columns and its
 budget row: no function there tells a budget from a missing one.
 """
@@ -34,8 +35,8 @@ def test_every_traced_name_resolves():
 
 
 #: Names only ``imdot.lp`` may call: the one solve loop there makes every
-#: HiGHS model and certifies every solution.
-SOLVER_CALLS = {"HighsModel", "certify"}
+#: HiGHS model, alone removes its columns, and certifies every solution.
+SOLVER_CALLS = {"HighsModel", "certify", "delete_columns"}
 
 
 def solver_calls(source: str) -> list:
@@ -56,8 +57,9 @@ def test_the_scan_finds_every_solver_call():
               "import imdot.lp as lp\n"
               "model = HighsModel([0.0], [1.0])\n"
               "def f(x):\n    return lp.certify(x, x, x), certify(x, x, x)\n"
+              "model.delete_columns([0])\n"
               "g = lp.HighsModel\n")
-    assert solver_calls(source) == ["HighsModel", "certify", "certify"]
+    assert solver_calls(source) == ["HighsModel", "certify", "certify", "delete_columns"]
 
 
 def test_only_the_lp_module_makes_models_and_certifies():
