@@ -17,7 +17,7 @@ with or without the test harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import permutations
 
 import numpy as np
@@ -59,8 +59,7 @@ class CheckResult:
     detail: str
 
     def to_dict(self) -> dict:
-        return {"suite": self.suite, "name": self.name,
-                "passed": self.passed, "detail": self.detail}
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

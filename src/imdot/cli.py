@@ -36,7 +36,6 @@ from .measures import (
 from .ot import (
     TransportPlanSet,
     partial_ot_beta_split,
-    partial_ot_global,
     partial_ot_per_class,
     plan_set_to_dict,
 )
@@ -194,32 +193,25 @@ def _solve_from_files(args):
     cost_full = cost_matrix(target.points, source.points)
 
     if args.mode == "global":
-        value, plan = partial_ot_global(target_measure, source_measure,
-                                        cost_full, args.beta)
+        # The global relaxation is the budget split with one class.
+        conds, props, costs = [source_measure], np.ones(1), [cost_full]
         indices = [np.arange(len(source))]
-        plan_set = TransportPlanSet((plan,), np.array([args.beta]), value)
-        conds, props = None, None
     else:
         conds, props = class_conditionals(source)
-        class_costs = [CostMatrix(cost_full.entries[:, source.class_indices(k)])
-                       for k in range(1, source.n_classes + 1)]
-        if args.mode == "split":
-            plan_set = partial_ot_beta_split(target_measure, conds, props,
-                                             args.beta, class_costs)
-        else:
-            plan_set = partial_ot_per_class(target_measure, conds, props,
-                                            np.array(args.beta_vec), class_costs)
         indices = [source.class_indices(k) for k in range(1, source.n_classes + 1)]
+        costs = [CostMatrix(cost_full.entries[:, idx]) for idx in indices]
+    if args.mode == "perclass":
+        plan_set = partial_ot_per_class(target_measure, conds, props,
+                                        np.array(args.beta_vec), costs)
+    else:
+        plan_set = partial_ot_beta_split(target_measure, conds, props, args.beta, costs)
     return source, target, plan_set, indices, conds, props
 
 
 def _capacity_audit(plan_set: TransportPlanSet, conds, props) -> list:
     audit = []
     for k, plan in enumerate(plan_set.plans):
-        if conds is None:
-            cap = float(1.0 + plan_set.beta[0])
-        else:
-            cap = float((props[k] + plan_set.beta[k]) * conds[k].total_mass)
+        cap = float((props[k] + plan_set.beta[k]) * conds[k].total_mass)
         used = float(plan.sum())
         audit.append({"class": k + 1, "capacity": cap, "used": used,
                       "slack": cap - used})

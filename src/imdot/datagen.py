@@ -16,12 +16,17 @@ derive one integer seed per draw index from the root sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .measures import ROUNDING_TOL, DiscreteMeasure, LabeledDataset
+from .measures import (
+    ROUNDING_TOL,
+    DiscreteMeasure,
+    LabeledDataset,
+    _finite_nonnegative,
+)
 
 __all__ = [
     "ToyConfig",
@@ -63,15 +68,7 @@ class ToyConfig:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "n_classes": self.n_classes,
-            "n_source": self.n_source,
-            "n_target": self.n_target,
-            "sigma": self.sigma,
-            "eta": self.eta,
-            "theta_degrees": self.theta_degrees,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -89,8 +86,7 @@ def class_centers(n_classes: int) -> np.ndarray:
 
 def source_proportions(n_classes: int, eta: float) -> np.ndarray:
     """``p_k proportional to exp(eta * k)``, k = 1..K, normalized."""
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
+    _finite_nonnegative("eta", eta)
     k = np.arange(1, n_classes + 1, dtype=float)
     w = np.exp(eta * (k - k.max()))  # shift for numerical stability
     return w / w.sum()
@@ -158,8 +154,9 @@ def shared_atom_label_shift(class_atoms: Sequence, p, q):
     if not (len(atoms) == len(p) == len(q)):
         raise ValueError("need one atom set per class proportion")
     for vec, name in ((p, "p"), (q, "q")):
-        if np.any(vec < 0) or abs(vec.sum() - 1.0) > ROUNDING_TOL:
-            raise ValueError(f"{name} must be a probability vector")
+        # Written as "not within", so that a NaN fails it.
+        if not (np.all(vec >= 0) and abs(vec.sum() - 1.0) <= ROUNDING_TOL):
+            raise ValueError(f"{name} must be a probability vector, got {vec.tolist()!r}")
     for a in atoms:
         if len(a) == 0:
             raise ValueError("every class needs at least one atom")

@@ -69,26 +69,27 @@ def propagate_labels(plan, source_labels, n_classes: int | None = None) -> np.nd
     source_labels = np.asarray(source_labels, dtype=int)
     if n_classes is None:
         n_classes = int(source_labels.max())
+    if n_classes < 1:
+        raise ValueError(f"n_classes must be >= 1, got {n_classes}")
     outside = source_labels[(source_labels < 1) | (source_labels > n_classes)]
     if outside.size:
         raise ValueError(f"source label {outside[0]} is outside 1..{n_classes}")
     if isinstance(plan, TransportPlanSet):
-        if source_labels.size and source_labels.max() > len(plan.plans):
+        blocks = plan.plans
+        if source_labels.size and source_labels.max() > len(blocks):
             raise ValueError(f"source label {source_labels.max()} has no block: the "
-                             f"plan set has {len(plan.plans)}")
-        votes = np.zeros((plan.plans[0].shape[0] if plan.plans else 0, n_classes))
-        for k, block in enumerate(plan.plans):
-            if block.shape[1] != np.count_nonzero(source_labels == k + 1):
-                raise ValueError("class block width does not match its labels")
-            if k < n_classes:
-                votes[:, k] = block.sum(axis=1)
+                             f"plan set has {len(blocks)}")
     else:
         plan = np.asarray(plan, dtype=float)
         if plan.shape[1] != len(source_labels):
             raise ValueError("plan columns do not match the source labels")
-        votes = np.zeros((plan.shape[0], n_classes))
-        for k in range(1, n_classes + 1):
-            votes[:, k - 1] = plan[:, source_labels == k].sum(axis=1)
+        blocks = [plan[:, source_labels == k] for k in range(1, n_classes + 1)]
+    votes = np.zeros((blocks[0].shape[0] if blocks else 0, n_classes))
+    for k, block in enumerate(blocks):
+        if block.shape[1] != np.count_nonzero(source_labels == k + 1):
+            raise ValueError("class block width does not match its labels")
+        if k < n_classes:
+            votes[:, k] = block.sum(axis=1)
     totals = votes.sum(axis=1)
     if np.any(totals < ROUNDING_TOL):
         bad = int(np.argmin(totals))

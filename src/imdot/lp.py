@@ -237,16 +237,16 @@ def solve_path(lp, bounds, initial, price=None) -> list:
     """
     c_norm = lp.c_norm
     tol = pricing_tolerance(c_norm)
-    in_model = np.zeros(lp.n_vars, dtype=bool)
     keys = np.zeros(0, dtype=int)  # the LP column of each model column, in HiGHS order
 
     def add(new) -> int:
         nonlocal keys
+        # A lookup table over the range of ``keys``: np.setdiff1d would sort
+        # the model's columns again at every pricing round.
         new = np.unique(np.asarray(new, dtype=int))
-        new = new[~in_model[new]]
+        new = new[~np.isin(new, keys, kind="table")]
         if not len(new):
             return 0
-        in_model[new] = True
         keys = np.append(keys, new)
         model.add_columns(*lp.columns(new))
         return len(new)
@@ -260,7 +260,6 @@ def solve_path(lp, bounds, initial, price=None) -> list:
         out = out[out >= n_start]
         if len(out):
             model.delete_columns(out)
-            in_model[keys[out]] = False
             keys = np.delete(keys, out)
 
     def held_lp(lower, upper):
@@ -298,7 +297,7 @@ def solve_path(lp, bounds, initial, price=None) -> list:
                 if status == "optimal":
                     new, lowest = price(row_dual)
                 else:
-                    new = np.flatnonzero(~in_model)
+                    new = np.arange(lp.n_vars)
                 if not add(new):
                     break
             x = np.zeros(lp.n_vars)

@@ -8,6 +8,7 @@ after construction and safe to share between worker processes.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -135,6 +136,8 @@ class LabeledDataset:
             points = points.reshape(-1, 1)
         if labels.ndim != 1 or len(labels) != len(points):
             raise ValueError("labels must be a vector matching points")
+        if not np.all(np.isfinite(points)):
+            raise ValueError("points must be finite")
         if not np.issubdtype(labels.dtype, np.integer):
             if not np.all(labels == labels.astype(int)):
                 raise ValueError("labels must be integers")
@@ -295,6 +298,9 @@ def load_dataset(path, n_classes: int | None = None) -> LabeledDataset:
             except ValueError:
                 raise ValueError(f"{path}, line {reader.line_num}: non-numeric field "
                                  f"in {row!r}") from None
+            if not all(map(math.isfinite, points[-1])):
+                raise ValueError(f"{path}, line {reader.line_num}: non-finite "
+                                 f"coordinate in {row!r}")
     labels = np.asarray(labels, dtype=int)
     if n_classes is None:
         n_classes = int(labels.max()) if len(labels) else 1

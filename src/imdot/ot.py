@@ -528,18 +528,12 @@ def partial_ot_global_path(target: DiscreteMeasure, source: DiscreteMeasure,
                            cost: CostMatrix, beta_grid) -> list:
     """:func:`partial_ot_global` at every relaxation of ``beta_grid``.
 
-    One ``(value, plan)`` per relaxation, in grid order.  The global
-    relaxation is the budget split with one class: the source at capacity
-    scale 1, walked over the budgets ``beta_grid`` on one warm model, from
-    the largest down, each value certified on its own.
+    One ``(value, plan)`` per relaxation, in grid order: the budget split
+    of :func:`partial_ot_beta_split_path` with one class, the source at
+    proportion 1.
     """
-    grid = _finite_nonnegative("beta_grid", beta_grid)
-    if grid.ndim != 1:
-        raise ValueError("beta_grid must be a vector of relaxations")
-    if not target.is_probability:
-        raise ValueError("the target must be a probability measure")
-    results = _solve_blocks(target, [source], [cost], np.ones(1), grid)
-    return [(sol.value, plans[0]) for sol, plans, _ in results]
+    return [(plan_set.objective, plan_set.plans[0]) for plan_set in
+            partial_ot_beta_split_path(target, [source], [1.0], beta_grid, [cost])]
 
 
 def partial_ot_per_class(target: DiscreteMeasure,

@@ -56,18 +56,19 @@ def _check_simplex(score) -> np.ndarray:
     return v
 
 
-def _log(x):
-    """``math.log`` of a scalar, the 1-d result; ``np.log`` of an array of
-    per-row values."""
-    return np.log(x) if np.ndim(x) else math.log(x)
+def _per_row(values, v):
+    """``values``, one per row of the checked score ``v``: the array itself
+    for a batch, a float for a 1-d score, which is a batch of one row."""
+    return values if v.ndim == 2 else float(values)
 
 
 def min_entropy_uncertainty(score):
     """``-log(max_i score_i)``: the cross-entropy self-uncertainty of a scorer.
 
     A 2-d array of simplex rows gives an array with one value per row."""
+    v = _check_simplex(score)
     # On the simplex the largest entry is at least 1/len(score) > 0.
-    return -_log(_check_simplex(score).max(axis=-1))
+    return _per_row(-np.log(v.max(axis=-1)), v)
 
 
 def renyi_entropy(score, alpha: float):
@@ -83,15 +84,14 @@ def renyi_entropy(score, alpha: float):
     if not alpha >= 0:   # a NaN fails too
         raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
     if alpha == np.inf:
-        return -_log(v.max(axis=-1))
+        return min_entropy_uncertainty(v)
     if alpha == 1:
-        if v.ndim == 2:
-            return -(v * np.log(np.where(v > 0, v, 1.0))).sum(axis=1)
-        pos = v[v > 0]
-        return float(-(pos * np.log(pos)).sum())
-    if alpha == 0:
-        return _log(np.count_nonzero(v, axis=-1))
-    return _log((v ** alpha).sum(axis=-1)) / (1.0 - alpha)
+        values = -(v * np.log(np.where(v > 0, v, 1.0))).sum(axis=-1)
+    elif alpha == 0:
+        values = np.log(np.count_nonzero(v, axis=-1))
+    else:
+        values = np.log((v ** alpha).sum(axis=-1)) / (1.0 - alpha)
+    return _per_row(values, v)
 
 
 def hinge_uncertainty(margin: float) -> float:

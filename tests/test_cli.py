@@ -6,7 +6,14 @@ import pytest
 import imdot.ot
 from imdot.cli import _toy_config, build_parser, main
 from imdot.datagen import ToyConfig, shared_atom_label_shift
-from imdot.measures import LabeledDataset, save_dataset
+from imdot.measures import (
+    LabeledDataset,
+    cost_matrix,
+    empirical_measure,
+    load_dataset,
+    save_dataset,
+)
+from imdot.ot import TransportPlanSet, partial_ot_global, plan_set_to_dict
 
 
 def run(*argv):
@@ -94,6 +101,26 @@ def test_solve_global_svg_is_dotted(tmp_path):
                "--target", gen_dir / "target.csv",
                "--mode", "global", "--beta", 0.5, "--svg", "--out", out) == 0
     assert "stroke-dasharray" in (out / "plan.svg").read_text()
+
+
+def test_solve_global_writes_the_global_relaxation(tmp_path):
+    gen_dir = tmp_path / "data"
+    assert run("gen", *GEN_FLAGS, "--out", gen_dir) == 0
+    out = tmp_path / "solve"
+    assert run("solve", "--source", gen_dir / "source.csv",
+               "--target", gen_dir / "target.csv",
+               "--mode", "global", "--beta", 0.5, "--out", out) == 0
+    payload = json.loads((out / "plan.json").read_text())
+    source = load_dataset(gen_dir / "source.csv")
+    target = load_dataset(gen_dir / "target.csv", n_classes=source.n_classes)
+    source_measure = empirical_measure(source)
+    value, plan = partial_ot_global(empirical_measure(target), source_measure,
+                                    cost_matrix(target.points, source.points), 0.5)
+    expected = plan_set_to_dict(TransportPlanSet((plan,), np.array([0.5]), value))
+    assert {key: payload[key] for key in expected} == expected
+    (audit,) = payload["capacity_audit"]
+    assert audit["capacity"] == (1 + 0.5) * source_measure.total_mass
+    assert audit["slack"] == audit["capacity"] - float(plan.sum())
 
 
 def test_sweep_outputs(tmp_path):

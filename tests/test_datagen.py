@@ -44,6 +44,11 @@ class TestSourceProportions:
         assert np.allclose(source_proportions(3, 1.0),
                            [0.0900, 0.2447, 0.6652], atol=5e-5)
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf, -0.5])
+    def test_eta_must_be_finite_and_nonnegative(self, eta):
+        with pytest.raises(ValueError, match="eta must be finite and nonnegative"):
+            source_proportions(3, eta)
+
 
 class TestGeneratePair:
     CFG = ToyConfig(n_classes=3, n_source=120, n_target=90, seed=42)
@@ -170,3 +175,9 @@ class TestSharedAtomLabelShift:
     def test_invalid_proportions(self):
         with pytest.raises(ValueError):
             shared_atom_label_shift(self.ATOMS, [0.7, 0.7], [0.5, 0.5])
+
+    @pytest.mark.parametrize("name", ["p", "q"])
+    def test_nan_proportions_are_named(self, name):
+        vectors = {"p": [0.5, 0.5], "q": [0.5, 0.5], name: [np.nan, 0.5]}
+        with pytest.raises(ValueError, match=f"^{name} must be a probability vector"):
+            shared_atom_label_shift(self.ATOMS, vectors["p"], vectors["q"])

@@ -93,6 +93,12 @@ class TestPropagateLabels:
         with pytest.raises(ValueError, match=named):
             propagate_labels(plan, np.array(labels), n_classes)
 
+    @pytest.mark.parametrize("plan", [np.zeros((2, 0)), TransportPlanSet((), np.zeros(0), 0.0)])
+    def test_no_class_is_rejected(self, plan):
+        # Without a class there is no vote to label a target row by.
+        with pytest.raises(ValueError, match="n_classes must be >= 1, got 0"):
+            propagate_labels(plan, np.zeros(0, dtype=int), 0)
+
     def test_zero_row_errors(self):
         plan = np.array([[0.0, 0.0], [0.5, 0.5]])
         with pytest.raises(ValueError):

@@ -111,6 +111,15 @@ def test_infeasible_and_unbounded():
         solve(unbounded)
 
 
+def test_an_lp_without_columns_is_solved_by_its_row_bounds():
+    # HiGHS runs no simplex on a model without columns (kModelEmpty): it is
+    # feasible exactly when every row admits 0.
+    sol = solve(LinearProgram(np.zeros(0), np.zeros((1, 0)), [-1.0], [1.0]))
+    assert (sol.value, sol.x.shape, sol.iterations) == (0.0, (0,), 0)
+    with pytest.raises(LpError, match="^LP is infeasible\n"):
+        solve(LinearProgram(np.zeros(0), np.zeros((1, 0)), [1.0], [2.0]))
+
+
 def test_mixed_relations_and_bounds():
     # min x + 2y s.t. x + y >= 1, y <= 4, 0 <= x <= 0.25
     lp = LinearProgram([1.0, 2.0], [[1.0, 1.0], [0.0, 1.0]],

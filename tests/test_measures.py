@@ -21,6 +21,12 @@ def make_dataset(n, labels, k):
     return LabeledDataset(rng.normal(size=(n, 2)), labels, k)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_labeled_dataset_rejects_non_finite_points(bad):
+    with pytest.raises(ValueError, match="points must be finite"):
+        LabeledDataset([[0.0, 0.0], [bad, 1.0]], [1, 2], 2)
+
+
 class TestDiscreteMeasure:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -185,6 +191,9 @@ class TestIo:
         ("1.0,2.0,1,9,9", "5 fields, the header has 3"),
         ("1.0,x,1", "non-numeric field"),
         ("1.0,2.0,one", "non-numeric field"),
+        ("1.0,nan,1", "non-finite coordinate"),
+        ("inf,2.0,1", "non-finite coordinate"),
+        ("-inf,2.0,2", "non-finite coordinate"),
     ])
     def test_malformed_rows_name_the_file_and_line(self, tmp_path, row, cause):
         path = tmp_path / "bad.csv"

@@ -8,7 +8,8 @@ tests instead.  Only ``imdot.lp`` makes a HiGHS model, removes its
 columns or certifies a solution: every LP goes through its one solve loop,
 which alone tracks the model's columns.  And every transport
 problem of ``imdot.ot`` has one LP form, with its ``beta`` columns and its
-budget row: no function there tells a budget from a missing one.
+budget row: no function there tells a budget from a missing one, and only
+the three problems that are not a special case of another call its solver.
 """
 
 import ast
@@ -97,3 +98,39 @@ def test_the_scan_finds_every_budget_none_compare():
 def test_every_transport_problem_has_a_budget():
     ot = Path(importlib.import_module("imdot.ot").__file__)
     assert budget_none_compares(ot.read_text()) == []
+
+
+#: The functions of ``imdot.ot`` that may call ``_solve_blocks``: the global
+#: relaxation is the budget split with one class, so it has no call of its own.
+BLOCK_SOLVERS = {"wasserstein1", "partial_ot_per_class", "partial_ot_beta_split_path"}
+
+
+def block_solve_callers(source: str) -> list:
+    """Names of the top-level functions of ``source`` that call
+    ``_solve_blocks``, bare or as an attribute, once per call, in source
+    order; ``None`` for a call outside every function."""
+    found = []
+    for top in ast.parse(source).body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == "_solve_blocks":
+                    found.append((node.lineno, name))
+    return [name for _, name in sorted(found)]
+
+
+def test_the_scan_finds_every_block_solve():
+    source = ("import imdot.ot as ot\n"
+              "def partial_ot_global(t):\n"
+              "    def inner():\n        return _solve_blocks(t)\n"
+              "    return inner(), ot._solve_blocks(t)\n"
+              "value = _solve_blocks(None)\n"
+              "solver = _solve_blocks\n")
+    assert block_solve_callers(source) == ["partial_ot_global", "partial_ot_global", None]
+
+
+def test_only_the_three_base_problems_solve_blocks():
+    ot = Path(importlib.import_module("imdot.ot").__file__)
+    assert set(block_solve_callers(ot.read_text())) == BLOCK_SOLVERS
