@@ -368,9 +368,8 @@ def _add_toy_flags(sub):
     sub.set_defaults(toy=True)
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """The ``imdot`` parser; ``defaults`` (from ``--config``) become the
-    subcommands' flag defaults, so flags typed on the command line win."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``imdot`` parser."""
     parser = argparse.ArgumentParser(
         prog="imdot",
         description="Measure discrepancies and per-class partial transport",
@@ -416,8 +415,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     check.add_argument("--out", default=None,
                        help="directory for check.json (default: stdout)")
     check.set_defaults(func=cmd_check)
-    for sub in (gen, solve, sweep):
-        sub.set_defaults(**(defaults or {}))
     return parser
 
 
@@ -425,7 +422,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
-        parser = build_parser(_config_defaults(parser, args))
+        # The file's values become the subcommand's flag defaults, so flags
+        # typed on the command line win.
+        _subparser(parser, args.command).set_defaults(**_config_defaults(parser, args))
         args = parser.parse_args(argv)
     if args.command == "solve" and args.mode == "perclass" and args.beta_vec is None:
         _subparser(parser, "solve").error("--mode perclass needs --beta-vec")

@@ -57,6 +57,8 @@ class ToyConfig:
             raise ValueError("need at least two classes")
         if self.n_source < self.n_classes or self.n_target < self.n_classes:
             raise ValueError("sample sizes must be at least the class count")
+        for name in ("n_classes", "n_source", "n_target"):
+            _positive_int(name, getattr(self, name))
         for name in ("sigma", "eta", "theta_degrees"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -71,6 +73,14 @@ class ToyConfig:
         return asdict(self)
 
 
+def _positive_int(name: str, value) -> int:
+    """``value``, or a ValueError naming ``name`` unless it is an integer
+    (not a bool) of at least 1: the rule for class counts and sample sizes."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _rotation(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
@@ -78,14 +88,14 @@ def _rotation(theta: float) -> np.ndarray:
 
 def class_centers(n_classes: int) -> np.ndarray:
     """Centers obtained by rotating (0, 1) by ``2 k pi / K``, k = 0..K-1."""
-    if n_classes < 1:
-        raise ValueError("need at least one class")
+    n_classes = _positive_int("n_classes", n_classes)
     angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
     return np.column_stack([-np.sin(angles), np.cos(angles)])
 
 
 def source_proportions(n_classes: int, eta: float) -> np.ndarray:
     """``p_k proportional to exp(eta * k)``, k = 1..K, normalized."""
+    n_classes = _positive_int("n_classes", n_classes)
     _finite_nonnegative("eta", eta)
     k = np.arange(1, n_classes + 1, dtype=float)
     w = np.exp(eta * (k - k.max()))  # shift for numerical stability

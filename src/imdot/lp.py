@@ -89,7 +89,8 @@ class LinearProgram:
     """``minimize c @ x  s.t.  row_lower <= A x <= row_upper,  lower <= x <= upper``.
 
     An infinite bound is absent, and equal bounds make an equality row or a
-    pinned variable; by default ``x >= 0``.  ``A`` is always CSC, the
+    pinned variable; by default ``x >= 0``.  Costs and matrix entries must
+    be finite and no bound may be NaN.  ``A`` is always CSC, the
     compressed columns HiGHS receives: a sparse input becomes ``A.tocsc()``,
     which makes no copy of a CSC matrix, and a dense one is converted once.
     """
@@ -112,12 +113,21 @@ class LinearProgram:
         upper = np.full(len(c), np.inf) if upper is None else np.asarray(upper, dtype=float)
         if lower.shape != c.shape or upper.shape != c.shape:
             raise ValueError("bounds must match the variable count")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("costs must be finite")
+        if np.any(np.isnan(row_lower)) or np.any(np.isnan(row_upper)):
+            raise ValueError("row bounds must not be NaN")
+        if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
+            raise ValueError("variable bounds must not be NaN")
+        A = _as_csc(A, len(row_lower), len(c))
+        if not np.all(np.isfinite(A.data)):
+            raise ValueError("constraint matrix entries must be finite")
         if np.any(row_lower > row_upper):
             raise ValueError("row lower bound exceeds row upper bound")
         if np.any(lower > upper):
             raise ValueError("lower bound exceeds upper bound")
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "A", _as_csc(A, len(row_lower), len(c)))
+        object.__setattr__(self, "A", A)
         object.__setattr__(self, "row_lower", row_lower)
         object.__setattr__(self, "row_upper", row_upper)
         object.__setattr__(self, "lower", lower)
@@ -214,8 +224,8 @@ def solve_path(lp, bounds, initial, price=None) -> list:
     Before each entry after the first, a priced walk deletes from the model
     every column that is not a start column and that the previous entry's
     optimum prices out: at zero, with a reduced cost above
-    ``pricing_tolerance(c)``, the mirror of pricing, which adds a column
-    below ``-pricing_tolerance(c)``.  The basis stays warm, since such a
+    ``pricing_tolerance(lp.c_norm)``, the mirror of pricing, which adds a
+    column below ``-pricing_tolerance(lp.c_norm)``.  The basis stays warm, since such a
     column is nonbasic, and a dropped column that prices negative later
     comes back through ``price``.  The start columns stay, so that a start
     that is feasible at every entry keeps every entry feasible; otherwise a
@@ -224,7 +234,7 @@ def solve_path(lp, bounds, initial, price=None) -> list:
     An entry ends at an optimal run that adds no column.  Its certificate
     is :func:`certify` on the model's columns, which also gives its value,
     with the dual tolerance of every column of ``lp``, and the pricing pass
-    that ended it: no column prices below ``-dual_tolerance(c)``.  A column
+    that ended it: no column prices below ``-dual_tolerance``.  A column
     outside the model is at zero, so it adds nothing to the residual, the
     value or the gap; this is the certificate of :func:`certify` on every
     column.
@@ -276,7 +286,7 @@ def solve_path(lp, bounds, initial, price=None) -> list:
             if previous is None:
                 model = HighsModel(lower, upper)
                 n_start = add(initial)
-                if price is None and model.n_cols < lp.n_vars:
+                if price is None and len(keys) < lp.n_vars:
                     raise ValueError("a model without every column needs pricing")
             else:
                 if price is not None:
@@ -290,7 +300,7 @@ def solve_path(lp, bounds, initial, price=None) -> list:
                 rounds += 1
                 iterations += nit
                 lowest = math.inf
-                if model.n_cols == lp.n_vars:
+                if len(keys) == lp.n_vars:
                     if status == "optimal":
                         break
                     return solutions
@@ -307,31 +317,24 @@ def solve_path(lp, bounds, initial, price=None) -> list:
             _certify_outside(lowest, c_norm)
         except LpError as error:
             raise LpError(f"{error}\n" + dump_lp(held_lp(lower, upper)[1])) from error
-        solutions.append(LpSolution(value, x, iterations, residual, gap, rounds,
-                                    model.n_cols))
+        solutions.append(LpSolution(value, x, iterations, residual, gap, rounds, len(keys)))
     return solutions
 
 
-def _cost_scale(c: np.ndarray) -> float:
-    """``1 + ||c||_inf``, the scale of every reduced-cost bound."""
-    return 1.0 + float(np.max(np.abs(c), initial=0.0))
-
-
-def dual_tolerance(c) -> float:
+def dual_tolerance(c_norm: float) -> float:
     """Reduced cost a certified column may have on a side its bounds do not
-    allow: the dual feasibility bound ``FEASIBILITY_TOL * (1 + ||c||_inf)``.
-    ``c`` is the cost vector, or any array that holds its largest absolute
-    cost, ``||c||_inf`` itself included."""
-    return FEASIBILITY_TOL * _cost_scale(c)
+    allow: the dual feasibility bound ``FEASIBILITY_TOL * (1 + c_norm)``,
+    where ``c_norm`` is ``||c||_inf`` of the cost vector ``c``."""
+    return FEASIBILITY_TOL * (1.0 + c_norm)
 
 
-def pricing_tolerance(c) -> float:
+def pricing_tolerance(c_norm: float) -> float:
     """Reduced cost below which column generation still adds a column:
-    ``HIGHS_TOL * (1 + ||c||_inf)``, with ``c`` as for :func:`dual_tolerance`
-    and at its scale, but at the tolerance HiGHS itself works to.  Pricing
-    to the looser certificate bound would stop at whichever near-optimal
-    basis the simplex path reached, so a value would depend on that path."""
-    return HIGHS_TOL * _cost_scale(c)
+    ``HIGHS_TOL * (1 + c_norm)``, at the scale of :func:`dual_tolerance`
+    but at the tolerance HiGHS itself works to.  Pricing to the looser
+    certificate bound would stop at whichever near-optimal basis the
+    simplex path reached, so a value would depend on that path."""
+    return HIGHS_TOL * (1.0 + c_norm)
 
 
 def _bound_rule(dual: np.ndarray, lower: np.ndarray, upper: np.ndarray, tol: float):
@@ -360,9 +363,9 @@ def certify(lp: LinearProgram, x: np.ndarray, row_dual: np.ndarray, c_norm=None)
 
     Checked on every column and row of ``lp``: primal feasibility of ``x``
     within ``FEASIBILITY_TOL`` times ``1 +`` the largest finite row bound,
-    dual feasibility within ``dual_tolerance(c)`` and the duality gap, where
-    ``c`` is the cost vector of ``lp`` or, when ``lp`` holds some columns of
-    a larger LP, of that LP, whose ``||c||_inf`` is then ``c_norm``.  The
+    dual feasibility within ``dual_tolerance(c_norm)`` and the duality gap,
+    where ``c_norm`` is ``lp.c_norm`` by default or, when ``lp`` holds some
+    columns of a larger LP, the ``||c||_inf`` of that LP.  The
     reduced costs ``d = c - A' row_dual`` and the row duals follow one bound
     rule, :func:`_bound_rule`: ``d >= 0`` for ``x >= 0``, ``d = 0`` for a
     free variable, either sign for a pinned one or an equality row.  Its
@@ -379,7 +382,7 @@ def certify(lp: LinearProgram, x: np.ndarray, row_dual: np.ndarray, c_norm=None)
     if not residual <= FEASIBILITY_TOL * scale:
         raise LpError(f"optimal solution violates feasibility: residual {residual:.3e} "
                       f"exceeds {FEASIBILITY_TOL:.0e} * {scale:.3e}")
-    tol = dual_tolerance(lp.c if c_norm is None else c_norm)
+    tol = dual_tolerance(lp.c_norm if c_norm is None else c_norm)
     reduced = lp.c - lp.A.T @ row_dual
     j, column_terms = _bound_rule(reduced, lp.lower, lp.upper, tol)
     if j is not None:
@@ -399,8 +402,8 @@ def certify(lp: LinearProgram, x: np.ndarray, row_dual: np.ndarray, c_norm=None)
 
 def _certify_outside(lowest: float, c_norm: float) -> None:
     """The rest of a priced entry's certificate: ``lowest``, the smallest
-    reduced cost over every column, is at least ``-dual_tolerance(c)`` of the
-    LP whose ``||c||_inf`` is ``c_norm``.  The model's columns have passed
+    reduced cost over every column, is at least ``-dual_tolerance(c_norm)``,
+    ``c_norm`` the ``||c||_inf`` of the LP.  The model's columns have passed
     :func:`certify` at that bound, so a failure is a column outside the
     model, an ``x >= 0`` column at zero."""
     tol = dual_tolerance(c_norm)
@@ -433,8 +436,6 @@ class HighsModel:
     """
 
     def __init__(self, row_lower, row_upper):
-        self._lower = np.array(row_lower, dtype=float)
-        self._upper = np.array(row_upper, dtype=float)
         self._highs = _Highs()
         for option, value in (("output_flag", False),
                               ("presolve", "off"),
@@ -444,12 +445,15 @@ class HighsModel:
                               ("dual_feasibility_tolerance", HIGHS_TOL)):
             self._check(f"setOptionValue({option!r}, {value!r})",
                         self._highs.setOptionValue(option, value))
-        n = len(self._lower)
+        n = len(row_lower)
         self._check("addRows", self._highs.addRows(
-            n, self._lower, self._upper, 0, np.zeros(n, np.int32),
-            np.zeros(0, np.int32), np.zeros(0)))
-        self.n_cols = 0
+            n, np.asarray(row_lower, dtype=float), np.asarray(row_upper, dtype=float), 0,
+            np.zeros(n, np.int32), np.zeros(0, np.int32), np.zeros(0)))
         self._solution = None
+
+    @property
+    def n_cols(self) -> int:
+        return self._highs.getNumCol()
 
     @staticmethod
     def _check(call: str, status, row=None) -> None:
@@ -459,21 +463,19 @@ class HighsModel:
         if status == HighsStatus.kError:
             raise LpError(f"HiGHS {call} failed" + ("" if row is None else f" on row {row}"))
 
-    def add_columns(self, cost, starts, indices, values, lower=None, upper=None) -> None:
+    def add_columns(self, cost, starts, indices, values, lower, upper) -> None:
         """Add columns with objective ``cost`` and bounds ``lower <= x <=
-        upper`` (by default ``x >= 0``), their entries given in compressed
-        sparse column form: column ``k`` has ``values[starts[k]:starts[k +
-        1]]`` in the rows ``indices[starts[k]:starts[k + 1]]``."""
+        upper``, their entries given in compressed sparse column form:
+        column ``k`` has ``values[starts[k]:starts[k + 1]]`` in the rows
+        ``indices[starts[k]:starts[k + 1]]``."""
         n = len(starts) - 1
         if n == 0:
             return
-        lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
-        upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
         self._check("addCols", self._highs.addCols(
-            n, np.asarray(cost, dtype=float), lower, upper,
-            int(starts[-1]), np.asarray(starts[:-1], dtype=np.int32),
-            np.asarray(indices, dtype=np.int32), np.asarray(values, dtype=float)))
-        self.n_cols += n
+            n, np.asarray(cost, dtype=float), np.asarray(lower, dtype=float),
+            np.asarray(upper, dtype=float), int(starts[-1]),
+            np.asarray(starts[:-1], dtype=np.int32), np.asarray(indices, dtype=np.int32),
+            np.asarray(values, dtype=float)))
 
     def delete_columns(self, positions) -> None:
         """Delete the columns at the ascending, distinct ``positions``, in the
@@ -481,14 +483,12 @@ class HighsModel:
         deleting nonbasic columns leaves it a basis of what remains."""
         positions = np.asarray(positions, dtype=np.int32)
         self._check("deleteCols", self._highs.deleteCols(len(positions), positions))
-        self.n_cols -= len(positions)
         self._solution = None
 
     def set_row_bounds(self, rows, lower, upper) -> None:
         for i, lo, up in zip(rows, lower, upper):
             self._check("changeRowBounds",
                         self._highs.changeRowBounds(int(i), float(lo), float(up)), i)
-            self._lower[i], self._upper[i] = lo, up
 
     def run(self):
         """``(status, row_dual, iterations)`` of one run.
@@ -505,8 +505,10 @@ class HighsModel:
         status = self._highs.getModelStatus()
         if status == HighsModelStatus.kModelEmpty:
             # No columns: feasible exactly when every row admits 0.
-            feasible = np.all(self._lower <= 0) and np.all(self._upper >= 0)
-            return ("optimal" if feasible else "infeasible", np.zeros(len(self._lower)), 0)
+            rows = self._highs.getLp()
+            lower, upper = np.asarray(rows.row_lower_), np.asarray(rows.row_upper_)
+            feasible = np.all(lower <= 0) and np.all(upper >= 0)
+            return ("optimal" if feasible else "infeasible", np.zeros(len(lower)), 0)
         iterations = int(self._highs.getInfo().simplex_iteration_count)
         if status == HighsModelStatus.kInfeasible:
             return "infeasible", np.zeros(0), iterations
@@ -564,7 +566,7 @@ def dump_lp(lp: LinearProgram) -> str:
     lines = [f"LP n_vars={lp.n_vars} n_rows={lp.n_rows} minimize"]
     if lp.n_rows > 200 or lp.n_vars > 1000:
         lines.append(
-            f"(too large to dump: |c|_inf={float(np.max(np.abs(lp.c), initial=0.0))!r} "
+            f"(too large to dump: |c|_inf={lp.c_norm!r} "
             f"|row bounds|_inf={_row_bound_norm(lp)!r})"
         )
         return "\n".join(lines)

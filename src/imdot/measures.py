@@ -278,12 +278,17 @@ def save_dataset(dataset: LabeledDataset, path) -> None:
 
 
 def load_dataset(path, n_classes: int | None = None) -> LabeledDataset:
+    """The dataset :func:`save_dataset` wrote to ``path``, its classes
+    ``1..n_classes`` (by default its largest label).  A malformed file, one
+    without data rows, or a label outside the classes is a ValueError that
+    names the file."""
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[-1] != "label":
-            raise ValueError(f"{path}: expected a trailing 'label' column")
+        header = next(reader, [])
+        if len(header) < 2 or header[-1] != "label":
+            raise ValueError(f"{path}: expected a header of coordinate columns and a "
+                             f"trailing 'label' column")
         dim = len(header) - 1
         points, labels = [], []
         for row in reader:
@@ -301,7 +306,12 @@ def load_dataset(path, n_classes: int | None = None) -> LabeledDataset:
             if not all(map(math.isfinite, points[-1])):
                 raise ValueError(f"{path}, line {reader.line_num}: non-finite "
                                  f"coordinate in {row!r}")
+    if not labels:
+        raise ValueError(f"{path}: no data rows")
     labels = np.asarray(labels, dtype=int)
     if n_classes is None:
-        n_classes = int(labels.max()) if len(labels) else 1
-    return LabeledDataset(np.asarray(points, dtype=float), labels, n_classes)
+        n_classes = max(int(labels.max()), 1)
+    try:
+        return LabeledDataset(np.asarray(points, dtype=float), labels, n_classes)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

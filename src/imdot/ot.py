@@ -177,12 +177,12 @@ def _solve_blocks(target: DiscreteMeasure,
     budget row and raises an LpError at the first entry infeasible with
     every arc.  The walk starts from the lift of :func:`_coarse_arcs` or,
     without one, from the arcs of :func:`_initial_arcs`.  Pricing stops
-    below ``-pricing_tolerance(c)``, HiGHS's own tolerance: the
-    certificate's looser ``-dual_tolerance(c)`` could leave out an arc that
+    below ``-pricing_tolerance(||c||_inf)``, HiGHS's own tolerance: the
+    certificate's looser ``-dual_tolerance`` could leave out an arc that
     improves the value by more than that, depending on the simplex path.
     Each entry's certificate covers every arc: the model's arcs by
     :func:`imdot.lp.certify`, every other arc by the pricing pass that ended
-    the entry, whose smallest reduced cost must reach ``-dual_tolerance(c)``.
+    the entry, whose smallest reduced cost must reach ``-dual_tolerance``.
     """
     n_t = target.n_atoms
     cond_weights = [source.weights for source in sources]
@@ -251,7 +251,7 @@ def _walk_blocks(target, cond_weights, costs, cap_scale, budgets, lifted) -> lis
 
     bounds = [(np.append(lower, budget), np.append(upper, budget)) for budget in budgets]
     if lifted is None:
-        lifted = _initial_arcs(cost, target.weights, _capacity(cap_scale, cond_weights))
+        lifted = _initial_arcs(cost, target.weights, upper[n_t:])
     rows, cols = lifted
     walked = solve_path(grid, bounds,
                         np.append(np.arange(n_beta), n_beta + rows * n_src + cols), price)

@@ -247,6 +247,9 @@ def verify_sgu_properties(hyp_target, hyp_source, source_labels, target_labels,
     ``min_h R_S(h)``.
     Point 3: ``U_H(h) = R_S(h)`` at the best-source hypothesis and at the
     joint-risk minimizer (which needs the target labels).
+
+    ``U_H`` is scored once per row of the superset; a hypothesis of H reads
+    its value from its row there.
     """
     if not loss_satisfies_triangle(loss, n_classes):
         raise ValueError("the loss does not satisfy the triangle inequality")
@@ -257,35 +260,32 @@ def verify_sgu_properties(hyp_target, hyp_source, source_labels, target_labels,
     hyp_source = np.asarray(hyp_source)
     tilde_target = np.asarray(tilde_target)
     tilde_source = np.asarray(tilde_source)
+    pool_rows = []
     for ht, hs in zip(hyp_target, hyp_source):
-        present = np.any(np.all(tilde_target == ht, axis=1)
-                         & np.all(tilde_source == hs, axis=1))
-        if not present:
+        present = np.flatnonzero(np.all(tilde_target == ht, axis=1)
+                                 & np.all(tilde_source == hs, axis=1))
+        if not len(present):
             raise ValueError("the hypothesis class is not contained in its superset")
+        pool_rows.append(present[0])
 
     source_labels = np.asarray(source_labels)
     target_labels = np.asarray(target_labels)
     risks_s = np.array([_risk(loss, labels, source_labels) for labels in hyp_source])
 
-    def uncertainty(g_labels):
-        value, _ = source_guided_uncertainty(
-            g_labels, hyp_target, hyp_source, source_labels, loss, loss)
-        return value
+    pool_u = [source_guided_uncertainty(g, hyp_target, hyp_source, source_labels,
+                                        loss, loss)[0] for g in tilde_target]
+    u_h = [pool_u[row] for row in pool_rows]
 
-    point1_ok = all(
-        uncertainty(hyp_target[h]) <= risks_s[h] + ROUNDING_TOL
-        for h in range(len(hyp_target))
-    )
+    point1_ok = all(u <= r + ROUNDING_TOL for u, r in zip(u_h, risks_s))
 
-    inf_over_pool = min(uncertainty(g) for g in tilde_target)
+    inf_over_pool = min(pool_u)
     inf_source = float(risks_s.min())
     point2_ok = abs(inf_over_pool - inf_source) <= ROUNDING_TOL
 
     risks_t_true = np.array([_risk(loss, labels, target_labels) for labels in hyp_target])
     h_s = int(np.argmin(risks_s))
     h_star = int(np.argmin(risks_t_true + risks_s))
-    u_hs = uncertainty(hyp_target[h_s])
-    u_hstar = uncertainty(hyp_target[h_star])
+    u_hs, u_hstar = u_h[h_s], u_h[h_star]
     point3_ok = (abs(u_hs - risks_s[h_s]) <= ROUNDING_TOL
                  and abs(u_hstar - risks_s[h_star]) <= ROUNDING_TOL)
 

@@ -42,6 +42,17 @@ def test_toy_flag_defaults_are_the_config_defaults():
         assert _toy_config(build_parser().parse_args([command])) == ToyConfig()
 
 
+def test_solve_names_an_empty_csv(tmp_path, capsys):
+    gen_dir = tmp_path / "data"
+    assert run("gen", *GEN_FLAGS, "--out", gen_dir) == 0
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert run("solve", "--source", gen_dir / "source.csv", "--target", empty,
+               "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"solve failed: {empty}: expected a header")
+
+
 def test_solve_split_beta_zero_matches_global(tmp_path):
     gen_dir = tmp_path / "data"
     assert run("gen", *GEN_FLAGS, "--out", gen_dir) == 0

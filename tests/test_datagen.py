@@ -29,6 +29,12 @@ class TestClassCenters:
     def test_unit_radius(self):
         assert np.allclose(np.linalg.norm(class_centers(7), axis=1), 1.0)
 
+    @pytest.mark.parametrize("count", [0, -1, 2.5, 3.0, True])
+    def test_a_class_count_must_be_a_positive_integer(self, count):
+        with pytest.raises(ValueError, match=f"^n_classes must be a positive integer, "
+                                             f"got {count!r}$"):
+            class_centers(count)
+
 
 class TestSourceProportions:
     def test_eta_zero_uniform(self):
@@ -48,6 +54,12 @@ class TestSourceProportions:
     def test_eta_must_be_finite_and_nonnegative(self, eta):
         with pytest.raises(ValueError, match="eta must be finite and nonnegative"):
             source_proportions(3, eta)
+
+    @pytest.mark.parametrize("count", [0, -1, 2.5])
+    def test_a_class_count_must_be_a_positive_integer(self, count):
+        with pytest.raises(ValueError, match=f"^n_classes must be a positive integer, "
+                                             f"got {count!r}$"):
+            source_proportions(count, 1.0)
 
 
 class TestGeneratePair:
@@ -127,6 +139,11 @@ class TestGeneratePair:
             ToyConfig(sigma=0.0)
         with pytest.raises(ValueError):
             ToyConfig(eta=-0.5)
+
+    @pytest.mark.parametrize("field", ["n_classes", "n_source", "n_target"])
+    def test_a_fractional_count_is_named(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a positive integer, got 30.5$"):
+            ToyConfig(**{"n_classes": 3, "n_source": 40, "n_target": 40, field: 30.5})
 
     def test_non_finite_parameters_are_named(self):
         for field in ("sigma", "eta", "theta_degrees"):

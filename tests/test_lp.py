@@ -118,6 +118,10 @@ def test_an_lp_without_columns_is_solved_by_its_row_bounds():
     assert (sol.value, sol.x.shape, sol.iterations) == (0.0, (0,), 0)
     with pytest.raises(LpError, match="^LP is infeasible\n"):
         solve(LinearProgram(np.zeros(0), np.zeros((1, 0)), [1.0], [2.0]))
+    # The bounds are read back from HiGHS, after each change.
+    lp = LinearProgram(np.zeros(0), np.zeros((1, 0)), [-1.0], [1.0])
+    walk = [([-1.0], [1.0]), ([0.0], [0.0]), ([1.0], [2.0]), ([0.0], [0.0])]
+    assert [sol.value for sol in solve_path(lp, walk, [])] == [0.0, 0.0]
 
 
 def test_mixed_relations_and_bounds():
@@ -188,7 +192,7 @@ def test_columns_outside_the_model_are_held_to_the_scale_of_every_column():
     # Column 1 prices 1e-6 below zero: beyond the dual tolerance of the
     # model's own costs, within that of every column.
     lp = undercut_lp(1e-6)
-    assert dual_tolerance(lp.columns([0])[0]) < 1e-6 < dual_tolerance(lp.c)
+    assert dual_tolerance(1.0) < 1e-6 < dual_tolerance(lp.c_norm)
     (sol,) = walk_from_column_0(lp, report_without_adding(lp))
     assert (sol.value, sol.columns, sol.gap) == (1.0, 1, 0.0)
     assert np.array_equal(sol.x, [1.0, 0.0, 0.0])
@@ -383,6 +387,26 @@ def test_row_bounds_must_be_ordered():
         LinearProgram([1.0], [[1.0]], [2.0], [1.0])
 
 
+@pytest.mark.parametrize("field, bad, cause", [
+    ("c", np.nan, "costs must be finite"),
+    ("c", np.inf, "costs must be finite"),
+    ("c", -np.inf, "costs must be finite"),
+    ("row_lower", np.nan, "row bounds must not be NaN"),
+    ("row_upper", np.nan, "row bounds must not be NaN"),
+    ("lower", np.nan, "variable bounds must not be NaN"),
+    ("upper", np.nan, "variable bounds must not be NaN"),
+    ("A", np.nan, "constraint matrix entries must be finite"),
+    ("A", np.inf, "constraint matrix entries must be finite"),
+])
+def test_non_finite_input_is_named(field, bad, cause):
+    fields = {"c": [1.0, 2.0], "A": [[1.0, 1.0]], "row_lower": [1.0], "row_upper": [1.0],
+              "lower": [0.0, 0.0], "upper": [np.inf, np.inf]}
+    fields[field] = np.array(fields[field])
+    fields[field].flat[0] = bad
+    with pytest.raises(ValueError, match=f"^{cause}$"):
+        LinearProgram(**fields)
+
+
 def test_permuted_variables_same_value(rng):
     n, m = 6, 4
     A = rng.uniform(-1, 1, size=(m, n))
@@ -468,16 +492,17 @@ def test_warm_model_runs_the_simplex_its_basis_admits(monkeypatch):
         status, _, _ = model.run()
         return status, model.col_value()
 
-    model.add_columns([3.0], [0, 1], [0], [1.0])
+    model.add_columns([3.0], [0, 1], [0], [1.0], [0.0], [np.inf])
     status, x = run()                                          # a new model
     assert status == "optimal" and np.allclose(x, [1.0])
-    model.add_columns([1.0, 2.0], [0, 2, 3], [0, 1, 0], [1.0, 1.0, 1.0])
+    model.add_columns([1.0, 2.0], [0, 2, 3], [0, 1, 0], [1.0, 1.0, 1.0], [0.0, 0.0],
+                      [np.inf, np.inf])
     status, x = run()                                          # columns only
     assert status == "optimal" and np.allclose(x, [0.0, 1.0, 0.0])
     model.set_row_bounds([0], [3.0], [3.0])
     status, x = run()                                          # new bounds
     assert status == "optimal" and np.allclose(x, [0.0, 2.0, 1.0])
-    model.add_columns([0.5], [0, 2], [0, 1], [1.0, 1.0])
+    model.add_columns([0.5], [0, 2], [0, 1], [1.0, 1.0], [0.0], [np.inf])
     model.set_row_bounds([0], [2.0], [2.0])
     status, x = run()                                          # both changed
     assert status == "optimal" and np.allclose(x, [0.0, 0.0, 0.0, 2.0])
@@ -488,11 +513,11 @@ def test_rejected_highs_changes_raise():
     model = HighsModel([1.0, -np.inf], [1.0, 2.0])
     # A column with an entry in row 2 of a 2-row model.
     with pytest.raises(LpError, match="addCols"):
-        model.add_columns([1.0], [0, 3], [0, 1, 2], [1.0, 1.0, 1.0])
+        model.add_columns([1.0], [0, 3], [0, 1, 2], [1.0, 1.0, 1.0], [0.0], [np.inf])
     assert model.n_cols == 0
     with pytest.raises(LpError, match="changeRowBounds failed on row 2"):
         model.set_row_bounds([2], [0.0], [1.0])
-    model.add_columns([1.0], [0, 2], [0, 1], [1.0, 1.0])
+    model.add_columns([1.0], [0, 2], [0, 1], [1.0, 1.0], [0.0], [np.inf])
     status, _, _ = model.run()
     assert (status, model.n_cols) == ("optimal", 1)
     assert np.allclose(model.col_value(), [1.0])
@@ -515,7 +540,7 @@ def test_deleting_priced_out_columns_keeps_the_basis(rng):
     assert status == "optimal"
     x, reduced = model.col_value(), model.col_dual()
     value = math.fsum(lp.c * x)
-    out = np.flatnonzero((x == 0) & (reduced > pricing_tolerance(lp.c)))
+    out = np.flatnonzero((x == 0) & (reduced > pricing_tolerance(lp.c_norm)))
     assert len(out) > lp.n_vars // 2
     model.delete_columns(out)
     assert model.n_cols == lp.n_vars - len(out)
@@ -531,7 +556,8 @@ def test_a_rejected_deletion_raises(positions):
     # Out of range, descending, repeated: HiGHS refuses each set and leaves
     # the model as it was.
     model = HighsModel([1.0], [1.0])
-    model.add_columns([1.0, 2.0], [0, 1, 2], [0, 0], [1.0, 1.0])
+    model.add_columns([1.0, 2.0], [0, 1, 2], [0, 0], [1.0, 1.0], [0.0, 0.0],
+                      [np.inf, np.inf])
     with pytest.raises(LpError, match="HiGHS deleteCols failed"):
         model.delete_columns(positions)
     assert model.n_cols == 2
@@ -560,7 +586,7 @@ def test_unbounded_or_infeasible_raises(monkeypatch):
     # HiGHS proves neither, so it is not reported as "unbounded".
     monkeypatch.setattr(imdot.lp, "_Highs", UnboundedOrInfeasibleHighs)
     model = HighsModel([1.0], [1.0])
-    model.add_columns([1.0], [0, 1], [0], [1.0])
+    model.add_columns([1.0], [0, 1], [0], [1.0], [0.0], [np.inf])
     status = _Highs().modelStatusToString(HighsModelStatus.kUnboundedOrInfeasible)
     with pytest.raises(LpError, match=f"solver failed: {status}$"):
         model.run()

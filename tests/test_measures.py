@@ -200,3 +200,24 @@ class TestIo:
         path.write_text(f"x1,x2,label\n0.5,0.5,1\n\n{row}\n")
         with pytest.raises(ValueError, match=f"bad.csv, line 4: {cause}"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("text, cause", [
+        ("", "expected a header of coordinate columns and a trailing 'label' column"),
+        ("label\n1\n", "expected a header of coordinate columns and a trailing 'label' column"),
+        ("x1,x2,label\n", "no data rows"),
+        ("x1,x2,label\n0.5,0.5,0\n1.0,1.0,2\n", r"labels must lie in 1..2, got range \[0, 2\]"),
+        ("x1,x2,label\n0.5,0.5,0\n", r"labels must lie in 1..1, got range \[0, 0\]"),
+    ])
+    def test_a_file_without_a_dataset_is_named(self, tmp_path, text, cause):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"bad.csv: {cause}$"):
+            load_dataset(path)
+
+    def test_a_label_beyond_the_given_classes_is_named(self, tmp_path):
+        path = tmp_path / "target.csv"
+        path.write_text("x1,label\n0.5,1\n1.0,3\n")
+        with pytest.raises(ValueError, match=r"target.csv: labels must lie in 1..2, "
+                                             r"got range \[1, 3\]$"):
+            load_dataset(path, n_classes=2)
+        assert load_dataset(path).points.shape == (2, 1)

@@ -6,7 +6,8 @@ only break a traced benchmark run.  Its ``TARGETS`` are read here from the
 tracer's source, without importing it, so that such a change fails these
 tests instead.  Only ``imdot.lp`` makes a HiGHS model, removes its
 columns or certifies a solution: every LP goes through its one solve loop,
-which alone tracks the model's columns.  And every transport
+which alone tracks the model's columns, and the model keeps no copy of
+what HiGHS holds.  And every transport
 problem of ``imdot.ot`` has one LP form, with its ``beta`` columns and its
 budget row: no function there tells a budget from a missing one, and only
 the three problems that are not a special case of another call its solver.
@@ -68,6 +69,73 @@ def test_only_the_lp_module_makes_models_and_certifies():
     calls = {path.stem: solver_calls(path.read_text()) for path in sorted(package.glob("*.py"))}
     assert set(calls.pop("lp")) == SOLVER_CALLS
     assert {module: names for module, names in calls.items() if names} == {}
+
+
+#: The only instance attributes of ``imdot.lp.HighsModel``: the HiGHS model
+#: and its last solution.  What HiGHS holds, such as the row bounds and the
+#: column count, is read back from it, never mirrored.
+MODEL_ATTRIBUTES = ["_highs", "_solution"]
+
+
+def _assigned(target):
+    """The nodes a target of an assignment assigns: the elements of a tuple
+    or list, and the container of an item."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _assigned(element)
+    elif isinstance(target, (ast.Starred, ast.Subscript)):
+        yield from _assigned(target.value)
+    else:
+        yield target
+
+
+def instance_attributes(source: str, class_name: str) -> list:
+    """The sorted names that the methods of class ``class_name`` in
+    ``source`` assign on ``self``: by ``=``, an augmented or annotated
+    assignment, an item assignment, or ``setattr``."""
+    found = set()
+    for top in ast.parse(source).body:
+        if not (isinstance(top, ast.ClassDef) and top.name == class_name):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr"
+                  and isinstance(node.args[0], ast.Name) and node.args[0].id == "self"):
+                found.add(ast.literal_eval(node.args[1]))
+                continue
+            else:
+                continue
+            for target in targets:
+                for name in _assigned(target):
+                    if (isinstance(name, ast.Attribute) and isinstance(name.value, ast.Name)
+                            and name.value.id == "self"):
+                        found.add(name.attr)
+    return sorted(found)
+
+
+def test_the_scan_finds_every_instance_attribute():
+    source = ("class HighsModel:\n"
+              "    def __init__(self, n):\n"
+              "        self._highs, self.n_cols = object(), 0\n"
+              "        self._lower: list = [0.0] * n\n"
+              "    def run(self, other):\n"
+              "        self.n_cols += 1\n"
+              "        self._upper[self.n_cols] = 1.0\n"
+              "        setattr(self, '_solution', None)\n"
+              "        other.elsewhere = self.read\n"
+              "class Other:\n"
+              "    def __init__(self):\n"
+              "        self.elsewhere = 1\n")
+    assert instance_attributes(source, "HighsModel") == [
+        "_highs", "_lower", "_solution", "_upper", "n_cols"]
+
+
+def test_the_highs_model_mirrors_nothing_highs_holds():
+    lp = Path(importlib.import_module("imdot.lp").__file__)
+    assert instance_attributes(lp.read_text(), "HighsModel") == MODEL_ATTRIBUTES
 
 
 #: Names of a transport problem's budgets in ``imdot.ot``.

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import imdot.uncertainty
 from imdot import checks
 from imdot.uncertainty import (
     cross_entropy_loss,
@@ -289,6 +290,22 @@ class TestSguProperties:
                                        tilde_t, tilde_s, k)
         u_hs, r_hs = report.point3_values[0]
         assert u_hs == pytest.approx(r_hs, abs=1e-12)
+
+    def test_each_scorer_of_the_pool_is_scored_once(self, rng, monkeypatch):
+        tilde_t, tilde_s, y_s, y_t, k, m = self._instance(rng)
+        expected = verify_sgu_properties(tilde_t[:m], tilde_s[:m], y_s, y_t,
+                                         tilde_t, tilde_s, k)
+        scored = []
+
+        def counted(g, *rest):
+            scored.append(tuple(g))
+            return source_guided_uncertainty(g, *rest)
+
+        monkeypatch.setattr(imdot.uncertainty, "source_guided_uncertainty", counted)
+        report = verify_sgu_properties(tilde_t[:m], tilde_s[:m], y_s, y_t,
+                                       tilde_t, tilde_s, k)
+        assert scored == [tuple(g) for g in tilde_t]
+        assert report == expected
 
     def test_rejects_non_triangle_loss(self, rng):
         tilde_t, tilde_s, y_s, y_t, k, m = self._instance(rng)
