@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -26,6 +25,9 @@ from .datagen import ToyConfig, generate_pair
 from .experiments import run_sweep, write_draws_csv, write_summary_csv
 from .measures import (
     ROUNDING_TOL,
+    _count,
+    _nonnegative,
+    _real,
     class_conditionals,
     cost_matrix,
     empirical_measure,
@@ -121,40 +123,24 @@ def _flag_value(action: argparse.Action, value):
     return parsed
 
 
-def _finite(text: str) -> float:
-    """A finite float."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _flag(kind, name: str, *args, many: bool = False):
+    """The ``type=`` of every flag: its text as a number, or with ``many`` as
+    a comma-separated list of numbers, checked by ``kind``, an argument kind
+    of :mod:`imdot.measures`, as the argument ``name``.  A ValueError of
+    either becomes argparse's own, so a bad flag is an "argument --flag"
+    usage error with exit code 2."""
 
+    def number(text: str):
+        return int(text) if text.strip().lstrip("+-").isdigit() else float(text)
 
-def _beta(text: str) -> float:
-    """A finite, nonnegative float."""
-    value = _finite(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a finite nonnegative number, got {text!r}")
-    return value
+    def parse(text: str):
+        try:
+            value = [number(field) for field in text.split(",")] if many else number(text)
+            return np.asarray(kind(name, value, *args)).tolist()
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-
-def _positive_int(text: str) -> int:
-    """A positive integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _beta_list(text: str) -> list:
-    """A comma-separated list of finite, nonnegative floats."""
-    return [_beta(v) for v in text.split(",")]
+    return parse
 
 
 def _toy_config(args) -> ToyConfig:
@@ -352,18 +338,20 @@ def render_plan_svg(source_points, target_points, plan_set: TransportPlanSet,
 
 def _add_toy_flags(sub):
     toy = ToyConfig()
-    sub.add_argument("--k", type=int, default=toy.n_classes, help="number of classes")
-    sub.add_argument("--eta", type=_finite, default=toy.eta,
+    # Parsed as integers and finite reals here; ToyConfig holds their ranges.
+    sub.add_argument("--k", type=_flag(_count, "n_classes", None), default=toy.n_classes,
+                     help="number of classes")
+    sub.add_argument("--eta", type=_flag(_real, "eta"), default=toy.eta,
                      help="imbalance intensity of the source proportions")
-    sub.add_argument("--theta", type=_finite, default=toy.theta_degrees,
+    sub.add_argument("--theta", type=_flag(_real, "theta_degrees"), default=toy.theta_degrees,
                      help="target rotation angle in degrees")
-    sub.add_argument("--n-source", "--n", type=int, default=toy.n_source,
-                     dest="n_source")
-    sub.add_argument("--n-target", type=int, default=0,
+    sub.add_argument("--n-source", "--n", type=_flag(_count, "n_source", None),
+                     default=toy.n_source, dest="n_source")
+    sub.add_argument("--n-target", type=_flag(_count, "n_target", None), default=0,
                      help="target sample size (defaults to the source size)")
-    sub.add_argument("--sigma", type=_finite, default=toy.sigma,
+    sub.add_argument("--sigma", type=_flag(_real, "sigma"), default=toy.sigma,
                      help="per-class isotropic standard deviation")
-    sub.add_argument("--seed", type=int, default=toy.seed)
+    sub.add_argument("--seed", type=_flag(_count, "seed", None), default=toy.seed)
     sub.add_argument("--config", help="JSON file of flag defaults")
     sub.set_defaults(toy=True)
 
@@ -386,9 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--target", required=True, help="target dataset CSV")
     solve.add_argument("--mode", choices=["global", "perclass", "split"],
                        default="split")
-    solve.add_argument("--beta", type=_beta, default=0.5,
+    solve.add_argument("--beta", type=_flag(_nonnegative, "beta"), default=0.5,
                        help="relaxation (global) or total budget (split)")
-    solve.add_argument("--beta-vec", type=_beta_list, default=None,
+    solve.add_argument("--beta-vec", type=_flag(_nonnegative, "beta_vec", 1, many=True),
+                       default=None,
                        help="comma-separated per-class relaxation (perclass mode)")
     solve.add_argument("--svg", action="store_true", help="also render the plan")
     solve.add_argument("--out", default="out")
@@ -397,12 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subs.add_parser("sweep", help="accuracy sweep over relaxations")
     _add_toy_flags(sweep)
-    sweep.add_argument("--beta-grid", type=_beta_list,
+    sweep.add_argument("--beta-grid", type=_flag(_nonnegative, "beta_grid", 1, many=True),
                        default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
-    sweep.add_argument("--draws", type=_positive_int, default=50)
+    sweep.add_argument("--draws", type=_flag(_count, "draws"), default=50)
     sweep.add_argument("--mode", choices=["both", "global", "per_class_split"],
                        default="both")
-    sweep.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
+    sweep.add_argument("--jobs", type=_flag(_count, "jobs"), default=os.cpu_count() or 1,
                        help="worker processes, at most one per draw")
     sweep.add_argument("--timings", action="store_true",
                        help="record wall-clock per solve (breaks byte-identical reruns)")

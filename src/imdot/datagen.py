@@ -25,7 +25,10 @@ from .measures import (
     ROUNDING_TOL,
     DiscreteMeasure,
     LabeledDataset,
-    _finite_nonnegative,
+    _count,
+    _nonnegative,
+    _probability,
+    _real,
 )
 
 __all__ = [
@@ -58,27 +61,17 @@ class ToyConfig:
         if self.n_source < self.n_classes or self.n_target < self.n_classes:
             raise ValueError("sample sizes must be at least the class count")
         for name in ("n_classes", "n_source", "n_target"):
-            _positive_int(name, getattr(self, name))
+            _count(name, getattr(self, name))
         for name in ("sigma", "eta", "theta_degrees"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            _real(name, getattr(self, name))
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.eta < 0:
             raise ValueError("eta must be nonnegative")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _count("seed", self.seed, 0)
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _positive_int(name: str, value) -> int:
-    """``value``, or a ValueError naming ``name`` unless it is an integer
-    (not a bool) of at least 1: the rule for class counts and sample sizes."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -88,15 +81,15 @@ def _rotation(theta: float) -> np.ndarray:
 
 def class_centers(n_classes: int) -> np.ndarray:
     """Centers obtained by rotating (0, 1) by ``2 k pi / K``, k = 0..K-1."""
-    n_classes = _positive_int("n_classes", n_classes)
+    n_classes = _count("n_classes", n_classes)
     angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
     return np.column_stack([-np.sin(angles), np.cos(angles)])
 
 
 def source_proportions(n_classes: int, eta: float) -> np.ndarray:
     """``p_k proportional to exp(eta * k)``, k = 1..K, normalized."""
-    n_classes = _positive_int("n_classes", n_classes)
-    _finite_nonnegative("eta", eta)
+    n_classes = _count("n_classes", n_classes)
+    _nonnegative("eta", eta)
     k = np.arange(1, n_classes + 1, dtype=float)
     w = np.exp(eta * (k - k.max()))  # shift for numerical stability
     return w / w.sum()
@@ -158,15 +151,11 @@ def shared_atom_label_shift(class_atoms: Sequence, p, q):
 
     Returns ``(source, conditionals, target)``.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p, q = _probability("p", p), _probability("q", q)
     atoms = [np.atleast_2d(np.asarray(a, dtype=float)) for a in class_atoms]
-    if not (len(atoms) == len(p) == len(q)):
-        raise ValueError("need one atom set per class proportion")
-    for vec, name in ((p, "p"), (q, "q")):
-        # Written as "not within", so that a NaN fails it.
-        if not (np.all(vec >= 0) and abs(vec.sum() - 1.0) <= ROUNDING_TOL):
-            raise ValueError(f"{name} must be a probability vector, got {vec.tolist()!r}")
+    if not p.shape == q.shape == (len(atoms),):
+        raise ValueError(f"p and q must be vectors of one entry per atom set, got shapes "
+                         f"{p.shape} and {q.shape} for {len(atoms)} sets")
     for a in atoms:
         if len(a) == 0:
             raise ValueError("every class needs at least one atom")

@@ -21,7 +21,9 @@ from .datagen import ToyConfig, draw_seeds, generate_pair
 from .measures import (
     ROUNDING_TOL,
     CostMatrix,
-    _finite_nonnegative,
+    _count,
+    _nonnegative,
+    _plan,
     class_conditionals,
     cost_matrix,
     empirical_measure,
@@ -69,18 +71,17 @@ def propagate_labels(plan, source_labels, n_classes: int | None = None) -> np.nd
     source_labels = np.asarray(source_labels, dtype=int)
     if n_classes is None:
         n_classes = int(source_labels.max())
-    if n_classes < 1:
-        raise ValueError(f"n_classes must be >= 1, got {n_classes}")
+    n_classes = _count("n_classes", n_classes)
     outside = source_labels[(source_labels < 1) | (source_labels > n_classes)]
     if outside.size:
         raise ValueError(f"source label {outside[0]} is outside 1..{n_classes}")
     if isinstance(plan, TransportPlanSet):
-        blocks = plan.plans
+        blocks = [_plan(f"plan block {k + 1}", block) for k, block in enumerate(plan.plans)]
         if source_labels.size and source_labels.max() > len(blocks):
             raise ValueError(f"source label {source_labels.max()} has no block: the "
                              f"plan set has {len(blocks)}")
     else:
-        plan = np.asarray(plan, dtype=float)
+        plan = _plan("plan", plan)
         if plan.shape[1] != len(source_labels):
             raise ValueError("plan columns do not match the source labels")
         blocks = [plan[:, source_labels == k] for k in range(1, n_classes + 1)]
@@ -217,17 +218,11 @@ def run_sweep(config: ToyConfig, beta_grid, draws: int,
     than one; records are gathered in draw order so the result is identical
     either way.
     """
-    if draws < 1:
-        raise ValueError("need at least one draw")
-    if jobs < 1:
-        raise ValueError("need at least one job")
+    draws, jobs = _count("draws", draws), _count("jobs", jobs)
     if mode not in ("both", MODE_GLOBAL, MODE_SPLIT):
         raise ValueError(f"unknown mode {mode!r}")
-    beta_grid = _finite_nonnegative("beta_grid", beta_grid)
-    if beta_grid.ndim != 1:
-        raise ValueError("beta_grid must be a vector of relaxations")
+    beta_grid = tuple(_nonnegative("beta_grid", beta_grid, 1).tolist())
     modes = (MODE_GLOBAL, MODE_SPLIT) if mode == "both" else (mode,)
-    beta_grid = tuple(float(b) for b in beta_grid)
     seeds = draw_seeds(config.seed, draws)
     tasks = [(d, seeds[d], config, beta_grid, modes) for d in range(draws)]
     workers = min(jobs, draws)

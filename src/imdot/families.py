@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .measures import ROUNDING_TOL, DiscreteMeasure, _freeze, _is_finite_nonnegative, mix
+from .measures import ROUNDING_TOL, DiscreteMeasure, _freeze, _nonnegative, mix
 
 __all__ = [
     "FunctionFamily",
@@ -135,9 +135,7 @@ class Localization:
             if not isinstance(measure, DiscreteMeasure):
                 raise ValueError(f"localization cap {index} has no DiscreteMeasure: "
                                  f"{type(measure).__name__}")
-            if not (np.ndim(eps) == 0 and _is_finite_nonnegative(eps)):
-                raise ValueError(f"localization cap {index} needs a finite eps >= 0, "
-                                 f"got {eps!r}")
+            _nonnegative(f"localization cap {index} eps", eps)
 
     def admission(self, ground_points: np.ndarray):
         """``admit(batch) -> mask`` over member batches on ``ground_points``.
@@ -153,26 +151,24 @@ def no_localization() -> Localization:
     return Localization()
 
 
-def _per_class_eps(eps, conditionals) -> tuple:
-    eps = np.asarray(eps, dtype=float)
-    if eps.ndim != 1 or not np.all(eps >= 0):  # inf passes, NaN does not
-        raise ValueError("per-class localization needs a vector eps >= 0")
-    conditionals = tuple(conditionals)
+def _per_class_eps(name: str, eps, conditionals) -> tuple:
+    """``(eps, conditionals)``, or a ValueError naming ``name`` unless ``eps``
+    is one nonnegative cap per conditional; an infinite cap is vacuous."""
+    eps, conditionals = _nonnegative(name, eps, 1, finite=False), tuple(conditionals)
     if len(conditionals) != len(eps):
-        raise ValueError("one conditional per eps component is required")
+        raise ValueError(f"{name} must have one entry per conditional, got {len(eps)} "
+                         f"for {len(conditionals)}")
     return eps, conditionals
 
 
 def global_localization(eps: float, reference: DiscreteMeasure) -> Localization:
-    """One cap ``E_reference[f] <= eps``; :class:`Localization` checks ``eps``."""
-    if not isinstance(reference, DiscreteMeasure):
-        raise ValueError("global localization needs a reference measure")
+    """One cap ``E_reference[f] <= eps``; :class:`Localization` checks both."""
     return Localization(((reference, eps),))
 
 
 def per_class_localization(eps, conditionals: Sequence[DiscreteMeasure]) -> Localization:
     """One cap per class; an infinite component makes its cap vacuous."""
-    eps, conditionals = _per_class_eps(eps, conditionals)
+    eps, conditionals = _per_class_eps("eps", eps, conditionals)
     return Localization(tuple((cond, float(e)) for cond, e in zip(conditionals, eps)
                               if np.isfinite(e)))
 
@@ -321,8 +317,8 @@ def localization_inclusion_check(family: FunctionFamily,
     ``proportions @ eps_vec``) is contained in the per-class localization at
     ``eta_k = eps / proportions[k]`` (infinite where a class is empty).
     """
-    p = np.asarray(proportions, dtype=float)
-    eps_vec, conditionals = _per_class_eps(eps_vec, conditionals)
+    p = _nonnegative("proportions", proportions, 1)
+    eps_vec, conditionals = _per_class_eps("eps_vec", eps_vec, conditionals)
     ground = family.ground_points
     empty = DiscreteMeasure(np.empty((0, ground.shape[1])), np.empty(0))
     reference = mix(empty, conditionals, p)

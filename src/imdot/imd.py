@@ -26,7 +26,7 @@ from .families import (
     no_localization,
     weights_on_ground,
 )
-from .measures import ROUNDING_TOL, DiscreteMeasure, _finite_nonnegative
+from .measures import ROUNDING_TOL, DiscreteMeasure, _nonnegative, _probability
 
 __all__ = [
     "ImdResult",
@@ -125,13 +125,12 @@ def imd_f0_support_mass(target: DiscreteMeasure, source: DiscreteMeasure) -> flo
 
 def _closed_form_args(t, s, name: str, value) -> tuple:
     """``(t, s, value)`` of a closed form as floats, or a ValueError naming
-    the argument: ``t`` and ``s`` of one shape, ``value`` finite and
-    nonnegative."""
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
+    the argument: ``t`` and ``s`` weight vectors of one length, ``value``
+    finite and nonnegative."""
+    t, s = _nonnegative("t", t, 1), _nonnegative("s", s, 1)
     if t.shape != s.shape:
         raise ValueError(f"t and s must have the same shape, got {t.shape} and {s.shape}")
-    return t, s, float(_finite_nonnegative(name, value))
+    return t, s, float(_nonnegative(name, value))
 
 
 def bounded01_localized_value(t: np.ndarray, s: np.ndarray, eps: float) -> float:
@@ -220,9 +219,9 @@ def duality_check(target: DiscreteMeasure, source: DiscreteMeasure,
     admitted members, and ``IMD(T, (1+a)S)`` for every grid value from one
     matrix product per batch.
     """
-    alpha_grid = _finite_nonnegative("alpha_grid", alpha_grid)
-    if alpha_grid.ndim != 1:
-        raise ValueError("alpha_grid must be a vector of relaxations")
+    alpha_grid = _nonnegative("alpha_grid", alpha_grid, 1)
+    if not len(alpha_grid):
+        raise ValueError("alpha_grid must not be empty")
     admit = global_localization(eps, source).admission(family.ground_points)
     wt = weights_on_ground(target, family.ground_points)
     ws = weights_on_ground(source, family.ground_points)
@@ -285,8 +284,7 @@ def hdh_imd(target: DiscreteMeasure, source: DiscreteMeasure,
     """
     if family.kind != KIND_HDH:
         raise ValueError("hdh_imd needs a family of kind 'hdh'")
-    if not target.is_probability:
-        raise ValueError("the target must be a probability measure")
+    _probability("target", target.weights)
     ground = family.ground_points
     wt = weights_on_ground(target, ground)
     ws = weights_on_ground(source, ground)
@@ -325,8 +323,8 @@ def hdh_support_bound_check(target: DiscreteMeasure, source: DiscreteMeasure,
     """
     if family.kind != KIND_HDH:
         raise ValueError("hdh_support_bound_check needs a family of kind 'hdh'")
-    if not target.is_probability or not source.is_probability:
-        raise ValueError("both measures must be probability measures")
+    _probability("target", target.weights)
+    _probability("source", source.weights)
     ground = family.ground_points
     wt = weights_on_ground(target, ground)
     ws = weights_on_ground(source, ground)

@@ -90,7 +90,9 @@ class LinearProgram:
 
     An infinite bound is absent, and equal bounds make an equality row or a
     pinned variable; by default ``x >= 0``.  Costs and matrix entries must
-    be finite and no bound may be NaN.  ``A`` is always CSC, the
+    be finite, no bound may be NaN, and an infinite bound must lie on its own
+    side: no lower bound is ``inf`` and no upper bound ``-inf``, which HiGHS
+    would refuse without naming it.  ``A`` is always CSC, the
     compressed columns HiGHS receives: a sparse input becomes ``A.tocsc()``,
     which makes no copy of a CSC matrix, and a dense one is converted once.
     """
@@ -119,6 +121,11 @@ class LinearProgram:
             raise ValueError("row bounds must not be NaN")
         if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
             raise ValueError("variable bounds must not be NaN")
+        for name, bound, wrong in (("row_lower", row_lower, np.inf), ("lower", lower, np.inf),
+                                   ("row_upper", row_upper, -np.inf),
+                                   ("upper", upper, -np.inf)):
+            if np.any(bound == wrong):
+                raise ValueError(f"{name} must not be {wrong}")
         A = _as_csc(A, len(row_lower), len(c))
         if not np.all(np.isfinite(A.data)):
             raise ValueError("constraint matrix entries must be finite")

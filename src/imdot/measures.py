@@ -36,20 +36,90 @@ __all__ = [
 ROUNDING_TOL = 1e-12
 
 
-def _is_finite_nonnegative(values) -> bool:
-    """Whether every one of ``values`` is finite and nonnegative: the rule
-    for every relaxation, budget and cap argument."""
-    values = np.asarray(values, dtype=float)
-    return bool(np.all(np.isfinite(values) & (values >= 0)))
+# ---------------------------------------------------------------------------
+# Argument kinds, one checker each, raising a ValueError that names the argument.
+# ---------------------------------------------------------------------------
+
+def _numbers(name: str, values, ndims: tuple, shape: str | None = None) -> np.ndarray:
+    """``values`` as a float array, or a ValueError "``name`` must be
+    ``shape``" (by default a number, a vector or a matrix of numbers) unless
+    they are numbers (a bool is none) in an array of one of the dimensions
+    ``ndims``."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged list
+        array = np.asarray(None)
+    if array.dtype.kind not in "iuf" or array.ndim not in ndims:
+        shape = shape or ("a number", "a vector of numbers", "a matrix of numbers")[ndims[0]]
+        raise ValueError(f"{name} must be {shape}, got {values!r}")
+    return array.astype(float, copy=False)
 
 
-def _finite_nonnegative(name: str, values) -> np.ndarray:
-    """``values`` as floats, or a ValueError naming ``name`` unless
-    :func:`_is_finite_nonnegative` holds."""
-    values = np.asarray(values, dtype=float)
-    if not _is_finite_nonnegative(values):
-        raise ValueError(f"{name} must be finite and nonnegative, got {values.tolist()!r}")
+def _count(name: str, value, minimum: int | None = 1) -> int:
+    """``value`` as an int, or a ValueError naming ``name`` unless it is an
+    integer, not a bool, of at least ``minimum`` (0, 1, or ``None`` for any):
+    the rule for class counts, sample sizes, draws, jobs and seeds."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or minimum is not None and value < minimum):
+        rule = {None: "an", 0: "a nonnegative", 1: "a positive"}[minimum]
+        raise ValueError(f"{name} must be {rule} integer, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, values, ndim: int = 0) -> np.ndarray:
+    """``values`` as a float array of ``ndim`` dimensions, or a ValueError
+    naming ``name`` unless every entry is finite: the rule for coordinates,
+    margins and the toy parameters, whose ranges their owners check."""
+    values = _numbers(name, values, (ndim,))
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite, got {values.tolist()!r}")
     return values
+
+
+def _nonnegative(name: str, values, ndim: int = 0, finite: bool = True) -> np.ndarray:
+    """``values`` as a float array of ``ndim`` dimensions, or a ValueError
+    naming ``name`` unless every entry is finite and nonnegative: the rule
+    for every relaxation, budget, cap, proportion and weight.  ``finite=False``
+    also admits ``inf``, the limit of a Renyi order or of a per-class cap."""
+    values = _numbers(name, values, (ndim,))
+    # Two reductions and no temporary: a NaN makes the minimum NaN.
+    if not (values.min(initial=0.0) >= 0 and (values.max(initial=0.0) < np.inf or not finite)):
+        rule = "finite and nonnegative" if finite else "nonnegative"
+        raise ValueError(f"{name} must be {rule}, got {values.tolist()!r}")
+    return values
+
+
+def _probability(name: str, values) -> np.ndarray:
+    """``values`` as a float array, or a ValueError naming ``name`` unless it
+    is a nonempty vector, or a batch of such rows (which may have none), of
+    finite, nonnegative entries summing to 1 within ``ROUNDING_TOL``.  A
+    batch is checked in one pass, and the message names its first bad row."""
+    shape = "a nonempty 1-d array, or a batch of nonempty rows"
+    v = _numbers(name, values, (1, 2), shape)
+    if v.shape[-1] == 0:
+        raise ValueError(f"{name} must be {shape}, got {values!r}")
+    # Written as "not within", so that a NaN or an infinite entry fails too:
+    # it makes the minimum NaN or the sum NaN or infinite.
+    with np.errstate(invalid="ignore"):  # inf - inf in a sum
+        within = (v.min(axis=-1) >= 0) & (np.abs(v.sum(axis=-1) - 1.0) <= ROUNDING_TOL)
+    if not np.all(within):
+        bad = int(np.argmin(within))
+        got = f"{v.tolist()!r}" if v.ndim == 1 else f"row {bad}: {v[bad].tolist()!r}"
+        raise ValueError(f"{name} must be finite and lie on the probability simplex, "
+                         f"got {got}")
+    return v
+
+
+def _plan(name: str, values) -> np.ndarray:
+    """``values`` as a float matrix, or a ValueError naming ``name`` and its
+    first bad row unless every entry is finite and none lies below
+    ``-ROUNDING_TOL``, the rounding that a solver's plan carries."""
+    v = _numbers(name, values, (2,))
+    if not (v.min(initial=0.0) >= -ROUNDING_TOL and v.max(initial=0.0) < np.inf):
+        row = int(np.argmin(np.all(np.isfinite(v) & (v >= -ROUNDING_TOL), axis=1)))
+        raise ValueError(f"{name} must be finite with no entry below -{ROUNDING_TOL}, "
+                         f"got row {row}: {v[row].tolist()!r}")
+    return v
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -75,22 +145,11 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if points.ndim == 1:
-            points = points.reshape(-1, 1)
-        if points.ndim != 2:
-            raise ValueError("points must be a (n, d) array")
-        if weights.ndim != 1 or len(weights) != len(points):
-            raise ValueError(
-                f"got {len(weights)} weights for {len(points)} points"
-            )
-        if not np.all(np.isfinite(points)):
-            raise ValueError("points must be finite")
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite")
-        if np.any(weights < 0):
-            raise ValueError("weights must be nonnegative")
+        points = np.asarray(self.points)
+        points = _real("points", points.reshape(-1, 1) if points.ndim == 1 else points, 2)
+        weights = _nonnegative("weights", self.weights, 1)
+        if len(weights) != len(points):
+            raise ValueError(f"got {len(weights)} weights for {len(points)} points")
         object.__setattr__(self, "points", _freeze(points))
         object.__setattr__(self, "weights", _freeze(weights))
 
@@ -116,8 +175,7 @@ class DiscreteMeasure:
 
     def scaled(self, factor: float) -> "DiscreteMeasure":
         """The measure with every weight multiplied by ``factor`` >= 0."""
-        if factor < 0:
-            raise ValueError("scaling factor must be nonnegative")
+        factor = float(_nonnegative("factor", factor))
         return DiscreteMeasure(self.points, factor * self.weights)
 
 
@@ -130,20 +188,16 @@ class LabeledDataset:
     n_classes: int
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
+        points = np.asarray(self.points)
+        points = _real("points", points.reshape(-1, 1) if points.ndim == 1 else points, 2)
         labels = np.asarray(self.labels)
-        if points.ndim == 1:
-            points = points.reshape(-1, 1)
         if labels.ndim != 1 or len(labels) != len(points):
             raise ValueError("labels must be a vector matching points")
-        if not np.all(np.isfinite(points)):
-            raise ValueError("points must be finite")
         if not np.issubdtype(labels.dtype, np.integer):
             if not np.all(labels == labels.astype(int)):
                 raise ValueError("labels must be integers")
         labels = labels.astype(int)
-        if self.n_classes < 1:
-            raise ValueError("n_classes must be >= 1")
+        _count("n_classes", self.n_classes)
         if len(labels) and (labels.min() < 1 or labels.max() > self.n_classes):
             raise ValueError(
                 f"labels must lie in 1..{self.n_classes}, "
@@ -180,11 +234,7 @@ class CostMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2:
-            raise ValueError("cost entries must form a 2-d matrix")
-        if entries.size and (not np.all(np.isfinite(entries)) or entries.min() < 0):
-            raise ValueError("cost entries must be finite and nonnegative")
+        entries = _nonnegative("cost entries", self.entries, 2)
         object.__setattr__(self, "entries", _freeze(entries))
 
 
@@ -247,11 +297,10 @@ def mix(base: DiscreteMeasure,
     dropped, so a zero coefficient vector returns a measure identical to the
     base.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 1 or len(coeffs) != len(components):
-        raise ValueError("one coefficient per component is required")
-    if np.any(coeffs < 0):
-        raise ValueError("mix coefficients must be nonnegative")
+    coeffs = _nonnegative("coeffs", coeffs, 1)
+    if len(coeffs) != len(components):
+        raise ValueError(f"coeffs must have one entry per component, got {len(coeffs)} "
+                         f"for {len(components)}")
     points = [base.points]
     weights = [base.weights]
     for coeff, comp in zip(coeffs, components):

@@ -81,7 +81,9 @@ from .measures import (
     ROUNDING_TOL,
     CostMatrix,
     DiscreteMeasure,
-    _finite_nonnegative,
+    _nonnegative,
+    _plan,
+    _probability,
     cost_matrix,
 )
 
@@ -487,9 +489,12 @@ def _priced_arcs(reduced: np.ndarray, tol: float) -> tuple:
 
 
 def _verify_plan(target, capacity, plan) -> None:
-    # Written as "not within", so that a NaN fails each check.
-    if plan.size and not plan.min() >= -ROUNDING_TOL:
-        raise LpError(f"negative plan entry {plan.min()!r}")
+    """An LpError unless the solver's ``plan`` is a plan (:func:`imdot.measures._plan`)
+    within ``capacity`` that reproduces the target; NaN fails each check."""
+    try:
+        _plan("plan", plan)
+    except ValueError as error:
+        raise LpError(str(error)) from None
     if not np.max(plan.sum(axis=0) - capacity, initial=0.0) <= FEASIBILITY_TOL:
         raise LpError("plan exceeds a class capacity")
     if not np.max(np.abs(plan.sum(axis=1) - target.weights), initial=0.0) <= FEASIBILITY_TOL:
@@ -520,7 +525,7 @@ def partial_ot_global(target: DiscreteMeasure, source: DiscreteMeasure,
     1-Lipschitz functions; nonincreasing in ``beta``.  The one-entry call of
     :func:`partial_ot_global_path`.
     """
-    _finite_nonnegative("beta", beta)
+    _nonnegative("beta", beta)
     return partial_ot_global_path(target, source, cost, [beta])[0]
 
 
@@ -548,12 +553,11 @@ def partial_ot_per_class(target: DiscreteMeasure,
     0.  Empty classes are permitted; relaxation assigned to them is simply
     unusable capacity.
     """
-    p = _finite_nonnegative("proportions", proportions)
-    beta_vec = _finite_nonnegative("beta_vec", beta_vec)
+    p = _nonnegative("proportions", proportions, 1)
+    beta_vec = _nonnegative("beta_vec", beta_vec, 1)
     if not (len(conditionals) == len(p) == len(beta_vec) == len(costs)):
         raise ValueError("conditionals, proportions, beta_vec and costs must align")
-    if not target.is_probability:
-        raise ValueError("the target must be a probability measure")
+    _probability("target", target.weights)
     (sol, plans, _), = _solve_blocks(target, conditionals, costs, p + beta_vec, [0.0])
     return TransportPlanSet(tuple(plans), beta_vec.copy(), sol.value)
 
@@ -570,7 +574,7 @@ def partial_ot_beta_split(target: DiscreteMeasure,
     the returned split is solver-determined (only the objective is unique).
     The one-budget call of :func:`partial_ot_beta_split_path`.
     """
-    _finite_nonnegative("beta_total", beta_total)
+    _nonnegative("beta_total", beta_total)
     return partial_ot_beta_split_path(target, conditionals, proportions,
                                       [beta_total], costs)[0]
 
@@ -586,14 +590,11 @@ def partial_ot_beta_split_path(target: DiscreteMeasure,
     problem at capacity scale ``p``, walked over the budgets on one warm
     model, from the largest down, each value certified on its own.
     """
-    grid = _finite_nonnegative("beta_grid", beta_grid)
-    if grid.ndim != 1:
-        raise ValueError("beta_grid must be a vector of budgets")
-    p = _finite_nonnegative("proportions", proportions)
+    grid = _nonnegative("beta_grid", beta_grid, 1)
+    p = _nonnegative("proportions", proportions, 1)
     if not (len(conditionals) == len(p) == len(costs)):
         raise ValueError("conditionals, proportions and costs must align")
-    if not target.is_probability:
-        raise ValueError("the target must be a probability measure")
+    _probability("target", target.weights)
     results = _solve_blocks(target, conditionals, costs, p, grid)
     return [TransportPlanSet(tuple(plans), beta, sol.value)
             for sol, plans, beta in results]

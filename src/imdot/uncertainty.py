@@ -7,13 +7,12 @@ integer label arrays, so every infimum here is an exact scan.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .measures import ROUNDING_TOL
+from .measures import ROUNDING_TOL, _nonnegative, _probability, _real
 
 __all__ = [
     "min_entropy_uncertainty",
@@ -35,27 +34,6 @@ __all__ = [
 LOG_CLIP = 1e-12
 
 
-def _check_simplex(score) -> np.ndarray:
-    """``score`` as a float array, or a ValueError unless it is a nonempty
-    1-d vector, or a 2-d batch of such rows, of finite, nonnegative entries
-    summing to 1 (``ROUNDING_TOL``).  A batch is checked in one pass, may
-    have no rows, and the message names its first bad row.
-
-    Written as "not within", so that a NaN or an infinite entry fails too:
-    it makes the minimum NaN or the sum NaN or infinite."""
-    v = np.asarray(score, dtype=float)
-    if v.ndim not in (1, 2) or v.shape[-1] == 0:
-        raise ValueError("a batch of scores must have nonempty rows" if v.ndim == 2
-                         else "score must be a nonempty 1-d array")
-    with np.errstate(invalid="ignore"):   # inf - inf in a sum
-        within = (v.min(axis=-1) >= 0) & (np.abs(v.sum(axis=-1) - 1.0) <= ROUNDING_TOL)
-    if not np.all(within):
-        bad = int(np.argmin(within))
-        got = f"{v.tolist()!r}" if v.ndim == 1 else f"row {bad}: {v[bad].tolist()!r}"
-        raise ValueError(f"score must be finite and lie on the probability simplex, got {got}")
-    return v
-
-
 def _per_row(values, v):
     """``values``, one per row of the checked score ``v``: the array itself
     for a batch, a float for a 1-d score, which is a batch of one row."""
@@ -66,7 +44,7 @@ def min_entropy_uncertainty(score):
     """``-log(max_i score_i)``: the cross-entropy self-uncertainty of a scorer.
 
     A 2-d array of simplex rows gives an array with one value per row."""
-    v = _check_simplex(score)
+    v = _probability("score", score)
     # On the simplex the largest entry is at least 1/len(score) > 0.
     return _per_row(-np.log(v.max(axis=-1)), v)
 
@@ -80,9 +58,8 @@ def renyi_entropy(score, alpha: float):
     simplex rows (zero-padded to one width) gives an array with one value
     per row.
     """
-    v = _check_simplex(score)
-    if not alpha >= 0:   # a NaN fails too
-        raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
+    v = _probability("score", score)
+    alpha = float(_nonnegative("alpha", alpha, finite=False))
     if alpha == np.inf:
         return min_entropy_uncertainty(v)
     if alpha == 1:
@@ -96,10 +73,7 @@ def renyi_entropy(score, alpha: float):
 
 def hinge_uncertainty(margin: float) -> float:
     """``(1 - |margin|)_+`` for a binary margin score."""
-    margin = float(margin)
-    if not math.isfinite(margin):
-        raise ValueError(f"margin must be finite, got {margin!r}")
-    return max(0.0, 1.0 - abs(margin))
+    return max(0.0, 1.0 - abs(float(_real("margin", margin))))
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +143,8 @@ class FiniteHypothesisRisks:
     source: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.target < 0) or np.any(self.source < 0):
-            raise ValueError("risks must be nonnegative")
+        _nonnegative("target", self.target, 1)
+        _nonnegative("source", self.source, 1)
 
 
 def _risk(loss: Callable, firsts, seconds) -> float:

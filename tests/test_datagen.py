@@ -55,7 +55,7 @@ class TestSourceProportions:
         with pytest.raises(ValueError, match="eta must be finite and nonnegative"):
             source_proportions(3, eta)
 
-    @pytest.mark.parametrize("count", [0, -1, 2.5])
+    @pytest.mark.parametrize("count", [0, -1, 2.5, True])
     def test_a_class_count_must_be_a_positive_integer(self, count):
         with pytest.raises(ValueError, match=f"^n_classes must be a positive integer, "
                                              f"got {count!r}$"):
@@ -139,6 +139,11 @@ class TestGeneratePair:
             ToyConfig(sigma=0.0)
         with pytest.raises(ValueError):
             ToyConfig(eta=-0.5)
+        # A bool is no number: to_dict() would write it to the sidecars as true.
+        for field, rule in (("seed", "a nonnegative integer"), ("sigma", "a number"),
+                            ("theta_degrees", "a number")):
+            with pytest.raises(ValueError, match=f"^{field} must be {rule}, got True$"):
+                ToyConfig(**{field: True})
 
     @pytest.mark.parametrize("field", ["n_classes", "n_source", "n_target"])
     def test_a_fractional_count_is_named(self, field):
@@ -196,5 +201,5 @@ class TestSharedAtomLabelShift:
     @pytest.mark.parametrize("name", ["p", "q"])
     def test_nan_proportions_are_named(self, name):
         vectors = {"p": [0.5, 0.5], "q": [0.5, 0.5], name: [np.nan, 0.5]}
-        with pytest.raises(ValueError, match=f"^{name} must be a probability vector"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and lie on the probability simplex"):
             shared_atom_label_shift(self.ATOMS, vectors["p"], vectors["q"])

@@ -16,7 +16,7 @@ from imdot.experiments import (
     write_summary_csv,
 )
 from imdot.lp import solve
-from imdot.measures import cost_matrix, empirical_measure
+from imdot.measures import ROUNDING_TOL, cost_matrix, empirical_measure
 from imdot.ot import (
     TransportPlanSet,
     _assemble_blocks,
@@ -93,10 +93,30 @@ class TestPropagateLabels:
         with pytest.raises(ValueError, match=named):
             propagate_labels(plan, np.array(labels), n_classes)
 
+    @staticmethod
+    def as_form(plan, form):
+        """``plan`` as a dense matrix or as the plan set of labels 1, 2."""
+        return plan if form == "dense" else TransportPlanSet(
+            (plan[:, :1], plan[:, 1:]), np.zeros(2), 0.0)
+
+    @pytest.mark.parametrize("form", ["dense", "plan_set"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-9])
+    def test_a_plan_that_is_not_one_is_rejected(self, form, bad):
+        # A NaN vote loses every comparison, so argmax would label row 1 by class 1.
+        plan = self.as_form(np.array([[0.5, 0.0], [bad, 0.5]]), form)
+        with pytest.raises(ValueError, match=r"^plan (block 1 )?must be finite with no entry "
+                                             r"below -1e-12, got row 1: "):
+            propagate_labels(plan, np.array([1, 2]), 2)
+
+    @pytest.mark.parametrize("form", ["dense", "plan_set"])
+    def test_a_plan_may_carry_the_rounding_of_a_solver(self, form):
+        plan = self.as_form(np.array([[0.5, -ROUNDING_TOL], [-ROUNDING_TOL, 0.5]]), form)
+        assert np.array_equal(propagate_labels(plan, np.array([1, 2]), 2), [1, 2])
+
     @pytest.mark.parametrize("plan", [np.zeros((2, 0)), TransportPlanSet((), np.zeros(0), 0.0)])
     def test_no_class_is_rejected(self, plan):
         # Without a class there is no vote to label a target row by.
-        with pytest.raises(ValueError, match="n_classes must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="^n_classes must be a positive integer, got 0$"):
             propagate_labels(plan, np.zeros(0, dtype=int), 0)
 
     def test_zero_row_errors(self):
@@ -284,3 +304,7 @@ class TestRunSweep:
             run_sweep(CFG, [0.0], draws=1, mode="sideways")
         with pytest.raises(ValueError, match="job"):
             run_sweep(CFG, [0.0], draws=1, jobs=0)
+        with pytest.raises(ValueError, match="^draws must be a positive integer, got True$"):
+            run_sweep(CFG, [0.0], draws=True)
+        with pytest.raises(ValueError, match="^jobs must be a positive integer, got 1.5$"):
+            run_sweep(CFG, [0.0], draws=1, jobs=1.5)

@@ -273,16 +273,16 @@ class TestInclusionChecks:
     def test_a_non_finite_global_eps_is_named(self, rng, eps):
         pts = random_points(rng, 3)
         conds = [DiscreteMeasure(pts[:2], [0.5, 0.5]), DiscreteMeasure(pts[2:], [1.0])]
-        with pytest.raises(ValueError, match="cap 0 needs a finite eps"):
+        with pytest.raises(ValueError, match="cap 0 eps must be finite and nonnegative"):
             localization_inclusion_check(indicator_family(pts), conds, np.array([0.5, 0.5]),
                                          np.array([0.1, 0.1]), eps=eps)
 
     def test_a_nan_per_class_eps_is_rejected_and_an_infinite_one_is_vacuous(self, rng):
         pts = random_points(rng, 3)
         conds = [DiscreteMeasure(pts[:2], [0.5, 0.5]), DiscreteMeasure(pts[2:], [1.0])]
-        with pytest.raises(ValueError, match="per-class localization needs a vector eps"):
+        with pytest.raises(ValueError, match=r"^eps must be nonnegative, got \[nan, 0\.1\]$"):
             per_class_localization([np.nan, 0.1], conds)
-        with pytest.raises(ValueError, match="per-class localization needs a vector eps"):
+        with pytest.raises(ValueError, match=r"^eps_vec must be nonnegative, got \[nan, 0\.1\]$"):
             localization_inclusion_check(indicator_family(pts), conds, np.array([0.5, 0.5]),
                                          np.array([np.nan, 0.1]))
         assert len(per_class_localization([np.inf, 0.1], conds).caps) == 1
@@ -291,7 +291,7 @@ class TestInclusionChecks:
         # p @ eps_vec is the global cap of direction 1, which must be finite.
         pts = random_points(rng, 3)
         conds = [DiscreteMeasure(pts[:2], [0.5, 0.5]), DiscreteMeasure(pts[2:], [1.0])]
-        with pytest.raises(ValueError, match="cap 0 needs a finite eps >= 0, got inf"):
+        with pytest.raises(ValueError, match="cap 0 eps must be finite and nonnegative, got inf"):
             localization_inclusion_check(indicator_family(pts), conds, np.array([0.5, 0.5]),
                                          np.array([np.inf, 0.1]))
 
@@ -376,7 +376,7 @@ class TestLocalizationCaps:
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-12])
     def test_non_finite_or_negative_eps(self, eps):
         m = DiscreteMeasure(TWO_POINTS, [0.5, 0.5])
-        with pytest.raises(ValueError, match="cap 1 needs a finite eps"):
+        with pytest.raises(ValueError, match="cap 1 eps must be finite and nonnegative"):
             Localization(((m, 0.1), (m, eps)))
 
     def test_cap_without_a_measure(self):

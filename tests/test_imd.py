@@ -282,9 +282,10 @@ def test_a_closed_form_names_mismatched_weights(closed_form):
 @pytest.mark.parametrize("relax", ["scaled", "mix"])
 def test_a_non_finite_relaxed_source_is_rejected(relax, bad):
     # hdh_imd takes the source already relaxed; a non-finite relaxation
-    # fails where the relaxed measure is built.
+    # fails, by its name, where the relaxed measure is built.
     s = DiscreteMeasure([[1.0, 0.0]], [1.0])
-    with pytest.raises(ValueError, match="^weights must be finite$"):
+    name = "factor" if relax == "scaled" else "coeffs"
+    with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative"):
         s.scaled(1.0 + bad) if relax == "scaled" else mix(s, [s], [bad])
 
 

@@ -397,6 +397,11 @@ def test_row_bounds_must_be_ordered():
     ("upper", np.nan, "variable bounds must not be NaN"),
     ("A", np.nan, "constraint matrix entries must be finite"),
     ("A", np.inf, "constraint matrix entries must be finite"),
+    # An infinite bound on the wrong side, which HiGHS refuses without naming it.
+    ("row_lower", np.inf, "row_lower must not be inf"),
+    ("row_upper", -np.inf, "row_upper must not be -inf"),
+    ("lower", np.inf, "lower must not be inf"),
+    ("upper", -np.inf, "upper must not be -inf"),
 ])
 def test_non_finite_input_is_named(field, bad, cause):
     fields = {"c": [1.0, 2.0], "A": [[1.0, 1.0]], "row_lower": [1.0], "row_upper": [1.0],

@@ -111,6 +111,9 @@ class TestPartialGlobal:
         target, source, cost = two_atom_instance()
         with pytest.raises(ValueError):
             partial_ot_global(target, source, cost, -0.5)
+        # True would be beta = 1.
+        with pytest.raises(ValueError, match="^beta must be a number, got True$"):
+            partial_ot_global(target, source, cost, True)
 
     def test_path_is_the_one_entry_call_per_relaxation(self, rng):
         target, source, _, _, _ = random_transport_instance(rng)

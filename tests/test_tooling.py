@@ -11,6 +11,9 @@ what HiGHS holds.  And every transport
 problem of ``imdot.ot`` has one LP form, with its ``beta`` columns and its
 budget row: no function there tells a budget from a missing one, and only
 the three problems that are not a special case of another call its solver.
+Each argument kind of the input contract has one checker, in
+``imdot.measures``, and every flag of ``imdot.cli`` is parsed by the one
+adapter that calls them.
 """
 
 import ast
@@ -202,3 +205,64 @@ def test_the_scan_finds_every_block_solve():
 def test_only_the_three_base_problems_solve_blocks():
     ot = Path(importlib.import_module("imdot.ot").__file__)
     assert set(block_solve_callers(ot.read_text())) == BLOCK_SOLVERS
+
+
+#: The argument kinds of the input contract, each checked by one function of
+#: ``imdot.measures``, and the one flag type of ``imdot.cli`` that calls them.
+KINDS = {"_count", "_real", "_nonnegative", "_probability", "_plan"}
+FLAG_TYPE = "_flag"
+
+
+def kind_definitions(source: str) -> list:
+    """Names in ``KINDS`` that ``source`` defines as functions, at any depth,
+    in source order."""
+    found = [(node.lineno, node.name) for node in ast.walk(ast.parse(source))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name in KINDS]
+    return [name for _, name in sorted(found)]
+
+
+def test_the_scan_finds_every_kind_definition():
+    source = ("def _count(name, value):\n    return value\n"
+              "class Config:\n    def _real(self, value):\n        return value\n"
+              "def outer():\n    def _plan(values):\n        return values\n"
+              "_probability = None\n")
+    assert kind_definitions(source) == ["_count", "_real", "_plan"]
+
+
+def test_each_kind_is_defined_once_in_the_measures_module():
+    package = Path(importlib.import_module("imdot").__file__).parent
+    found = {path.stem: kind_definitions(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert sorted(found.pop("measures")) == sorted(KINDS)
+    assert {module: names for module, names in found.items() if names} == {}
+
+
+def flag_types(source: str) -> list:
+    """What every ``type=`` keyword of a call in ``source`` passes, in source
+    order: the name of the function it calls, or else its source text."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            for keyword in node.keywords:
+                if keyword.arg == "type":
+                    value = keyword.value
+                    called = value.func if isinstance(value, ast.Call) else None
+                    name = getattr(called, "id", None) or getattr(called, "attr", None)
+                    found.append((keyword.lineno, name or ast.unparse(value)))
+    return [name for _, name in sorted(found)]
+
+
+def test_the_scan_finds_every_flag_type():
+    source = ("p.add_argument('--k', type=int)\n"
+              "p.add_argument('--beta', type=_flag(_nonnegative, 'beta'))\n"
+              "p.add_argument('--seed', type=lambda text: int(text))\n"
+              "p.add_argument('--grid', default='0', type=cli._flag(_nonnegative, 'grid'))\n"
+              "p.add_argument('--out')\n")
+    assert flag_types(source) == ["int", FLAG_TYPE, "lambda text: int(text)", FLAG_TYPE]
+
+
+def test_every_flag_type_is_the_one_adapter():
+    cli = Path(importlib.import_module("imdot.cli").__file__)
+    types = flag_types(cli.read_text())
+    assert types and set(types) == {FLAG_TYPE}

@@ -49,6 +49,9 @@ class TestEntropies:
             min_entropy_uncertainty([0.7, 0.7])
         with pytest.raises(ValueError):
             renyi_entropy([0.5, 0.5], -1.0)
+        # True would be the order 1.
+        with pytest.raises(ValueError, match="^alpha must be a number, got True$"):
+            renyi_entropy([0.5, 0.5], True)
 
     @pytest.mark.parametrize("score", [[np.nan, 0.5], [0.5, 0.5, np.nan],
                                        [np.inf, 0.5], [np.inf, -np.inf]])
@@ -120,7 +123,8 @@ class TestBatchEntropies:
 
     def test_batch_shapes(self):
         assert renyi_entropy(np.zeros((0, 3)), 2.0).shape == (0,)
-        with pytest.raises(ValueError, match="batch of scores must have nonempty rows"):
+        with pytest.raises(ValueError, match="score must be a nonempty 1-d array, or a batch "
+                                             "of nonempty rows"):
             min_entropy_uncertainty(np.zeros((3, 0)))
         for score in ([], np.full((2, 2, 2), 0.25)):
             with pytest.raises(ValueError, match="score must be a nonempty 1-d array"):
