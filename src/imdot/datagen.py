@@ -56,12 +56,12 @@ class ToyConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_classes", "n_source", "n_target"):
+            _count(name, getattr(self, name), None)
         if self.n_classes < 2:
             raise ValueError("need at least two classes")
         if self.n_source < self.n_classes or self.n_target < self.n_classes:
             raise ValueError("sample sizes must be at least the class count")
-        for name in ("n_classes", "n_source", "n_target"):
-            _count(name, getattr(self, name))
         for name in ("sigma", "eta", "theta_degrees"):
             _real(name, getattr(self, name))
         if self.sigma <= 0:

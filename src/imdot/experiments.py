@@ -222,6 +222,8 @@ def run_sweep(config: ToyConfig, beta_grid, draws: int,
     if mode not in ("both", MODE_GLOBAL, MODE_SPLIT):
         raise ValueError(f"unknown mode {mode!r}")
     beta_grid = tuple(_nonnegative("beta_grid", beta_grid, 1).tolist())
+    if not beta_grid:
+        raise ValueError("beta_grid must not be empty")
     modes = (MODE_GLOBAL, MODE_SPLIT) if mode == "both" else (mode,)
     seeds = draw_seeds(config.seed, draws)
     tasks = [(d, seeds[d], config, beta_grid, modes) for d in range(draws)]

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .measures import ROUNDING_TOL, DiscreteMeasure, _freeze, _nonnegative, mix
+from .measures import ROUNDING_TOL, DiscreteMeasure, _freeze, _nonnegative, _numbers, mix
 
 __all__ = [
     "FunctionFamily",
@@ -85,13 +85,14 @@ class FunctionFamily:
             if hyp.ndim != 2 or hyp.shape[1] != len(pts):
                 raise ValueError("hypotheses must be (m, n_ground) label rows")
             object.__setattr__(self, "hypotheses", _freeze(hyp))
-        step = self.grid_step
-        # Written as "not within", so that a NaN fails it; (0, 1] keeps out
-        # inf and every step whose reciprocal cannot be taken.
-        if self.kind == KIND_GRID and not (0 < step <= 1
-                                           and abs(1 / step - round(1 / step)) <= 1e-9):
-            raise ValueError(f"grid_step must be in (0, 1] and divide 1 exactly, "
-                             f"got {step!r}")
+        if self.kind == KIND_GRID:
+            step = self.grid_step
+            _numbers("grid_step", step, (0,))
+            # Written as "not within", so that a NaN fails it; (0, 1] keeps
+            # out inf and every step whose reciprocal cannot be taken.
+            if not (0 < step <= 1 and abs(1 / step - round(1 / step)) <= 1e-9):
+                raise ValueError(f"grid_step must be in (0, 1] and divide 1 exactly, "
+                                 f"got {step!r}")
 
     @property
     def n_ground(self) -> int:

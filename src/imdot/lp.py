@@ -49,7 +49,6 @@ __all__ = [
     "certify",
     "dual_tolerance",
     "pricing_tolerance",
-    "dual_of",
     "dump_lp",
 ]
 
@@ -539,30 +538,6 @@ class HighsModel:
         if self._solution is None:
             return np.zeros(0)
         return np.asarray(self._solution.col_dual)
-
-
-def dual_of(lp: LinearProgram) -> LinearProgram:
-    """Explicit dual of an LP whose variables are all bounded by ``x >= 0``.
-
-    Each finite row bound gets one nonnegative dual variable: ``p_i`` for a
-    lower bound ``l_i``, ``q_i`` for an upper bound ``u_i`` (an equality row
-    gets both).  The dual ``max l.p - u.q  s.t.  A_l'p - A_u'q <= c`` is
-    returned in minimization form, so strong duality reads
-    ``solve(lp).value == -solve(dual_of(lp)).value``.
-
-    No solver path uses it.  It is the independent reference of the
-    strong-duality test, which solves an LP and this dual as two separate
-    problems and requires opposite values, so it checks :func:`solve` and
-    :func:`certify` from outside.  It is exported so that any ``x >= 0``
-    LP can be audited the same way.
-    """
-    if np.any(lp.lower != 0) or np.any(np.isfinite(lp.upper)):
-        raise ValueError("dual_of only supports x >= 0 variable bounds")
-    low = np.flatnonzero(np.isfinite(lp.row_lower))
-    up = np.flatnonzero(np.isfinite(lp.row_upper))
-    return LinearProgram(np.concatenate([-lp.row_lower[low], lp.row_upper[up]]),
-                         sp.hstack([lp.A[low].T, -lp.A[up].T]),
-                         np.full(lp.n_vars, -np.inf), lp.c)
 
 
 def dump_lp(lp: LinearProgram) -> str:

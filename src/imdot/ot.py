@@ -21,7 +21,7 @@ one block per class at scale ``p_k`` and budget ``beta_total``.
 capacities realized; a walk that ends infeasible raises.
 
 Solver.  Every problem is one :func:`imdot.lp.solve_path` walk over the LP
-of ``_assemble_blocks``, run as exact column generation; this module keeps
+with every arc, run as exact column generation; this module keeps
 only what is transport's own.  The walk never builds that LP whole: an
 :class:`_ArcGrid` makes its columns on demand from the cost grid.  Arc
 ``(i, j)`` of the concatenated source is LP column ``K + i * n_src + j``,
@@ -262,7 +262,7 @@ def _walk_blocks(target, cond_weights, costs, cap_scale, budgets, lifted) -> lis
 
 @dataclass(frozen=True)
 class _ArcGrid:
-    """The LP of :func:`_assemble_blocks` as the column source of a walk
+    """The block-transport LP over every arc as the column source of a walk
     (see :func:`imdot.lp.solve_path`), its arcs made on demand from the
     ``(n_t, n_src)`` grid ``cost``: arc ``(i, j)``, column ``K + i * n_src +
     j``, costs ``cost[i, j]`` and is a 1 in target row ``i`` and in capacity
@@ -379,7 +379,7 @@ def _beta_columns(target: DiscreteMeasure,
                   cap_scale: np.ndarray) -> tuple:
     """``(betas, row_lower, row_upper)``: the ``K`` capacity columns of the
     block-transport problem, and the bounds of its rows but the budget row
-    (see :func:`_assemble_blocks`).
+    (see :class:`_ArcGrid`).
 
     ``betas[k]`` is column ``beta_k`` as ``(rows, values)``: ``-w_j`` in each
     capacity row of class ``k`` where ``w_j != 0``, and 1 in the budget row.
@@ -397,43 +397,6 @@ def _beta_columns(target: DiscreteMeasure,
     lower = np.concatenate([target.weights, np.full(len(capacity), -np.inf)])
     upper = np.concatenate([target.weights, capacity])
     return tuple(betas), lower, upper
-
-
-def _assemble_blocks(target: DiscreteMeasure,
-                     cond_weights: Sequence[np.ndarray],
-                     costs: Sequence[CostMatrix],
-                     cap_scale: np.ndarray,
-                     budget: float) -> LinearProgram:
-    """The block-transport problem of :func:`_solve_blocks` at one budget,
-    as one LP over every arc.
-
-    The first ``K`` columns are the capacity variables ``beta_k`` of
-    :func:`_beta_columns`, one per class, with its rows; then arc ``(i, j)``
-    from target ``i`` to column ``j`` of the concatenated source (``hstack``
-    of the class blocks) is column ``K + i * n_src + j``, a 1 in target row
-    ``i`` and in capacity row ``n_t + j``.  The constraint matrix is CSC,
-    built from the index arithmetic of the blocks, with no stored zero.
-
-    No solver path uses it: a walk takes its columns on demand from an
-    :class:`_ArcGrid`.  It is the dense reference of the tests, which solve
-    and certify it whole with :func:`imdot.lp.solve` and
-    :func:`imdot.lp.certify`, so it builds every arc column by its own index
-    arithmetic rather than by :meth:`_ArcGrid.columns`.
-    """
-    betas, lower, upper = _beta_columns(target, cond_weights, cap_scale)
-    n_t = target.n_atoms
-    n_src = sum(len(w) for w in cond_weights)
-    target_row, j = np.divmod(np.arange(n_t * n_src), n_src)
-    rows = ([beta_rows for beta_rows, _ in betas]
-            + [np.column_stack([target_row, n_t + j]).ravel()])
-    data = [beta_values for _, beta_values in betas] + [np.ones(2 * n_t * n_src)]
-    counts = [[len(beta_rows) for beta_rows, _ in betas], np.full(n_t * n_src, 2)]
-    c = np.concatenate([np.zeros(len(betas)),
-                        np.hstack([cost.entries for cost in costs]).ravel()])
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    A = sp.csc_matrix((np.concatenate(data), np.concatenate(rows), indptr),
-                      shape=(len(upper) + 1, len(c)))
-    return LinearProgram(c, A, np.append(lower, budget), np.append(upper, budget))
 
 
 def _north_west_corner(demand: np.ndarray, capacity: np.ndarray) -> tuple:

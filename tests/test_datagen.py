@@ -147,7 +147,7 @@ class TestGeneratePair:
 
     @pytest.mark.parametrize("field", ["n_classes", "n_source", "n_target"])
     def test_a_fractional_count_is_named(self, field):
-        with pytest.raises(ValueError, match=f"^{field} must be a positive integer, got 30.5$"):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got 30.5$"):
             ToyConfig(**{"n_classes": 3, "n_source": 40, "n_target": 40, field: 30.5})
 
     def test_non_finite_parameters_are_named(self):

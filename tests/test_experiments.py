@@ -19,10 +19,11 @@ from imdot.lp import solve
 from imdot.measures import ROUNDING_TOL, cost_matrix, empirical_measure
 from imdot.ot import (
     TransportPlanSet,
-    _assemble_blocks,
     _solve_blocks,
     partial_ot_beta_split,
 )
+
+from reference import dense_lp
 
 
 class TestPropagateLabels:
@@ -49,7 +50,7 @@ class TestPropagateLabels:
             n_classes=3, n_source=60, n_target=60, eta=1.0, seed=5))
         t, s = empirical_measure(target), empirical_measure(source)
         cost = cost_matrix(target.points, source.points)
-        dense = solve(_assemble_blocks(t, [s.weights], [cost], np.ones(1), 0.5))
+        dense = solve(dense_lp(t, [s.weights], [cost], np.ones(1), 0.5))
         dense = dense.x[1:].reshape(len(target), len(source))
         (_, plans, _), = _solve_blocks(t, [s], [cost], np.ones(1), [0.5])
         votes = [np.stack([plan[:, source.labels == k].sum(axis=1) for k in (1, 2, 3)],
@@ -200,6 +201,14 @@ class TestRunSweep:
         with summary_path.open() as fh:
             srows = list(csv.DictReader(fh))
         assert float(srows[1]["median_diff"]) == pytest.approx(med)
+
+    def test_an_empty_beta_grid_is_named_before_any_draw(self, monkeypatch):
+        def drawn(task):
+            raise AssertionError("a draw ran")
+
+        monkeypatch.setattr(imdot.experiments, "_run_draw", drawn)
+        with pytest.raises(ValueError, match="^beta_grid must not be empty$"):
+            run_sweep(CFG, [], draws=2)
 
     def test_jobs_do_not_change_results(self):
         serial = run_sweep(CFG, [0.5], draws=2, mode="both", jobs=1)

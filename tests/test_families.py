@@ -128,6 +128,11 @@ class TestEnumeration:
                                              r"1 exactly, got "):
             grid_family(TWO_POINTS, step=step)
 
+    @pytest.mark.parametrize("step", [True, "x"])
+    def test_a_grid_step_that_is_no_number_is_named(self, step):
+        with pytest.raises(ValueError, match=f"^grid_step must be a number, got {step!r}$"):
+            grid_family(TWO_POINTS, step=step)
+
     def test_hdh_members_are_binary(self, rng):
         pts = random_points(rng, 5)
         fam = hdh_family(pts, rng.integers(1, 4, size=(6, 5)))

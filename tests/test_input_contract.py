@@ -8,7 +8,9 @@ ragged array, or a wrong length.  The call must raise a ValueError whose
 message names the argument; a numpy error, a bare TypeError or an LpError
 from HiGHS fails the test.  A row lists the forms that are legitimately
 valid for its argument, such as an infinite per-class eps (a vacuous cap) or
-an infinite Renyi order, and those calls must succeed.
+an infinite Renyi order, and those calls must succeed.  A count whose owner
+states its range in its own words, as ``ToyConfig`` does for the class count
+and the sample sizes, must meet a negative value with exactly that message.
 """
 
 import re
@@ -56,6 +58,8 @@ class Row:
     kind: str
     valid: tuple = ()
     named: str | None = None   # the name in the message, when not ``argument``
+    ranged: str | None = None  # the owner's range rule, which a negative value
+                               # meets before any rule that names the argument
 
     def call(self, value):
         return self.function(**{**self.args, self.argument: value})
@@ -113,6 +117,11 @@ CONTRACT = [
     Row("renyi_entropy", imdot.renyi_entropy, {"score": [0.7, 0.3], "alpha": 2.0}, "alpha",
         "nonnegative", valid=("inf",)),
     Row("ToyConfig", imdot.ToyConfig, {"seed": 3}, "seed", "count"),
+    Row("ToyConfig", imdot.ToyConfig, {"n_classes": 3}, "n_classes", "count",
+        ranged="need at least two classes"),
+    *[Row("ToyConfig", imdot.ToyConfig, {argument: 300}, argument, "count",
+          ranged="sample sizes must be at least the class count")
+      for argument in ("n_source", "n_target")],
     *[Row("ToyConfig", imdot.ToyConfig, {argument: value}, argument, "real", valid=valid)
       for argument, value, valid in (("sigma", 0.35, ()), ("eta", 1.0, ()),
                                      ("theta_degrees", 10.0, ("negative",)))],
@@ -130,8 +139,9 @@ CONTRACT = [
         {"block": np.array([[0.5], [0.0]])}, "block", "plan"),
     Row("propagate_labels", imdot.propagate_labels,
         {"plan": PLAN, "source_labels": LABELS, "n_classes": 2}, "n_classes", "count"),
-    Row("run_sweep", imdot.run_sweep, {"config": SMALL, "beta_grid": [0.5], "draws": 1},
-        "beta_grid", "nonnegative", valid=("empty", "wrong length")),
+    # Two budgets, so that one fewer is not the empty grid.
+    Row("run_sweep", imdot.run_sweep, {"config": SMALL, "beta_grid": [0.0, 0.5], "draws": 1},
+        "beta_grid", "nonnegative", valid=("wrong length",)),
     *[Row("run_sweep", imdot.run_sweep,
           {"config": SMALL, "beta_grid": [0.5], "draws": 1, "jobs": 1}, argument, "count")
       for argument in ("draws", "jobs")],
@@ -216,7 +226,10 @@ def test_a_malformed_argument_is_named(case):
         with pytest.raises(ValueError) as failure:
             row.call(value)
         assert failure.type is ValueError, failure.type
-        assert names(str(failure.value), row.named or row.argument), str(failure.value)
+        if form == "negative" and row.ranged:
+            assert str(failure.value) == row.ranged
+        else:
+            assert names(str(failure.value), row.named or row.argument), str(failure.value)
 
     check()
 

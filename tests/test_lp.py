@@ -1,7 +1,6 @@
 import ast
 import math
 import re
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,6 @@ from imdot.lp import (
     LpError,
     _Highs,
     certify,
-    dual_of,
     dual_tolerance,
     dump_lp,
     pricing_tolerance,
@@ -27,36 +25,15 @@ from imdot.lp import (
     solve_path,
 )
 from imdot.measures import DiscreteMeasure, cost_matrix
-from imdot.ot import _assemble_blocks, _difference_rows
+from imdot.ot import _difference_rows
+
+from reference import brute_force_transport_value, dense_lp, dual_of
 
 
 def rows(relations, b):
     """``(row_lower, row_upper)`` of rows stated as ``A x (<=|=|>=) b``."""
     relations, b = np.asarray(relations), np.asarray(b, dtype=float)
     return np.where(relations == "<=", -np.inf, b), np.where(relations == ">=", np.inf, b)
-
-
-def brute_force_transport_value(cost, t, s):
-    """Minimum over the basic feasible plans of the balanced transport LP."""
-    n_t, n_s = cost.shape
-    n = n_t * n_s
-    A = np.zeros((n_t + n_s, n))
-    for i in range(n_t):
-        A[i, i * n_s:(i + 1) * n_s] = 1.0
-    for j in range(n_s):
-        A[n_t + j, j::n_s] = 1.0
-    b = np.concatenate([t, s])
-    rank = n_t + n_s - 1
-    best = np.inf
-    for cols in combinations(range(n), rank):
-        B = A[:, cols]
-        x, residual, matrix_rank, _ = np.linalg.lstsq(B, b, rcond=None)
-        if matrix_rank < rank or np.max(np.abs(B @ x - b)) > 1e-9:
-            continue
-        if np.min(x) < -1e-9:
-            continue
-        best = min(best, float(cost.ravel()[list(cols)] @ x))
-    return best
 
 
 def test_single_constraint_maximize():
@@ -536,9 +513,8 @@ def test_deleting_priced_out_columns_keeps_the_basis(rng):
     n = 40
     target = DiscreteMeasure(rng.uniform(-2, 2, (n, 2)), np.full(n, 1 / n))
     source = DiscreteMeasure(rng.uniform(-2, 2, (n, 2)), np.full(n, 1 / n))
-    lp = _assemble_blocks(target, [source.weights], [cost_matrix(target.points,
-                                                                  source.points)],
-                          np.ones(1), 0.5)
+    lp = dense_lp(target, [source.weights], [cost_matrix(target.points, source.points)],
+                  np.ones(1), 0.5)
     model = HighsModel(lp.row_lower, lp.row_upper)
     model.add_columns(*lp.columns(np.arange(lp.n_vars)))
     status, _, _ = model.run()

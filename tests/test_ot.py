@@ -8,10 +8,11 @@ import imdot.ot
 from imdot import checks
 from imdot.checks import dyadic_weights, random_points, random_transport_instance
 from imdot.datagen import shared_atom_label_shift
-from imdot.lp import LpError, solve
+from imdot.lp import LinearProgram, LpError, solve
 from imdot.measures import CostMatrix, DiscreteMeasure, cost_matrix, mix
 from imdot.ot import (
-    _assemble_blocks,
+    _ArcGrid,
+    _beta_columns,
     lipschitz_imd_dual,
     partial_ot_beta_split,
     partial_ot_beta_split_path,
@@ -23,7 +24,7 @@ from imdot.ot import (
     wasserstein1,
 )
 
-from test_lp import brute_force_transport_value
+from reference import brute_force_transport_value, dense_lp
 
 
 def two_atom_instance():
@@ -228,6 +229,7 @@ class TestBlockAssembly:
     2's three) is column 5 i + j: x[0, 0] .. x[0, 4], then x[1, 0] ..
     x[1, 4].  beta_1, beta_2 come first, ahead of the arcs, and the budget
     row last; without a split the budget is 0, which pins both at zero.
+    The program's LP and the tests' dense reference must both be this one.
     """
 
     PLAN_ROWS = [[1, 1, 1, 1, 1, 0, 0, 0, 0, 0],
@@ -239,58 +241,49 @@ class TestBlockAssembly:
                   [0, -0.5], [0, -0.5], [0, 0],
                   [1, 1]]
 
+    @staticmethod
+    def running_lp(target, cond_weights, costs, cap_scale, budget):
+        """The LP of a walk whose model holds every arc: the columns of
+        ``_ArcGrid`` and the rows of ``_beta_columns`` plus the budget row,
+        as ``_walk_blocks`` hands them to ``lp.solve_path``."""
+        betas, lower, upper = _beta_columns(target, cond_weights, cap_scale)
+        grid = _ArcGrid(np.hstack([cost.entries for cost in costs]), betas)
+        c, starts, rows, values, col_lower, col_upper = grid.columns(np.arange(grid.n_vars))
+        A = sp.csc_matrix((values, rows, starts), shape=(len(upper) + 1, grid.n_vars))
+        return LinearProgram(c, A, np.append(lower, budget), np.append(upper, budget),
+                             col_lower, col_upper)
+
     def assembled(self, budget):
         target = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
         weights = [np.array([0.25, 0.75]), np.array([0.5, 0.5, 0.0])]
         costs = [CostMatrix(np.arange(4.0).reshape(2, 2)),
                  CostMatrix(np.arange(6.0).reshape(2, 3))]
-        lp = _assemble_blocks(target, weights, costs, np.array([0.5, 0.5]), budget)
-        solve(lp)
-        assert lp.A.has_canonical_format
-        return lp
+        lps = [build(target, weights, costs, np.array([0.5, 0.5]), budget)
+               for build in (self.running_lp, dense_lp)]
+        for lp in lps:
+            solve(lp)
+            assert lp.A.has_canonical_format
+        return lps
 
     def test_without_split(self):
-        lp = self.assembled(0.0)
         expected = np.hstack([self.SPLIT_COLS,
                               self.PLAN_ROWS + self.CAP_ROWS + [[0] * 10]])
-        assert np.array_equal(lp.A.toarray(), expected)
-        assert lp.A.nnz == np.count_nonzero(expected)
-        assert np.array_equal(lp.row_lower, [0.5, 0.5] + [-np.inf] * 5 + [0.0])
-        assert np.array_equal(lp.row_upper, [0.5, 0.5, 0.125, 0.375, 0.25, 0.25, 0.0, 0.0])
-        assert np.array_equal(lp.c, [0, 0, 0, 1, 0, 1, 2, 2, 3, 3, 4, 5])
+        for lp in self.assembled(0.0):
+            assert np.array_equal(lp.A.toarray(), expected)
+            assert lp.A.nnz == np.count_nonzero(expected)
+            assert np.array_equal(lp.row_lower, [0.5, 0.5] + [-np.inf] * 5 + [0.0])
+            assert np.array_equal(lp.row_upper, [0.5, 0.5, 0.125, 0.375, 0.25, 0.25, 0.0, 0.0])
+            assert np.array_equal(lp.c, [0, 0, 0, 1, 0, 1, 2, 2, 3, 3, 4, 5])
 
     def test_with_split(self):
-        lp = self.assembled(0.5)
         expected = np.hstack([self.SPLIT_COLS,
                               self.PLAN_ROWS + self.CAP_ROWS + [[0] * 10]])
-        assert np.array_equal(lp.A.toarray(), expected)
-        assert lp.A.nnz == np.count_nonzero(expected)
-        assert np.array_equal(lp.row_lower, [0.5, 0.5] + [-np.inf] * 5 + [0.5])
-        assert np.array_equal(lp.row_upper, [0.5, 0.5, 0.125, 0.375, 0.25, 0.25, 0.0, 0.5])
-        assert np.array_equal(lp.c, [0, 0, 0, 1, 0, 1, 2, 2, 3, 3, 4, 5])
-
-    @staticmethod
-    def kron_reference(target, cond_weights, costs, cap_scale, budget):
-        """``(c, A, row_lower, row_upper)`` assembled from sparse Kronecker
-        products and block matrices, with explicit zeros removed."""
-        n_t, n_src = target.n_atoms, sum(len(w) for w in cond_weights)
-        plan_rows = sp.kron(sp.eye(n_t), np.ones((1, n_src)))
-        cap_rows = sp.kron(np.ones((1, n_t)), sp.eye(n_src))
-        c = np.hstack([cost.entries for cost in costs]).ravel()
-        upper = np.concatenate([target.weights,
-                                *(s * w for s, w in zip(cap_scale, cond_weights))])
-        lower = np.where(np.arange(len(upper)) < n_t, upper, -np.inf)
-        n_classes = len(cond_weights)
-        A = sp.bmat([
-            [None, plan_rows],
-            [sp.block_diag([-np.reshape(w, (-1, 1)) for w in cond_weights]), cap_rows],
-            [np.ones((1, n_classes)), None],
-        ])
-        c = np.concatenate([np.zeros(n_classes), c])
-        lower, upper = np.append(lower, budget), np.append(upper, budget)
-        A = A.tocsr()
-        A.eliminate_zeros()
-        return c, A, lower, upper
+        for lp in self.assembled(0.5):
+            assert np.array_equal(lp.A.toarray(), expected)
+            assert lp.A.nnz == np.count_nonzero(expected)
+            assert np.array_equal(lp.row_lower, [0.5, 0.5] + [-np.inf] * 5 + [0.5])
+            assert np.array_equal(lp.row_upper, [0.5, 0.5, 0.125, 0.375, 0.25, 0.25, 0.0, 0.5])
+            assert np.array_equal(lp.c, [0, 0, 0, 1, 0, 1, 2, 2, 3, 3, 4, 5])
 
     def test_matches_the_kron_reference_on_random_shapes(self, rng):
         for _ in range(60):
@@ -303,15 +296,13 @@ class TestBlockAssembly:
             costs = [cost_matrix(target.points, rng.uniform(-1, 1, (n, 2))) for n in sizes]
             cap_scale = rng.uniform(0, 2, len(sizes))
             for budget in (0.0, float(rng.uniform(0, 1))):
-                lp = _assemble_blocks(target, cond_weights, costs, cap_scale, budget)
-                c, A, lower, upper = self.kron_reference(target, cond_weights, costs,
-                                                         cap_scale, budget)
-                assert np.array_equal(lp.c, c)
-                assert np.array_equal(lp.row_lower, lower)
-                assert np.array_equal(lp.row_upper, upper)
-                assert lp.A.shape == A.shape
-                assert (lp.A != A).nnz == 0
-                assert lp.A.nnz == A.nnz
+                lp = self.running_lp(target, cond_weights, costs, cap_scale, budget)
+                reference = dense_lp(target, cond_weights, costs, cap_scale, budget)
+                for field in ("c", "row_lower", "row_upper", "lower", "upper"):
+                    assert np.array_equal(getattr(lp, field), getattr(reference, field))
+                assert lp.A.shape == reference.A.shape
+                for field in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(lp.A, field), getattr(reference.A, field))
                 assert lp.A.has_canonical_format
 
 

@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 import imdot.lp
 from imdot.lp import LpError, certify, solve
 from imdot.measures import DiscreteMeasure, cost_matrix
-from imdot.ot import _assemble_blocks, _solve_blocks
+from imdot.ot import _solve_blocks
+
+from reference import dense_lp
 
 BETAS = (0.0, 1 / 3, 0.25, 0.75, 1.0, 3.0)
 
@@ -28,7 +30,7 @@ def solve_both(target, source, beta):
     capacity ``(1 + beta) * source.weights``."""
     cost = cost_matrix(target.points, source.points)
     ((colgen, plans, _),) = _solve_blocks(target, [source], [cost], np.ones(1), [beta])
-    highs = solve(_assemble_blocks(target, [source.weights], [cost], np.ones(1), beta))
+    highs = solve(dense_lp(target, [source.weights], [cost], np.ones(1), beta))
     return cost.entries, (colgen, plans[0]), (highs, highs.x[1:].reshape(cost.entries.shape))
 
 
@@ -83,7 +85,7 @@ class TestCertificate:
         ((sol, _, _),) = _solve_blocks(target, [source], [cost], np.ones(1), [0.5])
         monkeypatch.undo()
         (row_dual,) = seen
-        lp = _assemble_blocks(target, [source.weights], [cost], np.ones(1), 0.5)
+        lp = dense_lp(target, [source.weights], [cost], np.ones(1), 0.5)
         assert certify(lp, sol.x, row_dual) == (sol.value, sol.residual, sol.gap)
         return lp, sol.x, row_dual
 

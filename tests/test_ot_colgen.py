@@ -3,7 +3,7 @@
 Every LP-backed transport solve runs column generation on one warm HiGHS
 model and is certified on the full problem: on the model's columns, and on
 every other arc by the pricing pass that ended it.  The references here are the
-dense LP of ``_assemble_blocks`` through ``lp.solve`` and, for small
+dense LP of ``reference.dense_lp`` through ``lp.solve`` and, for small
 balanced problems, vertex enumeration.
 """
 
@@ -41,7 +41,6 @@ from imdot.measures import (
 from imdot.ot import (
     COARSE_MIN_ATOMS,
     NEAREST_ARCS,
-    _assemble_blocks,
     _initial_arcs,
     _north_west_corner,
     _solve_blocks,
@@ -52,7 +51,7 @@ from imdot.ot import (
     partial_ot_per_class,
 )
 
-from test_lp import brute_force_transport_value
+from reference import brute_force_transport_value, dense_lp
 
 BETAS = (0.0, 0.25, 1 / 3, 1.0, 1.49, 3.0)
 
@@ -115,8 +114,7 @@ def problems(draw):
 
 
 def dense(target, sources, costs, cap_scale, budget):
-    return solve(_assemble_blocks(target, [s.weights for s in sources], costs,
-                                  cap_scale, budget))
+    return solve(dense_lp(target, [s.weights for s in sources], costs, cap_scale, budget))
 
 
 @settings(max_examples=200, deadline=None)
@@ -206,7 +204,7 @@ def test_columns_reach_highs_as_the_assembled_columns(monkeypatch, rng, budget):
 
     monkeypatch.setattr(HighsModel, "add_columns", recorded_add)
     monkeypatch.setattr(HighsModel, "run", recorded_run)
-    lp = _assemble_blocks(target, cond_weights, costs, p, budget)
+    lp = dense_lp(target, cond_weights, costs, p, budget)
     assembled = []
     for j in range(lp.n_vars):
         span = slice(lp.A.indptr[j], lp.A.indptr[j + 1])
@@ -690,7 +688,7 @@ class TestCertificate:
         ((sol, _, _),) = _solve_blocks(target, conds, costs, p, [0.3])
         monkeypatch.undo()
         (row_dual,) = seen
-        lp = _assemble_blocks(target, [c.weights for c in conds], costs, p, 0.3)
+        lp = dense_lp(target, [c.weights for c in conds], costs, p, 0.3)
         assert certify(lp, sol.x, row_dual) == (sol.value, sol.residual, sol.gap)
         return lp, sol.x, row_dual
 
@@ -718,7 +716,7 @@ class TestCertificate:
             _solve_blocks(target, conds, costs, p, [0.3])
         monkeypatch.undo()
         ((x_model, row_dual),), (start,) = seen, starts
-        lp = _assemble_blocks(target, [c.weights for c in conds], costs, p, 0.3)
+        lp = dense_lp(target, [c.weights for c in conds], costs, p, 0.3)
         assert len(start) < lp.n_vars
         x = np.zeros(lp.n_vars)
         x[start] = x_model
@@ -834,8 +832,8 @@ class TestModelCertificate:
             order = np.argsort(-budgets, kind="stable")
             for e, (row_dual, c_norm) in zip(order, seen[-len(budgets):]):
                 sol = walked[e][0]
-                lp = _assemble_blocks(target, [c.weights for c in sources], costs,
-                                      cap_scale, budgets[e])
+                lp = dense_lp(target, [c.weights for c in sources], costs, cap_scale,
+                              budgets[e])
                 assert c_norm == lp.c_norm
                 assert certify(lp, sol.x, row_dual) == (sol.value, sol.residual, sol.gap)
                 partial += sol.columns < lp.n_vars
@@ -860,7 +858,7 @@ class TestModelCertificate:
 class TestObservability:
     def test_residual_and_gap_within_their_bounds_on_both_paths(self, rng):
         target, conds, costs, p = split_instance(rng)
-        lp = _assemble_blocks(target, [c.weights for c in conds], costs, p, 0.4)
+        lp = dense_lp(target, [c.weights for c in conds], costs, p, 0.4)
         ((colgen, _, _),) = _solve_blocks(target, conds, costs, p, [0.4])
         dense_sol = solve(lp)
         scale = 1.0 + np.max(np.abs(lp.row_upper))

@@ -13,7 +13,9 @@ budget row: no function there tells a budget from a missing one, and only
 the three problems that are not a special case of another call its solver.
 Each argument kind of the input contract has one checker, in
 ``imdot.measures``, and every flag of ``imdot.cli`` is parsed by the one
-adapter that calls them.
+adapter that calls them.  And the package holds only what it runs: code in
+``imdot`` reads every private function, class and constant of it, so that a
+reference only the tests use lives with the tests.
 """
 
 import ast
@@ -266,3 +268,66 @@ def test_every_flag_type_is_the_one_adapter():
     cli = Path(importlib.import_module("imdot.cli").__file__)
     types = flag_types(cli.read_text())
     assert types and set(types) == {FLAG_TYPE}
+
+
+def private_definitions(top) -> list:
+    """The private names that the top-level statement ``top`` defines: a
+    function, a class, or a constant assigned by ``=`` or an annotated
+    assignment.  Dunder names such as ``__all__`` are not private."""
+    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [top.name]
+    elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+        targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+        names = [node.id for target in targets for node in _assigned(target)
+                 if isinstance(node, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.endswith("__")]
+
+
+def reads(top) -> set:
+    """The names that ``top`` reads, bare or as an attribute (``ot._helper``);
+    a name in a string or a docstring is no read."""
+    found = set()
+    for node in ast.walk(top):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+    return found
+
+
+def unread_private_names(sources: dict) -> list:
+    """``module.name`` of every private module-level name of ``sources``
+    (module name to source) that no top-level statement of any of them but
+    its own definition reads, in module and source order."""
+    statements = [(module, top) for module, source in sources.items()
+                  for top in ast.parse(source).body]
+    read = [reads(top) for _, top in statements]
+    unread = []
+    for k, (module, top) in enumerate(statements):
+        for name in private_definitions(top):
+            if not any(name in names for j, names in enumerate(read) if j != k):
+                unread.append(f"{module}.{name}")
+    return unread
+
+
+def test_the_scan_finds_every_unread_private_name():
+    sources = {
+        "a": ("_LIMIT, _unused = 3, 1\n"
+              "_TABLE: dict = {}\n"
+              "__all__ = ['_unused']\n"
+              "def _helper():\n    return _LIMIT + len(_TABLE)\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n"
+              "class _Kept:\n    x = 1\n"
+              "def _documented():\n    '''Reads nothing, as _helper() would.'''\n"),
+        "b": ("import a\nfrom a import _Kept\n"
+              "value = a._helper() + _Kept.x\n"),
+    }
+    assert unread_private_names(sources) == ["a._unused", "a._recursive", "a._documented"]
+
+
+def test_the_package_holds_only_what_it_runs():
+    package = Path(importlib.import_module("imdot").__file__).parent
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert unread_private_names(sources) == []
