@@ -36,7 +36,7 @@ from .families import (  # noqa: F401
     indicator_family,
     localization_inclusion_check,
 )
-from .measures import DiscreteMeasure, cost_matrix, mix
+from .measures import DiscreteMeasure, LabeledDataset, class_conditionals, cost_matrix, mix
 
 __all__ = [
     "CheckResult",
@@ -93,14 +93,8 @@ def random_class_conditionals(rng, points, n_classes):
     Each class conditional is uniform on the points given its label; a class
     that gets no point has an empty conditional and proportion 0.
     """
-    labels = rng.integers(0, n_classes, size=len(points))
-    conds, p = [], np.zeros(n_classes)
-    for c in range(n_classes):
-        idx = np.flatnonzero(labels == c)
-        p[c] = len(idx) / len(points)
-        conds.append(DiscreteMeasure(points[idx],
-                                     np.full(len(idx), 1.0 / max(len(idx), 1))))
-    return conds, p
+    labels = rng.integers(1, n_classes + 1, size=len(points))
+    return class_conditionals(LabeledDataset(points, labels, n_classes))
 
 
 def related_hypotheses(rng, m, n):

@@ -22,6 +22,7 @@ from .measures import (
     ROUNDING_TOL,
     CostMatrix,
     _count,
+    _labels,
     _nonnegative,
     _plan,
     class_conditionals,
@@ -68,13 +69,9 @@ def propagate_labels(plan, source_labels, n_classes: int | None = None) -> np.nd
     mass is an error (the equality marginal makes it impossible short of
     solver breakdown).
     """
-    source_labels = np.asarray(source_labels, dtype=int)
     if n_classes is None:
-        n_classes = int(source_labels.max())
-    n_classes = _count("n_classes", n_classes)
-    outside = source_labels[(source_labels < 1) | (source_labels > n_classes)]
-    if outside.size:
-        raise ValueError(f"source label {outside[0]} is outside 1..{n_classes}")
+        n_classes = int(_labels("source_labels", source_labels).max(initial=0))
+    source_labels = _labels("source_labels", source_labels, _count("n_classes", n_classes))
     if isinstance(plan, TransportPlanSet):
         blocks = [_plan(f"plan block {k + 1}", block) for k, block in enumerate(plan.plans)]
         if source_labels.size and source_labels.max() > len(blocks):

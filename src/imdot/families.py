@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .measures import ROUNDING_TOL, DiscreteMeasure, _freeze, _nonnegative, _numbers, mix
+from .measures import ROUNDING_TOL, DiscreteMeasure, _freeze, _labels, _nonnegative, _numbers, mix
 
 __all__ = [
     "FunctionFamily",
@@ -81,8 +81,8 @@ class FunctionFamily:
         if self.kind == KIND_HDH:
             if self.hypotheses is None:
                 raise ValueError("hdh families need an explicit hypothesis list")
-            hyp = np.asarray(self.hypotheses, dtype=int)
-            if hyp.ndim != 2 or hyp.shape[1] != len(pts):
+            hyp = _labels("hypotheses", self.hypotheses, ndim=2)
+            if hyp.shape[1] != len(pts):
                 raise ValueError("hypotheses must be (m, n_ground) label rows")
             object.__setattr__(self, "hypotheses", _freeze(hyp))
         if self.kind == KIND_GRID:
@@ -111,7 +111,7 @@ def grid_family(ground_points, step: float = 0.25) -> FunctionFamily:
 
 def hdh_family(ground_points, hypotheses) -> FunctionFamily:
     return FunctionFamily(KIND_HDH, np.asarray(ground_points, dtype=float),
-                          hypotheses=np.asarray(hypotheses, dtype=int))
+                          hypotheses=hypotheses)
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,23 @@ def _plan(name: str, values) -> np.ndarray:
     return v
 
 
+def _labels(name: str, values, n_classes: int | None = None, ndim: int = 1) -> np.ndarray:
+    """``values`` as an int array of ``ndim`` dimensions, or a ValueError
+    naming ``name`` unless every entry is a whole number (``1.0`` is one, a
+    bool is none) in ``1..n_classes`` when that is given: the rule for class
+    labels, and with no range for hypothesis labels."""
+    v = _numbers(name, values, (ndim,))
+    if not np.all(np.isfinite(v) & (np.round(v) == v)):
+        rule = "whole numbers" if ndim else "a whole number"
+        raise ValueError(f"{name} must be {rule}, got {v.tolist()!r}")
+    labels = v.astype(int)
+    if n_classes is not None and labels.size and not (
+            1 <= labels.min() and labels.max() <= n_classes):
+        got = f"range [{labels.min()}, {labels.max()}]" if ndim else labels
+        raise ValueError(f"{name} must lie in 1..{n_classes}, got {got}")
+    return labels
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -190,19 +207,9 @@ class LabeledDataset:
     def __post_init__(self):
         points = np.asarray(self.points)
         points = _real("points", points.reshape(-1, 1) if points.ndim == 1 else points, 2)
-        labels = np.asarray(self.labels)
-        if labels.ndim != 1 or len(labels) != len(points):
-            raise ValueError("labels must be a vector matching points")
-        if not np.issubdtype(labels.dtype, np.integer):
-            if not np.all(labels == labels.astype(int)):
-                raise ValueError("labels must be integers")
-        labels = labels.astype(int)
-        _count("n_classes", self.n_classes)
-        if len(labels) and (labels.min() < 1 or labels.max() > self.n_classes):
-            raise ValueError(
-                f"labels must lie in 1..{self.n_classes}, "
-                f"got range [{labels.min()}, {labels.max()}]"
-            )
+        labels = _labels("labels", self.labels, _count("n_classes", self.n_classes))
+        if len(labels) != len(points):
+            raise ValueError(f"got {len(labels)} labels for {len(points)} points")
         object.__setattr__(self, "points", _freeze(points))
         object.__setattr__(self, "labels", _freeze(labels))
 

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import ROUNDING_TOL, _nonnegative, _probability, _real
+from .measures import ROUNDING_TOL, _count, _labels, _nonnegative, _probability, _real
 
 __all__ = [
     "min_entropy_uncertainty",
@@ -88,9 +88,7 @@ def cross_entropy_loss(score, label) -> float:
     """``-log score[label]`` with scores clipped below at 1e-12; labels are
     the integers 1 to ``len(score)``."""
     v = np.asarray(score, dtype=float)
-    if label not in range(1, len(v) + 1):
-        raise ValueError(f"label {label} is outside 1..{len(v)} for {len(v)} classes")
-    return float(-np.log(max(v[int(label) - 1], LOG_CLIP)))
+    return float(-np.log(max(v[_labels("label", label, len(v), ndim=0) - 1], LOG_CLIP)))
 
 
 def l1_label_loss(prediction, label) -> float:
@@ -225,15 +223,18 @@ def verify_sgu_properties(hyp_target, hyp_source, source_labels, target_labels,
     ``U_H`` is scored once per row of the superset; a hypothesis of H reads
     its value from its row there.
     """
+    n_classes = _count("n_classes", n_classes)
+    hyp_target, hyp_source, tilde_target, tilde_source = (
+        _labels(name, values, n_classes, ndim=2) for name, values in (
+            ("hyp_target", hyp_target), ("hyp_source", hyp_source),
+            ("tilde_target", tilde_target), ("tilde_source", tilde_source)))
+    source_labels = _labels("source_labels", source_labels, n_classes)
+    target_labels = _labels("target_labels", target_labels, n_classes)
     if not loss_satisfies_triangle(loss, n_classes):
         raise ValueError("the loss does not satisfy the triangle inequality")
     for a in range(1, n_classes + 1):
         if loss(a, a) != 0:
             raise ValueError("the loss must vanish on the diagonal")
-    hyp_target = np.asarray(hyp_target)
-    hyp_source = np.asarray(hyp_source)
-    tilde_target = np.asarray(tilde_target)
-    tilde_source = np.asarray(tilde_source)
     pool_rows = []
     for ht, hs in zip(hyp_target, hyp_source):
         present = np.flatnonzero(np.all(tilde_target == ht, axis=1)
@@ -242,8 +243,6 @@ def verify_sgu_properties(hyp_target, hyp_source, source_labels, target_labels,
             raise ValueError("the hypothesis class is not contained in its superset")
         pool_rows.append(present[0])
 
-    source_labels = np.asarray(source_labels)
-    target_labels = np.asarray(target_labels)
     risks_s = np.array([_risk(loss, labels, source_labels) for labels in hyp_source])
 
     pool_u = [source_guided_uncertainty(g, hyp_target, hyp_source, source_labels,

@@ -80,9 +80,9 @@ class TestPropagateLabels:
 
     @pytest.mark.parametrize("form", ["dense", "plan_set"])
     @pytest.mark.parametrize("labels, n_classes, named", [
-        ([1, 2, 3], 2, "source label 3 is outside 1..2"),
-        ([0, 1, 2], 2, "source label 0 is outside 1..2"),
-        ([0, 1, 2], None, "source label 0 is outside 1..2"),
+        ([1, 2, 3], 2, r"source_labels must lie in 1\.\.2, got range \[1, 3\]$"),
+        ([0, 1, 2], 2, r"source_labels must lie in 1\.\.2, got range \[0, 2\]$"),
+        ([0, 1, 2], None, r"source_labels must lie in 1\.\.2, got range \[0, 2\]$"),
     ])
     def test_a_label_outside_the_classes_is_rejected(self, form, labels, n_classes, named):
         # The column of the outside label carries mass; dropping it would
@@ -119,6 +119,17 @@ class TestPropagateLabels:
         # Without a class there is no vote to label a target row by.
         with pytest.raises(ValueError, match="^n_classes must be a positive integer, got 0$"):
             propagate_labels(plan, np.zeros(0, dtype=int), 0)
+
+    @pytest.mark.parametrize("labels", [[2, 1.5], ["2", "1"]])
+    def test_labels_that_are_not_whole_numbers_are_rejected(self, labels):
+        # Cast to int, [2, 1.5] labelled the row by class 1.
+        with pytest.raises(ValueError, match=r"^source_labels must be (whole numbers|a vector "
+                                             r"of numbers), got "):
+            propagate_labels([[0.2, 0.8]], labels)
+
+    def test_an_empty_label_vector_has_no_default_classes(self):
+        with pytest.raises(ValueError, match="^n_classes must be a positive integer, got 0$"):
+            propagate_labels(np.zeros((1, 0)), [])
 
     def test_zero_row_errors(self):
         plan = np.array([[0.0, 0.0], [0.5, 0.5]])

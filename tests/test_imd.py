@@ -224,6 +224,16 @@ class TestHdh:
         res = hdh_imd(t, s, hdh_family(pts, hyp))
         assert res.value == pytest.approx(1.0)
 
+    def test_fractional_hypothesis_labels_are_rejected(self):
+        # Cast to int, [1.2, 1.9] was [1, 1]: the two hypotheses agreed
+        # everywhere and hdh_imd read 0 where distinct labels read 1.
+        t = DiscreteMeasure([[0.0, 0.0]], [1.0])
+        s = DiscreteMeasure([[1.0, 0.0]], [1.0])
+        assert hdh_imd(t, s, hdh_family(TWO, [[2, 1], [1, 1]])).value == pytest.approx(1.0)
+        with pytest.raises(ValueError, match=r"^hypotheses must be whole numbers, "
+                                             r"got \[\[1\.2, 1\.9\], \[1\.0, 1\.0\]\]$"):
+            hdh_family(TWO, [[1.2, 1.9], [1, 1]])
+
     def test_single_hypothesis_is_null(self, rng):
         pts = random_points(rng, 4)
         t = DiscreteMeasure(pts, dyadic_weights(rng, 4, normalize=True))

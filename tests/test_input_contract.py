@@ -4,13 +4,17 @@ Each row of ``CONTRACT`` is a public function of :mod:`imdot`, a valid call
 of it, and one argument of that call with its kind.  Into each row Hypothesis
 substitutes one malformed value at a time: NaN, ``+inf`` or ``-inf`` (in
 one entry of a vector or a matrix), a bool, a negative number, an empty or
-ragged array, or a wrong length.  The call must raise a ValueError whose
-message names the argument; a numpy error, a bare TypeError or an LpError
-from HiGHS fails the test.  A row lists the forms that are legitimately
-valid for its argument, such as an infinite per-class eps (a vacuous cap) or
-an infinite Renyi order, and those calls must succeed.  A count whose owner
-states its range in its own words, as ``ToyConfig`` does for the class count
-and the sample sizes, must meet a negative value with exactly that message.
+ragged array, or a wrong length; into a label argument, a fraction, NaN,
+``+inf`` or ``-inf``, a bool, a string, a ragged array or one of the wrong
+dimension, and 0 or K + 1 where the labels lie in ``1..K``.  The call must
+raise a ValueError whose message names the argument; a numpy error, a bare
+TypeError or an LpError from HiGHS fails the test.  A row lists the forms
+that are legitimately valid for its argument, such as an infinite per-class
+eps (a vacuous cap) or an infinite Renyi order, and those calls must
+succeed; every label argument takes integral floats such as ``1.0``, and a
+hypothesis label any integer.  A count whose owner states its range in its
+own words, as ``ToyConfig`` does for the class count and the sample sizes,
+must meet a negative value with exactly that message.
 """
 
 import re
@@ -23,6 +27,8 @@ from hypothesis import given, settings, strategies as st
 import imdot
 
 FORMS = ("nan", "inf", "-inf", "bool", "negative", "empty", "ragged", "wrong length")
+LABEL_FORMS = ("fraction", "nan", "inf", "-inf", "bool", "string", "ragged",
+               "wrong dimension", "zero", "above", "integral float")
 
 CONTRACT_SETTINGS = settings(derandomize=True, max_examples=5, deadline=None, database=None)
 
@@ -48,8 +54,8 @@ def plan_set(block):
 @dataclass(frozen=True)
 class Row:
     """``function(**args)`` is valid; ``argument`` of it has ``kind``
-    (``count``, ``real``, ``nonnegative``, ``probability`` or ``plan``)
-    and takes the ``valid`` forms legitimately."""
+    (``count``, ``real``, ``nonnegative``, ``probability``, ``plan`` or
+    ``label``) and takes the ``valid`` forms legitimately."""
 
     label: str
     function: object
@@ -60,10 +66,27 @@ class Row:
     named: str | None = None   # the name in the message, when not ``argument``
     ranged: str | None = None  # the owner's range rule, which a negative value
                                # meets before any rule that names the argument
+    classes: int | None = None  # K, for labels that lie in 1..K
+
+    @property
+    def forms(self) -> tuple:
+        return LABEL_FORMS if self.kind == "label" else FORMS
 
     def call(self, value):
         return self.function(**{**self.args, self.argument: value})
 
+
+def label_row(label, function, args, argument, classes=None) -> Row:
+    """A row whose argument holds labels, in ``1..classes`` when that is
+    given and otherwise any integers."""
+    valid = ("integral float",) + (("zero", "above") if classes is None else ())
+    return Row(label, function, args, argument, "label", valid=valid, classes=classes)
+
+
+SGU_ARGS = {"hyp_target": [[1, 2], [2, 2]], "hyp_source": [[1, 1], [2, 1]],
+            "source_labels": [1, 2], "target_labels": [1, 2],
+            "tilde_target": [[1, 2], [2, 2], [1, 1]],
+            "tilde_source": [[1, 1], [2, 1], [2, 2]], "n_classes": 2}
 
 CONTRACT = [
     Row("DiscreteMeasure", imdot.DiscreteMeasure,
@@ -71,6 +94,8 @@ CONTRACT = [
     Row("DiscreteMeasure.scaled", TARGET.scaled, {"factor": 2.0}, "factor", "nonnegative"),
     Row("LabeledDataset", imdot.LabeledDataset,
         {"points": POINTS, "labels": [1, 2, 2], "n_classes": 2}, "n_classes", "count"),
+    label_row("LabeledDataset", imdot.LabeledDataset,
+              {"points": POINTS, "labels": [1, 2, 2], "n_classes": 2}, "labels", classes=2),
     Row("CostMatrix", imdot.CostMatrix, {"entries": COST.entries}, "entries", "nonnegative",
         valid=("wrong length",), named="cost entries"),
     Row("mix", imdot.mix, {"base": TARGET, "components": CONDS, "coeffs": [0.5, 0.0]},
@@ -139,6 +164,17 @@ CONTRACT = [
         {"block": np.array([[0.5], [0.0]])}, "block", "plan"),
     Row("propagate_labels", imdot.propagate_labels,
         {"plan": PLAN, "source_labels": LABELS, "n_classes": 2}, "n_classes", "count"),
+    label_row("propagate_labels", imdot.propagate_labels,
+              {"plan": PLAN, "source_labels": LABELS, "n_classes": 2}, "source_labels",
+              classes=2),
+    label_row("hdh_family", imdot.hdh_family,
+              {"ground_points": POINTS, "hypotheses": [[1, 2, 2], [1, 1, 2]]}, "hypotheses"),
+    label_row("cross_entropy_loss", imdot.uncertainty.cross_entropy_loss,
+              {"score": [0.3, 0.7], "label": 2}, "label", classes=2),
+    *[label_row("verify_sgu_properties", imdot.verify_sgu_properties, SGU_ARGS, argument,
+                classes=2)
+      for argument in SGU_ARGS if argument != "n_classes"],
+    Row("verify_sgu_properties", imdot.verify_sgu_properties, SGU_ARGS, "n_classes", "count"),
     # Two budgets, so that one fewer is not the empty grid.
     Row("run_sweep", imdot.run_sweep, {"config": SMALL, "beta_grid": [0.0, 0.5], "draws": 1},
         "beta_grid", "nonnegative", valid=("wrong length",)),
@@ -153,6 +189,8 @@ RAGGED = [[0.5], [0.25, 0.25]]
 def substitutes(row: Row, form: str):
     """A strategy of values of ``form`` in place of ``row``'s argument."""
     valid = np.asarray(row.args[row.argument])
+    if row.kind == "label" and form not in FORMS:
+        return label_substitutes(row, form, valid)
     if form == "empty":
         return st.just([])
     if form == "ragged":
@@ -184,6 +222,22 @@ def substitutes(row: Row, form: str):
     return entry.map(lambda i: replaced(valid, i, bad))
 
 
+def label_substitutes(row: Row, form: str, valid):
+    """A strategy of values of a label-only ``form`` in place of ``row``'s
+    argument, whose valid value is ``valid``."""
+    if form == "integral float":
+        return st.just(valid.astype(float))
+    if form == "string":
+        return st.just(valid.astype(str))
+    if form == "wrong dimension":
+        return st.just(valid[0] if valid.ndim == 2 else valid[np.newaxis])
+    value = {"fraction": None, "zero": 0, "above": (row.classes or valid.max()) + 1}[form]
+    if valid.ndim == 0:
+        return st.just(valid + 0.5 if value is None else value)
+    return st.integers(0, valid.size - 1).map(
+        lambda i: replaced(valid, i, valid.flat[i] + 0.5 if value is None else value))
+
+
 def replaced(valid, i, value):
     out = valid.astype(float).copy()
     out.flat[i] = value
@@ -203,7 +257,7 @@ def names(message: str, name: str) -> bool:
     return re.search(rf"(?<!\w){re.escape(name)}(?!\w)", message) is not None
 
 
-CASES = [(row, form) for row in CONTRACT for form in FORMS]
+CASES = [(row, form) for row in CONTRACT for form in row.forms]
 
 
 def case_id(case):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,14 @@ def make_dataset(n, labels, k):
 def test_a_labeled_dataset_rejects_non_finite_points(bad):
     with pytest.raises(ValueError, match="points must be finite"):
         LabeledDataset([[0.0, 0.0], [bad, 1.0]], [1, 2], 2)
+
+
+def test_a_labeled_dataset_names_a_nan_label_before_any_cast():
+    # A cast to int would warn first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^labels must be whole numbers, got \[nan, 2\.0\]$"):
+            LabeledDataset([[0.0], [1.0]], [np.nan, 2], 2)
 
 
 class TestDiscreteMeasure:

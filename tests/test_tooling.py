@@ -211,7 +211,7 @@ def test_only_the_three_base_problems_solve_blocks():
 
 #: The argument kinds of the input contract, each checked by one function of
 #: ``imdot.measures``, and the one flag type of ``imdot.cli`` that calls them.
-KINDS = {"_count", "_real", "_nonnegative", "_probability", "_plan"}
+KINDS = {"_count", "_real", "_nonnegative", "_probability", "_plan", "_labels"}
 FLAG_TYPE = "_flag"
 
 

@@ -173,7 +173,8 @@ class TestLosses:
 
     @pytest.mark.parametrize("label", [0, 3, -1, 1.5])
     def test_cross_entropy_label_outside_the_classes_is_named(self, label):
-        with pytest.raises(ValueError, match=rf"label {label} is outside 1\.\.2 for 2 classes"):
+        with pytest.raises(ValueError, match=rf"^label must (lie in 1\.\.2|be a whole number), "
+                                             rf"got {label}$"):
             cross_entropy_loss([0.2, 0.8], label)
 
     def test_cross_entropy_takes_integer_valued_labels(self):
@@ -323,6 +324,14 @@ class TestSguProperties:
         with pytest.raises(ValueError):
             verify_sgu_properties(np.full((1, 6), 1), np.full((1, 6), 1),
                                   y_s, y_t, tilde_t + 10, tilde_s, k)
+
+    def test_rejects_a_non_superset_of_labels_in_range(self, rng):
+        # Labels in 1..k, so that the superset rule, not the label range, rejects it.
+        tilde_t, tilde_s, y_s, y_t, k, m = self._instance(rng)
+        with pytest.raises(ValueError, match="^the hypothesis class is not contained in "
+                                             "its superset$"):
+            verify_sgu_properties(tilde_t[:m], tilde_s[:m], y_s, y_t,
+                                  tilde_t[m:], tilde_s[m:], k)
 
     def test_monotone_in_hypothesis_class(self, rng):
         passed, detail = checks.sgu_monotone_in_hypotheses(rng, 20)
