@@ -12,7 +12,6 @@ import numpy as np
 from imdot import DiscreteMeasure
 from imdot.measures import class_conditionals, cost_matrix, empirical_measure, mix
 from imdot.datagen import ToyConfig, generate_pair
-from imdot.measures import CostMatrix
 from imdot.ot import lipschitz_imd_dual, partial_ot_per_class
 
 config = ToyConfig(n_classes=3, n_source=24, n_target=24, seed=4)
@@ -21,9 +20,7 @@ source_ds, target_ds = generate_pair(config)
 source = empirical_measure(source_ds)
 target = empirical_measure(target_ds)
 conditionals, proportions = class_conditionals(source_ds)
-cost_full = cost_matrix(target_ds.points, source_ds.points)
-class_costs = [CostMatrix(cost_full.entries[:, source_ds.class_indices(k)])
-               for k in range(1, 4)]
+class_costs = [cost_matrix(target_ds.points, cond.points) for cond in conditionals]
 
 beta_vec = np.array([0.4, 0.1, 0.0])
 plan_set = partial_ot_per_class(target, conditionals, proportions,

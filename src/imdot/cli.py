@@ -22,7 +22,7 @@ import numpy as np
 
 from .checks import run_suite
 from .datagen import ToyConfig, generate_pair
-from .experiments import run_sweep, write_draws_csv, write_summary_csv
+from .experiments import MODE_GLOBAL, MODE_SPLIT, run_sweep, write_draws_csv, write_summary_csv
 from .measures import (
     ROUNDING_TOL,
     _count,
@@ -33,7 +33,6 @@ from .measures import (
     empirical_measure,
     load_dataset,
     save_dataset,
-    CostMatrix,
 )
 from .ot import (
     TransportPlanSet,
@@ -174,24 +173,19 @@ def cmd_gen(args) -> int:
 def _solve_from_files(args):
     source = load_dataset(args.source)
     target = load_dataset(args.target, n_classes=source.n_classes)
-    source_measure = empirical_measure(source)
     target_measure = empirical_measure(target)
-    cost_full = cost_matrix(target.points, source.points)
-
     if args.mode == "global":
         # The global relaxation is the budget split with one class.
-        conds, props, costs = [source_measure], np.ones(1), [cost_full]
-        indices = [np.arange(len(source))]
+        conds, props = [empirical_measure(source)], np.ones(1)
     else:
         conds, props = class_conditionals(source)
-        indices = [source.class_indices(k) for k in range(1, source.n_classes + 1)]
-        costs = [CostMatrix(cost_full.entries[:, idx]) for idx in indices]
+    costs = [cost_matrix(target.points, cond.points) for cond in conds]
     if args.mode == "perclass":
         plan_set = partial_ot_per_class(target_measure, conds, props,
                                         np.array(args.beta_vec), costs)
     else:
         plan_set = partial_ot_beta_split(target_measure, conds, props, args.beta, costs)
-    return source, target, plan_set, indices, conds, props
+    return source, target, plan_set, conds, props
 
 
 def _capacity_audit(plan_set: TransportPlanSet, conds, props) -> list:
@@ -209,7 +203,7 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        source, target, plan_set, indices, conds, props = _solve_from_files(args)
+        source, target, plan_set, conds, props = _solve_from_files(args)
     except Exception as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
@@ -219,7 +213,8 @@ def cmd_solve(args) -> int:
     (out / "plan.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
     outputs = ["plan.json"]
     if args.svg:
-        svg = render_plan_svg(source.points, target.points, plan_set, indices,
+        svg = render_plan_svg(source.points, target.points, plan_set,
+                              [cond.points for cond in conds],
                               dotted=(args.mode == "global"))
         (out / "plan.svg").write_text(svg)
         outputs.append("plan.svg")
@@ -279,8 +274,11 @@ _CLASS_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 
 def render_plan_svg(source_points, target_points, plan_set: TransportPlanSet,
-                    class_indices, dotted: bool = False) -> str:
+                    block_points, dotted: bool = False) -> str:
     """Source circles, target triangles, coupling segments.
+
+    ``block_points[k]`` holds the source points of block ``k``'s columns, in
+    column order (the points of its conditional).
 
     Per-class plans draw solid colored segments; the globally relaxed plan
     is drawn dotted; entries at or below ``ROUNDING_TOL`` are not drawn.  No
@@ -311,7 +309,7 @@ def render_plan_svg(source_points, target_points, plan_set: TransportPlanSet,
         ti, sj = np.nonzero(plan > ROUNDING_TOL)
         for i, j in zip(ti, sj):
             x1, y1 = sxy(target_points[i])
-            x2, y2 = sxy(source_points[class_indices[k][j]])
+            x2, y2 = sxy(block_points[k][j])
             opacity = 0.15 + 0.85 * plan[i, j] / max_mass
             parts.append(
                 f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
@@ -389,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--beta-grid", type=_flag(_nonnegative, "beta_grid", 1, many=True),
                        default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     sweep.add_argument("--draws", type=_flag(_count, "draws"), default=50)
-    sweep.add_argument("--mode", choices=["both", "global", "per_class_split"],
+    sweep.add_argument("--mode", choices=["both", MODE_GLOBAL, MODE_SPLIT],
                        default="both")
     sweep.add_argument("--jobs", type=_flag(_count, "jobs"), default=os.cpu_count() or 1,
                        help="worker processes, at most one per draw")

@@ -136,8 +136,8 @@ def generate_pair(config: ToyConfig):
 
 def draw_seeds(seed: int, draws: int) -> np.ndarray:
     """One independent 63-bit seed per draw index, derived from ``seed``."""
-    state = np.random.SeedSequence(seed).generate_state(2 * draws, dtype=np.uint64)
-    return (state[:draws] >> np.uint64(1)).astype(np.int64)
+    state = np.random.SeedSequence(seed).generate_state(draws, dtype=np.uint64)
+    return (state >> np.uint64(1)).astype(np.int64)
 
 
 def shared_atom_label_shift(class_atoms: Sequence, p, q):

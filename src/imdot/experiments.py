@@ -20,7 +20,6 @@ import numpy as np
 from .datagen import ToyConfig, draw_seeds, generate_pair
 from .measures import (
     ROUNDING_TOL,
-    CostMatrix,
     _count,
     _labels,
     _nonnegative,
@@ -55,39 +54,35 @@ MODE_SPLIT = "per_class_split"
 TIE_REL_TOL = 1e-9
 
 
-def propagate_labels(plan, source_labels, n_classes: int | None = None) -> np.ndarray:
+def propagate_labels(plan, source_labels, n_classes: int) -> np.ndarray:
     """Majority-vote labels: each target row takes the class sending most mass.
 
     ``plan`` is either a single (n_target, n_source) matrix or a
-    :class:`~imdot.ot.TransportPlanSet`, whose class-``k`` block holds the
-    columns of the class-``k`` sources, so its row sums are the class
-    votes; every block must be as wide as its class has labels, so a block
-    with no label has width 0, and every label, in ``1..n_classes`` (by
-    default up to the largest), must have a block.  Votes within
+    :class:`~imdot.ot.TransportPlanSet` of exactly ``n_classes`` blocks,
+    whose class-``k`` block holds the columns of the class-``k`` sources, so
+    its row sums are the class votes; every block must be as wide as its
+    class has labels, so a block with no label has width 0.  Votes within
     ``TIE_REL_TOL`` of the row's top vote tie, and ties resolve to the
     smallest class index; a row carrying less than ``ROUNDING_TOL`` total
     mass is an error (the equality marginal makes it impossible short of
     solver breakdown).
     """
-    if n_classes is None:
-        n_classes = int(_labels("source_labels", source_labels).max(initial=0))
     source_labels = _labels("source_labels", source_labels, _count("n_classes", n_classes))
     if isinstance(plan, TransportPlanSet):
+        if len(plan.plans) != n_classes:
+            raise ValueError(f"the plan set has {len(plan.plans)} blocks for "
+                             f"{n_classes} classes")
         blocks = [_plan(f"plan block {k + 1}", block) for k, block in enumerate(plan.plans)]
-        if source_labels.size and source_labels.max() > len(blocks):
-            raise ValueError(f"source label {source_labels.max()} has no block: the "
-                             f"plan set has {len(blocks)}")
     else:
         plan = _plan("plan", plan)
         if plan.shape[1] != len(source_labels):
             raise ValueError("plan columns do not match the source labels")
         blocks = [plan[:, source_labels == k] for k in range(1, n_classes + 1)]
-    votes = np.zeros((blocks[0].shape[0] if blocks else 0, n_classes))
+    votes = np.zeros((blocks[0].shape[0], n_classes))
     for k, block in enumerate(blocks):
         if block.shape[1] != np.count_nonzero(source_labels == k + 1):
             raise ValueError("class block width does not match its labels")
-        if k < n_classes:
-            votes[:, k] = block.sum(axis=1)
+        votes[:, k] = block.sum(axis=1)
     totals = votes.sum(axis=1)
     if np.any(totals < ROUNDING_TOL):
         bad = int(np.argmin(totals))
@@ -101,6 +96,8 @@ def accuracy(predicted, truth) -> float:
     truth = np.asarray(truth)
     if predicted.shape != truth.shape:
         raise ValueError("prediction and truth lengths differ")
+    if predicted.size == 0:
+        raise ValueError("predicted and truth are empty: no accuracy to take")
     return float(np.mean(predicted == truth))
 
 
@@ -165,8 +162,7 @@ def _run_draw(args):
     target_measure = empirical_measure(target)
     conditionals, proportions = class_conditionals(source)
     cost_full = cost_matrix(target.points, source.points)
-    class_costs = [CostMatrix(cost_full.entries[:, source.class_indices(k)])
-                   for k in range(1, config.n_classes + 1)]
+    class_costs = [cost_matrix(target.points, cond.points) for cond in conditionals]
 
     def walk(mode, grid):
         """``(objective, plan, time share)`` at every ``beta`` of ``grid``."""

@@ -307,16 +307,16 @@ class InclusionReport:
 def localization_inclusion_check(family: FunctionFamily,
                                  conditionals: Sequence[DiscreteMeasure],
                                  proportions,
-                                 eps_vec,
-                                 eps: float | None = None) -> InclusionReport:
-    """Check both localization inclusions on an enumerable family.
+                                 eps_vec) -> InclusionReport:
+    """Check both localization inclusions on an enumerable family, at the
+    global cap ``eps = proportions @ eps_vec``, summed over the classes with
+    mass.
 
     Direction 1: the family localized per class at ``eps_vec`` is contained
-    in the family localized globally at ``proportions @ eps_vec``, summed
-    over the classes with mass.
-    Direction 2: the family localized globally at ``eps`` (default
-    ``proportions @ eps_vec``) is contained in the per-class localization at
-    ``eta_k = eps / proportions[k]`` (infinite where a class is empty).
+    in the family localized globally at ``eps``.
+    Direction 2: the family localized globally at ``eps`` is contained in
+    the per-class localization at ``eta_k = eps / proportions[k]`` (infinite
+    where a class is empty).
     """
     p = _nonnegative("proportions", proportions, 1)
     eps_vec, conditionals = _per_class_eps("eps_vec", eps_vec, conditionals)
@@ -325,12 +325,9 @@ def localization_inclusion_check(family: FunctionFamily,
     reference = mix(empty, conditionals, p)
     # A class without mass adds nothing to the cap, even at an infinite eps.
     held = p > 0
-    eps_pte = float(p[held] @ eps_vec[held])
-    eps = eps_pte if eps is None else eps
-    # The global caps first, so that a bad explicit eps is named as their cap.
-    glob_pte, glob = (global_localization(e, reference).admission(ground)
-                      for e in (eps_pte, eps))
-    eta = np.where(p > 0, eps / np.where(p > 0, p, 1.0), np.inf)
+    eps = float(p[held] @ eps_vec[held])
+    glob = global_localization(eps, reference).admission(ground)
+    eta = np.where(held, eps / np.where(held, p, 1.0), np.inf)
     per_class, per_class_eta = (per_class_localization(e, conditionals).admission(ground)
                                 for e in (eps_vec, eta))
 
@@ -341,7 +338,7 @@ def localization_inclusion_check(family: FunctionFamily,
         in_pc, in_glob = per_class(batch), glob(batch)
         size_pc += int(in_pc.sum())
         size_glob += int(in_glob.sum())
-        for direction, bad in enumerate((in_pc & ~glob_pte(batch),
+        for direction, bad in enumerate((in_pc & ~in_glob,
                                          in_glob & ~per_class_eta(batch))):
             if bad.any():
                 ok[direction] = False

@@ -182,10 +182,6 @@ class DiscreteMeasure:
     def total_mass(self) -> float:
         return float(np.sum(self.weights))
 
-    @property
-    def is_probability(self) -> bool:
-        return abs(self.total_mass - 1.0) <= ROUNDING_TOL
-
     def support_points(self) -> np.ndarray:
         """Atoms carrying strictly positive mass."""
         return self.points[self.weights > 0]
@@ -229,10 +225,6 @@ class LabeledDataset:
             raise ValueError("empty dataset has no class proportions")
         return self.class_counts() / len(self)
 
-    def class_indices(self, k: int) -> np.ndarray:
-        """Positions of the class-``k`` points, in dataset order."""
-        return np.flatnonzero(self.labels == k)
-
 
 @dataclass(frozen=True)
 class CostMatrix:
@@ -254,13 +246,17 @@ def empirical_measure(dataset: LabeledDataset) -> DiscreteMeasure:
 
 
 def class_conditionals(dataset: LabeledDataset):
-    """Per-class uniform conditionals and the class-proportion vector.
+    """Per-class uniform conditionals and the class-proportion vector: the
+    one owner of the class layout.  Block ``k`` of a per-class transport
+    problem is ``conditionals[k-1]``, so its costs are
+    ``cost_matrix(target_points, conditionals[k-1].points)``.
 
     Returns
     -------
     conditionals : list of DiscreteMeasure
-        ``conditionals[k-1]`` is uniform over the class-``k`` points (mass 1),
-        or an empty mass-0 measure when the class has no members.
+        ``conditionals[k-1]`` is uniform over the class-``k`` points in
+        dataset order (mass 1), or an empty mass-0 measure when the class
+        has no members.
     proportions : (n_classes,) array
         ``n_k / n``; components of empty classes are 0 and the vector sums
         to 1.
@@ -269,15 +265,9 @@ def class_conditionals(dataset: LabeledDataset):
         raise ValueError("cannot decompose an empty dataset")
     conditionals = []
     for k in range(1, dataset.n_classes + 1):
-        idx = dataset.class_indices(k)
-        if len(idx) == 0:
-            conditionals.append(
-                DiscreteMeasure(np.empty((0, dataset.dim)), np.empty(0))
-            )
-        else:
-            conditionals.append(
-                DiscreteMeasure(dataset.points[idx], np.full(len(idx), 1.0 / len(idx)))
-            )
+        members = dataset.points[dataset.labels == k]
+        n_k = len(members)
+        conditionals.append(DiscreteMeasure(members, np.full(n_k, 1.0 / max(n_k, 1))))
     return conditionals, dataset.class_proportions()
 
 

@@ -212,7 +212,10 @@ def verify_sgu_properties(hyp_target, hyp_source, source_labels, target_labels,
     ``(hyp_target, hyp_source)`` is the finite class H, ``(tilde_target,
     tilde_source)`` a superset used as the scoring-function pool; the loss
     must satisfy the triangle inequality on the label set and vanish on the
-    diagonal (checked before anything is asserted).
+    diagonal (checked before anything is asserted).  Rows of ``hyp_target``
+    and ``tilde_target`` label the points of ``target_labels``, rows of
+    ``hyp_source`` and ``tilde_source`` those of ``source_labels``, and each
+    hypothesis has one row on either sample; a length that differs is named.
 
     Point 1: ``U_H(h) <= R_S(h)`` for every classifier h in H.
     Point 2: ``min over g in the superset of U_H(g)`` equals
@@ -230,6 +233,20 @@ def verify_sgu_properties(hyp_target, hyp_source, source_labels, target_labels,
             ("tilde_target", tilde_target), ("tilde_source", tilde_source)))
     source_labels = _labels("source_labels", source_labels, n_classes)
     target_labels = _labels("target_labels", target_labels, n_classes)
+    for rows_name, rows, name, labels in (
+            ("hyp_target", hyp_target, "target_labels", target_labels),
+            ("tilde_target", tilde_target, "target_labels", target_labels),
+            ("hyp_source", hyp_source, "source_labels", source_labels),
+            ("tilde_source", tilde_source, "source_labels", source_labels)):
+        if rows.shape[1] != len(labels):
+            raise ValueError(f"{rows_name} rows have {rows.shape[1]} labels where {name} "
+                             f"has {len(labels)}")
+    for target_name, on_target, source_name, on_source in (
+            ("hyp_target", hyp_target, "hyp_source", hyp_source),
+            ("tilde_target", tilde_target, "tilde_source", tilde_source)):
+        if len(on_target) != len(on_source):
+            raise ValueError(f"{target_name} has {len(on_target)} rows where {source_name} "
+                             f"has {len(on_source)}")
     if not loss_satisfies_triangle(loss, n_classes):
         raise ValueError("the loss does not satisfy the triangle inequality")
     for a in range(1, n_classes + 1):

@@ -29,17 +29,17 @@ from reference import dense_lp
 class TestPropagateLabels:
     def test_identity_plan(self):
         plan = np.eye(2) / 2
-        labels = propagate_labels(plan, np.array([1, 2]))
+        labels = propagate_labels(plan, np.array([1, 2]), 2)
         assert np.array_equal(labels, [1, 2])
 
     def test_majority(self):
         plan = np.array([[0.3, 0.7]])
-        labels = propagate_labels(plan, np.array([1, 2]))
+        labels = propagate_labels(plan, np.array([1, 2]), 2)
         assert labels[0] == 2
 
     def test_tie_goes_to_smallest_class(self):
         plan = np.array([[0.5, 0.5], [0.5, 0.5 * (1 + 1e-12)], [0.5, 0.6]])
-        labels = propagate_labels(plan, np.array([1, 2]))
+        labels = propagate_labels(plan, np.array([1, 2]), 2)
         assert np.array_equal(labels, [1, 1, 2])
 
     def test_labels_do_not_depend_on_backend(self):
@@ -66,23 +66,28 @@ class TestPropagateLabels:
                  np.array([[0.9], [0.0]]))
         plan_set = TransportPlanSet(plans, np.zeros(3), 0.0)
         with pytest.raises(ValueError, match="class block width does not match its labels"):
-            propagate_labels(plan_set, np.array([1, 2]))
+            propagate_labels(plan_set, np.array([1, 2]), n_classes=3)
         # A block of width 0 matches no label.
         empty = TransportPlanSet((*plans[:2], np.zeros((2, 0))), np.zeros(3), 0.0)
-        assert np.array_equal(propagate_labels(empty, np.array([1, 2])), [2, 1])
+        assert np.array_equal(propagate_labels(empty, np.array([1, 2]), n_classes=3), [2, 1])
+
+    def test_a_block_beyond_the_classes_is_rejected(self):
+        # The third block is empty, but there are only two classes to vote for.
+        plans = (np.array([[0.04], [0.5]]), np.array([[0.06], [0.0]]), np.zeros((2, 0)))
+        plan_set = TransportPlanSet(plans, np.zeros(3), 0.0)
+        with pytest.raises(ValueError, match="^the plan set has 3 blocks for 2 classes$"):
+            propagate_labels(plan_set, np.array([1, 2]), n_classes=2)
 
     def test_a_label_beyond_the_last_block_is_rejected(self):
         # One block for the labels 1 and 2: the column labelled 2 has none.
         plan_set = TransportPlanSet((np.array([[0.1], [0.5]]),), np.zeros(1), 0.0)
-        with pytest.raises(ValueError, match="source label 2 has no block: the plan set "
-                                             "has 1"):
-            propagate_labels(plan_set, np.array([1, 2]))
+        with pytest.raises(ValueError, match="^the plan set has 1 blocks for 2 classes$"):
+            propagate_labels(plan_set, np.array([1, 2]), 2)
 
     @pytest.mark.parametrize("form", ["dense", "plan_set"])
     @pytest.mark.parametrize("labels, n_classes, named", [
         ([1, 2, 3], 2, r"source_labels must lie in 1\.\.2, got range \[1, 3\]$"),
         ([0, 1, 2], 2, r"source_labels must lie in 1\.\.2, got range \[0, 2\]$"),
-        ([0, 1, 2], None, r"source_labels must lie in 1\.\.2, got range \[0, 2\]$"),
     ])
     def test_a_label_outside_the_classes_is_rejected(self, form, labels, n_classes, named):
         # The column of the outside label carries mass; dropping it would
@@ -125,16 +130,12 @@ class TestPropagateLabels:
         # Cast to int, [2, 1.5] labelled the row by class 1.
         with pytest.raises(ValueError, match=r"^source_labels must be (whole numbers|a vector "
                                              r"of numbers), got "):
-            propagate_labels([[0.2, 0.8]], labels)
-
-    def test_an_empty_label_vector_has_no_default_classes(self):
-        with pytest.raises(ValueError, match="^n_classes must be a positive integer, got 0$"):
-            propagate_labels(np.zeros((1, 0)), [])
+            propagate_labels([[0.2, 0.8]], labels, 2)
 
     def test_zero_row_errors(self):
         plan = np.array([[0.0, 0.0], [0.5, 0.5]])
         with pytest.raises(ValueError):
-            propagate_labels(plan, np.array([1, 2]))
+            propagate_labels(plan, np.array([1, 2]), 2)
 
     def test_scaling_invariance(self, rng):
         plan = rng.random((4, 6)) + 1e-3
@@ -148,7 +149,7 @@ class TestPropagateLabels:
         plans = (np.array([[0.6], [0.0]]),        # class-1 block: column 1
                  np.array([[0.0, 0.0], [0.2, 0.2]]))  # class-2 block: columns 0, 2
         plan_set = TransportPlanSet(plans, np.zeros(2), 0.0)
-        labels = propagate_labels(plan_set, source_labels)
+        labels = propagate_labels(plan_set, source_labels, 2)
         assert np.array_equal(labels, [1, 2])
 
     def test_perfect_recovery_on_disjoint_shared_atoms(self):
@@ -159,7 +160,7 @@ class TestPropagateLabels:
         assert plan_set.objective == pytest.approx(0.0, abs=1e-9)
         source_labels = np.array([1, 2])  # atom order: class 1 then class 2
         target_labels = np.array([1, 2])
-        predicted = propagate_labels(plan_set, source_labels)
+        predicted = propagate_labels(plan_set, source_labels, 2)
         assert accuracy(predicted, target_labels) == 1.0
 
 
@@ -172,6 +173,10 @@ class TestAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             accuracy([1, 2], [1])
+
+    def test_empty_input_is_named(self):
+        with pytest.raises(ValueError, match="^predicted and truth are empty"):
+            accuracy([], [])
 
 
 CFG = ToyConfig(n_classes=3, n_source=45, n_target=45, seed=2)

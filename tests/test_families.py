@@ -271,16 +271,8 @@ class TestInclusionChecks:
                  DiscreteMeasure(pts[2:], [1.0])]
         p = np.array([0.5, 0.5])
         report = localization_inclusion_check(
-            indicator_family(pts), conds, p, np.array([0.1, 0.1]), eps=0.1)
+            indicator_family(pts), conds, p, np.array([0.1, 0.1]))
         assert report.ok
-
-    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
-    def test_a_non_finite_global_eps_is_named(self, rng, eps):
-        pts = random_points(rng, 3)
-        conds = [DiscreteMeasure(pts[:2], [0.5, 0.5]), DiscreteMeasure(pts[2:], [1.0])]
-        with pytest.raises(ValueError, match="cap 0 eps must be finite and nonnegative"):
-            localization_inclusion_check(indicator_family(pts), conds, np.array([0.5, 0.5]),
-                                         np.array([0.1, 0.1]), eps=eps)
 
     def test_a_nan_per_class_eps_is_rejected_and_an_infinite_one_is_vacuous(self, rng):
         pts = random_points(rng, 3)
@@ -316,7 +308,7 @@ class TestInclusionChecks:
                  DiscreteMeasure(np.empty((0, 2)), np.empty(0))]
         p = np.array([1.0, 0.0])
         report = localization_inclusion_check(
-            indicator_family(pts), conds, p, np.array([0.3, 0.0]), eps=0.3)
+            indicator_family(pts), conds, p, np.array([0.3, 0.0]))
         assert report.global_in_per_class
 
     def test_random_instances(self, rng):

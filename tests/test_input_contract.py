@@ -106,9 +106,6 @@ CONTRACT = [
         {"eps": 0.1, "reference": SOURCE}, "eps", "nonnegative"),
     Row("per_class_localization", imdot.per_class_localization,
         {"eps": [0.1, 0.2], "conditionals": CONDS}, "eps", "nonnegative", valid=("inf",)),
-    Row("localization_inclusion_check", imdot.localization_inclusion_check,
-        {"family": FAMILY, "conditionals": CONDS, "proportions": [0.5, 0.5],
-         "eps_vec": [0.1, 0.2], "eps": 0.1}, "eps", "nonnegative"),
     Row("duality_check", imdot.duality_check,
         {"target": TARGET, "source": SOURCE, "family": FAMILY, "eps": 0.1,
          "alpha_grid": [0.0, 0.5]}, "eps", "nonnegative"),

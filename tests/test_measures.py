@@ -54,7 +54,6 @@ class TestDiscreteMeasure:
     def test_mass_and_support(self):
         m = DiscreteMeasure([[0, 0], [1, 0]], [0.3, 0.0])
         assert m.total_mass == 0.3
-        assert not m.is_probability
         assert len(m.support_points()) == 1
         assert m.scaled(2.0).total_mass == pytest.approx(0.6)
 

@@ -32,7 +32,6 @@ from imdot.lp import (
     solve,
 )
 from imdot.measures import (
-    CostMatrix,
     DiscreteMeasure,
     class_conditionals,
     cost_matrix,
@@ -439,7 +438,7 @@ class TestCoarseStart:
         t, s = empirical_measure(target), empirical_measure(source)
         conds, p = class_conditionals(source)
         cost = cost_matrix(target.points, source.points)
-        costs = [CostMatrix(cost.entries[:, source.class_indices(k)]) for k in (1, 2, 3)]
+        costs = [cost_matrix(target.points, cond.points) for cond in conds]
         grid = (0.25, 0.5, 0.75, 1.0)
         iterations = []
         run = HighsModel.run
@@ -611,7 +610,7 @@ class TestSimplexPath:
         t, s = empirical_measure(target), empirical_measure(source)
         conds, p = class_conditionals(source)
         cost = cost_matrix(target.points, source.points)
-        costs = [CostMatrix(cost.entries[:, source.class_indices(k)]) for k in (1, 2, 3)]
+        costs = [cost_matrix(target.points, cond.points) for cond in conds]
 
         def walk():
             if mode == "global":
@@ -641,14 +640,13 @@ class TestSimplexPath:
 SPLIT_WALK = """
 import numpy as np
 from imdot.datagen import ToyConfig, draw_seeds, generate_pair
-from imdot.measures import CostMatrix, class_conditionals, cost_matrix, empirical_measure
+from imdot.measures import class_conditionals, cost_matrix, empirical_measure
 from imdot.ot import _solve_blocks
 
 seed = int(draw_seeds(3000, 1)[0])
 source, target = generate_pair(ToyConfig(n_classes=3, n_source=300, n_target=300, seed=seed))
 conds, p = class_conditionals(source)
-cost = cost_matrix(target.points, source.points)
-costs = [CostMatrix(cost.entries[:, source.class_indices(k)]) for k in (1, 2, 3)]
+costs = [cost_matrix(target.points, cond.points) for cond in conds]
 walk = _solve_blocks(empirical_measure(target), conds, costs, p, (0.25, 0.5, 0.75, 1.0))
 print([(repr(sol.value), repr(sol.gap)) for sol, _, _ in walk])
 """

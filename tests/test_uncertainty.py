@@ -333,6 +333,20 @@ class TestSguProperties:
             verify_sgu_properties(tilde_t[:m], tilde_s[:m], y_s, y_t,
                                   tilde_t[m:], tilde_s[m:], k)
 
+    @pytest.mark.parametrize("change, named", [
+        ({"target_labels": [1]}, "^hyp_target rows have 2 labels where target_labels has 1$"),
+        ({"source_labels": [1, 2, 1]},
+         "^hyp_source rows have 2 labels where source_labels has 3$"),
+        ({"hyp_source": [[1, 1]]}, "^hyp_target has 2 rows where hyp_source has 1$"),
+    ], ids=["target_labels", "source_labels", "rows"])
+    def test_mismatched_shapes_are_named(self, change, named):
+        args = {"hyp_target": [[1, 2], [2, 2]], "hyp_source": [[1, 1], [2, 1]],
+                "source_labels": [1, 2], "target_labels": [1, 2],
+                "tilde_target": [[1, 2], [2, 2], [1, 1]],
+                "tilde_source": [[1, 1], [2, 1], [2, 2]], "n_classes": 2}
+        with pytest.raises(ValueError, match=named):
+            verify_sgu_properties(**{**args, **change})
+
     def test_monotone_in_hypothesis_class(self, rng):
         passed, detail = checks.sgu_monotone_in_hypotheses(rng, 20)
         assert passed, detail
