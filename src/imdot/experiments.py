@@ -161,19 +161,22 @@ def _run_draw(args):
     source_measure = empirical_measure(source)
     target_measure = empirical_measure(target)
     conditionals, proportions = class_conditionals(source)
-    cost_full = cost_matrix(target.points, source.points)
-    class_costs = [cost_matrix(target.points, cond.points) for cond in conditionals]
+    # The costs of the modes asked for alone: global mode's one n_target x
+    # n_source matrix, the split's one block per class.
+    costs = {mode: cost_matrix(target.points, source.points) if mode == MODE_GLOBAL
+             else [cost_matrix(target.points, cond.points) for cond in conditionals]
+             for mode in modes}
 
     def walk(mode, grid):
         """``(objective, plan, time share)`` at every ``beta`` of ``grid``."""
         start = time.perf_counter()
         if mode == MODE_GLOBAL:
             solved = partial_ot_global_path(target_measure, source_measure,
-                                            cost_full, grid)
+                                            costs[mode], grid)
         else:
             solved = [(plan_set.objective, plan_set)
                       for plan_set in partial_ot_beta_split_path(
-                          target_measure, conditionals, proportions, grid, class_costs)]
+                          target_measure, conditionals, proportions, grid, costs[mode])]
         share = (time.perf_counter() - start) / len(grid)
         return [(value, plan, share) for value, plan in solved]
 

@@ -208,9 +208,8 @@ def weights_on_ground(measure: DiscreteMeasure,
     ground row equal to it, which is the nearest-point match at distance 0.
     """
     ground_points = np.asarray(ground_points, dtype=float)
-    w = np.zeros(len(ground_points))
     if measure.n_atoms == 0:
-        return w
+        return np.zeros(len(ground_points))
     if measure.points.shape[1] != ground_points.shape[1]:
         raise ValueError("measure and ground set have different dimensions")
     if np.array_equal(measure.points, ground_points):
@@ -227,8 +226,7 @@ def weights_on_ground(measure: DiscreteMeasure,
             raise ValueError(
                 f"atom {measure.points[bad].tolist()} is not on the ground set"
             )
-    np.add.at(w, idx, measure.weights)
-    return w
+    return np.bincount(idx, weights=measure.weights, minlength=len(ground_points))
 
 
 def _weight_matrix(measures, ground_points: np.ndarray) -> np.ndarray:

@@ -18,7 +18,11 @@ alone, so a numerically broken solve raises instead of returning a silently
 wrong answer.  The certificate is :func:`certify` on the columns the model
 holds, and, for every other column, the pricing pass that ended the entry:
 those columns are at zero, so their one condition is the sign of their
-reduced cost.  An :class:`LpSolution` is thus always a certified optimum,
+reduced cost.  It reads those columns' CSC arrays as the column source
+gives them, with the entry's row bounds, and sums ``A x`` and ``A' y`` over
+them itself, to the bit as SciPy's sparse products would; no LP is rebuilt
+for it, and the held columns become a :class:`LinearProgram` only for the
+:func:`dump_lp` of a failed entry.  An :class:`LpSolution` is thus always a certified optimum,
 and its value and its certificate's duality gap are correctly rounded
 (``math.fsum``), whatever the BLAS thread count.  The solver layer's
 tolerances are named here: the certificate's ``FEASIBILITY_TOL`` and
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,6 +73,22 @@ HIGHS_TOL = 1e-10
 
 class LpError(RuntimeError):
     """Numerical breakdown or solver failure, with diagnostics attached."""
+
+
+def _check_bounds(kind: str, lower: np.ndarray, upper: np.ndarray) -> None:
+    """A ValueError, naming it, for a NaN among the ``kind`` (``"row"`` or
+    ``"variable"``) bounds or an infinite bound on the wrong side: a lower
+    bound ``inf`` or an upper bound ``-inf``, which HiGHS would refuse
+    without naming it.  Crossed bounds are left to the caller."""
+    # A NaN fails these comparisons as an infinite bound on the wrong side
+    # does, so bounds that pass them need no other check.
+    if (lower < np.inf).all() and (upper > -np.inf).all():
+        return
+    if np.isnan(lower).any() or np.isnan(upper).any():
+        raise ValueError(f"{kind} bounds must not be NaN")
+    prefix = "row_" if kind == "row" else ""
+    name, wrong = ("lower", np.inf) if (lower == np.inf).any() else ("upper", -np.inf)
+    raise ValueError(f"{prefix}{name} must not be {wrong}")
 
 
 def _as_csc(A, n_rows, n_cols):
@@ -114,23 +135,16 @@ class LinearProgram:
         upper = np.full(len(c), np.inf) if upper is None else np.asarray(upper, dtype=float)
         if lower.shape != c.shape or upper.shape != c.shape:
             raise ValueError("bounds must match the variable count")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("costs must be finite")
-        if np.any(np.isnan(row_lower)) or np.any(np.isnan(row_upper)):
-            raise ValueError("row bounds must not be NaN")
-        if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
-            raise ValueError("variable bounds must not be NaN")
-        for name, bound, wrong in (("row_lower", row_lower, np.inf), ("lower", lower, np.inf),
-                                   ("row_upper", row_upper, -np.inf),
-                                   ("upper", upper, -np.inf)):
-            if np.any(bound == wrong):
-                raise ValueError(f"{name} must not be {wrong}")
+        _check_bounds("row", row_lower, row_upper)
+        _check_bounds("variable", lower, upper)
         A = _as_csc(A, len(row_lower), len(c))
-        if not np.all(np.isfinite(A.data)):
+        if not np.isfinite(A.data).all():
             raise ValueError("constraint matrix entries must be finite")
-        if np.any(row_lower > row_upper):
+        if (row_lower > row_upper).any():
             raise ValueError("row lower bound exceeds row upper bound")
-        if np.any(lower > upper):
+        if (lower > upper).any():
             raise ValueError("lower bound exceeds upper bound")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
@@ -150,7 +164,12 @@ class LinearProgram:
     @property
     def c_norm(self) -> float:
         """``||c||_inf``, 0 without columns."""
-        return float(np.max(np.abs(self.c), initial=0.0))
+        return float(np.abs(self.c).max(initial=0.0))
+
+    # The CSC arrays of ``A``, which :func:`certify` reads.
+    indptr = property(lambda self: self.A.indptr)
+    indices = property(lambda self: self.A.indices)
+    data = property(lambda self: self.A.data)
 
     def columns(self, keys) -> tuple:
         """``(c, starts, indices, values, lower, upper)`` of the sorted,
@@ -182,18 +201,46 @@ class LpSolution:
                                # dense solve, fewer when priced
 
 
-def _row_bound_norm(lp: LinearProgram) -> float:
+class _Entry(NamedTuple):
+    """The LP of one :func:`solve_path` entry over the model's columns, as
+    :func:`certify` reads it: the columns as ``lp.columns(held)`` gives
+    them, then the entry's row bounds."""
+
+    c: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+
+
+def _row_bound_norm(lp) -> float:
     """Largest finite row bound in absolute value, 0 if there is none."""
     bounds = np.concatenate([lp.row_lower, lp.row_upper])
-    return float(np.max(np.abs(bounds[np.isfinite(bounds)]), initial=0.0))
+    return float(np.abs(bounds[np.isfinite(bounds)]).max(initial=0.0))
 
 
-def _primal_residual(lp: LinearProgram, x: np.ndarray) -> float:
-    """Largest violation of a row or a variable bound by ``x``."""
-    Ax = lp.A @ x
-    violations = (lp.row_lower - Ax, Ax - lp.row_upper, lp.lower - x, x - lp.upper)
-    # np.max, unlike max, keeps a NaN.
-    return float(np.max([np.max(v, initial=0.0) for v in violations]))
+def _products(lp, x: np.ndarray, y: np.ndarray) -> tuple:
+    """``(A x, A' y)`` for the matrix of ``lp``, summed by ``np.bincount``
+    over its CSC arrays: each entry in the order SciPy's CSC product ``A @
+    x`` and CSR product ``A.T @ y`` add its terms, so equal to them bit for
+    bit."""
+    column = np.repeat(np.arange(len(lp.c)), lp.indptr[1:] - lp.indptr[:-1])
+    Ax = np.bincount(lp.indices, weights=lp.data * x[column], minlength=len(lp.row_lower))
+    Aty = np.bincount(column, weights=lp.data * y[lp.indices], minlength=len(lp.c))
+    # Without entries np.bincount counts, in integers, whatever the weights.
+    return Ax.astype(float, copy=False), Aty.astype(float, copy=False)
+
+
+def _primal_residual(lp, Ax: np.ndarray, x: np.ndarray) -> float:
+    """Largest violation of a row or a variable bound by ``x``, whose row
+    activities are ``Ax``."""
+    violations = np.concatenate([lp.row_lower - Ax, Ax - lp.row_upper, lp.lower - x,
+                                 x - lp.upper])
+    # ndarray.max, unlike max, keeps a NaN.
+    return float(violations.max(initial=0.0))
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -237,8 +284,14 @@ def solve_path(lp, bounds, initial, price=None) -> list:
     that is feasible at every entry keeps every entry feasible; otherwise a
     run could end infeasible and take every column.
 
+    An entry's row bounds are checked before HiGHS sees them, by the rule
+    of :class:`LinearProgram`: a NaN, a lower bound ``inf`` or an upper
+    bound ``-inf`` raises its ValueError.  Crossed bounds make an
+    infeasible entry.
+
     An entry ends at an optimal run that adds no column.  Its certificate
-    is :func:`certify` on the model's columns, which also gives its value,
+    is :func:`certify` on the model's columns, as ``lp.columns`` gives them
+    in sorted order, and the entry's row bounds, which also gives its value,
     with the dual tolerance of every column of ``lp``, and the pricing pass
     that ended it: no column prices below ``-dual_tolerance``.  A column
     outside the model is at zero, so it adds nothing to the residual, the
@@ -249,7 +302,8 @@ def solve_path(lp, bounds, initial, price=None) -> list:
     every column, up to the first entry infeasible with every column: a
     shorter list than ``bounds`` means that entry is infeasible, and the
     caller names it.  Raises :class:`LpError`, with the :func:`dump_lp` of
-    the entry's model, when HiGHS or a certificate fails.
+    the entry's model, the one :class:`LinearProgram` it builds, when HiGHS
+    or a certificate fails.
     """
     c_norm = lp.c_norm
     tol = pricing_tolerance(c_norm)
@@ -257,13 +311,14 @@ def solve_path(lp, bounds, initial, price=None) -> list:
 
     def add(new) -> int:
         nonlocal keys
-        # A lookup table over the range of ``keys``: np.setdiff1d would sort
-        # the model's columns again at every pricing round.
         new = np.unique(np.asarray(new, dtype=int))
-        new = new[~np.isin(new, keys, kind="table")]
+        if len(keys):
+            # A lookup table over the range of ``keys``: np.setdiff1d would
+            # sort the model's columns again at every pricing round.
+            new = new[~np.isin(new, keys, kind="table")]
         if not len(new):
             return 0
-        keys = np.append(keys, new)
+        keys = np.concatenate([keys, new])
         model.add_columns(*lp.columns(new))
         return len(new)
 
@@ -278,16 +333,17 @@ def solve_path(lp, bounds, initial, price=None) -> list:
             model.delete_columns(out)
             keys = np.delete(keys, out)
 
-    def held_lp(lower, upper):
-        """The sorted columns of the model and their LP at the given rows."""
-        held = np.sort(keys)
-        c, starts, indices, values, col_lower, col_upper = lp.columns(held)
-        A = sp.csc_matrix((values, indices, starts), shape=(len(lower), len(held)))
-        return held, LinearProgram(c, A, lower, upper, col_lower, col_upper)
+    def held_lp(lower, upper) -> LinearProgram:
+        """The LP of the model's sorted columns at the given rows, for
+        :func:`dump_lp`."""
+        c, starts, indices, values, col_lower, col_upper = lp.columns(np.sort(keys))
+        A = sp.csc_matrix((values, indices, starts), shape=(len(lower), len(c)))
+        return LinearProgram(c, A, lower, upper, col_lower, col_upper)
 
     solutions, previous = [], None
     for lower, upper in bounds:
         lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+        _check_bounds("row", lower, upper)
         try:
             if previous is None:
                 model = HighsModel(lower, upper)
@@ -318,11 +374,12 @@ def solve_path(lp, bounds, initial, price=None) -> list:
                     break
             x = np.zeros(lp.n_vars)
             x[keys] = model.col_value()
-            held, entry = held_lp(lower, upper)
-            value, residual, gap = certify(entry, x[held], row_dual, c_norm)
+            held = np.sort(keys)
+            value, residual, gap = certify(_Entry(*lp.columns(held), lower, upper), x[held],
+                                           row_dual, c_norm)
             _certify_outside(lowest, c_norm)
         except LpError as error:
-            raise LpError(f"{error}\n" + dump_lp(held_lp(lower, upper)[1])) from error
+            raise LpError(f"{error}\n" + dump_lp(held_lp(lower, upper))) from error
         solutions.append(LpSolution(value, x, iterations, residual, gap, rounds, len(keys)))
     return solutions
 
@@ -356,16 +413,24 @@ def _bound_rule(dual: np.ndarray, lower: np.ndarray, upper: np.ndarray, tol: flo
     has_lower, has_upper = np.isfinite(lower), np.isfinite(upper)
     excess = np.maximum(np.where(has_lower, 0.0, dual), np.where(has_upper, 0.0, -dual))
     worst = None
-    if excess.size and not excess.max() <= tol:
+    if not excess.max(initial=0.0) <= tol:
         worst = int(np.argmax(excess))
     terms = np.concatenate([lower[has_lower] * np.maximum(dual[has_lower], 0.0),
                             upper[has_upper] * np.minimum(dual[has_upper], 0.0)])
     return worst, terms[terms != 0]
 
 
-def certify(lp: LinearProgram, x: np.ndarray, row_dual: np.ndarray, c_norm=None):
+def certify(lp, x: np.ndarray, row_dual: np.ndarray, c_norm=None):
     """Certify ``x`` optimal for ``lp`` from row duals, independent of the
     solver, and return ``(value, residual, gap)``; raise LpError otherwise.
+
+    ``lp`` is a :class:`LinearProgram` or any object with its ``c``, the
+    CSC arrays ``indptr``, ``indices`` and ``data`` of its matrix, and its
+    bounds ``lower``, ``upper``, ``row_lower`` and ``row_upper`` (and its
+    ``c_norm`` when ``c_norm`` is not given), such as the entry that
+    :func:`solve_path` certifies on the columns its model holds.  ``A x``
+    and ``A' row_dual`` are summed over those arrays (:func:`_products`),
+    equal to SciPy's sparse products to the bit.
 
     Checked on every column and row of ``lp``: primal feasibility of ``x``
     within ``FEASIBILITY_TOL`` times ``1 +`` the largest finite row bound,
@@ -383,13 +448,14 @@ def certify(lp: LinearProgram, x: np.ndarray, row_dual: np.ndarray, c_norm=None)
     their nonzero terms: correctly rounded, so the value and the gap do not
     depend on the BLAS thread count as a threaded dot product would.
     """
-    residual = _primal_residual(lp, x)
+    Ax, Aty = _products(lp, x, row_dual)
+    residual = _primal_residual(lp, Ax, x)
     scale = 1.0 + _row_bound_norm(lp)
     if not residual <= FEASIBILITY_TOL * scale:
         raise LpError(f"optimal solution violates feasibility: residual {residual:.3e} "
                       f"exceeds {FEASIBILITY_TOL:.0e} * {scale:.3e}")
     tol = dual_tolerance(lp.c_norm if c_norm is None else c_norm)
-    reduced = lp.c - lp.A.T @ row_dual
+    reduced = lp.c - Aty
     j, column_terms = _bound_rule(reduced, lp.lower, lp.upper, tol)
     if j is not None:
         side = f"below -{tol:.3e}" if reduced[j] < 0 else f"above {tol:.3e}"
@@ -515,7 +581,10 @@ class HighsModel:
             lower, upper = np.asarray(rows.row_lower_), np.asarray(rows.row_upper_)
             feasible = np.all(lower <= 0) and np.all(upper >= 0)
             return ("optimal" if feasible else "infeasible", np.zeros(len(lower)), 0)
-        iterations = int(self._highs.getInfo().simplex_iteration_count)
+        info, iterations = self._highs.getInfoValue("simplex_iteration_count")
+        if info != HighsStatus.kOk:
+            raise LpError("HiGHS getInfoValue('simplex_iteration_count') failed")
+        iterations = int(iterations)
         if status == HighsModelStatus.kInfeasible:
             return "infeasible", np.zeros(0), iterations
         if status != HighsModelStatus.kOptimal:

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -251,12 +252,13 @@ def _walk_blocks(target, cond_weights, costs, cap_scale, budgets, lifted) -> lis
         rows, cols, lowest = _priced_arcs(reduced, tol)
         return n_beta + rows * n_src + cols, lowest
 
-    bounds = [(np.append(lower, budget), np.append(upper, budget)) for budget in budgets]
+    bounds = ((np.concatenate([lower, [budget]]), np.concatenate([upper, [budget]]))
+              for budget in budgets)
     if lifted is None:
         lifted = _initial_arcs(cost, target.weights, upper[n_t:])
     rows, cols = lifted
     walked = solve_path(grid, bounds,
-                        np.append(np.arange(n_beta), n_beta + rows * n_src + cols), price)
+                        np.concatenate([np.arange(n_beta), n_beta + rows * n_src + cols]), price)
     return [(sol, sol.x[:n_beta], sol.x[n_beta:].reshape(cost.shape)) for sol in walked]
 
 
@@ -279,7 +281,7 @@ class _ArcGrid:
     @property
     def c_norm(self) -> float:
         # The beta columns cost 0.
-        return float(np.max(np.abs(self.cost), initial=0.0))
+        return float(np.abs(self.cost).max(initial=0.0))
 
     def columns(self, keys) -> tuple:
         """The sorted, distinct columns ``keys``, as
@@ -288,12 +290,14 @@ class _ArcGrid:
         split = np.searchsorted(keys, len(self.betas))
         betas = [self.betas[k] for k in keys[:split]]
         i, j = np.divmod(keys[split:] - len(self.betas), n_src)
-        nnz = np.cumsum([0] + [len(beta_rows) for beta_rows, _ in betas])
-        starts = np.concatenate([nnz, nnz[-1] + np.arange(2, 2 * len(i) + 1, 2)])
-        rows = [beta_rows for beta_rows, _ in betas] + [np.column_stack([i, n_t + j]).ravel()]
+        nnz = list(accumulate((len(beta_rows) for beta_rows, _ in betas), initial=0))
+        starts = np.concatenate([nnz, np.arange(nnz[-1] + 2, nnz[-1] + 2 * len(i) + 1, 2)])
+        arc_rows = np.empty((len(i), 2), dtype=np.int32)
+        arc_rows[:, 0], arc_rows[:, 1] = i, n_t + j
+        rows = [beta_rows for beta_rows, _ in betas] + [arc_rows.ravel()]
         values = [beta_values for _, beta_values in betas] + [np.ones(2 * len(i))]
         return (np.concatenate([np.zeros(split), self.cost[i, j]]), starts.astype(np.int32),
-                np.concatenate(rows).astype(np.int32), np.concatenate(values),
+                np.concatenate(rows), np.concatenate(values),
                 np.zeros(len(keys)), np.full(len(keys), np.inf))
 
 
@@ -387,13 +391,15 @@ def _beta_columns(target: DiscreteMeasure,
     ``cap_scale_k * w_j``, bounded above only; the budget row, an equality
     at the budget, comes last, and its callers append it."""
     n_t = target.n_atoms
-    widths = [len(w) for w in cond_weights]
-    n_src = sum(widths)
-    betas = []
-    for start, w in zip(np.cumsum(widths) - widths, cond_weights):
-        held = np.flatnonzero(w)
-        betas.append((np.append(n_t + start + held, n_t + n_src), np.append(-w[held], 1.0)))
     capacity = _capacity(cap_scale, cond_weights)
+    budget_row = n_t + len(capacity)
+    betas, start = [], n_t
+    for w in cond_weights:
+        held = w.nonzero()[0]
+        rows = np.empty(len(held) + 1, dtype=np.int32)
+        rows[:-1], rows[-1] = start + held, budget_row
+        betas.append((rows, np.concatenate([-w[held], [1.0]])))
+        start += len(w)
     lower = np.concatenate([target.weights, np.full(len(capacity), -np.inf)])
     upper = np.concatenate([target.weights, capacity])
     return tuple(betas), lower, upper
@@ -403,6 +409,9 @@ def _north_west_corner(demand: np.ndarray, capacity: np.ndarray) -> tuple:
     """Arcs ``(rows, cols)`` of the north-west-corner plan of ``demand``
     into ``capacity``: a feasible support whenever the capacity suffices."""
     rows, cols = [], []
+    # Python floats: the same double arithmetic as NumPy's scalars, without
+    # their per-operation cost.
+    demand, capacity = demand.tolist(), capacity.tolist()
     i = j = 0
     left_i = demand[0] if len(demand) else 0.0
     left_j = capacity[0] if len(capacity) else 0.0
@@ -564,17 +573,18 @@ def partial_ot_beta_split_path(target: DiscreteMeasure,
 
 
 def _difference_rows(n: int) -> tuple:
-    """``(i_idx, j_idx, A)``: one row ``f_i - f_j`` of the CSR matrix ``A``
+    """``(i_idx, j_idx, A)``: one row ``f_i - f_j`` of the CSC matrix ``A``
     per ordered pair ``i != j`` of ``n`` values, in row-major pair order.
 
-    Row ``r`` holds +1 in column ``i_idx[r]`` and -1 in column ``j_idx[r]``,
-    stored in column order, as ``eye[i_idx] - eye[j_idx]`` stores it."""
+    Row ``r`` holds +1 in column ``i_idx[r]`` and -1 in column ``j_idx[r]``;
+    column ``c`` stores its ``2 (n - 1)`` entries in row order, as
+    ``(eye[i_idx] - eye[j_idx]).tocsc()`` stores them."""
     i_idx, j_idx = np.where(~np.eye(n, dtype=bool))
-    sign = np.where(i_idx < j_idx, 1.0, -1.0)
-    A = sp.csr_matrix((np.column_stack([sign, -sign]).ravel(),
-                       np.column_stack([np.minimum(i_idx, j_idx),
-                                        np.maximum(i_idx, j_idx)]).ravel(),
-                       np.arange(0, 2 * len(i_idx) + 1, 2)),
+    rows = np.tile(np.arange(len(i_idx)), 2)
+    cols = np.concatenate([i_idx, j_idx])
+    order = np.lexsort((rows, cols))
+    A = sp.csc_matrix((np.repeat([1.0, -1.0], len(i_idx))[order], rows[order],
+                       np.arange(n + 1) * 2 * (n - 1)),
                       shape=(len(i_idx), n))
     return i_idx, j_idx, A
 

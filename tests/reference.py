@@ -4,10 +4,14 @@
   at one budget, from sparse Kronecker products and block matrices, where
   the program makes its columns by index arithmetic (``ot._ArcGrid``).
 - :func:`dual_of`: the explicit dual of an ``x >= 0`` LP.
+- :func:`certificate_terms`: ``(value, residual, gap)`` of
+  :func:`imdot.lp.certify`, from SciPy's sparse products and plain loops,
+  where the program sums over the CSC arrays itself.
 - :func:`brute_force_transport_value`: balanced transport by vertex
   enumeration.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -67,6 +71,29 @@ def dual_of(lp: LinearProgram) -> LinearProgram:
     return LinearProgram(np.concatenate([-lp.row_lower[low], lp.row_upper[up]]),
                          sp.hstack([lp.A[low].T, -lp.A[up].T]),
                          np.full(lp.n_vars, -np.inf), lp.c)
+
+
+def certificate_terms(lp: LinearProgram, x, row_dual) -> tuple:
+    """``(value, residual, gap)`` that :func:`imdot.lp.certify` returns for
+    ``x`` and ``row_dual`` on ``lp``, computed without its checks: ``A x``
+    and ``A' y`` by SciPy's sparse products, the residual as the largest
+    bound violation, and the value and the dual objective as ``math.fsum``
+    over every term, each bound term ``l * max(d, 0)`` for a finite lower
+    bound ``l`` and ``u * min(d, 0)`` for a finite upper bound ``u``."""
+    Ax = lp.A @ x
+    residual = max([0.0] + [float(v) for v in np.concatenate(
+        [lp.row_lower - Ax, Ax - lp.row_upper, lp.lower - x, x - lp.upper])])
+    reduced = lp.c - lp.A.T @ row_dual
+    terms = []
+    for duals, lowers, uppers in ((reduced, lp.lower, lp.upper),
+                                  (row_dual, lp.row_lower, lp.row_upper)):
+        for d, low, up in zip(duals, lowers, uppers):
+            if np.isfinite(low):
+                terms.append(low * max(d, 0.0))
+            if np.isfinite(up):
+                terms.append(up * min(d, 0.0))
+    value = math.fsum(c * v for c, v in zip(lp.c, x))
+    return value, residual, abs(value - math.fsum(terms))
 
 
 def brute_force_transport_value(cost, t, s):

@@ -183,6 +183,28 @@ CFG = ToyConfig(n_classes=3, n_source=45, n_target=45, seed=2)
 
 
 class TestRunSweep:
+    def test_a_draw_builds_the_costs_of_its_modes_alone(self, monkeypatch):
+        # Global mode reads one n_target x n_source matrix, the split one
+        # block per class; neither builds the other's.
+        shapes = []
+
+        def recorded(x, y):
+            cost = cost_matrix(x, y)
+            shapes.append(cost.entries.shape)
+            return cost
+
+        monkeypatch.setattr(imdot.experiments, "cost_matrix", recorded)
+        full = (CFG.n_target, CFG.n_source)
+        for mode in ("per_class_split", "global"):
+            shapes.clear()
+            records, failures = imdot.experiments._run_draw((0, 7, CFG, [0.5], (mode,)))
+            assert [r.mode for r in records] == [mode] and not failures
+            if mode == "global":
+                assert shapes == [full]
+            else:
+                assert len(shapes) == CFG.n_classes and full not in shapes
+                assert sum(width for _, width in shapes) == CFG.n_source
+
     def test_single_draw_beta_zero_objectives_agree(self):
         result = run_sweep(CFG, [0.0], draws=1, mode="both")
         objectives = {r.mode: r.objective for r in result.records}

@@ -27,7 +27,7 @@ from imdot.lp import (
 from imdot.measures import DiscreteMeasure, cost_matrix
 from imdot.ot import _difference_rows
 
-from reference import brute_force_transport_value, dense_lp, dual_of
+from reference import brute_force_transport_value, certificate_terms, dense_lp, dual_of
 
 
 def rows(relations, b):
@@ -123,6 +123,83 @@ def test_strong_duality_on_random_instances(rng):
         primal = solve(lp)  # feasible at x_feasible, so optimal
         dual = solve(dual_of(lp))
         assert primal.value == pytest.approx(-dual.value, abs=1e-7)
+
+
+def random_sparse_lp(rng, n_rows, n_cols, spread):
+    """A feasible LP with bounded variables, so with an optimum: a sparse
+    matrix with an empty first column and entries spread over ``10 **
+    (+-spread)``, and rows of every relation around ``A x0`` for an ``x0``
+    within the variable bounds."""
+    def entries(k):
+        return rng.normal(size=k) * 10.0 ** rng.uniform(-spread, spread, k)
+
+    A = sp.hstack([sp.csc_matrix((n_rows, min(n_cols, 1))),
+                   sp.random(n_rows, max(n_cols - 1, 0), density=0.5, random_state=rng,
+                             data_rvs=entries)], format="csc")
+    b = A @ rng.uniform(0, 1, n_cols)
+    relations = rng.choice(["<=", "=", ">="], n_rows)
+    b += np.where(relations == "<=", 0.1, 0.0) - np.where(relations == ">=", 0.1, 0.0)
+    return LinearProgram(rng.normal(size=n_cols), A, *rows(relations, b),
+                         upper=rng.uniform(1, 2, n_cols))
+
+
+def test_the_certificate_products_are_scipys_to_the_bit(rng):
+    # Entries, values and duals over 16 orders of magnitude, so that a sum
+    # in any other order would round differently.
+    shapes = [(3, 0), (2, 1)] + [tuple(rng.integers(1, 40, 2)) for _ in range(100)]
+    for n_rows, n_cols in shapes:
+        lp = random_sparse_lp(rng, int(n_rows), int(n_cols), 8)
+        x = rng.normal(size=lp.n_vars) * 10.0 ** rng.uniform(-8, 8, lp.n_vars)
+        y = rng.normal(size=lp.n_rows) * 10.0 ** rng.uniform(-8, 8, lp.n_rows)
+        Ax, Aty = imdot.lp._products(lp, x, y)
+        for ours, scipys in ((Ax, lp.A @ x), (Aty, lp.A.T @ y)):
+            assert ours.dtype == scipys.dtype and ours.tobytes() == scipys.tobytes()
+
+
+def test_the_certificate_is_the_scipy_reference(rng):
+    for _ in range(60):
+        lp = random_sparse_lp(rng, int(rng.integers(1, 15)), int(rng.integers(1, 15)), 1)
+        model = HighsModel(lp.row_lower, lp.row_upper)
+        model.add_columns(*lp.columns(np.arange(lp.n_vars)))
+        status, row_dual, _ = model.run()
+        assert status == "optimal"
+        x = model.col_value()
+        assert certify(lp, x, row_dual) == certificate_terms(lp, x, row_dual)
+
+
+@pytest.mark.parametrize("later", [False, True])
+@pytest.mark.parametrize("row_lower, row_upper, cause", [
+    (np.nan, 2.0, "row bounds must not be NaN"),
+    (1.0, np.nan, "row bounds must not be NaN"),
+    (np.inf, np.inf, "row_lower must not be inf"),
+    (-np.inf, -np.inf, "row_upper must not be -inf"),
+])
+def test_a_walk_entry_with_bad_row_bounds_raises_before_highs_sees_it(monkeypatch, later,
+                                                                      row_lower, row_upper,
+                                                                      cause):
+    # Named by the bound checks of LinearProgram, before the entry's bounds
+    # reach a model: no model is made for it, no row bound set, no run made.
+    lp = LinearProgram([1.0, 1.0], [[1.0, 1.0]], [1.0], [2.0])
+    calls = []
+    for method in ("__init__", "set_row_bounds", "run"):
+        def recorded(model, *args, _method=method, _call=getattr(HighsModel, method)):
+            calls.append(_method)
+            return _call(model, *args)
+
+        monkeypatch.setattr(HighsModel, method, recorded)
+    good = [([1.0], [2.0])] if later else []
+    assert len(solve_path(lp, good, [0, 1])) == len(good)
+    calls_of_good = list(calls)
+    with pytest.raises(ValueError, match=f"^{cause}$"):
+        solve_path(lp, good + [([row_lower], [row_upper])], [0, 1])
+    assert calls == 2 * calls_of_good
+
+
+def test_a_crossed_walk_entry_is_infeasible():
+    lp = LinearProgram([1.0, 1.0], [[1.0, 1.0]], [0.0], [5.0])
+    assert solve_path(lp, [([2.0], [1.0])], [0, 1]) == []
+    (sol,) = solve_path(lp, [([1.0], [2.0]), ([2.0], [1.0])], [0, 1])
+    assert sol.value == 1.0
 
 
 def test_a_shifted_dual_of_a_zero_rhs_row_is_caught(monkeypatch):
@@ -605,11 +682,12 @@ def test_dense_csr_and_csc_matrices_solve_alike(monkeypatch):
 
 
 def test_lipschitz_difference_rows_equal_identity_differences():
-    for n in range(1, 8):
+    # Built as CSC, the form LinearProgram keeps, so it is never converted.
+    for n in range(1, 40):
         i_idx, j_idx, A = _difference_rows(n)
         eye = sp.eye(n, format="csr")
-        reference = eye[i_idx] - eye[j_idx]
-        assert A.format == "csr" and A.shape == reference.shape
+        reference = (eye[i_idx] - eye[j_idx]).tocsc()
+        assert A.format == "csc" and A.shape == reference.shape
         for field in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(A, field), getattr(reference, field)), (n, field)
         assert np.array_equal((i_idx, j_idx), np.nonzero(~np.eye(n, dtype=bool)))
